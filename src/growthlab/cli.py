@@ -2,9 +2,10 @@
 
 Subcommands: chartable, growth, fusion, asym, bounds, pl, verify.  Exit
 codes: 0 success, 1 usage error, 2 input validation error, 3 verification
-mismatch.  Identical invocations produce byte-identical output; every
-machine-readable field is an exact integer or rational string, and decimal
-renderings (12 significant digits) are display-only.
+mismatch or a verify run that made no checks.  Identical invocations produce
+byte-identical output; every machine-readable field is an exact integer or
+rational string, and decimal renderings (12 significant digits) are
+display-only.
 """
 
 from __future__ import annotations
@@ -82,11 +83,14 @@ def _decimal12(x: Fraction) -> str:
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    n = int(text)
-    return range(n, n + 1)
+    lo, sep, hi = text.partition("..")
+    try:
+        span = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError as exc:
+        raise InputError(f"bad range {text!r} (want N or A..B)") from exc
+    if not span:
+        raise InputError(f"empty range {text!r} (want A <= B)")
+    return span
 
 
 def _parse_p(text: str):
@@ -178,18 +182,24 @@ def _cmd_chartable(args) -> int:
 
 def _cmd_growth(args) -> int:
     family = _family(args.family)
+    span = _parse_range(args.n)
     spec = module_spec(family, args.m, args.module)
     table = simple_table(family, args.m)
     if args.statistic == "multiplicity":
         if args.target is None:
             raise InputError("multiplicity needs --target")
-        target = int(args.target.lstrip("Vv"))
+        try:
+            target = int(args.target.lstrip("Vv"))
+        except ValueError as exc:
+            raise InputError(f"bad target {args.target!r} (want V<i>)") from exc
         series = multiplicity_series(spec, table, target)
     else:
         series = length_series(spec, table)
-    asym = leading_term(series)
+    # a module that never contains the target has the empty (zero) series,
+    # whose asymptotic part is zero as well
+    asym = leading_term(series) if series.terms else series
     rows = []
-    for n in _parse_range(args.n):
+    for n in span:
         value = evaluate(series, n)
         k = evaluate(asym, n)
         ratio = value / k if k else Fraction(0)
@@ -235,8 +245,11 @@ def _cmd_fusion(args) -> int:
     n0 = realized_n0(graph, set(report.absorbing)) if report.absorbing else None
     dot = to_dot(graph)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dot!r}: {exc.strerror}") from exc
     if args.format == "dot":
         print(dot, end="")
         return 0
@@ -290,6 +303,8 @@ def _cmd_pl(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify.run_suite(args.suite, args.max_m)
+    if not results:
+        raise VerificationError(f"suite {args.suite!r} ran no checks")
     failures = [r for r in results if not r.ok]
     if args.format == "json":
         print(verify.report_json(results))

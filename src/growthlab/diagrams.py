@@ -60,9 +60,12 @@ def max_enumerable_m(family: Family) -> int:
     env = os.environ.get("GROWTHLAB_MAX_M")
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise InputError(f"GROWTHLAB_MAX_M={env!r} is not an integer") from exc
+        if value < 1:
+            raise InputError(f"GROWTHLAB_MAX_M={env!r} must be at least 1")
+        return value
     return DEFAULT_MAX_M[family]
 
 

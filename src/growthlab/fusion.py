@@ -17,9 +17,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, InternalCheckError, SingularMatrixError, VerificationError
+from .errors import InputError, InternalCheckError, VerificationError
 from .growth import ModuleSpec
-from .linalg import Mat, inverse, mat_mul, mat_pow
+from .linalg import Mat, mat_mul, solve_lower_triangular
 from .tables import CharTable
 
 
@@ -58,14 +58,11 @@ def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
     if spec.family is not simple.family or spec.m != simple.m:
         raise InputError("module and table belong to different monoids")
     n = len(simple.labels)
-    for k in range(n):
-        if simple.mat.rows[k][k] == 0:
-            raise SingularMatrixError("simple table is singular")
-    xt_inv = inverse(simple.mat.transpose())
+    xt = simple.mat.transpose()  # the solve rejects a zero diagonal
     cols = []
     for j in range(n):
         pointwise = [spec.charvec[r] * simple.mat.rows[j][r] for r in range(n)]
-        col = xt_inv.apply(pointwise)
+        col = solve_lower_triangular(xt, pointwise)
         for value in col:
             if value.denominator != 1 or value < 0:
                 raise InternalCheckError(
@@ -93,8 +90,10 @@ def power_multiplicities(g: FusionGraph, n: int) -> tuple[Fraction, ...]:
     """(A^n) applied to the trivial indicator: the decomposition of V^(x)n."""
     if n < 0:
         raise InputError("need n >= 0")
-    an = mat_pow(g.adjacency, n)
-    return an.col(g.trivial_index)
+    v = tuple(Fraction(int(k == g.trivial_index)) for k in range(len(g.labels)))
+    for _ in range(n):
+        v = g.adjacency.apply(v)
+    return v
 
 
 def realized_n0(g: FusionGraph, targets) -> int | None:
@@ -192,30 +191,11 @@ def scc_analysis(g: FusionGraph) -> SccReport:
                 u, _ = work[-1]
                 low[u] = min(low[u], low[v])
 
-    n_comps = len(comps)
-    leaves = [False] * n_comps  # has an edge to another component
-    for j, t in g.support_edges():
-        if comp_of[j] != comp_of[t]:
-            leaves[comp_of[j]] = True
-
-    # reachable component sets per node, by fixpoint (graphs here are tiny)
-    reach: list[set[int]] = [set() for _ in range(n)]
-    for v in range(n):
-        reach[v].add(comp_of[v])
-    changed = True
-    while changed:
-        changed = False
-        for j, t in g.support_edges():
-            before = len(reach[j])
-            reach[j] |= reach[t]
-            if len(reach[j]) != before:
-                changed = True
-
-    absorbing_comps = [
-        c
-        for c in range(n_comps)
-        if not leaves[c] and all(c in reach[v] for v in range(n))
-    ]
+    # Every node reaches some sink component (one with no edge leaving it), so
+    # a sink is reachable from every node exactly when it is the only sink.
+    leaving = {comp_of[j] for j in range(n) for t in out[j] if comp_of[t] != comp_of[j]}
+    sinks = [c for c in range(len(comps)) if c not in leaving]
+    absorbing_comps = sinks if len(sinks) == 1 else []
     label_comps = tuple(
         sorted(
             (tuple(sorted(g.labels[v] for v in comp)) for comp in comps),
@@ -263,11 +243,14 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
     idem_ok = all(mat_mul(p, p) == p for p in projections.values())
     checks.append(("projections_are_idempotent", idem_ok))
 
+    a_power = ident
     for power in range(0, max_n + 1):
+        if power:
+            a_power = mat_mul(a_power, a)
         recon = Mat.zero(n, n)
         for lam, p in projections.items():
             recon = recon + p.scale(lam**power)
-        checks.append((f"reconstructs_power_{power}", recon == mat_pow(a, power)))
+        checks.append((f"reconstructs_power_{power}", recon == a_power))
 
     failures = [name for name, ok in checks if not ok]
     if failures:

@@ -165,26 +165,28 @@ def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
             raise SingularMatrixError(f"simple table has zero diagonal at {label}")
 
 
-def multiplicity_series(spec: ModuleSpec, simple: CharTable, target: int) -> ExpSum:
-    """[V^(x)n : V_target] as an exponential sum in n."""
+def _series(spec: ModuleSpec, simple: CharTable, weights) -> ExpSum:
+    """sum_t weights[t] * [V^(x)n : V_t] as an exponential sum in n.
+
+    The multiplicities are (X^T)^-1 (chi^n), so the weighted sum has the
+    coefficients c = X^-1 w: one back-substitution against the simple table.
+    """
     _check_compatible(spec, simple)
-    idx = simple.index(target)
-    unit = [Fraction(int(k == idx)) for k in range(len(simple.labels))]
-    # column `target` of X^-1 = row `target` of the inverse transpose
-    coeffs = solve_upper_triangular(simple.mat, unit)
+    coeffs = solve_upper_triangular(simple.mat, weights)
     return ExpSum.make(
         (c, _as_int_base(chi)) for c, chi in zip(coeffs, spec.charvec)
     )
+
+
+def multiplicity_series(spec: ModuleSpec, simple: CharTable, target: int) -> ExpSum:
+    """[V^(x)n : V_target] as an exponential sum in n."""
+    idx = simple.index(target)
+    return _series(spec, simple, [int(k == idx) for k in range(len(simple.labels))])
 
 
 def length_series(spec: ModuleSpec, simple: CharTable) -> ExpSum:
     """l(n) = total number of composition factors of V^(x)n."""
-    _check_compatible(spec, simple)
-    ones = [Fraction(1)] * len(simple.labels)
-    coeffs = solve_upper_triangular(simple.mat, ones)
-    return ExpSum.make(
-        (c, _as_int_base(chi)) for c, chi in zip(coeffs, spec.charvec)
-    )
+    return _series(spec, simple, [1] * len(simple.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +350,8 @@ def involution_sum(m: int) -> tuple[Fraction, int]:
         for z in range(m // 2 + 1)
     )
     dims_total = total * factorial(m)
-    assert dims_total.denominator == 1
+    if dims_total.denominator != 1:
+        raise InternalCheckError(f"involution sum times {m}! is not an integer")
     # independent cross-check: I(m) = I(m-1) + (m-1) I(m-2)
     prev2, prev1 = 1, 1
     for k in range(2, m + 1):

@@ -38,7 +38,7 @@ from .diagrams import (
 )
 from .errors import InputError, InternalCheckError, VerificationError
 from .growth import ModuleSpec, module_spec
-from .linalg import Mat, inverse, kernel_and_rank, mat_mul, solve_lower_triangular
+from .linalg import Mat, kernel_and_rank, mat_mul, solve_lower_triangular
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +200,6 @@ def cell_module(family: Family, m: int, i: int) -> CellModule:
     return CellModule(family, m, i)
 
 
-def cell_action(d: Diagram, module: CellModule) -> Mat:
-    return module.action(d)
-
-
 def cell_character(family: Family, m: int, i: int, j: int) -> Fraction:
     """Trace of the canonical rank-j idempotent on S_i (a fixed-point count)."""
     module = cell_module(family, m, i)
@@ -257,12 +253,18 @@ def gram_matrix(family: Family, m: int, i: int) -> Mat:
 
 @lru_cache(maxsize=None)
 def _radical_data(family: Family, m: int, i: int):
-    """(kernel basis as columns Mat or None, quotient dimension)."""
+    """(kernel basis as columns Mat or None, its free rows, quotient dimension).
+
+    Kernel column c carries a 1 in its free row, which is its last nonzero
+    entry, and 0 in the other free rows; so K restricted to the free rows is
+    the identity.
+    """
     gram = gram_matrix(family, m, i)
     rank, kernel = kernel_and_rank(gram)
     if not kernel:
-        return None, gram.nrows
-    return Mat.from_cols(kernel), rank
+        return None, (), gram.nrows
+    free_rows = tuple(max(r for r, x in enumerate(v) if x) for v in kernel)
+    return Mat.from_cols(kernel), free_rows, rank
 
 
 def simple_character(family: Family, m: int, i: int, j: int) -> Fraction:
@@ -274,14 +276,12 @@ def simple_character(family: Family, m: int, i: int, j: int) -> Fraction:
     """
     module = cell_module(family, m, i)
     action = module.action(class_idempotent(family, m, j))
-    kernel_cols, _ = _radical_data(family, m, i)
+    kernel_cols, free_rows, _ = _radical_data(family, m, i)
     if kernel_cols is None:
         return action.trace()
     mk = mat_mul(action, kernel_cols)
-    # A = (K^T K)^-1 K^T (M K) solves K A = M K when the radical is invariant
-    kt = kernel_cols.transpose()
-    gramian = mat_mul(kt, kernel_cols)
-    sub_action = mat_mul(inverse(gramian), mat_mul(kt, mk))
+    # K A = M K read on the free rows, where K is the identity, gives A
+    sub_action = Mat([mk.rows[f] for f in free_rows])
     if mat_mul(kernel_cols, sub_action) != mk:
         raise InternalCheckError(
             f"radical of S_{i} not stable under the rank-{j} idempotent"
@@ -291,7 +291,7 @@ def simple_character(family: Family, m: int, i: int, j: int) -> Fraction:
 
 def simple_dimension(family: Family, m: int, i: int) -> int:
     """Rank of the cellular form = dimension of the simple module V_i."""
-    return _radical_data(family, m, i)[1]
+    return _radical_data(family, m, i)[2]
 
 
 @lru_cache(maxsize=None)
@@ -310,27 +310,21 @@ def oracle_simple_table(family: Family, m: int) -> Mat:
 # explicit module matrices (for the Kronecker cross-check)
 
 def _quotient_action(family: Family, m: int, i: int, d: Diagram) -> Mat:
-    """The action of d on S_i / rad in an explicit complement basis."""
-    module = cell_module(family, m, i)
-    action = module.action(d)
-    kernel_cols, _ = _radical_data(family, m, i)
+    """The action of d on S_i / rad in the basis of the kept (non-free) rows.
+
+    Modulo the radical, v is congruent to v - K v_f, which vanishes on the
+    free rows; so column c of M reduces to M_kc - K_k M_fc, and the action is
+    the block M_kk - K_k M_fk.
+    """
+    action = cell_module(family, m, i).action(d)
+    kernel_cols, free_rows, _ = _radical_data(family, m, i)
     if kernel_cols is None:
         return action
-    n = module.dim
-    # Each kernel basis vector carries a 1 in its free coordinate, which is
-    # its last nonzero entry; dropping those coordinates leaves a complement.
-    free_rows = []
-    for col in range(kernel_cols.ncols):
-        col_vals = kernel_cols.col(col)
-        free_rows.append(max(r for r in range(n) if col_vals[r] != 0))
-    keep = [r for r in range(n) if r not in free_rows]
-    basis_cols = [
-        tuple(Fraction(int(r == k)) for r in range(n)) for k in keep
-    ] + [kernel_cols.col(c) for c in range(kernel_cols.ncols)]
-    change = Mat.from_cols(basis_cols)
-    conjugated = mat_mul(inverse(change), mat_mul(action, change))
-    q = len(keep)
-    return Mat([row[:q] for row in conjugated.rows[:q]])
+    keep = [r for r in range(action.nrows) if r not in free_rows]
+    m_kk = Mat([[action.rows[r][c] for c in keep] for r in keep])
+    m_fk = Mat([[action.rows[r][c] for c in keep] for r in free_rows])
+    k_k = Mat([kernel_cols.rows[r] for r in keep])
+    return m_kk - mat_mul(k_k, m_fk)
 
 
 def _module_action(spec: ModuleSpec, d: Diagram) -> Mat:

@@ -61,7 +61,8 @@ def tl_cell_entry(j: int, i: int) -> int:
         return 0
     c = (j - i) // 2
     value = Fraction(j - 2 * c + 1, j - c + 1) * comb(j, c)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InternalCheckError(f"ballot number alpha({j}, {i}) is not an integer")
     return int(value)
 
 
@@ -81,7 +82,8 @@ def mo_cell_entry(j: int, i: int) -> int:
     while i + 2 * t <= j:
         total += Fraction(i + 1, i + t + 1) * comb(j, i + 2 * t) * comb(i + 2 * t, t)
         t += 1
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise InternalCheckError(f"Motzkin cell dimension beta({j}, {i}) is not an integer")
     return int(total)
 
 
@@ -112,7 +114,8 @@ def mo_simple_entry_closed(j: int, i: int) -> int:
         total_frac = Fraction(4 * l, j - t + 2 * l) * comb(j, t) * comb(
             j - t - 1, (j - t) // 2 + l - 1
         )
-        assert total_frac.denominator == 1
+        if total_frac.denominator != 1:
+            raise InternalCheckError(f"hump count term at ({j}, {i}, {t}) is not an integer")
         total += int(total_frac)
     return total
 
@@ -132,9 +135,6 @@ _INVERSE_ENTRY = {
 
 # ---------------------------------------------------------------------------
 # tables
-
-KINDS = ("cell", "simple", "projective", "cell_inverse")
-
 
 @dataclass(frozen=True)
 class CharTable:
@@ -493,13 +493,6 @@ def decomposition_matrix(
 
 # ---------------------------------------------------------------------------
 # consistency helpers and serialization
-
-def check_riordan_inverse(family: Family, m: int) -> None:
-    """cell_table(m) times cell_inverse(m) must be the identity, exactly."""
-    prod = cell_table(family, m).mat * cell_inverse(family, m).mat
-    if prod != Mat.identity(len(rank_labels(family, m))):
-        raise InternalCheckError(f"Riordan inverse failed for {family.value} m={m}")
-
 
 def check_inverse_against_elimination(family: Family, m: int) -> None:
     """Closed-form inverse must agree with fraction-free elimination."""

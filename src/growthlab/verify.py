@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import comb
 
 from . import oracle, reference
-from .diagrams import Family, class_idempotent, max_enumerable_m, rank_labels
-from .errors import VerificationError
+from .diagrams import DEFAULT_MAX_M, Family, class_idempotent, max_enumerable_m, rank_labels
+from .errors import InternalCheckError, VerificationError
 from .fusion import fusion_matrix, power_multiplicities, realized_n0, scc_analysis, spectral_check
 from .growth import evaluate, length_series, module_spec, multiplicity_series
 from .linalg import Mat, inverse
@@ -55,18 +55,10 @@ def _result(name: str, lhs, rhs, location: str) -> CheckResult:
 
 
 def _oracle_bounds(max_m: int | None) -> dict[Family, int]:
-    bounds = {
-        Family.PLANAR_ROOK: 6,
-        Family.TEMPERLEY_LIEB: 7,
-        Family.MOTZKIN: 5,
-    }
+    bounds = DEFAULT_MAX_M
     if max_m is not None:
         bounds = {f: min(b, max_m) for f, b in bounds.items()}
     return {f: min(b, max_enumerable_m(f)) for f, b in bounds.items()}
-
-
-def _int_rows(mat: Mat) -> tuple[tuple[int, ...], ...]:
-    return mat.int_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +101,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     out.append(
         _result(
             "golden:tl7-cell",
-            _int_rows(cell_table(Family.TEMPERLEY_LIEB, 7).mat),
+            cell_table(Family.TEMPERLEY_LIEB, 7).mat.int_rows(),
             reference.TL7_CELL,
             "reference.TL7_CELL",
         )
@@ -117,7 +109,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     out.append(
         _result(
             "golden:tl7-simple",
-            _int_rows(simple_table(Family.TEMPERLEY_LIEB, 7).mat),
+            simple_table(Family.TEMPERLEY_LIEB, 7).mat.int_rows(),
             reference.TL7_SIMPLE,
             "reference.TL7_SIMPLE",
         )
@@ -125,7 +117,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     out.append(
         _result(
             "golden:tl7-projective",
-            _int_rows(projective_table(Family.TEMPERLEY_LIEB, 7).mat),
+            projective_table(Family.TEMPERLEY_LIEB, 7).mat.int_rows(),
             reference.TL7_PROJECTIVE,
             "reference.TL7_PROJECTIVE (erratum row 7 corrected)",
         )
@@ -133,7 +125,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     out.append(
         _result(
             "golden:mo5-cell",
-            _int_rows(cell_table(Family.MOTZKIN, 5).mat),
+            cell_table(Family.MOTZKIN, 5).mat.int_rows(),
             reference.MO5_CELL,
             "reference.MO5_CELL",
         )
@@ -141,7 +133,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     out.append(
         _result(
             "golden:mo5-simple",
-            _int_rows(simple_table(Family.MOTZKIN, 5).mat),
+            simple_table(Family.MOTZKIN, 5).mat.int_rows(),
             reference.MO5_SIMPLE,
             "reference.MO5_SIMPLE",
         )
@@ -149,7 +141,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     out.append(
         _result(
             "golden:mo5-projective",
-            _int_rows(projective_table(Family.MOTZKIN, 5).mat),
+            projective_table(Family.MOTZKIN, 5).mat.int_rows(),
             reference.MO5_PROJECTIVE,
             "reference.MO5_PROJECTIVE (errata entries corrected)",
         )
@@ -157,7 +149,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     for m in range(1, 9):
         table = cell_table(Family.PLANAR_ROOK, m)
         pascal = tuple(tuple(comb(j, i) for j in table.labels) for i in table.labels)
-        out.append(_result(f"golden:pro-pascal:{m}", _int_rows(table.mat), pascal, "Pascal"))
+        out.append(_result(f"golden:pro-pascal:{m}", table.mat.int_rows(), pascal, "Pascal"))
         for kind, fn in (("simple", simple_table), ("projective", projective_table)):
             out.append(
                 _result(
@@ -171,7 +163,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     out.append(
         _result(
             "golden:tl7-linv",
-            _int_rows(inverse(simple_table(Family.TEMPERLEY_LIEB, 7).mat.transpose())),
+            inverse(simple_table(Family.TEMPERLEY_LIEB, 7).mat.transpose()).int_rows(),
             reference.TL7_LINV,
             "reference.TL7_LINV",
         )
@@ -179,7 +171,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     out.append(
         _result(
             "golden:mo5-simple-linv",
-            _int_rows(inverse(simple_table(Family.MOTZKIN, 5).mat.transpose())),
+            inverse(simple_table(Family.MOTZKIN, 5).mat.transpose()).int_rows(),
             reference.MO5_SIMPLE_LINV,
             "reference.MO5_SIMPLE_LINV",
         )
@@ -187,7 +179,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     out.append(
         _result(
             "golden:mo5-printed-linv-is-cell-inverse",
-            _int_rows(inverse(cell_table(Family.MOTZKIN, 5).mat.transpose())),
+            inverse(cell_table(Family.MOTZKIN, 5).mat.transpose()).int_rows(),
             reference.MO5_CELL_LINV_PRINTED,
             "the printed matrix inverts the transposed cell table",
         )
@@ -208,7 +200,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
         try:
             check_motzkin_simple_closed_form(m)
             out.append(_result(f"motzkin-closed-form:{m}", True, True, "hump counts"))
-        except Exception as exc:  # InternalCheckError
+        except InternalCheckError as exc:
             out.append(CheckResult(f"motzkin-closed-form:{m}", "fail", str(exc), "", "hump counts"))
     return out
 
@@ -297,7 +289,7 @@ def check_fusion(max_m: int | None = None) -> list[CheckResult]:
     table = simple_table(Family.PLANAR_ROOK, 8)
     graph = fusion_matrix(spec, table)
     out.append(
-        _result("fusion:pro8-matrix", _int_rows(graph.adjacency), reference.PRO8_V2_FUSION, "reference")
+        _result("fusion:pro8-matrix", graph.adjacency.int_rows(), reference.PRO8_V2_FUSION, "reference")
     )
     out.append(
         _result("fusion:pro8-n0", realized_n0(graph, {8}), reference.PRO8_V2_N0, "shortest path")

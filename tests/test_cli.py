@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from growthlab.cli import main
 
 
@@ -188,6 +190,47 @@ def test_input_error_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "asym", "linear-monoid", "--p", "4", "--r", "1")
     assert code == 2
+
+
+_TL7_V3 = ("--family", "tl", "--m", "7", "--module", "V3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("growth", "length", *_TL7_V3, "--n", "a..b"),
+        ("growth", "length", *_TL7_V3, "--n", "5.."),
+        ("growth", "length", *_TL7_V3, "--n", "5..1"),
+        ("growth", "multiplicity", *_TL7_V3, "--target", "Vx"),
+        ("fusion", *_TL7_V3, "--dot", "{missing}/x.dot"),
+    ],
+    ids=["bad-range", "open-range", "empty-range", "bad-target", "unwritable-dot"],
+)
+def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "no-such-dir") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_zero_multiplicity_prints_zero_rows(capsys):
+    # V8 never occurs in a tensor power of the trivial TL8 module
+    code, out, err = run(
+        capsys, "growth", "multiplicity", "--family", "tl", "--m", "8",
+        "--module", "V0", "--target", "V8", "--n", "1..6",
+    )
+    assert code == 0 and err == ""
+    assert "formula: 0" in out
+    assert out.splitlines()[3:] == [f"{n},0,0,0,0" for n in range(1, 7)]
+
+
+def test_verify_without_checks_fails(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "--suite", "counts", "--max-m", "0")
+    assert code == 3 and out == "" and "no checks" in err
+    monkeypatch.setenv("GROWTHLAB_MAX_M", "-3")
+    code, out, err = run(capsys, "verify", "--suite", "counts")
+    assert code == 2 and out == "" and "GROWTHLAB_MAX_M" in err
 
 
 def test_cli_determinism_across_runs(capsys):

@@ -16,6 +16,7 @@ from growthlab.diagrams import (
     green_data,
     identity_diagram,
     make_diagram,
+    max_enumerable_m,
     parse_blocks,
     rank,
     rank_labels,
@@ -60,6 +61,13 @@ def test_enumeration_bound_override(monkeypatch):
     with pytest.raises(InputError):
         enumerate_diagrams(Family.MOTZKIN, 3)
     assert len(enumerate_diagrams(Family.MOTZKIN, 2)) == 9
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_enumeration_bound_override_must_be_positive(monkeypatch, value):
+    monkeypatch.setenv("GROWTHLAB_MAX_M", value)
+    with pytest.raises(InputError):
+        max_enumerable_m(Family.MOTZKIN)
 
 
 def test_validation_rejects_bad_blocks():

@@ -3,10 +3,13 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthlab.diagrams import Family
 from growthlab.errors import InputError
 from growthlab.fusion import (
+    FusionGraph,
     fusion_matrix,
     power_multiplicities,
     realized_n0,
@@ -16,7 +19,7 @@ from growthlab.fusion import (
     to_json,
 )
 from growthlab.growth import evaluate, length_series, module_spec, multiplicity_series
-from growthlab.linalg import Mat, mat_mul, mat_pow
+from growthlab.linalg import Mat, inverse, mat_mul, mat_pow
 from growthlab.reference import PRO8_V2_FUSION, PRO8_V2_N0
 from growthlab.tables import simple_table
 
@@ -80,6 +83,32 @@ def test_power_multiplicities_match_series():
             assert vec[idx] == evaluate(multiplicity_series(spec, TL7, label), n)
 
 
+CROSS_ROUTE_SPECS = (
+    (Family.TEMPERLEY_LIEB, 7, "V3"),
+    (Family.MOTZKIN, 5, "S1"),
+    (Family.PLANAR_ROOK, 8, "V2"),
+    (Family.MOTZKIN, 20, "V1"),
+)
+
+
+@pytest.mark.parametrize("family,m,sel", CROSS_ROUTE_SPECS)
+def test_fusion_matrix_matches_inverse_route(family, m, sel):
+    spec = module_spec(family, m, sel)
+    table = simple_table(family, m)
+    xt_inv = inverse(table.mat.transpose())
+    expected = Mat.from_cols(
+        [xt_inv.apply([c * x for c, x in zip(spec.charvec, row)]) for row in table.mat.rows]
+    )
+    assert fusion_matrix(spec, table).adjacency == expected
+
+
+@pytest.mark.parametrize("family,m,sel", CROSS_ROUTE_SPECS)
+def test_power_multiplicities_match_matrix_powers(family, m, sel):
+    g = graph_for(family, m, sel)
+    for n in range(9):
+        assert power_multiplicities(g, n) == mat_pow(g.adjacency, n).col(g.trivial_index)
+
+
 def test_realized_n0():
     g8 = graph_for(Family.PLANAR_ROOK, 8, "V2")
     assert realized_n0(g8, {8}) == PRO8_V2_N0 == 4
@@ -119,6 +148,45 @@ def test_scc_trivial_module():
     report = scc_analysis(g)
     assert report.components == tuple((k,) for k in range(4))
     assert report.absorbing == ()
+
+
+def _graph_of(rows) -> FusionGraph:
+    n = len(rows)
+    return FusionGraph(
+        family=None,
+        m=0,
+        labels=tuple(range(n)),
+        dims=(1,) * n,
+        adjacency=Mat(rows),
+        trivial_index=0,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_scc_absorbing_matches_brute_definition(rows):
+    g = _graph_of(rows)
+    n = len(rows)
+    # reach[v] = nodes reachable from v, by repeated relaxation of every edge
+    reach = [{v} for v in range(n)]
+    for _ in range(n):
+        for j, t in g.support_edges():
+            reach[j] |= reach[t]
+    comps = {frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)}
+    report = scc_analysis(g)
+    assert sorted(report.components) == sorted(tuple(sorted(c)) for c in comps)
+    absorbing = [
+        c
+        for c in comps
+        if all(reach[v] <= c for v in c) and all(reach[v] & c for v in range(n))
+    ]
+    assert report.absorbing == tuple(sorted(v for c in absorbing for v in c))
 
 
 def test_spectral_check_golden_specs():

@@ -14,8 +14,10 @@ from growthlab.diagrams import (
     rank_labels,
 )
 from growthlab.errors import InputError
-from growthlab.linalg import Mat, kernel_and_rank, mat_mul
+from growthlab.linalg import Mat, inverse, kernel_and_rank, mat_mul
 from growthlab.oracle import (
+    _quotient_action,
+    _radical_data,
     cell_character,
     cell_module,
     count_check,
@@ -217,6 +219,61 @@ def test_character_constancy_across_same_rank_idempotents():
                 canonical = module.action(class_idempotent(family, m, j)).trace()
                 for d in sample:
                     assert module.action(d).trace() == canonical
+
+
+# ---------------------------------------------------------------------------
+# radical quotients against the general-inverse routes
+
+
+def _inverse_routes(kernel_cols):
+    """The radical sub-action and the quotient action through general inverses.
+
+    sub(M) = (K^T K)^-1 K^T M K solves K A = M K by the normal equations;
+    quotient(M) is the top-left block of C^-1 M C, C = [kept unit vectors | K],
+    where the free row of a kernel column is its last nonzero entry.
+    """
+    n = kernel_cols.nrows
+    cols = list(zip(*kernel_cols.rows))
+    kt = kernel_cols.transpose()
+    pseudo = mat_mul(inverse(mat_mul(kt, kernel_cols)), kt)
+    free_rows = [max(r for r in range(n) if col[r] != 0) for col in cols]
+    keep = [r for r in range(n) if r not in free_rows]
+    change = Mat.from_cols([tuple(int(r == k) for r in range(n)) for k in keep] + cols)
+    change_inv = inverse(change)
+
+    def sub(action):
+        return mat_mul(pseudo, mat_mul(action, kernel_cols))
+
+    def quotient(action):
+        conjugated = mat_mul(change_inv, mat_mul(action, change))
+        return Mat([row[: len(keep)] for row in conjugated.rows[: len(keep)]])
+
+    return sub, quotient
+
+
+@pytest.mark.parametrize(
+    "family,m",
+    [(Family.TEMPERLEY_LIEB, m) for m in (5, 6, 7)] + [(Family.MOTZKIN, m) for m in (3, 4, 5)],
+)
+def test_radical_quotients_match_inverse_routes(family, m):
+    labels = rank_labels(family, m)
+    idempotents = [class_idempotent(family, m, j) for j in labels]
+    sample = random.Random(m).sample(enumerate_diagrams(family, m), 4)
+    radicals = 0
+    for i in labels:
+        kernel_cols, free_rows, _ = _radical_data(family, m, i)
+        if kernel_cols is None:
+            continue
+        radicals += 1
+        assert Mat([kernel_cols.rows[f] for f in free_rows]) == Mat.identity(len(free_rows))
+        module = cell_module(family, m, i)
+        sub, quotient = _inverse_routes(kernel_cols)
+        for j, e in zip(labels, idempotents):
+            action = module.action(e)
+            assert simple_character(family, m, i, j) == action.trace() - sub(action).trace()
+        for d in idempotents + sample:
+            assert _quotient_action(family, m, i, d) == quotient(module.action(d))
+    assert radicals > 0
 
 
 # ---------------------------------------------------------------------------

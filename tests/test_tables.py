@@ -3,8 +3,9 @@ from math import comb
 
 import pytest
 
+from growthlab import growth, tables
 from growthlab.diagrams import Family
-from growthlab.errors import InputError
+from growthlab.errors import InputError, InternalCheckError
 from growthlab.linalg import Mat, mat_mul
 from growthlab.reference import (
     ERRATA,
@@ -365,6 +366,27 @@ def test_pl_params_validation():
         PLParams(INFINITY, 1)
     with pytest.raises(InputError):
         pl_digits(-1, CHAR0_TL)
+
+
+# ---------------------------------------------------------------------------
+# integrality guards
+
+@pytest.mark.parametrize(
+    "module,name,call",
+    [
+        (tables, "comb", lambda: tables.tl_cell_entry(2, 0)),
+        (tables, "comb", lambda: tables.mo_cell_entry(2, 0)),
+        (tables, "comb", lambda: tables.mo_simple_entry_closed(4, 2)),
+        (growth, "factorial", lambda: growth.involution_sum(2)),
+    ],
+    ids=["tl_cell_entry", "mo_cell_entry", "mo_simple_entry_closed", "involution_sum"],
+)
+def test_integrality_guards_raise_internal_check_error(monkeypatch, module, name, call):
+    # a binomial or factorial that always returns 1 makes every guarded
+    # quotient non-integral; the guard must not be an assert (gone under -O)
+    monkeypatch.setattr(module, name, lambda *args: 1)
+    with pytest.raises(InternalCheckError):
+        call()
 
 
 # ---------------------------------------------------------------------------

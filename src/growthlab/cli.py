@@ -158,7 +158,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the oracle cross-check suite")
     p.add_argument("--suite", default="all", choices=["all", *verify.SUITES])
-    p.add_argument("--max-m", type=int)
+    p.add_argument(
+        "--max-m",
+        type=int,
+        help="cap m (at least 1) for the oracle checks that enumerate diagrams; "
+        "the golden, formula and fusion checks run at their fixed sizes",
+    )
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument(
         "--verbose",
@@ -243,7 +248,8 @@ def _cmd_fusion(args) -> int:
     graph = fusion_matrix(spec, simple_table(family, args.m))
     report = scc_analysis(graph)
     n0 = realized_n0(graph, set(report.absorbing)) if report.absorbing else None
-    dot = to_dot(graph)
+    if args.dot or args.format == "dot":
+        dot = to_dot(graph, report)
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
@@ -254,7 +260,7 @@ def _cmd_fusion(args) -> int:
         print(dot, end="")
         return 0
     if args.format == "json":
-        payload = json.loads(fusion_to_json(graph))
+        payload = json.loads(fusion_to_json(graph, report))
         payload["n0"] = n0
         payload["components"] = [list(c) for c in report.components]
         print(json.dumps(payload, indent=2))
@@ -302,6 +308,8 @@ def _cmd_pl(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_m is not None and args.max_m < 1:
+        raise InputError(f"--max-m {args.max_m} must be at least 1")
     results = verify.run_suite(args.suite, args.max_m)
     if not results:
         raise VerificationError(f"suite {args.suite!r} ran no checks")

@@ -27,7 +27,8 @@ from enum import Enum
 from itertools import combinations
 from math import comb
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
+from .graph import components, distances, scc
 
 
 class Family(Enum):
@@ -48,7 +49,8 @@ PLANAR_FAMILIES = frozenset(
 SYMMETRIC_FAMILIES = frozenset(set(Family)) - PLANAR_FAMILIES
 
 # Default strand-count caps for full enumeration; GROWTHLAB_MAX_M lifts them
-# (at the user's risk: cost grows like the monoid order squared in green_data).
+# (at the user's risk: the monoid order grows exponentially in m, and so does
+# the work of enumeration, green_data and the oracle's cell modules).
 DEFAULT_MAX_M = {
     Family.PLANAR_ROOK: 6,
     Family.TEMPERLEY_LIEB: 7,
@@ -183,46 +185,26 @@ def _compose_blocks(
     Slots: 0..m-1 result top, m..2m-1 glued middle, 2m..3m-1 result bottom.
     Returns (result blocks, closed middle loops, dead middle points).
     """
-    parent = list(range(3 * m))
+    pairs = [(b[0] - 1, b[1] - 1) for b in blocks_a if len(b) == 2]
+    pairs += [(m + b[0] - 1, m + b[1] - 1) for b in blocks_b if len(b) == 2]
     degree = [0] * (3 * m)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
+    for x, y in pairs:
         degree[x] += 1
         degree[y] += 1
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for b in blocks_a:
-        if len(b) == 2:
-            p, q = b
-            union(p - 1 if p <= m else m + (p - m - 1), q - 1 if q <= m else m + (q - m - 1))
-    for b in blocks_b:
-        if len(b) == 2:
-            p, q = b
-            union(m + (p - 1) if p <= m else 2 * m + (p - m - 1),
-                  m + (q - 1) if q <= m else 2 * m + (q - m - 1))
-
-    components: dict[int, list[int]] = {}
-    for slot in range(3 * m):
-        components.setdefault(find(slot), []).append(slot)
+    groups: dict[int, list[int]] = {}
+    for slot, root in enumerate(components(3 * m, pairs)):
+        groups.setdefault(root, []).append(slot)
 
     blocks: list[Block] = []
     loops = 0
     isolated = 0
-    for members in components.values():
+    for members in groups.values():
         boundary = []
         for s in members:
             if s < m:
                 boundary.append(s + 1)
             elif s >= 2 * m:
-                boundary.append(m + (s - 2 * m) + 1)
+                boundary.append(s - m + 1)
         if boundary:
             blocks.append(tuple(sorted(boundary)))
         elif all(degree[s] == 2 for s in members):
@@ -367,64 +349,56 @@ class GreenData:
     unit_count: int
 
 
-def multiplication_table(elements: tuple[Diagram, ...]) -> list[list[int]]:
-    """table[a][b] = index of elements[a] composed on top of elements[b].
+def generators(family: Family, m: int) -> tuple[Diagram, ...]:
+    """A generating set of the monoid, for the Cayley graphs of green_data.
 
-    Quadratic in the monoid order; fine for the desk-scale sizes here.
+    Each generator is the identity away from position i: the cup e_i joins
+    i to i+1 and i' to (i+1)'; p_i leaves i and i' isolated; the shifts l_i
+    and r_i join i+1 to i' and i to (i+1)', leaving the other two points
+    isolated.  Temperley-Lieb uses the e_i, planar rook the p_i, l_i and r_i,
+    and Motzkin all of them.
     """
-    index = {d.blocks: i for i, d in enumerate(elements)}
-    m = elements[0].m
-    blocks_list = [d.blocks for d in elements]
-    table = []
-    for ba in blocks_list:
-        row = []
-        for bb in blocks_list:
-            blocks, _, _ = _compose_blocks(ba, bb, m)
-            row.append(index[blocks])
-        table.append(row)
-    return table
+    if family not in PLANAR_FAMILIES:
+        raise InputError(f"{family.value} has no diagram generators")
+
+    def local(moved, blocks) -> Diagram:
+        strands = [(k, m + k) for k in range(1, m + 1) if k not in moved]
+        return Diagram(family, m, tuple(strands + blocks))
+
+    cups = [local((i, i + 1), [(i, i + 1), (m + i, m + i + 1)]) for i in range(1, m)]
+    drops = [local((i,), [(i,), (m + i,)]) for i in range(1, m + 1)]
+    shifts = [local((i, i + 1), [(i + 1, m + i), (i,), (m + i + 1,)]) for i in range(1, m)]
+    shifts += [local((i, i + 1), [(i, m + i + 1), (i + 1,), (m + i,)]) for i in range(1, m)]
+    if family is Family.TEMPERLEY_LIEB:
+        return tuple(cups)
+    if family is Family.PLANAR_ROOK:
+        return tuple(drops + shifts)
+    return tuple(cups + drops + shifts)
 
 
 def green_data(family: Family, m: int) -> GreenData:
-    """Green's class counts computed from the enumerated monoid.
+    """Green's class counts from the right and left Cayley graphs.
 
-    L-classes group elements generating the same left ideal Mx (columns of the
-    multiplication table), R-classes the same right ideal xM (rows), and
-    J-classes are the components of the union of the two relations (D = J for
-    finite monoids).  Units have a two-sided inverse.
+    The right graph joins x to xa and the left graph joins x to ax, for every
+    generator a; so the nodes x reaches are its right ideal xM and its left
+    ideal Mx.  R-classes are the strongly connected components of the right
+    graph, L-classes those of the left graph, and J-classes those of their
+    union (D = J for finite monoids).  The units are the R-class of the
+    identity.  The two graphs take 2|M||A| compositions (Froidure and Pin,
+    "Algorithms for computing finite semigroups", 1997).
     """
     elements = enumerate_diagrams(family, m)
-    n = len(elements)
-    table = multiplication_table(elements)
-    one = next(i for i, d in enumerate(elements) if d == identity_diagram(family, m))
-
-    l_of: dict[frozenset[int], list[int]] = {}
-    for x in range(n):
-        key = frozenset(table[y][x] for y in range(n))
-        l_of.setdefault(key, []).append(x)
-    r_of: dict[frozenset[int], list[int]] = {}
-    for x in range(n):
-        key = frozenset(table[x])
-        r_of.setdefault(key, []).append(x)
-
-    # J = components of the graph whose edges join members of a common L- or R-class
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cls in list(l_of.values()) + list(r_of.values()):
-        root = find(cls[0])
-        for x in cls[1:]:
-            parent[find(x)] = root
-    j_count = len({find(x) for x in range(n)})
-
-    units = sum(
-        1
-        for x in range(n)
-        if any(table[x][y] == one and table[y][x] == one for y in range(n))
-    )
-    return GreenData(j_count, len(l_of), len(r_of), units)
+    index = {d.blocks: i for i, d in enumerate(elements)}
+    gens = [a.blocks for a in generators(family, m)]
+    try:
+        right = [[index[_compose_blocks(x.blocks, a, m)[0]] for a in gens] for x in elements]
+        left = [[index[_compose_blocks(a, x.blocks, m)[0]] for a in gens] for x in elements]
+    except KeyError as exc:
+        raise InternalCheckError(f"a product left the enumerated {family.value} monoid") from exc
+    one = index[identity_diagram(family, m).blocks]
+    if None in distances(right, one):
+        raise InternalCheckError(f"generators({family.value}, {m}) do not generate the monoid")
+    r_of, l_of = scc(right), scc(left)
+    j_of = scc([r + l for r, l in zip(right, left)])
+    units = r_of.count(r_of[one])
+    return GreenData(len(set(j_of)), len(set(l_of)), len(set(r_of)), units)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalCheckError, VerificationError
+from .graph import distances, scc
 from .growth import ModuleSpec
 from .linalg import Mat, mat_mul, solve_lower_triangular
 from .tables import CharTable
@@ -47,6 +48,13 @@ class FusionGraph:
             for t in range(n)
             if self.adjacency.rows[t][j] > 0
         ]
+
+    def successors(self) -> list[list[int]]:
+        """succ[j] = target indices of the positive-weight edges leaving j."""
+        succ: list[list[int]] = [[] for _ in self.labels]
+        for j, t in self.support_edges():
+            succ[j].append(t)
+        return succ
 
 
 def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
@@ -102,28 +110,9 @@ def realized_n0(g: FusionGraph, targets) -> int | None:
     Breadth-first over positive-weight edges; None when unreachable.
     """
     target_idx = {g.label_index(t) for t in targets}
-    start = g.trivial_index
-    if start in target_idx:
-        return 0
-    n = len(g.labels)
-    out: list[list[int]] = [[] for _ in range(n)]
-    for j, t in g.support_edges():
-        out[j].append(t)
-    seen = {start}
-    frontier = [start]
-    steps = 0
-    while frontier:
-        steps += 1
-        nxt = []
-        for j in frontier:
-            for t in out[j]:
-                if t in target_idx:
-                    return steps
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return None
+    dist = distances(g.successors(), g.trivial_index)
+    reached = [dist[t] for t in target_idx if dist[t] is not None]
+    return min(reached) if reached else None
 
 
 @dataclass(frozen=True)
@@ -138,67 +127,22 @@ def scc_analysis(g: FusionGraph) -> SccReport:
     A component is absorbing when no edge leaves it and it is reachable from
     every node.
     """
-    n = len(g.labels)
-    out: list[list[int]] = [[] for _ in range(n)]
-    for j, t in g.support_edges():
-        out[j].append(t)
-
-    # Tarjan, iterative
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    comp_of = [-1] * n
-    comps: list[list[int]] = []
-
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(out[v]):
-                w = out[v][pi]
-                pi += 1
-                if index_of[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+    succ = g.successors()
+    comp_of = scc(succ)
+    comps: dict[int, list[int]] = {}
+    for v, c in enumerate(comp_of):
+        comps.setdefault(c, []).append(v)
 
     # Every node reaches some sink component (one with no edge leaving it), so
     # a sink is reachable from every node exactly when it is the only sink.
-    leaving = {comp_of[j] for j in range(n) for t in out[j] if comp_of[t] != comp_of[j]}
-    sinks = [c for c in range(len(comps)) if c not in leaving]
+    leaving = {
+        comp_of[j] for j, out in enumerate(succ) for t in out if comp_of[t] != comp_of[j]
+    }
+    sinks = [c for c in comps if c not in leaving]
     absorbing_comps = sinks if len(sinks) == 1 else []
     label_comps = tuple(
         sorted(
-            (tuple(sorted(g.labels[v] for v in comp)) for comp in comps),
+            (tuple(sorted(g.labels[v] for v in comp)) for comp in comps.values()),
             key=lambda t: t[0],
         )
     )
@@ -262,9 +206,9 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
     }
 
 
-def to_dot(g: FusionGraph) -> str:
+def to_dot(g: FusionGraph, report: SccReport) -> str:
     """DOT text; nodes in label order, absorbing component double-circled."""
-    absorbing = set(scc_analysis(g).absorbing)
+    absorbing = set(report.absorbing)
     lines = ["digraph fusion {"]
     for k, label in enumerate(g.labels):
         attrs = [f'label="V_{label} ({g.dims[k]})"']
@@ -278,8 +222,7 @@ def to_dot(g: FusionGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(g: FusionGraph) -> str:
-    report = scc_analysis(g)
+def to_json(g: FusionGraph, report: SccReport) -> str:
     payload = {
         "labels": list(g.labels),
         "dims": list(g.dims),

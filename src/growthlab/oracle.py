@@ -37,6 +37,7 @@ from .diagrams import (
     rank_labels,
 )
 from .errors import InputError, InternalCheckError, VerificationError
+from .graph import components
 from .growth import ModuleSpec, module_spec
 from .linalg import Mat, kernel_and_rank, mat_mul, solve_lower_triangular
 
@@ -114,30 +115,13 @@ def _apply_diagram(d: Diagram, x: HalfDiagram) -> HalfDiagram | None:
     """Glue x under d (x's points on d's bottom row); None when a defect dies."""
     m = d.m
     # slots 0..m-1: d's top row; m..2m-1: the glued middle row
-    parent = list(range(2 * m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for b in d.blocks:
-        if len(b) == 2:
-            p, q = b
-            union(p - 1 if p <= m else m + (p - m - 1), q - 1 if q <= m else m + (q - m - 1))
-    for a, b in x.cups:
-        union(m + a - 1, m + b - 1)
-
+    pairs = [(b[0] - 1, b[1] - 1) for b in d.blocks if len(b) == 2]
+    pairs += [(m + a - 1, m + b - 1) for a, b in x.cups]
+    root_of = components(2 * m, pairs)
     groups: dict[int, list[int]] = {}
-    for slot in range(2 * m):
-        groups.setdefault(find(slot), []).append(slot)
-    defect_roots = {find(m + v - 1) for v in x.defects}
+    for slot, root in enumerate(root_of):
+        groups.setdefault(root, []).append(slot)
+    defect_roots = {root_of[m + v - 1] for v in x.defects}
     if len(defect_roots) != x.n_defects:
         return None  # two defects merged
 
@@ -217,27 +201,15 @@ def _pairing(x: HalfDiagram, y: HalfDiagram) -> int:
     it joins one x-defect to one y-defect, and fatal when a defect meets a
     defect on its own side or a dead end.
     """
-    m = x.m
-    parent = list(range(m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in x.cups + y.cups:
-        ra, rb = find(a - 1), find(b - 1)
-        if ra != rb:
-            parent[ra] = rb
+    root_of = components(x.m, [(a - 1, b - 1) for a, b in x.cups + y.cups])
 
     x_def: dict[int, int] = {}
     y_def: dict[int, int] = {}
     for v in x.defects:
-        r = find(v - 1)
+        r = root_of[v - 1]
         x_def[r] = x_def.get(r, 0) + 1
     for v in y.defects:
-        r = find(v - 1)
+        r = root_of[v - 1]
         y_def[r] = y_def.get(r, 0) + 1
     for root in set(x_def) | set(y_def):
         if (x_def.get(root, 0), y_def.get(root, 0)) != (1, 1):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from growthlab import verify
 from growthlab.cli import main
 
 
@@ -203,8 +204,13 @@ _TL7_V3 = ("--family", "tl", "--m", "7", "--module", "V3")
         ("growth", "length", *_TL7_V3, "--n", "5..1"),
         ("growth", "multiplicity", *_TL7_V3, "--target", "Vx"),
         ("fusion", *_TL7_V3, "--dot", "{missing}/x.dot"),
+        ("verify", "--suite", "all", "--max-m", "0"),
+        ("verify", "--max-m", "-5"),
     ],
-    ids=["bad-range", "open-range", "empty-range", "bad-target", "unwritable-dot"],
+    ids=[
+        "bad-range", "open-range", "empty-range", "bad-target", "unwritable-dot",
+        "max-m-zero", "max-m-negative",
+    ],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "no-such-dir") for a in argv]
@@ -226,7 +232,11 @@ def test_zero_multiplicity_prints_zero_rows(capsys):
 
 
 def test_verify_without_checks_fails(capsys, monkeypatch):
-    code, out, err = run(capsys, "verify", "--suite", "counts", "--max-m", "0")
+    # --max-m below 1 is refused up front, so only a suite registry that
+    # yields nothing can reach the empty-run gate
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "run_suite", lambda suite, max_m: [])
+        code, out, err = run(capsys, "verify", "--suite", "counts")
     assert code == 3 and out == "" and "no checks" in err
     monkeypatch.setenv("GROWTHLAB_MAX_M", "-3")
     code, out, err = run(capsys, "verify", "--suite", "counts")

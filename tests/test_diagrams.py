@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from growthlab import diagrams
 from growthlab.diagrams import (
     Diagram,
     Family,
@@ -13,6 +14,7 @@ from growthlab.diagrams import (
     expected_order,
     flip,
     format_blocks,
+    generators,
     green_data,
     identity_diagram,
     make_diagram,
@@ -22,10 +24,37 @@ from growthlab.diagrams import (
     rank_labels,
     validate_diagram,
 )
-from growthlab.errors import InputError
+from growthlab.errors import InputError, InternalCheckError
 from growthlab.tables import cell_table
 
 SMALL = [(Family.PLANAR_ROOK, 4), (Family.TEMPERLEY_LIEB, 5), (Family.MOTZKIN, 3)]
+
+
+def multiplication_table(elements):
+    """table[a][b] = index of elements[a] composed on top of elements[b]."""
+    index = {d: i for i, d in enumerate(elements)}
+    return [[index[compose(a, b).result] for b in elements] for a in elements]
+
+
+def quadratic_green_data(family, m):
+    """Green's class counts read off the full multiplication table.
+
+    L-classes group the elements with the same left ideal Mx (a column of the
+    table), R-classes those with the same right ideal xM (a row) and J-classes
+    those with the same two-sided ideal MxM; the units are the elements with
+    a two-sided inverse.
+    """
+    elements = enumerate_diagrams(family, m)
+    n = len(elements)
+    table = multiplication_table(elements)
+    one = elements.index(identity_diagram(family, m))
+    left = [frozenset(table[y][x] for y in range(n)) for x in range(n)]
+    right = [frozenset(table[x]) for x in range(n)]
+    two_sided = [frozenset(table[z][y] for z in left[x] for y in range(n)) for x in range(n)]
+    units = sum(
+        1 for x in range(n) if any(table[x][y] == one == table[y][x] for y in range(n))
+    )
+    return diagrams.GreenData(len(set(two_sided)), len(set(left)), len(set(right)), units)
 
 
 @pytest.mark.parametrize(
@@ -219,8 +248,6 @@ def test_green_data_small(family, m, expected_l):
 
 
 def test_j_classes_are_rank_classes():
-    from growthlab.diagrams import multiplication_table
-
     for family, m in [(Family.TEMPERLEY_LIEB, 4), (Family.MOTZKIN, 2), (Family.PLANAR_ROOK, 3)]:
         elements = enumerate_diagrams(family, m)
         n = len(elements)
@@ -237,6 +264,26 @@ def test_j_classes_are_rank_classes():
         for x, d in enumerate(elements):
             by_rank.setdefault(rank(d), set()).add(x)
         assert set(map(frozenset, by_ideal.values())) == set(map(frozenset, by_rank.values()))
+
+
+@pytest.mark.parametrize(
+    "family,m",
+    [(Family.TEMPERLEY_LIEB, m) for m in range(1, 6)]
+    + [(Family.PLANAR_ROOK, m) for m in range(1, 5)]
+    + [(Family.MOTZKIN, m) for m in range(1, 4)],
+)
+def test_green_data_matches_multiplication_table(family, m):
+    assert green_data(family, m) == quadratic_green_data(family, m)
+
+
+@pytest.mark.parametrize("family", [Family.TEMPERLEY_LIEB, Family.PLANAR_ROOK, Family.MOTZKIN])
+def test_green_data_rejects_a_non_generating_set(monkeypatch, family):
+    # the last generator (e_{m-1}, or r_{m-1}) is the only one that brings a
+    # strand from elsewhere down to the last bottom point
+    green_data(family, 4)  # the full set generates
+    monkeypatch.setattr(diagrams, "generators", lambda f, m: generators(f, m)[:-1])
+    with pytest.raises(InternalCheckError):
+        green_data(family, 4)
 
 
 def test_green_data_tl7_j_classes():

@@ -18,6 +18,7 @@ from growthlab.fusion import (
     to_dot,
     to_json,
 )
+from growthlab.graph import distances
 from growthlab.growth import evaluate, length_series, module_spec, multiplicity_series
 from growthlab.linalg import Mat, inverse, mat_mul, mat_pow
 from growthlab.reference import PRO8_V2_FUSION, PRO8_V2_N0
@@ -187,6 +188,16 @@ def test_scc_absorbing_matches_brute_definition(rows):
         if all(reach[v] <= c for v in c) and all(reach[v] & c for v in range(n))
     ]
     assert report.absorbing == tuple(sorted(v for c in absorbing for v in c))
+    # shortest path lengths: brute[w] = least k such that w is at most k
+    # edges from the start, growing the reached set one edge at a time
+    edges, succ = g.support_edges(), g.successors()
+    for start in range(n):
+        brute = {start: 0}
+        for k in range(1, n):
+            for w in {t for j, t in edges if j in brute}:
+                brute.setdefault(w, k)
+        assert brute.keys() == reach[start]
+        assert distances(succ, start) == [brute.get(w) for w in range(n)]
 
 
 def test_spectral_check_golden_specs():
@@ -245,13 +256,13 @@ def parse_dot(text):
 
 def test_to_dot_single_node():
     g = graph_for(Family.TEMPERLEY_LIEB, 1, "V1")
-    nodes, edges = parse_dot(to_dot(g))
+    nodes, edges = parse_dot(to_dot(g, scc_analysis(g)))
     assert nodes == 1 and edges == 1  # self-loop of weight 1
 
 
 def test_to_dot_pro8():
     g = graph_for(Family.PLANAR_ROOK, 8, "V2")
-    text = to_dot(g)
+    text = to_dot(g, scc_analysis(g))
     nodes, edges = parse_dot(text)
     assert nodes == 9
     assert edges == sum(1 for row in PRO8_V2_FUSION for x in row if x)
@@ -263,7 +274,7 @@ def test_to_dot_pro8():
 
 def test_fusion_json():
     g = graph_for(Family.PLANAR_ROOK, 8, "V2")
-    payload = json.loads(to_json(g))
+    payload = json.loads(to_json(g, scc_analysis(g)))
     assert payload["labels"] == list(range(9))
     assert payload["adjacency"] == [list(r) for r in PRO8_V2_FUSION]
     assert payload["trivial_index"] == 0

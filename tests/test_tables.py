@@ -1,12 +1,14 @@
 import json
+from functools import cache
 from math import comb
 
 import pytest
 
 from growthlab import growth, tables
-from growthlab.diagrams import Family
+from growthlab.diagrams import Family, rank_labels
 from growthlab.errors import InputError, InternalCheckError
 from growthlab.linalg import Mat, mat_mul
+from growthlab.oracle import gram_matrix
 from growthlab.reference import (
     ERRATA,
     MO5_CELL,
@@ -293,6 +295,58 @@ def test_tl_decomposition_general_pl():
         for i in d.labels:
             assert d.entry(z, i) == int(z in pl_support(i, PLParams(2, 3)))
         assert d.entry(z, z) == 1
+
+
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p, by row reduction of the integer rows modulo p."""
+    rows = [[int(x) % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for r in range(rank + 1, len(rows)):
+            if rows[r][c]:
+                f = rows[r][c] * inv
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@cache
+def _tl_grams(m: int) -> dict[int, Mat]:
+    tl = Family.TEMPERLEY_LIEB
+    return {i: gram_matrix(tl, m, i) for i in rank_labels(tl, m)}
+
+
+def _tl_simple_dims_mod_p(m: int, p: int) -> dict[int, int]:
+    """dim V_i in characteristic p: the F_p-rank of the cellular Gram matrix."""
+    return {i: _rank_mod_p(gram.rows, p) for i, gram in _tl_grams(m).items()}
+
+
+def _cell_dims_match(d, p: int) -> bool:
+    """dim S_z == sum_i D[z][i] dim_p V_i for every cell label z."""
+    cell = cell_table(d.family, d.m)
+    dims = _tl_simple_dims_mod_p(d.m, p)
+    return all(
+        cell.dim(z) == sum(d.entry(z, i) * dims[i] for i in d.labels) for z in d.labels
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tl_decomposition_matches_gram_ranks_mod_p(p):
+    # independent referee: the Gram matrices come from half diagrams alone
+    for m in range(1, 12):
+        d = decomposition_matrix(Family.TEMPERLEY_LIEB, m, PLParams(p, 3))
+        assert _cell_dims_match(d, p), (p, m)
+
+
+def test_char0_decomposition_fails_the_mod_p_identity():
+    # the referee tells characteristics apart: the char-0 matrix is wrong here
+    assert not _cell_dims_match(decomposition_matrix(Family.TEMPERLEY_LIEB, 8), 2)
+    assert not _cell_dims_match(decomposition_matrix(Family.TEMPERLEY_LIEB, 11), 3)
 
 
 # ---------------------------------------------------------------------------

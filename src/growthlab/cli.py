@@ -260,7 +260,7 @@ def _cmd_fusion(args) -> int:
         print(dot, end="")
         return 0
     if args.format == "json":
-        payload = json.loads(fusion_to_json(graph, report))
+        payload = fusion_to_json(graph, report)
         payload["n0"] = n0
         payload["components"] = [list(c) for c in report.components]
         print(json.dumps(payload, indent=2))

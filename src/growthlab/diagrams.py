@@ -355,8 +355,10 @@ def generators(family: Family, m: int) -> tuple[Diagram, ...]:
     Each generator is the identity away from position i: the cup e_i joins
     i to i+1 and i' to (i+1)'; p_i leaves i and i' isolated; the shifts l_i
     and r_i join i+1 to i' and i to (i+1)', leaving the other two points
-    isolated.  Temperley-Lieb uses the e_i, planar rook the p_i, l_i and r_i,
-    and Motzkin all of them.
+    isolated.  Temperley-Lieb uses the e_i, planar rook the l_i and r_i, and
+    Motzkin the e_i, l_i and r_i.  The p_i are left out for m >= 2, where
+    each is a product of shifts (p_i = l_i r_i for i < m, p_m = r_{m-1}
+    l_{m-1}); at m = 1 there are no shifts and p_1 alone generates.
     """
     if family not in PLANAR_FAMILIES:
         raise InputError(f"{family.value} has no diagram generators")
@@ -366,14 +368,14 @@ def generators(family: Family, m: int) -> tuple[Diagram, ...]:
         return Diagram(family, m, tuple(strands + blocks))
 
     cups = [local((i, i + 1), [(i, i + 1), (m + i, m + i + 1)]) for i in range(1, m)]
-    drops = [local((i,), [(i,), (m + i,)]) for i in range(1, m + 1)]
     shifts = [local((i, i + 1), [(i + 1, m + i), (i,), (m + i + 1,)]) for i in range(1, m)]
     shifts += [local((i, i + 1), [(i, m + i + 1), (i + 1,), (m + i,)]) for i in range(1, m)]
+    rook = shifts if m > 1 else [local((1,), [(1,), (2,)])]  # p_1
     if family is Family.TEMPERLEY_LIEB:
         return tuple(cups)
     if family is Family.PLANAR_ROOK:
-        return tuple(drops + shifts)
-    return tuple(cups + drops + shifts)
+        return tuple(rook)
+    return tuple(cups + rook)
 
 
 def green_data(family: Family, m: int) -> GreenData:

@@ -13,14 +13,14 @@ Lagrange projections onto the distinct values reconstruct A^n exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError, InternalCheckError, VerificationError
 from .graph import distances, scc
 from .growth import ModuleSpec
-from .linalg import Mat, mat_mul, solve_lower_triangular
+from .linalg import Mat, mat_mul, solve_unit_triangular
 from .tables import CharTable
 
 
@@ -60,23 +60,24 @@ class FusionGraph:
 def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
     """Build the graph from a module's character and the simple table.
 
-    Column j solves the triangular character system against the pointwise
-    product of the module's character with row j of the simple table.
+    Column j solves the unit-triangular integer system X^T col = chi * X_j,
+    where X_j is row j of the simple table and the product is pointwise; all
+    n columns go through one solve.  X has ones on its diagonal, so every
+    value of chi is one of these products: a non-integer value raises
+    InputError.
     """
     if spec.family is not simple.family or spec.m != simple.m:
         raise InputError("module and table belong to different monoids")
     n = len(simple.labels)
-    xt = simple.mat.transpose()  # the solve rejects a zero diagonal
-    cols = []
-    for j in range(n):
-        pointwise = [spec.charvec[r] * simple.mat.rows[j][r] for r in range(n)]
-        col = solve_lower_triangular(xt, pointwise)
+    if any(c.denominator != 1 for c in spec.charvec):
+        raise InputError(f"{spec.label} has a non-integer character value")
+    chi = [int(c) for c in spec.charvec]
+    pointwise = [[c * x for c, x in zip(chi, row)] for row in simple.mat.int_rows()]
+    cols = solve_unit_triangular(simple.mat.transpose(), pointwise, lower=True)
+    for col in cols:
         for value in col:
-            if value.denominator != 1 or value < 0:
-                raise InternalCheckError(
-                    f"tensor multiplicity {value} is not a nonnegative integer"
-                )
-        cols.append(col)
+            if value < 0:
+                raise InternalCheckError(f"tensor multiplicity {value} is negative")
     adjacency = Mat.from_cols(cols)
     dims = tuple(int(simple.mat.rows[k][-1]) for k in range(n))
     trivial_rows = [
@@ -95,13 +96,17 @@ def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
 
 
 def power_multiplicities(g: FusionGraph, n: int) -> tuple[Fraction, ...]:
-    """(A^n) applied to the trivial indicator: the decomposition of V^(x)n."""
+    """(A^n) applied to the trivial indicator: the decomposition of V^(x)n.
+
+    n integer matrix-vector steps on the rows of A.
+    """
     if n < 0:
         raise InputError("need n >= 0")
-    v = tuple(Fraction(int(k == g.trivial_index)) for k in range(len(g.labels)))
+    rows = g.adjacency.int_rows()
+    v = [int(k == g.trivial_index) for k in range(len(g.labels))]
     for _ in range(n):
-        v = g.adjacency.apply(v)
-    return v
+        v = [sum(map(mul, row, v)) for row in rows]
+    return tuple(Fraction(x) for x in v)
 
 
 def realized_n0(g: FusionGraph, targets) -> int | None:
@@ -222,12 +227,12 @@ def to_dot(g: FusionGraph, report: SccReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(g: FusionGraph, report: SccReport) -> str:
-    payload = {
+def to_json(g: FusionGraph, report: SccReport) -> dict[str, object]:
+    """The graph as a JSON-ready dict (integers and lists only)."""
+    return {
         "labels": list(g.labels),
         "dims": list(g.dims),
-        "adjacency": [[int(x) for x in row] for row in g.adjacency.rows],
+        "adjacency": [list(row) for row in g.adjacency.int_rows()],
         "trivial_index": g.trivial_index,
         "absorbing": list(report.absorbing),
     }
-    return json.dumps(payload, indent=2)

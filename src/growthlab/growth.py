@@ -5,14 +5,15 @@ sum_t c_t * b_t^n with rational coefficients and integer bases — the
 composition length l(n) of the n-th tensor power, the multiplicity of a fixed
 simple in it, the dominating part k(n), and the summand asymptotics a(n).
 
-For a module V with character chi over the rank classes, the multiplicity of
-the simple with label t in V^(x)n is the t-th row of the inverse transpose of
-the simple character table dotted against (chi(j)^n)_j; summing rows gives
-l(n), whose coefficients are therefore the column sums of that inverse
-transpose.  Bases with value 0 are kept: under the convention 0^0 = 1 they
-make every length formula return 1 at n = 0 (the trivial module), while for
-n >= 1 they vanish — printed formulas usually show only the n >= 1 part, and
-the human rendering follows suit.
+For a module V with character chi over the rank classes, the multiplicities
+of the simples in V^(x)n solve X^T y = (chi(j)^n)_j, X the simple character
+table; so a weighted sum sum_t w_t y_t is c . (chi(j)^n)_j with X c = w, and
+l(n) (all weights 1) has the coefficients c solving X c = (1, ..., 1).  X is
+unit upper-triangular with integer entries, so c is one integer
+back-substitution.  Bases with value 0 are kept: under the convention
+0^0 = 1 they make every length formula return 1 at n = 0 (the trivial
+module), while for n >= 1 they vanish — printed formulas usually show only
+the n >= 1 part, and the human rendering follows suit.
 
 Only rational character data is supported; irrational values are rejected at
 input validation.  All values are immutable and all functions pure.
@@ -26,8 +27,8 @@ from fractions import Fraction
 from math import factorial
 
 from .diagrams import Family, PLANAR_FAMILIES
-from .errors import InputError, InternalCheckError, SingularMatrixError
-from .linalg import Mat, inverse, mat_mul, solve_upper_triangular
+from .errors import InputError, InternalCheckError
+from .linalg import Mat, inverse, mat_mul, solve_unit_triangular
 from .tables import CharTable, cell_table, projective_table, simple_table, _is_prime
 
 
@@ -160,19 +161,17 @@ def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
         raise InputError("module and table belong to different monoids")
     if len(spec.charvec) != len(simple.labels):
         raise InputError("character vector length mismatch")
-    for k, label in enumerate(simple.labels):
-        if simple.mat.rows[k][k] == 0:
-            raise SingularMatrixError(f"simple table has zero diagonal at {label}")
 
 
 def _series(spec: ModuleSpec, simple: CharTable, weights) -> ExpSum:
     """sum_t weights[t] * [V^(x)n : V_t] as an exponential sum in n.
 
-    The multiplicities are (X^T)^-1 (chi^n), so the weighted sum has the
-    coefficients c = X^-1 w: one back-substitution against the simple table.
+    The multiplicities y solve X^T y = chi^n, so the weighted sum w . y has
+    the coefficients c solving X c = w: one integer back-substitution against
+    the simple table, which rejects a table that is not unit triangular.
     """
     _check_compatible(spec, simple)
-    coeffs = solve_upper_triangular(simple.mat, weights)
+    (coeffs,) = solve_unit_triangular(simple.mat, [weights], lower=False)
     return ExpSum.make(
         (c, _as_int_base(chi)) for c, chi in zip(coeffs, spec.charvec)
     )

@@ -9,12 +9,17 @@ Inversion runs a fraction-free (Bareiss) forward elimination on an
 integer-scaled copy to keep intermediate entries from blowing up, then
 back-substitutes exactly.  All matrices in this project are small (at most a
 few hundred rows), so dense storage is fine.
+
+Integral data is solved on Python ints: `solve_unit_triangular` reads the
+numerators of an integer unit-triangular matrix and returns int solutions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, InputError, InternalCheckError, SingularMatrixError
@@ -195,6 +200,61 @@ def solve_lower_triangular(l: Mat, v: Sequence) -> tuple[Fraction, ...]:
         s = v[i] - sum((l.rows[i][j] * x[j] for j in range(i)), Fraction(0))
         x[i] = s / pivot
     return tuple(x)
+
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _as_int(x) -> int:
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise InputError(f"non-integer right-hand side entry {x}")
+
+
+def solve_unit_triangular(
+    t: Mat, rhs: Iterable[Sequence], *, lower: bool
+) -> tuple[tuple[int, ...], ...]:
+    """Exact integer x with t·x = b for each b in rhs, on Python ints.
+
+    t must be square with integer entries, ones on the diagonal and zeros
+    above it (lower=True: forward substitution) or below it (back
+    substitution).  t is checked once and then read in place, through the
+    numerators of its entries.  A zero diagonal entry raises
+    SingularMatrixError, any other defect of t or a non-integer right-hand
+    side InputError, and a right-hand side of the wrong length DimensionError.
+    """
+    if not t.is_square():
+        raise InputError(f"unit triangular solve with non-square {t.shape}")
+    n = t.nrows
+    for i, row in enumerate(t.rows):
+        if set(map(_denominator, row)) != {1}:
+            raise InputError(f"non-integer entry in row {i}")
+        diagonal = row[i].numerator
+        if diagonal == 0:
+            raise SingularMatrixError(f"zero diagonal entry at {i}")
+        if diagonal != 1:
+            raise InputError(f"diagonal entry {diagonal} at {i} is not 1")
+        if any(map(_numerator, islice(row, i + 1, None) if lower else islice(row, i))):
+            raise InputError(f"matrix is not {'lower' if lower else 'upper'} triangular")
+    solutions = []
+    for b in rhs:
+        if len(b) != n:
+            raise DimensionError("right-hand side length mismatch")
+        x: list[int] = []
+        if lower:
+            # map stops at len(x) = i: only the entries left of the diagonal
+            for row, v in zip(t.rows, b):
+                x.append(_as_int(v) - sum(map(mul, map(_numerator, row), x)))
+        else:
+            # built from the bottom, so x[k] is the solution's entry n-1-k
+            for row, v in zip(reversed(t.rows), reversed(b)):
+                x.append(_as_int(v) - sum(map(mul, map(_numerator, reversed(row)), x)))
+            x.reverse()
+        solutions.append(tuple(x))
+    return tuple(solutions)
 
 
 def _integer_scaled_rows(a: Mat) -> tuple[list[list[int]], list[int]]:

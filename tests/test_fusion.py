@@ -19,7 +19,13 @@ from growthlab.fusion import (
     to_json,
 )
 from growthlab.graph import distances
-from growthlab.growth import evaluate, length_series, module_spec, multiplicity_series
+from growthlab.growth import (
+    ModuleSpec,
+    evaluate,
+    length_series,
+    module_spec,
+    multiplicity_series,
+)
 from growthlab.linalg import Mat, inverse, mat_mul, mat_pow
 from growthlab.reference import PRO8_V2_FUSION, PRO8_V2_N0
 from growthlab.tables import simple_table
@@ -274,7 +280,8 @@ def test_to_dot_pro8():
 
 def test_fusion_json():
     g = graph_for(Family.PLANAR_ROOK, 8, "V2")
-    payload = json.loads(to_json(g, scc_analysis(g)))
+    payload = to_json(g, scc_analysis(g))
+    assert json.loads(json.dumps(payload)) == payload
     assert payload["labels"] == list(range(9))
     assert payload["adjacency"] == [list(r) for r in PRO8_V2_FUSION]
     assert payload["trivial_index"] == 0
@@ -285,6 +292,18 @@ def test_fusion_matrix_validation():
     spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
     with pytest.raises(InputError):
         fusion_matrix(spec, MO5)
+
+
+def test_fusion_matrix_rejects_a_non_integer_character():
+    half = ModuleSpec(
+        label="half",
+        family=Family.TEMPERLEY_LIEB,
+        m=7,
+        dim=14,
+        charvec=(Fraction(1, 2), Fraction(1), Fraction(3), Fraction(14)),
+    )
+    with pytest.raises(InputError):
+        fusion_matrix(half, TL7)
 
 
 def test_projective_module_fusion_end_to_end():

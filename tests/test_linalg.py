@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthlab.errors import DimensionError, InputError, SingularMatrixError
 from growthlab.linalg import (
@@ -11,6 +13,7 @@ from growthlab.linalg import (
     mat_mul,
     mat_pow,
     solve_lower_triangular,
+    solve_unit_triangular,
     solve_upper_triangular,
 )
 
@@ -117,6 +120,57 @@ def test_solve_errors():
         solve_upper_triangular(Mat([(1, 0), (2, 1)]), (1, 1))
     with pytest.raises(DimensionError):
         solve_upper_triangular(Mat.identity(2), (1, 1, 1))
+
+
+BIG = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def unit_triangular_systems(draw):
+    """(unit upper-triangular integer matrix, right-hand sides)."""
+    n = draw(st.integers(1, 8))
+    rows = [
+        [1 if j == i else draw(BIG) if j > i else 0 for j in range(n)] for i in range(n)
+    ]
+    rhs = draw(st.lists(st.lists(BIG, min_size=n, max_size=n), min_size=1, max_size=4))
+    return Mat(rows), rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_triangular_systems())
+def test_unit_triangular_solve_matches_fraction_solves(system):
+    u, rhs = system
+    lt = u.transpose()
+    upper = solve_unit_triangular(u, rhs, lower=False)
+    lower = solve_unit_triangular(lt, rhs, lower=True)
+    assert upper == tuple(solve_upper_triangular(u, b) for b in rhs)
+    assert lower == tuple(solve_lower_triangular(lt, b) for b in rhs)
+    assert all(type(v) is int for sol in upper + lower for v in sol)
+
+
+@pytest.mark.parametrize(
+    "rows, lower, error",
+    [
+        ([(1, 2), (0, 0)], False, SingularMatrixError),  # zero diagonal
+        ([(1, 0), (3, 0)], True, SingularMatrixError),
+        ([(2, 1), (0, 1)], False, InputError),  # diagonal 2
+        ([(1, 0), (5, -1)], True, InputError),  # diagonal -1
+        ([(1, Fraction(1, 2)), (0, 1)], False, InputError),  # non-integer entry
+        ([(1, 0), (1, 1)], False, InputError),  # entry below the diagonal
+        ([(1, 1), (0, 1)], True, InputError),  # entry above the diagonal
+        ([(1, 2, 3), (0, 1, 4)], False, InputError),  # not square
+    ],
+)
+def test_unit_triangular_solve_rejects(rows, lower, error):
+    with pytest.raises(error):
+        solve_unit_triangular(Mat(rows), [(1,) * len(rows)], lower=lower)
+
+
+def test_unit_triangular_solve_rejects_bad_right_hand_sides():
+    with pytest.raises(DimensionError):
+        solve_unit_triangular(Mat.identity(2), [(1, 1), (1, 1, 1)], lower=True)
+    with pytest.raises(InputError):
+        solve_unit_triangular(Mat.identity(2), [(1, Fraction(1, 3))], lower=False)
 
 
 def test_inverse_identity():

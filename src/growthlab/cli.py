@@ -15,6 +15,7 @@ import json
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 
 from . import verify
 from .diagrams import Family
@@ -99,6 +100,7 @@ def _parse_p(text: str):
     return int(text)
 
 
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="growthlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,19 +8,24 @@ digraph (positive entries); weights only matter for matrix arithmetic.
 
 The spectral view: conjugating A by the transpose of the simple character
 table diagonalizes it with the character values of V as eigenvalues, so the
-Lagrange projections onto the distinct values reconstruct A^n exactly.
+Lagrange projections onto the distinct values reconstruct A^n exactly.  The
+check runs on Python ints: each projection is an integer matrix over an
+integer denominator, and every identity is cleared of denominators first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm, prod
 from operator import mul
+from typing import Sequence
 
 from .errors import InputError, InternalCheckError, VerificationError
 from .graph import distances, scc
 from .growth import ModuleSpec
-from .linalg import Mat, mat_mul, solve_unit_triangular
+from .linalg import Mat, solve_unit_triangular
 from .tables import CharTable
 
 
@@ -157,49 +162,71 @@ def scc_analysis(g: FusionGraph) -> SccReport:
     return SccReport(label_comps, absorbing)
 
 
-def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
-    """Verify the projection decomposition of A exactly.
+_IntRows = Sequence[Sequence[int]]
 
-    Classes are grouped by equal character value; P_val is the Lagrange
-    interpolation product over the distinct values.  Checks: the projections
-    sum to the identity, square to themselves, and reconstruct A^n for
-    n <= max_n.  Raises VerificationError on any mismatch.
+
+def _int_mul(x: _IntRows, y: _IntRows) -> list[list[int]]:
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
+def _int_scale(c: int, x: _IntRows) -> list[list[int]]:
+    return [[c * v for v in row] for row in x]
+
+
+def _int_combination(coeffs: Sequence[int], mats: Sequence[_IntRows]) -> list[list[int]]:
+    """sum_k coeffs[k] * mats[k], entry by entry."""
+    return [[sum(map(mul, coeffs, entry)) for entry in zip(*rows)] for rows in zip(*mats)]
+
+
+def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
+    """Verify the projection decomposition of A exactly, on Python ints.
+
+    Classes are grouped by equal character value.  The Lagrange projection
+    onto the value lam is N/d with N = prod_{mu != lam} (A - mu I), an
+    integer matrix, and d = prod_{mu != lam} (lam - mu).  With D the lcm of
+    the |d|, the checks are integer identities: sum (D/d) N = D I (the
+    projections sum to the identity), N^2 = d N (they are idempotent) and
+    sum (D/d) lam^p N = D A^p for p <= max_n (they reconstruct A^p).  A
+    non-integer character value raises InputError; any mismatch raises
+    VerificationError.
     """
     if tuple(spec.charvec) == ():
         raise InputError("empty character vector")
-    a = g.adjacency
-    n = len(g.labels)
-    distinct: list[Fraction] = []
-    for v in spec.charvec:
-        if v not in distinct:
-            distinct.append(v)
-    ident = Mat.identity(n)
-    projections: dict[Fraction, Mat] = {}
+    if any(c.denominator != 1 for c in spec.charvec):
+        raise InputError(f"{spec.label} has a non-integer character value")
+    a = g.adjacency.int_rows()
+    n = len(a)
+    ident = [[int(r == c) for c in range(n)] for r in range(n)]
+    distinct = list(dict.fromkeys(int(c) for c in spec.charvec))
+    shifted = {
+        mu: [[x - mu * (r == c) for c, x in enumerate(row)] for r, row in enumerate(a)]
+        for mu in distinct
+    }
+    numerators, denominators = [], []
     for lam in distinct:
-        p = ident
-        for mu in distinct:
-            if mu == lam:
-                continue
-            p = mat_mul(p, (a - ident.scale(mu)).scale(Fraction(1) / (lam - mu)))
-        projections[lam] = p
+        others = [mu for mu in distinct if mu != lam]
+        numerators.append(reduce(_int_mul, [shifted[mu] for mu in others], ident))
+        denominators.append(prod(lam - mu for mu in others))
+    big_d = lcm(*denominators)
+    weights = [big_d // d for d in denominators]
     checks = []
 
-    total = Mat.zero(n, n)
-    for p in projections.values():
-        total = total + p
-    checks.append(("sum_of_projections_is_identity", total == ident))
+    total = _int_combination(weights, numerators)
+    checks.append(("sum_of_projections_is_identity", total == _int_scale(big_d, ident)))
 
-    idem_ok = all(mat_mul(p, p) == p for p in projections.values())
+    idem_ok = all(
+        _int_mul(p, p) == _int_scale(d, p) for p, d in zip(numerators, denominators)
+    )
     checks.append(("projections_are_idempotent", idem_ok))
 
     a_power = ident
     for power in range(0, max_n + 1):
         if power:
-            a_power = mat_mul(a_power, a)
-        recon = Mat.zero(n, n)
-        for lam, p in projections.items():
-            recon = recon + p.scale(lam**power)
-        checks.append((f"reconstructs_power_{power}", recon == a_power))
+            a_power = _int_mul(a_power, a)
+        coeffs = [w * lam**power for w, lam in zip(weights, distinct)]
+        recon = _int_combination(coeffs, numerators)
+        checks.append((f"reconstructs_power_{power}", recon == _int_scale(big_d, a_power)))
 
     failures = [name for name, ok in checks if not ok]
     if failures:

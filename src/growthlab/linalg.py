@@ -12,6 +12,10 @@ few hundred rows), so dense storage is fine.
 
 Integral data is solved on Python ints: `solve_unit_triangular` reads the
 numerators of an integer unit-triangular matrix and returns int solutions.
+Products run on ints as well: `mat_mul` scales each row of the left factor
+and each column of the right one to integers by the lcm of its
+denominators, takes every dot product on Python ints and builds one
+`Fraction` per entry.
 """
 
 from __future__ import annotations
@@ -93,10 +97,6 @@ class Mat:
             raise DimensionError(f"trace of non-square {self.shape}")
         return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
 
-    def scale(self, c) -> "Mat":
-        c = _rat(c)
-        return Mat([[c * x for x in row] for row in self.rows])
-
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise DimensionError(f"add {self.shape} to {other.shape}")
@@ -129,14 +129,20 @@ class Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Exact matrix product."""
+    """Exact matrix product, on integer-scaled rows of a and columns of b.
+
+    Row i of a times d_i and column j of b times e_j are integer vectors
+    (d_i, e_j the lcms of their denominators), so entry (i, j) is one
+    integer dot product over d_i·e_j.
+    """
     if a.ncols != b.nrows:
         raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    bt = b.transpose().rows
+    rows, row_scales = _integer_scaled_rows(a.rows)
+    cols, col_scales = _integer_scaled_rows(zip(*b.rows))
     return Mat(
         [
-            [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt]
-            for row in a.rows
+            [Fraction(sum(map(mul, row, col)), d * e) for col, e in zip(cols, col_scales)]
+            for row, d in zip(rows, row_scales)
         ]
     )
 
@@ -257,14 +263,16 @@ def solve_unit_triangular(
     return tuple(solutions)
 
 
-def _integer_scaled_rows(a: Mat) -> tuple[list[list[int]], list[int]]:
+def _integer_scaled_rows(
+    rows: Iterable[Sequence[Fraction]],
+) -> tuple[list[list[int]], list[int]]:
     """Each row multiplied by the lcm of its denominators; returns (rows, scales)."""
-    rows, scales = [], []
-    for row in a.rows:
-        d = lcm(*[x.denominator for x in row]) if a.ncols > 1 else row[0].denominator
+    scaled, scales = [], []
+    for row in rows:
+        d = lcm(*map(_denominator, row))
         scales.append(d)
-        rows.append([x.numerator * (d // x.denominator) for x in row])
-    return rows, scales
+        scaled.append([x.numerator * (d // x.denominator) for x in row])
+    return scaled, scales
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -284,7 +292,7 @@ def inverse(a: Mat) -> Mat:
     if not a.is_square():
         raise DimensionError(f"inverse of non-square {a.shape}")
     n = a.nrows
-    left, scales = _integer_scaled_rows(a)
+    left, scales = _integer_scaled_rows(a.rows)
     # Augment with diag(scales): inverting diag(d)·a and rescaling would be the
     # same thing; carrying d_i on the right keeps everything integral.
     aug = [left[i] + [scales[i] * int(i == j) for j in range(n)] for i in range(n)]

@@ -77,14 +77,14 @@ def mo_cell_entry(j: int, i: int) -> int:
     """beta(j, i): Motzkin cell dimension over j strands."""
     if j < i:
         return 0
-    total = Fraction(0)
-    t = 0
-    while i + 2 * t <= j:
-        total += Fraction(i + 1, i + t + 1) * comb(j, i + 2 * t) * comb(i + 2 * t, t)
-        t += 1
-    if total.denominator != 1:
-        raise InternalCheckError(f"Motzkin cell dimension beta({j}, {i}) is not an integer")
-    return int(total)
+    total = 0
+    for t in range((j - i) // 2 + 1):
+        # (i+1)/(i+t+1) * C(i+2t, t) is a ballot number
+        ballot, rest = divmod((i + 1) * comb(i + 2 * t, t), i + t + 1)
+        if rest:
+            raise InternalCheckError(f"Motzkin cell dimension beta({j}, {i}) is not an integer")
+        total += comb(j, i + 2 * t) * ballot
+    return total
 
 
 def mo_inverse_entry(i: int, j: int) -> int:

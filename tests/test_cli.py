@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import growthlab
 from growthlab import verify
 from growthlab.cli import main
 
@@ -251,3 +256,23 @@ def test_cli_determinism_across_runs(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_one_process_matches_separate_processes(capsys):
+    # the parser is built once per process; calls after a usage error, and a
+    # repeated call, must behave exactly as in a fresh interpreter
+    calls = [
+        ("chartable", "--family", "tl", "--m"),
+        ("chartable", "--family", "tl", "--m", "7", "--kind", "simple"),
+        ("chartable", "--family", "tl", "--m", "7", "--kind", "simple"),
+        ("fusion", "--family", "pro", "--m", "4", "--module", "V1", "--format", "json"),
+        ("fusion", "--family", "pro", "--m", "4", "--module", "V1", "--format", "json"),
+    ]
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "growthlab", *argv], capture_output=True, text=True, env=env
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)

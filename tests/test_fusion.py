@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab.diagrams import Family
-from growthlab.errors import InputError
+from growthlab.errors import InputError, VerificationError
 from growthlab.fusion import (
     FusionGraph,
     fusion_matrix,
@@ -216,6 +217,34 @@ def test_spectral_check_golden_specs():
         g = fusion_matrix(spec, simple_table(family, m))
         report = spectral_check(g, spec, max_n=6)
         assert report["ok"]
+
+
+def test_spectral_check_rejects_a_perturbed_adjacency():
+    # the gate must fail on a graph that is not diagonalized by the character:
+    # A is lower triangular with the character values on its diagonal, so a
+    # changed diagonal entry moves the spectrum and an entry above the
+    # diagonal breaks the triangle (a change below it keeps both)
+    for family, m, sel in (
+        (Family.TEMPERLEY_LIEB, 7, "V3"),
+        (Family.MOTZKIN, 5, "S1"),
+        (Family.PLANAR_ROOK, 8, "V2"),
+    ):
+        spec = module_spec(family, m, sel)
+        g = fusion_matrix(spec, simple_table(family, m))
+        n = len(g.labels)
+        for t, j in ((0, 0), (n - 1, n - 1), (0, 1), (0, n - 1)):
+            rows = [list(row) for row in g.adjacency.rows]
+            rows[t][j] += 1
+            with pytest.raises(VerificationError):
+                spectral_check(replace(g, adjacency=Mat(rows)), spec, max_n=6)
+
+
+def test_spectral_check_rejects_a_non_integer_character():
+    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
+    g = fusion_matrix(spec, TL7)
+    half = replace(spec, charvec=(Fraction(1, 2),) + tuple(spec.charvec[1:]))
+    with pytest.raises(InputError):
+        spectral_check(g, half)
 
 
 def test_spectral_multiplicity_extraction():

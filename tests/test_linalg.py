@@ -46,6 +46,53 @@ def test_mat_mul_shape_error():
         mat_mul(Mat([(1, 2)]), Mat([(1, 2)]))
 
 
+def fraction_mat_mul(a, b):
+    """The reference product: a Fraction multiply-add per term."""
+    out = []
+    for row in a.rows:
+        out_row = []
+        for j in range(b.ncols):
+            total = Fraction(0)
+            for k, x in enumerate(row):
+                total += x * b.rows[k][j]
+            out_row.append(total)
+        out.append(out_row)
+    return Mat(out)
+
+
+# zero, negative and mixed-denominator entries up to 2**40
+NUMERATOR = st.integers(-(2**40), 2**40)
+ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    NUMERATOR.map(Fraction),
+    st.builds(Fraction, NUMERATOR, st.integers(1, 2**40)),
+)
+
+
+def matrices(nrows, ncols):
+    row = st.lists(ENTRY, min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows).map(Mat)
+
+
+@st.composite
+def products(draw):
+    """(a, b) with a of shape (n, k) and b of shape (k, p), sizes 1-6."""
+    n, k, p = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    return draw(matrices(n, k)), draw(matrices(k, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+def test_mat_mul_matches_fraction_triple_loop(pair):
+    a, b = pair
+    assert mat_mul(a, b) == fraction_mat_mul(a, b)
+    if a.is_square():
+        assert mat_mul(a, a) == fraction_mat_mul(a, a)
+    if a.ncols != a.nrows:  # a·a is then misshapen
+        with pytest.raises(DimensionError):
+            mat_mul(a, a)
+
+
 def test_mat_pow_trivial_cases():
     a = Mat([(1, 2), (3, 4)])
     assert mat_pow(a, 0) == Mat.identity(2)

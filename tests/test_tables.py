@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from functools import cache
 from math import comb
 
@@ -72,6 +73,26 @@ def test_mo5_cell_table():
     assert int_rows(t) == MO5_CELL
     assert tuple(int(x) for x in t.row(0)) == (1, 1, 2, 4, 9, 21)
     assert tuple(int(x) for x in t.row(2)) == (0, 0, 1, 3, 9, 25)
+
+
+def test_mo_cell_entry_matches_the_fraction_sum():
+    # beta(j, i) = sum_t (i+1)/(i+t+1) * C(j, i+2t) * C(i+2t, t), summed over
+    # Fractions and checked integral at the end
+    def fraction_sum(j, i):
+        total = sum(
+            (
+                Fraction(i + 1, i + t + 1) * comb(j, i + 2 * t) * comb(i + 2 * t, t)
+                for t in range((j - i) // 2 + 1)
+            ),
+            Fraction(0),
+        )
+        assert total.denominator == 1
+        return int(total)
+
+    for j in range(61):
+        for i in range(j + 3):
+            expected = fraction_sum(j, i) if i <= j else 0
+            assert tables.mo_cell_entry(j, i) == expected, (j, i)
 
 
 @pytest.mark.parametrize("family", PLANAR)

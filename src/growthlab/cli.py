@@ -11,6 +11,7 @@ display-only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from decimal import Decimal, localcontext
@@ -97,7 +98,10 @@ def _parse_range(text: str) -> range:
 def _parse_p(text: str):
     if text.lower() in ("inf", "infinity", "oo"):
         return INFINITY
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"bad --p {text!r} (want a prime or inf)") from exc
 
 
 @cache
@@ -175,19 +179,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_chartable(args) -> int:
+def _cmd_chartable(args, out) -> int:
     table = table_of_kind(_family(args.family), args.m, args.kind.replace("-", "_"))
     if args.format == "json":
-        print(table_to_json(table))
+        print(table_to_json(table), file=out)
     elif args.format == "csv":
-        print(table_to_csv(table), end="")
+        print(table_to_csv(table), end="", file=out)
     else:
-        print(f"{table.family.value} m={table.m} kind={table.kind}")
-        print(table_to_csv(table), end="")
+        print(f"{table.family.value} m={table.m} kind={table.kind}", file=out)
+        print(table_to_csv(table), end="", file=out)
     return 0
 
 
-def _cmd_growth(args) -> int:
+def _cmd_growth(args, out) -> int:
     family = _family(args.family)
     span = _parse_range(args.n)
     spec = module_spec(family, args.m, args.module)
@@ -230,21 +234,21 @@ def _cmd_growth(args) -> int:
                 for n, value, k, ratio in rows
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2), file=out)
     elif args.format == "csv":
-        print("n,l,k,ratio,ratio_decimal")
+        print("n,l,k,ratio,ratio_decimal", file=out)
         for n, value, k, ratio in rows:
-            print(f"{n},{value},{k},{ratio},{_decimal12(ratio)}")
+            print(f"{n},{value},{k},{ratio},{_decimal12(ratio)}", file=out)
     else:
-        print(f"{args.statistic} of {spec.label} over {family.value} m={args.m}")
-        print(f"formula: {series.human()}")
-        print("n,l,k,ratio,ratio_decimal")
+        print(f"{args.statistic} of {spec.label} over {family.value} m={args.m}", file=out)
+        print(f"formula: {series.human()}", file=out)
+        print("n,l,k,ratio,ratio_decimal", file=out)
         for n, value, k, ratio in rows:
-            print(f"{n},{value},{k},{ratio},{_decimal12(ratio)}")
+            print(f"{n},{value},{k},{ratio},{_decimal12(ratio)}", file=out)
     return 0
 
 
-def _cmd_fusion(args) -> int:
+def _cmd_fusion(args, out) -> int:
     family = _family(args.family)
     spec = module_spec(family, args.m, args.module)
     graph = fusion_matrix(spec, simple_table(family, args.m))
@@ -259,57 +263,57 @@ def _cmd_fusion(args) -> int:
         except OSError as exc:
             raise InputError(f"cannot write {args.dot!r}: {exc.strerror}") from exc
     if args.format == "dot":
-        print(dot, end="")
+        print(dot, end="", file=out)
         return 0
     if args.format == "json":
         payload = fusion_to_json(graph, report)
         payload["n0"] = n0
         payload["components"] = [list(c) for c in report.components]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2), file=out)
         return 0
-    print(f"fusion graph of {spec.label} over {family.value} m={args.m}")
-    print("adjacency rows (target-by-source):")
+    print(f"fusion graph of {spec.label} over {family.value} m={args.m}", file=out)
+    print("adjacency rows (target-by-source):", file=out)
     for label, row in zip(graph.labels, graph.adjacency.rows):
-        print(f"  V{label}: " + " ".join(str(int(x)) for x in row))
-    print(f"absorbing: {list(report.absorbing)}")
-    print(f"realized n0 into absorbing: {n0}")
-    print(f"components: {[list(c) for c in report.components]}")
+        print(f"  V{label}: " + " ".join(str(int(x)) for x in row), file=out)
+    print(f"absorbing: {list(report.absorbing)}", file=out)
+    print(f"realized n0 into absorbing: {n0}", file=out)
+    print(f"components: {[list(c) for c in report.components]}", file=out)
     return 0
 
 
-def _cmd_asym(args) -> int:
+def _cmd_asym(args, out) -> int:
     if args.what == "an":
         value = an_constant(_family(args.family), args.m)
-        print(f"{value} = {_decimal12(value)}")
+        print(f"{value} = {_decimal12(value)}", file=out)
     elif args.what == "linear-monoid":
         value = linear_monoid_constant(args.p, args.r)
-        print(f"{value} = {_decimal12(value)}")
+        print(f"{value} = {_decimal12(value)}", file=out)
     else:
         total, dims = involution_sum(args.m)
-        print(f"sum: {total} = {_decimal12(total)}; total dimension: {dims}")
+        print(f"sum: {total} = {_decimal12(total)}; total dimension: {dims}", file=out)
     return 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args, out) -> int:
     if args.which == "n0":
-        print(n0_upper_bound(args.l_classes, semigroup=args.semigroup))
+        print(n0_upper_bound(args.l_classes, semigroup=args.semigroup), file=out)
     else:
-        print(m0_upper_bound(args.l_classes, args.group_order, args.scalar_order))
+        print(m0_upper_bound(args.l_classes, args.group_order, args.scalar_order), file=out)
     return 0
 
 
-def _cmd_pl(args) -> int:
+def _cmd_pl(args, out) -> int:
     params = PLParams(_parse_p(args.p), args.l)
     if args.what == "digits":
-        print(pl_digits(args.a, params))
+        print(pl_digits(args.a, params), file=out)
     elif args.what == "support":
-        print(sorted(pl_support(args.a, params)))
+        print(sorted(pl_support(args.a, params)), file=out)
     else:
-        print(ancestorless(args.a, params))
+        print(ancestorless(args.a, params), file=out)
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out) -> int:
     if args.max_m is not None and args.max_m < 1:
         raise InputError(f"--max-m {args.max_m} must be at least 1")
     results = verify.run_suite(args.suite, args.max_m)
@@ -317,17 +321,17 @@ def _cmd_verify(args) -> int:
         raise VerificationError(f"suite {args.suite!r} ran no checks")
     failures = [r for r in results if not r.ok]
     if args.format == "json":
-        print(verify.report_json(results))
+        print(verify.report_json(results), file=out)
     else:
         if args.verbose:
             for family, m, j, text in verify.canonical_idempotent_texts(args.max_m):
-                print(f"idempotent {family.value} m={m} rank={j}: {text}")
+                print(f"idempotent {family.value} m={m} rank={j}: {text}", file=out)
         for r in results:
             if r.ok:
-                print(f"ok   {r.check}")
+                print(f"ok   {r.check}", file=out)
             else:
-                print(f"FAIL {r.check}: {r.lhs} != {r.rhs} @ {r.location}")
-        print(f"{len(results) - len(failures)}/{len(results)} checks passed")
+                print(f"FAIL {r.check}: {r.lhs} != {r.rhs} @ {r.location}", file=out)
+        print(f"{len(results) - len(failures)}/{len(results)} checks passed", file=out)
     return VERIFY_ERROR if failures else 0
 
 
@@ -348,14 +352,25 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    # the command renders into one string, so a failure prints no partial output
+    out = io.StringIO()
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args, out)
     except (InputError, SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return VERIFY_ERROR
+    except ValueError as exc:
+        # an exact int past Python's int-to-str digit limit cannot be printed
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: an exact value has more than {limit} digits to print", file=sys.stderr)
+        return INPUT_ERROR
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .errors import InputError, InternalCheckError, VerificationError
 from .graph import distances, scc
 from .growth import ModuleSpec
 from .linalg import Mat, solve_unit_triangular
-from .tables import CharTable
+from .tables import CharTable, simple_table
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,9 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
     integer matrix, and d = prod_{mu != lam} (lam - mu).  With D the lcm of
     the |d|, the checks are integer identities: sum (D/d) N = D I (the
     projections sum to the identity), N^2 = d N (they are idempotent) and
-    sum (D/d) lam^p N = D A^p for p <= max_n (they reconstruct A^p).  A
+    sum (D/d) lam^p N = D A^p for p <= max_n (they reconstruct A^p).  These
+    see only the spectrum of the lower triangular A, so the product
+    X^T A = diag(chi) X^T, with X the simple table, pins its entries.  A
     non-integer character value raises InputError; any mismatch raises
     VerificationError.
     """
@@ -198,7 +200,8 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
     a = g.adjacency.int_rows()
     n = len(a)
     ident = [[int(r == c) for c in range(n)] for r in range(n)]
-    distinct = list(dict.fromkeys(int(c) for c in spec.charvec))
+    chi = [int(c) for c in spec.charvec]
+    distinct = list(dict.fromkeys(chi))
     shifted = {
         mu: [[x - mu * (r == c) for c, x in enumerate(row)] for r, row in enumerate(a)]
         for mu in distinct
@@ -211,6 +214,10 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
     big_d = lcm(*denominators)
     weights = [big_d // d for d in denominators]
     checks = []
+
+    xt = list(zip(*simple_table(spec.family, spec.m).mat.int_rows()))
+    scaled = [[c * v for v in col] for c, col in zip(chi, xt)]
+    checks.append(("simple_table_diagonalizes", _int_mul(xt, a) == scaled))
 
     total = _int_combination(weights, numerators)
     checks.append(("sum_of_projections_is_identity", total == _int_scale(big_d, ident)))

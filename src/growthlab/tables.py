@@ -1,19 +1,27 @@
-"""Closed-form character tables for the planar families and their combinatorics.
+"""Character tables for the planar families and their combinatorics.
 
 Rank classes are indexed by the labels Lambda_m (ascending; for Temperley-Lieb
 they share the parity of m), which makes every cell/simple table upper
-triangular with unit diagonal.  Entries:
+triangular with unit diagonal.
 
-* planar rook: cell(i, j) = C(j, i) — Pascal's triangle — and the monoid is
+The cell entry (i, j) counts half diagrams on j points with i through
+strands.  Read left to right, such a half diagram is a j-step lattice path
+from height 0 to height i that never goes below 0: a point that opens a cup
+or carries a strand steps up, one that closes a cup steps down and an
+isolated point stays level.  So the step set names the family:
+
+* planar rook: steps {0, +1}, Pascal's triangle C(j, i); the monoid is
   semisimple, so cell = simple = projective;
-* Temperley-Lieb: cell(i, j) = alpha(j, i), the ballot-number triangle whose
-  rows are convolutions of the Catalan numbers;
-* Motzkin: cell(i, j) = beta(j, i), rows are convolutions of the Motzkin
-  numbers.
+* Temperley-Lieb: steps {-1, +1}, the ballot numbers alpha(j, i), whose rows
+  are convolutions of the Catalan numbers;
+* Motzkin: steps {-1, 0, +1}, beta(j, i), whose rows are convolutions of the
+  Motzkin numbers.
 
-Each triangle is a Riordan array, so its inverse has a closed form too; the
-truncation to Lambda_m of the inverse is exactly the inverse of the truncated
-table (both factors are supported on index pairs i <= j).
+One recurrence over the steps fills all three with O(m^2) integer additions.
+Each triangle is a Riordan array whose inverse has a closed form, evaluated
+by `cell_inverse`; those closed forms referee the recurrence (verify's
+riordan checks).  The truncation to Lambda_m of the inverse is the inverse
+of the truncated table (both are supported on index pairs i <= j).
 
 Simple and projective rows come from the two short exact sequences
 0 -> V_{i+} -> S_i -> V_i -> 0 and 0 -> S_{i-} -> P_i -> S_i -> 0, where i^-
@@ -38,15 +46,11 @@ from math import comb
 
 from .diagrams import Family, rank_labels
 from .errors import InputError, InternalCheckError
-from .linalg import Mat, inverse
+from .linalg import Mat
 
 
 # ---------------------------------------------------------------------------
-# closed-form entries
-
-def pascal_entry(j: int, i: int) -> int:
-    return comb(j, i)
-
+# closed-form inverses of the cell tables
 
 def pascal_inverse_entry(i: int, j: int) -> int:
     """(i, j) entry of the inverse of the upper Pascal triangle C(j, i)."""
@@ -55,36 +59,11 @@ def pascal_inverse_entry(i: int, j: int) -> int:
     return (-1) ** (j - i) * comb(j, i)
 
 
-def tl_cell_entry(j: int, i: int) -> int:
-    """alpha(j, i): fixed half-diagram count, a ballot number."""
-    if j < i or (j - i) % 2:
-        return 0
-    c = (j - i) // 2
-    value = Fraction(j - 2 * c + 1, j - c + 1) * comb(j, c)
-    if value.denominator != 1:
-        raise InternalCheckError(f"ballot number alpha({j}, {i}) is not an integer")
-    return int(value)
-
-
 def tl_inverse_entry(i: int, j: int) -> int:
     """[x^((j-i)/2)] (1+x)^-(i+1), the inverse Catalan Riordan array."""
     if j < i or (j - i) % 2:
         return 0
     return (-1) ** ((j - i) // 2) * comb((i + j) // 2, i)
-
-
-def mo_cell_entry(j: int, i: int) -> int:
-    """beta(j, i): Motzkin cell dimension over j strands."""
-    if j < i:
-        return 0
-    total = 0
-    for t in range((j - i) // 2 + 1):
-        # (i+1)/(i+t+1) * C(i+2t, t) is a ballot number
-        ballot, rest = divmod((i + 1) * comb(i + 2 * t, t), i + t + 1)
-        if rest:
-            raise InternalCheckError(f"Motzkin cell dimension beta({j}, {i}) is not an integer")
-        total += comb(j, i + 2 * t) * ballot
-    return total
 
 
 def mo_inverse_entry(i: int, j: int) -> int:
@@ -119,12 +98,6 @@ def mo_simple_entry_closed(j: int, i: int) -> int:
         total += int(total_frac)
     return total
 
-
-_CELL_ENTRY = {
-    Family.PLANAR_ROOK: lambda j, i: pascal_entry(j, i),
-    Family.TEMPERLEY_LIEB: tl_cell_entry,
-    Family.MOTZKIN: mo_cell_entry,
-}
 
 _INVERSE_ENTRY = {
     Family.PLANAR_ROOK: pascal_inverse_entry,
@@ -167,27 +140,45 @@ class CharTable:
         return int(self.entry(label, self.m))
 
 
+# steps of the lattice paths that count half diagrams (module docstring)
+_STEPS = {
+    Family.PLANAR_ROOK: (0, 1),
+    Family.TEMPERLEY_LIEB: (-1, 1),
+    Family.MOTZKIN: (-1, 0, 1),
+}
+
+
 def _planar(family: Family) -> None:
-    if family not in _CELL_ENTRY:
+    if family not in _STEPS:
         raise InputError(f"no character tables for {family.value}")
 
 
-def cell_table(family: Family, m: int) -> CharTable:
+def _labels(family: Family, m: int) -> tuple[int, ...]:
     _planar(family)
     if m < 1:
         raise InputError("need m >= 1")
-    labels = rank_labels(family, m)
-    entry = _CELL_ENTRY[family]
-    mat = Mat([[entry(j, i) for j in labels] for i in labels])
-    return CharTable(family, m, "cell", labels, mat)
+    return rank_labels(family, m)
+
+
+def _cell_rows(family: Family, m: int) -> dict[int, list[int]]:
+    """Cell rows on ints, keyed by label (see the module docstring)."""
+    labels = _labels(family, m)
+    # counts[j][h]: j-step paths ending at height h; none of them passes m
+    counts = [[1] + [0] * m]
+    for _ in range(m):
+        padded = [0, *counts[-1], 0]
+        counts.append([sum(padded[h + 1 - s] for s in _STEPS[family]) for h in range(m + 1)])
+    return {i: [counts[j][i] for j in labels] for i in labels}
+
+
+def cell_table(family: Family, m: int) -> CharTable:
+    rows = _cell_rows(family, m)
+    return CharTable(family, m, "cell", tuple(rows), Mat(rows.values()))
 
 
 def cell_inverse(family: Family, m: int) -> CharTable:
     """Closed-form inverse of the cell table (same row/column labels)."""
-    _planar(family)
-    if m < 1:
-        raise InputError("need m >= 1")
-    labels = rank_labels(family, m)
+    labels = _labels(family, m)
     entry = _INVERSE_ENTRY[family]
     mat = Mat([[entry(i, j) for j in labels] for i in labels])
     return CharTable(family, m, "cell_inverse", labels, mat)
@@ -248,17 +239,12 @@ def simple_table(family: Family, m: int) -> CharTable:
     Computed top-down from the cell rows via chi_i = chi_{S_i} - chi_{i^+},
     which unrolls to the alternating sum along the reflection chain.
     """
-    cell = cell_table(family, m)
-    labels = cell.labels
-    rows: dict[int, tuple[Fraction, ...]] = {}
-    for i in reversed(labels):
-        row = cell.row(i)
-        refl = reflections(i, family, m)
-        if not refl.critical and refl.plus is not None:
-            upper = rows[refl.plus]
-            row = tuple(a - b for a, b in zip(row, upper))
-        rows[i] = row
-    return CharTable(family, m, "simple", labels, Mat([rows[i] for i in labels]))
+    cell = _cell_rows(family, m)
+    rows: dict[int, list[int]] = {}
+    for i, row in reversed(cell.items()):
+        plus = reflections(i, family, m).plus  # None for critical labels
+        rows[i] = row if plus is None else [a - b for a, b in zip(row, rows[plus])]
+    return CharTable(family, m, "simple", tuple(cell), Mat(rows[i] for i in cell))
 
 
 def projective_table(family: Family, m: int) -> CharTable:
@@ -267,17 +253,12 @@ def projective_table(family: Family, m: int) -> CharTable:
     phi_i = chi_{S_i} + chi_{S_{i^-}} when the mirror exists, else the cell
     row itself (critical labels, leftmost labels, and all of planar rook).
     """
-    cell = cell_table(family, m)
-    labels = cell.labels
+    cell = _cell_rows(family, m)
     rows = []
-    for i in labels:
-        row = cell.row(i)
-        refl = reflections(i, family, m)
-        if not refl.critical and refl.minus is not None:
-            lower = cell.row(refl.minus)
-            row = tuple(a + b for a, b in zip(row, lower))
-        rows.append(row)
-    return CharTable(family, m, "projective", labels, Mat(rows))
+    for i, row in cell.items():
+        minus = reflections(i, family, m).minus  # None for critical labels
+        rows.append(row if minus is None else [a + b for a, b in zip(row, cell[minus])])
+    return CharTable(family, m, "projective", tuple(cell), Mat(rows))
 
 
 def table_of_kind(family: Family, m: int, kind: str) -> CharTable:
@@ -493,12 +474,6 @@ def decomposition_matrix(
 
 # ---------------------------------------------------------------------------
 # consistency helpers and serialization
-
-def check_inverse_against_elimination(family: Family, m: int) -> None:
-    """Closed-form inverse must agree with fraction-free elimination."""
-    if cell_inverse(family, m).mat != inverse(cell_table(family, m).mat):
-        raise InternalCheckError(f"closed inverse != eliminated inverse ({family.value}, {m})")
-
 
 def check_motzkin_simple_closed_form(m: int) -> None:
     """The reflection recursion must match the hump-count closed form."""

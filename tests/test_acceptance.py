@@ -61,10 +61,10 @@ from growthlab.tables import (
     group_injective,
     projective_table,
     simple_table,
-    tl_cell_entry,
 )
 
 import growthlab
+from cell_formulas import tl_cell_entry
 from growthlab import reference
 
 

@@ -211,10 +211,16 @@ _TL7_V3 = ("--family", "tl", "--m", "7", "--module", "V3")
         ("fusion", *_TL7_V3, "--dot", "{missing}/x.dot"),
         ("verify", "--suite", "all", "--max-m", "0"),
         ("verify", "--max-m", "-5"),
+        ("pl", "digits", "--a", "5", "--p", "abc"),
+        ("pl", "digits", "--a", "5", "--p", "2.5"),
+        # exact values past Python's 4300-digit int-to-str limit
+        ("growth", "length", *_TL7_V3, "--n", "3900"),
+        ("asym", "involutions", "--m", "2000"),
     ],
     ids=[
         "bad-range", "open-range", "empty-range", "bad-target", "unwritable-dot",
-        "max-m-zero", "max-m-negative",
+        "max-m-zero", "max-m-negative", "p-not-a-number", "p-not-an-integer",
+        "value-too-long-growth", "value-too-long-involutions",
     ],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):

@@ -223,7 +223,8 @@ def test_spectral_check_rejects_a_perturbed_adjacency():
     # the gate must fail on a graph that is not diagonalized by the character:
     # A is lower triangular with the character values on its diagonal, so a
     # changed diagonal entry moves the spectrum and an entry above the
-    # diagonal breaks the triangle (a change below it keeps both)
+    # diagonal breaks the triangle; a change below it keeps both, and only
+    # the product X^T A = diag(chi) X^T with the simple table X catches it
     for family, m, sel in (
         (Family.TEMPERLEY_LIEB, 7, "V3"),
         (Family.MOTZKIN, 5, "S1"),
@@ -232,7 +233,7 @@ def test_spectral_check_rejects_a_perturbed_adjacency():
         spec = module_spec(family, m, sel)
         g = fusion_matrix(spec, simple_table(family, m))
         n = len(g.labels)
-        for t, j in ((0, 0), (n - 1, n - 1), (0, 1), (0, n - 1)):
+        for t, j in ((0, 0), (n - 1, n - 1), (0, 1), (0, n - 1), (1, 0), (n - 1, 0)):
             rows = [list(row) for row in g.adjacency.rows]
             rows[t][j] += 1
             with pytest.raises(VerificationError):

@@ -285,7 +285,7 @@ def test_convergence_report_constant_character():
 
 
 def test_chi_sec_closed_forms():
-    from growthlab.tables import tl_cell_entry
+    from cell_formulas import tl_cell_entry
 
     # Temperley-Lieb cell modules: chi_sec is the value at the class m-2, and
     # the ratio equals (m-i)(m+i+2)/(4m(m-1)) exactly

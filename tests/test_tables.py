@@ -5,10 +5,11 @@ from math import comb
 
 import pytest
 
+import cell_formulas
 from growthlab import growth, tables
 from growthlab.diagrams import Family, rank_labels
 from growthlab.errors import InputError, InternalCheckError
-from growthlab.linalg import Mat, mat_mul
+from growthlab.linalg import Mat, inverse, mat_mul
 from growthlab.oracle import gram_matrix
 from growthlab.reference import (
     ERRATA,
@@ -29,7 +30,6 @@ from growthlab.tables import (
     ancestorless,
     cell_inverse,
     cell_table,
-    check_inverse_against_elimination,
     check_motzkin_simple_closed_form,
     decomposition_matrix,
     group_injective,
@@ -89,10 +89,28 @@ def test_mo_cell_entry_matches_the_fraction_sum():
         assert total.denominator == 1
         return int(total)
 
+    table = cell_table(Family.MOTZKIN, 60)
     for j in range(61):
-        for i in range(j + 3):
+        for i in range(61):
             expected = fraction_sum(j, i) if i <= j else 0
-            assert tables.mo_cell_entry(j, i) == expected, (j, i)
+            assert table.entry(i, j) == expected, (j, i)
+
+
+CELL_FORMULAS = {
+    Family.PLANAR_ROOK: comb,
+    Family.TEMPERLEY_LIEB: cell_formulas.tl_cell_entry,
+    Family.MOTZKIN: cell_formulas.mo_cell_entry,
+}
+
+
+@pytest.mark.parametrize("family", PLANAR)
+def test_cell_table_matches_the_closed_forms_up_to_m60(family):
+    # the lattice-path recurrence against the per-entry closed forms
+    # (Pascal, ballot and Motzkin triangles), at every size
+    entry = CELL_FORMULAS[family]
+    for m in range(1, 61):
+        t = cell_table(family, m)
+        assert int_rows(t) == tuple(tuple(entry(j, i) for j in t.labels) for i in t.labels), m
 
 
 @pytest.mark.parametrize("family", PLANAR)
@@ -130,7 +148,7 @@ def test_cell_inverse_is_inverse_up_to_m20(family):
 @pytest.mark.parametrize("family", PLANAR)
 def test_cell_inverse_matches_elimination(family):
     for m in range(1, 9):
-        check_inverse_against_elimination(family, m)
+        assert cell_inverse(family, m).mat == inverse(cell_table(family, m).mat), m
 
 
 def test_stability_embeddings():
@@ -449,8 +467,8 @@ def test_pl_params_validation():
 @pytest.mark.parametrize(
     "module,name,call",
     [
-        (tables, "comb", lambda: tables.tl_cell_entry(2, 0)),
-        (tables, "comb", lambda: tables.mo_cell_entry(2, 0)),
+        (cell_formulas, "comb", lambda: cell_formulas.tl_cell_entry(2, 0)),
+        (cell_formulas, "comb", lambda: cell_formulas.mo_cell_entry(2, 0)),
         (tables, "comb", lambda: tables.mo_simple_entry_closed(4, 2)),
         (growth, "factorial", lambda: growth.involution_sum(2)),
     ],

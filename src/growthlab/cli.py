@@ -19,12 +19,14 @@ from fractions import Fraction
 from functools import cache
 
 from . import verify
-from .diagrams import Family
+from .diagrams import PLANAR_FAMILIES, Family
 from .errors import InputError, SingularMatrixError, VerificationError
 from .fusion import fusion_matrix, realized_n0, scc_analysis, to_dot, to_json as fusion_to_json
 from .growth import (
+    ExpSum,
     an_constant,
     evaluate,
+    involution_counts,
     involution_sum,
     leading_term,
     length_series,
@@ -102,6 +104,66 @@ def _parse_p(text: str):
         return int(text)
     except ValueError as exc:
         raise InputError(f"bad --p {text!r} (want a prime or inf)") from exc
+
+
+def _too_long(limit: int) -> str:
+    return f"an exact value has more than {limit} digits to print"
+
+
+def _unprintable_bits() -> int | None:
+    """e with every integer of at least 2**e past the int-to-text digit limit.
+
+    None when the limit is 0 (unlimited).  From 10**3 < 2**10: for a limit
+    of 3q + r digits, 10**limit < 2**(10q + (0, 4, 7)[r]).
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return None
+    q, r = divmod(limit, 3)
+    return 10 * q + (0, 4, 7)[r]
+
+
+def _refuse_unprintable_growth(asym: ExpSum, span: range) -> None:
+    """Refuse, before evaluating, a growth table whose k(n) cannot be printed.
+
+    Every format prints k(n) = C B^n, the leading part of the series, with
+    B the largest |base| and C = p/q depending only on the parity of n; so
+    the last two n of the span bound every other.  For C != 0, the
+    numerator of k(n) is at least |p| B^n / q >= 2**e with
+    e = n (bitlen(B) - 1) + bitlen(p) - 1 - bitlen(q).
+    """
+    bits = _unprintable_bits()
+    if bits is None or not asym.terms:
+        return
+    top = abs(asym.terms[0][1])
+    for n in span[-2:]:
+        c = sum(coeff if base > 0 or n % 2 == 0 else -coeff for coeff, base in asym.terms)
+        if c == 0:
+            continue
+        e = (
+            n * (top.bit_length() - 1)
+            + abs(c.numerator).bit_length() - 1 - c.denominator.bit_length()
+        )
+        if e >= bits:
+            raise InputError(_too_long(sys.get_int_max_str_digits()))
+
+
+def _refuse_unprintable_involutions(m: int) -> None:
+    """Refuse, before summing, an involution sum whose denominator cannot be printed.
+
+    The sum is I(m)/m!, so its reduced denominator is at least m!/I(m).
+    From I(k) <= k I(k-1), k!/I(k) does not decrease with k, so the first
+    k <= m with k!/I(k) >= 2**(bitlen(k!) - 1 - bitlen(I(k))) past the limit
+    settles it and the recurrence stops there.
+    """
+    bits = _unprintable_bits()
+    if bits is None:
+        return
+    fact = 1
+    for k, count in enumerate(involution_counts(m), start=1):
+        fact *= k
+        if fact.bit_length() - 1 - count.bit_length() >= bits:
+            raise InputError(_too_long(sys.get_int_max_str_digits()))
 
 
 @cache
@@ -209,6 +271,7 @@ def _cmd_growth(args, out) -> int:
     # a module that never contains the target has the empty (zero) series,
     # whose asymptotic part is zero as well
     asym = leading_term(series) if series.terms else series
+    _refuse_unprintable_growth(asym, span)
     rows = []
     for n in span:
         value = evaluate(series, n)
@@ -283,12 +346,17 @@ def _cmd_fusion(args, out) -> int:
 
 def _cmd_asym(args, out) -> int:
     if args.what == "an":
-        value = an_constant(_family(args.family), args.m)
+        family = _family(args.family)
+        if family not in PLANAR_FAMILIES:
+            # there the constant is the involution sum
+            _refuse_unprintable_involutions(args.m)
+        value = an_constant(family, args.m)
         print(f"{value} = {_decimal12(value)}", file=out)
     elif args.what == "linear-monoid":
         value = linear_monoid_constant(args.p, args.r)
         print(f"{value} = {_decimal12(value)}", file=out)
     else:
+        _refuse_unprintable_involutions(args.m)
         total, dims = involution_sum(args.m)
         print(f"sum: {total} = {_decimal12(total)}; total dimension: {dims}", file=out)
     return 0
@@ -366,8 +434,7 @@ def main(argv=None) -> int:
         # an exact int past Python's int-to-str digit limit cannot be printed
         if "integer string conversion" not in str(exc):
             raise
-        limit = sys.get_int_max_str_digits()
-        print(f"error: an exact value has more than {limit} digits to print", file=sys.stderr)
+        print(f"error: {_too_long(sys.get_int_max_str_digits())}", file=sys.stderr)
         return INPUT_ERROR
     sys.stdout.write(out.getvalue())
     return code

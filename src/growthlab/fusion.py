@@ -46,20 +46,14 @@ class FusionGraph:
 
     def support_edges(self) -> list[tuple[int, int]]:
         """(source index, target index) pairs with positive weight."""
-        n = len(self.labels)
-        return [
-            (j, t)
-            for j in range(n)
-            for t in range(n)
-            if self.adjacency.rows[t][j] > 0
-        ]
+        return [(j, t) for j, out in enumerate(self.successors()) for t in out]
 
     def successors(self) -> list[list[int]]:
         """succ[j] = target indices of the positive-weight edges leaving j."""
-        succ: list[list[int]] = [[] for _ in self.labels]
-        for j, t in self.support_edges():
-            succ[j].append(t)
-        return succ
+        return [
+            [t for t, x in enumerate(col) if x > 0]
+            for col in zip(*self.adjacency.int_rows())
+        ]
 
 
 def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
@@ -73,21 +67,18 @@ def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
     """
     if spec.family is not simple.family or spec.m != simple.m:
         raise InputError("module and table belong to different monoids")
-    n = len(simple.labels)
     if any(c.denominator != 1 for c in spec.charvec):
         raise InputError(f"{spec.label} has a non-integer character value")
     chi = [int(c) for c in spec.charvec]
-    pointwise = [[c * x for c, x in zip(chi, row)] for row in simple.mat.int_rows()]
+    rows = simple.mat.int_rows()
+    pointwise = [[c * x for c, x in zip(chi, row)] for row in rows]
     cols = solve_unit_triangular(simple.mat.transpose(), pointwise, lower=True)
-    for col in cols:
-        for value in col:
-            if value < 0:
-                raise InternalCheckError(f"tensor multiplicity {value} is negative")
+    lowest = min(map(min, cols))
+    if lowest < 0:
+        raise InternalCheckError(f"tensor multiplicity {lowest} is negative")
     adjacency = Mat.from_cols(cols)
-    dims = tuple(int(simple.mat.rows[k][-1]) for k in range(n))
-    trivial_rows = [
-        k for k in range(n) if all(v == 1 for v in simple.mat.rows[k])
-    ]
+    dims = tuple(row[-1] for row in rows)
+    trivial_rows = [k for k, row in enumerate(rows) if set(row) == {1}]
     if len(trivial_rows) != 1:
         raise InternalCheckError("expected exactly one all-ones character row")
     return FusionGraph(
@@ -254,8 +245,9 @@ def to_dot(g: FusionGraph, report: SccReport) -> str:
         if label in absorbing:
             attrs.append("peripheries=2")
         lines.append(f"  v{label} [{', '.join(attrs)}];")
+    rows = g.adjacency.int_rows()
     for j, t in g.support_edges():
-        weight = int(g.adjacency.rows[t][j])
+        weight = rows[t][j]
         lines.append(f'  v{g.labels[j]} -> v{g.labels[t]} [label="{weight}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

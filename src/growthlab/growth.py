@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
 from .diagrams import Family, PLANAR_FAMILIES
 from .errors import InputError, InternalCheckError
@@ -50,11 +51,15 @@ class ExpSum:
 
     @staticmethod
     def make(pairs) -> "ExpSum":
-        merged: dict[int, Fraction] = {}
+        """Canonical sum of (coefficient, base) pairs, int or Fraction.
+
+        Coefficients are merged in the type they arrive in, and one Fraction
+        is built per surviving term.
+        """
+        merged: dict[int, int | Fraction] = {}
         for coeff, base in pairs:
-            coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            merged[base] = merged.get(base, Fraction(0)) + coeff
-        terms = [(c, b) for b, c in merged.items() if c != 0]
+            merged[base] = merged.get(base, 0) + coeff
+        terms = [(Fraction(c), b) for b, c in merged.items() if c != 0]
         terms.sort(key=lambda t: (-abs(t[1]), -t[1]))
         return ExpSum(tuple(terms))
 
@@ -340,6 +345,14 @@ def convergence_report(spec: ModuleSpec) -> ConvergenceReport:
     return ConvergenceReport(chi_sec, ratio)
 
 
+def involution_counts(m: int) -> Iterator[int]:
+    """I(1), ..., I(m), the involution counts, by I(k) = I(k-1) + (k-1) I(k-2)."""
+    prev2, prev1 = 0, 1  # I(-1), I(0)
+    for k in range(1, m + 1):
+        prev2, prev1 = prev1, prev1 + (k - 1) * prev2
+        yield prev1
+
+
 def involution_sum(m: int) -> tuple[Fraction, int]:
     """(sum_z 1/((m-2z)! z! 2^z), m! times it) — the involution count I(m)."""
     if m < 1:
@@ -352,10 +365,9 @@ def involution_sum(m: int) -> tuple[Fraction, int]:
     if dims_total.denominator != 1:
         raise InternalCheckError(f"involution sum times {m}! is not an integer")
     # independent cross-check: I(m) = I(m-1) + (m-1) I(m-2)
-    prev2, prev1 = 1, 1
-    for k in range(2, m + 1):
-        prev2, prev1 = prev1, prev1 + (k - 1) * prev2
-    if int(dims_total) != prev1:
+    for count in involution_counts(m):
+        pass
+    if int(dims_total) != count:
         raise InternalCheckError(f"involution sum disagrees with the recurrence at m={m}")
     return total, int(dims_total)
 

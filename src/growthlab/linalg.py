@@ -10,12 +10,14 @@ integer-scaled copy to keep intermediate entries from blowing up, then
 back-substitutes exactly.  All matrices in this project are small (at most a
 few hundred rows), so dense storage is fine.
 
-Integral data is solved on Python ints: `solve_unit_triangular` reads the
-numerators of an integer unit-triangular matrix and returns int solutions.
-Products run on ints as well: `mat_mul` scales each row of the left factor
-and each column of the right one to integers by the lcm of its
-denominators, takes every dot product on Python ints and builds one
-`Fraction` per entry.
+Integral data crosses from `Fraction` to Python ints once per matrix:
+`Mat.int_rows()` checks that every entry is an integer, stores the int rows
+on the matrix and returns the stored rows on every later call (`transpose`
+carries them over).  `solve_unit_triangular` checks and substitutes on
+those int rows and returns int solutions.  Products run on ints as well:
+`mat_mul` scales each row of the left factor and each column of the right
+one to integers by the lcm of its denominators, takes every dot product on
+Python ints and builds one `Fraction` per entry.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from .errors import DimensionError, InputError, InternalCheckError, SingularMatr
 
 Rat = Fraction
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
 
 def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -38,7 +43,7 @@ def _rat(x) -> Fraction:
 class Mat:
     """Immutable matrix of exact rationals."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_ints")
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = tuple(tuple(_rat(x) for x in row) for row in rows)
@@ -50,6 +55,7 @@ class Mat:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -90,7 +96,10 @@ class Mat:
         return tuple(row[j] for row in self.rows)
 
     def transpose(self) -> "Mat":
-        return Mat(zip(*self.rows))
+        t = Mat(zip(*self.rows))
+        if self._ints is not None:
+            object.__setattr__(t, "_ints", tuple(zip(*self._ints)))
+        return t
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -110,22 +119,23 @@ class Mat:
     def __mul__(self, other: "Mat") -> "Mat":
         return mat_mul(self, other)
 
-    def apply(self, v: Sequence) -> tuple[Fraction, ...]:
-        """Matrix-vector product."""
-        v = [_rat(x) for x in v]
-        if len(v) != self.ncols:
-            raise DimensionError(f"vector of length {len(v)} against {self.shape}")
-        return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self.rows)
-
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Rows as Python ints; raises if any entry is not an integer."""
-        out = []
-        for row in self.rows:
-            for x in row:
-                if x.denominator != 1:
-                    raise InputError(f"non-integer entry {x}")
-            out.append(tuple(int(x) for x in row))
-        return tuple(out)
+        """Rows as Python ints; raises if any entry is not an integer.
+
+        The first call that succeeds stores the rows on the matrix, and
+        every later call returns that same tuple.  A failure stores nothing.
+        Two threads that race on the first call store equal rows, so the
+        matrix stays safe to share without a lock.
+        """
+        ints = self._ints
+        if ints is None:
+            for row in self.rows:
+                for x in row:
+                    if x.denominator != 1:
+                        raise InputError(f"non-integer entry {x}")
+            ints = tuple(tuple(map(_numerator, row)) for row in self.rows)
+            object.__setattr__(self, "_ints", ints)
+        return ints
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -145,24 +155,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
             for row, d in zip(rows, row_scales)
         ]
     )
-
-
-def mat_pow(a: Mat, n: int) -> Mat:
-    """a**n by repeated squaring; a**0 is the identity."""
-    if not a.is_square():
-        raise DimensionError(f"power of non-square {a.shape}")
-    if n < 0:
-        raise InputError("negative matrix power")
-    result = Mat.identity(a.nrows)
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base_needed = n >> 1
-        if base_needed:
-            base = mat_mul(base, base)
-        n = base_needed
-    return result
 
 
 def _check_triangular_solve_args(t: Mat, v: Sequence) -> list[Fraction]:
@@ -208,10 +200,6 @@ def solve_lower_triangular(l: Mat, v: Sequence) -> tuple[Fraction, ...]:
     return tuple(x)
 
 
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
-
 def _as_int(x) -> int:
     if isinstance(x, int):
         return x
@@ -227,23 +215,22 @@ def solve_unit_triangular(
 
     t must be square with integer entries, ones on the diagonal and zeros
     above it (lower=True: forward substitution) or below it (back
-    substitution).  t is checked once and then read in place, through the
-    numerators of its entries.  A zero diagonal entry raises
+    substitution).  t is checked once, on its int rows (`Mat.int_rows`),
+    and the substitution multiplies those ints.  A zero diagonal entry raises
     SingularMatrixError, any other defect of t or a non-integer right-hand
     side InputError, and a right-hand side of the wrong length DimensionError.
     """
     if not t.is_square():
         raise InputError(f"unit triangular solve with non-square {t.shape}")
     n = t.nrows
-    for i, row in enumerate(t.rows):
-        if set(map(_denominator, row)) != {1}:
-            raise InputError(f"non-integer entry in row {i}")
-        diagonal = row[i].numerator
+    rows = t.int_rows()
+    for i, row in enumerate(rows):
+        diagonal = row[i]
         if diagonal == 0:
             raise SingularMatrixError(f"zero diagonal entry at {i}")
         if diagonal != 1:
             raise InputError(f"diagonal entry {diagonal} at {i} is not 1")
-        if any(map(_numerator, islice(row, i + 1, None) if lower else islice(row, i))):
+        if any(islice(row, i + 1, None) if lower else islice(row, i)):
             raise InputError(f"matrix is not {'lower' if lower else 'upper'} triangular")
     solutions = []
     for b in rhs:
@@ -252,12 +239,12 @@ def solve_unit_triangular(
         x: list[int] = []
         if lower:
             # map stops at len(x) = i: only the entries left of the diagonal
-            for row, v in zip(t.rows, b):
-                x.append(_as_int(v) - sum(map(mul, map(_numerator, row), x)))
+            for row, v in zip(rows, b):
+                x.append(_as_int(v) - sum(map(mul, row, x)))
         else:
             # built from the bottom, so x[k] is the solution's entry n-1-k
-            for row, v in zip(reversed(t.rows), reversed(b)):
-                x.append(_as_int(v) - sum(map(mul, map(_numerator, reversed(row)), x)))
+            for row, v in zip(reversed(rows), reversed(b)):
+                x.append(_as_int(v) - sum(map(mul, reversed(row), x)))
             x.reverse()
         solutions.append(tuple(x))
     return tuple(solutions)

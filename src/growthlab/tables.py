@@ -163,11 +163,14 @@ def _labels(family: Family, m: int) -> tuple[int, ...]:
 def _cell_rows(family: Family, m: int) -> dict[int, list[int]]:
     """Cell rows on ints, keyed by label (see the module docstring)."""
     labels = _labels(family, m)
-    # counts[j][h]: j-step paths ending at height h; none of them passes m
+    # counts[j][h]: j-step paths ending at height h; none of them passes m.
+    # A path ending at h came from h - s, so row j sums the copies of row
+    # j - 1 shifted by each step s (padded with a zero at either end).
     counts = [[1] + [0] * m]
     for _ in range(m):
         padded = [0, *counts[-1], 0]
-        counts.append([sum(padded[h + 1 - s] for s in _STEPS[family]) for h in range(m + 1)])
+        shifted = [padded[1 - s : m + 2 - s] for s in _STEPS[family]]
+        counts.append(list(map(sum, zip(*shifted))))
     return {i: [counts[j][i] for j in labels] for i in labels}
 
 

@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 import growthlab
-from growthlab import verify
+from growthlab import cli, verify
 from growthlab.cli import main
+from growthlab.errors import InputError
+from growthlab.growth import ExpSum, evaluate, involution_counts, leading_term
 
 
 def run(capsys, *argv):
@@ -229,6 +233,103 @@ def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _unreachable(*args):
+    raise AssertionError("the refusal should come before this call")
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (("growth", "length", *_TL7_V3, "--n", "1000000"), "evaluate"),
+        (("growth", "length", *_TL7_V3, "--n", "1..1000000"), "evaluate"),
+        (("asym", "involutions", "--m", "4000"), "involution_sum"),
+        (("asym", "involutions", "--m", "100000000"), "involution_sum"),
+        (("asym", "an", "--family", "rook", "--m", "4000"), "an_constant"),
+    ],
+    ids=["growth-n", "growth-range", "involutions-4000", "involutions-1e8", "an-rook-4000"],
+)
+def test_unprintable_values_are_refused_before_the_work(capsys, monkeypatch, argv, stage):
+    monkeypatch.setattr(cli, stage, _unreachable)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: an exact value has more than {sys.get_int_max_str_digits()} digits to print\n"
+
+
+def test_unlimited_digits_refuse_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    monkeypatch.setattr(cli, "involution_sum", lambda m: (Fraction(1, 3), 7))
+    code, out, _ = run(capsys, "asym", "involutions", "--m", "4000")
+    assert code == 0 and out.startswith("sum: 1/3 = ")
+    reached = []
+    monkeypatch.setattr(cli, "evaluate", lambda es, n: reached.append(n) or Fraction(1))
+    code, out, _ = run(capsys, "growth", "length", *_TL7_V3, "--n", "1000000")
+    assert code == 0 and reached == [1000000, 1000000]
+
+
+def _past_limit(x: int, limit: int) -> bool:
+    return abs(x) >= 10**limit
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(1, 13), (-5, 4), (8, 1)],  # TL7 V3
+        [(2, -7), (1, 7), (3, 1)],  # k(n) = 3 * 7^n or -7^n by parity
+        [(1, 7), (1, -7)],  # k(n) = 0 for odd n
+        [(Fraction(3, 1024), 9), (Fraction(-1, 5), -9)],
+        [(Fraction(1, 2**100), 2)],  # the denominator cancels against 2^n
+        [(1, 1)],
+    ],
+)
+def test_growth_refusal_is_sound(pairs):
+    # refused means k(n) truly is past the limit
+    limit = sys.get_int_max_str_digits()
+    asym = leading_term(ExpSum.make(pairs))
+    for n in range(0, 16000, 37):
+        try:
+            cli._refuse_unprintable_growth(asym, range(n, n + 1))
+        except InputError:
+            assert _past_limit(evaluate(asym, n).numerator, limit), (pairs, n)
+
+
+def test_growth_refusal_reads_both_parities():
+    # k(n) = 2 * 7^n for even n and 0 for odd n: a span that ends on an odd
+    # n is refused for its even n - 1
+    asym = leading_term(ExpSum.make([(1, 7), (1, -7)]))
+    cli._refuse_unprintable_growth(asym, range(20001, 20002))
+    with pytest.raises(InputError):
+        cli._refuse_unprintable_growth(asym, range(1, 20002))
+
+
+def test_growth_refusal_is_close_for_powers_of_two():
+    # for B = 8, B**n is exactly 2**(3n): the refusal starts within 1 % of
+    # the first n past the limit (the slack is 10**3 < 2**10) and holds after
+    limit = sys.get_int_max_str_digits()
+    asym = leading_term(ExpSum.make([(1, 8)]))
+    refused = []
+    for n in range(4700, 4900):
+        try:
+            cli._refuse_unprintable_growth(asym, range(n, n + 1))
+        except InputError:
+            refused.append(n)
+    first_failing = next(n for n in range(4700, 4900) if _past_limit(8**n, limit))
+    assert refused == list(range(refused[0], 4900))
+    assert first_failing <= refused[0] <= first_failing * 1.01
+
+
+def test_involution_refusal_is_sound():
+    limit = sys.get_int_max_str_digits()
+    for m in (1, 2, 5, 100, 1000, 2000, 2600, 3000, 4000):
+        try:
+            cli._refuse_unprintable_involutions(m)
+        except InputError:
+            *_, count = involution_counts(m)
+            denominator = Fraction(count, factorial(m)).denominator
+            assert _past_limit(denominator, limit) and m >= 3000, m
+        else:
+            assert m < 3000, m
 
 
 def test_zero_multiplicity_prints_zero_rows(capsys):

@@ -40,6 +40,11 @@ def test_expsum_canonical_form():
     assert es.terms == ((Fraction(2), 13),)
     es = ExpSum.make([(1, 1), (1, -4), (1, 4), (1, 0)])
     assert [b for _, b in es.terms] == [4, -4, 1, 0]
+    # int coefficients are merged as ints and leave as Fractions
+    assert all(type(c) is Fraction for c, _ in es.terms)
+    es = ExpSum.make([(3, 2), (Fraction(1, 2), 2), (-3, 5), (3, 5), (2, 7), (-1, 7)])
+    assert es.terms == ((Fraction(1), 7), (Fraction(7, 2), 2))
+    assert all(type(c) is Fraction for c, _ in es.terms)
 
 
 def test_expsum_human():

@@ -11,11 +11,11 @@ from growthlab.linalg import (
     inverse,
     kernel_and_rank,
     mat_mul,
-    mat_pow,
     solve_lower_triangular,
     solve_unit_triangular,
     solve_upper_triangular,
 )
+from linalg_reference import apply, mat_pow
 
 TL7_SIMPLE = Mat([(1, 1, 1, 1), (0, 1, 4, 13), (0, 0, 1, 6), (0, 0, 0, 1)])
 TL7_LINV = Mat([(1, 0, 0, 0), (-1, 1, 0, 0), (3, -4, 1, 0), (-6, 11, -6, 1)])
@@ -115,6 +115,29 @@ def test_mat_pow_errors():
         mat_pow(Mat.identity(2), -1)
 
 
+def test_int_rows_are_read_once():
+    a = Mat([(1, 2), (3, -4)])
+    rows = a.int_rows()
+    assert rows == ((1, 2), (3, -4))
+    assert all(type(x) is int for row in rows for x in row)
+    assert a.int_rows() is rows
+
+
+def test_int_rows_failure_is_not_stored():
+    half = Mat([(1, Fraction(1, 2)), (0, 1)])
+    for _ in range(3):
+        with pytest.raises(InputError):
+            half.int_rows()
+
+
+def test_transpose_carries_int_rows():
+    rng = random.Random(5)
+    for m in [rand_mat(rng, n) for n in range(1, 5)] + [Mat([(1, 2, 3), (4, 5, 6)])]:
+        cold = m.transpose()  # taken before m has an int view
+        rows = m.int_rows()
+        assert m.transpose().int_rows() == tuple(zip(*rows)) == cold.int_rows()
+
+
 def test_solve_upper_identity():
     v = (Fraction(3), Fraction(-1), Fraction(7))
     assert solve_upper_triangular(Mat.identity(3), v) == v
@@ -153,10 +176,10 @@ def test_solve_round_trip():
             ]
         )
         x = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
-        v = u.apply(x)
+        v = apply(u, x)
         assert solve_upper_triangular(u, v) == x
         lt = u.transpose()
-        assert solve_lower_triangular(lt, lt.apply(x)) == x
+        assert solve_lower_triangular(lt, apply(lt, x)) == x
 
 
 def test_solve_errors():
@@ -278,4 +301,4 @@ def test_rank_nullity():
         rank, kernel = kernel_and_rank(a)
         assert rank + len(kernel) == ncols
         for v in kernel:
-            assert all(x == 0 for x in a.apply(v))
+            assert all(x == 0 for x in apply(a, v))

@@ -17,6 +17,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from . import verify
 from .diagrams import PLANAR_FAMILIES, Family
@@ -148,22 +149,28 @@ def _refuse_unprintable_growth(asym: ExpSum, span: range) -> None:
             raise InputError(_too_long(sys.get_int_max_str_digits()))
 
 
-def _refuse_unprintable_involutions(m: int) -> None:
-    """Refuse, before summing, an involution sum whose denominator cannot be printed.
+def _refuse_unprintable_involutions(m: int, *, with_count: bool = False) -> None:
+    """Refuse, before summing, an involution sum that cannot be printed.
 
-    The sum is I(m)/m!, so its reduced denominator is at least m!/I(m).
-    From I(k) <= k I(k-1), k!/I(k) does not decrease with k, so the first
-    k <= m with k!/I(k) >= 2**(bitlen(k!) - 1 - bitlen(I(k))) past the limit
-    settles it and the recurrence stops there.
+    The sum is I(m)/m!, printed as p/q with p = I(m)/g, q = m!/g and
+    g = gcd(I(m), m!); with_count also prints I(m) (`asym involutions`).
+    Since q >= m!/I(m) and k!/I(k) does not decrease with k (I(k) <= k
+    I(k-1)), the first k <= m with k!/I(k) >= 2**(bitlen(k!) - 1 -
+    bitlen(I(k))) past the limit settles it and the recurrence stops there.
+    Otherwise the exact p, q (and I(m)) are compared with 10**limit.
     """
     bits = _unprintable_bits()
     if bits is None:
         return
-    fact = 1
+    fact = count = 1  # 0! and I(0), for m < 1, which the command refuses itself
     for k, count in enumerate(involution_counts(m), start=1):
         fact *= k
         if fact.bit_length() - 1 - count.bit_length() >= bits:
             raise InputError(_too_long(sys.get_int_max_str_digits()))
+    g = gcd(count, fact)
+    limit = sys.get_int_max_str_digits()
+    if max(count if with_count else count // g, fact // g) >= 10**limit:
+        raise InputError(_too_long(limit))
 
 
 @cache
@@ -356,7 +363,7 @@ def _cmd_asym(args, out) -> int:
         value = linear_monoid_constant(args.p, args.r)
         print(f"{value} = {_decimal12(value)}", file=out)
     else:
-        _refuse_unprintable_involutions(args.m)
+        _refuse_unprintable_involutions(args.m, with_count=True)
         total, dims = involution_sum(args.m)
         print(f"sum: {total} = {_decimal12(total)}; total dimension: {dims}", file=out)
     return 0

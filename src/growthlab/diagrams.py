@@ -28,7 +28,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InputError, InternalCheckError
-from .graph import components, distances, scc
+from .graph import components, scc
 
 
 class Family(Enum):
@@ -378,6 +378,69 @@ def generators(family: Family, m: int) -> tuple[Diagram, ...]:
     return tuple(cups + rook)
 
 
+def _cayley_graphs(
+    family: Family, m: int
+) -> tuple[tuple[Diagram, ...], list[list[int]], list[list[int]]]:
+    """(elements, right, left): the monoid's Cayley graphs on generators(family, m).
+
+    right[x][a] is the index of x·a and left[x][a] that of a·x, for the
+    generator a = generators(family, m)[a]; elements[0] is the identity.
+    The elements come from a Froidure-Pin closure (see green_data), which
+    must equal enumerate_diagrams(family, m) as a set.
+    """
+    enumerated = {d.blocks: d for d in enumerate_diagrams(family, m)}
+    gens = [a.blocks for a in generators(family, m)]
+    # element i is first[i]·suffix[i] = prefix[i]·last[i], a word of length[i]
+    blocks: list[tuple[Block, ...]] = []
+    index: dict[tuple[Block, ...], int] = {}
+    first: list[int] = []
+    last: list[int] = []
+    prefix: list[int] = []
+    suffix: list[int] = []
+    length: list[int] = []
+
+    def add(y, *links) -> int:
+        if y not in enumerated:
+            raise InternalCheckError(f"a product left the enumerated {family.value} monoid")
+        index[y] = len(blocks)
+        blocks.append(y)
+        for column, value in zip((first, last, prefix, suffix, length), links):
+            column.append(value)
+        return index[y]
+
+    one = identity_diagram(family, m).blocks
+    add(one, -1, -1, -1, -1, 0)
+    right: list[list[int]] = []
+    left: list[list[int]] = []
+    for x, y in enumerate(blocks):  # blocks grows as the closure proceeds
+        if length[x] > length[len(left)]:
+            # level length[x] - 1 is finished: a·y = (a·prefix(y))·last(y)
+            for z in range(len(left), x):
+                left.append([right[w][last[z]] for w in left[prefix[z]]])
+        row = []
+        for a, g in enumerate(gens):
+            if not x:
+                product, links = g, (a, a, 0, 0, 1)  # 1·g = g
+            else:
+                t = right[suffix[x]][a]
+                if length[t] < length[x]:
+                    # y·g = first(y)·(suffix(y)·g), a left edge of a shorter t
+                    row.append(left[t][first[x]])
+                    continue
+                product = _compose_blocks(y, g, m)[0]
+                links = (first[x], a, x, t, length[x] + 1)
+            k = index.get(product)
+            row.append(add(product, *links) if k is None else k)
+        right.append(row)
+        if not x:
+            left.append(row)  # the identity commutes with every generator
+    for z in range(len(left), len(blocks)):
+        left.append([right[w][last[z]] for w in left[prefix[z]]])
+    if len(blocks) < len(enumerated):
+        raise InternalCheckError(f"generators({family.value}, {m}) do not generate the monoid")
+    return tuple(enumerated[y] for y in blocks), right, left
+
+
 def green_data(family: Family, m: int) -> GreenData:
     """Green's class counts from the right and left Cayley graphs.
 
@@ -386,21 +449,22 @@ def green_data(family: Family, m: int) -> GreenData:
     ideal Mx.  R-classes are the strongly connected components of the right
     graph, L-classes those of the left graph, and J-classes those of their
     union (D = J for finite monoids).  The units are the R-class of the
-    identity.  The two graphs take 2|M||A| compositions (Froidure and Pin,
-    "Algorithms for computing finite semigroups", 1997).
+    identity.
+
+    The graphs come from a Froidure-Pin closure (Froidure and Pin,
+    "Algorithms for computing finite semigroups", 1997): breadth-first from
+    the identity, so in length-lex order, each new element y = x·a keeps
+    its first generator b, its suffix s (y = b·s), its prefix x, its last
+    generator a and its word length.  By associativity y·c = b·(s·c); when
+    s·c is shorter than y, its left edges are already known and y·c =
+    left[s·c][b] costs nothing.  Every left edge is c·y = (c·x)·a, a right
+    edge of an element no longer than y, so it costs nothing either.  Only
+    the pairs (y, c) with y != 1 and s·c as long as y are composed: 285,
+    1,280 and 1,825 compositions at TL 6, PRO 5 and MO 4, against 2|M||A| =
+    1,320, 4,032 and 5,814 for composing both graphs edge by edge.
     """
-    elements = enumerate_diagrams(family, m)
-    index = {d.blocks: i for i, d in enumerate(elements)}
-    gens = [a.blocks for a in generators(family, m)]
-    try:
-        right = [[index[_compose_blocks(x.blocks, a, m)[0]] for a in gens] for x in elements]
-        left = [[index[_compose_blocks(a, x.blocks, m)[0]] for a in gens] for x in elements]
-    except KeyError as exc:
-        raise InternalCheckError(f"a product left the enumerated {family.value} monoid") from exc
-    one = index[identity_diagram(family, m).blocks]
-    if None in distances(right, one):
-        raise InternalCheckError(f"generators({family.value}, {m}) do not generate the monoid")
+    _, right, left = _cayley_graphs(family, m)
     r_of, l_of = scc(right), scc(left)
     j_of = scc([r + l for r, l in zip(right, left)])
-    units = r_of.count(r_of[one])
+    units = r_of.count(r_of[0])
     return GreenData(len(set(j_of)), len(set(l_of)), len(set(r_of)), units)

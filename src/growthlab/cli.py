@@ -343,8 +343,8 @@ def _cmd_fusion(args, out) -> int:
         return 0
     print(f"fusion graph of {spec.label} over {family.value} m={args.m}", file=out)
     print("adjacency rows (target-by-source):", file=out)
-    for label, row in zip(graph.labels, graph.adjacency.rows):
-        print(f"  V{label}: " + " ".join(str(int(x)) for x in row), file=out)
+    for label, row in zip(graph.labels, graph.rows):
+        print(f"  V{label}: " + " ".join(map(str, row)), file=out)
     print(f"absorbing: {list(report.absorbing)}", file=out)
     print(f"realized n0 into absorbing: {n0}", file=out)
     print(f"components: {[list(c) for c in report.components]}", file=out)

@@ -6,6 +6,10 @@ indicator of the trivial node lists the multiplicities in V^(x)n.  Graph
 algorithms (shortest paths, strongly connected components) run on the support
 digraph (positive entries); weights only matter for matrix arithmetic.
 
+A graph holds A as rows of Python ints (`FusionGraph.rows`), solved from the
+int rows of the simple table; every walk, power and check below reads them,
+and `FusionGraph.adjacency` builds a `Mat` only when it is read.
+
 The spectral view: conjugating A by the transpose of the simple character
 table diagonalizes it with the character values of V as eigenvalues, so the
 Lagrange projections onto the distinct values reconstruct A^n exactly.  The
@@ -26,7 +30,7 @@ from .errors import InputError, InternalCheckError, VerificationError
 from .graph import distances, scc
 from .growth import ModuleSpec
 from .linalg import Mat, solve_unit_triangular
-from .tables import CharTable, simple_table
+from .tables import CharTable, label_index, simple_table
 
 
 @dataclass(frozen=True)
@@ -35,14 +39,15 @@ class FusionGraph:
     m: int
     labels: tuple[int, ...]
     dims: tuple[int, ...]
-    adjacency: Mat  # A[target][source], nonnegative integers
+    rows: tuple[tuple[int, ...], ...]  # A[target][source], nonnegative ints
     trivial_index: int
 
+    @property
+    def adjacency(self) -> Mat:
+        return Mat(self.rows)
+
     def label_index(self, label: int) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError as exc:
-            raise InputError(f"label {label} not in {self.labels}") from exc
+        return label_index(self.labels, label, self.family, self.m)
 
     def support_edges(self) -> list[tuple[int, int]]:
         """(source index, target index) pairs with positive weight."""
@@ -52,7 +57,7 @@ class FusionGraph:
         """succ[j] = target indices of the positive-weight edges leaving j."""
         return [
             [t for t, x in enumerate(col) if x > 0]
-            for col in zip(*self.adjacency.int_rows())
+            for col in zip(*self.rows)
         ]
 
 
@@ -70,13 +75,12 @@ def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
     if any(c.denominator != 1 for c in spec.charvec):
         raise InputError(f"{spec.label} has a non-integer character value")
     chi = [int(c) for c in spec.charvec]
-    rows = simple.mat.int_rows()
+    rows = simple.rows
     pointwise = [[c * x for c, x in zip(chi, row)] for row in rows]
-    cols = solve_unit_triangular(simple.mat.transpose(), pointwise, lower=True)
+    cols = solve_unit_triangular(tuple(zip(*rows)), pointwise, lower=True)
     lowest = min(map(min, cols))
     if lowest < 0:
         raise InternalCheckError(f"tensor multiplicity {lowest} is negative")
-    adjacency = Mat.from_cols(cols)
     dims = tuple(row[-1] for row in rows)
     trivial_rows = [k for k, row in enumerate(rows) if set(row) == {1}]
     if len(trivial_rows) != 1:
@@ -86,7 +90,7 @@ def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
         m=spec.m,
         labels=simple.labels,
         dims=dims,
-        adjacency=adjacency,
+        rows=tuple(zip(*cols)),
         trivial_index=trivial_rows[0],
     )
 
@@ -98,10 +102,9 @@ def power_multiplicities(g: FusionGraph, n: int) -> tuple[Fraction, ...]:
     """
     if n < 0:
         raise InputError("need n >= 0")
-    rows = g.adjacency.int_rows()
     v = [int(k == g.trivial_index) for k in range(len(g.labels))]
     for _ in range(n):
-        v = [sum(map(mul, row, v)) for row in rows]
+        v = [sum(map(mul, row, v)) for row in g.rows]
     return tuple(Fraction(x) for x in v)
 
 
@@ -188,7 +191,7 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
         raise InputError("empty character vector")
     if any(c.denominator != 1 for c in spec.charvec):
         raise InputError(f"{spec.label} has a non-integer character value")
-    a = g.adjacency.int_rows()
+    a = g.rows
     n = len(a)
     ident = [[int(r == c) for c in range(n)] for r in range(n)]
     chi = [int(c) for c in spec.charvec]
@@ -206,7 +209,7 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
     weights = [big_d // d for d in denominators]
     checks = []
 
-    xt = list(zip(*simple_table(spec.family, spec.m).mat.int_rows()))
+    xt = list(zip(*simple_table(spec.family, spec.m).rows))
     scaled = [[c * v for v in col] for c, col in zip(chi, xt)]
     checks.append(("simple_table_diagonalizes", _int_mul(xt, a) == scaled))
 
@@ -245,9 +248,8 @@ def to_dot(g: FusionGraph, report: SccReport) -> str:
         if label in absorbing:
             attrs.append("peripheries=2")
         lines.append(f"  v{label} [{', '.join(attrs)}];")
-    rows = g.adjacency.int_rows()
     for j, t in g.support_edges():
-        weight = rows[t][j]
+        weight = g.rows[t][j]
         lines.append(f'  v{g.labels[j]} -> v{g.labels[t]} [label="{weight}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -258,7 +260,7 @@ def to_json(g: FusionGraph, report: SccReport) -> dict[str, object]:
     return {
         "labels": list(g.labels),
         "dims": list(g.dims),
-        "adjacency": [list(row) for row in g.adjacency.int_rows()],
+        "adjacency": [list(row) for row in g.rows],
         "trivial_index": g.trivial_index,
         "absorbing": list(report.absorbing),
     }

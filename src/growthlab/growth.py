@@ -30,7 +30,9 @@ from typing import Iterator
 from .diagrams import Family, PLANAR_FAMILIES
 from .errors import InputError, InternalCheckError
 from .linalg import Mat, inverse, mat_mul, solve_unit_triangular
-from .tables import CharTable, cell_table, projective_table, simple_table, _is_prime
+from .tables import (
+    CharTable, _is_prime, _labels, cell_table, label_index, projective_table, simple_table
+)
 
 
 def _as_int_base(x: Fraction) -> int:
@@ -135,13 +137,13 @@ class ModuleSpec:
 
     @staticmethod
     def from_table(table: CharTable, label: int, prefix: str) -> "ModuleSpec":
-        row = table.row(label)
+        row = table.rows[table.index(label)]
         return ModuleSpec(
             label=f"{prefix}{label}",
             family=table.family,
             m=table.m,
-            dim=int(row[-1]),
-            charvec=tuple(row),
+            dim=row[-1],
+            charvec=tuple(map(Fraction, row)),
         )
 
 
@@ -151,13 +153,8 @@ def module_spec(family: Family, m: int, selector: str) -> ModuleSpec:
     if not match:
         raise InputError(f"bad module selector {selector!r} (want V<i>, S<i> or P<i>)")
     kind, label = match.group(1).upper(), int(match.group(2))
-    table = {
-        "V": simple_table,
-        "S": cell_table,
-        "P": projective_table,
-    }[kind](family, m)
-    if label not in table.labels:
-        raise InputError(f"label {label} not in {table.labels}")
+    label_index(_labels(family, m), label, family, m)  # before any table is built
+    table = {"V": simple_table, "S": cell_table, "P": projective_table}[kind](family, m)
     return ModuleSpec.from_table(table, label, kind)
 
 
@@ -176,7 +173,7 @@ def _series(spec: ModuleSpec, simple: CharTable, weights) -> ExpSum:
     the simple table, which rejects a table that is not unit triangular.
     """
     _check_compatible(spec, simple)
-    (coeffs,) = solve_unit_triangular(simple.mat, [weights], lower=False)
+    (coeffs,) = solve_unit_triangular(simple.rows, [weights], lower=False)
     return ExpSum.make(
         (c, _as_int_base(chi)) for c, chi in zip(coeffs, spec.charvec)
     )

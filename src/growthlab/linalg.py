@@ -12,14 +12,14 @@ substitutes on `Fraction`s for the oracle.  Everything else (`inverse`,
 All matrices in this project are small (at most a few hundred rows), so dense
 storage is fine.
 
-Integral data crosses from `Fraction` to Python ints once per matrix:
-`Mat.int_rows()` checks that every entry is an integer, stores the int rows
-on the matrix and returns the stored rows on every later call (`transpose`
-carries them over).  `solve_unit_triangular` checks and substitutes on
-those int rows and returns int solutions.  Products run on ints as well:
-`mat_mul` scales each row of the left factor and each column of the right
-one to integers by the lcm of its denominators, takes every dot product on
-Python ints and builds one `Fraction` per entry.
+Integral data never reaches this module as a `Mat`: character tables and
+fusion graphs keep their int rows themselves (`tables`, `fusion`) and build a
+`Mat` only when a caller asks for one.  `solve_unit_triangular` takes those
+int rows, checks and substitutes on them and returns int solutions.
+Products of `Mat`s run on ints as well: `mat_mul` scales each row of the
+left factor and each column of the right one to integers by the lcm of its
+denominators, takes every dot product on Python ints and builds one
+`Fraction` per entry.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionError, InputError, SingularMatrixError
 
-_numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
 
@@ -43,7 +42,7 @@ def _rat(x) -> Fraction:
 class Mat:
     """Immutable matrix of exact rationals."""
 
-    __slots__ = ("rows", "nrows", "ncols", "_ints")
+    __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = tuple(tuple(_rat(x) for x in row) for row in rows)
@@ -55,7 +54,6 @@ class Mat:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -96,10 +94,7 @@ class Mat:
         return tuple(row[j] for row in self.rows)
 
     def transpose(self) -> "Mat":
-        t = Mat(zip(*self.rows))
-        if self._ints is not None:
-            object.__setattr__(t, "_ints", tuple(zip(*self._ints)))
-        return t
+        return Mat(zip(*self.rows))
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -118,24 +113,6 @@ class Mat:
 
     def __mul__(self, other: "Mat") -> "Mat":
         return mat_mul(self, other)
-
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Rows as Python ints; raises if any entry is not an integer.
-
-        The first call that succeeds stores the rows on the matrix, and
-        every later call returns that same tuple.  A failure stores nothing.
-        Two threads that race on the first call store equal rows, so the
-        matrix stays safe to share without a lock.
-        """
-        ints = self._ints
-        if ints is None:
-            for row in self.rows:
-                for x in row:
-                    if x.denominator != 1:
-                        raise InputError(f"non-integer entry {x}")
-            ints = tuple(tuple(map(_numerator, row)) for row in self.rows)
-            object.__setattr__(self, "_ints", ints)
-        return ints
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -187,22 +164,24 @@ def _as_int(x) -> int:
 
 
 def solve_unit_triangular(
-    t: Mat, rhs: Iterable[Sequence], *, lower: bool
+    t: Sequence[Sequence[int]], rhs: Iterable[Sequence], *, lower: bool
 ) -> tuple[tuple[int, ...], ...]:
     """Exact integer x with t·x = b for each b in rhs, on Python ints.
 
-    t must be square with integer entries, ones on the diagonal and zeros
-    above it (lower=True: forward substitution) or below it (back
-    substitution).  t is checked once, on its int rows (`Mat.int_rows`),
-    and the substitution multiplies those ints.  A zero diagonal entry raises
-    SingularMatrixError, any other defect of t or a non-integer right-hand
-    side InputError, and a right-hand side of the wrong length DimensionError.
+    t is given by its rows, of Python ints (the rows of a `CharTable`), and
+    must be square with ones on the diagonal and zeros above it (lower=True:
+    forward substitution) or below it (back substitution).  t is checked
+    once per call, however many right-hand sides follow.  A zero diagonal
+    entry raises SingularMatrixError, any other defect of t (an entry that is
+    not an int included) or a non-integer right-hand side InputError, and a
+    right-hand side of the wrong length DimensionError.
     """
-    if not t.is_square():
-        raise InputError(f"unit triangular solve with non-square {t.shape}")
-    n = t.nrows
-    rows = t.int_rows()
-    for i, row in enumerate(rows):
+    n = len(t)
+    for i, row in enumerate(t):
+        if len(row) != n:
+            raise InputError(f"unit triangular solve with non-square {(n, len(row))}")
+        if not {*map(type, row)} <= {int}:
+            raise InputError(f"row {i} has an entry that is not an int")
         diagonal = row[i]
         if diagonal == 0:
             raise SingularMatrixError(f"zero diagonal entry at {i}")
@@ -217,11 +196,11 @@ def solve_unit_triangular(
         x: list[int] = []
         if lower:
             # map stops at len(x) = i: only the entries left of the diagonal
-            for row, v in zip(rows, b):
+            for row, v in zip(t, b):
                 x.append(_as_int(v) - sum(map(mul, row, x)))
         else:
             # built from the bottom, so x[k] is the solution's entry n-1-k
-            for row, v in zip(reversed(rows), reversed(b)):
+            for row, v in zip(reversed(t), reversed(b)):
                 x.append(_as_int(v) - sum(map(mul, reversed(row), x)))
             x.reverse()
         solutions.append(tuple(x))

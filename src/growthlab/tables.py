@@ -23,6 +23,10 @@ by `cell_inverse`; those closed forms referee the recurrence (verify's
 riordan checks).  The truncation to Lambda_m of the inverse is the inverse
 of the truncated table (both are supported on index pairs i <= j).
 
+Tables are held as the rows of Python ints that the recurrence and the
+closed forms produce (`CharTable.rows`); growth series, fusion graphs and the
+CLI read those, and `CharTable.mat` builds a `Mat` only when it is read.
+
 Simple and projective rows come from the two short exact sequences
 0 -> V_{i+} -> S_i -> V_i -> 0 and 0 -> S_{i-} -> P_i -> S_i -> 0, where i^-
 and i^+ reflect i across the nearest critical wall (2 mod 3 for TL, odd for
@@ -109,35 +113,51 @@ _INVERSE_ENTRY = {
 # ---------------------------------------------------------------------------
 # tables
 
+def label_index(labels: tuple[int, ...], label: int, family: Family, m: int) -> int:
+    """Position of label among labels, the labels of family at m.
+
+    An unknown label raises InputError naming the label, the family, m and
+    the rule of `rank_labels`, which unlike the labels does not grow with m.
+    """
+    try:
+        return labels.index(label)
+    except ValueError:
+        parity = ", with the parity of m" if family is Family.TEMPERLEY_LIEB else ""
+        rule = f"labels are 0 <= i <= m{parity}"
+        raise InputError(f"label {label} is not a {family.value} m={m} label ({rule})") from None
+
+
 @dataclass(frozen=True)
 class CharTable:
-    """A labeled square table of exact integers (as rationals).
+    """A labeled square table of integers, held as rows of Python ints.
 
     Rows are modules, columns are rank classes, both indexed by the ascending
     labels; cell and simple tables are upper triangular with unit diagonal.
+    `mat` builds a `Mat` of `Fraction`s from the rows on every read.
     """
 
     family: Family
     m: int
     kind: str
     labels: tuple[int, ...]
-    mat: Mat
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def mat(self) -> Mat:
+        return Mat(self.rows)
 
     def index(self, label: int) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError as exc:
-            raise InputError(f"label {label} not in {self.labels}") from exc
+        return label_index(self.labels, label, self.family, self.m)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.mat.rows[self.index(i)][self.index(j)]
+        return Fraction(self.rows[self.index(i)][self.index(j)])
 
     def row(self, label: int) -> tuple[Fraction, ...]:
-        return self.mat.rows[self.index(label)]
+        return tuple(map(Fraction, self.rows[self.index(label)]))
 
     def dim(self, label: int) -> int:
         """Dimension of a module = its character at the identity class m."""
-        return int(self.entry(label, self.m))
+        return self.rows[self.index(label)][self.index(self.m)]
 
 
 # steps of the lattice paths that count half diagrams (module docstring)
@@ -160,7 +180,7 @@ def _labels(family: Family, m: int) -> tuple[int, ...]:
     return rank_labels(family, m)
 
 
-def _cell_rows(family: Family, m: int) -> dict[int, list[int]]:
+def _cell_rows(family: Family, m: int) -> dict[int, tuple[int, ...]]:
     """Cell rows on ints, keyed by label (see the module docstring)."""
     labels = _labels(family, m)
     # counts[j][h]: j-step paths ending at height h; none of them passes m.
@@ -171,20 +191,20 @@ def _cell_rows(family: Family, m: int) -> dict[int, list[int]]:
         padded = [0, *counts[-1], 0]
         shifted = [padded[1 - s : m + 2 - s] for s in _STEPS[family]]
         counts.append(list(map(sum, zip(*shifted))))
-    return {i: [counts[j][i] for j in labels] for i in labels}
+    return {i: tuple([counts[j][i] for j in labels]) for i in labels}
 
 
 def cell_table(family: Family, m: int) -> CharTable:
     rows = _cell_rows(family, m)
-    return CharTable(family, m, "cell", tuple(rows), Mat(rows.values()))
+    return CharTable(family, m, "cell", tuple(rows), tuple(rows.values()))
 
 
 def cell_inverse(family: Family, m: int) -> CharTable:
     """Closed-form inverse of the cell table (same row/column labels)."""
     labels = _labels(family, m)
     entry = _INVERSE_ENTRY[family]
-    mat = Mat([[entry(i, j) for j in labels] for i in labels])
-    return CharTable(family, m, "cell_inverse", labels, mat)
+    rows = tuple(tuple([entry(i, j) for j in labels]) for i in labels)
+    return CharTable(family, m, "cell_inverse", labels, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +228,7 @@ def reflections(i: int, family: Family, m: int) -> Reflections:
     """
     _planar(family)
     labels = rank_labels(family, m)
-    if i not in labels:
-        raise InputError(f"label {i} not in {labels}")
+    label_index(labels, i, family, m)
     if family is Family.PLANAR_ROOK:
         return Reflections(None, None, False)
     if family is Family.MOTZKIN:
@@ -243,11 +262,11 @@ def simple_table(family: Family, m: int) -> CharTable:
     which unrolls to the alternating sum along the reflection chain.
     """
     cell = _cell_rows(family, m)
-    rows: dict[int, list[int]] = {}
+    rows: dict[int, tuple[int, ...]] = {}
     for i, row in reversed(cell.items()):
         plus = reflections(i, family, m).plus  # None for critical labels
-        rows[i] = row if plus is None else [a - b for a, b in zip(row, rows[plus])]
-    return CharTable(family, m, "simple", tuple(cell), Mat(rows[i] for i in cell))
+        rows[i] = row if plus is None else tuple([a - b for a, b in zip(row, rows[plus])])
+    return CharTable(family, m, "simple", tuple(cell), tuple(rows[i] for i in cell))
 
 
 def projective_table(family: Family, m: int) -> CharTable:
@@ -260,8 +279,8 @@ def projective_table(family: Family, m: int) -> CharTable:
     rows = []
     for i, row in cell.items():
         minus = reflections(i, family, m).minus  # None for critical labels
-        rows.append(row if minus is None else [a + b for a, b in zip(row, cell[minus])])
-    return CharTable(family, m, "projective", tuple(cell), Mat(rows))
+        rows.append(row if minus is None else tuple([a + b for a, b in zip(row, cell[minus])]))
+    return CharTable(family, m, "projective", tuple(cell), tuple(rows))
 
 
 def table_of_kind(family: Family, m: int, kind: str) -> CharTable:
@@ -430,17 +449,21 @@ class DecompositionMatrix:
     family: Family
     m: int
     labels: tuple[int, ...]
-    mat: Mat
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def mat(self) -> Mat:
+        return Mat(self.rows)
 
     def entry(self, z: int, i: int) -> int:
-        zi = self.labels.index(z)
-        ii = self.labels.index(i)
-        return int(self.mat.rows[zi][ii])
+        return self.rows[self._index(z)][self._index(i)]
 
     def cell_factors(self, z: int) -> tuple[int, ...]:
         """Labels of the simples occurring in the cell module S_z."""
-        zi = self.labels.index(z)
-        return tuple(i for i, v in zip(self.labels, self.mat.rows[zi]) if v)
+        return tuple(i for i, v in zip(self.labels, self.rows[self._index(z)]) if v)
+
+    def _index(self, label: int) -> int:
+        return label_index(self.labels, label, self.family, self.m)
 
 
 def decomposition_matrix(
@@ -456,11 +479,11 @@ def decomposition_matrix(
     labels = rank_labels(family, m)
     n = len(labels)
     if family is Family.PLANAR_ROOK:
-        mat = Mat.identity(n)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
     elif family is Family.TEMPERLEY_LIEB:
         params = params or CHAR0_TL
         supports = {i: pl_support(i, params) for i in labels}
-        mat = Mat([[int(z in supports[i]) for i in labels] for z in labels])
+        rows = [[int(z in supports[i]) for i in labels] for z in labels]
     else:
         if params is not None and params != CHAR0_MO:
             raise InputError("Motzkin decomposition matrices are char-0 only")
@@ -471,8 +494,7 @@ def decomposition_matrix(
             if not refl.critical and refl.plus is not None:
                 factors.add(refl.plus)
             rows.append([int(i in factors) for i in labels])
-        mat = Mat(rows)
-    return DecompositionMatrix(family, m, labels, mat)
+    return DecompositionMatrix(family, m, labels, tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +503,13 @@ def decomposition_matrix(
 def check_motzkin_simple_closed_form(m: int) -> None:
     """The reflection recursion must match the hump-count closed form."""
     table = simple_table(Family.MOTZKIN, m)
-    for i in table.labels:
+    for i, row in zip(table.labels, table.rows):
         if i == 0:
-            if any(v != 1 for v in table.row(i)):
+            if any(v != 1 for v in row):
                 raise InternalCheckError("Motzkin trivial character is not all-ones")
         elif i % 2 == 0:
             closed = tuple(mo_simple_entry_closed(j, i) for j in table.labels)
-            if closed != tuple(int(v) for v in table.row(i)):
+            if closed != row:
                 raise InternalCheckError(f"Motzkin simple row {i} disagrees with closed form")
 
 
@@ -497,7 +519,7 @@ def table_to_json(table: CharTable) -> str:
         "m": table.m,
         "kind": table.kind,
         "labels": list(table.labels),
-        "rows": [[str(x) for x in row] for row in table.mat.rows],
+        "rows": [[str(x) for x in row] for row in table.rows],
     }
     return json.dumps(payload, indent=2, sort_keys=False)
 
@@ -506,6 +528,6 @@ def table_to_csv(table: CharTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["i/j"] + [str(j) for j in table.labels])
-    for label, row in zip(table.labels, table.mat.rows):
+    for label, row in zip(table.labels, table.rows):
         writer.writerow([str(label)] + [str(x) for x in row])
     return buf.getvalue()

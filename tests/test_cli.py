@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,8 +12,26 @@ import pytest
 import growthlab
 from growthlab import cli, verify
 from growthlab.cli import main
+from growthlab.diagrams import Family
 from growthlab.errors import InputError
-from growthlab.growth import ExpSum, evaluate, involution_counts, leading_term
+from growthlab.fusion import (
+    fusion_matrix,
+    power_multiplicities,
+    realized_n0,
+    scc_analysis,
+    spectral_check,
+)
+from growthlab.growth import (
+    ExpSum,
+    evaluate,
+    involution_counts,
+    leading_term,
+    length_series,
+    module_spec,
+    multiplicity_series,
+)
+from growthlab.linalg import Mat
+from growthlab.tables import simple_table
 
 
 def run(capsys, *argv):
@@ -220,11 +239,13 @@ _TL7_V3 = ("--family", "tl", "--m", "7", "--module", "V3")
         # exact values past Python's 4300-digit int-to-str limit
         ("growth", "length", *_TL7_V3, "--n", "3900"),
         ("asym", "involutions", "--m", "2000"),
+        # the message names the labelling rule, not the 1,001 labels
+        ("growth", "length", "--family", "tl", "--m", "2000", "--module", "V1", "--n", "1"),
     ],
     ids=[
         "bad-range", "open-range", "empty-range", "bad-target", "unwritable-dot",
         "max-m-zero", "max-m-negative", "p-not-a-number", "p-not-an-integer",
-        "value-too-long-growth", "value-too-long-involutions",
+        "value-too-long-growth", "value-too-long-involutions", "label-not-at-m",
     ],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):
@@ -232,7 +253,7 @@ def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
 def _unreachable(*args):
@@ -421,3 +442,70 @@ def test_one_process_matches_separate_processes(capsys):
             [sys.executable, "-m", "growthlab", *argv], capture_output=True, text=True, env=env
         )
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+# sha256 of stdout, computed before tables and fusion graphs held int rows:
+# any rendering difference between an int and a Fraction entry shows here
+PINNED_OUTPUTS = {
+    "chartable --family mo --m 300 --kind simple --format csv":
+        "eda056519b80da50607f323e7ac280e6760b4fe14dfccf4513a28273d32f4f93",
+    "chartable --family tl --m 40 --kind projective --format json":
+        "3e82c1c377c06d352192c4118e436f013263042137165d41deab9071ea527245",
+    "chartable --family pro --m 20 --kind cell-inverse --format text":
+        "b2c65be2e34ad46e61dec18687c3fdd1b6d669345d7617c85706d625be013c02",
+    "fusion --family mo --m 80 --module V1 --format json":
+        "8ba10cf3d21caf2f6110a62e56e96c3b3b0fbce8f6817c660fe6418ac47d64f7",
+    "fusion --family tl --m 30 --module S4 --format text":
+        "3facc3ffabd11b0bb5fe271a93ad5f399b4155524a6e7612ae4ef85f3b2bbd83",
+    "fusion --family pro --m 12 --module P3 --format dot":
+        "622694602c76e89d57e8b3a66300c189b47a321e2595b8b8d14bb716777c14b8",
+    "growth length --family mo --m 40 --module V2 --n 1..8 --format json":
+        "959d7a86b64e87833ab0855d2ed314a0ca1b8253cd3d6de5a48b5ebd362d5821",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_OUTPUTS)
+def test_outputs_are_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[command]
+
+
+def _no_mat(self, rows):
+    raise AssertionError("the closed-form path built a Mat")
+
+
+def test_closed_form_path_builds_no_mat(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(Mat, "__init__", _no_mat)
+    for family, m in ((Family.PLANAR_ROOK, 6), (Family.TEMPERLEY_LIEB, 7), (Family.MOTZKIN, 5)):
+        simple = simple_table(family, m)
+        for label in simple.labels:
+            for prefix in "VSP":
+                spec = module_spec(family, m, f"{prefix}{label}")
+                length_series(spec, simple)
+                for target in simple.labels:
+                    multiplicity_series(spec, simple, target)
+                g = fusion_matrix(spec, simple)
+                report = scc_analysis(g)
+                realized_n0(g, set(report.absorbing) or {simple.labels[-1]})
+                power_multiplicities(g, 4)
+                spectral_check(g, spec, max_n=4)
+    tl7 = ("--family", "tl", "--m", "7")
+    calls = [
+        ("chartable", *tl7, "--kind", kind, "--format", fmt)
+        for kind in ("cell", "simple", "projective", "cell-inverse")
+        for fmt in ("text", "json", "csv")
+    ]
+    calls += [
+        ("fusion", *tl7, "--module", "S3", "--format", fmt, "--dot", str(tmp_path / "g.dot"))
+        for fmt in ("text", "json", "dot")
+    ]
+    calls += [
+        ("growth", *statistic, *tl7, "--module", "P1", "--n", "0..5", "--format", fmt)
+        for statistic in (("length",), ("multiplicity", "--target", "V3"))
+        for fmt in ("text", "json", "csv")
+    ]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out

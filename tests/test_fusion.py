@@ -43,7 +43,7 @@ def graph_for(family, m, sel):
 
 def test_pro8_fusion_matrix():
     g = graph_for(Family.PLANAR_ROOK, 8, "V2")
-    assert g.adjacency.int_rows() == PRO8_V2_FUSION
+    assert g.rows == PRO8_V2_FUSION
     assert g.labels == tuple(range(9))
     assert g.dims == tuple(int(PRO8.mat.rows[k][-1]) for k in range(9))
     assert g.trivial_index == 0
@@ -166,7 +166,7 @@ def _graph_of(rows) -> FusionGraph:
         m=0,
         labels=tuple(range(n)),
         dims=(1,) * n,
-        adjacency=Mat(rows),
+        rows=tuple(map(tuple, rows)),
         trivial_index=0,
     )
 
@@ -235,10 +235,10 @@ def test_spectral_check_rejects_a_perturbed_adjacency():
         g = fusion_matrix(spec, simple_table(family, m))
         n = len(g.labels)
         for t, j in ((0, 0), (n - 1, n - 1), (0, 1), (0, n - 1), (1, 0), (n - 1, 0)):
-            rows = [list(row) for row in g.adjacency.rows]
+            rows = [list(row) for row in g.rows]
             rows[t][j] += 1
             with pytest.raises(VerificationError):
-                spectral_check(replace(g, adjacency=Mat(rows)), spec, max_n=6)
+                spectral_check(replace(g, rows=tuple(map(tuple, rows))), spec, max_n=6)
 
 
 def test_spectral_check_rejects_a_non_integer_character():

@@ -2,7 +2,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from growthlab import growth, tables
 from growthlab.diagrams import Family
 from growthlab.errors import InputError
 from growthlab.growth import (
@@ -45,6 +48,37 @@ def test_expsum_canonical_form():
     es = ExpSum.make([(3, 2), (Fraction(1, 2), 2), (-3, 5), (3, 5), (2, 7), (-1, 7)])
     assert es.terms == ((Fraction(1), 7), (Fraction(7, 2), 2))
     assert all(type(c) is Fraction for c, _ in es.terms)
+
+
+COEFFS = st.one_of(
+    st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(COEFFS, st.integers(-6, 6)), max_size=12))
+def test_expsum_make_is_canonical(pairs):
+    es = ExpSum.make(pairs)
+    bases = [b for _, b in es.terms]
+    # terms with equal bases merge into one, carrying the sum of coefficients
+    totals: dict[int, Fraction] = {}
+    for c, b in pairs:
+        totals[b] = totals.get(b, Fraction(0)) + c
+    assert len(set(bases)) == len(bases)
+    assert {b: c for c, b in es.terms} == {b: c for b, c in totals.items() if c != 0}
+    # zero coefficients vanish
+    assert all(c != 0 for c, _ in es.terms)
+    # canonical order: |base| descending, then base descending
+    for (_, b1), (_, b2) in zip(es.terms, es.terms[1:]):
+        assert abs(b1) > abs(b2) or (abs(b1) == abs(b2) and b1 > b2)
+    # int and Fraction inputs give equal results, with Fraction coefficients
+    as_fractions = [(Fraction(c), b) for c, b in pairs]
+    as_ints = [(c.numerator if c.denominator == 1 else c, b) for c, b in as_fractions]
+    for other in (ExpSum.make(as_fractions), ExpSum.make(as_ints)):
+        assert other == es
+        assert all(type(c) is Fraction for c, _ in other.terms)
+    # and the input order does not matter
+    assert ExpSum.make(reversed(pairs)) == es
 
 
 def test_expsum_human():
@@ -92,6 +126,32 @@ def test_module_spec_selectors():
         module_spec(Family.TEMPERLEY_LIEB, 7, "V2")
     with pytest.raises(InputError):
         module_spec(Family.TEMPERLEY_LIEB, 7, "X3")
+
+
+def _no_table(*args):
+    raise AssertionError("a table was built before the label was checked")
+
+
+@pytest.mark.parametrize("selector", ["V1", "S1", "P2001", "V4000"])
+def test_module_spec_checks_the_label_before_any_table(monkeypatch, selector):
+    for module, name in (
+        (growth, "simple_table"),
+        (growth, "cell_table"),
+        (growth, "projective_table"),
+        (tables, "_cell_rows"),
+    ):
+        monkeypatch.setattr(module, name, _no_table)
+    with pytest.raises(InputError) as info:
+        module_spec(Family.TEMPERLEY_LIEB, 2000, selector)
+    message = str(info.value)
+    # the rule, not the 1,001 labels
+    assert message.startswith("label ") and "temperley_lieb m=2000" in message
+    assert len(message) < 200
+    # family and m are still checked first
+    with pytest.raises(InputError, match="no character tables"):
+        module_spec(Family.ROOK, 2000, selector)
+    with pytest.raises(InputError, match="need m >= 1"):
+        module_spec(Family.TEMPERLEY_LIEB, 0, selector)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import cell_formulas
 from growthlab import growth, tables
 from growthlab.diagrams import Family, rank_labels
 from growthlab.errors import InputError, InternalCheckError
+from growthlab.fusion import fusion_matrix, power_multiplicities
 from growthlab.linalg import Mat, inverse, mat_mul
 from growthlab.oracle import gram_matrix
 from growthlab.reference import (
@@ -325,6 +326,56 @@ def test_decomposition_matrices():
     assert dp.mat == Mat.identity(5)
     with pytest.raises(InputError):
         decomposition_matrix(Family.MOTZKIN, 5, PLParams(2, 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: d.entry(2, 1),
+        lambda d: d.entry(1, 2),
+        lambda d: d.cell_factors(2),
+        lambda d: d.cell_factors(9),
+    ],
+    ids=["entry-row", "entry-column", "cell-factors", "cell-factors-past-m"],
+)
+def test_decomposition_matrix_rejects_unknown_labels(call):
+    # the same lookup as CharTable.index: InputError naming the rule
+    with pytest.raises(InputError, match=r"is not a temperley_lieb m=7 label \(.*parity of m\)$"):
+        call(decomposition_matrix(Family.TEMPERLEY_LIEB, 7))
+
+
+def _is_int_rows(rows) -> bool:
+    return type(rows) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row) for row in rows
+    )
+
+
+@pytest.mark.parametrize(
+    "family, m", [(Family.PLANAR_ROOK, 6), (Family.TEMPERLEY_LIEB, 7), (Family.MOTZKIN, 5)]
+)
+def test_tables_and_fusion_graphs_hold_int_rows(family, m):
+    # every kind of table, the decomposition matrix and the fusion graph of
+    # every module keep one representation, rows of ints; the Mat views are
+    # built from those rows
+    holders = [
+        table_of_kind(family, m, kind) for kind in ("cell", "simple", "projective", "cell_inverse")
+    ]
+    holders.append(decomposition_matrix(family, m))
+    for holder in holders:
+        assert _is_int_rows(holder.rows)
+        assert holder.mat == Mat(holder.rows)
+    simple = simple_table(family, m)
+    for label in simple.labels:
+        # the readers keep their public types
+        assert type(simple.entry(label, m)) is Fraction and type(simple.dim(label)) is int
+        assert all(type(x) is Fraction for x in simple.row(label))
+        for prefix in "VSP":
+            spec = growth.module_spec(family, m, f"{prefix}{label}")
+            assert all(type(x) is Fraction for x in spec.charvec)
+            g = fusion_matrix(spec, simple)
+            assert _is_int_rows(g.rows)
+            assert g.adjacency == Mat(g.rows)
+            assert all(type(x) is Fraction for x in power_multiplicities(g, 2))
 
 
 def test_tl_decomposition_general_pl():

@@ -20,11 +20,12 @@ from functools import cache
 from math import gcd
 
 from . import verify
-from .diagrams import PLANAR_FAMILIES, Family
+from .diagrams import PLANAR_FAMILIES, Family, rank_labels
 from .errors import InputError, SingularMatrixError, VerificationError
 from .fusion import fusion_matrix, realized_n0, scc_analysis, to_dot, to_json as fusion_to_json
 from .growth import (
     ExpSum,
+    ModuleSpec,
     an_constant,
     evaluate,
     involution_counts,
@@ -36,11 +37,14 @@ from .growth import (
     module_spec,
     multiplicity_series,
     n0_upper_bound,
+    parse_selector,
 )
 from .tables import (
     INFINITY,
+    CharTable,
     PLParams,
     ancestorless,
+    label_index,
     pl_digits,
     pl_support,
     simple_table,
@@ -260,11 +264,18 @@ def _cmd_chartable(args, out) -> int:
     return 0
 
 
+def _module_on(simple: CharTable, kind: str, label: int, selector: str) -> ModuleSpec:
+    """The module of a checked selector; a V module reads the given simple table."""
+    if kind == "V":
+        return ModuleSpec.from_table(simple, label, kind)
+    return module_spec(simple.family, simple.m, selector)
+
+
 def _cmd_growth(args, out) -> int:
     family = _family(args.family)
     span = _parse_range(args.n)
-    spec = module_spec(family, args.m, args.module)
-    table = simple_table(family, args.m)
+    # every label is checked before the one simple table is built
+    kind, label = parse_selector(family, args.m, args.module)
     if args.statistic == "multiplicity":
         if args.target is None:
             raise InputError("multiplicity needs --target")
@@ -272,6 +283,10 @@ def _cmd_growth(args, out) -> int:
             target = int(args.target.lstrip("Vv"))
         except ValueError as exc:
             raise InputError(f"bad target {args.target!r} (want V<i>)") from exc
+        label_index(rank_labels(family, args.m), target, family, args.m)
+    table = simple_table(family, args.m)
+    spec = _module_on(table, kind, label, args.module)
+    if args.statistic == "multiplicity":
         series = multiplicity_series(spec, table, target)
     else:
         series = length_series(spec, table)
@@ -320,8 +335,10 @@ def _cmd_growth(args, out) -> int:
 
 def _cmd_fusion(args, out) -> int:
     family = _family(args.family)
-    spec = module_spec(family, args.m, args.module)
-    graph = fusion_matrix(spec, simple_table(family, args.m))
+    kind, label = parse_selector(family, args.m, args.module)  # before any table
+    table = simple_table(family, args.m)
+    spec = _module_on(table, kind, label, args.module)
+    graph = fusion_matrix(spec, table)
     report = scc_analysis(graph)
     n0 = realized_n0(graph, set(report.absorbing)) if report.absorbing else None
     if args.dot or args.format == "dot":

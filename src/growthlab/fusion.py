@@ -29,7 +29,7 @@ from typing import Sequence
 from .errors import InputError, InternalCheckError, VerificationError
 from .graph import distances, scc
 from .growth import ModuleSpec
-from .linalg import Mat, solve_unit_triangular
+from .linalg import Mat, int_mul, solve_unit_triangular
 from .tables import CharTable, label_index, simple_table
 
 
@@ -159,11 +159,6 @@ def scc_analysis(g: FusionGraph) -> SccReport:
 _IntRows = Sequence[Sequence[int]]
 
 
-def _int_mul(x: _IntRows, y: _IntRows) -> list[list[int]]:
-    cols = list(zip(*y))
-    return [[sum(map(mul, row, col)) for col in cols] for row in x]
-
-
 def _int_scale(c: int, x: _IntRows) -> list[list[int]]:
     return [[c * v for v in row] for row in x]
 
@@ -203,7 +198,7 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
     numerators, denominators = [], []
     for lam in distinct:
         others = [mu for mu in distinct if mu != lam]
-        numerators.append(reduce(_int_mul, [shifted[mu] for mu in others], ident))
+        numerators.append(reduce(int_mul, [shifted[mu] for mu in others], ident))
         denominators.append(prod(lam - mu for mu in others))
     big_d = lcm(*denominators)
     weights = [big_d // d for d in denominators]
@@ -211,20 +206,20 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
 
     xt = list(zip(*simple_table(spec.family, spec.m).rows))
     scaled = [[c * v for v in col] for c, col in zip(chi, xt)]
-    checks.append(("simple_table_diagonalizes", _int_mul(xt, a) == scaled))
+    checks.append(("simple_table_diagonalizes", int_mul(xt, a) == scaled))
 
     total = _int_combination(weights, numerators)
     checks.append(("sum_of_projections_is_identity", total == _int_scale(big_d, ident)))
 
     idem_ok = all(
-        _int_mul(p, p) == _int_scale(d, p) for p, d in zip(numerators, denominators)
+        int_mul(p, p) == _int_scale(d, p) for p, d in zip(numerators, denominators)
     )
     checks.append(("projections_are_idempotent", idem_ok))
 
     a_power = ident
     for power in range(0, max_n + 1):
         if power:
-            a_power = _int_mul(a_power, a)
+            a_power = int_mul(a_power, a)
         coeffs = [w * lam**power for w, lam in zip(weights, distinct)]
         recon = _int_combination(coeffs, numerators)
         checks.append((f"reconstructs_power_{power}", recon == _int_scale(big_d, a_power)))

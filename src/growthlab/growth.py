@@ -147,13 +147,23 @@ class ModuleSpec:
         )
 
 
-def module_spec(family: Family, m: int, selector: str) -> ModuleSpec:
-    """Resolve a selector like "V3" (simple), "S1" (cell) or "P2" (projective)."""
+def parse_selector(family: Family, m: int, selector: str) -> tuple[str, int]:
+    """The kind ("V", "S" or "P") and label of a selector like "V3".
+
+    Family, m and the label are checked, in that order, without building
+    any table.
+    """
     match = _SELECTOR.match(selector.strip())
     if not match:
         raise InputError(f"bad module selector {selector!r} (want V<i>, S<i> or P<i>)")
     kind, label = match.group(1).upper(), int(match.group(2))
-    label_index(_labels(family, m), label, family, m)  # before any table is built
+    label_index(_labels(family, m), label, family, m)
+    return kind, label
+
+
+def module_spec(family: Family, m: int, selector: str) -> ModuleSpec:
+    """Resolve a selector like "V3" (simple), "S1" (cell) or "P2" (projective)."""
+    kind, label = parse_selector(family, m, selector)  # before any table is built
     table = {"V": simple_table, "S": cell_table, "P": projective_table}[kind](family, m)
     return ModuleSpec.from_table(table, label, kind)
 

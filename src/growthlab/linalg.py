@@ -8,9 +8,11 @@ be shared between threads or worker processes without synchronization.
 Two kernels solve linear systems.  `solve_unit_triangular` substitutes on
 ints against the unitriangular character tables, and `solve_lower_triangular`
 substitutes on `Fraction`s for the oracle.  Everything else (`inverse`,
-`kernel_and_rank`, `rank`) runs one Gauss–Jordan reduction over `Fraction`.
-All matrices in this project are small (at most a few hundred rows), so dense
-storage is fine.
+`kernel_and_rank`, `rank`) runs one Gauss–Jordan reduction on integer-scaled
+rows: every row operation stays on Python ints, and a `Fraction` is made
+only when each pivot row is divided by its pivot at the end.  All matrices
+in this project are small (at most a few hundred rows), so dense storage is
+fine.
 
 Integral data never reaches this module as a `Mat`: character tables and
 fusion graphs keep their int rows themselves (`tables`, `fusion`) and build a
@@ -19,14 +21,16 @@ int rows, checks and substitutes on them and returns int solutions.
 Products of `Mat`s run on ints as well: `mat_mul` scales each row of the
 left factor and each column of the right one to integers by the lcm of its
 denominators, takes every dot product on Python ints and builds one
-`Fraction` per entry.
+`Fraction` per entry.  `int_mul` multiplies matrices that are rows of ints
+and returns rows of ints, for the callers that hold such rows (the fusion
+spectral check, the oracle's radical, verify's Riordan checks).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
@@ -134,6 +138,14 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
+def int_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Product of two matrices given by rows of Python ints, as rows of ints."""
+    if len(x[0]) != len(y):
+        raise DimensionError(f"cannot multiply {(len(x), len(x[0]))} by {(len(y), len(y[0]))}")
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
 def solve_lower_triangular(l: Mat, v: Sequence) -> tuple[Fraction, ...]:
     """Forward substitution: exact x with l·x = v for lower triangular l."""
     if not l.is_square():
@@ -219,31 +231,41 @@ def _integer_scaled_rows(
     return scaled, scales
 
 
-def _reduce(m: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss–Jordan on m in place; returns the pivot columns.
+def _reduce(rows: Iterable[Sequence], ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Gauss–Jordan on integer-scaled rows; returns (pivot columns, pivot rows).
 
-    The first ncols columns end in reduced row echelon form; any columns to
-    their right are carried along by the same row operations.
+    Each row (of ints or `Fraction`s) is first multiplied by the lcm of its
+    denominators.  Eliminating with pivot p in column c turns every other
+    row into p·row − f·(pivot row), f its entry in column c, and divides it
+    by the gcd of its entries; so each row stays a nonzero integer multiple
+    of the row a rational reduction would hold, and the pivots fall in the
+    same columns.  Only at the end is each pivot row divided by its pivot:
+    its first ncols entries are then the nonzero rows of the reduced row
+    echelon form, and any columns to their right have been carried along by
+    the same row operations.
     """
+    m, _ = _integer_scaled_rows(rows)
     nrows = len(m)
     pivot_cols: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        m[r] = [x / pivot for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivot = m[r]
+        p = pivot[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivot_cols.append(c)
         r += 1
         if r == nrows:
             break
-    return pivot_cols
+    return pivot_cols, [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivot_cols)]
 
 
 def inverse(a: Mat) -> Mat:
@@ -254,10 +276,12 @@ def inverse(a: Mat) -> Mat:
     if not a.is_square():
         raise DimensionError(f"inverse of non-square {a.shape}")
     n = a.nrows
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a.rows)]
-    if len(_reduce(m, n)) < n:
+    pivot_cols, reduced = _reduce(
+        (row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(a.rows)), n
+    )
+    if len(pivot_cols) < n:
         raise SingularMatrixError("matrix is singular")
-    return Mat(row[n:] for row in m)
+    return Mat(row[n:] for row in reduced)
 
 
 def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
@@ -266,9 +290,8 @@ def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
     Kernel vectors are produced one per free column, in ascending column
     order, with a 1 in the free coordinate (deterministic).
     """
-    m = [list(row) for row in a.rows]
     ncols = a.ncols
-    pivot_cols = _reduce(m, ncols)
+    pivot_cols, reduced = _reduce(a.rows, ncols)
     rank = len(pivot_cols)
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
@@ -276,7 +299,7 @@ def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for row_idx, pc in enumerate(pivot_cols):
-            v[pc] = -m[row_idx][fc]
+            v[pc] = -reduced[row_idx][fc]
         basis.append(tuple(v))
     return rank, basis
 

@@ -9,17 +9,24 @@ closed forms elsewhere have an independent referee:
 * a monoid element acts by gluing onto the defect edge and reading off the
   other side; if any defect is capped, killed or merged the result is zero,
   and closed loops / dead points contribute a factor 1;
+* so a diagram d acts on the basis as a partial map, kept as an index map:
+  entry c is the basis index of d·x_c, or -1 where the image is zero.
+  Characters count its fixed points, and every product with it adds rows;
+  the dense 0/1 matrix (`CellModule.action`) is built only on request;
 * the cellular bilinear form pairs two half diagrams by gluing them face to
   face: the value is 1 when every defect propagates straight through, else 0;
 * the simple module is the quotient of S_i by the radical of that form, and
-  its character is the trace of the induced action;
+  its character is the trace of the induced action.  The radical basis is
+  kept as integer rows scaled by the lcm d of its denominators, so the
+  stability check and the quotient action run on ints;
 * tensor-power multiplicities come from solving the triangular system of the
   brute-force character table (plus, for small n, an explicit Kronecker-power
-  trace check).
+  trace check, on the d-scaled integer matrices against d^n chi^n).
 
-Cell modules are cached per (family, m, i).  Action matrices are memoized per
-diagram; recomputation is idempotent (pure functions of immutable inputs), so
-concurrent queries are safe — a race can at worst duplicate work.
+Cell modules are cached per (family, m, i), and each one memoizes the index
+map of every diagram it has seen.  Recomputation is idempotent (pure
+functions of immutable inputs), so concurrent queries are safe — a race can
+at worst duplicate work.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .diagrams import (
     Diagram,
@@ -39,7 +47,7 @@ from .diagrams import (
 from .errors import InputError, InternalCheckError, VerificationError
 from .graph import components
 from .growth import ModuleSpec, module_spec
-from .linalg import Mat, kernel_and_rank, mat_mul, solve_lower_triangular
+from .linalg import Mat, int_mul, kernel_and_rank, solve_lower_triangular
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +150,7 @@ def _apply_diagram(d: Diagram, x: HalfDiagram) -> HalfDiagram | None:
 
 
 class CellModule:
-    """Cell module S_i for (family, m): basis plus a per-diagram action cache."""
+    """Cell module S_i for (family, m): basis plus a per-diagram image cache."""
 
     def __init__(self, family: Family, m: int, i: int):
         self.family = family
@@ -150,33 +158,41 @@ class CellModule:
         self.i = i
         self.basis = half_diagrams(family, m, i)
         self.index = {h: k for k, h in enumerate(self.basis)}
-        self._action_cache: dict[Diagram, Mat] = {}
+        self._image_cache: dict[Diagram, tuple[int, ...]] = {}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def action(self, d: Diagram) -> Mat:
+    def image(self, d: Diagram) -> tuple[int, ...]:
+        """d as an index map: entry c is the basis index of d·x_c, or -1 where it is 0."""
         if d.family is not self.family or d.m != self.m:
             raise InputError("diagram does not act on this module")
-        cached = self._action_cache.get(d)
+        cached = self._image_cache.get(d)
         if cached is not None:
             return cached
-        n = self.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for col, x in enumerate(self.basis):
-            image = _apply_diagram(d, x)
-            if image is None:
+        images = []
+        for x in self.basis:
+            y = _apply_diagram(d, x)
+            if y is None:
+                images.append(-1)
                 continue
             try:
-                rows[self.index[image]][col] = Fraction(1)
+                images.append(self.index[y])
             except KeyError as exc:
-                raise InternalCheckError(
-                    f"action left the half-diagram basis: {image}"
-                ) from exc
-        mat = Mat(rows)
-        self._action_cache[d] = mat
-        return mat
+                raise InternalCheckError(f"action left the half-diagram basis: {y}") from exc
+        result = tuple(images)
+        self._image_cache[d] = result
+        return result
+
+    def action(self, d: Diagram) -> Mat:
+        """The 0/1 matrix of d on the basis, built from its index map."""
+        n = self.dim
+        rows = [[0] * n for _ in range(n)]
+        for col, row in enumerate(self.image(d)):
+            if row >= 0:
+                rows[row][col] = 1
+        return Mat(rows)
 
 
 @lru_cache(maxsize=None)
@@ -184,10 +200,14 @@ def cell_module(family: Family, m: int, i: int) -> CellModule:
     return CellModule(family, m, i)
 
 
+def _fixed_points(image: tuple[int, ...]) -> int:
+    return sum(1 for c, r in enumerate(image) if c == r)
+
+
 def cell_character(family: Family, m: int, i: int, j: int) -> Fraction:
     """Trace of the canonical rank-j idempotent on S_i (a fixed-point count)."""
     module = cell_module(family, m, i)
-    return module.action(class_idempotent(family, m, j)).trace()
+    return Fraction(_fixed_points(module.image(class_idempotent(family, m, j))))
 
 
 # ---------------------------------------------------------------------------
@@ -225,45 +245,61 @@ def gram_matrix(family: Family, m: int, i: int) -> Mat:
 
 @lru_cache(maxsize=None)
 def _radical_data(family: Family, m: int, i: int):
-    """(kernel basis as columns Mat or None, its free rows, quotient dimension).
+    """(kernel rows or None, their scale d, the free rows, quotient dimension).
 
-    Kernel column c carries a 1 in its free row, which is its last nonzero
-    entry, and 0 in the other free rows; so K restricted to the free rows is
-    the identity.
+    The kernel basis of the form, as the columns of a matrix K, is kept as
+    the int rows of d·K, d the lcm of the denominators of K.  Kernel column
+    c carries a 1 in its free row, which is its last nonzero entry, and 0 in
+    the other free rows; so d·K restricted to the free rows is d·I.
     """
     gram = gram_matrix(family, m, i)
     rank, kernel = kernel_and_rank(gram)
     if not kernel:
-        return None, (), gram.nrows
+        return None, 1, (), gram.nrows
     free_rows = tuple(max(r for r, x in enumerate(v) if x) for v in kernel)
-    return Mat.from_cols(kernel), free_rows, rank
+    scale = lcm(*(x.denominator for v in kernel for x in v))
+    rows = tuple(
+        tuple(x.numerator * (scale // x.denominator) for x in row) for row in zip(*kernel)
+    )
+    return rows, scale, free_rows, rank
+
+
+def _image_times(image: tuple[int, ...], rows) -> list[list[int]]:
+    """A·R for the 0/1 matrix A of an index map: row c of R is added to row image[c]."""
+    out = [[0] * len(rows[0]) for _ in image]
+    for c, r in enumerate(image):
+        if r >= 0:
+            out[r] = [x + y for x, y in zip(out[r], rows[c])]
+    return out
 
 
 def simple_character(family: Family, m: int, i: int, j: int) -> Fraction:
     """Trace of the rank-j idempotent on the simple quotient S_i / rad.
 
-    The radical is the kernel of the cellular form; the action must preserve
-    it (cellularity), which is verified, and the quotient trace is the full
-    trace minus the trace on the radical.
+    The radical is the kernel of the cellular form; the action A must
+    preserve it (cellularity), which is verified, and the quotient trace is
+    the full trace minus the trace on the radical.  On K' = d·K the action
+    on the radical is the matrix S with A·K' = K'·S; since K' is d·I on the
+    free rows, d·S is A·K' read on those rows, and the check K'·(d·S) =
+    d·(A·K') and the trace tr(d·S)/d run on ints.
     """
     module = cell_module(family, m, i)
-    action = module.action(class_idempotent(family, m, j))
-    kernel_cols, free_rows, _ = _radical_data(family, m, i)
-    if kernel_cols is None:
-        return action.trace()
-    mk = mat_mul(action, kernel_cols)
-    # K A = M K read on the free rows, where K is the identity, gives A
-    sub_action = Mat([mk.rows[f] for f in free_rows])
-    if mat_mul(kernel_cols, sub_action) != mk:
+    image = module.image(class_idempotent(family, m, j))
+    kernel, scale, free_rows, _ = _radical_data(family, m, i)
+    if kernel is None:
+        return Fraction(_fixed_points(image))
+    ak = _image_times(image, kernel)
+    sub = [ak[f] for f in free_rows]
+    if int_mul(kernel, sub) != [[scale * x for x in row] for row in ak]:
         raise InternalCheckError(
             f"radical of S_{i} not stable under the rank-{j} idempotent"
         )
-    return action.trace() - sub_action.trace()
+    return _fixed_points(image) - Fraction(sum(row[k] for k, row in enumerate(sub)), scale)
 
 
 def simple_dimension(family: Family, m: int, i: int) -> int:
     """Rank of the cellular form = dimension of the simple module V_i."""
-    return _radical_data(family, m, i)[2]
+    return _radical_data(family, m, i)[3]
 
 
 @lru_cache(maxsize=None)
@@ -281,41 +317,51 @@ def oracle_simple_table(family: Family, m: int) -> Mat:
 # ---------------------------------------------------------------------------
 # explicit module matrices (for the Kronecker cross-check)
 
-def _quotient_action(family: Family, m: int, i: int, d: Diagram) -> Mat:
+# a sparse action: (scale d, size, nonzero entries of d times the matrix)
+_Sparse = tuple[int, int, dict[tuple[int, int], int]]
+
+
+def _sparse_image(image: tuple[int, ...]) -> _Sparse:
+    return 1, len(image), {(r, c): 1 for c, r in enumerate(image) if r >= 0}
+
+
+def _quotient_action(family: Family, m: int, i: int, d: Diagram) -> _Sparse:
     """The action of d on S_i / rad in the basis of the kept (non-free) rows.
 
     Modulo the radical, v is congruent to v - K v_f, which vanishes on the
     free rows; so column c of M reduces to M_kc - K_k M_fc, and the action is
-    the block M_kk - K_k M_fk.
+    the block M_kk - K_k M_fk.  For the index map of d, column c of that
+    block is the unit vector of image[c] when that row is kept, minus
+    column t of K_k when it is the free row of kernel column t, and zero
+    when image[c] is -1.  Scaled by the kernel's d, every entry is an int.
     """
-    action = cell_module(family, m, i).action(d)
-    kernel_cols, free_rows, _ = _radical_data(family, m, i)
-    if kernel_cols is None:
-        return action
-    keep = [r for r in range(action.nrows) if r not in free_rows]
-    m_kk = Mat([[action.rows[r][c] for c in keep] for r in keep])
-    m_fk = Mat([[action.rows[r][c] for c in keep] for r in free_rows])
-    k_k = Mat([kernel_cols.rows[r] for r in keep])
-    return m_kk - mat_mul(k_k, m_fk)
+    image = cell_module(family, m, i).image(d)
+    kernel, scale, free_rows, _ = _radical_data(family, m, i)
+    if kernel is None:
+        return _sparse_image(image)
+    free_col = {f: t for t, f in enumerate(free_rows)}
+    keep = [r for r in range(len(image)) if r not in free_col]
+    position = {r: k for k, r in enumerate(keep)}
+    entries = {}
+    for col, c in enumerate(keep):
+        r = image[c]
+        if r in position:
+            entries[(position[r], col)] = scale
+        elif r >= 0:
+            t = free_col[r]
+            for row, k in enumerate(keep):
+                if kernel[k][t]:
+                    entries[(row, col)] = -kernel[k][t]
+    return scale, len(keep), entries
 
 
-def _module_action(spec: ModuleSpec, d: Diagram) -> Mat:
+def _module_action(spec: ModuleSpec, d: Diagram) -> _Sparse:
     kind, label = spec.label[0], int(spec.label[1:])
     if kind == "S":
-        return cell_module(spec.family, spec.m, label).action(d)
+        return _sparse_image(cell_module(spec.family, spec.m, label).image(d))
     if kind == "V":
         return _quotient_action(spec.family, spec.m, label, d)
     raise InputError(f"no explicit matrices for module {spec.label!r}")
-
-
-def _sparse(a: Mat) -> tuple[int, dict[tuple[int, int], Fraction]]:
-    entries = {
-        (r, c): a.rows[r][c]
-        for r in range(a.nrows)
-        for c in range(a.ncols)
-        if a.rows[r][c] != 0
-    }
-    return a.nrows, entries
 
 
 def _kron_sparse(a, b):
@@ -334,12 +380,12 @@ def _kronecker_check_cached(family: Family, m: int, label: str, n: int) -> None:
     spec = module_spec(family, m, label)
     labels = rank_labels(family, m)
     for j, chi in zip(labels, spec.charvec):
-        action = _sparse(_module_action(spec, class_idempotent(family, m, j)))
-        power = action
+        scale, size, entries = _module_action(spec, class_idempotent(family, m, j))
+        power = (size, entries)
         for _ in range(n - 1):
-            power = _kron_sparse(power, action)
-        trace = sum((v for (r, c), v in power[1].items() if r == c), Fraction(0))
-        if trace != chi**n:
+            power = _kron_sparse(power, (size, entries))
+        trace = sum(v for (r, c), v in power[1].items() if r == c)
+        if trace != chi**n * scale**n:
             raise VerificationError(
                 f"Kronecker trace at class {j} disagrees with chi^{n} for {label}"
             )
@@ -348,8 +394,9 @@ def _kronecker_check_cached(family: Family, m: int, label: str, n: int) -> None:
 def _kronecker_check(spec: ModuleSpec, n: int) -> None:
     """Explicitly verify chi(e_j)^n as the trace of the n-fold Kronecker power.
 
-    Cached per (module, n): the matrices can be large (dim^2) and the check
-    is deterministic.
+    The matrices are d times the actions, so the trace is compared with
+    d^n chi^n.  Cached per (module, n): the matrices can be large (dim^2)
+    and the check is deterministic.
     """
     _kronecker_check_cached(spec.family, spec.m, spec.label, n)
 
@@ -357,11 +404,17 @@ def _kronecker_check(spec: ModuleSpec, n: int) -> None:
 # ---------------------------------------------------------------------------
 # multiplicities and counting
 
+@lru_cache(maxsize=None)
+def _transposed_simple_table(family: Family, m: int) -> Mat:
+    return oracle_simple_table(family, m).transpose()
+
+
+@lru_cache(maxsize=None)
 def _solve_multiplicities(
-    family: Family, m: int, rhs: list[Fraction]
+    family: Family, m: int, rhs: tuple[Fraction, ...]
 ) -> tuple[Fraction, ...]:
-    table = oracle_simple_table(family, m)
-    return solve_lower_triangular(table.transpose(), rhs)
+    """y with X^T y = rhs, X the oracle simple table; each rhs is solved once."""
+    return solve_lower_triangular(_transposed_simple_table(family, m), rhs)
 
 
 def _check_query(spec: ModuleSpec, n: int = 0, target: int | None = None) -> tuple[int, ...]:
@@ -385,7 +438,7 @@ def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
     labels = _check_query(spec, n, target)
     if spec.family not in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
         raise InputError(f"no oracle for {spec.family.value}")
-    rhs = [chi**n for chi in spec.charvec]
+    rhs = tuple(chi**n for chi in spec.charvec)
     sol = _solve_multiplicities(spec.family, spec.m, rhs)
     value = sol[labels.index(target)]
     if value.denominator != 1 or value < 0:
@@ -400,7 +453,7 @@ def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
 def oracle_length(spec: ModuleSpec, n: int) -> int:
     """l(n) as the sum of all oracle multiplicities."""
     _check_query(spec, n)
-    rhs = [chi**n for chi in spec.charvec]
+    rhs = tuple(chi**n for chi in spec.charvec)
     sol = _solve_multiplicities(spec.family, spec.m, rhs)
     total = sum(sol, Fraction(0))
     if total.denominator != 1:
@@ -415,7 +468,7 @@ def oracle_product_multiplicity(
     if spec_a.family is not spec_b.family or spec_a.m != spec_b.m:
         raise InputError("modules belong to different monoids")
     labels = _check_query(spec_a, target=target)
-    rhs = [a * b for a, b in zip(spec_a.charvec, spec_b.charvec)]
+    rhs = tuple(a * b for a, b in zip(spec_a.charvec, spec_b.charvec))
     sol = _solve_multiplicities(spec_a.family, spec_a.m, rhs)
     value = sol[labels.index(target)]
     if value.denominator != 1 or value < 0:

@@ -1,8 +1,9 @@
 """Reference routes for the tests: a Fraction matrix-vector product, a
-matrix power by repeated squaring and a Fraction back-substitution.
+matrix power by repeated squaring, a Fraction back-substitution and a
+Gauss–Jordan reduction over Fraction with the inverse and kernel it gives.
 
-The library takes integer matrix-vector steps and triangular solves instead;
-these plain `Fraction` routes referee them.
+The library takes integer matrix-vector steps, triangular solves and an
+integer elimination instead; these plain `Fraction` routes referee them.
 """
 
 from fractions import Fraction
@@ -55,3 +56,57 @@ def solve_upper_triangular(u: Mat, v) -> tuple[Fraction, ...]:
         s = v[i] - sum((u.rows[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
         x[i] = s / pivot
     return tuple(x)
+
+
+def reduce_rows(rows, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Gauss–Jordan over Fraction: (pivot columns, all rows after reduction).
+
+    The first ncols columns end in reduced row echelon form; any columns to
+    their right are carried along by the same row operations.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r][c]
+        m[r] = [x / pivot for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivot_cols, m
+
+
+def inverse(a: Mat) -> Mat:
+    """[a | I] reduced to [I | a⁻¹]; SingularMatrixError below full rank."""
+    if not a.is_square():
+        raise DimensionError(f"inverse of non-square {a.shape}")
+    n = a.nrows
+    pivot_cols, m = reduce_rows(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rows)], n
+    )
+    if len(pivot_cols) < n:
+        raise SingularMatrixError("matrix is singular")
+    return Mat(row[n:] for row in m)
+
+
+def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """Rank and one kernel vector per free column, 1 in that column."""
+    pivot_cols, m = reduce_rows(a.rows, a.ncols)
+    basis = []
+    for fc in (c for c in range(a.ncols) if c not in pivot_cols):
+        v = [Fraction(0)] * a.ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(m, pivot_cols):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return len(pivot_cols), basis

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import growthlab
-from growthlab import cli, verify
+from growthlab import cli, fusion, growth, tables, verify
 from growthlab.cli import main
 from growthlab.diagrams import Family
 from growthlab.errors import InputError
@@ -461,6 +461,10 @@ PINNED_OUTPUTS = {
         "622694602c76e89d57e8b3a66300c189b47a321e2595b8b8d14bb716777c14b8",
     "growth length --family mo --m 40 --module V2 --n 1..8 --format json":
         "959d7a86b64e87833ab0855d2ed314a0ca1b8253cd3d6de5a48b5ebd362d5821",
+    "verify --suite all --format json":
+        "fd65f6353dac3d95895094490f1827884559209211bce7e049d1311f1c41896a",
+    "verify --suite all":
+        "0f9a98aeb0b2899bb112c0b2b81470cba78837eb4460a2c5f9c11164d558e5fc",
 }
 
 
@@ -509,3 +513,50 @@ def test_closed_form_path_builds_no_mat(capsys, monkeypatch, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out
+
+
+def _no_table(*args):
+    raise AssertionError("a table was built before every label was checked")
+
+
+@pytest.mark.parametrize("target", ["V3", "V2001", "V-1"])
+def test_bad_target_is_refused_before_any_table(capsys, monkeypatch, target):
+    for module, name in (
+        (cli, "simple_table"),
+        (growth, "simple_table"),
+        (growth, "cell_table"),
+        (growth, "projective_table"),
+        (tables, "_cell_rows"),
+    ):
+        monkeypatch.setattr(module, name, _no_table)
+    code, out, err = run(
+        capsys, "growth", "multiplicity", "--family", "tl", "--m", "2000",
+        "--module", "V2", "--target", target,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: label ") and "temperley_lieb m=2000" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("growth", "length", "--module", "V3"),
+        ("growth", "multiplicity", "--module", "V3", "--target", "V5"),
+        ("fusion", "--module", "V3"),
+        ("fusion", "--module", "V3", "--format", "json"),
+    ],
+)
+def test_v_module_commands_build_the_simple_table_once(capsys, monkeypatch, argv):
+    calls = []
+    original = tables.simple_table
+
+    def counting(family, m):
+        calls.append((family, m))
+        return original(family, m)
+
+    for module in (cli, growth, fusion):
+        monkeypatch.setattr(module, "simple_table", counting)
+    code, out, err = run(capsys, *argv, "--family", "tl", "--m", "7")
+    assert (code, err) == (0, "") and out
+    assert calls == [(Family.TEMPERLEY_LIEB, 7)]

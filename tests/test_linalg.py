@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthlab.errors import DimensionError, InputError, SingularMatrixError
@@ -14,6 +14,7 @@ from growthlab.linalg import (
     solve_lower_triangular,
     solve_unit_triangular,
 )
+import linalg_reference
 from linalg_reference import apply, mat_pow, solve_upper_triangular
 
 TL7_SIMPLE = Mat([(1, 1, 1, 1), (0, 1, 4, 13), (0, 0, 1, 6), (0, 0, 0, 1)])
@@ -288,6 +289,43 @@ def test_inverse_agrees_with_kernel_and_rank(a):
     else:
         ainv = inverse(a)
         assert mat_mul(a, ainv) == Mat.identity(n) == mat_mul(ainv, a)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices of 1-6 rows and columns, square about half the time; some
+    have zero columns and some a row that combines the others."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(1, 6))
+    rows = [draw(st.lists(SMALL_RATIONALS, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = Fraction(0)
+    if nrows > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, nrows - 1))
+        coeffs = draw(st.lists(SMALL_RATIONALS, min_size=nrows, max_size=nrows))
+        others = [(c, row) for i, (c, row) in enumerate(zip(coeffs, rows)) if i != k]
+        rows[k] = [sum((c * row[j] for c, row in others), Fraction(0)) for j in range(ncols)]
+    return Mat(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+# negative and non-unit pivots, rank deficient
+@example(Mat([(-2, 3), (4, -6)]))
+@example(Mat([(-3, Fraction(1, 2), 5), (6, -1, -10), (0, 0, Fraction(-7, 3))]))
+# a zero column, and wide and tall shapes
+@example(Mat([(0, 2, -4), (0, -3, 6)]))
+@example(Mat([(Fraction(-2, 3),), (4,), (0,)]))
+def test_elimination_matches_the_fraction_reference(a):
+    assert kernel_and_rank(a) == linalg_reference.kernel_and_rank(a)
+    if not a.is_square():
+        return
+    if linalg_reference.kernel_and_rank(a)[0] < a.nrows:
+        with pytest.raises(SingularMatrixError):
+            inverse(a)
+    else:
+        assert inverse(a) == linalg_reference.inverse(a)
 
 
 def test_kernel_zero_matrix():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -13,9 +14,13 @@ from growthlab.diagrams import (
     rank,
     rank_labels,
 )
-from growthlab.errors import InputError
+from growthlab import oracle, verify
+from growthlab.errors import InputError, InternalCheckError, VerificationError
 from growthlab.linalg import Mat, inverse, kernel_and_rank, mat_mul
 from growthlab.oracle import (
+    CellModule,
+    _apply_diagram,
+    _kronecker_check_cached,
     _quotient_action,
     _radical_data,
     cell_character,
@@ -134,6 +139,107 @@ def test_action_multiplicative_random(family, m):
             )
 
 
+PARTIAL_MAP_CASES = [(Family.TEMPERLEY_LIEB, 4), (Family.PLANAR_ROOK, 3), (Family.MOTZKIN, 3)]
+
+
+@pytest.mark.parametrize("family,m", PARTIAL_MAP_CASES)
+def test_image_agrees_with_action(family, m):
+    for i in rank_labels(family, m):
+        module = cell_module(family, m, i)
+        for d in enumerate_diagrams(family, m):
+            image = module.image(d)
+            rows = module.action(d).rows
+            for c, x in enumerate(module.basis):
+                y = _apply_diagram(d, x)
+                assert image[c] == (-1 if y is None else module.basis.index(y))
+                assert [row[c] for row in rows] == [int(r == image[c]) for r in range(module.dim)]
+
+
+@pytest.mark.parametrize("family,m", PARTIAL_MAP_CASES)
+def test_index_maps_compose_as_partial_maps(family, m):
+    elements = enumerate_diagrams(family, m)
+    for i in rank_labels(family, m):
+        module = cell_module(family, m, i)
+        for a in elements:
+            ia = module.image(a)
+            for b in elements:
+                # (a·b)·x_c = a·(b·x_c), and zero stays zero
+                composed = tuple(-1 if t < 0 else ia[t] for t in module.image(b))
+                assert composed == module.image(compose(a, b).result)
+
+
+def _clear_oracle_caches():
+    for value in vars(oracle).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def test_referee_path_builds_no_action_matrix(monkeypatch):
+    def no_action(self, d):
+        raise AssertionError("the referee built a dense action matrix")
+
+    _clear_oracle_caches()
+    monkeypatch.setattr(CellModule, "action", no_action)
+    results = verify.check_tables() + verify.check_growth()
+    assert results and all(r.ok for r in results)
+    assert cell_module(Family.TEMPERLEY_LIEB, 7, 3)._image_cache  # the cold caches were refilled
+
+
+def _scaled_radical(family, m, i, factor):
+    """_radical_data with the kernel rows and their scale multiplied by factor."""
+    original = oracle._radical_data
+
+    def scaled(f, mm, ii):
+        kernel, scale, free_rows, rank = original(f, mm, ii)
+        if (f, mm, ii) != (family, m, i):
+            return kernel, scale, free_rows, rank
+        rows = tuple(tuple(factor * x for x in row) for row in kernel)
+        return rows, factor * scale, free_rows, rank
+
+    return scaled
+
+
+@pytest.mark.parametrize("family,m,i", [(Family.TEMPERLEY_LIEB, 7, 3), (Family.MOTZKIN, 5, 2)])
+def test_radical_scale_changes_no_character(monkeypatch, family, m, i):
+    # every kernel here is integral (d = 1); a scale of 3 exercises d
+    labels = rank_labels(family, m)
+    expected = [simple_character(family, m, i, j) for j in labels]
+    sample = [class_idempotent(family, m, j) for j in labels]
+    quotients = [_dense(*_quotient_action(family, m, i, d)) for d in sample]
+    monkeypatch.setattr(oracle, "_radical_data", _scaled_radical(family, m, i, 3))
+    assert [simple_character(family, m, i, j) for j in labels] == expected
+    assert [_dense(*_quotient_action(family, m, i, d)) for d in sample] == quotients
+    for n in (1, 2):
+        _kronecker_check_cached.__wrapped__(family, m, f"V{i}", n)
+
+
+def test_kronecker_check_sees_a_wrong_character(monkeypatch):
+    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
+    wrong = type(spec)(spec.label, spec.family, spec.m, spec.dim, (2,) + spec.charvec[1:])
+    monkeypatch.setattr(oracle, "module_spec", lambda family, m, label: wrong)
+    with pytest.raises(VerificationError, match="Kronecker trace at class 1"):
+        _kronecker_check_cached.__wrapped__(Family.TEMPERLEY_LIEB, 7, "V3", 2)
+
+
+@pytest.mark.parametrize(
+    "family,m,i", [(Family.TEMPERLEY_LIEB, 5, 1), (Family.TEMPERLEY_LIEB, 7, 3), (Family.MOTZKIN, 4, 2)]
+)
+def test_unstable_radical_raises(monkeypatch, family, m, i):
+    kernel, scale, free_rows, rank = _radical_data(family, m, i)
+    # kernel column 0 becomes the unit vector of its free row: not stable
+    rows = tuple(
+        (scale * (r == free_rows[0]),) + row[1:] for r, row in enumerate(kernel)
+    )
+    monkeypatch.setattr(oracle, "_radical_data", lambda *key: (rows, scale, free_rows, rank))
+    raised = 0
+    for j in rank_labels(family, m):
+        try:
+            simple_character(family, m, i, j)
+        except InternalCheckError:
+            raised += 1
+    assert raised
+
+
 # ---------------------------------------------------------------------------
 # characters and the cellular form
 
@@ -199,6 +305,10 @@ def test_simple_characters_match_closed_tables():
 
 def test_simple_character_spot_values():
     assert simple_character(Family.TEMPERLEY_LIEB, 7, 3, 7) == 13
+    # characters stay Fractions, with and without a radical
+    assert type(simple_character(Family.TEMPERLEY_LIEB, 7, 3, 5)) is Fraction
+    assert type(simple_character(Family.TEMPERLEY_LIEB, 7, 7, 7)) is Fraction
+    assert type(cell_character(Family.MOTZKIN, 5, 2, 4)) is Fraction
     assert simple_character(Family.MOTZKIN, 5, 2, 5) == 20
     for i in rank_labels(Family.MOTZKIN, 4):
         assert simple_character(Family.MOTZKIN, 4, i, i) == 1
@@ -251,6 +361,13 @@ def _inverse_routes(kernel_cols):
     return sub, quotient
 
 
+def _dense(scale, size, entries):
+    """The matrix of a sparse scaled action, divided by its scale."""
+    return Mat(
+        [[Fraction(entries.get((r, c), 0), scale) for c in range(size)] for r in range(size)]
+    )
+
+
 @pytest.mark.parametrize(
     "family,m",
     [(Family.TEMPERLEY_LIEB, m) for m in (5, 6, 7)] + [(Family.MOTZKIN, m) for m in (3, 4, 5)],
@@ -261,18 +378,22 @@ def test_radical_quotients_match_inverse_routes(family, m):
     sample = random.Random(m).sample(enumerate_diagrams(family, m), 4)
     radicals = 0
     for i in labels:
-        kernel_cols, free_rows, _ = _radical_data(family, m, i)
-        if kernel_cols is None:
+        kernel, scale, free_rows, _ = _radical_data(family, m, i)
+        if kernel is None:
             continue
         radicals += 1
-        assert Mat([kernel_cols.rows[f] for f in free_rows]) == Mat.identity(len(free_rows))
+        # the routes are unchanged when the kernel basis is scaled by d
+        kernel_cols = Mat(kernel)
+        assert Mat([kernel[f] for f in free_rows]) == Mat([
+            [scale * (r == c) for c in range(len(free_rows))] for r in range(len(free_rows))
+        ])
         module = cell_module(family, m, i)
         sub, quotient = _inverse_routes(kernel_cols)
         for j, e in zip(labels, idempotents):
             action = module.action(e)
             assert simple_character(family, m, i, j) == action.trace() - sub(action).trace()
         for d in idempotents + sample:
-            assert _quotient_action(family, m, i, d) == quotient(module.action(d))
+            assert _dense(*_quotient_action(family, m, i, d)) == quotient(module.action(d))
     assert radicals > 0
 
 

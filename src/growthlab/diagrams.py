@@ -15,6 +15,8 @@ name them; they cannot be enumerated or composed.
 Composition stacks the left factor on top of the right one, traces the glued
 middle row, and discards closed middle loops and dead middle points, counting
 both (the monoid convention: each discarded component contributes a factor 1).
+It runs on partner arrays, by one walk that also serves the Cayley graphs of
+green_data and the oracle's cell action and cellular form.
 
 Diagrams are immutable and every function here is pure.
 """
@@ -28,7 +30,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InputError, InternalCheckError
-from .graph import components, scc
+from .graph import scc
 
 
 class Family(Enum):
@@ -129,10 +131,10 @@ def parse_blocks(text: str, m: int) -> tuple[Block, ...]:
         points = []
         for tok in chunk.split(","):
             tok = tok.strip()
-            if tok.endswith("'"):
-                points.append(int(tok[:-1]) + m)
-            else:
-                points.append(int(tok))
+            try:
+                points.append(int(tok[:-1]) + m if tok.endswith("'") else int(tok))
+            except ValueError:
+                raise InputError(f"bad point {tok!r} in block list {text!r}") from None
         blocks.append(tuple(points))
     return _canonical_blocks(blocks)
 
@@ -177,49 +179,93 @@ class ComposeResult:
     middle_isolated: int
 
 
-def _compose_blocks(
-    blocks_a, blocks_b, m: int
-) -> tuple[tuple[Block, ...], int, int]:
-    """Core composition on canonical block tuples.
+# A partner array lists the 2m points of a diagram by slot, point p in slot
+# p - 1 (top row 0..m-1, bottom row m..2m-1): pa[s] is the slot joined to s,
+# or -1 for a singleton.  Blocks have at most two points, so the array is a
+# complete and canonical key.
+Partners = tuple[int, ...]
 
-    Slots: 0..m-1 result top, m..2m-1 glued middle, 2m..3m-1 result bottom.
-    Returns (result blocks, closed middle loops, dead middle points).
+
+def _partners(blocks, m: int) -> Partners:
+    pa = [-1] * (2 * m)
+    for b in blocks:
+        if len(b) == 2:
+            pa[b[0] - 1], pa[b[1] - 1] = b[1] - 1, b[0] - 1
+    return tuple(pa)
+
+
+def _blocks(pa: Partners) -> tuple[Block, ...]:
+    """Canonical blocks, read off in slot order: each block first meets its least point."""
+    return tuple(
+        [(s + 1,) if q < 0 else (s + 1, q + 1) for s, q in enumerate(pa) if q < 0 or q > s]
+    )
+
+
+def _top_half(pa: Partners) -> tuple[int, ...]:
+    """The top row of pa with every through strand's end written as m.
+
+    It names the half diagram pa leaves on top; its count of m is the rank.
     """
-    pairs = [(b[0] - 1, b[1] - 1) for b in blocks_a if len(b) == 2]
-    pairs += [(m + b[0] - 1, m + b[1] - 1) for b in blocks_b if len(b) == 2]
-    degree = [0] * (3 * m)
-    for x, y in pairs:
-        degree[x] += 1
-        degree[y] += 1
-    groups: dict[int, list[int]] = {}
-    for slot, root in enumerate(components(3 * m, pairs)):
-        groups.setdefault(root, []).append(slot)
+    m = len(pa) // 2
+    return tuple([q if q < m else m for q in pa[:m]])
 
-    blocks: list[Block] = []
-    loops = 0
-    isolated = 0
-    for members in groups.values():
-        boundary = []
-        for s in members:
-            if s < m:
-                boundary.append(s + 1)
-            elif s >= 2 * m:
-                boundary.append(s - m + 1)
-        if boundary:
-            blocks.append(tuple(sorted(boundary)))
-        elif all(degree[s] == 2 for s in members):
+
+def _glue(pa: Partners, pb: Partners) -> tuple[Partners, int, int]:
+    """Stack pa on top of pb: (the product's partner array, closed loops, dead middle points).
+
+    Middle point k is the bottom slot m + k of pa and the top slot k of pb.
+    Every point has at most two partners, so each component is a path or a
+    cycle: a path from a boundary point zigzags through the middle until it
+    reaches the boundary or a dead end, and the middle points left over lie
+    on paths with two dead ends (dead points) or on cycles (closed loops).
+    """
+    m = len(pa) // 2
+    out = [-1] * (2 * m)
+    seen = [False] * m
+    for start in range(2 * m):
+        if out[start] >= 0:
+            continue
+        upper = start < m  # whether the walk is in pa or in pb
+        q = pa[start] if upper else pb[start]
+        while q >= 0 and (q >= m) == upper:  # q is a middle point
+            if upper:
+                seen[q - m] = True
+                q = pb[q - m]
+            else:
+                seen[q] = True
+                q = pa[q + m]
+            upper = not upper
+        if q >= 0:
+            out[start], out[q] = q, start
+
+    def trace(k: int, upper: bool) -> int:
+        # mark the middle points from k on, leaving k upwards if upper
+        count = 0
+        while k >= 0 and not seen[k]:
+            seen[k] = True
+            count += 1
+            q = pa[k + m] if upper else pb[k]
+            k = q - m if q >= m else q
+            upper = not upper
+        return count
+
+    loops = dead = 0
+    for k in range(m):  # the paths, from one dead end
+        if not seen[k] and (pa[k + m] < 0 or pb[k] < 0):
+            dead += trace(k, pa[k + m] >= 0)
+    for k in range(m):  # what is left lies on cycles
+        if not seen[k]:
+            trace(k, True)
             loops += 1
-        else:
-            isolated += len(members)
-    return _canonical_blocks(blocks), loops, isolated
+    return tuple(out), loops, dead
 
 
 def compose(a: Diagram, b: Diagram) -> ComposeResult:
     """Stack a on top of b; count and discard middle loops and dead points."""
     if a.family is not b.family or a.m != b.m:
         raise InputError("can only compose diagrams of the same family and size")
-    blocks, loops, isolated = _compose_blocks(a.blocks, b.blocks, a.m)
-    return ComposeResult(Diagram(a.family, a.m, blocks), loops, isolated)
+    product, loops, dead = _glue(_partners(a.blocks, a.m), _partners(b.blocks, b.m))
+    return ComposeResult(Diagram(a.family, a.m, _blocks(product)), loops, dead)
 
 
 def rank(d: Diagram) -> int:
@@ -388,11 +434,11 @@ def _cayley_graphs(
     The elements come from a Froidure-Pin closure (see green_data), which
     must equal enumerate_diagrams(family, m) as a set.
     """
-    enumerated = {d.blocks: d for d in enumerate_diagrams(family, m)}
-    gens = [a.blocks for a in generators(family, m)]
+    enumerated = {_partners(d.blocks, m): d for d in enumerate_diagrams(family, m)}
+    gens = [_partners(a.blocks, m) for a in generators(family, m)]
     # element i is first[i]·suffix[i] = prefix[i]·last[i], a word of length[i]
-    blocks: list[tuple[Block, ...]] = []
-    index: dict[tuple[Block, ...], int] = {}
+    arrays: list[Partners] = []
+    index: dict[Partners, int] = {}
     first: list[int] = []
     last: list[int] = []
     prefix: list[int] = []
@@ -402,17 +448,17 @@ def _cayley_graphs(
     def add(y, *links) -> int:
         if y not in enumerated:
             raise InternalCheckError(f"a product left the enumerated {family.value} monoid")
-        index[y] = len(blocks)
-        blocks.append(y)
+        index[y] = len(arrays)
+        arrays.append(y)
         for column, value in zip((first, last, prefix, suffix, length), links):
             column.append(value)
         return index[y]
 
-    one = identity_diagram(family, m).blocks
+    one = _partners(identity_diagram(family, m).blocks, m)
     add(one, -1, -1, -1, -1, 0)
     right: list[list[int]] = []
     left: list[list[int]] = []
-    for x, y in enumerate(blocks):  # blocks grows as the closure proceeds
+    for x, y in enumerate(arrays):  # arrays grows as the closure proceeds
         if length[x] > length[len(left)]:
             # level length[x] - 1 is finished: a·y = (a·prefix(y))·last(y)
             for z in range(len(left), x):
@@ -427,18 +473,18 @@ def _cayley_graphs(
                     # y·g = first(y)·(suffix(y)·g), a left edge of a shorter t
                     row.append(left[t][first[x]])
                     continue
-                product = _compose_blocks(y, g, m)[0]
+                product = _glue(y, g)[0]
                 links = (first[x], a, x, t, length[x] + 1)
             k = index.get(product)
             row.append(add(product, *links) if k is None else k)
         right.append(row)
         if not x:
             left.append(row)  # the identity commutes with every generator
-    for z in range(len(left), len(blocks)):
+    for z in range(len(left), len(arrays)):
         left.append([right[w][last[z]] for w in left[prefix[z]]])
-    if len(blocks) < len(enumerated):
+    if len(arrays) < len(enumerated):
         raise InternalCheckError(f"generators({family.value}, {m}) do not generate the monoid")
-    return tuple(enumerated[y] for y in blocks), right, left
+    return tuple(enumerated[y] for y in arrays), right, left
 
 
 def green_data(family: Family, m: int) -> GreenData:

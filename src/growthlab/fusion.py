@@ -182,8 +182,6 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
     non-integer character value raises InputError; any mismatch raises
     VerificationError.
     """
-    if tuple(spec.charvec) == ():
-        raise InputError("empty character vector")
     if any(c.denominator != 1 for c in spec.charvec):
         raise InputError(f"{spec.label} has a non-integer character value")
     a = g.rows

@@ -1,4 +1,4 @@
-"""Graph algorithms on nodes 0..n-1, shared by fusion, diagrams and the oracle.
+"""Graph algorithms on nodes 0..n-1, shared by fusion and diagrams.
 
 A digraph is a successor list: succ[v] lists the heads of the edges leaving v.
 """
@@ -75,25 +75,3 @@ def distances(succ, start: int) -> list[int | None]:
         frontier = nxt
     return dist
 
-
-def components(n: int, pairs) -> list[int]:
-    """Union-find over undirected pairs: a representative per node.
-
-    Two nodes get the same representative exactly when the pairs connect them.
-    """
-    parent = list(range(n))
-    for a, b in pairs:
-        # find both roots, halving the paths on the way (inlined: the oracle
-        # and composition call this on every diagram product)
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-    for x in range(n):
-        root = parent[x]
-        while parent[root] != root:
-            root = parent[root]
-        parent[x] = root
-    return parent

@@ -132,6 +132,8 @@ class ModuleSpec:
     charvec: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if not self.charvec:
+            raise InputError("empty character vector")
         if self.dim != self.charvec[-1]:
             raise InputError("dimension must equal the character at the identity class")
 

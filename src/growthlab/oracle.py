@@ -6,15 +6,18 @@ closed forms elsewhere have an independent referee:
 * half diagrams — planar partial matchings on m points with i unmatched
   "defect" points (defects may not sit under a cup) — are the basis of the
   cell module S_i;
-* a monoid element acts by gluing onto the defect edge and reading off the
-  other side; if any defect is capped, killed or merged the result is zero,
-  and closed loops / dead points contribute a factor 1;
+* a half diagram x lifts to a diagram: its cups on top, each defect k
+  joined straight down to k'.  A monoid element d acts by the monoid
+  product: d·x is the top row of d·lift(x), and it is zero when that product
+  has fewer through strands than x has defects (a defect was capped, killed
+  or merged); closed loops and dead points contribute a factor 1;
 * so a diagram d acts on the basis as a partial map, kept as an index map:
   entry c is the basis index of d·x_c, or -1 where the image is zero.
   Characters count its fixed points, and every product with it adds rows;
   the dense 0/1 matrix (`CellModule.action`) is built only on request;
-* the cellular bilinear form pairs two half diagrams by gluing them face to
-  face: the value is 1 when every defect propagates straight through, else 0;
+* the cellular bilinear form pairs two half diagrams by the same product
+  glued face to face: <x, y> is 1 when flip(lift(x))·lift(y) keeps every
+  defect as a through strand, else 0;
 * the simple module is the quotient of S_i by the radical of that form, and
   its character is the trace of the induced action.  The radical basis is
   kept as integer rows scaled by the lcm d of its denominators, so the
@@ -39,13 +42,16 @@ from math import lcm
 from .diagrams import (
     Diagram,
     Family,
+    Partners,
+    _glue,
+    _partners,
+    _top_half,
     class_idempotent,
     expected_order,
     enumerate_diagrams,
     rank_labels,
 )
 from .errors import InputError, InternalCheckError, VerificationError
-from .graph import components
 from .growth import ModuleSpec, module_spec
 from .linalg import Mat, int_mul, kernel_and_rank, solve_lower_triangular
 
@@ -70,10 +76,6 @@ class HalfDiagram:
     @property
     def n_defects(self) -> int:
         return len(self.defects)
-
-    def isolated(self) -> tuple[int, ...]:
-        used = {p for cup in self.cups for p in cup} | set(self.defects)
-        return tuple(p for p in range(1, self.m + 1) if p not in used)
 
 
 def _half_states(points: tuple[int, ...], allow_defects: bool, family: Family):
@@ -119,34 +121,15 @@ def half_diagrams(family: Family, m: int, i: int) -> tuple[HalfDiagram, ...]:
 # ---------------------------------------------------------------------------
 # the cell action
 
-def _apply_diagram(d: Diagram, x: HalfDiagram) -> HalfDiagram | None:
-    """Glue x under d (x's points on d's bottom row); None when a defect dies."""
-    m = d.m
-    # slots 0..m-1: d's top row; m..2m-1: the glued middle row
-    pairs = [(b[0] - 1, b[1] - 1) for b in d.blocks if len(b) == 2]
-    pairs += [(m + a - 1, m + b - 1) for a, b in x.cups]
-    root_of = components(2 * m, pairs)
-    groups: dict[int, list[int]] = {}
-    for slot, root in enumerate(root_of):
-        groups.setdefault(root, []).append(slot)
-    defect_roots = {root_of[m + v - 1] for v in x.defects}
-    if len(defect_roots) != x.n_defects:
-        return None  # two defects merged
+def _lift(x: HalfDiagram, below: bool = False) -> Partners:
+    """x as a diagram: its cups on top, each defect k joined straight down to k'.
 
-    new_defects = []
-    new_cups = []
-    for root, members in groups.items():
-        tops = [s + 1 for s in members if s < m]
-        if root in defect_roots:
-            if len(tops) != 1:
-                return None  # the defect died inside
-            new_defects.append(tops[0])
-        elif len(tops) == 2:
-            new_cups.append((tops[0], tops[1]))
-        # len(tops) == 1 -> isolated result point; 0 -> loop or dead middle, factor 1
-    return HalfDiagram(
-        x.family, m, tuple(sorted(new_cups)), tuple(sorted(new_defects))
-    )
+    With below, the cups sit on the bottom row instead: that is flip(lift(x)).
+    """
+    m = x.m
+    shift = m if below else 0
+    strands = [(k, m + k) for k in x.defects]
+    return _partners([(a + shift, b + shift) for a, b in x.cups] + strands, m)
 
 
 class CellModule:
@@ -157,7 +140,8 @@ class CellModule:
         self.m = m
         self.i = i
         self.basis = half_diagrams(family, m, i)
-        self.index = {h: k for k, h in enumerate(self.basis)}
+        self._lifts = tuple(_lift(x) for x in self.basis)
+        self._index = {_top_half(pa): k for k, pa in enumerate(self._lifts)}
         self._image_cache: dict[Diagram, tuple[int, ...]] = {}
 
     @property
@@ -171,16 +155,17 @@ class CellModule:
         cached = self._image_cache.get(d)
         if cached is not None:
             return cached
+        pd = _partners(d.blocks, self.m)
         images = []
-        for x in self.basis:
-            y = _apply_diagram(d, x)
-            if y is None:
-                images.append(-1)
+        for lift in self._lifts:
+            top = _top_half(_glue(pd, lift)[0])
+            if top.count(self.m) < self.i:
+                images.append(-1)  # a defect died: the product has lower rank
                 continue
             try:
-                images.append(self.index[y])
+                images.append(self._index[top])
             except KeyError as exc:
-                raise InternalCheckError(f"action left the half-diagram basis: {y}") from exc
+                raise InternalCheckError(f"action left the half-diagram basis: {top}") from exc
         result = tuple(images)
         self._image_cache[d] = result
         return result
@@ -213,34 +198,19 @@ def cell_character(family: Family, m: int, i: int, j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # the cellular form and simple characters
 
-def _pairing(x: HalfDiagram, y: HalfDiagram) -> int:
-    """Glue x (flipped) on top of y: 1 iff every defect propagates through.
-
-    Components of the union of the two cup sets are paths or cycles; cycles
-    close into loops (factor 1, the monoid convention); a path is good when
-    it joins one x-defect to one y-defect, and fatal when a defect meets a
-    defect on its own side or a dead end.
-    """
-    root_of = components(x.m, [(a - 1, b - 1) for a, b in x.cups + y.cups])
-
-    x_def: dict[int, int] = {}
-    y_def: dict[int, int] = {}
-    for v in x.defects:
-        r = root_of[v - 1]
-        x_def[r] = x_def.get(r, 0) + 1
-    for v in y.defects:
-        r = root_of[v - 1]
-        y_def[r] = y_def.get(r, 0) + 1
-    for root in set(x_def) | set(y_def):
-        if (x_def.get(root, 0), y_def.get(root, 0)) != (1, 1):
-            return 0
-    return 1
-
-
 def gram_matrix(family: Family, m: int, i: int) -> Mat:
-    """The cellular bilinear form on the half-diagram basis of S_i."""
+    """The cellular bilinear form on the half-diagram basis of S_i.
+
+    <x, y> is 1 when flip(lift(x))·lift(y) keeps all i through strands, that
+    is when every defect of x runs into a defect of y; else 0.
+    """
     basis = half_diagrams(family, m, i)
-    return Mat([[_pairing(x, y) for y in basis] for x in basis])
+    lifts = [_lift(y) for y in basis]
+    rows = []
+    for x in basis:
+        above = _lift(x, below=True)
+        rows.append([int(_top_half(_glue(above, y)[0]).count(m) == i) for y in lifts])
+    return Mat(rows)
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from . import oracle, reference
 from .diagrams import DEFAULT_MAX_M, Family, class_idempotent, max_enumerable_m, rank_labels
 from .errors import InternalCheckError, VerificationError
 from .fusion import fusion_matrix, power_multiplicities, realized_n0, scc_analysis, spectral_check
-from .growth import evaluate, length_series, module_spec, multiplicity_series
+from .growth import ModuleSpec, evaluate, length_series, module_spec, multiplicity_series
 from .linalg import Mat, int_mul, inverse
 from .tables import (
     cell_inverse,
@@ -215,10 +215,10 @@ def check_growth(max_m: int | None = None) -> list[CheckResult]:
     for m in (4, 5):
         if max_m is not None and m > max_m:
             continue
-        for i in range(m + 1):
-            for j in range(m + 1):
-                spec_i = module_spec(Family.PLANAR_ROOK, m, f"V{i}")
-                spec_j = module_spec(Family.PLANAR_ROOK, m, f"V{j}")
+        table = simple_table(Family.PLANAR_ROOK, m)
+        specs = [ModuleSpec.from_table(table, i, "V") for i in range(m + 1)]
+        for i, spec_i in enumerate(specs):
+            for j, spec_j in enumerate(specs):
                 for l in range(m + 1):
                     closed = comb(l, i) * comb(i, i + j - l) if 0 <= i + j - l <= i else 0
                     out.append(

@@ -1,0 +1,125 @@
+"""The union-find gluing routines the library used before its partner walk.
+
+Each glues diagrams by grouping slots into connected components with
+union-find and a dict, independently of `diagrams._glue`; the tests use them
+as the walk's referee.  The bodies are kept as they were in the library.
+"""
+
+from __future__ import annotations
+
+from growthlab.diagrams import Block, Diagram, _canonical_blocks
+from growthlab.oracle import HalfDiagram
+
+
+def components(n: int, pairs) -> list[int]:
+    """Union-find over undirected pairs: a representative per node.
+
+    Two nodes get the same representative exactly when the pairs connect them.
+    """
+    parent = list(range(n))
+    for a, b in pairs:
+        # find both roots, halving the paths on the way (inlined: the oracle
+        # and composition call this on every diagram product)
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+    for x in range(n):
+        root = parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        parent[x] = root
+    return parent
+
+
+def _compose_blocks(
+    blocks_a, blocks_b, m: int
+) -> tuple[tuple[Block, ...], int, int]:
+    """Core composition on canonical block tuples.
+
+    Slots: 0..m-1 result top, m..2m-1 glued middle, 2m..3m-1 result bottom.
+    Returns (result blocks, closed middle loops, dead middle points).
+    """
+    pairs = [(b[0] - 1, b[1] - 1) for b in blocks_a if len(b) == 2]
+    pairs += [(m + b[0] - 1, m + b[1] - 1) for b in blocks_b if len(b) == 2]
+    degree = [0] * (3 * m)
+    for x, y in pairs:
+        degree[x] += 1
+        degree[y] += 1
+    groups: dict[int, list[int]] = {}
+    for slot, root in enumerate(components(3 * m, pairs)):
+        groups.setdefault(root, []).append(slot)
+
+    blocks: list[Block] = []
+    loops = 0
+    isolated = 0
+    for members in groups.values():
+        boundary = []
+        for s in members:
+            if s < m:
+                boundary.append(s + 1)
+            elif s >= 2 * m:
+                boundary.append(s - m + 1)
+        if boundary:
+            blocks.append(tuple(sorted(boundary)))
+        elif all(degree[s] == 2 for s in members):
+            loops += 1
+        else:
+            isolated += len(members)
+    return _canonical_blocks(blocks), loops, isolated
+
+
+def _apply_diagram(d: Diagram, x: HalfDiagram) -> HalfDiagram | None:
+    """Glue x under d (x's points on d's bottom row); None when a defect dies."""
+    m = d.m
+    # slots 0..m-1: d's top row; m..2m-1: the glued middle row
+    pairs = [(b[0] - 1, b[1] - 1) for b in d.blocks if len(b) == 2]
+    pairs += [(m + a - 1, m + b - 1) for a, b in x.cups]
+    root_of = components(2 * m, pairs)
+    groups: dict[int, list[int]] = {}
+    for slot, root in enumerate(root_of):
+        groups.setdefault(root, []).append(slot)
+    defect_roots = {root_of[m + v - 1] for v in x.defects}
+    if len(defect_roots) != x.n_defects:
+        return None  # two defects merged
+
+    new_defects = []
+    new_cups = []
+    for root, members in groups.items():
+        tops = [s + 1 for s in members if s < m]
+        if root in defect_roots:
+            if len(tops) != 1:
+                return None  # the defect died inside
+            new_defects.append(tops[0])
+        elif len(tops) == 2:
+            new_cups.append((tops[0], tops[1]))
+        # len(tops) == 1 -> isolated result point; 0 -> loop or dead middle, factor 1
+    return HalfDiagram(
+        x.family, m, tuple(sorted(new_cups)), tuple(sorted(new_defects))
+    )
+
+
+def _pairing(x: HalfDiagram, y: HalfDiagram) -> int:
+    """Glue x (flipped) on top of y: 1 iff every defect propagates through.
+
+    Components of the union of the two cup sets are paths or cycles; cycles
+    close into loops (factor 1, the monoid convention); a path is good when
+    it joins one x-defect to one y-defect, and fatal when a defect meets a
+    defect on its own side or a dead end.
+    """
+    root_of = components(x.m, [(a - 1, b - 1) for a, b in x.cups + y.cups])
+
+    x_def: dict[int, int] = {}
+    y_def: dict[int, int] = {}
+    for v in x.defects:
+        r = root_of[v - 1]
+        x_def[r] = x_def.get(r, 0) + 1
+    for v in y.defects:
+        r = root_of[v - 1]
+        y_def[r] = y_def.get(r, 0) + 1
+    for root in set(x_def) | set(y_def):
+        if (x_def.get(root, 0), y_def.get(root, 0)) != (1, 1):
+            return 0
+    return 1

@@ -1,8 +1,12 @@
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from glue_reference import _compose_blocks
 from growthlab import diagrams
 from growthlab.diagrams import (
     Diagram,
@@ -178,6 +182,41 @@ def test_associativity_with_loop_bookkeeping(family, m):
         assert ab.loops + left.loops == bc.loops + right.loops
 
 
+# the enumeration caps: TL 7 (429 elements), PRO 6 (924) and MO 5 (2,188)
+AT_CAPS = [(Family.TEMPERLEY_LIEB, 7), (Family.PLANAR_ROOK, 6), (Family.MOTZKIN, 5)]
+
+
+@cache
+def _elements(family, m):
+    return enumerate_diagrams(family, m)
+
+
+def _draw(data, count):
+    family, m = data.draw(st.sampled_from([(f, k) for f, top in AT_CAPS for k in range(1, top + 1)]))
+    elements = _elements(family, m)
+    return [data.draw(st.sampled_from(elements)) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_walk_matches_the_union_find_composition(data):
+    a, b = _draw(data, 2)
+    product, loops, dead = diagrams._glue(
+        diagrams._partners(a.blocks, a.m), diagrams._partners(b.blocks, b.m)
+    )
+    assert (diagrams._blocks(product), loops, dead) == _compose_blocks(a.blocks, b.blocks, a.m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compose_is_associative(data):
+    a, b, c = _draw(data, 3)
+    ab, bc = compose(a, b), compose(b, c)
+    left, right = compose(ab.result, c), compose(a, bc.result)
+    assert left.result == right.result
+    assert ab.loops + left.loops == bc.loops + right.loops
+
+
 def test_rank_basics():
     for family, m in SMALL:
         assert rank(identity_diagram(family, m)) == m
@@ -347,6 +386,26 @@ def test_green_classes_are_rank_classes_of_half_diagram_squares(family, m):
         assert len(members) == halves * halves
 
 
+# (j_class_count, l_class_count, r_class_count, unit_count) for m = 1, 2, ...
+GREEN_DATA = {
+    Family.TEMPERLEY_LIEB: [
+        (1, 1, 1, 1), (2, 2, 2, 1), (2, 3, 3, 1), (3, 6, 6, 1),
+        (3, 10, 10, 1), (4, 20, 20, 1), (4, 35, 35, 1),
+    ],
+    Family.PLANAR_ROOK: [
+        (2, 2, 2, 1), (3, 4, 4, 1), (4, 8, 8, 1), (5, 16, 16, 1),
+        (6, 32, 32, 1), (7, 64, 64, 1),
+    ],
+    Family.MOTZKIN: [(2, 2, 2, 1), (3, 5, 5, 1), (4, 13, 13, 1), (5, 35, 35, 1), (6, 96, 96, 1)],
+}
+
+
+@pytest.mark.parametrize("family", list(GREEN_DATA))
+def test_green_data_pinned(family):
+    found = [green_data(family, m) for m in range(1, len(GREEN_DATA[family]) + 1)]
+    assert found == [diagrams.GreenData(*row) for row in GREEN_DATA[family]]
+
+
 def test_green_data_tl7_j_classes():
     gd = green_data(Family.TEMPERLEY_LIEB, 7)
     assert gd.j_class_count == 4
@@ -363,6 +422,9 @@ def test_text_format_round_trip():
     assert str(e) == "{1,2}{1',2'}"
     with pytest.raises(InputError):
         parse_blocks("not blocks", 2)
+    for text, token in (("{1,x}", "'x'"), ("{}", "''"), ("{1,}", "''"), ("{1}{2'',3}", "\"2''\"")):
+        with pytest.raises(InputError, match=token):
+            parse_blocks(text, 2)
 
 
 def test_diagram_canonicalization_and_subset_helper():

@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab.graph import components
+from glue_reference import components
 
 
 @settings(max_examples=300, deadline=None)

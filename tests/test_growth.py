@@ -349,6 +349,11 @@ def test_convergence_report_constant_character():
     assert convergence_report(spec).chi_sec == 0
 
 
+def test_empty_character_vector_is_refused():
+    with pytest.raises(InputError, match="empty character vector"):
+        ModuleSpec("V0", Family.PLANAR_ROOK, 2, 1, ())
+
+
 def test_chi_sec_closed_forms():
     from cell_formulas import tl_cell_entry
 

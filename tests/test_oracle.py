@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from glue_reference import _apply_diagram, _pairing
 from growthlab.diagrams import (
     Family,
     catalan_number,
@@ -19,7 +20,6 @@ from growthlab.errors import InputError, InternalCheckError, VerificationError
 from growthlab.linalg import Mat, inverse, kernel_and_rank, mat_mul
 from growthlab.oracle import (
     CellModule,
-    _apply_diagram,
     _kronecker_check_cached,
     _quotient_action,
     _radical_data,
@@ -268,6 +268,15 @@ def test_gram_matrices():
     for family, m in ((Family.TEMPERLEY_LIEB, 6), (Family.MOTZKIN, 4), (Family.PLANAR_ROOK, 4)):
         # the top cell has the all-defects half diagram as its only basis element
         assert gram_matrix(family, m, m) == Mat.identity(1)
+
+
+@pytest.mark.parametrize(
+    "family,m", [(Family.TEMPERLEY_LIEB, 7), (Family.PLANAR_ROOK, 6), (Family.MOTZKIN, 5)]
+)
+def test_gram_matrix_matches_the_union_find_pairing(family, m):
+    for i in rank_labels(family, m):
+        basis = half_diagrams(family, m, i)
+        assert gram_matrix(family, m, i) == Mat([[_pairing(x, y) for y in basis] for x in basis])
 
 
 def test_gram_diagonal_is_all_ones():

@@ -16,3 +16,29 @@ def test_src_has_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+def test_every_private_function_is_used_elsewhere():
+    # a module-level _helper named nowhere in src/ outside its own body is
+    # dead code, or kept only for the tests (whose referees live in tests/)
+    defined = {}
+    named = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            if isinstance(top, ast.FunctionDef) and owner.startswith("_") and not owner.endswith("__"):
+                defined[owner] = path.name
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != owner:
+                    named.add(name)
+    assert defined
+    assert sorted(f"{path}:{name}" for name, path in defined.items() if name not in named) == []

@@ -15,8 +15,8 @@ name them; they cannot be enumerated or composed.
 Composition stacks the left factor on top of the right one, traces the glued
 middle row, and discards closed middle loops and dead middle points, counting
 both (the monoid convention: each discarded component contributes a factor 1).
-It runs on partner arrays, by one walk that also serves the Cayley graphs of
-green_data and the oracle's cell action and cellular form.
+It runs on partner arrays, as do enumeration (one backtracking walk), the
+Cayley graphs of green_data and the oracle's cell action.
 
 Diagrams are immutable and every function here is pure.
 """
@@ -201,6 +201,13 @@ def _blocks(pa: Partners) -> tuple[Block, ...]:
     )
 
 
+def _from_partners(family: Family, m: int, pa: Partners) -> Diagram:
+    """The diagram of pa; _blocks is canonical already, so __post_init__ is skipped."""
+    d = object.__new__(Diagram)
+    vars(d).update(family=family, m=m, blocks=_blocks(pa))
+    return d
+
+
 def _top_half(pa: Partners) -> tuple[int, ...]:
     """The top row of pa with every through strand's end written as m.
 
@@ -265,7 +272,7 @@ def compose(a: Diagram, b: Diagram) -> ComposeResult:
     if a.family is not b.family or a.m != b.m:
         raise InputError("can only compose diagrams of the same family and size")
     product, loops, dead = _glue(_partners(a.blocks, a.m), _partners(b.blocks, b.m))
-    return ComposeResult(Diagram(a.family, a.m, _blocks(product)), loops, dead)
+    return ComposeResult(_from_partners(a.family, a.m, product), loops, dead)
 
 
 def rank(d: Diagram) -> int:
@@ -311,53 +318,57 @@ def class_idempotent(family: Family, m: int, j: int) -> Diagram:
     return Diagram(family, m, tuple(blocks))
 
 
-def _noncrossing_matchings(points: tuple[int, ...], singletons: bool):
-    """Planar (partial, if singletons) matchings of points listed in boundary order."""
-    if not points:
-        yield ()
-        return
-    p, rest = points[0], points[1:]
-    if singletons:
-        yield from _noncrossing_matchings(rest, singletons)
-    for idx in range(len(rest)):
-        if not singletons and idx % 2 == 1:
-            continue  # a perfect matching needs an even number of points inside
-        q = rest[idx]
-        for inside in _noncrossing_matchings(rest[:idx], singletons):
-            for after in _noncrossing_matchings(rest[idx + 1:], singletons):
-                yield ((p, q),) + inside + after
+def _check_enumerable(family: Family, m: int, capped: bool = True) -> None:
+    """InputError unless family is planar and 1 <= m <= its cap (any m >= 1 if not capped)."""
+    if family not in PLANAR_FAMILIES:
+        raise InputError(f"{family.value} cannot be enumerated")
+    if m < 1 or capped and m > max_enumerable_m(family):
+        raise InputError(
+            f"m={m} outside the enumerable range 1..{max_enumerable_m(family)} for "
+            f"{family.value} (set GROWTHLAB_MAX_M to override)"
+        )
+
+
+def _partner_arrays(family: Family, m: int):
+    """Every element as a partner array, each once: a backtracking walk of the boundary.
+
+    With a stack of open points, each point opens an arc, closes the arc on
+    top or (planar rook, Motzkin) stays single; planar rook opens only on top
+    and closes only below, so it pairs top and bottom points in order.
+    """
+    _check_enumerable(family, m)
+    n = 2 * m
+    pa = [-1] * n
+    order = list(range(m)) + list(range(n - 1, m - 1, -1))
+    rook = family is Family.PLANAR_ROOK
+    singles = family is not Family.TEMPERLEY_LIEB
+    stack: list[int] = []
+
+    def walk(k: int):
+        if k == n:
+            yield tuple(pa)
+            return
+        s, after = order[k], n - k - 1
+        if stack and not (rook and s < m):  # close the open arc on top
+            t = stack.pop()
+            pa[s], pa[t] = t, s
+            yield from walk(k + 1)
+            pa[s] = pa[t] = -1
+            stack.append(t)
+        if len(stack) < after and not (rook and s >= m):  # open an arc
+            stack.append(s)
+            yield from walk(k + 1)
+            stack.pop()
+        if singles and len(stack) <= after:
+            yield from walk(k + 1)
+
+    yield from walk(0)
 
 
 def enumerate_diagrams(family: Family, m: int) -> tuple[Diagram, ...]:
-    """Every element of the monoid, duplicate-free, in a deterministic order."""
-    if family not in PLANAR_FAMILIES:
-        raise InputError(f"{family.value} cannot be enumerated")
-    bound = max_enumerable_m(family)
-    if not 1 <= m <= bound:
-        raise InputError(
-            f"m={m} outside the enumerable range 1..{bound} for {family.value} "
-            "(set GROWTHLAB_MAX_M to override)"
-        )
-    out: list[Diagram] = []
-    if family is Family.PLANAR_ROOK:
-        tops = range(1, m + 1)
-        bottoms = range(m + 1, 2 * m + 1)
-        for k in range(m + 1):
-            for s in combinations(tops, k):
-                for t in combinations(bottoms, k):
-                    # the order-preserving matching is the unique planar one
-                    blocks = [(a, b) for a, b in zip(s, t)]
-                    blocks += [(p,) for p in tops if p not in s]
-                    blocks += [(p,) for p in bottoms if p not in t]
-                    out.append(Diagram(family, m, tuple(blocks)))
-    else:
-        boundary = tuple(range(1, m + 1)) + tuple(range(2 * m, m, -1))
-        singletons = family is Family.MOTZKIN
-        for pairs in _noncrossing_matchings(boundary, singletons):
-            matched = {p for pair in pairs for p in pair}
-            blocks = list(pairs) + [(p,) for p in range(1, 2 * m + 1) if p not in matched]
-            out.append(Diagram(family, m, tuple(blocks)))
-    return tuple(sorted(out, key=lambda d: d.blocks))
+    """Every element of the monoid, duplicate-free, sorted by blocks."""
+    elements = (_from_partners(family, m, pa) for pa in _partner_arrays(family, m))
+    return tuple(sorted(elements, key=lambda d: d.blocks))
 
 
 def expected_order(family: Family, m: int) -> int:
@@ -426,15 +437,15 @@ def generators(family: Family, m: int) -> tuple[Diagram, ...]:
 
 def _cayley_graphs(
     family: Family, m: int
-) -> tuple[tuple[Diagram, ...], list[list[int]], list[list[int]]]:
+) -> tuple[tuple[Partners, ...], list[list[int]], list[list[int]]]:
     """(elements, right, left): the monoid's Cayley graphs on generators(family, m).
 
     right[x][a] is the index of x·a and left[x][a] that of a·x, for the
     generator a = generators(family, m)[a]; elements[0] is the identity.
-    The elements come from a Froidure-Pin closure (see green_data), which
-    must equal enumerate_diagrams(family, m) as a set.
+    The elements are partner arrays from a Froidure-Pin closure (see
+    green_data), which must equal _partner_arrays(family, m) as a set.
     """
-    enumerated = {_partners(d.blocks, m): d for d in enumerate_diagrams(family, m)}
+    enumerated = set(_partner_arrays(family, m))
     gens = [_partners(a.blocks, m) for a in generators(family, m)]
     # element i is first[i]·suffix[i] = prefix[i]·last[i], a word of length[i]
     arrays: list[Partners] = []
@@ -484,7 +495,7 @@ def _cayley_graphs(
         left.append([right[w][last[z]] for w in left[prefix[z]]])
     if len(arrays) < len(enumerated):
         raise InternalCheckError(f"generators({family.value}, {m}) do not generate the monoid")
-    return tuple(enumerated[y] for y in arrays), right, left
+    return tuple(arrays), right, left
 
 
 def green_data(family: Family, m: int) -> GreenData:

@@ -5,7 +5,7 @@ closed forms elsewhere have an independent referee:
 
 * half diagrams — planar partial matchings on m points with i unmatched
   "defect" points (defects may not sit under a cup) — are the basis of the
-  cell module S_i;
+  cell module S_i, for a planar family and m >= 1;
 * a half diagram x lifts to a diagram: its cups on top, each defect k
   joined straight down to k'.  A monoid element d acts by the monoid
   product: d·x is the top row of d·lift(x), and it is zero when that product
@@ -15,9 +15,9 @@ closed forms elsewhere have an independent referee:
   entry c is the basis index of d·x_c, or -1 where the image is zero.
   Characters count its fixed points, and every product with it adds rows;
   the dense 0/1 matrix (`CellModule.action`) is built only on request;
-* the cellular bilinear form pairs two half diagrams by the same product
-  glued face to face: <x, y> is 1 when flip(lift(x))·lift(y) keeps every
-  defect as a through strand, else 0;
+* the cellular bilinear form pairs two half diagrams face to face: <x, y>
+  is 1 when flip(lift(x))·lift(y) keeps every defect as a through strand,
+  else 0, decided by a walk that alternates the cups of y and of x;
 * the simple module is the quotient of S_i by the radical of that form, and
   its character is the trace of the induced action.  The radical basis is
   kept as integer rows scaled by the lcm d of its denominators, so the
@@ -43,12 +43,13 @@ from .diagrams import (
     Diagram,
     Family,
     Partners,
+    _check_enumerable,
     _glue,
+    _partner_arrays,
     _partners,
     _top_half,
     class_idempotent,
     expected_order,
-    enumerate_diagrams,
     rank_labels,
 )
 from .errors import InputError, InternalCheckError, VerificationError
@@ -107,6 +108,7 @@ def _half_states(points: tuple[int, ...], allow_defects: bool, family: Family):
 
 def half_diagrams(family: Family, m: int, i: int) -> tuple[HalfDiagram, ...]:
     """The basis of the cell module S_i, sorted lexicographically on (cups, defects)."""
+    _check_enumerable(family, m, capped=False)
     if i not in rank_labels(family, m):
         raise InputError(f"defect count {i} not in {rank_labels(family, m)}")
     states = [
@@ -121,15 +123,9 @@ def half_diagrams(family: Family, m: int, i: int) -> tuple[HalfDiagram, ...]:
 # ---------------------------------------------------------------------------
 # the cell action
 
-def _lift(x: HalfDiagram, below: bool = False) -> Partners:
-    """x as a diagram: its cups on top, each defect k joined straight down to k'.
-
-    With below, the cups sit on the bottom row instead: that is flip(lift(x)).
-    """
-    m = x.m
-    shift = m if below else 0
-    strands = [(k, m + k) for k in x.defects]
-    return _partners([(a + shift, b + shift) for a, b in x.cups] + strands, m)
+def _lift(x: HalfDiagram) -> Partners:
+    """x as a diagram: its cups on top, each defect k joined straight down to k'."""
+    return _partners(x.cups + tuple((k, x.m + k) for k in x.defects), x.m)
 
 
 class CellModule:
@@ -198,18 +194,38 @@ def cell_character(family: Family, m: int, i: int, j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # the cellular form and simple characters
 
+def _states(x: HalfDiagram) -> list[int]:
+    """x by point 1..m: the cup partner, -1 for a defect, -2 for an isolated point."""
+    state = [-1 if k in x.defects else -2 for k in range(x.m + 1)]
+    for a, b in x.cups:
+        state[a], state[b] = b, a
+    return state
+
+
 def gram_matrix(family: Family, m: int, i: int) -> Mat:
     """The cellular bilinear form on the half-diagram basis of S_i.
 
     <x, y> is 1 when flip(lift(x))·lift(y) keeps all i through strands, that
-    is when every defect of x runs into a defect of y; else 0.
+    is when every defect of x runs into a defect of y; else 0.  From each
+    defect of x the walk takes a cup of y, then one of x, and so on, until it
+    ends on a defect of y (the strand is kept) or on anything else (0).  The
+    form is symmetric, so only the entries a <= b are walked.
     """
-    basis = half_diagrams(family, m, i)
-    lifts = [_lift(y) for y in basis]
-    rows = []
-    for x in basis:
-        above = _lift(x, below=True)
-        rows.append([int(_top_half(_glue(above, y)[0]).count(m) == i) for y in lifts])
+    basis = cell_module(family, m, i).basis
+    states = [_states(x) for x in basis]
+    rows = [[0] * len(basis) for _ in basis]
+    for a, (x, sx) in enumerate(zip(basis, states)):
+        for b in range(a, len(basis)):
+            sy = states[b]
+            for p in x.defects:
+                q = sy[p]
+                while q >= 0:
+                    r = sx[q]
+                    q = sy[r] if r >= 0 else -2
+                if q != -1:
+                    break
+            else:
+                rows[a][b] = rows[b][a] = 1
     return Mat(rows)
 
 
@@ -274,12 +290,14 @@ def simple_dimension(family: Family, m: int, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def oracle_cell_table(family: Family, m: int) -> Mat:
+    _check_enumerable(family, m, capped=False)
     labels = rank_labels(family, m)
     return Mat([[cell_character(family, m, i, j) for j in labels] for i in labels])
 
 
 @lru_cache(maxsize=None)
 def oracle_simple_table(family: Family, m: int) -> Mat:
+    _check_enumerable(family, m, capped=False)
     labels = rank_labels(family, m)
     return Mat([[simple_character(family, m, i, j) for j in labels] for i in labels])
 
@@ -453,8 +471,8 @@ class CountCheck:
 
 
 def count_check(family: Family, m: int) -> CountCheck:
-    """Enumerated monoid order against the independent counting sequence."""
-    actual = len(enumerate_diagrams(family, m))
+    """The monoid order, counted as partner arrays, against the independent counting sequence."""
+    actual = sum(1 for _ in _partner_arrays(family, m))
     expected = expected_order(family, m)
     if actual != expected:
         raise VerificationError(

@@ -1,13 +1,26 @@
-"""The union-find gluing routines the library used before its partner walk.
+"""The union-find gluing routines and the matching enumeration the library used
+before its partner arrays.
 
-Each glues diagrams by grouping slots into connected components with
-union-find and a dict, independently of `diagrams._glue`; the tests use them
-as the walk's referee.  The bodies are kept as they were in the library.
+Each gluing routine groups slots into connected components with union-find
+and a dict, independently of `diagrams._glue`; `enumerate_diagrams` lists the
+monoid by recursive non-crossing matchings and the public `Diagram`
+constructor, independently of `diagrams._partner_arrays`.  The tests use them
+as referees.  The bodies are kept as they were in the library.
 """
 
 from __future__ import annotations
 
-from growthlab.diagrams import Block, Diagram, _canonical_blocks
+from itertools import combinations
+
+from growthlab.diagrams import (
+    PLANAR_FAMILIES,
+    Block,
+    Diagram,
+    Family,
+    _canonical_blocks,
+    max_enumerable_m,
+)
+from growthlab.errors import InputError
 from growthlab.oracle import HalfDiagram
 
 
@@ -123,3 +136,52 @@ def _pairing(x: HalfDiagram, y: HalfDiagram) -> int:
         if (x_def.get(root, 0), y_def.get(root, 0)) != (1, 1):
             return 0
     return 1
+
+
+def _noncrossing_matchings(points: tuple[int, ...], singletons: bool):
+    """Planar (partial, if singletons) matchings of points listed in boundary order."""
+    if not points:
+        yield ()
+        return
+    p, rest = points[0], points[1:]
+    if singletons:
+        yield from _noncrossing_matchings(rest, singletons)
+    for idx in range(len(rest)):
+        if not singletons and idx % 2 == 1:
+            continue  # a perfect matching needs an even number of points inside
+        q = rest[idx]
+        for inside in _noncrossing_matchings(rest[:idx], singletons):
+            for after in _noncrossing_matchings(rest[idx + 1:], singletons):
+                yield ((p, q),) + inside + after
+
+
+def enumerate_diagrams(family: Family, m: int) -> tuple[Diagram, ...]:
+    """Every element of the monoid, duplicate-free, in a deterministic order."""
+    if family not in PLANAR_FAMILIES:
+        raise InputError(f"{family.value} cannot be enumerated")
+    bound = max_enumerable_m(family)
+    if not 1 <= m <= bound:
+        raise InputError(
+            f"m={m} outside the enumerable range 1..{bound} for {family.value} "
+            "(set GROWTHLAB_MAX_M to override)"
+        )
+    out: list[Diagram] = []
+    if family is Family.PLANAR_ROOK:
+        tops = range(1, m + 1)
+        bottoms = range(m + 1, 2 * m + 1)
+        for k in range(m + 1):
+            for s in combinations(tops, k):
+                for t in combinations(bottoms, k):
+                    # the order-preserving matching is the unique planar one
+                    blocks = [(a, b) for a, b in zip(s, t)]
+                    blocks += [(p,) for p in tops if p not in s]
+                    blocks += [(p,) for p in bottoms if p not in t]
+                    out.append(Diagram(family, m, tuple(blocks)))
+    else:
+        boundary = tuple(range(1, m + 1)) + tuple(range(2 * m, m, -1))
+        singletons = family is Family.MOTZKIN
+        for pairs in _noncrossing_matchings(boundary, singletons):
+            matched = {p for pair in pairs for p in pair}
+            blocks = list(pairs) + [(p,) for p in range(1, 2 * m + 1) if p not in matched]
+            out.append(Diagram(family, m, tuple(blocks)))
+    return tuple(sorted(out, key=lambda d: d.blocks))

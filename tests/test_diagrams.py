@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glue_reference
 from glue_reference import _compose_blocks
 from growthlab import diagrams
 from growthlab.diagrams import (
@@ -42,6 +43,11 @@ def multiplication_table(elements):
     return [[index[compose(a, b).result] for b in elements] for a in elements]
 
 
+def _as_diagrams(family, m, arrays):
+    """Partner arrays as diagrams, by the public constructor."""
+    return [Diagram(family, m, diagrams._blocks(pa)) for pa in arrays]
+
+
 def quadratic_green_data(family, m):
     """Green's class counts read off the full multiplication table.
 
@@ -76,6 +82,42 @@ def test_enumeration_counts(family, ms):
         elements = enumerate_diagrams(family, m)
         assert len(elements) == expected_order(family, m)
         assert len(set(elements)) == len(elements)
+
+
+CAPS = [(Family.TEMPERLEY_LIEB, 7), (Family.PLANAR_ROOK, 6), (Family.MOTZKIN, 5)]
+
+
+@pytest.mark.parametrize("family,cap", CAPS)
+def test_enumeration_matches_the_matching_reference(family, cap):
+    for m in range(1, cap + 1):
+        found = enumerate_diagrams(family, m)
+        expected = glue_reference.enumerate_diagrams(family, m)
+        assert found == expected
+        assert [vars(d) for d in found] == [vars(d) for d in expected]
+
+
+@pytest.mark.parametrize(
+    "family,m", [(Family.TEMPERLEY_LIEB, 0), (Family.TEMPERLEY_LIEB, 8), (Family.BRAUER, 2)]
+)
+def test_enumeration_bounds_keep_their_messages(family, m):
+    def message(enumerate_fn):
+        with pytest.raises(InputError) as info:
+            enumerate_fn(family, m)
+        return str(info.value)
+
+    expected = message(glue_reference.enumerate_diagrams)
+    assert message(enumerate_diagrams) == expected
+    assert message(lambda f, mm: list(diagrams._partner_arrays(f, mm))) == expected
+    assert message(diagrams._cayley_graphs) == expected
+
+
+@pytest.mark.parametrize("family,m", CAPS)
+def test_from_partners_equals_the_public_constructor(family, m):
+    for d in glue_reference.enumerate_diagrams(family, m):
+        built = diagrams._from_partners(family, m, diagrams._partners(d.blocks, m))
+        public = Diagram(family, m, d.blocks)
+        assert built == public and hash(built) == hash(public)
+        assert vars(built) == vars(public)
 
 
 @pytest.mark.parametrize("family,m", SMALL)
@@ -337,7 +379,8 @@ def test_green_data_rejects_a_non_generating_set(monkeypatch, family):
     + [(Family.MOTZKIN, m) for m in range(1, 5)],
 )
 def test_cayley_graphs_match_compose_edge_for_edge(family, m):
-    elements, right, left = diagrams._cayley_graphs(family, m)
+    arrays, right, left = diagrams._cayley_graphs(family, m)
+    elements = _as_diagrams(family, m, arrays)
     assert elements[0] == identity_diagram(family, m)
     assert sorted(elements, key=lambda d: d.blocks) == list(enumerate_diagrams(family, m))
     index = {d: i for i, d in enumerate(elements)}
@@ -351,10 +394,12 @@ def test_cayley_graphs_match_compose_edge_for_edge(family, m):
 def test_green_data_rejects_a_product_outside_the_enumeration(monkeypatch, family):
     one = identity_diagram(family, 4)
     dropped = [d for d in enumerate_diagrams(family, 4) if d != one][-1]
+    dropped_array = diagrams._partners(dropped.blocks, 4)
+    original = diagrams._partner_arrays
     monkeypatch.setattr(
         diagrams,
-        "enumerate_diagrams",
-        lambda f, m: tuple(d for d in enumerate_diagrams(f, m) if d != dropped),
+        "_partner_arrays",
+        lambda f, m: (pa for pa in original(f, m) if pa != dropped_array),
     )
     with pytest.raises(InternalCheckError, match="left the enumerated"):
         green_data(family, 4)
@@ -367,7 +412,8 @@ def test_green_classes_are_rank_classes_of_half_diagram_squares(family, m):
     # H is trivial in a planar monoid, so the rank-r J-class is an R x L grid
     # whose sides both count the rank-r half diagrams (from the oracle, not
     # from the Cayley graphs)
-    elements, right, left = diagrams._cayley_graphs(family, m)
+    arrays, right, left = diagrams._cayley_graphs(family, m)
+    elements = _as_diagrams(family, m, arrays)
     r_of, l_of = scc(right), scc(left)
     j_of = scc([r + l for r, l in zip(right, left)])
     ranks = [rank(d) for d in elements]

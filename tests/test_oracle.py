@@ -6,6 +6,7 @@ import pytest
 
 from glue_reference import _apply_diagram, _pairing
 from growthlab.diagrams import (
+    Diagram,
     Family,
     catalan_number,
     class_idempotent,
@@ -15,7 +16,7 @@ from growthlab.diagrams import (
     rank,
     rank_labels,
 )
-from growthlab import oracle, verify
+from growthlab import diagrams, oracle, verify
 from growthlab.errors import InputError, InternalCheckError, VerificationError
 from growthlab.linalg import Mat, inverse, kernel_and_rank, mat_mul
 from growthlab.oracle import (
@@ -76,6 +77,33 @@ def test_half_diagrams_are_planar_with_uncovered_defects():
                     assert not (a < v < b)  # defects escape upward
     with pytest.raises(InputError):
         half_diagrams(Family.TEMPERLEY_LIEB, 7, 2)
+
+
+UNMODELLED = [
+    (Family.BRAUER, 3, "cannot be enumerated"),
+    (Family.ROOK, 3, "cannot be enumerated"),
+    (Family.MOTZKIN, 0, "outside the enumerable range"),
+    (Family.TEMPERLEY_LIEB, -2, "outside the enumerable range"),
+]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda f, m: half_diagrams(f, m, 0),
+        lambda f, m: cell_module(f, m, 1),
+        lambda f, m: gram_matrix(f, m, 1),
+        oracle_cell_table,
+        oracle_simple_table,
+        lambda f, m: simple_dimension(f, m, 0),
+    ],
+    ids=["half_diagrams", "cell_module", "gram_matrix", "oracle_cell_table",
+         "oracle_simple_table", "simple_dimension"],
+)
+@pytest.mark.parametrize("family,m,message", UNMODELLED)
+def test_oracle_rejects_what_it_cannot_model(query, family, m, message):
+    with pytest.raises(InputError, match=message):
+        query(family, m)
 
 
 def test_half_diagrams_sorted_unique():
@@ -458,6 +486,36 @@ def test_count_check():
     assert count_check(Family.PLANAR_ROOK, 4).actual == 70
     assert count_check(Family.TEMPERLEY_LIEB, 5).actual == 42
     assert count_check(Family.MOTZKIN, 3).actual == 51
+
+
+def test_count_gate_fails_on_a_missing_element(monkeypatch):
+    original = oracle._partner_arrays
+
+    def one_short(family, m):
+        arrays = original(family, m)
+        if (family, m) == (Family.MOTZKIN, 4):
+            next(arrays)
+        return arrays
+
+    monkeypatch.setattr(oracle, "_partner_arrays", one_short)
+    with pytest.raises(VerificationError, match="motzkin_4"):
+        count_check(Family.MOTZKIN, 4)
+    failed = [r.check for r in verify.check_counts() if r.status == "fail"]
+    assert failed == ["count:motzkin:4"]
+
+
+def test_counting_and_pairing_build_no_diagram(monkeypatch):
+    def no_diagram(*args):
+        raise AssertionError("the referee built a Diagram")
+
+    _clear_oracle_caches()
+    monkeypatch.setattr(Diagram, "__post_init__", no_diagram)
+    monkeypatch.setattr(diagrams, "_from_partners", no_diagram)
+    results = verify.check_counts()
+    assert len(results) == 18 and all(r.ok for r in results)
+    for family, m in ((Family.TEMPERLEY_LIEB, 7), (Family.PLANAR_ROOK, 6), (Family.MOTZKIN, 5)):
+        for i in rank_labels(family, m):
+            assert gram_matrix(family, m, i).nrows == len(half_diagrams(family, m, i))
 
 
 def test_counting_sequences():

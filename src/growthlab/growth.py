@@ -10,10 +10,11 @@ of the simples in V^(x)n solve X^T y = (chi(j)^n)_j, X the simple character
 table; so a weighted sum sum_t w_t y_t is c . (chi(j)^n)_j with X c = w, and
 l(n) (all weights 1) has the coefficients c solving X c = (1, ..., 1).  X is
 unit upper-triangular with integer entries, so c is one integer
-back-substitution.  Bases with value 0 are kept: under the convention
-0^0 = 1 they make every length formula return 1 at n = 0 (the trivial
-module), while for n >= 1 they vanish — printed formulas usually show only
-the n >= 1 part, and the human rendering follows suit.
+back-substitution; for V_t's multiplicity (w = e_t) c vanishes past t, so
+only X's leading block up to t is solved.  Bases with value 0 are kept: under
+the convention 0^0 = 1 they make every length formula return 1 at n = 0 (the
+trivial module), while for n >= 1 they vanish — printed formulas usually
+show only the n >= 1 part, and the human rendering follows suit.
 
 Only rational character data is supported; irrational values are rejected at
 input validation.  All values are immutable and all functions pure.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Iterator
 
@@ -137,6 +139,10 @@ class ModuleSpec:
         if self.dim != self.charvec[-1]:
             raise InputError("dimension must equal the character at the identity class")
 
+    @cached_property
+    def bases(self) -> tuple[int, ...]:  # the int bases of every growth series
+        return tuple(map(_as_int_base, self.charvec))
+
     @staticmethod
     def from_table(table: CharTable, label: int, prefix: str) -> "ModuleSpec":
         row = table.rows[table.index(label)]
@@ -175,26 +181,26 @@ def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
         raise InputError("module and table belong to different monoids")
     if len(spec.charvec) != len(simple.labels):
         raise InputError("character vector length mismatch")
+    if simple.kind != "simple":
+        raise InputError(f"growth series need the simple table, not the {simple.kind} table")
 
 
 def _series(spec: ModuleSpec, simple: CharTable, weights) -> ExpSum:
     """sum_t weights[t] * [V^(x)n : V_t] as an exponential sum in n.
 
     The multiplicities y solve X^T y = chi^n, so the weighted sum w . y has
-    the coefficients c solving X c = w: one integer back-substitution against
-    the simple table, which rejects a table that is not unit triangular.
+    the coefficients c solving X c = w, where w may stop at its last nonzero
+    entry: c is 0 past it, and comes from X's leading len(w) x len(w) block.
     """
     _check_compatible(spec, simple)
-    (coeffs,) = solve_unit_triangular(simple.rows, [weights], lower=False)
-    return ExpSum.make(
-        (c, _as_int_base(chi)) for c, chi in zip(coeffs, spec.charvec)
-    )
+    k = len(weights)
+    (coeffs,) = solve_unit_triangular([row[:k] for row in simple.rows[:k]], [weights], lower=False)
+    return ExpSum.make(zip(coeffs, spec.bases))
 
 
 def multiplicity_series(spec: ModuleSpec, simple: CharTable, target: int) -> ExpSum:
-    """[V^(x)n : V_target] as an exponential sum in n."""
-    idx = simple.index(target)
-    return _series(spec, simple, [int(k == idx) for k in range(len(simple.labels))])
+    """[V^(x)n : V_target] as an exponential sum in n, from target's leading block."""
+    return _series(spec, simple, [0] * simple.index(target) + [1])
 
 
 def length_series(spec: ModuleSpec, simple: CharTable) -> ExpSum:

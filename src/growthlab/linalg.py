@@ -6,13 +6,14 @@ immutable tuples of tuples and every operation is a pure function; values can
 be shared between threads or worker processes without synchronization.
 
 Two kernels solve linear systems.  `solve_unit_triangular` substitutes on
-ints against the unitriangular character tables, and `solve_lower_triangular`
-substitutes on `Fraction`s for the oracle.  Everything else (`inverse`,
-`kernel_and_rank`, `rank`) runs one Gauss–Jordan reduction on integer-scaled
-rows: every row operation stays on Python ints, and a `Fraction` is made
-only when each pivot row is divided by its pivot at the end.  All matrices
-in this project are small (at most a few hundred rows), so dense storage is
-fine.
+ints against the unitriangular character tables, skipping the zeros at the
+start (forward) or end (back) of each right-hand side, and
+`solve_lower_triangular` substitutes on `Fraction`s for the oracle.
+Everything else (`inverse`, `kernel_and_rank`, `rank`) runs one Gauss–Jordan
+reduction on integer-scaled rows: every row operation stays on Python ints,
+and a `Fraction` is made only when each pivot row is divided by its pivot at
+the end.  All matrices in this project are small (at most a few hundred
+rows), so dense storage is fine.
 
 Integral data never reaches this module as a `Mat`: character tables and
 fusion graphs keep their int rows themselves (`tables`, `fusion`) and build a
@@ -29,7 +30,7 @@ spectral check, the oracle's radical, verify's Riordan checks).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import Iterable, Sequence
@@ -175,6 +176,23 @@ def _as_int(x) -> int:
     raise InputError(f"non-integer right-hand side entry {x}")
 
 
+def _check_unit_triangular(t: Sequence[Sequence[int]], *, lower: bool) -> None:
+    """Raise the errors of `solve_unit_triangular` for a t it would refuse."""
+    n = len(t)
+    for i, row in enumerate(t):
+        if len(row) != n:
+            raise InputError(f"unit triangular solve with non-square {(n, len(row))}")
+        if not {int}.issuperset(map(type, row)):
+            raise InputError(f"row {i} has an entry that is not an int")
+        diagonal = row[i]
+        if diagonal != 1:
+            if diagonal == 0:
+                raise SingularMatrixError(f"zero diagonal entry at {i}")
+            raise InputError(f"diagonal entry {diagonal} at {i} is not 1")
+        if any(islice(row, i + 1, None) if lower else islice(row, i)):
+            raise InputError(f"matrix is not {'lower' if lower else 'upper'} triangular")
+
+
 def solve_unit_triangular(
     t: Sequence[Sequence[int]], rhs: Iterable[Sequence], *, lower: bool
 ) -> tuple[tuple[int, ...], ...]:
@@ -182,39 +200,33 @@ def solve_unit_triangular(
 
     t is given by its rows, of Python ints (the rows of a `CharTable`), and
     must be square with ones on the diagonal and zeros above it (lower=True:
-    forward substitution) or below it (back substitution).  t is checked
-    once per call, however many right-hand sides follow.  A zero diagonal
-    entry raises SingularMatrixError, any other defect of t (an entry that is
-    not an int included) or a non-integer right-hand side InputError, and a
-    right-hand side of the wrong length DimensionError.
+    forward substitution, from the first nonzero entry of b) or below it
+    (back substitution, from the last one); x is 0 on the entries skipped.
+    t is checked once per call, however many right-hand sides follow.  A zero
+    diagonal entry raises SingularMatrixError, any other defect of t (an
+    entry that is not an int included) or a non-integer right-hand side
+    InputError, and a right-hand side of the wrong length DimensionError.
     """
+    _check_unit_triangular(t, lower=lower)
     n = len(t)
-    for i, row in enumerate(t):
-        if len(row) != n:
-            raise InputError(f"unit triangular solve with non-square {(n, len(row))}")
-        if not {*map(type, row)} <= {int}:
-            raise InputError(f"row {i} has an entry that is not an int")
-        diagonal = row[i]
-        if diagonal == 0:
-            raise SingularMatrixError(f"zero diagonal entry at {i}")
-        if diagonal != 1:
-            raise InputError(f"diagonal entry {diagonal} at {i} is not 1")
-        if any(islice(row, i + 1, None) if lower else islice(row, i)):
-            raise InputError(f"matrix is not {'lower' if lower else 'upper'} triangular")
     solutions = []
     for b in rhs:
         if len(b) != n:
             raise DimensionError("right-hand side length mismatch")
+        b = list(map(_as_int, b))
         x: list[int] = []
         if lower:
-            # map stops at len(x) = i: only the entries left of the diagonal
-            for row, v in zip(t, b):
-                x.append(_as_int(v) - sum(map(mul, row, x)))
+            s = next(compress(range(n), b), n)  # the first nonzero entry
+            # map stops at len(x) = i - s: only the entries from s up to the diagonal
+            for row, v in zip(t[s:], b[s:]):
+                x.append(v - sum(map(mul, row[s:], x)))
+            x = [0] * s + x
         else:
-            # built from the bottom, so x[k] is the solution's entry n-1-k
-            for row, v in zip(reversed(t), reversed(b)):
-                x.append(_as_int(v) - sum(map(mul, reversed(row), x)))
-            x.reverse()
+            e = next(compress(range(n, 0, -1), reversed(b)), 0)  # past the last nonzero
+            # built from row e-1 up, so x[k] is the solution's entry e-1-k
+            for row, v in zip(reversed(t[:e]), reversed(b[:e])):
+                x.append(v - sum(map(mul, reversed(row[:e]), x)))
+            x = x[::-1] + [0] * (n - e)
         solutions.append(tuple(x))
     return tuple(solutions)
 

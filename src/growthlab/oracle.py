@@ -79,30 +79,32 @@ class HalfDiagram:
         return len(self.defects)
 
 
-def _half_states(points: tuple[int, ...], allow_defects: bool, family: Family):
-    """All planar states on a run of points, in generation order.
+def _half_states(points: tuple[int, ...], defects_left: int, family: Family):
+    """The planar states of a run of points with defects_left defects, in generation order.
 
     Yields (cups, defects); points not mentioned are isolated.  Inside a cup
     no defect may appear (it could not escape upward), which is exactly the
     planarity constraint for half diagrams on a line.
     """
+    if defects_left > len(points):
+        return
     if not points:
         yield ((), ())
         return
     p, rest = points[0], points[1:]
-    if allow_defects:
-        for cups, defects in _half_states(rest, allow_defects, family):
+    if defects_left:
+        for cups, defects in _half_states(rest, defects_left - 1, family):
             yield cups, (p,) + defects
     if family is not Family.TEMPERLEY_LIEB:
         # p isolated
-        yield from _half_states(rest, allow_defects, family)
+        yield from _half_states(rest, defects_left, family)
     if family is not Family.PLANAR_ROOK:
         for idx in range(len(rest)):
             if family is Family.TEMPERLEY_LIEB and idx % 2 == 1:
                 continue
             q = rest[idx]
-            for in_cups, _ in _half_states(rest[:idx], False, family):
-                for out_cups, out_defects in _half_states(rest[idx + 1:], allow_defects, family):
+            for in_cups, _ in _half_states(rest[:idx], 0, family):
+                for out_cups, out_defects in _half_states(rest[idx + 1:], defects_left, family):
                     yield ((p, q),) + in_cups + out_cups, out_defects
 
 
@@ -113,8 +115,7 @@ def half_diagrams(family: Family, m: int, i: int) -> tuple[HalfDiagram, ...]:
         raise InputError(f"defect count {i} not in {rank_labels(family, m)}")
     states = [
         HalfDiagram(family, m, tuple(sorted(cups)), defects)
-        for cups, defects in _half_states(tuple(range(1, m + 1)), True, family)
-        if len(defects) == i
+        for cups, defects in _half_states(tuple(range(1, m + 1)), i, family)
     ]
     states.sort(key=lambda h: (h.cups, h.defects))
     return tuple(states)

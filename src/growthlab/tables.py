@@ -50,7 +50,7 @@ from math import comb
 
 from .diagrams import Family, rank_labels
 from .errors import InputError, InternalCheckError
-from .linalg import Mat
+from .linalg import Mat, _check_unit_triangular
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +132,8 @@ class CharTable:
     """A labeled square table of integers, held as rows of Python ints.
 
     Rows are modules, columns are rank classes, both indexed by the ascending
-    labels; cell and simple tables are upper triangular with unit diagonal.
-    `mat` builds a `Mat` of `Fraction`s from the rows on every read.
+    labels; cell, simple and cell_inverse tables are unit upper triangular,
+    checked when built.  `mat` builds a `Mat` of `Fraction`s on every read.
     """
 
     family: Family
@@ -141,6 +141,10 @@ class CharTable:
     kind: str
     labels: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if self.kind in ("cell", "simple", "cell_inverse"):
+            _check_unit_triangular(self.rows, lower=False)
 
     @property
     def mat(self) -> Mat:

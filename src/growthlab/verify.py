@@ -193,12 +193,14 @@ def check_growth(max_m: int | None = None) -> list[CheckResult]:
             continue
         spec = module_spec(family, m, sel)
         table = simple_table(family, m)
+        mults = {target: multiplicity_series(spec, table, target) for target in table.labels}
+        length = length_series(spec, table)
         for n in range(1, 5):
             for target in table.labels:
                 out.append(
                     _result(
                         f"mult:{family.value}:{m}:{sel}:n{n}:V{target}",
-                        evaluate(multiplicity_series(spec, table, target), n),
+                        evaluate(mults[target], n),
                         oracle.oracle_multiplicity(spec, n, target),
                         "growth vs oracle",
                     )
@@ -206,7 +208,7 @@ def check_growth(max_m: int | None = None) -> list[CheckResult]:
             out.append(
                 _result(
                     f"length:{family.value}:{m}:{sel}:n{n}",
-                    evaluate(length_series(spec, table), n),
+                    evaluate(length, n),
                     oracle.oracle_length(spec, n),
                     "growth vs oracle",
                 )

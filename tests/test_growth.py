@@ -27,9 +27,10 @@ from growthlab.growth import (
     multiplicity_series,
     n0_upper_bound,
 )
-from growthlab.linalg import Mat
+from growthlab.linalg import Mat, solve_unit_triangular
 from growthlab.reference import INVOLUTION_COUNTS, MO5_S1_LENGTH_TERMS, TL7_V3_LENGTH_TERMS
 from growthlab.tables import decomposition_matrix, simple_table
+import series_reference
 
 TL7 = simple_table(Family.TEMPERLEY_LIEB, 7)
 MO5 = simple_table(Family.MOTZKIN, 5)
@@ -236,6 +237,57 @@ def test_multiplicities_are_nonnegative_integers():
             for n in range(0, 6):
                 value = evaluate(series, n)
                 assert value.denominator == 1 and value >= 0
+
+
+CLOSED_FORM_SIZES = (
+    [(Family.TEMPERLEY_LIEB, m) for m in range(16, 49)]
+    + [(family, m) for family in (Family.PLANAR_ROOK, Family.MOTZKIN) for m in range(16, 33)]
+)
+
+
+@pytest.mark.parametrize("family, m", CLOSED_FORM_SIZES)
+def test_block_series_match_the_full_table_route(family, m):
+    table = simple_table(family, m)
+    labels = table.labels
+    for selector in (f"V{labels[len(labels) // 3]}", f"S{labels[len(labels) // 2]}", f"P{labels[-2]}"):
+        spec = module_spec(family, m, selector)
+        for target in labels:
+            expected = series_reference.multiplicity_series(spec, table, target)
+            assert multiplicity_series(spec, table, target) == expected, (selector, target)
+        assert length_series(spec, table) == series_reference.series(spec, table, [1] * len(labels))
+
+
+def test_multiplicity_series_solves_the_leading_block(monkeypatch):
+    sizes = []
+
+    def recording(t, rhs, *, lower):
+        sizes.append(len(t))
+        return solve_unit_triangular(t, rhs, lower=lower)
+
+    monkeypatch.setattr(growth, "solve_unit_triangular", recording)
+    table = simple_table(Family.MOTZKIN, 32)
+    spec = module_spec(Family.MOTZKIN, 32, "V1")
+    for target in table.labels:
+        multiplicity_series(spec, table, target)
+    assert sizes == list(range(1, len(table.labels) + 1))
+
+
+@pytest.mark.parametrize("kind", ["cell", "projective", "cell_inverse"])
+def test_series_refuse_a_table_that_is_not_simple(kind):
+    # a block solve would not see a defect of the table past the target
+    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
+    table = tables.table_of_kind(Family.TEMPERLEY_LIEB, 7, kind)
+    for series in (lambda: multiplicity_series(spec, table, 1), lambda: length_series(spec, table)):
+        with pytest.raises(InputError, match=f"not the {kind} table"):
+            series()
+
+
+def test_a_non_integer_character_is_refused_past_the_block():
+    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
+    charvec = spec.charvec[:2] + (Fraction(1, 2), spec.dim)
+    half = ModuleSpec(spec.label, spec.family, spec.m, spec.dim, charvec)
+    with pytest.raises(InputError, match="not an integer"):
+        multiplicity_series(half, TL7, 1)  # target 1's block ends before the 1/2
 
 
 # ---------------------------------------------------------------------------

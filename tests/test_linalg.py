@@ -183,8 +183,32 @@ def unit_triangular_systems(draw):
     return rows, rhs
 
 
-@settings(max_examples=200, deadline=None)
-@given(unit_triangular_systems())
+@st.composite
+def sparse_unit_triangular_systems(draw):
+    """(unit upper-triangular integer matrix, right-hand sides with zero parts).
+
+    Each right-hand side has a zero head, a zero tail, a single 1 or no
+    nonzero entry at all.
+    """
+    rows, _ = draw(unit_triangular_systems())
+    n = len(rows)
+    rhs = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(("head", "tail", "unit", "zero")))
+        if shape == "unit":
+            k = draw(st.integers(0, n - 1))
+            rhs.append([int(i == k) for i in range(n)])
+        elif shape == "zero":
+            rhs.append([0] * n)
+        else:
+            zeros = [0] * draw(st.integers(1, n))
+            body = draw(st.lists(BIG, min_size=n - len(zeros), max_size=n - len(zeros)))
+            rhs.append(zeros + body if shape == "head" else body + zeros)
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(unit_triangular_systems(), sparse_unit_triangular_systems()))
 def test_unit_triangular_solve_matches_fraction_solves(system):
     rows, rhs = system
     u = Mat(rows)
@@ -194,6 +218,21 @@ def test_unit_triangular_solve_matches_fraction_solves(system):
     assert upper == tuple(solve_upper_triangular(u, b) for b in rhs)
     assert lower == tuple(solve_lower_triangular(lt, b) for b in rhs)
     assert all(type(v) is int for sol in upper + lower for v in sol)
+
+
+def test_unit_triangular_solve_checks_every_right_hand_side_entry():
+    rows = [(1, 2, 3), (0, 1, 4), (0, 0, 1)]
+    columns = list(zip(*rows))
+    # Fraction(0) in the skipped part is a zero like any other
+    assert solve_unit_triangular(rows, [(5, 0, Fraction(0))], lower=False) == ((5, 0, 0),)
+    assert solve_unit_triangular(columns, [(Fraction(0), 0, 5)], lower=True) == ((0, 0, 5),)
+    for k in range(3):
+        for fill in (0, 1):
+            b = [fill] * 3
+            b[k] = Fraction(1, 3)
+            for t, lower in ((rows, False), (columns, True)):
+                with pytest.raises(InputError, match="non-integer right-hand side"):
+                    solve_unit_triangular(t, [b], lower=lower)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 import cell_formulas
 from growthlab import growth, tables
 from growthlab.diagrams import Family, rank_labels
-from growthlab.errors import InputError, InternalCheckError
+from growthlab.errors import InputError, InternalCheckError, SingularMatrixError
 from growthlab.fusion import fusion_matrix, power_multiplicities
 from growthlab.linalg import Mat, inverse, mat_mul
 from growthlab.oracle import gram_matrix
@@ -124,6 +124,32 @@ def test_cell_tables_unitriangular(family):
                 assert t.mat.rows[i][i] == 1
                 assert all(t.mat.rows[i][j] == 0 for j in range(i))
                 assert all(x.denominator == 1 for x in t.mat.rows[i])
+
+
+def _with_entry(rows, i, j, value):
+    rows = [list(row) for row in rows]
+    rows[i][j] = value
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize(
+    "i, j, value, error",
+    [
+        (3, 1, 1, InputError),  # below the diagonal, outside target 0's block
+        (2, 2, 0, SingularMatrixError),  # zero diagonal
+        (2, 2, 2, InputError),  # diagonal 2
+        (1, 3, Fraction(1, 2), InputError),  # an entry that is not an int
+    ],
+)
+def test_a_malformed_triangular_table_fails_when_built(i, j, value, error):
+    simple = simple_table(Family.MOTZKIN, 5)
+    rows = _with_entry(simple.rows, i, j, value)
+    for kind in ("cell", "simple", "cell_inverse"):
+        with pytest.raises(error):
+            tables.CharTable(simple.family, simple.m, kind, simple.labels, rows)
+    # tables not promised triangular take the same rows
+    tables.CharTable(simple.family, simple.m, "projective", simple.labels, rows)
+    tables.DecompositionMatrix(simple.family, simple.m, simple.labels, rows)
 
 
 def test_cell_inverse_closed_forms():

@@ -28,8 +28,8 @@ from typing import Sequence
 
 from .errors import InputError, InternalCheckError, VerificationError
 from .graph import distances, scc
-from .growth import ModuleSpec
-from .linalg import Mat, int_mul, solve_unit_triangular
+from .growth import ModuleSpec, _check_compatible
+from .linalg import Mat, _substitute, int_mul
 from .tables import CharTable, label_index, simple_table
 
 
@@ -66,18 +66,13 @@ def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
 
     Column j solves the unit-triangular integer system X^T col = chi * X_j,
     where X_j is row j of the simple table and the product is pointwise; all
-    n columns go through one solve.  X has ones on its diagonal, so every
-    value of chi is one of these products: a non-integer value raises
-    InputError.
+    n columns go through one unchecked substitution on the checked simple
+    table (`_check_compatible`).  A non-integer chi raises InputError.
     """
-    if spec.family is not simple.family or spec.m != simple.m:
-        raise InputError("module and table belong to different monoids")
-    if any(c.denominator != 1 for c in spec.charvec):
-        raise InputError(f"{spec.label} has a non-integer character value")
-    chi = [int(c) for c in spec.charvec]
+    _check_compatible(spec, simple)
     rows = simple.rows
-    pointwise = [[c * x for c, x in zip(chi, row)] for row in rows]
-    cols = solve_unit_triangular(tuple(zip(*rows)), pointwise, lower=True)
+    pointwise = [[c * x for c, x in zip(spec.bases, row)] for row in rows]
+    cols = _substitute(tuple(zip(*rows)), pointwise, lower=True)
     lowest = min(map(min, cols))
     if lowest < 0:
         raise InternalCheckError(f"tensor multiplicity {lowest} is negative")
@@ -182,12 +177,10 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
     non-integer character value raises InputError; any mismatch raises
     VerificationError.
     """
-    if any(c.denominator != 1 for c in spec.charvec):
-        raise InputError(f"{spec.label} has a non-integer character value")
+    chi = spec.bases
     a = g.rows
     n = len(a)
     ident = [[int(r == c) for c in range(n)] for r in range(n)]
-    chi = [int(c) for c in spec.charvec]
     distinct = list(dict.fromkeys(chi))
     shifted = {
         mu: [[x - mu * (r == c) for c, x in enumerate(row)] for r, row in enumerate(a)]

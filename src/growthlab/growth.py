@@ -9,12 +9,14 @@ For a module V with character chi over the rank classes, the multiplicities
 of the simples in V^(x)n solve X^T y = (chi(j)^n)_j, X the simple character
 table; so a weighted sum sum_t w_t y_t is c . (chi(j)^n)_j with X c = w, and
 l(n) (all weights 1) has the coefficients c solving X c = (1, ..., 1).  X is
-unit upper-triangular with integer entries, so c is one integer
-back-substitution; for V_t's multiplicity (w = e_t) c vanishes past t, so
-only X's leading block up to t is solved.  Bases with value 0 are kept: under
-the convention 0^0 = 1 they make every length formula return 1 at n = 0 (the
-trivial module), while for n >= 1 they vanish — printed formulas usually
-show only the n >= 1 part, and the human rendering follows suit.
+unit upper-triangular with integer entries, checked when its `CharTable` is
+built, so c is one unchecked integer back-substitution; for V_t's multiplicity
+(w = e_t) c vanishes past t, so only X's leading block up to t is solved.  A
+module's character is one row built from the cell rows (`module_spec`).
+Bases with value 0 are kept: under the convention 0^0 = 1 they make every
+length formula return 1 at n = 0 (the trivial module), while for n >= 1 they
+vanish — printed formulas usually show only the n >= 1 part, and the human
+rendering follows suit.
 
 Only rational character data is supported; irrational values are rejected at
 input validation.  All values are immutable and all functions pure.
@@ -31,9 +33,9 @@ from typing import Iterator
 
 from .diagrams import Family, PLANAR_FAMILIES
 from .errors import InputError, InternalCheckError
-from .linalg import Mat, inverse, mat_mul, solve_unit_triangular
+from .linalg import Mat, _substitute, inverse, mat_mul
 from .tables import (
-    CharTable, _is_prime, _labels, cell_table, label_index, projective_table, simple_table
+    CharTable, _cell_rows, _is_prime, _labels, _module_row, label_index
 )
 
 
@@ -170,10 +172,10 @@ def parse_selector(family: Family, m: int, selector: str) -> tuple[str, int]:
 
 
 def module_spec(family: Family, m: int, selector: str) -> ModuleSpec:
-    """Resolve a selector like "V3" (simple), "S1" (cell) or "P2" (projective)."""
-    kind, label = parse_selector(family, m, selector)  # before any table is built
-    table = {"V": simple_table, "S": cell_table, "P": projective_table}[kind](family, m)
-    return ModuleSpec.from_table(table, label, kind)
+    """Resolve "V3" (simple), "S1" (cell) or "P2" (projective) to its one row, with no table."""
+    kind, label = parse_selector(family, m, selector)
+    row = _module_row(_cell_rows(family, m), kind, label, family, m)
+    return ModuleSpec(f"{kind}{label}", family, m, row[-1], tuple(map(Fraction, row)))
 
 
 def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
@@ -182,25 +184,26 @@ def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
     if len(spec.charvec) != len(simple.labels):
         raise InputError("character vector length mismatch")
     if simple.kind != "simple":
-        raise InputError(f"growth series need the simple table, not the {simple.kind} table")
+        raise InputError(f"series and fusion graphs need the simple table, not the {simple.kind} table")
 
 
 def _series(spec: ModuleSpec, simple: CharTable, weights) -> ExpSum:
     """sum_t weights[t] * [V^(x)n : V_t] as an exponential sum in n.
 
     The multiplicities y solve X^T y = chi^n, so the weighted sum w . y has
-    the coefficients c solving X c = w, where w may stop at its last nonzero
-    entry: c is 0 past it, and comes from X's leading len(w) x len(w) block.
+    the coefficients c solving X c = w (w: an int per label).  c is 0 past w's
+    last nonzero entry, where back substitution starts, so only X's leading
+    block up to it is read; `_check_compatible` makes X a checked table.
     """
     _check_compatible(spec, simple)
-    k = len(weights)
-    (coeffs,) = solve_unit_triangular([row[:k] for row in simple.rows[:k]], [weights], lower=False)
+    (coeffs,) = _substitute(simple.rows, [weights], lower=False)
     return ExpSum.make(zip(coeffs, spec.bases))
 
 
 def multiplicity_series(spec: ModuleSpec, simple: CharTable, target: int) -> ExpSum:
     """[V^(x)n : V_target] as an exponential sum in n, from target's leading block."""
-    return _series(spec, simple, [0] * simple.index(target) + [1])
+    i = simple.index(target)
+    return _series(spec, simple, [0] * i + [1] + [0] * (len(simple.labels) - i - 1))
 
 
 def length_series(spec: ModuleSpec, simple: CharTable) -> ExpSum:

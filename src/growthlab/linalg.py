@@ -8,7 +8,9 @@ be shared between threads or worker processes without synchronization.
 Two kernels solve linear systems.  `solve_unit_triangular` substitutes on
 ints against the unitriangular character tables, skipping the zeros at the
 start (forward) or end (back) of each right-hand side, and
-`solve_lower_triangular` substitutes on `Fraction`s for the oracle.
+`solve_lower_triangular` substitutes on `Fraction`s for the oracle.  The
+check stays at that boundary: the substitution behind it, `_substitute`,
+checks nothing and is called directly only on a table `CharTable` checked.
 Everything else (`inverse`, `kernel_and_rank`, `rank`) runs one Gauss–Jordan
 reduction on integer-scaled rows: every row operation stays on Python ints,
 and a `Fraction` is made only when each pivot row is divided by its pivot at
@@ -209,11 +211,21 @@ def solve_unit_triangular(
     """
     _check_unit_triangular(t, lower=lower)
     n = len(t)
-    solutions = []
+    ints = []
     for b in rhs:
         if len(b) != n:
             raise DimensionError("right-hand side length mismatch")
-        b = list(map(_as_int, b))
+        ints.append(list(map(_as_int, b)))
+    return _substitute(t, ints, lower=lower)
+
+
+def _substitute(t: Sequence[Sequence[int]], rhs: Iterable[list[int]], *, lower: bool):
+    """`solve_unit_triangular` unchecked: t is a checked unit triangular table
+    (a `CharTable`'s rows) and each b in rhs a list of len(t) ints.
+    """
+    n = len(t)
+    solutions = []
+    for b in rhs:
         x: list[int] = []
         if lower:
             s = next(compress(range(n), b), n)  # the first nonzero entry

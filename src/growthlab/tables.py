@@ -133,7 +133,8 @@ class CharTable:
 
     Rows are modules, columns are rank classes, both indexed by the ascending
     labels; cell, simple and cell_inverse tables are unit upper triangular,
-    checked when built.  `mat` builds a `Mat` of `Fraction`s on every read.
+    checked when built and only then (growth series and `fusion_matrix` trust
+    a simple table's rows).  `mat` builds a `Mat` of `Fraction`s on every read.
     """
 
     family: Family
@@ -280,11 +281,22 @@ def projective_table(family: Family, m: int) -> CharTable:
     row itself (critical labels, leftmost labels, and all of planar rook).
     """
     cell = _cell_rows(family, m)
-    rows = []
-    for i, row in cell.items():
-        minus = reflections(i, family, m).minus  # None for critical labels
-        rows.append(row if minus is None else tuple([a + b for a, b in zip(row, cell[minus])]))
-    return CharTable(family, m, "projective", tuple(cell), tuple(rows))
+    rows = tuple(_module_row(cell, "P", i, family, m) for i in cell)
+    return CharTable(family, m, "projective", tuple(cell), rows)
+
+
+def _module_row(cell: dict[int, tuple[int, ...]], kind: str, i: int, family: Family, m: int):
+    """Row i of the simple ("V"), cell ("S") or projective ("P") table, from
+    the cell rows alone: V_i is the alternating sum along the i^+ chain, as
+    `simple_table` unrolls it, and P_i adds the cell row of i^-.
+    """
+    if kind == "P" and (minus := reflections(i, family, m).minus) is not None:
+        return tuple([a + b for a, b in zip(cell[i], cell[minus])])
+    row, sign = cell[i], 1
+    while kind == "V" and (i := reflections(i, family, m).plus) is not None:
+        sign = -sign
+        row = tuple([a + sign * b for a, b in zip(row, cell[i])])
+    return row
 
 
 def table_of_kind(family: Family, m: int, kind: str) -> CharTable:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import growthlab
-from growthlab import cli, fusion, growth, tables, verify
+from growthlab import cli, growth, tables, verify
 from growthlab.cli import main
 from growthlab.diagrams import Family
 from growthlab.errors import InputError
@@ -523,9 +523,7 @@ def _no_table(*args):
 def test_bad_target_is_refused_before_any_table(capsys, monkeypatch, target):
     for module, name in (
         (cli, "simple_table"),
-        (growth, "simple_table"),
-        (growth, "cell_table"),
-        (growth, "projective_table"),
+        (growth, "_cell_rows"),
         (tables, "_cell_rows"),
     ):
         monkeypatch.setattr(module, name, _no_table)
@@ -549,14 +547,13 @@ def test_bad_target_is_refused_before_any_table(capsys, monkeypatch, target):
 )
 def test_v_module_commands_build_the_simple_table_once(capsys, monkeypatch, argv):
     calls = []
-    original = tables.simple_table
+    original = tables.CharTable.__post_init__
 
-    def counting(family, m):
-        calls.append((family, m))
-        return original(family, m)
+    def counting(table):
+        calls.append((table.family, table.m, table.kind))
+        original(table)
 
-    for module in (cli, growth, fusion):
-        monkeypatch.setattr(module, "simple_table", counting)
+    monkeypatch.setattr(tables.CharTable, "__post_init__", counting)
     code, out, err = run(capsys, *argv, "--family", "tl", "--m", "7")
     assert (code, err) == (0, "") and out
-    assert calls == [(Family.TEMPERLEY_LIEB, 7)]
+    assert calls == [(Family.TEMPERLEY_LIEB, 7, "simple")]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growthlab import linalg, tables
 from growthlab.diagrams import Family
 from growthlab.errors import InputError, VerificationError
 from growthlab.fusion import (
@@ -323,6 +324,52 @@ def test_fusion_matrix_validation():
     spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
     with pytest.raises(InputError):
         fusion_matrix(spec, MO5)
+
+
+@pytest.mark.parametrize("kind", ["cell", "projective", "cell_inverse"])
+def test_fusion_matrix_refuses_a_table_that_is_not_simple(kind):
+    # the substitution trusts the table: only a simple table was checked
+    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
+    with pytest.raises(InputError, match=f"not the {kind} table"):
+        fusion_matrix(spec, tables.table_of_kind(Family.TEMPERLEY_LIEB, 7, kind))
+
+
+def test_a_non_integer_character_fails_series_fusion_and_spectral_check_alike():
+    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
+    g = fusion_matrix(spec, TL7)
+    half = replace(spec, charvec=(Fraction(1, 2),) + spec.charvec[1:])
+    message = "character value 1/2 is not an integer; cannot form a growth base"
+    for call in (
+        lambda: length_series(half, TL7),
+        lambda: fusion_matrix(half, TL7),
+        lambda: spectral_check(g, half),
+    ):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_no_check_runs_on_a_built_simple_table(monkeypatch):
+    table = simple_table(Family.MOTZKIN, 32)
+    checks = []
+
+    def counting(t, *, lower):
+        checks.append(len(t))
+        return original(t, lower=lower)
+
+    original = linalg._check_unit_triangular
+    for module in (linalg, tables):
+        monkeypatch.setattr(module, "_check_unit_triangular", counting)
+    specs = [module_spec(Family.MOTZKIN, 32, selector) for selector in ("V1", "S1", "P1")]
+    for spec in specs:
+        length_series(spec, table)
+        for target in table.labels:
+            multiplicity_series(spec, table, target)
+        fusion_matrix(spec, table)
+    assert checks == []
+    # the counter sees the checks that do run
+    simple_table(Family.MOTZKIN, 5)
+    assert checks == [len(MO5.labels)]
 
 
 def test_fusion_matrix_rejects_a_non_integer_character():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import growth, tables
+from growthlab import growth, linalg, tables
 from growthlab.diagrams import Family
 from growthlab.errors import InputError
 from growthlab.growth import (
@@ -27,7 +27,7 @@ from growthlab.growth import (
     multiplicity_series,
     n0_upper_bound,
 )
-from growthlab.linalg import Mat, solve_unit_triangular
+from growthlab.linalg import Mat
 from growthlab.reference import INVOLUTION_COUNTS, MO5_S1_LENGTH_TERMS, TL7_V3_LENGTH_TERMS
 from growthlab.tables import decomposition_matrix, simple_table
 import series_reference
@@ -136,9 +136,7 @@ def _no_table(*args):
 @pytest.mark.parametrize("selector", ["V1", "S1", "P2001", "V4000"])
 def test_module_spec_checks_the_label_before_any_table(monkeypatch, selector):
     for module, name in (
-        (growth, "simple_table"),
-        (growth, "cell_table"),
-        (growth, "projective_table"),
+        (growth, "_cell_rows"),
         (tables, "_cell_rows"),
     ):
         monkeypatch.setattr(module, name, _no_table)
@@ -153,6 +151,29 @@ def test_module_spec_checks_the_label_before_any_table(monkeypatch, selector):
         module_spec(Family.ROOK, 2000, selector)
     with pytest.raises(InputError, match="need m >= 1"):
         module_spec(Family.TEMPERLEY_LIEB, 0, selector)
+
+
+MODULE_ROW_SIZES = (
+    [(Family.TEMPERLEY_LIEB, m, 1) for m in range(1, 49)]
+    + [(family, m, 1) for family in (Family.PLANAR_ROOK, Family.MOTZKIN) for m in range(1, 33)]
+    + [(Family.TEMPERLEY_LIEB, 300, 37), (Family.TEMPERLEY_LIEB, 301, 37)]
+    + [(Family.PLANAR_ROOK, 300, 37), (Family.MOTZKIN, 300, 37)]
+)
+
+
+@pytest.mark.parametrize("family, m, step", MODULE_ROW_SIZES)
+def test_module_spec_reads_the_row_of_its_table(monkeypatch, family, m, step):
+    referees = {
+        kind: tables.table_of_kind(family, m, name)
+        for kind, name in (("V", "simple"), ("S", "cell"), ("P", "projective"))
+    }
+    built = []
+    monkeypatch.setattr(tables.CharTable, "__post_init__", lambda table: built.append(table))
+    for label in referees["V"].labels[::step]:
+        for kind, table in referees.items():
+            spec = module_spec(family, m, f"{kind}{label}")
+            assert spec == ModuleSpec.from_table(table, label, kind), (kind, label)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +281,18 @@ def test_block_series_match_the_full_table_route(family, m):
 def test_multiplicity_series_solves_the_leading_block(monkeypatch):
     sizes = []
 
-    def recording(t, rhs, *, lower):
-        sizes.append(len(t))
-        return solve_unit_triangular(t, rhs, lower=lower)
+    class Rows(tuple):
+        # the substitution reads the rows it substitutes over as one slice
+        def __getitem__(self, key):
+            rows = super().__getitem__(key)
+            if isinstance(key, slice):
+                sizes.append(len(rows))
+            return rows
 
-    monkeypatch.setattr(growth, "solve_unit_triangular", recording)
+    def recording(t, rhs, *, lower):
+        return linalg._substitute(Rows(t), rhs, lower=lower)
+
+    monkeypatch.setattr(growth, "_substitute", recording)
     table = simple_table(Family.MOTZKIN, 32)
     spec = module_spec(Family.MOTZKIN, 32, "V1")
     for target in table.labels:

@@ -42,3 +42,22 @@ def test_every_private_function_is_used_elsewhere():
                     named.add(name)
     assert defined
     assert sorted(f"{path}:{name}" for name, path in defined.items() if name not in named) == []
+
+
+def test_every_unchecked_substitution_follows_a_table_check():
+    # `linalg._substitute` trusts its table, so a caller other than the
+    # checked public solve must first make it a simple table, checked when built
+    callers = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                called = {
+                    getattr(call.func, "id", getattr(call.func, "attr", None))
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                }
+                if "_substitute" in called and node.name != "solve_unit_triangular":
+                    callers[f"{path.name}:{node.name}"] = "_check_compatible" in called
+    assert {"fusion.py:fusion_matrix", "growth.py:_series"} <= set(callers)
+    assert sorted(name for name, checked in callers.items() if not checked) == []

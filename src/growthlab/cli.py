@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -26,22 +27,20 @@ from .fusion import fusion_matrix, realized_n0, scc_analysis, to_dot, to_json as
 from .growth import (
     ExpSum,
     ModuleSpec,
+    _growth_series,
     an_constant,
     evaluate,
     involution_counts,
     involution_sum,
     leading_term,
-    length_series,
     linear_monoid_constant,
     m0_upper_bound,
     module_spec,
-    multiplicity_series,
     n0_upper_bound,
     parse_selector,
 )
 from .tables import (
     INFINITY,
-    CharTable,
     PLParams,
     ancestorless,
     label_index,
@@ -264,32 +263,21 @@ def _cmd_chartable(args, out) -> int:
     return 0
 
 
-def _module_on(simple: CharTable, kind: str, label: int, selector: str) -> ModuleSpec:
-    """The module of a checked selector; a V module reads the given simple table."""
-    if kind == "V":
-        return ModuleSpec.from_table(simple, label, kind)
-    return module_spec(simple.family, simple.m, selector)
-
-
 def _cmd_growth(args, out) -> int:
     family = _family(args.family)
     span = _parse_range(args.n)
-    # every label is checked before the one simple table is built
-    kind, label = parse_selector(family, args.m, args.module)
+    parse_selector(family, args.m, args.module)  # labels are checked before any work
+    target = None
     if args.statistic == "multiplicity":
         if args.target is None:
             raise InputError("multiplicity needs --target")
-        try:
-            target = int(args.target.lstrip("Vv"))
-        except ValueError as exc:
-            raise InputError(f"bad target {args.target!r} (want V<i>)") from exc
+        match = re.fullmatch(r"[Vv]?(-?\d+)", args.target.strip())  # one optional V
+        if not match:
+            raise InputError(f"bad target {args.target!r} (want V<i>)")
+        target = int(match.group(1))
         label_index(rank_labels(family, args.m), target, family, args.m)
-    table = simple_table(family, args.m)
-    spec = _module_on(table, kind, label, args.module)
-    if args.statistic == "multiplicity":
-        series = multiplicity_series(spec, table, target)
-    else:
-        series = length_series(spec, table)
+    spec = module_spec(family, args.m, args.module)
+    series = _growth_series(spec, target)
     # a module that never contains the target has the empty (zero) series,
     # whose asymptotic part is zero as well
     asym = leading_term(series) if series.terms else series
@@ -337,7 +325,10 @@ def _cmd_fusion(args, out) -> int:
     family = _family(args.family)
     kind, label = parse_selector(family, args.m, args.module)  # before any table
     table = simple_table(family, args.m)
-    spec = _module_on(table, kind, label, args.module)
+    if kind == "V":  # the row is in the table at hand
+        spec = ModuleSpec.from_table(table, label, kind)
+    else:
+        spec = module_spec(family, args.m, args.module)
     graph = fusion_matrix(spec, table)
     report = scc_analysis(graph)
     n0 = realized_n0(graph, set(report.absorbing)) if report.absorbing else None

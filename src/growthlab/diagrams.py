@@ -520,7 +520,11 @@ def green_data(family: Family, m: int) -> GreenData:
     1,280 and 1,825 compositions at TL 6, PRO 5 and MO 4, against 2|M||A| =
     1,320, 4,032 and 5,814 for composing both graphs edge by edge.
     """
-    _, right, left = _cayley_graphs(family, m)
+    return _green_counts(*_cayley_graphs(family, m)[1:])
+
+
+def _green_counts(right: list[list[int]], left: list[list[int]]) -> GreenData:
+    """Green's class counts from the Cayley graphs of green_data (node 0 is 1)."""
     r_of, l_of = scc(right), scc(left)
     j_of = scc([r + l for r, l in zip(right, left)])
     units = r_of.count(r_of[0])

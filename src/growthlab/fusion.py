@@ -30,7 +30,7 @@ from .errors import InputError, InternalCheckError, VerificationError
 from .graph import distances, scc
 from .growth import ModuleSpec, _check_compatible
 from .linalg import Mat, _substitute, int_mul
-from .tables import CharTable, label_index, simple_table
+from .tables import CharTable, label_index
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def _int_combination(coeffs: Sequence[int], mats: Sequence[_IntRows]) -> list[li
     return [[sum(map(mul, coeffs, entry)) for entry in zip(*rows)] for rows in zip(*mats)]
 
 
-def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
+def spectral_check(g: FusionGraph, spec: ModuleSpec, simple: CharTable, max_n: int = 6) -> dict:
     """Verify the projection decomposition of A exactly, on Python ints.
 
     Classes are grouped by equal character value.  The Lagrange projection
@@ -173,10 +173,11 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
     projections sum to the identity), N^2 = d N (they are idempotent) and
     sum (D/d) lam^p N = D A^p for p <= max_n (they reconstruct A^p).  These
     see only the spectrum of the lower triangular A, so the product
-    X^T A = diag(chi) X^T, with X the simple table, pins its entries.  A
-    non-integer character value raises InputError; any mismatch raises
-    VerificationError.
+    X^T A = diag(chi) X^T, with X the caller's simple table, pins its
+    entries.  A table of another monoid or kind, or a non-integer character
+    value, raises InputError; any mismatch raises VerificationError.
     """
+    _check_compatible(spec, simple)
     chi = spec.bases
     a = g.rows
     n = len(a)
@@ -195,7 +196,7 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, max_n: int = 6) -> dict:
     weights = [big_d // d for d in denominators]
     checks = []
 
-    xt = list(zip(*simple_table(spec.family, spec.m).rows))
+    xt = list(zip(*simple.rows))
     scaled = [[c * v for v in col] for c, col in zip(chi, xt)]
     checks.append(("simple_table_diagonalizes", int_mul(xt, a) == scaled))
 

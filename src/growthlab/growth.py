@@ -7,12 +7,12 @@ simple in it, the dominating part k(n), and the summand asymptotics a(n).
 
 For a module V with character chi over the rank classes, the multiplicities
 of the simples in V^(x)n solve X^T y = (chi(j)^n)_j, X the simple character
-table; so a weighted sum sum_t w_t y_t is c . (chi(j)^n)_j with X c = w, and
-l(n) (all weights 1) has the coefficients c solving X c = (1, ..., 1).  X is
-unit upper-triangular with integer entries, checked when its `CharTable` is
-built, so c is one unchecked integer back-substitution; for V_t's multiplicity
-(w = e_t) c vanishes past t, so only X's leading block up to t is solved.  A
-module's character is one row built from the cell rows (`module_spec`).
+table; so a weighted sum sum_t w_t y_t is c . (chi(j)^n)_j with c = X^-1 w,
+and l(n) (all weights 1) has c = X^-1 (1, ..., 1).  X^-1 = C^-1 (I + P), C
+the cell table and P the map i -> i^+, so c sums one or two columns of C^-1
+(V_t's multiplicity) or all of them (l(n)), each from a Riordan recurrence
+on ints; the module's character is a few cell rows summed in one lattice
+pass (`module_spec`).  No table is built, and O(m) ints are held at a time.
 Bases with value 0 are kept: under the convention 0^0 = 1 they make every
 length formula return 1 at n = 0 (the trivial module), while for n >= 1 they
 vanish — printed formulas usually show only the n >= 1 part, and the human
@@ -28,15 +28,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
+from operator import add, mul
 from typing import Iterator
 
 from .diagrams import Family, PLANAR_FAMILIES
 from .errors import InputError, InternalCheckError
-from .linalg import Mat, _substitute, inverse, mat_mul
-from .tables import (
-    CharTable, _cell_rows, _is_prime, _labels, _module_row, label_index
-)
+from .linalg import Mat, inverse, mat_mul
+from .tables import (CharTable, _cell_columns, _inverse_column, _is_prime, _labels, _module_terms,
+                     label_index, reflections)
 
 
 def _as_int_base(x: Fraction) -> int:
@@ -70,10 +70,11 @@ class ExpSum:
         return ExpSum(tuple(terms))
 
     def evaluate(self, n: int) -> Fraction:
-        """Value at n >= 0, with 0^0 = 1."""
+        """Value at n >= 0, with 0^0 = 1, summed on ints over the lcm of the denominators."""
         if n < 0:
             raise InputError("exponential sums are evaluated at n >= 0")
-        return sum((c * base**n for c, base in self.terms), Fraction(0))
+        d = lcm(*(c.denominator for c, _ in self.terms))
+        return Fraction(sum(c.numerator * (d // c.denominator) * b**n for c, b in self.terms), d)
 
     def leading_term(self) -> "ExpSum":
         """The sub-sum of terms with maximal |base| — the asymptotic part."""
@@ -127,7 +128,7 @@ _SELECTOR = re.compile(r"^([VvSsPp])(\d+)$")
 
 @dataclass(frozen=True)
 class ModuleSpec:
-    """A virtual module: label, dimension, and character over the rank classes."""
+    """A virtual module: label, dimension, and character (as ints, `bases`) on the rank classes."""
 
     label: str
     family: Family
@@ -172,9 +173,10 @@ def parse_selector(family: Family, m: int, selector: str) -> tuple[str, int]:
 
 
 def module_spec(family: Family, m: int, selector: str) -> ModuleSpec:
-    """Resolve "V3" (simple), "S1" (cell) or "P2" (projective) to its one row, with no table."""
+    """Resolve "V3" (simple), "S1" (cell) or "P2" (projective) to its row, in one lattice pass."""
     kind, label = parse_selector(family, m, selector)
-    row = _module_row(_cell_rows(family, m), kind, label, family, m)
+    rows, signs = zip(*_module_terms(kind, label, family, m))
+    row = tuple([sum(map(mul, signs, col)) for col in _cell_columns(family, m, rows)])
     return ModuleSpec(f"{kind}{label}", family, m, row[-1], tuple(map(Fraction, row)))
 
 
@@ -187,28 +189,36 @@ def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
         raise InputError(f"series and fusion graphs need the simple table, not the {simple.kind} table")
 
 
-def _series(spec: ModuleSpec, simple: CharTable, weights) -> ExpSum:
-    """sum_t weights[t] * [V^(x)n : V_t] as an exponential sum in n.
+def _growth_series(spec: ModuleSpec, target: int | None = None) -> ExpSum:
+    """[V^(x)n : V_target], or l(n) with no target, as an exponential sum in n.
 
-    The multiplicities y solve X^T y = chi^n, so the weighted sum w . y has
-    the coefficients c solving X c = w (w: an int per label).  c is 0 past w's
-    last nonzero entry, where back substitution starts, so only X's leading
-    block up to it is read; `_check_compatible` makes X a checked table.
+    (I + P) X = C with P[i][i^+] = 1 (`simple_table`), so c = C^-1 (I + P) w sums
+    columns of C^-1: t and t^- (whose i^+ is t) for V_t, each j weighed 1 + [j^+] for l(n).
     """
-    _check_compatible(spec, simple)
-    (coeffs,) = _substitute(simple.rows, [weights], lower=False)
-    return ExpSum.make(zip(coeffs, spec.bases))
+    family, m = spec.family, spec.m
+    labels = _labels(family, m)
+    if target is None:
+        weights = [(j, 1 + (reflections(j, family, m).plus is not None)) for j in labels]
+    else:
+        weights = [(t, 1) for t in (target, reflections(target, family, m).minus) if t is not None]
+    coeffs = [0] * (m + 1)
+    for t, w in weights:
+        column = _inverse_column(family, t)
+        for _ in range(w):  # w is 1 or 2: adding beats multiplying big ints
+            coeffs[: t + 1] = map(add, coeffs, column)
+    return ExpSum.make(zip([coeffs[i] for i in labels], spec.bases))
 
 
 def multiplicity_series(spec: ModuleSpec, simple: CharTable, target: int) -> ExpSum:
-    """[V^(x)n : V_target] as an exponential sum in n, from target's leading block."""
-    i = simple.index(target)
-    return _series(spec, simple, [0] * i + [1] + [0] * (len(simple.labels) - i - 1))
+    """[V^(x)n : V_target] as an exponential sum in n (`simple` is checked, not read)."""
+    _check_compatible(spec, simple)
+    return _growth_series(spec, target)
 
 
 def length_series(spec: ModuleSpec, simple: CharTable) -> ExpSum:
     """l(n) = total number of composition factors of V^(x)n."""
-    return _series(spec, simple, [1] * len(simple.labels))
+    _check_compatible(spec, simple)
+    return _growth_series(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,17 @@ isolated point stays level.  So the step set names the family:
 * Motzkin: steps {-1, 0, +1}, beta(j, i), whose rows are convolutions of the
   Motzkin numbers.
 
-One recurrence over the steps fills all three with O(m^2) integer additions.
-Each triangle is a Riordan array whose inverse has a closed form, evaluated
-by `cell_inverse`; those closed forms referee the recurrence (verify's
-riordan checks).  The truncation to Lambda_m of the inverse is the inverse
-of the truncated table (both are supported on index pairs i <= j).
+One recurrence over the steps fills all three with O(m^2) integer additions,
+in one pass holding one row of path counts (`_cell_columns`).  Each triangle
+is a Riordan array; a column of its inverse runs down from the diagonal 1
+with one exact division per entry (`_inverse_column`), and C (lattice) and
+C^-1 (recurrence) referee each other (verify's riordan checks).  Truncating
+the inverse to Lambda_m inverts the truncated table (both are supported on
+index pairs i <= j).
 
-Tables are held as the rows of Python ints that the recurrence and the
-closed forms produce (`CharTable.rows`); growth series, fusion graphs and the
-CLI read those, and `CharTable.mat` builds a `Mat` only when it is read.
+Tables are held as the rows of Python ints that the recurrences produce
+(`CharTable.rows`); fusion graphs and the chartable command read those, and
+`CharTable.mat` builds a `Mat` only when it is read.
 
 Simple and projective rows come from the two short exact sequences
 0 -> V_{i+} -> S_i -> V_i -> 0 and 0 -> S_{i-} -> P_i -> S_i -> 0, where i^-
@@ -54,63 +56,6 @@ from .linalg import Mat, _check_unit_triangular
 
 
 # ---------------------------------------------------------------------------
-# closed-form inverses of the cell tables
-
-def pascal_inverse_entry(i: int, j: int) -> int:
-    """(i, j) entry of the inverse of the upper Pascal triangle C(j, i)."""
-    if j < i:
-        return 0
-    return (-1) ** (j - i) * comb(j, i)
-
-
-def tl_inverse_entry(i: int, j: int) -> int:
-    """[x^((j-i)/2)] (1+x)^-(i+1), the inverse Catalan Riordan array."""
-    if j < i or (j - i) % 2:
-        return 0
-    return (-1) ** ((j - i) // 2) * comb((i + j) // 2, i)
-
-
-def mo_inverse_entry(i: int, j: int) -> int:
-    """[x^(j-i)] (1+x+x^2)^-(i+1), the inverse Motzkin Riordan array."""
-    if j < i:
-        return 0
-    d = j - i
-    total = 0
-    for r in range(d // 2 + 1):
-        total += (-1) ** r * comb(i + r, r) * comb(j - r, d - 2 * r)
-    return (-1) ** d * total
-
-
-def mo_simple_entry_closed(j: int, i: int) -> int:
-    """Closed form for the Motzkin simple character at even i = 2l > 0.
-
-    Counts humps of height l across all Motzkin paths of order j; used as an
-    independent cross-check of the reflection recursion.
-    """
-    if i <= 0 or i % 2:
-        raise InputError("closed form applies to even labels i > 0")
-    l = i // 2
-    total = 0
-    for t in range(j - i + 1):
-        if t % 2 != j % 2:
-            continue
-        total_frac = Fraction(4 * l, j - t + 2 * l) * comb(j, t) * comb(
-            j - t - 1, (j - t) // 2 + l - 1
-        )
-        if total_frac.denominator != 1:
-            raise InternalCheckError(f"hump count term at ({j}, {i}, {t}) is not an integer")
-        total += int(total_frac)
-    return total
-
-
-_INVERSE_ENTRY = {
-    Family.PLANAR_ROOK: pascal_inverse_entry,
-    Family.TEMPERLEY_LIEB: tl_inverse_entry,
-    Family.MOTZKIN: mo_inverse_entry,
-}
-
-
-# ---------------------------------------------------------------------------
 # tables
 
 def label_index(labels: tuple[int, ...], label: int, family: Family, m: int) -> int:
@@ -133,8 +78,8 @@ class CharTable:
 
     Rows are modules, columns are rank classes, both indexed by the ascending
     labels; cell, simple and cell_inverse tables are unit upper triangular,
-    checked when built and only then (growth series and `fusion_matrix` trust
-    a simple table's rows).  `mat` builds a `Mat` of `Fraction`s on every read.
+    checked when built and only then (fusion graphs and their spectral check
+    trust a simple table's rows).  `mat` builds a `Mat` of `Fraction`s on every read.
     """
 
     family: Family
@@ -185,18 +130,27 @@ def _labels(family: Family, m: int) -> tuple[int, ...]:
     return rank_labels(family, m)
 
 
+def _cell_columns(family: Family, m: int, wanted: tuple[int, ...]):
+    """Column j of the cell table at the wanted rows, for each label j in turn.
+
+    counts[h] counts the j-step paths ending at height h, each from h - s for
+    a step s: one row of O(m) ints, cut to the heights that j steps reach and
+    that can still come down to the top wanted label by step m."""
+    steps, labels, top = _STEPS[family], set(rank_labels(family, m)), max(wanted)
+    counts = [1]
+    for j in range(m + 1):
+        if j:
+            width = min(j, top + m - j) + 1
+            padded = [0, *counts, 0, 0]
+            counts = list(map(sum, zip(*[padded[1 - s : 1 - s + width] for s in steps])))
+        if j in labels:
+            row = counts + [0] * (top + 1 - len(counts))  # heights j steps do not reach
+            yield [row[i] for i in wanted]
+
+
 def _cell_rows(family: Family, m: int) -> dict[int, tuple[int, ...]]:
-    """Cell rows on ints, keyed by label (see the module docstring)."""
-    labels = _labels(family, m)
-    # counts[j][h]: j-step paths ending at height h; none of them passes m.
-    # A path ending at h came from h - s, so row j sums the copies of row
-    # j - 1 shifted by each step s (padded with a zero at either end).
-    counts = [[1] + [0] * m]
-    for _ in range(m):
-        padded = [0, *counts[-1], 0]
-        shifted = [padded[1 - s : m + 2 - s] for s in _STEPS[family]]
-        counts.append(list(map(sum, zip(*shifted))))
-    return {i: tuple([counts[j][i] for j in labels]) for i in labels}
+    labels = _labels(family, m)  # every cell row, keyed by label, for the tables
+    return dict(zip(labels, zip(*_cell_columns(family, m, labels))))
 
 
 def cell_table(family: Family, m: int) -> CharTable:
@@ -204,11 +158,31 @@ def cell_table(family: Family, m: int) -> CharTable:
     return CharTable(family, m, "cell", tuple(rows), tuple(rows.values()))
 
 
+def _inverse_column(family: Family, t: int) -> list[int]:
+    """Column t of the inverse cell table, a[i] = C^-1[i][t] for 0 <= i <= t, by the Riordan
+    recurrences (Shapiro, Getu, Woan and Woodson, "The Riordan group", 1991) from a[t] = 1
+    down, one exact division per entry (TL: every other i)."""
+    a = [0] * t + [1]
+    if family is Family.PLANAR_ROOK:
+        for k in range(t, 0, -1):
+            a[k - 1] = a[k] * -k // (t - k + 1)
+    elif family is Family.TEMPERLEY_LIEB:
+        for k in range(t, 1, -2):
+            n = (t + k) // 2
+            a[k - 2] = a[k] * (k - k * k) // (n * (n - k + 1))  # -k(k-1): one big product
+    else:
+        after = 0  # a[k + 2]
+        for k in range(t - 1, -1, -1):
+            scaled = 3 * (k + 1) * (k + 2) * after + (k + 1) * (2 * k + 3) * a[k + 1]
+            a[k], after = scaled // -((t - k) * (t + k + 2)), a[k + 1]
+    return a
+
+
 def cell_inverse(family: Family, m: int) -> CharTable:
-    """Closed-form inverse of the cell table (same row/column labels)."""
+    """Inverse of the cell table (same row/column labels), from its columns."""
     labels = _labels(family, m)
-    entry = _INVERSE_ENTRY[family]
-    rows = tuple(tuple([entry(i, j) for j in labels]) for i in labels)
+    cols = [_inverse_column(family, t) + [0] * (m - t) for t in labels]
+    rows = tuple(tuple([col[i] for col in cols]) for i in labels)
     return CharTable(family, m, "cell_inverse", labels, rows)
 
 
@@ -232,8 +206,9 @@ def reflections(i: int, family: Family, m: int) -> Reflections:
     module.
     """
     _planar(family)
-    labels = rank_labels(family, m)
-    label_index(labels, i, family, m)
+    step = 2 if family is Family.TEMPERLEY_LIEB else 1
+    if i not in range(m % step, m + 1, step):  # the labels, without building them
+        label_index(rank_labels(family, m), i, family, m)  # raises, naming the rule
     if family is Family.PLANAR_ROOK:
         return Reflections(None, None, False)
     if family is Family.MOTZKIN:
@@ -253,9 +228,10 @@ def reflections(i: int, family: Family, m: int) -> Reflections:
         above += 1
     minus = 2 * below - i
     plus = 2 * above - i
+    # a mirror keeps the parity of i, so it is a label when it lies in 0..m
     return Reflections(
-        minus if minus in labels else None,
-        plus if plus in labels else None,
+        minus if minus >= 0 else None,
+        plus if plus <= m else None,
         critical=False,
     )
 
@@ -281,34 +257,30 @@ def projective_table(family: Family, m: int) -> CharTable:
     row itself (critical labels, leftmost labels, and all of planar rook).
     """
     cell = _cell_rows(family, m)
-    rows = tuple(_module_row(cell, "P", i, family, m) for i in cell)
-    return CharTable(family, m, "projective", tuple(cell), rows)
+    rows = []
+    for i, row in cell.items():
+        minus = reflections(i, family, m).minus
+        rows.append(row if minus is None else tuple([a + b for a, b in zip(row, cell[minus])]))
+    return CharTable(family, m, "projective", tuple(cell), tuple(rows))
 
 
-def _module_row(cell: dict[int, tuple[int, ...]], kind: str, i: int, family: Family, m: int):
-    """Row i of the simple ("V"), cell ("S") or projective ("P") table, from
-    the cell rows alone: V_i is the alternating sum along the i^+ chain, as
-    `simple_table` unrolls it, and P_i adds the cell row of i^-.
-    """
+def _module_terms(kind: str, i: int, family: Family, m: int) -> list[tuple[int, int]]:
+    """(label, sign) of the cell rows summing to row i of table "V", "S" or "P": the alternating
+    i^+ chain for V_i (as `simple_table` unrolls it), and the row of i^- added for P_i."""
+    terms = [(i, 1)]
     if kind == "P" and (minus := reflections(i, family, m).minus) is not None:
-        return tuple([a + b for a, b in zip(cell[i], cell[minus])])
-    row, sign = cell[i], 1
+        terms.append((minus, 1))
     while kind == "V" and (i := reflections(i, family, m).plus) is not None:
-        sign = -sign
-        row = tuple([a + sign * b for a, b in zip(row, cell[i])])
-    return row
+        terms.append((i, -terms[-1][1]))
+    return terms
 
 
 def table_of_kind(family: Family, m: int, kind: str) -> CharTable:
-    if kind == "cell":
-        return cell_table(family, m)
-    if kind == "simple":
-        return simple_table(family, m)
-    if kind == "projective":
-        return projective_table(family, m)
-    if kind == "cell_inverse":
-        return cell_inverse(family, m)
-    raise InputError(f"unknown table kind {kind!r}")
+    builders = {"cell": cell_table, "simple": simple_table, "projective": projective_table,
+                "cell_inverse": cell_inverse}
+    if kind not in builders:
+        raise InputError(f"unknown table kind {kind!r}")
+    return builders[kind](family, m)
 
 
 def trivial_label(family: Family, m: int) -> int:
@@ -515,6 +487,28 @@ def decomposition_matrix(
 
 # ---------------------------------------------------------------------------
 # consistency helpers and serialization
+
+def mo_simple_entry_closed(j: int, i: int) -> int:
+    """Closed form for the Motzkin simple character at even i = 2l > 0.
+
+    Counts humps of height l across all Motzkin paths of order j; used as an
+    independent cross-check of the reflection recursion.
+    """
+    if i <= 0 or i % 2:
+        raise InputError("closed form applies to even labels i > 0")
+    l = i // 2
+    total = 0
+    for t in range(j - i + 1):
+        if t % 2 != j % 2:
+            continue
+        total_frac = Fraction(4 * l, j - t + 2 * l) * comb(j, t) * comb(
+            j - t - 1, (j - t) // 2 + l - 1
+        )
+        if total_frac.denominator != 1:
+            raise InternalCheckError(f"hump count term at ({j}, {i}, {t}) is not an integer")
+        total += int(total_frac)
+    return total
+
 
 def check_motzkin_simple_closed_form(m: int) -> None:
     """The reflection recursion must match the hump-count closed form."""

@@ -254,7 +254,7 @@ def check_fusion(max_m: int | None = None) -> list[CheckResult]:
         table = simple_table(family, m)
         graph = fusion_matrix(spec, table)
         try:
-            spectral_check(graph, spec, max_n=6)
+            spectral_check(graph, spec, table, max_n=6)
             out.append(_result(f"spectral:{family.value}:{m}:{sel}", True, True, "projections"))
         except VerificationError as exc:
             out.append(CheckResult(f"spectral:{family.value}:{m}:{sel}", "fail", str(exc), "", "projections"))

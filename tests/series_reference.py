@@ -1,5 +1,5 @@
-"""The full-table series route the library used before it solved only a
-target's leading block.
+"""The full-table series route the library used before it summed columns of
+the inverse cell table.
 
 `series` back-substitutes against the whole simple table for any weights,
 and `multiplicity_series` hands it the unit weights of the target, so the

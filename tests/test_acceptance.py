@@ -250,8 +250,9 @@ def test_criterion_09_spectral_reconstruction():
         (Family.PLANAR_ROOK, 8, "V2"),
     ):
         spec = module_spec(family, m, sel)
-        graph = fusion_matrix(spec, simple_table(family, m))
-        report = spectral_check(graph, spec, max_n=6)
+        table = simple_table(family, m)
+        graph = fusion_matrix(spec, table)
+        report = spectral_check(graph, spec, table, max_n=6)
         assert report["ok"]
     print("ACCEPT 09 PASS - sum of P_lam * lam^n = A^n, sum P_lam = I, P_lam^2 = P_lam "
           "for TL7/V3, Mo5/S1, pRo8/V2, n <= 6")

@@ -493,7 +493,7 @@ def test_closed_form_path_builds_no_mat(capsys, monkeypatch, tmp_path):
                 report = scc_analysis(g)
                 realized_n0(g, set(report.absorbing) or {simple.labels[-1]})
                 power_multiplicities(g, 4)
-                spectral_check(g, spec, max_n=4)
+                spectral_check(g, spec, simple, max_n=4)
     tl7 = ("--family", "tl", "--m", "7")
     calls = [
         ("chartable", *tl7, "--kind", kind, "--format", fmt)
@@ -523,7 +523,8 @@ def _no_table(*args):
 def test_bad_target_is_refused_before_any_table(capsys, monkeypatch, target):
     for module, name in (
         (cli, "simple_table"),
-        (growth, "_cell_rows"),
+        (growth, "_cell_columns"),
+        (tables, "_cell_columns"),
         (tables, "_cell_rows"),
     ):
         monkeypatch.setattr(module, name, _no_table)
@@ -537,15 +538,18 @@ def test_bad_target_is_refused_before_any_table(capsys, monkeypatch, target):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, built",
     [
-        ("growth", "length", "--module", "V3"),
-        ("growth", "multiplicity", "--module", "V3", "--target", "V5"),
-        ("fusion", "--module", "V3"),
-        ("fusion", "--module", "V3", "--format", "json"),
+        (("growth", "length", "--module", "V3"), []),
+        (("growth", "multiplicity", "--module", "V3", "--target", "V5"), []),
+        (("fusion", "--module", "V3"), [(Family.TEMPERLEY_LIEB, 7, "simple")]),
+        (("fusion", "--module", "V3", "--format", "json"), [(Family.TEMPERLEY_LIEB, 7, "simple")]),
     ],
+    ids=["argv0", "argv1", "argv2", "argv3"],
 )
-def test_v_module_commands_build_the_simple_table_once(capsys, monkeypatch, argv):
+def test_v_module_commands_build_the_simple_table_once(capsys, monkeypatch, argv, built):
+    # growth reads columns of the inverse cell table and builds no table;
+    # fusion builds the one simple table it solves against
     calls = []
     original = tables.CharTable.__post_init__
 
@@ -556,4 +560,56 @@ def test_v_module_commands_build_the_simple_table_once(capsys, monkeypatch, argv
     monkeypatch.setattr(tables.CharTable, "__post_init__", counting)
     code, out, err = run(capsys, *argv, "--family", "tl", "--m", "7")
     assert (code, err) == (0, "") and out
-    assert calls == [(Family.TEMPERLEY_LIEB, 7, "simple")]
+    assert calls == built
+
+
+@pytest.mark.parametrize("statistic", [("length",), ("multiplicity", "--target", "V296")])
+@pytest.mark.parametrize("module", ["V2", "S10", "P4"])
+def test_growth_never_builds_the_cell_rows(capsys, monkeypatch, statistic, module):
+    # the module's row comes from one streamed lattice pass, not the tables' rows
+    monkeypatch.setattr(tables, "_cell_rows", _no_table)
+    code, out, err = run(
+        capsys, "growth", *statistic, "--family", "tl", "--m", "300", "--module", module, "--n", "1"
+    )
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("target", ["vVV1", "VV3", "V3V", "S3", "V", "3.0", ""])
+def test_target_takes_one_optional_v_and_a_label(capsys, target):
+    code, out, err = run(capsys, "growth", "multiplicity", *_TL7_V3, "--target", target)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad target {target!r} (want V<i>)\n"
+
+
+def test_target_with_or_without_v_reads_the_same_label(capsys):
+    outputs = {
+        run(capsys, "growth", "multiplicity", *_TL7_V3, "--target", target)
+        for target in ("V5", "v5", "5", " V5 ")
+    }
+    assert len(outputs) == 1 and outputs.pop()[0] == 0
+
+
+# peak RSS of `growth length --family tl --m 1000 --module V2 --n 1` in a
+# fresh interpreter, import included: 18 MB with the lattice streamed and
+# the inverse cell table read a column at a time, against 51 MB when the
+# command built and solved the whole simple table (Python 3.11, Linux)
+GROWTH_RSS_LIMIT_MB = 30
+
+
+def test_growth_at_tl_1000_stays_small():
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # a small parent runs the command, so the child's peak is the command's own
+    script = (
+        "import resource, subprocess, sys\n"
+        "done = subprocess.run([sys.executable, '-m', 'growthlab', *sys.argv[1:]], capture_output=True)\n"
+        "print(done.returncode, len(done.stdout), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    argv = ["growth", "length", "--family", "tl", "--m", "1000", "--module", "V2", "--n", "1"]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    code, printed, peak_kib = map(int, done.stdout.split())  # ru_maxrss is in KiB on Linux
+    assert code == 0 and printed
+    assert peak_kib / 1024 < GROWTH_RSS_LIMIT_MB

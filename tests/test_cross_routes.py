@@ -15,7 +15,9 @@ from math import comb
 from growthlab.diagrams import Family, rank_labels
 from growthlab.growth import evaluate, length_series, module_spec, multiplicity_series
 from growthlab.oracle import oracle_length, oracle_multiplicity
-from growthlab.tables import CHAR0_TL, mo_inverse_entry, pl_support, reflections, simple_table
+from growthlab.tables import CHAR0_TL, pl_support, reflections, simple_table
+
+from riordan_reference import mo_inverse_entry
 
 
 def test_every_module_matches_oracle_at_small_scale():

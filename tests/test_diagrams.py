@@ -459,6 +459,18 @@ def test_green_data_tl7_j_classes():
     assert gd.l_class_count == 14 + 14 + 6 + 1
 
 
+def test_green_counts_of_hand_built_cayley_graphs():
+    # the cyclic group {1, g, g^2} with a zero z adjoined, generated by g and
+    # z: the units are the whole group, so unit_count is 3
+    right = [[1, 3], [2, 3], [0, 3], [3, 3]]  # x*g, x*z for x = 1, g, g^2, z
+    assert diagrams._green_counts(right, right) == diagrams.GreenData(2, 2, 2, 3)
+    # {1, a, b} with xy = x on {a, b}, generated by a and b: a and b are
+    # L-related (Ma = Mb = {a, b}) but not R-related (aM = {a}, bM = {b})
+    right = [[1, 2], [1, 1], [2, 2]]  # x*a, x*b for x = 1, a, b
+    left = [[1, 2], [1, 2], [1, 2]]  # a*x, b*x
+    assert diagrams._green_counts(right, left) == diagrams.GreenData(2, 2, 3, 1)
+
+
 def test_text_format_round_trip():
     for family, m in SMALL:
         for d in enumerate_diagrams(family, m)[:15]:

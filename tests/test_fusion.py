@@ -216,8 +216,9 @@ def test_spectral_check_golden_specs():
         (Family.PLANAR_ROOK, 8, "V2"),  # duplicate eigenvalue 0 must be grouped
     ):
         spec = module_spec(family, m, sel)
-        g = fusion_matrix(spec, simple_table(family, m))
-        report = spectral_check(g, spec, max_n=6)
+        table = simple_table(family, m)
+        g = fusion_matrix(spec, table)
+        report = spectral_check(g, spec, table, max_n=6)
         assert report["ok"]
 
 
@@ -233,13 +234,14 @@ def test_spectral_check_rejects_a_perturbed_adjacency():
         (Family.PLANAR_ROOK, 8, "V2"),
     ):
         spec = module_spec(family, m, sel)
-        g = fusion_matrix(spec, simple_table(family, m))
+        table = simple_table(family, m)
+        g = fusion_matrix(spec, table)
         n = len(g.labels)
         for t, j in ((0, 0), (n - 1, n - 1), (0, 1), (0, n - 1), (1, 0), (n - 1, 0)):
             rows = [list(row) for row in g.rows]
             rows[t][j] += 1
             with pytest.raises(VerificationError):
-                spectral_check(replace(g, rows=tuple(map(tuple, rows))), spec, max_n=6)
+                spectral_check(replace(g, rows=tuple(map(tuple, rows))), spec, table, max_n=6)
 
 
 def test_spectral_check_rejects_a_non_integer_character():
@@ -247,7 +249,16 @@ def test_spectral_check_rejects_a_non_integer_character():
     g = fusion_matrix(spec, TL7)
     half = replace(spec, charvec=(Fraction(1, 2),) + tuple(spec.charvec[1:]))
     with pytest.raises(InputError):
-        spectral_check(g, half)
+        spectral_check(g, half, TL7)
+
+
+def test_spectral_check_refuses_a_table_of_another_kind_or_monoid():
+    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
+    g = fusion_matrix(spec, TL7)
+    with pytest.raises(InputError, match="not the cell table"):
+        spectral_check(g, spec, tables.cell_table(Family.TEMPERLEY_LIEB, 7))
+    with pytest.raises(InputError, match="different monoids"):
+        spectral_check(g, spec, simple_table(Family.TEMPERLEY_LIEB, 9))
 
 
 def test_spectral_multiplicity_extraction():
@@ -342,7 +353,7 @@ def test_a_non_integer_character_fails_series_fusion_and_spectral_check_alike():
     for call in (
         lambda: length_series(half, TL7),
         lambda: fusion_matrix(half, TL7),
-        lambda: spectral_check(g, half),
+        lambda: spectral_check(g, half, TL7),
     ):
         with pytest.raises(InputError) as info:
             call()

@@ -82,6 +82,16 @@ def test_expsum_make_is_canonical(pairs):
     assert ExpSum.make(reversed(pairs)) == es
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(COEFFS, st.integers(-6, 6)), max_size=12), st.integers(0, 6))
+def test_expsum_evaluates_as_the_fraction_sum(pairs, n):
+    # evaluate sums on ints over the lcm of the denominators
+    es = ExpSum.make(pairs)
+    value = es.evaluate(n)
+    assert type(value) is Fraction
+    assert value == sum((Fraction(c) * b**n for c, b in es.terms), Fraction(0))
+
+
 def test_expsum_human():
     assert length_series(module_spec(Family.TEMPERLEY_LIEB, 7, "V3"), TL7).human() == "13^n - 5*4^n + 8"
     assert ExpSum.make([(Fraction(-1), 5), (Fraction(2, 3), 2)]).human() == "-5^n + 2/3*2^n"
@@ -136,7 +146,8 @@ def _no_table(*args):
 @pytest.mark.parametrize("selector", ["V1", "S1", "P2001", "V4000"])
 def test_module_spec_checks_the_label_before_any_table(monkeypatch, selector):
     for module, name in (
-        (growth, "_cell_rows"),
+        (growth, "_cell_columns"),
+        (tables, "_cell_columns"),
         (tables, "_cell_rows"),
     ):
         monkeypatch.setattr(module, name, _no_table)
@@ -278,26 +289,36 @@ def test_block_series_match_the_full_table_route(family, m):
         assert length_series(spec, table) == series_reference.series(spec, table, [1] * len(labels))
 
 
-def test_multiplicity_series_solves_the_leading_block(monkeypatch):
-    sizes = []
+@pytest.mark.parametrize("family", [Family.TEMPERLEY_LIEB, Family.PLANAR_ROOK, Family.MOTZKIN])
+def test_column_series_match_the_full_table_route_at_m300(family):
+    table = simple_table(family, 300)
+    labels = table.labels
+    for selector in (f"V{labels[1]}", f"S{labels[len(labels) // 2]}", f"P{labels[-3]}"):
+        spec = module_spec(family, 300, selector)
+        for target in labels[::10] + labels[-1:]:
+            expected = series_reference.multiplicity_series(spec, table, target)
+            assert multiplicity_series(spec, table, target) == expected, (selector, target)
+        assert length_series(spec, table) == series_reference.series(spec, table, [1] * len(labels))
 
-    class Rows(tuple):
-        # the substitution reads the rows it substitutes over as one slice
-        def __getitem__(self, key):
-            rows = super().__getitem__(key)
-            if isinstance(key, slice):
-                sizes.append(len(rows))
-            return rows
 
-    def recording(t, rhs, *, lower):
-        return linalg._substitute(Rows(t), rhs, lower=lower)
+def test_multiplicity_series_reads_one_or_two_columns(monkeypatch):
+    read = []
 
-    monkeypatch.setattr(growth, "_substitute", recording)
-    table = simple_table(Family.MOTZKIN, 32)
-    spec = module_spec(Family.MOTZKIN, 32, "V1")
+    def recording(family, t):
+        read.append(t)
+        return tables._inverse_column(family, t)
+
+    monkeypatch.setattr(growth, "_inverse_column", recording)
+    table = simple_table(Family.TEMPERLEY_LIEB, 31)
+    spec = module_spec(Family.TEMPERLEY_LIEB, 31, "V1")
     for target in table.labels:
+        read.clear()
         multiplicity_series(spec, table, target)
-    assert sizes == list(range(1, len(table.labels) + 1))
+        minus = tables.reflections(target, Family.TEMPERLEY_LIEB, 31).minus
+        assert read == [target] + ([] if minus is None else [minus])
+    read.clear()
+    length_series(spec, table)
+    assert read == list(table.labels)
 
 
 @pytest.mark.parametrize("kind", ["cell", "projective", "cell_inverse"])

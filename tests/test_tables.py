@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import cell_formulas
+import riordan_reference
 from growthlab import growth, tables
 from growthlab.diagrams import Family, rank_labels
 from growthlab.errors import InputError, InternalCheckError, SingularMatrixError
@@ -170,6 +171,15 @@ def test_cell_inverse_is_inverse_up_to_m20(family):
     for m in range(1, 21):
         prod = mat_mul(cell_table(family, m).mat, cell_inverse(family, m).mat)
         assert prod == Mat.identity(prod.nrows)
+
+
+@pytest.mark.parametrize("family", PLANAR)
+def test_cell_inverse_columns_match_the_entry_closed_forms(family):
+    entry = riordan_reference._INVERSE_ENTRY[family]
+    for m in range(1, 61):
+        labels = rank_labels(family, m)
+        rows = tuple(tuple(entry(i, j) for j in labels) for i in labels)
+        assert cell_inverse(family, m).rows == rows, m
 
 
 @pytest.mark.parametrize("family", PLANAR)

@@ -24,13 +24,13 @@ Diagrams are immutable and every function here is pure.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
 
 from .errors import InputError, InternalCheckError
 from .graph import scc
+from .record import Record
 
 
 class Family(Enum):
@@ -96,8 +96,7 @@ def blocks_are_planar(blocks, m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     family: Family
     m: int
     blocks: tuple[Block, ...]  # canonical: blocks sorted, each block sorted
@@ -172,8 +171,9 @@ def identity_diagram(family: Family, m: int) -> Diagram:
     return Diagram(family, m, tuple((k, m + k) for k in range(1, m + 1)))
 
 
-@dataclass(frozen=True)
-class ComposeResult:
+class ComposeResult(Record):
+    """The product of two diagrams, with the middle loops and dead points it dropped."""
+
     result: Diagram
     loops: int
     middle_isolated: int
@@ -398,8 +398,9 @@ def motzkin_number(k: int) -> int:
     return ms[k]
 
 
-@dataclass(frozen=True)
-class GreenData:
+class GreenData(Record):
+    """Green's class counts of a monoid: J-, L- and R-classes, and its units."""
+
     j_class_count: int
     l_class_count: int
     r_class_count: int

@@ -19,22 +19,23 @@ integer denominator, and every identity is cleared of denominators first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
 from math import lcm, prod
 from operator import mul
-from typing import Sequence
 
 from .errors import InputError, InternalCheckError, VerificationError
 from .graph import distances, scc
 from .growth import ModuleSpec, _check_compatible
 from .linalg import Mat, _substitute, int_mul
+from .record import Record
 from .tables import CharTable, label_index
 
 
-@dataclass(frozen=True)
-class FusionGraph:
+class FusionGraph(Record):
+    """Tensor-by-V multiplication on the simples, as int rows A[target][source]."""
+
     family: object
     m: int
     labels: tuple[int, ...]
@@ -72,7 +73,7 @@ def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
     _check_compatible(spec, simple)
     rows = simple.rows
     pointwise = [[c * x for c, x in zip(spec.bases, row)] for row in rows]
-    cols = _substitute(tuple(zip(*rows)), pointwise, lower=True)
+    cols = _substitute(tuple(zip(*rows)), pointwise)
     lowest = min(map(min, cols))
     if lowest < 0:
         raise InternalCheckError(f"tensor multiplicity {lowest} is negative")
@@ -114,8 +115,9 @@ def realized_n0(g: FusionGraph, targets) -> int | None:
     return min(reached) if reached else None
 
 
-@dataclass(frozen=True)
-class SccReport:
+class SccReport(Record):
+    """Strongly connected components of a fusion graph, and the absorbing labels."""
+
     components: tuple[tuple[int, ...], ...]  # label tuples, sorted by least label
     absorbing: tuple[int, ...]  # labels in absorbing components
 

@@ -25,16 +25,16 @@ input validation.  All values are immutable and all functions pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
 from operator import add, mul
-from typing import Iterator
 
 from .diagrams import Family, PLANAR_FAMILIES
 from .errors import InputError, InternalCheckError
 from .linalg import Mat, inverse, mat_mul
+from .record import Record
 from .tables import (CharTable, _cell_columns, _inverse_column, _is_prime, _labels, _module_terms,
                      label_index, reflections)
 
@@ -45,8 +45,7 @@ def _as_int_base(x: Fraction) -> int:
     return int(x)
 
 
-@dataclass(frozen=True)
-class ExpSum:
+class ExpSum(Record):
     """A finite exponential sum n |-> sum c * base^n, in canonical form.
 
     Bases are distinct, sorted by descending absolute value (ties broken by
@@ -126,8 +125,7 @@ def leading_term(es: ExpSum) -> ExpSum:
 _SELECTOR = re.compile(r"^([VvSsPp])(\d+)$")
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(Record):
     """A virtual module: label, dimension, and character (as ints, `bases`) on the rank classes."""
 
     label: str
@@ -224,8 +222,7 @@ def length_series(spec: ModuleSpec, simple: CharTable) -> ExpSum:
 # ---------------------------------------------------------------------------
 # the general (arbitrary monoid) formula
 
-@dataclass(frozen=True)
-class MonoidClassData:
+class MonoidClassData(Record):
     """Rational class data of a finite monoid.
 
     Per regular J-class i: the order of its maximal subgroup and the sizes of
@@ -304,8 +301,7 @@ def general_length_series(data: MonoidClassData, charvec) -> ExpSum:
     return ExpSum.make(terms)
 
 
-@dataclass(frozen=True)
-class GroupClassData:
+class GroupClassData(Record):
     """Rational class data of a group of units: sizes, tables, scalar classes.
 
     scalar_classes lists the indices of the classes acting on V by a scalar,
@@ -353,8 +349,9 @@ class GroupClassData:
 # ---------------------------------------------------------------------------
 # convergence data and constants
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
+    """Second-largest |character value| of a module and its ratio to the dimension."""
+
     chi_sec: Fraction
     ratio: Fraction
 

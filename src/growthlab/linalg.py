@@ -5,12 +5,11 @@ with positive denominator), so nothing here ever rounds.  Matrices are
 immutable tuples of tuples and every operation is a pure function; values can
 be shared between threads or worker processes without synchronization.
 
-Two kernels solve linear systems.  `solve_unit_triangular` substitutes on
-ints against the unitriangular character tables, skipping the zeros at the
-start (forward) or end (back) of each right-hand side, and
-`solve_lower_triangular` substitutes on `Fraction`s for the oracle.  The
-check stays at that boundary: the substitution behind it, `_substitute`,
-checks nothing and is called directly only on a table `CharTable` checked.
+Two kernels solve linear systems.  `_substitute` substitutes forward on ints
+against the transposed rows of a `CharTable` (checked unit upper triangular
+by `_check_unit_triangular` when built), skipping the zeros at the start of
+each right-hand side; `solve_lower_triangular` substitutes on `Fraction`s
+for the oracle.
 Everything else (`inverse`, `kernel_and_rank`, `rank`) runs one Gauss–Jordan
 reduction on integer-scaled rows: every row operation stays on Python ints,
 and a `Fraction` is made only when each pivot row is divided by its pivot at
@@ -19,8 +18,7 @@ rows), so dense storage is fine.
 
 Integral data never reaches this module as a `Mat`: character tables and
 fusion graphs keep their int rows themselves (`tables`, `fusion`) and build a
-`Mat` only when a caller asks for one.  `solve_unit_triangular` takes those
-int rows, checks and substitutes on them and returns int solutions.
+`Mat` only when a caller asks for one.
 Products of `Mat`s run on ints as well: `mat_mul` scales each row of the
 left factor and each column of the right one to integers by the lcm of its
 denominators, takes every dot product on Python ints and builds one
@@ -31,11 +29,11 @@ spectral check, the oracle's radical, verify's Riordan checks).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import compress, islice
 from math import gcd, lcm
 from operator import attrgetter, mul
-from typing import Iterable, Sequence
 
 from .errors import DimensionError, InputError, SingularMatrixError
 
@@ -170,16 +168,9 @@ def solve_lower_triangular(l: Mat, v: Sequence) -> tuple[Fraction, ...]:
     return tuple(x)
 
 
-def _as_int(x) -> int:
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    raise InputError(f"non-integer right-hand side entry {x}")
-
-
-def _check_unit_triangular(t: Sequence[Sequence[int]], *, lower: bool) -> None:
-    """Raise the errors of `solve_unit_triangular` for a t it would refuse."""
+def _check_unit_triangular(t: Sequence[Sequence[int]]) -> None:
+    """Refuse a t that is not square, of ints, with ones on the diagonal and zeros
+    below it: SingularMatrixError for a zero diagonal entry, else InputError."""
     n = len(t)
     for i, row in enumerate(t):
         if len(row) != n:
@@ -191,55 +182,23 @@ def _check_unit_triangular(t: Sequence[Sequence[int]], *, lower: bool) -> None:
             if diagonal == 0:
                 raise SingularMatrixError(f"zero diagonal entry at {i}")
             raise InputError(f"diagonal entry {diagonal} at {i} is not 1")
-        if any(islice(row, i + 1, None) if lower else islice(row, i)):
-            raise InputError(f"matrix is not {'lower' if lower else 'upper'} triangular")
+        if any(islice(row, i)):
+            raise InputError("matrix is not upper triangular")
 
 
-def solve_unit_triangular(
-    t: Sequence[Sequence[int]], rhs: Iterable[Sequence], *, lower: bool
-) -> tuple[tuple[int, ...], ...]:
-    """Exact integer x with t·x = b for each b in rhs, on Python ints.
-
-    t is given by its rows, of Python ints (the rows of a `CharTable`), and
-    must be square with ones on the diagonal and zeros above it (lower=True:
-    forward substitution, from the first nonzero entry of b) or below it
-    (back substitution, from the last one); x is 0 on the entries skipped.
-    t is checked once per call, however many right-hand sides follow.  A zero
-    diagonal entry raises SingularMatrixError, any other defect of t (an
-    entry that is not an int included) or a non-integer right-hand side
-    InputError, and a right-hand side of the wrong length DimensionError.
-    """
-    _check_unit_triangular(t, lower=lower)
-    n = len(t)
-    ints = []
-    for b in rhs:
-        if len(b) != n:
-            raise DimensionError("right-hand side length mismatch")
-        ints.append(list(map(_as_int, b)))
-    return _substitute(t, ints, lower=lower)
-
-
-def _substitute(t: Sequence[Sequence[int]], rhs: Iterable[list[int]], *, lower: bool):
-    """`solve_unit_triangular` unchecked: t is a checked unit triangular table
-    (a `CharTable`'s rows) and each b in rhs a list of len(t) ints.
-    """
+def _substitute(t: Sequence[Sequence[int]], rhs: Iterable[list[int]]):
+    """Exact integer x with t·x = b for each b in rhs, substituting forward from the
+    first nonzero entry of b.  Unchecked: t is the transpose of a `CharTable`'s
+    rows, so unit lower triangular, and each b a list of len(t) ints."""
     n = len(t)
     solutions = []
     for b in rhs:
+        s = next(compress(range(n), b), n)  # the first nonzero entry
         x: list[int] = []
-        if lower:
-            s = next(compress(range(n), b), n)  # the first nonzero entry
-            # map stops at len(x) = i - s: only the entries from s up to the diagonal
-            for row, v in zip(t[s:], b[s:]):
-                x.append(v - sum(map(mul, row[s:], x)))
-            x = [0] * s + x
-        else:
-            e = next(compress(range(n, 0, -1), reversed(b)), 0)  # past the last nonzero
-            # built from row e-1 up, so x[k] is the solution's entry e-1-k
-            for row, v in zip(reversed(t[:e]), reversed(b[:e])):
-                x.append(v - sum(map(mul, reversed(row[:e]), x)))
-            x = x[::-1] + [0] * (n - e)
-        solutions.append(tuple(x))
+        # map stops at len(x) = i - s: only the entries from s up to the diagonal
+        for row, v in zip(t[s:], b[s:]):
+            x.append(v - sum(map(mul, row[s:], x)))
+        solutions.append((0,) * s + tuple(x))
     return tuple(solutions)
 
 

@@ -34,7 +34,6 @@ at worst duplicate work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -55,13 +54,13 @@ from .diagrams import (
 from .errors import InputError, InternalCheckError, VerificationError
 from .growth import ModuleSpec, module_spec
 from .linalg import Mat, int_mul, kernel_and_rank, solve_lower_triangular
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
 # half diagrams
 
-@dataclass(frozen=True)
-class HalfDiagram:
+class HalfDiagram(Record):
     """A planar partial matching on m points with i upward defect strands.
 
     cups are disjoint sorted pairs, defects the unmatched points that carry a
@@ -465,8 +464,9 @@ def oracle_product_multiplicity(
     return int(value)
 
 
-@dataclass(frozen=True)
-class CountCheck:
+class CountCheck(Record):
+    """A monoid order counted by enumeration, against the counting sequence."""
+
     actual: int
     expected: int
 

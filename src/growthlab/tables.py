@@ -45,7 +45,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -53,6 +52,7 @@ from math import comb
 from .diagrams import Family, rank_labels
 from .errors import InputError, InternalCheckError
 from .linalg import Mat, _check_unit_triangular
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +72,7 @@ def label_index(labels: tuple[int, ...], label: int, family: Family, m: int) -> 
         raise InputError(f"label {label} is not a {family.value} m={m} label ({rule})") from None
 
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(Record):
     """A labeled square table of integers, held as rows of Python ints.
 
     Rows are modules, columns are rank classes, both indexed by the ascending
@@ -90,7 +89,7 @@ class CharTable:
 
     def __post_init__(self):
         if self.kind in ("cell", "simple", "cell_inverse"):
-            _check_unit_triangular(self.rows, lower=False)
+            _check_unit_triangular(self.rows)
 
     @property
     def mat(self) -> Mat:
@@ -189,8 +188,9 @@ def cell_inverse(family: Family, m: int) -> CharTable:
 # ---------------------------------------------------------------------------
 # critical walls and reflections
 
-@dataclass(frozen=True)
-class Reflections:
+class Reflections(Record):
+    """A label's mirrors across the nearest critical walls (None when absent)."""
+
     minus: int | None
     plus: int | None
     critical: bool
@@ -320,8 +320,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PLParams:
+class PLParams(Record):
     """Mixed-radix parameters: first digit base l, higher digits base p."""
 
     p: int | _Infinity
@@ -430,8 +429,7 @@ def group_injective(family: Family, m: int) -> bool:
 # ---------------------------------------------------------------------------
 # decomposition matrices
 
-@dataclass(frozen=True)
-class DecompositionMatrix:
+class DecompositionMatrix(Record):
     """0/1 matrix D with D[z][i] = multiplicity of the simple V_i in the cell S_z."""
 
     family: Family

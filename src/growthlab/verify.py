@@ -9,7 +9,6 @@ machine-readable result.  All comparisons are exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -19,6 +18,7 @@ from .errors import InternalCheckError, VerificationError
 from .fusion import fusion_matrix, power_multiplicities, realized_n0, scc_analysis, spectral_check
 from .growth import ModuleSpec, evaluate, length_series, module_spec, multiplicity_series
 from .linalg import Mat, int_mul, inverse
+from .record import Record
 from .tables import (
     cell_inverse,
     cell_table,
@@ -30,8 +30,9 @@ from .tables import (
 SUITES = ("counts", "tables", "growth", "fusion")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    """One cross-check: its name, "ok" or "fail", both sides and where it ran."""
+
     check: str
     status: str  # "ok" or "fail"
     lhs: str

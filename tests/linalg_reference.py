@@ -1,15 +1,16 @@
 """Reference routes for the tests: a Fraction matrix-vector product, a
-matrix power by repeated squaring, a Fraction back-substitution and a
-Gauss–Jordan reduction over Fraction with the inverse and kernel it gives.
+matrix power by repeated squaring, a Fraction back-substitution, an integer
+unit-triangular solve in either direction and a Gauss–Jordan reduction over
+Fraction with the inverse and kernel it gives.
 
 The library takes integer matrix-vector steps, triangular solves and an
-integer elimination instead; these plain `Fraction` routes referee them.
+integer elimination instead; these plain routes referee them.
 """
 
 from fractions import Fraction
 
 from growthlab.errors import DimensionError, InputError, SingularMatrixError
-from growthlab.linalg import Mat, mat_mul
+from growthlab.linalg import Mat, _check_unit_triangular, mat_mul
 
 
 def apply(a: Mat, v) -> tuple[Fraction, ...]:
@@ -56,6 +57,34 @@ def solve_upper_triangular(u: Mat, v) -> tuple[Fraction, ...]:
         s = v[i] - sum((u.rows[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
         x[i] = s / pivot
     return tuple(x)
+
+
+def solve_unit_triangular(t, rhs, *, lower: bool) -> tuple[tuple[int, ...], ...]:
+    """Exact integer x with t·x = b for each b in rhs, t given by int rows.
+
+    t must pass the library's `_check_unit_triangular` (lower=False: zeros
+    below the diagonal, solved bottom up), or its transpose must (lower=True:
+    zeros above it, solved top down).
+    Each entry x_i is b_i less the row's other products, with the entries
+    not solved yet still 0: plain substitution over the whole row, no zeros
+    skipped.  A right-hand side of the wrong length raises DimensionError,
+    one with a non-integer entry InputError.
+    """
+    _check_unit_triangular(list(zip(*t)) if lower else t)
+    n = len(t)
+    order = range(n) if lower else range(n - 1, -1, -1)
+    solutions = []
+    for b in rhs:
+        if len(b) != n:
+            raise DimensionError("right-hand side length mismatch")
+        b = [Fraction(v) for v in b]
+        if any(v.denominator != 1 for v in b):
+            raise InputError(f"non-integer right-hand side entry in {b}")
+        x = [0] * n
+        for i in order:
+            x[i] = int(b[i]) - sum(t[i][j] * x[j] for j in range(n) if j != i)
+        solutions.append(tuple(x))
+    return tuple(solutions)
 
 
 def reduce_rows(rows, ncols: int) -> tuple[list[int], list[list[Fraction]]]:

@@ -9,8 +9,8 @@ in the library.
 """
 
 from growthlab.growth import ExpSum, ModuleSpec, _as_int_base, _check_compatible
-from growthlab.linalg import solve_unit_triangular
 from growthlab.tables import CharTable
+from linalg_reference import solve_unit_triangular
 
 
 def series(spec: ModuleSpec, simple: CharTable, weights) -> ExpSum:

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from growthlab.errors import DimensionError, InputError, SingularMatrixError
 from growthlab.linalg import (
     Mat,
+    _check_unit_triangular,
+    _substitute,
     inverse,
     kernel_and_rank,
     mat_mul,
     solve_lower_triangular,
-    solve_unit_triangular,
 )
 import linalg_reference
-from linalg_reference import apply, mat_pow, solve_upper_triangular
+from linalg_reference import apply, mat_pow, solve_unit_triangular, solve_upper_triangular
 
 TL7_SIMPLE = Mat([(1, 1, 1, 1), (0, 1, 4, 13), (0, 0, 1, 6), (0, 0, 0, 1)])
 TL7_LINV = Mat([(1, 0, 0, 0), (-1, 1, 0, 0), (3, -4, 1, 0), (-6, 11, -6, 1)])
@@ -215,11 +216,16 @@ def test_unit_triangular_solve_matches_fraction_solves(system):
     lt = u.transpose()
     upper = solve_unit_triangular(rows, rhs, lower=False)
     lower = solve_unit_triangular(list(zip(*rows)), rhs, lower=True)
+    # the library's forward substitution, which skips the zero head of each b
+    assert _substitute(list(zip(*rows)), rhs) == lower
     assert upper == tuple(solve_upper_triangular(u, b) for b in rhs)
     assert lower == tuple(solve_lower_triangular(lt, b) for b in rhs)
     assert all(type(v) is int for sol in upper + lower for v in sol)
 
 
+# The integer solve with a checked right-hand side is a test referee
+# (`linalg_reference`); the library keeps only the check of the table and the
+# unchecked forward substitution.
 def test_unit_triangular_solve_checks_every_right_hand_side_entry():
     rows = [(1, 2, 3), (0, 1, 4), (0, 0, 1)]
     columns = list(zip(*rows))
@@ -249,8 +255,9 @@ def test_unit_triangular_solve_checks_every_right_hand_side_entry():
     ],
 )
 def test_unit_triangular_solve_rejects(rows, lower, error):
+    # the check wants zeros below the diagonal: a lower triangular t is checked as its transpose
     with pytest.raises(error):
-        solve_unit_triangular(rows, [(1,) * len(rows)], lower=lower)
+        _check_unit_triangular(list(zip(*rows)) if lower else rows)
 
 
 def test_unit_triangular_solve_rejects_bad_right_hand_sides():

@@ -45,8 +45,8 @@ def test_every_private_function_is_used_elsewhere():
 
 
 def test_every_unchecked_substitution_follows_a_table_check():
-    # `linalg._substitute` trusts its table, so a caller other than the
-    # checked public solve must first make it a simple table, checked when built
+    # `linalg._substitute` trusts its table, so every caller must first make
+    # it a simple table, checked when built
     callers = {}
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -57,7 +57,7 @@ def test_every_unchecked_substitution_follows_a_table_check():
                     for call in ast.walk(node)
                     if isinstance(call, ast.Call)
                 }
-                if "_substitute" in called and node.name != "solve_unit_triangular":
+                if "_substitute" in called:
                     callers[f"{path.name}:{node.name}"] = "_check_compatible" in called
     assert "fusion.py:fusion_matrix" in callers
     assert sorted(name for name, checked in callers.items() if not checked) == []

@@ -15,8 +15,11 @@ name them; they cannot be enumerated or composed.
 Composition stacks the left factor on top of the right one, traces the glued
 middle row, and discards closed middle loops and dead middle points, counting
 both (the monoid convention: each discarded component contributes a factor 1).
-It runs on partner arrays, as do enumeration (one backtracking walk), the
-Cayley graphs of green_data and the oracle's cell action.
+It runs on partner arrays, as do enumeration, the Cayley graphs of
+green_data and the oracle's cell action.  A half diagram is one row of m
+points, cups and defects (`_half_arrays`, one walk over the row), and it is
+the basis element of the oracle's cell modules; an element is a top and a
+bottom half diagram with as many defects, the defects joined in order.
 
 Diagrams are immutable and every function here is pure.
 """
@@ -217,6 +220,14 @@ def _top_half(pa: Partners) -> tuple[int, ...]:
     return tuple([q if q < m else m for q in pa[:m]])
 
 
+def _lift(row: tuple[int, ...]) -> Partners:
+    """The half diagram row of _top_half as a diagram: its cups on top, each defect
+    k joined straight down to k'; so _top_half(_lift(row)) == row."""
+    m = len(row)
+    return tuple([m + k if q == m else q for k, q in enumerate(row)]
+                 + [k if q == m else -1 for k, q in enumerate(row)])
+
+
 def _glue(pa: Partners, pb: Partners) -> tuple[Partners, int, int]:
     """Stack pa on top of pb: (the product's partner array, closed loops, dead middle points).
 
@@ -329,40 +340,60 @@ def _check_enumerable(family: Family, m: int, capped: bool = True) -> None:
         )
 
 
-def _partner_arrays(family: Family, m: int):
-    """Every element as a partner array, each once: a backtracking walk of the boundary.
+def _half_arrays(family: Family, m: int, i: int):
+    """The half diagrams on m points with i defects, as _top_half rows, each once.
 
-    With a stack of open points, each point opens an arc, closes the arc on
-    top or (planar rook, Motzkin) stays single; planar rook opens only on top
-    and closes only below, so it pairs top and bottom points in order.
+    Entry k is the cup partner of point k, m for a defect or -1 for an
+    isolated point.  One walk over the points with a stack of open arcs:
+    each point closes the arc on top (not planar rook), opens an arc or
+    (not Temperley-Lieb) stays single.  The arcs still open at the end are
+    the defects, so no defect sits under a cup; the walk prunes when the
+    stack is further from i than the points left.
     """
-    _check_enumerable(family, m)
-    n = 2 * m
-    pa = [-1] * n
-    order = list(range(m)) + list(range(n - 1, m - 1, -1))
-    rook = family is Family.PLANAR_ROOK
-    singles = family is not Family.TEMPERLEY_LIEB
+    row = [-1] * m  # an open arc is a defect until it closes
     stack: list[int] = []
+    cups = family is not Family.PLANAR_ROOK
+    singles = family is not Family.TEMPERLEY_LIEB
 
     def walk(k: int):
-        if k == n:
-            yield tuple(pa)
+        if k == m:
+            yield tuple(row)
             return
-        s, after = order[k], n - k - 1
-        if stack and not (rook and s < m):  # close the open arc on top
+        left, gap = m - k - 1, len(stack) - i
+        if cups and stack and abs(gap - 1) <= left:  # close the arc on top
             t = stack.pop()
-            pa[s], pa[t] = t, s
+            row[k], row[t] = t, k
             yield from walk(k + 1)
-            pa[s] = pa[t] = -1
+            row[k], row[t] = -1, m
             stack.append(t)
-        if len(stack) < after and not (rook and s >= m):  # open an arc
-            stack.append(s)
+        if abs(gap + 1) <= left:  # open an arc
+            stack.append(k)
+            row[k] = m
             yield from walk(k + 1)
+            row[k] = -1
             stack.pop()
-        if singles and len(stack) <= after:
+        if singles and abs(gap) <= left:
             yield from walk(k + 1)
 
     yield from walk(0)
+
+
+def _partner_arrays(family: Family, m: int):
+    """Every element as a partner array, each once: for each rank i, every pair of a
+    top and a bottom half diagram with i defects, the j-th defects joined."""
+    _check_enumerable(family, m)
+    for i in rank_labels(family, m):
+        halves = []
+        for row in _half_arrays(family, m, i):
+            defects = [k for k, q in enumerate(row) if q == m]
+            # the row moved to the bottom slots; the defects' 2m is overwritten
+            halves.append((row, tuple([q if q < 0 else m + q for q in row]), defects))
+        for top, _, top_defects in halves:
+            for _, bottom, bottom_defects in halves:
+                pa = list(top + bottom)
+                for s, t in zip(top_defects, bottom_defects):
+                    pa[s], pa[m + t] = m + t, s
+                yield tuple(pa)
 
 
 def enumerate_diagrams(family: Family, m: int) -> tuple[Diagram, ...]:

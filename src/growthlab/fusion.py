@@ -177,8 +177,10 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, simple: CharTable, max_n: i
     see only the spectrum of the lower triangular A, so the product
     X^T A = diag(chi) X^T, with X the caller's simple table, pins its
     entries.  A table of another monoid or kind, or a non-integer character
-    value, raises InputError; any mismatch raises VerificationError.
+    value, or max_n < 0, raises InputError; any mismatch raises VerificationError.
     """
+    if max_n < 0:
+        raise InputError("need max_n >= 0")
     _check_compatible(spec, simple)
     chi = spec.bases
     a = g.rows

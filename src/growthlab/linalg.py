@@ -174,7 +174,7 @@ def _check_unit_triangular(t: Sequence[Sequence[int]]) -> None:
     n = len(t)
     for i, row in enumerate(t):
         if len(row) != n:
-            raise InputError(f"unit triangular solve with non-square {(n, len(row))}")
+            raise InputError(f"table is not square: row {i} has {len(row)} entries, not {n}")
         if not {int}.issuperset(map(type, row)):
             raise InputError(f"row {i} has an entry that is not an int")
         diagonal = row[i]

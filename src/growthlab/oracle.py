@@ -5,7 +5,10 @@ closed forms elsewhere have an independent referee:
 
 * half diagrams — planar partial matchings on m points with i unmatched
   "defect" points (defects may not sit under a cup) — are the basis of the
-  cell module S_i, for a planar family and m >= 1;
+  cell module S_i, for a planar family and m >= 1.  They come from the row
+  walk that also enumerates the monoid (each element a pair of them), as
+  rows of `diagrams._top_half`: entry k the cup partner of point k, m for a
+  defect, -1 for an isolated point;
 * a half diagram x lifts to a diagram: its cups on top, each defect k
   joined straight down to k'.  A monoid element d acts by the monoid
   product: d·x is the top row of d·lift(x), and it is zero when that product
@@ -41,9 +44,10 @@ from math import lcm
 from .diagrams import (
     Diagram,
     Family,
-    Partners,
     _check_enumerable,
     _glue,
+    _half_arrays,
+    _lift,
     _partner_arrays,
     _partners,
     _top_half,
@@ -55,77 +59,18 @@ from .errors import InputError, InternalCheckError, VerificationError
 from .growth import ModuleSpec, module_spec
 from .linalg import Mat, int_mul, kernel_and_rank, solve_lower_triangular
 from .record import Record
+from .tables import label_index
 
 
 # ---------------------------------------------------------------------------
-# half diagrams
+# half diagrams and the cell action
 
-class HalfDiagram(Record):
-    """A planar partial matching on m points with i upward defect strands.
-
-    cups are disjoint sorted pairs, defects the unmatched points that carry a
-    strand; everything else is isolated (only planar rook and Motzkin allow
-    isolated points, and only Motzkin allows cups and isolated together).
-    """
-
-    family: Family
-    m: int
-    cups: tuple[tuple[int, int], ...]
-    defects: tuple[int, ...]
-
-    @property
-    def n_defects(self) -> int:
-        return len(self.defects)
-
-
-def _half_states(points: tuple[int, ...], defects_left: int, family: Family):
-    """The planar states of a run of points with defects_left defects, in generation order.
-
-    Yields (cups, defects); points not mentioned are isolated.  Inside a cup
-    no defect may appear (it could not escape upward), which is exactly the
-    planarity constraint for half diagrams on a line.
-    """
-    if defects_left > len(points):
-        return
-    if not points:
-        yield ((), ())
-        return
-    p, rest = points[0], points[1:]
-    if defects_left:
-        for cups, defects in _half_states(rest, defects_left - 1, family):
-            yield cups, (p,) + defects
-    if family is not Family.TEMPERLEY_LIEB:
-        # p isolated
-        yield from _half_states(rest, defects_left, family)
-    if family is not Family.PLANAR_ROOK:
-        for idx in range(len(rest)):
-            if family is Family.TEMPERLEY_LIEB and idx % 2 == 1:
-                continue
-            q = rest[idx]
-            for in_cups, _ in _half_states(rest[:idx], 0, family):
-                for out_cups, out_defects in _half_states(rest[idx + 1:], defects_left, family):
-                    yield ((p, q),) + in_cups + out_cups, out_defects
-
-
-def half_diagrams(family: Family, m: int, i: int) -> tuple[HalfDiagram, ...]:
-    """The basis of the cell module S_i, sorted lexicographically on (cups, defects)."""
+def half_diagrams(family: Family, m: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """The basis of the cell module S_i: the half diagrams with i defects, as
+    _top_half rows (cup partner, m for a defect, -1 if isolated) in walk order."""
     _check_enumerable(family, m, capped=False)
-    if i not in rank_labels(family, m):
-        raise InputError(f"defect count {i} not in {rank_labels(family, m)}")
-    states = [
-        HalfDiagram(family, m, tuple(sorted(cups)), defects)
-        for cups, defects in _half_states(tuple(range(1, m + 1)), i, family)
-    ]
-    states.sort(key=lambda h: (h.cups, h.defects))
-    return tuple(states)
-
-
-# ---------------------------------------------------------------------------
-# the cell action
-
-def _lift(x: HalfDiagram) -> Partners:
-    """x as a diagram: its cups on top, each defect k joined straight down to k'."""
-    return _partners(x.cups + tuple((k, x.m + k) for k in x.defects), x.m)
+    label_index(rank_labels(family, m), i, family, m)
+    return tuple(_half_arrays(family, m, i))
 
 
 class CellModule:
@@ -137,7 +82,7 @@ class CellModule:
         self.i = i
         self.basis = half_diagrams(family, m, i)
         self._lifts = tuple(_lift(x) for x in self.basis)
-        self._index = {_top_half(pa): k for k, pa in enumerate(self._lifts)}
+        self._index = {x: k for k, x in enumerate(self.basis)}
         self._image_cache: dict[Diagram, tuple[int, ...]] = {}
 
     @property
@@ -194,14 +139,6 @@ def cell_character(family: Family, m: int, i: int, j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # the cellular form and simple characters
 
-def _states(x: HalfDiagram) -> list[int]:
-    """x by point 1..m: the cup partner, -1 for a defect, -2 for an isolated point."""
-    state = [-1 if k in x.defects else -2 for k in range(x.m + 1)]
-    for a, b in x.cups:
-        state[a], state[b] = b, a
-    return state
-
-
 def gram_matrix(family: Family, m: int, i: int) -> Mat:
     """The cellular bilinear form on the half-diagram basis of S_i.
 
@@ -212,17 +149,17 @@ def gram_matrix(family: Family, m: int, i: int) -> Mat:
     form is symmetric, so only the entries a <= b are walked.
     """
     basis = cell_module(family, m, i).basis
-    states = [_states(x) for x in basis]
     rows = [[0] * len(basis) for _ in basis]
-    for a, (x, sx) in enumerate(zip(basis, states)):
+    for a, x in enumerate(basis):
+        defects = [p for p, q in enumerate(x) if q == m]
         for b in range(a, len(basis)):
-            sy = states[b]
-            for p in x.defects:
-                q = sy[p]
-                while q >= 0:
-                    r = sx[q]
-                    q = sy[r] if r >= 0 else -2
-                if q != -1:
+            y = basis[b]
+            for p in defects:
+                q = y[p]
+                while 0 <= q < m:
+                    r = x[q]
+                    q = y[r] if 0 <= r < m else -1
+                if q != m:
                     break
             else:
                 rows[a][b] = rows[b][a] = 1
@@ -405,14 +342,14 @@ def _solve_multiplicities(
     return solve_lower_triangular(_transposed_simple_table(family, m), rhs)
 
 
-def _check_query(spec: ModuleSpec, n: int = 0, target: int | None = None) -> tuple[int, ...]:
-    """The labels of spec's monoid; InputError if n < 0 or target is not one."""
+def _check_query(spec: ModuleSpec, n: int = 0, target: int | None = None) -> int | None:
+    """The index of target among the labels of spec's monoid, None without a target;
+    InputError if n < 0 or target is not a label."""
     if n < 0:
         raise InputError("need n >= 0")
-    labels = rank_labels(spec.family, spec.m)
-    if target is not None and target not in labels:
-        raise InputError(f"target {target} not in {labels}")
-    return labels
+    if target is None:
+        return None
+    return label_index(rank_labels(spec.family, spec.m), target, spec.family, spec.m)
 
 
 def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
@@ -423,12 +360,12 @@ def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
     modules) additionally verifies the character powers against traces of
     literal Kronecker powers of the idempotent actions.
     """
-    labels = _check_query(spec, n, target)
+    index = _check_query(spec, n, target)
     if spec.family not in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
         raise InputError(f"no oracle for {spec.family.value}")
     rhs = tuple(chi**n for chi in spec.charvec)
     sol = _solve_multiplicities(spec.family, spec.m, rhs)
-    value = sol[labels.index(target)]
+    value = sol[index]
     if value.denominator != 1 or value < 0:
         raise VerificationError(
             f"multiplicity {value} is not a nonnegative integer; inconsistent inputs"
@@ -455,10 +392,10 @@ def oracle_product_multiplicity(
     """[V_a tensor V_b : V_target] by solving against pointwise products."""
     if spec_a.family is not spec_b.family or spec_a.m != spec_b.m:
         raise InputError("modules belong to different monoids")
-    labels = _check_query(spec_a, target=target)
+    index = _check_query(spec_a, target=target)
     rhs = tuple(a * b for a, b in zip(spec_a.charvec, spec_b.charvec))
     sol = _solve_multiplicities(spec_a.family, spec_a.m, rhs)
-    value = sol[labels.index(target)]
+    value = sol[index]
     if value.denominator != 1 or value < 0:
         raise VerificationError(f"tensor multiplicity {value} is not a nonnegative integer")
     return int(value)

@@ -1,11 +1,14 @@
-"""The union-find gluing routines and the matching enumeration the library used
-before its partner arrays.
+"""The union-find gluing routines, the matching enumeration and the half-diagram
+records the library used before its partner arrays and half-diagram rows.
 
 Each gluing routine groups slots into connected components with union-find
 and a dict, independently of `diagrams._glue`; `enumerate_diagrams` lists the
 monoid by recursive non-crossing matchings and the public `Diagram`
-constructor, independently of `diagrams._partner_arrays`.  The tests use them
-as referees.  The bodies are kept as they were in the library.
+constructor, independently of `diagrams._partner_arrays`; `_half_states`
+lists half diagrams as (cups, defects) by a recursion on cups, independently
+of `diagrams._half_arrays`.  The tests use them as referees.  The bodies are
+kept as they were in the library; `_apply_diagram` and `_pairing` take and
+give half-diagram rows (see `diagrams._top_half`) through `_record` and `_row`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,69 @@ from growthlab.diagrams import (
     max_enumerable_m,
 )
 from growthlab.errors import InputError
-from growthlab.oracle import HalfDiagram
+from growthlab.record import Record
+
+
+class HalfDiagram(Record):
+    """A planar partial matching on m points with i upward defect strands.
+
+    cups are disjoint sorted pairs, defects the unmatched points that carry a
+    strand; everything else is isolated (only planar rook and Motzkin allow
+    isolated points, and only Motzkin allows cups and isolated together).
+    """
+
+    family: Family
+    m: int
+    cups: tuple[tuple[int, int], ...]
+    defects: tuple[int, ...]
+
+    @property
+    def n_defects(self) -> int:
+        return len(self.defects)
+
+
+def _half_states(points: tuple[int, ...], defects_left: int, family: Family):
+    """The planar states of a run of points with defects_left defects, in generation order.
+
+    Yields (cups, defects); points not mentioned are isolated.  Inside a cup
+    no defect may appear (it could not escape upward), which is exactly the
+    planarity constraint for half diagrams on a line.
+    """
+    if defects_left > len(points):
+        return
+    if not points:
+        yield ((), ())
+        return
+    p, rest = points[0], points[1:]
+    if defects_left:
+        for cups, defects in _half_states(rest, defects_left - 1, family):
+            yield cups, (p,) + defects
+    if family is not Family.TEMPERLEY_LIEB:
+        # p isolated
+        yield from _half_states(rest, defects_left, family)
+    if family is not Family.PLANAR_ROOK:
+        for idx in range(len(rest)):
+            if family is Family.TEMPERLEY_LIEB and idx % 2 == 1:
+                continue
+            q = rest[idx]
+            for in_cups, _ in _half_states(rest[:idx], 0, family):
+                for out_cups, out_defects in _half_states(rest[idx + 1:], defects_left, family):
+                    yield ((p, q),) + in_cups + out_cups, out_defects
+
+
+def _record(row: tuple[int, ...], family: Family = None) -> HalfDiagram:
+    """The half-diagram row as a record: 1-based sorted cups, and the defects (entry m)."""
+    m = len(row)
+    cups = tuple((k + 1, q + 1) for k, q in enumerate(row) if k < q < m)
+    return HalfDiagram(family, m, cups, tuple(k + 1 for k, q in enumerate(row) if q == m))
+
+
+def _row(x: HalfDiagram) -> tuple[int, ...]:
+    """The record as a half-diagram row: cup partner, m for a defect, -1 if isolated."""
+    row = [x.m if k in x.defects else -1 for k in range(1, x.m + 1)]
+    for a, b in x.cups:
+        row[a - 1], row[b - 1] = b - 1, a - 1
+    return tuple(row)
 
 
 def components(n: int, pairs) -> list[int]:
@@ -84,8 +149,9 @@ def _compose_blocks(
     return _canonical_blocks(blocks), loops, isolated
 
 
-def _apply_diagram(d: Diagram, x: HalfDiagram) -> HalfDiagram | None:
-    """Glue x under d (x's points on d's bottom row); None when a defect dies."""
+def _apply_diagram(d: Diagram, row: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Glue the half diagram row under d (its points on d's bottom row); None when a defect dies."""
+    x = _record(row, d.family)
     m = d.m
     # slots 0..m-1: d's top row; m..2m-1: the glued middle row
     pairs = [(b[0] - 1, b[1] - 1) for b in d.blocks if len(b) == 2]
@@ -109,12 +175,12 @@ def _apply_diagram(d: Diagram, x: HalfDiagram) -> HalfDiagram | None:
         elif len(tops) == 2:
             new_cups.append((tops[0], tops[1]))
         # len(tops) == 1 -> isolated result point; 0 -> loop or dead middle, factor 1
-    return HalfDiagram(
+    return _row(HalfDiagram(
         x.family, m, tuple(sorted(new_cups)), tuple(sorted(new_defects))
-    )
+    ))
 
 
-def _pairing(x: HalfDiagram, y: HalfDiagram) -> int:
+def _pairing(x_row: tuple[int, ...], y_row: tuple[int, ...]) -> int:
     """Glue x (flipped) on top of y: 1 iff every defect propagates through.
 
     Components of the union of the two cup sets are paths or cycles; cycles
@@ -122,6 +188,7 @@ def _pairing(x: HalfDiagram, y: HalfDiagram) -> int:
     it joins one x-defect to one y-defect, and fatal when a defect meets a
     defect on its own side or a dead end.
     """
+    x, y = _record(x_row), _record(y_row)
     root_of = components(x.m, [(a - 1, b - 1) for a, b in x.cups + y.cups])
 
     x_def: dict[int, int] = {}

@@ -252,6 +252,15 @@ def test_spectral_check_rejects_a_non_integer_character():
         spectral_check(g, half, TL7)
 
 
+def test_spectral_check_refuses_a_negative_max_n():
+    # a negative max_n once left out every reconstruction check and passed
+    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
+    g = fusion_matrix(spec, TL7)
+    with pytest.raises(InputError, match="max_n >= 0"):
+        spectral_check(g, spec, TL7, max_n=-3)
+    assert spectral_check(g, spec, TL7, max_n=0)["checks"][-1] == "reconstructs_power_0"
+
+
 def test_spectral_check_refuses_a_table_of_another_kind_or_monoid():
     spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
     g = fusion_matrix(spec, TL7)

@@ -256,7 +256,8 @@ def test_unit_triangular_solve_checks_every_right_hand_side_entry():
 )
 def test_unit_triangular_solve_rejects(rows, lower, error):
     # the check wants zeros below the diagonal: a lower triangular t is checked as its transpose
-    with pytest.raises(error):
+    square = all(len(row) == len(rows) for row in rows)
+    with pytest.raises(error, match=None if square else "table is not square"):
         _check_unit_triangular(list(zip(*rows)) if lower else rows)
 
 

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from glue_reference import _apply_diagram, _pairing
+from glue_reference import _apply_diagram, _half_states, _pairing, _record
 from growthlab.diagrams import (
     Diagram,
     Family,
@@ -37,7 +37,7 @@ from growthlab.oracle import (
     simple_character,
     simple_dimension,
 )
-from growthlab.growth import module_spec
+from growthlab.growth import ModuleSpec, module_spec
 from growthlab.tables import cell_table, simple_table
 
 
@@ -68,15 +68,40 @@ def test_half_diagrams_are_planar_with_uncovered_defects():
         (Family.TEMPERLEY_LIEB, 7, 3),
         (Family.MOTZKIN, 5, 1),
         (Family.MOTZKIN, 4, 2),
+        (Family.PLANAR_ROOK, 5, 2),
     ):
         for h in half_diagrams(family, m, i):
-            for (a, b) in h.cups:
-                for (c, d) in h.cups:
+            # a row names each point's cup partner, m for a defect, -1 if isolated
+            assert len(h) == m and all(q in (-1, m) or h[q] == k for k, q in enumerate(h))
+            assert h.count(m) == i
+            assert (-1 in h) <= (family is not Family.TEMPERLEY_LIEB)
+            cups = [(a, b) for a, b in enumerate(h) if a < b < m]
+            assert not cups or family is not Family.PLANAR_ROOK
+            for (a, b) in cups:
+                for (c, d) in cups:
                     assert not (a < c < b < d)  # cups never cross on the line
-                for v in h.defects:
-                    assert not (a < v < b)  # defects escape upward
+                assert m not in h[a + 1:b]  # defects escape upward
     with pytest.raises(InputError):
         half_diagrams(Family.TEMPERLEY_LIEB, 7, 2)
+
+
+REFEREE_HALVES = [
+    (family, m)
+    for family in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN)
+    for m in range(1, diagrams.DEFAULT_MAX_M[family] + 1)
+] + [(Family.TEMPERLEY_LIEB, 11), (Family.PLANAR_ROOK, 8), (Family.MOTZKIN, 7)]
+
+
+@pytest.mark.parametrize("family,m", REFEREE_HALVES)
+def test_half_diagrams_match_the_recursive_referee(family, m):
+    for i in rank_labels(family, m):
+        rows = half_diagrams(family, m, i)
+        states = {
+            (tuple(sorted(cups)), defects)
+            for cups, defects in _half_states(tuple(range(1, m + 1)), i, family)
+        }
+        assert {(x.cups, x.defects) for x in map(_record, rows)} == states
+        assert len(rows) == len(states)
 
 
 UNMODELLED = [
@@ -106,11 +131,14 @@ def test_oracle_rejects_what_it_cannot_model(query, family, m, message):
         query(family, m)
 
 
-def test_half_diagrams_sorted_unique():
-    states = half_diagrams(Family.MOTZKIN, 4, 1)
-    keys = [(h.cups, h.defects) for h in states]
-    assert keys == sorted(keys)
-    assert len(set(states)) == len(states)
+def test_half_diagrams_unique_in_walk_order():
+    # the walk tries, point by point, closing an arc, opening one (a cup or a
+    # defect) and staying single, so its rows come sorted by those choices
+    m = 4
+    rows = half_diagrams(Family.MOTZKIN, m, 1)
+    keys = [tuple(0 if 0 <= q < k else 1 if q > k else 2 for k, q in enumerate(h)) for h in rows]
+    assert keys == sorted(set(keys))
+    assert len(set(rows)) == len(rows) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +282,11 @@ def test_kronecker_check_sees_a_wrong_character(monkeypatch):
 )
 def test_unstable_radical_raises(monkeypatch, family, m, i):
     kernel, scale, free_rows, rank = _radical_data(family, m, i)
-    # kernel column 0 becomes the unit vector of its free row: not stable
-    rows = tuple(
-        (scale * (r == free_rows[0]),) + row[1:] for r, row in enumerate(kernel)
-    )
+    # kernel column 0 loses its last entry off the free rows: not stable (the
+    # unit vector of its free row can be, as at MO 4, i = 2, where every
+    # class idempotent but the identity kills that basis element)
+    last = max(r for r, row in enumerate(kernel) if row[0] and r not in free_rows)
+    rows = tuple((0 if r == last else row[0],) + row[1:] for r, row in enumerate(kernel))
     monkeypatch.setattr(oracle, "_radical_data", lambda *key: (rows, scale, free_rows, rank))
     raised = 0
     for j in rank_labels(family, m):
@@ -473,6 +502,22 @@ def test_oracle_length_rejects_negative_n(family, m, label):
     # a negative power of a zero character value once divided by zero
     with pytest.raises(InputError):
         oracle_length(module_spec(family, m, label), -1)
+
+
+def test_label_errors_name_the_rule_not_the_labels():
+    # the 1,001 labels of TL 2000 once made a 5,473-character message
+    tl = Family.TEMPERLEY_LIEB
+    spec = ModuleSpec("V0", tl, 2000, 1, (1,))  # only its monoid is read
+    for query in (
+        lambda: half_diagrams(tl, 2000, 3),
+        lambda: oracle_multiplicity(spec, 1, 3),
+        lambda: oracle_product_multiplicity(spec, spec, 3),
+    ):
+        with pytest.raises(InputError) as info:
+            query()
+        message = str(info.value)
+        assert message.startswith("label 3 ") and "temperley_lieb m=2000" in message
+        assert "with the parity of m" in message and len(message) < 200
 
 
 def test_oracle_product_multiplicity_rejects_unknown_target():

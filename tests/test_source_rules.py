@@ -61,3 +61,30 @@ def test_every_unchecked_substitution_follows_a_table_check():
                     callers[f"{path.name}:{node.name}"] = "_check_compatible" in called
     assert "fusion.py:fusion_matrix" in callers
     assert sorted(name for name, checked in callers.items() if not checked) == []
+
+
+# each referee in tests/, and the library routines it referees
+REFEREED = {
+    "glue_reference.py": {"_glue", "_partner_arrays", "_half_arrays", "_lift"},
+    "linalg_reference.py": {"_substitute", "_reduce"},
+    "series_reference.py": {"_growth_series", "_inverse_column", "_cell_columns"},
+    "riordan_reference.py": {"_inverse_column"},
+}
+
+
+def test_referees_stay_independent_of_what_they_referee():
+    # a referee that imports the routine it checks agrees with every bug in it
+    tests = Path(__file__).parent
+    assert sorted(path.name for path in tests.glob("*_reference.py")) == sorted(REFEREED)
+    found = []
+    for name, routines in REFEREED.items():
+        tree = ast.parse((tests / name).read_text(encoding="utf-8"), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                used = [alias.name.rpartition(".")[2] for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                used = [node.attr]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}:{routine}" for routine in used if routine in routines]
+    assert found == []

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -308,6 +309,7 @@ def rank_labels(family: Family, m: int) -> tuple[int, ...]:
     return tuple(range(m + 1))
 
 
+@lru_cache(maxsize=None)
 def class_idempotent(family: Family, m: int, j: int) -> Diagram:
     """The canonical rank-j idempotent.
 

@@ -5,16 +5,15 @@ with positive denominator), so nothing here ever rounds.  Matrices are
 immutable tuples of tuples and every operation is a pure function; values can
 be shared between threads or worker processes without synchronization.
 
-Two kernels solve linear systems.  `_substitute` substitutes forward on ints
-against the transposed rows of a `CharTable` (checked unit upper triangular
-by `_check_unit_triangular` when built), skipping the zeros at the start of
-each right-hand side; `solve_lower_triangular` substitutes on `Fraction`s
-for the oracle.
-Everything else (`inverse`, `kernel_and_rank`, `rank`) runs one Gauss–Jordan
-reduction on integer-scaled rows: every row operation stays on Python ints,
-and a `Fraction` is made only when each pivot row is divided by its pivot at
-the end.  All matrices in this project are small (at most a few hundred
-rows), so dense storage is fine.
+One kernel solves the triangular systems: `_substitute` substitutes forward
+on ints against the transposed rows of a `CharTable` (checked unit upper
+triangular by `_check_unit_triangular` when built), skipping the zeros at the
+start of each right-hand side.  `inverse` and `kernel_and_rank` run one
+Gauss–Jordan reduction on integer-scaled rows: every row operation stays on
+Python ints, and a `Fraction` is made only when each pivot row is divided by
+its pivot at the end.  `int_rank` eliminates forward on rows of ints and
+makes no `Fraction` at all.  All matrices in this project are small (at most
+a few hundred rows), so dense storage is fine.
 
 Integral data never reaches this module as a `Mat`: character tables and
 fusion graphs keep their int rows themselves (`tables`, `fusion`) and build a
@@ -24,7 +23,7 @@ left factor and each column of the right one to integers by the lcm of its
 denominators, takes every dot product on Python ints and builds one
 `Fraction` per entry.  `int_mul` multiplies matrices that are rows of ints
 and returns rows of ints, for the callers that hold such rows (the fusion
-spectral check, the oracle's radical, verify's Riordan checks).
+spectral check, verify's Riordan checks).
 """
 
 from __future__ import annotations
@@ -147,27 +146,6 @@ def int_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list
     return [[sum(map(mul, row, col)) for col in cols] for row in x]
 
 
-def solve_lower_triangular(l: Mat, v: Sequence) -> tuple[Fraction, ...]:
-    """Forward substitution: exact x with l·x = v for lower triangular l."""
-    if not l.is_square():
-        raise DimensionError(f"triangular solve with non-square {l.shape}")
-    v = [_rat(x) for x in v]
-    n = l.nrows
-    if len(v) != n:
-        raise DimensionError("right-hand side length mismatch")
-    for i in range(n):
-        if any(l.rows[i][j] != 0 for j in range(i + 1, n)):
-            raise InputError("matrix is not lower triangular")
-    x = [Fraction(0)] * n
-    for i in range(n):
-        pivot = l.rows[i][i]
-        if pivot == 0:
-            raise SingularMatrixError(f"zero diagonal entry at {i}")
-        s = v[i] - sum((l.rows[i][j] * x[j] for j in range(i)), Fraction(0))
-        x[i] = s / pivot
-    return tuple(x)
-
-
 def _check_unit_triangular(t: Sequence[Sequence[int]]) -> None:
     """Refuse a t that is not square, of ints, with ones on the diagonal and zeros
     below it: SingularMatrixError for a zero diagonal entry, else InputError."""
@@ -287,5 +265,27 @@ def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
     return rank, basis
 
 
-def rank(a: Mat) -> int:
-    return kernel_and_rank(a)[0]
+def int_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over the rationals of a matrix of int rows, by forward elimination
+    without division: each pivot row clears its first nonzero column c from
+    every other row (p·row − f·pivot, p and f their entries in c, then divided
+    by its gcd), so the pivots are independent; repeated and zero rows drop."""
+    left = {tuple(row) for row in rows if any(row)}
+    rank = 0
+    while left:
+        pivot = left.pop()
+        c = next(compress(range(len(pivot)), pivot))
+        p = pivot[c]
+        rank += 1
+        reduced = set()
+        for row in left:
+            f = row[c]
+            if f:
+                row = [p * x - f * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                row = tuple([x // g for x in row] if g > 1 else row)
+            reduced.add(row)
+        left = reduced
+    return rank

@@ -21,13 +21,17 @@ closed forms elsewhere have an independent referee:
 * the cellular bilinear form pairs two half diagrams face to face: <x, y>
   is 1 when flip(lift(x))·lift(y) keeps every defect as a through strand,
   else 0, decided by a walk that alternates the cups of y and of x;
-* the simple module is the quotient of S_i by the radical of that form, and
-  its character is the trace of the induced action.  The radical basis is
-  kept as integer rows scaled by the lcm d of its denominators, so the
-  stability check and the quotient action run on ints;
-* tensor-power multiplicities come from solving the triangular system of the
-  brute-force character table (plus, for small n, an explicit Kronecker-power
-  trace check, on the d-scaled integer matrices against d^n chi^n).
+* the simple module V_i is S_i modulo the radical of that form.  On each
+  class idempotent e's index map, e is checked idempotent and the form
+  symmetric and invariant, <e·x, y> = <x, flip(e)·y>; so e keeps the
+  radical, and its trace on V_i is the integer rank of the Gram rows at the
+  fixed points of e;
+* the radical basis, as int rows scaled by the lcm d of its denominators, is
+  built only for the quotient actions of the Kronecker check;
+* tensor-power multiplicities come from forward substitution on ints against
+  the brute-force simple table, checked unit upper triangular when built
+  (plus, for small n, an explicit Kronecker-power trace check, on the
+  d-scaled integer matrices against d^n chi^n).
 
 Cell modules are cached per (family, m, i), and each one memoizes the index
 map of every diagram it has seen.  Recomputation is idempotent (pure
@@ -40,6 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .diagrams import (
     Diagram,
@@ -53,11 +58,12 @@ from .diagrams import (
     _top_half,
     class_idempotent,
     expected_order,
+    flip,
     rank_labels,
 )
 from .errors import InputError, InternalCheckError, VerificationError
 from .growth import ModuleSpec, module_spec
-from .linalg import Mat, int_mul, kernel_and_rank, solve_lower_triangular
+from .linalg import Mat, int_rank, kernel_and_rank
 from .record import Record
 from .tables import label_index
 
@@ -126,21 +132,18 @@ def cell_module(family: Family, m: int, i: int) -> CellModule:
     return CellModule(family, m, i)
 
 
-def _fixed_points(image: tuple[int, ...]) -> int:
-    return sum(1 for c, r in enumerate(image) if c == r)
-
-
 def cell_character(family: Family, m: int, i: int, j: int) -> Fraction:
     """Trace of the canonical rank-j idempotent on S_i (a fixed-point count)."""
-    module = cell_module(family, m, i)
-    return Fraction(_fixed_points(module.image(class_idempotent(family, m, j))))
+    image = cell_module(family, m, i).image(class_idempotent(family, m, j))
+    return Fraction(sum(1 for c, r in enumerate(image) if c == r))
 
 
 # ---------------------------------------------------------------------------
 # the cellular form and simple characters
 
-def gram_matrix(family: Family, m: int, i: int) -> Mat:
-    """The cellular bilinear form on the half-diagram basis of S_i.
+@lru_cache(maxsize=None)
+def _gram_rows(family: Family, m: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """The cellular bilinear form on the half-diagram basis of S_i, as int rows.
 
     <x, y> is 1 when flip(lift(x))·lift(y) keeps all i through strands, that
     is when every defect of x runs into a defect of y; else 0.  From each
@@ -163,66 +166,64 @@ def gram_matrix(family: Family, m: int, i: int) -> Mat:
                     break
             else:
                 rows[a][b] = rows[b][a] = 1
-    return Mat(rows)
+    return tuple(map(tuple, rows))
+
+
+def gram_matrix(family: Family, m: int, i: int) -> Mat:
+    """The cellular bilinear form on the half-diagram basis of S_i (see `_gram_rows`)."""
+    return Mat(_gram_rows(family, m, i))
+
+
+def _simple_rank(family: Family, m: int, i: int, e: Diagram, e_star: Diagram) -> int:
+    """tr(e | V_i) for an idempotent diagram e with adjoint e* = flip(e).
+
+    The form must be invariant, <e·x_a, x_b> = <x_a, e*·x_b>, so that e keeps
+    the radical and acts on V_i = S_i / rad.  For a symmetric form the right
+    side is <e*·x_b, x_a>: the rows <e·x_a, -> must be the columns <e*·x_b, ->
+    (zero where an image is zero), two transposes of index-map reads.  The
+    images of e must be its fixed points F; then tr(e) = dim(e·V_i), and as
+    the form on V_i is nondegenerate, that is the rank of the Gram rows at F.
+    """
+    module, gram = cell_module(family, m, i), _gram_rows(family, m, i)
+    image, star = module.image(e), module.image(e_star)
+    fixed = [c for c, r in enumerate(image) if c == r]
+    zero = (0,) * len(gram)
+    left = [gram[r] if r >= 0 else zero for r in image]  # row a: <e·x_a, ->
+    right = left if star is image else [gram[s] if s >= 0 else zero for s in star]
+    if not {-1, *fixed}.issuperset(image) or gram != tuple(zip(*gram)) or left != list(zip(*right)):
+        raise InternalCheckError(f"S_{i}: {e} not idempotent, or form not symmetric and invariant")
+    return int_rank(gram[c] for c in fixed)
+
+
+def simple_character(family: Family, m: int, i: int, j: int) -> Fraction:
+    """Trace of the rank-j idempotent on the simple quotient S_i / rad (see `_simple_rank`)."""
+    e = class_idempotent(family, m, j)
+    return Fraction(_simple_rank(family, m, i, e, flip(e)))
+
+
+def simple_dimension(family: Family, m: int, i: int) -> int:
+    """Rank of the cellular form = dimension of the simple module V_i."""
+    return int_rank(_gram_rows(family, m, i))
 
 
 @lru_cache(maxsize=None)
 def _radical_data(family: Family, m: int, i: int):
-    """(kernel rows or None, their scale d, the free rows, quotient dimension).
+    """(kernel rows or None, their scale d, the free rows), for `_quotient_action`.
 
     The kernel basis of the form, as the columns of a matrix K, is kept as
     the int rows of d·K, d the lcm of the denominators of K.  Kernel column
     c carries a 1 in its free row, which is its last nonzero entry, and 0 in
     the other free rows; so d·K restricted to the free rows is d·I.
     """
-    gram = gram_matrix(family, m, i)
-    rank, kernel = kernel_and_rank(gram)
+    _, kernel = kernel_and_rank(gram_matrix(family, m, i))
     if not kernel:
-        return None, 1, (), gram.nrows
+        return None, 1, ()
     free_rows = tuple(max(r for r, x in enumerate(v) if x) for v in kernel)
     scale = lcm(*(x.denominator for v in kernel for x in v))
     rows = tuple(
         tuple(x.numerator * (scale // x.denominator) for x in row) for row in zip(*kernel)
     )
-    return rows, scale, free_rows, rank
-
-
-def _image_times(image: tuple[int, ...], rows) -> list[list[int]]:
-    """A·R for the 0/1 matrix A of an index map: row c of R is added to row image[c]."""
-    out = [[0] * len(rows[0]) for _ in image]
-    for c, r in enumerate(image):
-        if r >= 0:
-            out[r] = [x + y for x, y in zip(out[r], rows[c])]
-    return out
-
-
-def simple_character(family: Family, m: int, i: int, j: int) -> Fraction:
-    """Trace of the rank-j idempotent on the simple quotient S_i / rad.
-
-    The radical is the kernel of the cellular form; the action A must
-    preserve it (cellularity), which is verified, and the quotient trace is
-    the full trace minus the trace on the radical.  On K' = d·K the action
-    on the radical is the matrix S with A·K' = K'·S; since K' is d·I on the
-    free rows, d·S is A·K' read on those rows, and the check K'·(d·S) =
-    d·(A·K') and the trace tr(d·S)/d run on ints.
-    """
-    module = cell_module(family, m, i)
-    image = module.image(class_idempotent(family, m, j))
-    kernel, scale, free_rows, _ = _radical_data(family, m, i)
-    if kernel is None:
-        return Fraction(_fixed_points(image))
-    ak = _image_times(image, kernel)
-    sub = [ak[f] for f in free_rows]
-    if int_mul(kernel, sub) != [[scale * x for x in row] for row in ak]:
-        raise InternalCheckError(
-            f"radical of S_{i} not stable under the rank-{j} idempotent"
-        )
-    return _fixed_points(image) - Fraction(sum(row[k] for k, row in enumerate(sub)), scale)
-
-
-def simple_dimension(family: Family, m: int, i: int) -> int:
-    """Rank of the cellular form = dimension of the simple module V_i."""
-    return _radical_data(family, m, i)[3]
+    return rows, scale, free_rows
 
 
 @lru_cache(maxsize=None)
@@ -233,10 +234,21 @@ def oracle_cell_table(family: Family, m: int) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def oracle_simple_table(family: Family, m: int) -> Mat:
+def _simple_rows(family: Family, m: int) -> tuple[tuple[int, ...], ...]:
+    """The brute-force simple table as int rows, checked unit upper triangular."""
     _check_enumerable(family, m, capped=False)
     labels = rank_labels(family, m)
-    return Mat([[simple_character(family, m, i, j) for j in labels] for i in labels])
+    pairs = [(e, flip(e)) for e in (class_idempotent(family, m, j) for j in labels)]
+    rows = tuple(tuple(_simple_rank(family, m, i, *pair) for pair in pairs) for i in labels)
+    for k, row in enumerate(rows):
+        if row[k] != 1 or any(row[:k]):
+            raise VerificationError(f"simple table of {family.value}_{m} not unit upper triangular")
+    return rows
+
+
+@lru_cache(maxsize=None)
+def oracle_simple_table(family: Family, m: int) -> Mat:
+    return Mat(_simple_rows(family, m))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +273,7 @@ def _quotient_action(family: Family, m: int, i: int, d: Diagram) -> _Sparse:
     when image[c] is -1.  Scaled by the kernel's d, every entry is an int.
     """
     image = cell_module(family, m, i).image(d)
-    kernel, scale, free_rows, _ = _radical_data(family, m, i)
+    kernel, scale, free_rows = _radical_data(family, m, i)
     if kernel is None:
         return _sparse_image(image)
     free_col = {f: t for t, f in enumerate(free_rows)}
@@ -302,6 +314,12 @@ def _kron_sparse(a, b):
 
 @lru_cache(maxsize=None)
 def _kronecker_check_cached(family: Family, m: int, label: str, n: int) -> None:
+    """Explicitly verify chi(e_j)^n as the trace of the n-fold Kronecker power.
+
+    The matrices are d times the actions, so the trace is compared with
+    d^n chi^n.  Cached per (module, n): the matrices can be large (dim^2)
+    and the check is deterministic.
+    """
     spec = module_spec(family, m, label)
     labels = rank_labels(family, m)
     for j, chi in zip(labels, spec.charvec):
@@ -316,30 +334,20 @@ def _kronecker_check_cached(family: Family, m: int, label: str, n: int) -> None:
             )
 
 
-def _kronecker_check(spec: ModuleSpec, n: int) -> None:
-    """Explicitly verify chi(e_j)^n as the trace of the n-fold Kronecker power.
-
-    The matrices are d times the actions, so the trace is compared with
-    d^n chi^n.  Cached per (module, n): the matrices can be large (dim^2)
-    and the check is deterministic.
-    """
-    _kronecker_check_cached(spec.family, spec.m, spec.label, n)
-
-
 # ---------------------------------------------------------------------------
 # multiplicities and counting
 
 @lru_cache(maxsize=None)
-def _transposed_simple_table(family: Family, m: int) -> Mat:
-    return oracle_simple_table(family, m).transpose()
+def _solve_multiplicities(family: Family, m: int, rhs: tuple[int, ...]) -> tuple[int, ...]:
+    """y with X^T y = rhs on ints, X the oracle simple table; each rhs is solved once.
 
-
-@lru_cache(maxsize=None)
-def _solve_multiplicities(
-    family: Family, m: int, rhs: tuple[Fraction, ...]
-) -> tuple[Fraction, ...]:
-    """y with X^T y = rhs, X the oracle simple table; each rhs is solved once."""
-    return solve_lower_triangular(_transposed_simple_table(family, m), rhs)
+    X is unit upper triangular (checked when built), so y_j is rhs_j less
+    X[i][j]·y_i for every i < j: forward substitution, with no division.
+    """
+    y: list[int] = []
+    for col, b in zip(zip(*_simple_rows(family, m)), rhs):
+        y.append(b - sum(map(mul, col, y)))  # map stops at len(y): the entries above the diagonal
+    return tuple(y)
 
 
 def _check_query(spec: ModuleSpec, n: int = 0, target: int | None = None) -> int | None:
@@ -363,27 +371,18 @@ def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
     index = _check_query(spec, n, target)
     if spec.family not in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
         raise InputError(f"no oracle for {spec.family.value}")
-    rhs = tuple(chi**n for chi in spec.charvec)
-    sol = _solve_multiplicities(spec.family, spec.m, rhs)
-    value = sol[index]
-    if value.denominator != 1 or value < 0:
-        raise VerificationError(
-            f"multiplicity {value} is not a nonnegative integer; inconsistent inputs"
-        )
+    value = _solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases))[index]
+    if value < 0:
+        raise VerificationError(f"multiplicity {value} is negative; inconsistent inputs")
     if 1 <= n <= 2 and spec.label[0] in "SV":
-        _kronecker_check(spec, n)
-    return int(value)
+        _kronecker_check_cached(spec.family, spec.m, spec.label, n)
+    return value
 
 
 def oracle_length(spec: ModuleSpec, n: int) -> int:
     """l(n) as the sum of all oracle multiplicities."""
     _check_query(spec, n)
-    rhs = tuple(chi**n for chi in spec.charvec)
-    sol = _solve_multiplicities(spec.family, spec.m, rhs)
-    total = sum(sol, Fraction(0))
-    if total.denominator != 1:
-        raise VerificationError(f"length {total} is not an integer")
-    return int(total)
+    return sum(_solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases)))
 
 
 def oracle_product_multiplicity(
@@ -393,12 +392,11 @@ def oracle_product_multiplicity(
     if spec_a.family is not spec_b.family or spec_a.m != spec_b.m:
         raise InputError("modules belong to different monoids")
     index = _check_query(spec_a, target=target)
-    rhs = tuple(a * b for a, b in zip(spec_a.charvec, spec_b.charvec))
-    sol = _solve_multiplicities(spec_a.family, spec_a.m, rhs)
-    value = sol[index]
-    if value.denominator != 1 or value < 0:
-        raise VerificationError(f"tensor multiplicity {value} is not a nonnegative integer")
-    return int(value)
+    rhs = tuple(map(mul, spec_a.bases, spec_b.bases))
+    value = _solve_multiplicities(spec_a.family, spec_a.m, rhs)[index]
+    if value < 0:
+        raise VerificationError(f"tensor multiplicity {value} is negative")
+    return value
 
 
 class CountCheck(Record):

@@ -1,10 +1,12 @@
 """Reference routes for the tests: a Fraction matrix-vector product, a
-matrix power by repeated squaring, a Fraction back-substitution, an integer
-unit-triangular solve in either direction and a Gauss–Jordan reduction over
-Fraction with the inverse and kernel it gives.
+matrix power by repeated squaring, Fraction back- and forward substitution,
+an integer unit-triangular solve in either direction and a Gauss–Jordan
+reduction over Fraction with the inverse and kernel it gives.
 
 The library takes integer matrix-vector steps, triangular solves and an
-integer elimination instead; these plain routes referee them.
+integer elimination instead; these plain routes referee them.  The Fraction
+forward substitution referees the oracle's integer solve of its
+multiplicities.
 """
 
 from fractions import Fraction
@@ -55,6 +57,27 @@ def solve_upper_triangular(u: Mat, v) -> tuple[Fraction, ...]:
         if pivot == 0:
             raise SingularMatrixError(f"zero diagonal entry at {i}")
         s = v[i] - sum((u.rows[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        x[i] = s / pivot
+    return tuple(x)
+
+
+def solve_lower_triangular(l: Mat, v) -> tuple[Fraction, ...]:
+    """Forward substitution: exact x with l·x = v for lower triangular l."""
+    if not l.is_square():
+        raise DimensionError(f"triangular solve with non-square {l.shape}")
+    v = [Fraction(x) for x in v]
+    n = l.nrows
+    if len(v) != n:
+        raise DimensionError("right-hand side length mismatch")
+    for i in range(n):
+        if any(l.rows[i][j] != 0 for j in range(i + 1, n)):
+            raise InputError("matrix is not lower triangular")
+    x = [Fraction(0)] * n
+    for i in range(n):
+        pivot = l.rows[i][i]
+        if pivot == 0:
+            raise SingularMatrixError(f"zero diagonal entry at {i}")
+        s = v[i] - sum((l.rows[i][j] * x[j] for j in range(i)), Fraction(0))
         x[i] = s / pivot
     return tuple(x)
 

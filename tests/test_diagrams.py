@@ -308,6 +308,16 @@ def test_class_idempotent_properties():
         class_idempotent(Family.MOTZKIN, 4, 5)
 
 
+def test_class_idempotent_is_memoized_and_refuses_every_bad_rank():
+    tl = Family.TEMPERLEY_LIEB
+    e = class_idempotent(tl, 6, 2)
+    assert class_idempotent(tl, 6, 2) is e
+    assert flip(e) == e  # the oracle's invariance check reads e* = flip(e) from e's image cache
+    for _ in range(3):  # an error is never cached
+        with pytest.raises(InputError, match="rank 3 is not attained"):
+            class_idempotent(tl, 6, 3)
+
+
 def test_canonical_idempotents_hit_every_rank_once():
     for family, m in SMALL:
         ranks = [rank(class_idempotent(family, m, j)) for j in rank_labels(family, m)]

@@ -10,13 +10,19 @@ from growthlab.linalg import (
     Mat,
     _check_unit_triangular,
     _substitute,
+    int_rank,
     inverse,
     kernel_and_rank,
     mat_mul,
-    solve_lower_triangular,
 )
 import linalg_reference
-from linalg_reference import apply, mat_pow, solve_unit_triangular, solve_upper_triangular
+from linalg_reference import (
+    apply,
+    mat_pow,
+    solve_lower_triangular,
+    solve_unit_triangular,
+    solve_upper_triangular,
+)
 
 TL7_SIMPLE = Mat([(1, 1, 1, 1), (0, 1, 4, 13), (0, 0, 1, 6), (0, 0, 0, 1)])
 TL7_LINV = Mat([(1, 0, 0, 0), (-1, 1, 0, 0), (3, -4, 1, 0), (-6, 11, -6, 1)])
@@ -373,6 +379,33 @@ def test_elimination_matches_the_fraction_reference(a):
             inverse(a)
     else:
         assert inverse(a) == linalg_reference.inverse(a)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Int rows, 1-8 by 1-8: 0/1 entries (as in a Gram form) or small signed
+    ones, some rows repeated or combining others with integer weights."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entries = st.integers(0, 1) if draw(st.booleans()) else st.integers(-3, 3)
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, nrows - 1))
+        weights = draw(st.lists(st.integers(-2, 2), min_size=nrows, max_size=nrows))
+        rows[k] = [sum(w * row[j] for w, row in zip(weights, rows) if row is not rows[k]) for j in range(ncols)]
+    if nrows > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+@example([[0, 0], [0, 0]])
+@example([[1, 1, 0], [1, 1, 0], [0, 1, 1], [1, 0, -1]])
+@example([[2, 4], [3, 6], [-1, -2]])
+def test_int_rank_matches_the_fraction_rank(rows):
+    rank = int_rank(map(tuple, rows))
+    assert rank == linalg_reference.kernel_and_rank(Mat(rows))[0]
+    assert rank == int_rank(map(tuple, zip(*rows)))  # row rank is column rank
 
 
 def test_kernel_zero_matrix():

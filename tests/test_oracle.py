@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import radical_reference
 from glue_reference import _apply_diagram, _half_states, _pairing, _record
+from linalg_reference import solve_lower_triangular
 from growthlab.diagrams import (
     Diagram,
     Family,
@@ -24,6 +30,7 @@ from growthlab.oracle import (
     _kronecker_check_cached,
     _quotient_action,
     _radical_data,
+    _simple_rows,
     cell_character,
     cell_module,
     count_check,
@@ -246,11 +253,11 @@ def _scaled_radical(family, m, i, factor):
     original = oracle._radical_data
 
     def scaled(f, mm, ii):
-        kernel, scale, free_rows, rank = original(f, mm, ii)
+        kernel, scale, free_rows = original(f, mm, ii)
         if (f, mm, ii) != (family, m, i):
-            return kernel, scale, free_rows, rank
+            return kernel, scale, free_rows
         rows = tuple(tuple(factor * x for x in row) for row in kernel)
-        return rows, factor * scale, free_rows, rank
+        return rows, factor * scale, free_rows
 
     return scaled
 
@@ -259,11 +266,11 @@ def _scaled_radical(family, m, i, factor):
 def test_radical_scale_changes_no_character(monkeypatch, family, m, i):
     # every kernel here is integral (d = 1); a scale of 3 exercises d
     labels = rank_labels(family, m)
-    expected = [simple_character(family, m, i, j) for j in labels]
+    expected = [radical_reference.simple_character(family, m, i, j) for j in labels]
     sample = [class_idempotent(family, m, j) for j in labels]
     quotients = [_dense(*_quotient_action(family, m, i, d)) for d in sample]
     monkeypatch.setattr(oracle, "_radical_data", _scaled_radical(family, m, i, 3))
-    assert [simple_character(family, m, i, j) for j in labels] == expected
+    assert [radical_reference.simple_character(family, m, i, j) for j in labels] == expected
     assert [_dense(*_quotient_action(family, m, i, d)) for d in sample] == quotients
     for n in (1, 2):
         _kronecker_check_cached.__wrapped__(family, m, f"V{i}", n)
@@ -281,17 +288,17 @@ def test_kronecker_check_sees_a_wrong_character(monkeypatch):
     "family,m,i", [(Family.TEMPERLEY_LIEB, 5, 1), (Family.TEMPERLEY_LIEB, 7, 3), (Family.MOTZKIN, 4, 2)]
 )
 def test_unstable_radical_raises(monkeypatch, family, m, i):
-    kernel, scale, free_rows, rank = _radical_data(family, m, i)
+    kernel, scale, free_rows = _radical_data(family, m, i)
     # kernel column 0 loses its last entry off the free rows: not stable (the
     # unit vector of its free row can be, as at MO 4, i = 2, where every
     # class idempotent but the identity kills that basis element)
     last = max(r for r, row in enumerate(kernel) if row[0] and r not in free_rows)
     rows = tuple((0 if r == last else row[0],) + row[1:] for r, row in enumerate(kernel))
-    monkeypatch.setattr(oracle, "_radical_data", lambda *key: (rows, scale, free_rows, rank))
+    monkeypatch.setattr(oracle, "_radical_data", lambda *key: (rows, scale, free_rows))
     raised = 0
     for j in rank_labels(family, m):
         try:
-            simple_character(family, m, i, j)
+            radical_reference.simple_character(family, m, i, j)
         except InternalCheckError:
             raised += 1
     assert raised
@@ -398,6 +405,164 @@ def test_character_constancy_across_same_rank_idempotents():
 
 
 # ---------------------------------------------------------------------------
+# simple characters by rank, against the radical-trace referee
+
+REFEREE_SIMPLE = [
+    (family, m)
+    for family in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN)
+    for m in range(1, diagrams.DEFAULT_MAX_M[family] + 2)
+] + [(Family.TEMPERLEY_LIEB, 9)]
+
+
+@pytest.mark.parametrize("family,m", REFEREE_SIMPLE)
+def test_rank_route_matches_the_radical_trace_referee(family, m):
+    labels = rank_labels(family, m)
+    expected = [[radical_reference.simple_character(family, m, i, j) for j in labels] for i in labels]
+    assert oracle_simple_table(family, m) == Mat(expected)
+    for i, row in zip(labels, expected):
+        assert [simple_character(family, m, i, j) for j in labels] == row
+        assert simple_dimension(family, m, i) == row[-1]
+
+
+# (family, m, i, an entry (a, b) of the form that the invariance check sees)
+MUTATED_FORMS = [
+    (Family.TEMPERLEY_LIEB, 7, 3, (0, 3)),
+    (Family.MOTZKIN, 5, 2, (0, 1)),
+    (Family.MOTZKIN, 4, 2, (0, 3)),  # where a wrong radical once passed the stability check
+]
+
+
+def _flip_form_entries(monkeypatch, family, m, i, entries):
+    """Make `_gram_rows` return the form of S_i with each (a, b) in entries flipped."""
+    original = oracle._gram_rows
+    rows = [list(row) for row in original(family, m, i)]
+    for a, b in entries:
+        rows[a][b] ^= 1
+    perturbed = tuple(map(tuple, rows))
+    monkeypatch.setattr(
+        oracle, "_gram_rows", lambda *key: perturbed if key == (family, m, i) else original(*key)
+    )
+
+
+@pytest.mark.parametrize("family,m,i,entry", MUTATED_FORMS)
+@pytest.mark.parametrize("symmetric", [False, True], ids=["one-entry", "both-entries"])
+def test_perturbed_gram_entry_raises(monkeypatch, family, m, i, entry, symmetric):
+    # flipping the mirror entry too keeps the form symmetric: only the invariance can fail
+    entries = [entry, entry[::-1]] if symmetric else [entry]
+    _flip_form_entries(monkeypatch, family, m, i, entries)
+    with pytest.raises(InternalCheckError, match=f"S_{i}: .* not symmetric and invariant"):
+        _simple_rows.__wrapped__(family, m)
+
+
+@pytest.mark.parametrize("family,m,i", [case[:3] for case in MUTATED_FORMS])
+def test_perturbed_index_map_raises(monkeypatch, family, m, i):
+    module = cell_module(family, m, i)
+    perturbed = 0
+    for j in rank_labels(family, m):
+        e = class_idempotent(family, m, j)
+        image = module.image(e)
+        fixed = [c for c, r in enumerate(image) if c == r]
+        dead = [c for c, r in enumerate(image) if r < 0]
+        if not fixed or not dead:
+            continue
+        # the first zero image lands on a fixed point: still an idempotent map
+        wrong = list(image)
+        wrong[dead[0]] = fixed[0]
+        monkeypatch.setitem(module._image_cache, e, tuple(wrong))
+        with pytest.raises(InternalCheckError, match="not idempotent, or form not symmetric"):
+            simple_character(family, m, i, j)
+        monkeypatch.setitem(module._image_cache, e, image)
+        perturbed += 1
+    assert perturbed >= 2
+
+
+def test_an_involution_in_place_of_the_idempotent_raises(monkeypatch):
+    # the form of PRO 5, i = 2 is the identity, so a map swapping two basis
+    # elements keeps it invariant; only the idempotence check sees the swap
+    family, m, i, j = Family.PLANAR_ROOK, 5, 2, 3
+    module, e = cell_module(family, m, i), class_idempotent(family, m, j)
+    assert gram_matrix(family, m, i) == Mat.identity(module.dim)
+    image = module.image(e)
+    a, b = [c for c, r in enumerate(image) if r < 0][:2]
+    swapped = tuple(b if c == a else a if c == b else r for c, r in enumerate(image))
+    monkeypatch.setitem(module._image_cache, e, swapped)
+    with pytest.raises(InternalCheckError, match="not idempotent"):
+        simple_character(family, m, i, j)
+
+
+@pytest.mark.parametrize("family,m,i", [case[:3] for case in MUTATED_FORMS])
+def test_an_asymmetric_form_raises_under_one_idempotent(monkeypatch, family, m, i):
+    # <x_p, x_q> with p not fixed by e and q fixed: invariance reads it at
+    # (p, e·x_q), but no row <e·x_a, -> or column <e·x_b, -> holds it, so only
+    # the symmetry check sees it when e is not the identity
+    j = rank_labels(family, m)[-2]
+    image = cell_module(family, m, i).image(class_idempotent(family, m, j))
+    p = next(c for c, r in enumerate(image) if c != r)
+    q = next(c for c, r in enumerate(image) if c == r)
+    _flip_form_entries(monkeypatch, family, m, i, [(p, q)])
+    with pytest.raises(InternalCheckError, match="form not symmetric and invariant"):
+        simple_character(family, m, i, j)
+
+
+@pytest.mark.parametrize("position", [(1, 1), (1, 0)], ids=["diagonal", "below"])
+def test_simple_table_must_be_unit_upper_triangular(monkeypatch, position):
+    original = oracle._simple_rank
+    family, m = Family.TEMPERLEY_LIEB, 5
+    labels = rank_labels(family, m)
+    row, col = position
+
+    def wrong(f, mm, i, e, e_star):
+        value = original(f, mm, i, e, e_star)
+        return value + 1 if (i, e.rank()) == (labels[row], labels[col]) else value
+
+    monkeypatch.setattr(oracle, "_simple_rank", wrong)
+    with pytest.raises(VerificationError, match="not unit upper triangular"):
+        _simple_rows.__wrapped__(family, m)
+
+
+def test_integer_solve_matches_the_fraction_referee(monkeypatch):
+    # every right-hand side the verify suites solve, against forward substitution on Fractions
+    solved = {}
+    calls = []
+    original = oracle._solve_multiplicities
+
+    def recording(family, m, rhs):
+        calls.append(rhs)
+        solved[(family, m, rhs)] = original(family, m, rhs)
+        return solved[(family, m, rhs)]
+
+    monkeypatch.setattr(oracle, "_solve_multiplicities", recording)
+    assert all(r.ok for r in verify.run_suite("all"))
+    assert len(calls) > 400 and len(solved) > 40
+    for (family, m, rhs), y in solved.items():
+        assert all(type(v) is int for v in rhs + y)
+        assert y == solve_lower_triangular(oracle_simple_table(family, m).transpose(), rhs)
+
+
+def test_verify_builds_a_radical_only_for_the_kronecker_modules():
+    # the radical serves only the quotient actions of the four V modules that
+    # the Kronecker checks take; the simple characters never build one
+    code = (
+        "from growthlab import oracle, verify\n"
+        "from growthlab.diagrams import Family\n"
+        "verify.run_suite('all')\n"
+        "print(oracle._radical_data.cache_info().currsize)\n"
+        "for key in ((Family.TEMPERLEY_LIEB, 7, 3), (Family.MOTZKIN, 5, 2),\n"
+        "            (Family.PLANAR_ROOK, 5, 1), (Family.PLANAR_ROOK, 4, 2)):\n"
+        "    oracle._radical_data(*key)\n"
+        "print(oracle._radical_data.cache_info().currsize)\n"
+    )
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["4", "4"]
+
+
+# ---------------------------------------------------------------------------
 # radical quotients against the general-inverse routes
 
 
@@ -444,7 +609,7 @@ def test_radical_quotients_match_inverse_routes(family, m):
     sample = random.Random(m).sample(enumerate_diagrams(family, m), 4)
     radicals = 0
     for i in labels:
-        kernel, scale, free_rows, _ = _radical_data(family, m, i)
+        kernel, scale, free_rows = _radical_data(family, m, i)
         if kernel is None:
             continue
         radicals += 1
@@ -457,7 +622,8 @@ def test_radical_quotients_match_inverse_routes(family, m):
         sub, quotient = _inverse_routes(kernel_cols)
         for j, e in zip(labels, idempotents):
             action = module.action(e)
-            assert simple_character(family, m, i, j) == action.trace() - sub(action).trace()
+            trace = action.trace() - sub(action).trace()
+            assert radical_reference.simple_character(family, m, i, j) == trace
         for d in idempotents + sample:
             assert _dense(*_quotient_action(family, m, i, d)) == quotient(module.action(d))
     assert radicals > 0

@@ -66,7 +66,8 @@ def test_every_unchecked_substitution_follows_a_table_check():
 # each referee in tests/, and the library routines it referees
 REFEREED = {
     "glue_reference.py": {"_glue", "_partner_arrays", "_half_arrays", "_lift"},
-    "linalg_reference.py": {"_substitute", "_reduce"},
+    "linalg_reference.py": {"_substitute", "_reduce", "_solve_multiplicities"},
+    "radical_reference.py": {"_simple_rank", "_simple_rows", "int_rank"},
     "series_reference.py": {"_growth_series", "_inverse_column", "_cell_columns"},
     "riordan_reference.py": {"_inverse_column"},
 }

@@ -11,9 +11,10 @@ triangular by `_check_unit_triangular` when built), skipping the zeros at the
 start of each right-hand side.  `inverse` and `kernel_and_rank` run one
 Gauss–Jordan reduction on integer-scaled rows: every row operation stays on
 Python ints, and a `Fraction` is made only when each pivot row is divided by
-its pivot at the end.  `int_rank` eliminates forward on rows of ints and
-makes no `Fraction` at all.  All matrices in this project are small (at most
-a few hundred rows), so dense storage is fine.
+its pivot at the end.  `_prefix_ranks` ranks every prefix of int rows in one
+forward elimination with no `Fraction`, and `int_rank` is the last of them.
+All matrices in this project are small (at most a few hundred rows), so
+dense storage is fine.
 
 Integral data never reaches this module as a `Mat`: character tables and
 fusion graphs keep their int rows themselves (`tables`, `fusion`) and build a
@@ -265,27 +266,26 @@ def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
     return rank, basis
 
 
+def _prefix_ranks(rows: Iterable[tuple[int, ...]]) -> list[int]:
+    """Entry k the rank over the rationals of the first k of some int rows: each
+    row, unless zero or a repeat, is reduced by the pivot rows in turn (p·row −
+    f·pivot, p and f their entries in the pivot's column, then divided by the
+    gcd) and, if any of it is left, is the next pivot row; no Fraction is made."""
+    pivots, seen, ranks = [], set(), [0]
+    for row in rows:
+        if row not in seen and any(row):
+            seen.add(row)
+            for c, p, pivot in pivots:
+                if f := row[c]:
+                    row = [p * x - f * y for x, y in zip(row, pivot)]
+                    row = [x // g for x in row] if (g := gcd(*row)) > 1 else row
+            if any(row):
+                c = next(compress(range(len(row)), row))
+                pivots.append((c, row[c], row))
+        ranks.append(len(pivots))
+    return ranks
+
+
 def int_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over the rationals of a matrix of int rows, by forward elimination
-    without division: each pivot row clears its first nonzero column c from
-    every other row (p·row − f·pivot, p and f their entries in c, then divided
-    by its gcd), so the pivots are independent; repeated and zero rows drop."""
-    left = {tuple(row) for row in rows if any(row)}
-    rank = 0
-    while left:
-        pivot = left.pop()
-        c = next(compress(range(len(pivot)), pivot))
-        p = pivot[c]
-        rank += 1
-        reduced = set()
-        for row in left:
-            f = row[c]
-            if f:
-                row = [p * x - f * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                if not g:
-                    continue
-                row = tuple([x // g for x in row] if g > 1 else row)
-            reduced.add(row)
-        left = reduced
-    return rank
+    """Rank over the rationals of a matrix of int rows: its last prefix rank."""
+    return _prefix_ranks(map(tuple, rows))[-1]

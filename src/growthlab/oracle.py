@@ -21,11 +21,9 @@ closed forms elsewhere have an independent referee:
 * the cellular bilinear form pairs two half diagrams face to face: <x, y>
   is 1 when flip(lift(x))·lift(y) keeps every defect as a through strand,
   else 0, decided by a walk that alternates the cups of y and of x;
-* the simple module V_i is S_i modulo the radical of that form.  On each
-  class idempotent e's index map, e is checked idempotent and the form
-  symmetric and invariant, <e·x, y> = <x, flip(e)·y>; so e keeps the
-  radical, and its trace on V_i is the integer rank of the Gram rows at the
-  fixed points of e;
+* the simple module V_i is S_i modulo the radical of that form; one pass per
+  module checks the form and takes the trace of every class idempotent on V_i
+  as a prefix rank of one elimination over its Gram rows (see `_simple_row`);
 * the radical basis, as int rows scaled by the lcm d of its denominators, is
   built only for the quotient actions of the Kronecker check;
 * tensor-power multiplicities come from forward substitution on ints against
@@ -58,12 +56,11 @@ from .diagrams import (
     _top_half,
     class_idempotent,
     expected_order,
-    flip,
     rank_labels,
 )
 from .errors import InputError, InternalCheckError, VerificationError
 from .growth import ModuleSpec, module_spec
-from .linalg import Mat, int_rank, kernel_and_rank
+from .linalg import Mat, _prefix_ranks, kernel_and_rank
 from .record import Record
 from .tables import label_index
 
@@ -119,12 +116,8 @@ class CellModule:
 
     def action(self, d: Diagram) -> Mat:
         """The 0/1 matrix of d on the basis, built from its index map."""
-        n = self.dim
-        rows = [[0] * n for _ in range(n)]
-        for col, row in enumerate(self.image(d)):
-            if row >= 0:
-                rows[row][col] = 1
-        return Mat(rows)
+        image = self.image(d)
+        return Mat([[int(image[c] == r) for c in range(self.dim)] for r in range(self.dim)])
 
 
 @lru_cache(maxsize=None)
@@ -174,36 +167,45 @@ def gram_matrix(family: Family, m: int, i: int) -> Mat:
     return Mat(_gram_rows(family, m, i))
 
 
-def _simple_rank(family: Family, m: int, i: int, e: Diagram, e_star: Diagram) -> int:
-    """tr(e | V_i) for an idempotent diagram e with adjoint e* = flip(e).
+@lru_cache(maxsize=None)
+def _simple_row(family: Family, m: int, i: int) -> tuple[int, ...]:
+    """tr(e_j | V_i) for the class idempotent e_j of every label j, in order.
 
-    The form must be invariant, <e·x_a, x_b> = <x_a, e*·x_b>, so that e keeps
-    the radical and acts on V_i = S_i / rad.  For a symmetric form the right
-    side is <e*·x_b, x_a>: the rows <e·x_a, -> must be the columns <e*·x_b, ->
-    (zero where an image is zero), two transposes of index-map reads.  The
-    images of e must be its fixed points F; then tr(e) = dim(e·V_i), and as
-    the form on V_i is nondegenerate, that is the rank of the Gram rows at F.
+    The form must be invariant under each e, <e·x_a, x_b> = <x_a, e·x_b>: for
+    a symmetric form, the rows <e·x_a, -> (0 at a zero image) form a symmetric
+    matrix.  Then e keeps the radical; e must fix its images, so tr(e | V_i)
+    = dim(e·V_i) = the rank of the Gram rows at its fixed points F.  As
+    e_j·e_k = e_j for j <= k, each F must hold the one before, and the last
+    all rows: that e is the identity, and its check is the form's symmetry.
+    So each character is a prefix rank of one elimination over the rows in
+    order of first appearance.
     """
     module, gram = cell_module(family, m, i), _gram_rows(family, m, i)
-    image, star = module.image(e), module.image(e_star)
-    fixed = [c for c, r in enumerate(image) if c == r]
-    zero = (0,) * len(gram)
-    left = [gram[r] if r >= 0 else zero for r in image]  # row a: <e·x_a, ->
-    right = left if star is image else [gram[s] if s >= 0 else zero for s in star]
-    if not {-1, *fixed}.issuperset(image) or gram != tuple(zip(*gram)) or left != list(zip(*right)):
-        raise InternalCheckError(f"S_{i}: {e} not idempotent, or form not symmetric and invariant")
-    return int_rank(gram[c] for c in fixed)
+    order, ends, zero = [], [], (0,) * len(gram)
+    for j in rank_labels(family, m):
+        image = module.image(class_idempotent(family, m, j))
+        fixed = [c for c, r in enumerate(image) if c == r]
+        if not set(order).issubset(fixed):
+            raise InternalCheckError(f"S_{i}: fixed points of e_{j} miss those of the label before")
+        left = [gram[r] if r >= 0 else zero for r in image]  # row a: <e·x_a, ->
+        if not {-1, *fixed}.issuperset(image) or left != list(zip(*left)):
+            raise InternalCheckError(f"S_{i}: e_{j} not idempotent, or form not symmetric and invariant")
+        order += sorted(set(fixed).difference(order))
+        ends.append(len(order))
+    if len(order) != len(gram):
+        raise InternalCheckError(f"S_{i}: the last class idempotent does not fix every basis element")
+    ranks = _prefix_ranks(gram[c] for c in order)
+    return tuple(ranks[k] for k in ends)
 
 
 def simple_character(family: Family, m: int, i: int, j: int) -> Fraction:
-    """Trace of the rank-j idempotent on the simple quotient S_i / rad (see `_simple_rank`)."""
-    e = class_idempotent(family, m, j)
-    return Fraction(_simple_rank(family, m, i, e, flip(e)))
+    """Trace of the rank-j idempotent on the simple quotient S_i / rad (see `_simple_row`)."""
+    return Fraction(_simple_row(family, m, i)[label_index(rank_labels(family, m), j, family, m)])
 
 
 def simple_dimension(family: Family, m: int, i: int) -> int:
     """Rank of the cellular form = dimension of the simple module V_i."""
-    return int_rank(_gram_rows(family, m, i))
+    return _simple_row(family, m, i)[-1]
 
 
 @lru_cache(maxsize=None)
@@ -237,9 +239,7 @@ def oracle_cell_table(family: Family, m: int) -> Mat:
 def _simple_rows(family: Family, m: int) -> tuple[tuple[int, ...], ...]:
     """The brute-force simple table as int rows, checked unit upper triangular."""
     _check_enumerable(family, m, capped=False)
-    labels = rank_labels(family, m)
-    pairs = [(e, flip(e)) for e in (class_idempotent(family, m, j) for j in labels)]
-    rows = tuple(tuple(_simple_rank(family, m, i, *pair) for pair in pairs) for i in labels)
+    rows = tuple(_simple_row(family, m, i) for i in rank_labels(family, m))
     for k, row in enumerate(rows):
         if row[k] != 1 or any(row[:k]):
             raise VerificationError(f"simple table of {family.value}_{m} not unit upper triangular")

@@ -312,7 +312,7 @@ def test_class_idempotent_is_memoized_and_refuses_every_bad_rank():
     tl = Family.TEMPERLEY_LIEB
     e = class_idempotent(tl, 6, 2)
     assert class_idempotent(tl, 6, 2) is e
-    assert flip(e) == e  # the oracle's invariance check reads e* = flip(e) from e's image cache
+    assert flip(e) == e  # self-adjoint: the oracle checks its invariance under e with no flip
     for _ in range(3):  # an error is never cached
         with pytest.raises(InputError, match="rank 3 is not attained"):
             class_idempotent(tl, 6, 3)

@@ -9,6 +9,7 @@ from growthlab.errors import DimensionError, InputError, SingularMatrixError
 from growthlab.linalg import (
     Mat,
     _check_unit_triangular,
+    _prefix_ranks,
     _substitute,
     int_rank,
     inverse,
@@ -406,6 +407,30 @@ def test_int_rank_matches_the_fraction_rank(rows):
     rank = int_rank(map(tuple, rows))
     assert rank == linalg_reference.kernel_and_rank(Mat(rows))[0]
     assert rank == int_rank(map(tuple, zip(*rows)))  # row rank is column rank
+
+
+@st.composite
+def row_sequences(draw):
+    """The rows of `integer_matrices`, with zero rows and repeats of earlier rows
+    put in anywhere."""
+    rows = draw(integer_matrices())
+    ncols = len(rows[0])
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(rows)))
+        repeat = k > 0 and draw(st.booleans())
+        rows.insert(k, list(rows[draw(st.integers(0, k - 1))]) if repeat else [0] * ncols)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sequences())
+@example([])
+@example([[0, 0], [1, 1], [0, 0], [1, 1], [2, 2], [1, 0]])
+@example([[1, 1, 0], [1, 1, 0], [0, 1, 1], [1, 0, -1]])
+def test_prefix_ranks_match_the_fraction_rank_of_every_prefix(rows):
+    ranks = _prefix_ranks(map(tuple, rows))
+    assert ranks == [0] + [linalg_reference.kernel_and_rank(Mat(rows[:k]))[0] for k in range(1, len(rows) + 1)]
+    assert int_rank(rows) == ranks[-1]
 
 
 def test_kernel_zero_matrix():

@@ -10,6 +10,7 @@ import pytest
 
 import radical_reference
 from glue_reference import _apply_diagram, _half_states, _pairing, _record
+import linalg_reference
 from linalg_reference import solve_lower_triangular
 from growthlab.diagrams import (
     Diagram,
@@ -18,6 +19,7 @@ from growthlab.diagrams import (
     class_idempotent,
     compose,
     enumerate_diagrams,
+    flip,
     motzkin_number,
     rank,
     rank_labels,
@@ -424,6 +426,15 @@ def test_rank_route_matches_the_radical_trace_referee(family, m):
         assert simple_dimension(family, m, i) == row[-1]
 
 
+@pytest.fixture
+def fresh_simple_rows():
+    """Empty the cache of the per-module pass before and after the test, so that
+    the pass sees a perturbation and no perturbed row outlives it."""
+    oracle._simple_row.cache_clear()
+    yield
+    oracle._simple_row.cache_clear()
+
+
 # (family, m, i, an entry (a, b) of the form that the invariance check sees)
 MUTATED_FORMS = [
     (Family.TEMPERLEY_LIEB, 7, 3, (0, 3)),
@@ -446,7 +457,7 @@ def _flip_form_entries(monkeypatch, family, m, i, entries):
 
 @pytest.mark.parametrize("family,m,i,entry", MUTATED_FORMS)
 @pytest.mark.parametrize("symmetric", [False, True], ids=["one-entry", "both-entries"])
-def test_perturbed_gram_entry_raises(monkeypatch, family, m, i, entry, symmetric):
+def test_perturbed_gram_entry_raises(monkeypatch, fresh_simple_rows, family, m, i, entry, symmetric):
     # flipping the mirror entry too keeps the form symmetric: only the invariance can fail
     entries = [entry, entry[::-1]] if symmetric else [entry]
     _flip_form_entries(monkeypatch, family, m, i, entries)
@@ -455,7 +466,7 @@ def test_perturbed_gram_entry_raises(monkeypatch, family, m, i, entry, symmetric
 
 
 @pytest.mark.parametrize("family,m,i", [case[:3] for case in MUTATED_FORMS])
-def test_perturbed_index_map_raises(monkeypatch, family, m, i):
+def test_perturbed_index_map_raises(monkeypatch, fresh_simple_rows, family, m, i):
     module = cell_module(family, m, i)
     perturbed = 0
     for j in rank_labels(family, m):
@@ -476,7 +487,7 @@ def test_perturbed_index_map_raises(monkeypatch, family, m, i):
     assert perturbed >= 2
 
 
-def test_an_involution_in_place_of_the_idempotent_raises(monkeypatch):
+def test_an_involution_in_place_of_the_idempotent_raises(monkeypatch, fresh_simple_rows):
     # the form of PRO 5, i = 2 is the identity, so a map swapping two basis
     # elements keeps it invariant; only the idempotence check sees the swap
     family, m, i, j = Family.PLANAR_ROOK, 5, 2, 3
@@ -491,10 +502,11 @@ def test_an_involution_in_place_of_the_idempotent_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("family,m,i", [case[:3] for case in MUTATED_FORMS])
-def test_an_asymmetric_form_raises_under_one_idempotent(monkeypatch, family, m, i):
+def test_an_asymmetric_form_raises_under_one_idempotent(monkeypatch, fresh_simple_rows, family, m, i):
     # <x_p, x_q> with p not fixed by e and q fixed: invariance reads it at
     # (p, e·x_q), but no row <e·x_a, -> or column <e·x_b, -> holds it, so only
-    # the symmetry check sees it when e is not the identity
+    # the symmetry check sees it when e is not the identity; the pass makes
+    # that check as the invariance check at the last label, the identity
     j = rank_labels(family, m)[-2]
     image = cell_module(family, m, i).image(class_idempotent(family, m, j))
     p = next(c for c, r in enumerate(image) if c != r)
@@ -506,18 +518,137 @@ def test_an_asymmetric_form_raises_under_one_idempotent(monkeypatch, family, m, 
 
 @pytest.mark.parametrize("position", [(1, 1), (1, 0)], ids=["diagonal", "below"])
 def test_simple_table_must_be_unit_upper_triangular(monkeypatch, position):
-    original = oracle._simple_rank
+    original = oracle._simple_row
     family, m = Family.TEMPERLEY_LIEB, 5
     labels = rank_labels(family, m)
     row, col = position
 
-    def wrong(f, mm, i, e, e_star):
-        value = original(f, mm, i, e, e_star)
-        return value + 1 if (i, e.rank()) == (labels[row], labels[col]) else value
+    def wrong(f, mm, i):
+        values = list(original(f, mm, i))
+        if i == labels[row]:
+            values[col] += 1
+        return tuple(values)
 
-    monkeypatch.setattr(oracle, "_simple_rank", wrong)
+    monkeypatch.setattr(oracle, "_simple_row", wrong)
     with pytest.raises(VerificationError, match="not unit upper triangular"):
         _simple_rows.__wrapped__(family, m)
+
+
+def test_fixed_points_must_nest(monkeypatch, fresh_simple_rows):
+    # the form of PRO 5, i = 2 is the identity, so sending a fixed point of
+    # e_4 to zero keeps e_4's map idempotent and the form invariant under it;
+    # only the nesting check sees that e_4 no longer fixes a point e_3 fixes
+    family, m, i = Family.PLANAR_ROOK, 5, 2
+    module = cell_module(family, m, i)
+    assert gram_matrix(family, m, i) == Mat.identity(module.dim)
+    e3, e4 = (class_idempotent(family, m, j) for j in (3, 4))
+    c = next(c for c, r in enumerate(module.image(e3)) if c == r)
+    image = module.image(e4)
+    assert image[c] == c
+    monkeypatch.setitem(module._image_cache, e4, tuple(-1 if a == c else r for a, r in enumerate(image)))
+    with pytest.raises(InternalCheckError, match=f"S_{i}: fixed points of .* miss those of the label before"):
+        simple_character(family, m, i, 4)
+
+
+def test_the_last_idempotent_must_fix_every_basis_element(monkeypatch, fresh_simple_rows):
+    # the form of PRO 5, i = 2 is the identity, so the identity's map with one
+    # element that e_4 does not fix sent to zero passes every other check
+    family, m, i = Family.PLANAR_ROOK, 5, 2
+    module, identity = cell_module(family, m, i), class_idempotent(family, m, 5)
+    assert module.image(identity) == tuple(range(module.dim))
+    c = next(c for c, r in enumerate(module.image(class_idempotent(family, m, 4))) if r != c)
+    monkeypatch.setitem(module._image_cache, identity, tuple(-1 if a == c else a for a in range(module.dim)))
+    with pytest.raises(InternalCheckError, match=f"S_{i}: the last class idempotent does not fix every basis element"):
+        simple_dimension(family, m, i)
+
+
+def test_one_elimination_per_cell_module(monkeypatch, fresh_simple_rows):
+    calls = []
+    original = oracle._prefix_ranks
+    monkeypatch.setattr(oracle, "_prefix_ranks", lambda rows: calls.append(1) or original(rows))
+    for family, m in ((Family.TEMPERLEY_LIEB, 7), (Family.MOTZKIN, 5), (Family.PLANAR_ROOK, 4)):
+        calls.clear()
+        labels = rank_labels(family, m)
+        _simple_rows.__wrapped__(family, m)
+        assert len(calls) == len(labels)
+        # every character and dimension reads the same pass
+        for i in labels:
+            simple_dimension(family, m, i)
+            for j in labels:
+                simple_character(family, m, i, j)
+        assert len(calls) == len(labels)
+
+
+# ---------------------------------------------------------------------------
+# the form's invariance under the generators
+
+GENERATOR_CASES = [
+    (family, m)
+    for family in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN)
+    for m in range(1, diagrams.DEFAULT_MAX_M[family] + 1)
+]
+
+
+def _generator_images(family, m, i):
+    """(image of g, image of flip(g)) for each generator g, glued by the referee."""
+    basis = cell_module(family, m, i).basis
+    index = {x: k for k, x in enumerate(basis)}
+
+    def image(d):
+        return [index[y] if (y := _apply_diagram(d, x)) is not None else -1 for x in basis]
+
+    generators = diagrams.generators(family, m)
+    assert {flip(g) for g in generators} == set(generators)
+    return [(image(g), image(flip(g))) for g in generators]
+
+
+def _invariant_under_generators(images, gram) -> bool:
+    """<g·x_a, x_b> = <x_a, flip(g)·x_b> for every generator g and all a, b (0 at a zero image)."""
+    n = len(gram)
+    return all(
+        (gram[image[a]][b] if image[a] >= 0 else 0) == (gram[a][star[b]] if star[b] >= 0 else 0)
+        for image, star in images
+        for a in range(n)
+        for b in range(n)
+    )
+
+
+@pytest.mark.parametrize("family,m", GENERATOR_CASES)
+def test_form_is_invariant_under_the_generators(family, m):
+    for i in rank_labels(family, m):
+        assert _invariant_under_generators(_generator_images(family, m, i), oracle._gram_rows(family, m, i))
+
+
+def _characters_of_form(family, m, i, gram):
+    """The rank of the Gram rows at each class idempotent's fixed points, by the Fraction referee."""
+    module = cell_module(family, m, i)
+    out = []
+    for j in rank_labels(family, m):
+        image = module.image(class_idempotent(family, m, j))
+        rows = [gram[c] for c, r in enumerate(image) if c == r]
+        out.append(linalg_reference.kernel_and_rank(Mat(rows))[0] if rows else 0)
+    return out
+
+
+def test_every_character_changing_form_flip_breaks_generator_invariance():
+    # every symmetric one-entry flip of the form at MO 4, i = 2 that changes a
+    # simple character fails the check under the generators, which the
+    # invariance check under the class idempotents alone does not promise
+    family, m, i = Family.MOTZKIN, 4, 2
+    gram = oracle._gram_rows(family, m, i)
+    images = _generator_images(family, m, i)
+    expected = _characters_of_form(family, m, i, gram)
+    assert list(oracle._simple_row(family, m, i)) == expected
+    changing = []
+    for a in range(len(gram)):
+        for b in range(a, len(gram)):
+            rows = [list(row) for row in gram]
+            rows[a][b] ^= 1
+            rows[b][a] = rows[a][b]
+            if _characters_of_form(family, m, i, rows) != expected:
+                changing.append((a, b))
+                assert not _invariant_under_generators(images, rows), (a, b)
+    assert len(changing) == 36
 
 
 def test_integer_solve_matches_the_fraction_referee(monkeypatch):

@@ -229,33 +229,44 @@ def _lift(row: tuple[int, ...]) -> Partners:
                  + [k if q == m else -1 for k, q in enumerate(row)])
 
 
-def _glue(pa: Partners, pb: Partners) -> tuple[Partners, int, int]:
-    """Stack pa on top of pb: (the product's partner array, closed loops, dead middle points).
+def _glue(pa: Partners, pb: Partners) -> Partners:
+    """Stack pa on top of pb: the product's partner array.
 
     Middle point k is the bottom slot m + k of pa and the top slot k of pb.
-    Every point has at most two partners, so each component is a path or a
-    cycle: a path from a boundary point zigzags through the middle until it
-    reaches the boundary or a dead end, and the middle points left over lie
-    on paths with two dead ends (dead points) or on cycles (closed loops).
+    Every point has at most two partners, so the component of a boundary
+    point is a path that zigzags through the middle until it reaches the
+    boundary or a dead end.  One walk from each top point down through pa,
+    then from each bottom point not yet joined up through pb.
     """
     m = len(pa) // 2
     out = [-1] * (2 * m)
-    seen = [False] * m
-    for start in range(2 * m):
-        if out[start] >= 0:
-            continue
-        upper = start < m  # whether the walk is in pa or in pb
-        q = pa[start] if upper else pb[start]
-        while q >= 0 and (q >= m) == upper:  # q is a middle point
-            if upper:
-                seen[q - m] = True
-                q = pb[q - m]
-            else:
-                seen[q] = True
+    for s in range(m):
+        if out[s] < 0:
+            q = pa[s]
+            while q >= m and 0 <= (q := pb[q - m]) < m:  # q is a middle point
                 q = pa[q + m]
-            upper = not upper
-        if q >= 0:
-            out[start], out[q] = q, start
+            if q >= 0:
+                out[s], out[q] = q, s
+    for s in range(m, 2 * m):
+        if out[s] < 0:
+            q = pb[s]
+            while 0 <= q < m and (q := pa[q + m]) >= m:
+                q = pb[q - m]
+            if q >= 0:
+                out[s], out[q] = q, s
+    return tuple(out)
+
+
+def _middle(pa: Partners, pb: Partners) -> tuple[int, int]:
+    """(closed loops, dead middle points) of pa stacked on pb, for compose.
+
+    The middle points left over by _glue's boundary paths lie on paths with
+    two dead ends (dead points) or on cycles (closed loops).
+    """
+    m = len(pa) // 2
+    up = [q - m if q >= m else -1 for q in pa[m:]]  # middle neighbours only
+    down = [q if q < m else -1 for q in pb[:m]]
+    seen = [False] * m
 
     def trace(k: int, upper: bool) -> int:
         # mark the middle points from k on, leaving k upwards if upper
@@ -263,28 +274,30 @@ def _glue(pa: Partners, pb: Partners) -> tuple[Partners, int, int]:
         while k >= 0 and not seen[k]:
             seen[k] = True
             count += 1
-            q = pa[k + m] if upper else pb[k]
-            k = q - m if q >= m else q
+            k = up[k] if upper else down[k]
             upper = not upper
         return count
 
+    for k in range(m):  # the boundary paths, from a middle end
+        if 0 <= pa[k + m] < m or pb[k] >= m:
+            trace(k, pb[k] >= m)
     loops = dead = 0
     for k in range(m):  # the paths, from one dead end
-        if not seen[k] and (pa[k + m] < 0 or pb[k] < 0):
-            dead += trace(k, pa[k + m] >= 0)
+        if not seen[k] and (up[k] < 0 or down[k] < 0):
+            dead += trace(k, up[k] >= 0)
     for k in range(m):  # what is left lies on cycles
         if not seen[k]:
             trace(k, True)
             loops += 1
-    return tuple(out), loops, dead
+    return loops, dead
 
 
 def compose(a: Diagram, b: Diagram) -> ComposeResult:
-    """Stack a on top of b; count and discard middle loops and dead points."""
+    """Stack a on top of b (_glue); count and discard middle loops and dead points (_middle)."""
     if a.family is not b.family or a.m != b.m:
         raise InputError("can only compose diagrams of the same family and size")
-    product, loops, dead = _glue(_partners(a.blocks, a.m), _partners(b.blocks, b.m))
-    return ComposeResult(_from_partners(a.family, a.m, product), loops, dead)
+    pa, pb = _partners(a.blocks, a.m), _partners(b.blocks, b.m)
+    return ComposeResult(_from_partners(a.family, a.m, _glue(pa, pb)), *_middle(pa, pb))
 
 
 def rank(d: Diagram) -> int:
@@ -518,7 +531,7 @@ def _cayley_graphs(
                     # y·g = first(y)·(suffix(y)·g), a left edge of a shorter t
                     row.append(left[t][first[x]])
                     continue
-                product = _glue(y, g)[0]
+                product = _glue(y, g)
                 links = (first[x], a, x, t, length[x] + 1)
             k = index.get(product)
             row.append(add(product, *links) if k is None else k)

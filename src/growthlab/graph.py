@@ -9,54 +9,47 @@ from __future__ import annotations
 def scc(succ) -> list[int]:
     """Strongly connected component id of each node (iterative Tarjan).
 
-    Ids number the components in the order they complete, so every edge
-    between two components leads to a smaller id.
+    Tarjan, "Depth-first search and linear graph algorithms", SIAM J.
+    Comput. 1(2), 1972.  The search keeps one (node, iterator over its
+    successors) frame per level, so its depth is not bounded by recursion;
+    a node is on Tarjan's stack while it is visited and has no component
+    yet.  Ids number the components in the order they complete, so every
+    edge between two components leads to a smaller id.
     """
     n = len(succ)
     index_of = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
     comp_of = [-1] * n
-    count = 0
-
+    stack: list[int] = []
+    counter = count = 0
     for root in range(n):
-        if index_of[root] != -1:
+        if index_of[root] >= 0:
             continue
-        work = [(root, 0)]
+        index_of[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi]
-                pi += 1
-                if index_of[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, edges = work[-1]
+            for w in edges:
+                if index_of[w] < 0:
+                    index_of[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = count
-                    if w == v:
-                        break
-                count += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if comp_of[w] < 0 and index_of[w] < low[v]:
+                    low[v] = index_of[w]
+            else:
+                work.pop()
+                if low[v] == index_of[v]:
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        comp_of[w] = count
+                    count += 1
+                elif low[v] < low[work[-1][0]]:  # v is no root, so it has a parent
+                    low[work[-1][0]] = low[v]
     return comp_of
 
 

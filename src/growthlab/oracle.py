@@ -102,7 +102,7 @@ class CellModule:
         pd = _partners(d.blocks, self.m)
         images = []
         for lift in self._lifts:
-            top = _top_half(_glue(pd, lift)[0])
+            top = _top_half(_glue(pd, lift))
             if top.count(self.m) < self.i:
                 images.append(-1)  # a defect died: the product has lower rank
                 continue

@@ -243,10 +243,11 @@ def _draw(data, count):
 @given(st.data())
 def test_walk_matches_the_union_find_composition(data):
     a, b = _draw(data, 2)
-    product, loops, dead = diagrams._glue(
-        diagrams._partners(a.blocks, a.m), diagrams._partners(b.blocks, b.m)
-    )
-    assert (diagrams._blocks(product), loops, dead) == _compose_blocks(a.blocks, b.blocks, a.m)
+    blocks, loops, dead = _compose_blocks(a.blocks, b.blocks, a.m)
+    product = diagrams._glue(diagrams._partners(a.blocks, a.m), diagrams._partners(b.blocks, b.m))
+    assert diagrams._blocks(product) == blocks
+    ab = compose(a, b)
+    assert (ab.result.blocks, ab.loops, ab.middle_isolated) == (blocks, loops, dead)
 
 
 @settings(max_examples=300, deadline=None)
@@ -460,6 +461,22 @@ GREEN_DATA = {
 def test_green_data_pinned(family):
     found = [green_data(family, m) for m in range(1, len(GREEN_DATA[family]) + 1)]
     assert found == [diagrams.GreenData(*row) for row in GREEN_DATA[family]]
+
+
+@pytest.mark.parametrize(
+    "family,m,glued",
+    [
+        (Family.TEMPERLEY_LIEB, 6, 285), (Family.PLANAR_ROOK, 5, 1280), (Family.MOTZKIN, 4, 1825),
+        (Family.TEMPERLEY_LIEB, 7, 1021), (Family.PLANAR_ROOK, 6, 5137), (Family.MOTZKIN, 5, 13470),
+    ],
+)
+def test_closure_composition_counts(monkeypatch, family, m, glued):
+    # the counts README and the green_data docstring quote
+    calls = []
+    original = diagrams._glue
+    monkeypatch.setattr(diagrams, "_glue", lambda pa, pb: calls.append(1) or original(pa, pb))
+    green_data(family, m)
+    assert len(calls) == glued
 
 
 def test_green_data_tl7_j_classes():

@@ -55,3 +55,13 @@ def test_one_simple_rank_above_the_diagonal_turns_one_oracle_simple_check_red(mo
 
     monkeypatch.setattr(oracle, "_simple_row", mutated)
     assert _red(verify.check_tables()) == {"oracle-simple:temperley_lieb:6"}
+
+
+def test_one_expected_order_turns_the_count_checks_at_that_m_red(monkeypatch, fresh_oracle):
+    original = oracle.expected_order
+    monkeypatch.setattr(
+        oracle, "expected_order", lambda family, m: original(family, m) + (1 if m == 3 else 0)
+    )
+    assert _red(verify.check_counts()) == {
+        "count:planar_rook:3", "count:temperley_lieb:3", "count:motzkin:3"
+    }

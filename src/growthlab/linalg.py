@@ -12,7 +12,7 @@ start of each right-hand side.  `inverse` and `kernel_and_rank` run one
 Gauss–Jordan reduction on integer-scaled rows: every row operation stays on
 Python ints, and a `Fraction` is made only when each pivot row is divided by
 its pivot at the end.  `_prefix_ranks` ranks every prefix of int rows in one
-forward elimination with no `Fraction`, and `int_rank` is the last of them.
+forward elimination with no `Fraction`.
 All matrices in this project are small (at most a few hundred rows), so
 dense storage is fine.
 
@@ -24,7 +24,7 @@ left factor and each column of the right one to integers by the lcm of its
 denominators, takes every dot product on Python ints and builds one
 `Fraction` per entry.  `int_mul` multiplies matrices that are rows of ints
 and returns rows of ints, for the callers that hold such rows (the fusion
-spectral check, verify's Riordan checks).
+spectral check, verify's Riordan and printed-inverse checks).
 """
 
 from __future__ import annotations
@@ -284,8 +284,3 @@ def _prefix_ranks(rows: Iterable[tuple[int, ...]]) -> list[int]:
                 pivots.append((c, row[c], row))
         ranks.append(len(pivots))
     return ranks
-
-
-def int_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over the rationals of a matrix of int rows: its last prefix rank."""
-    return _prefix_ranks(map(tuple, rows))[-1]

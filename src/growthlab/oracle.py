@@ -22,8 +22,10 @@ closed forms elsewhere have an independent referee:
   is 1 when flip(lift(x))·lift(y) keeps every defect as a through strand,
   else 0, decided by a walk that alternates the cups of y and of x;
 * the simple module V_i is S_i modulo the radical of that form; one pass per
-  module checks the form and takes the trace of every class idempotent on V_i
-  as a prefix rank of one elimination over its Gram rows (see `_simple_row`);
+  module checks the form under every class idempotent and takes its trace on
+  S_i as the count of its fixed points and on V_i as the rank of the Gram
+  rows there, a prefix rank of one elimination (see `_module_rows`); the
+  brute-force tables are those rows of ints (`_oracle_rows`);
 * the radical basis, as int rows scaled by the lcm d of its denominators, is
   built only for the quotient actions of the Kronecker check;
 * tensor-power multiplicities come from forward substitution on ints against
@@ -125,17 +127,14 @@ def cell_module(family: Family, m: int, i: int) -> CellModule:
     return CellModule(family, m, i)
 
 
-def cell_character(family: Family, m: int, i: int, j: int) -> Fraction:
-    """Trace of the canonical rank-j idempotent on S_i (a fixed-point count)."""
-    image = cell_module(family, m, i).image(class_idempotent(family, m, j))
-    return Fraction(sum(1 for c, r in enumerate(image) if c == r))
-
-
 # ---------------------------------------------------------------------------
-# the cellular form and simple characters
+# the cellular form and the characters
+
+_Rows = tuple[tuple[int, ...], ...]
+
 
 @lru_cache(maxsize=None)
-def _gram_rows(family: Family, m: int, i: int) -> tuple[tuple[int, ...], ...]:
+def _gram_rows(family: Family, m: int, i: int) -> _Rows:
     """The cellular bilinear form on the half-diagram basis of S_i, as int rows.
 
     <x, y> is 1 when flip(lift(x))·lift(y) keeps all i through strands, that
@@ -168,20 +167,22 @@ def gram_matrix(family: Family, m: int, i: int) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def _simple_row(family: Family, m: int, i: int) -> tuple[int, ...]:
-    """tr(e_j | V_i) for the class idempotent e_j of every label j, in order.
+def _module_rows(family: Family, m: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(tr(e_j | S_i), tr(e_j | V_i)) for the class idempotent e_j of every label j, in order.
 
-    The form must be invariant under each e, <e·x_a, x_b> = <x_a, e·x_b>: for
-    a symmetric form, the rows <e·x_a, -> (0 at a zero image) form a symmetric
-    matrix.  Then e keeps the radical; e must fix its images, so tr(e | V_i)
-    = dim(e·V_i) = the rank of the Gram rows at its fixed points F.  As
-    e_j·e_k = e_j for j <= k, each F must hold the one before, and the last
-    all rows: that e is the identity, and its check is the form's symmetry.
-    So each character is a prefix rank of one elimination over the rows in
-    order of first appearance.
+    tr(e | S_i) counts the fixed points F of e's index map.  The form must be
+    invariant under each e, <e·x_a, x_b> = <x_a, e·x_b>: for a symmetric
+    form, the rows <e·x_a, -> (0 at a zero image) form a symmetric matrix.
+    Then e keeps the radical; e must fix its images, so tr(e | V_i) =
+    dim(e·V_i) = the rank of the Gram rows at F.  As e_j·e_k = e_j for
+    j <= k, each F must hold the one before, and the last all rows: that e
+    is the identity, and its check is the form's symmetry.  So the rows in
+    order of first appearance give both characters of e_j from their first
+    |F| rows: the cell one is |F|, the simple one the rank of that prefix in
+    one elimination.
     """
     module, gram = cell_module(family, m, i), _gram_rows(family, m, i)
-    order, ends, zero = [], [], (0,) * len(gram)
+    order, cells, zero = [], [], (0,) * len(gram)
     for j in rank_labels(family, m):
         image = module.image(class_idempotent(family, m, j))
         fixed = [c for c, r in enumerate(image) if c == r]
@@ -190,22 +191,27 @@ def _simple_row(family: Family, m: int, i: int) -> tuple[int, ...]:
         left = [gram[r] if r >= 0 else zero for r in image]  # row a: <e·x_a, ->
         if not {-1, *fixed}.issuperset(image) or left != list(zip(*left)):
             raise InternalCheckError(f"S_{i}: e_{j} not idempotent, or form not symmetric and invariant")
-        order += sorted(set(fixed).difference(order))
-        ends.append(len(order))
+        order += sorted(set(fixed).difference(order))  # now order holds F and nothing else
+        cells.append(len(fixed))
     if len(order) != len(gram):
         raise InternalCheckError(f"S_{i}: the last class idempotent does not fix every basis element")
     ranks = _prefix_ranks(gram[c] for c in order)
-    return tuple(ranks[k] for k in ends)
+    return tuple(cells), tuple(ranks[k] for k in cells)
+
+
+def cell_character(family: Family, m: int, i: int, j: int) -> Fraction:
+    """Trace of the canonical rank-j idempotent on S_i, a fixed-point count (see `_module_rows`)."""
+    return Fraction(_module_rows(family, m, i)[0][label_index(rank_labels(family, m), j, family, m)])
 
 
 def simple_character(family: Family, m: int, i: int, j: int) -> Fraction:
-    """Trace of the rank-j idempotent on the simple quotient S_i / rad (see `_simple_row`)."""
-    return Fraction(_simple_row(family, m, i)[label_index(rank_labels(family, m), j, family, m)])
+    """Trace of the rank-j idempotent on the simple quotient S_i / rad (see `_module_rows`)."""
+    return Fraction(_module_rows(family, m, i)[1][label_index(rank_labels(family, m), j, family, m)])
 
 
 def simple_dimension(family: Family, m: int, i: int) -> int:
     """Rank of the cellular form = dimension of the simple module V_i."""
-    return _simple_row(family, m, i)[-1]
+    return _module_rows(family, m, i)[1][-1]
 
 
 @lru_cache(maxsize=None)
@@ -229,26 +235,24 @@ def _radical_data(family: Family, m: int, i: int):
 
 
 @lru_cache(maxsize=None)
-def oracle_cell_table(family: Family, m: int) -> Mat:
+def _oracle_rows(family: Family, m: int) -> tuple[_Rows, _Rows]:
+    """The brute-force (cell rows, simple rows), the simple rows checked unit upper triangular."""
     _check_enumerable(family, m, capped=False)
-    labels = rank_labels(family, m)
-    return Mat([[cell_character(family, m, i, j) for j in labels] for i in labels])
+    cells, simples = zip(*(_module_rows(family, m, i) for i in rank_labels(family, m)))
+    for k, row in enumerate(simples):
+        if row[k] != 1 or any(row[:k]):
+            raise VerificationError(f"simple table of {family.value}_{m} not unit upper triangular")
+    return cells, simples
 
 
 @lru_cache(maxsize=None)
-def _simple_rows(family: Family, m: int) -> tuple[tuple[int, ...], ...]:
-    """The brute-force simple table as int rows, checked unit upper triangular."""
-    _check_enumerable(family, m, capped=False)
-    rows = tuple(_simple_row(family, m, i) for i in rank_labels(family, m))
-    for k, row in enumerate(rows):
-        if row[k] != 1 or any(row[:k]):
-            raise VerificationError(f"simple table of {family.value}_{m} not unit upper triangular")
-    return rows
+def oracle_cell_table(family: Family, m: int) -> Mat:
+    return Mat(_oracle_rows(family, m)[0])
 
 
 @lru_cache(maxsize=None)
 def oracle_simple_table(family: Family, m: int) -> Mat:
-    return Mat(_simple_rows(family, m))
+    return Mat(_oracle_rows(family, m)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +349,7 @@ def _solve_multiplicities(family: Family, m: int, rhs: tuple[int, ...]) -> tuple
     X[i][j]·y_i for every i < j: forward substitution, with no division.
     """
     y: list[int] = []
-    for col, b in zip(zip(*_simple_rows(family, m)), rhs):
+    for col, b in zip(zip(*_oracle_rows(family, m)[1]), rhs):
         y.append(b - sum(map(mul, col, y)))  # map stops at len(y): the entries above the diagonal
     return tuple(y)
 

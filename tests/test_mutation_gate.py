@@ -1,15 +1,20 @@
 """Every family of verify checks can fail: probes that change one entry the
 library computes and assert exactly which checks go red.
 
-Each probe monkeypatches one production function, empties the oracle's
-caches (before, so the mutation is seen, and after, so no mutated value
-outlives the test) and runs the suite that holds the family.
+Each probe monkeypatches one production function or fixture, empties the
+oracle's caches (before, so the mutation is seen, and after, so no mutated
+value outlives the test) and runs the suites that hold the family.
+`test_the_table_suite_builds_no_mat` pins that the table suite compares int
+rows.
 """
+
+from collections import Counter
 
 import pytest
 
-from growthlab import oracle, verify
+from growthlab import growth, oracle, reference, tables, verify
 from growthlab.diagrams import Family, rank_labels
+from growthlab.linalg import Mat
 
 
 def _clear_oracle_caches():
@@ -34,26 +39,33 @@ def test_unmutated_tables_are_all_green(fresh_oracle):
     assert len(results) > 100 and _red(results) == set()
 
 
+def _mutate_module_rows(monkeypatch, key, which, col):
+    """Make `oracle._module_rows` add 1 to entry col of its cell (which = 0) or
+    simple (which = 1) row at key = (family, m, i)."""
+    original = oracle._module_rows
+
+    def mutated(*args):
+        rows = original(*args)
+        if args != key:
+            return rows
+        row = rows[which]
+        changed = row[:col] + (row[col] + 1,) + row[col + 1 :]
+        return (changed, rows[1]) if which == 0 else (rows[0], changed)
+
+    monkeypatch.setattr(oracle, "_module_rows", mutated)
+
+
 def test_one_fixed_point_count_turns_one_oracle_cell_check_red(monkeypatch, fresh_oracle):
-    original = oracle.cell_character
-    mutated = (Family.MOTZKIN, 4, 1, 3)
-    monkeypatch.setattr(
-        oracle, "cell_character", lambda *key: original(*key) + (1 if key == mutated else 0)
-    )
+    family, m, i, j = Family.MOTZKIN, 4, 1, 3
+    _mutate_module_rows(monkeypatch, (family, m, i), 0, rank_labels(family, m).index(j))
     assert _red(verify.check_tables()) == {"oracle-cell:motzkin:4"}
 
 
 def test_one_simple_rank_above_the_diagonal_turns_one_oracle_simple_check_red(monkeypatch, fresh_oracle):
-    original = oracle._simple_row
     family, m, i, j = Family.TEMPERLEY_LIEB, 6, 2, 4
     col = rank_labels(family, m).index(j)
     assert col > rank_labels(family, m).index(i)  # the table stays unit upper triangular
-
-    def mutated(*key):
-        row = original(*key)
-        return row[:col] + (row[col] + 1,) + row[col + 1 :] if key == (family, m, i) else row
-
-    monkeypatch.setattr(oracle, "_simple_row", mutated)
+    _mutate_module_rows(monkeypatch, (family, m, i), 1, col)
     assert _red(verify.check_tables()) == {"oracle-simple:temperley_lieb:6"}
 
 
@@ -65,3 +77,38 @@ def test_one_expected_order_turns_the_count_checks_at_that_m_red(monkeypatch, fr
     assert _red(verify.check_counts()) == {
         "count:planar_rook:3", "count:temperley_lieb:3", "count:motzkin:3"
     }
+
+
+def test_one_inverse_cell_entry_turns_the_riordan_and_series_checks_red(monkeypatch, fresh_oracle):
+    # growth imports `_inverse_column` by name, so both bindings are patched
+    original = tables._inverse_column
+
+    def mutated(family, t):
+        column = original(family, t)
+        if t == 3:
+            column[1] += 1
+        return column
+
+    monkeypatch.setattr(tables, "_inverse_column", mutated)
+    monkeypatch.setattr(growth, "_inverse_column", mutated)
+    red = _red(verify.run_suite("all"))
+    assert Counter(name.partition(":")[0] for name in red) == {
+        "riordan": 45, "fusion-length": 9, "mult": 8, "length": 8, "formula": 1
+    }
+
+
+def test_one_printed_inverse_entry_turns_its_golden_check_red(monkeypatch, fresh_oracle):
+    # the product X^T·expected = I is not vacuous: one entry off and it fails
+    rows = [list(row) for row in reference.TL7_LINV]
+    rows[2][1] += 1
+    monkeypatch.setattr(reference, "TL7_LINV", tuple(map(tuple, rows)))
+    assert _red(verify.check_tables()) == {"golden:tl7-linv"}
+
+
+def test_the_table_suite_builds_no_mat(monkeypatch, fresh_oracle):
+    # the tables are compared as int rows, and the printed inverses by int products
+    built = []
+    original = Mat.__init__
+    monkeypatch.setattr(Mat, "__init__", lambda self, rows: built.append(1) or original(self, rows))
+    verify.check_tables()
+    assert len(built) == 0

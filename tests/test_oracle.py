@@ -31,8 +31,8 @@ from growthlab.oracle import (
     CellModule,
     _kronecker_check_cached,
     _quotient_action,
+    _oracle_rows,
     _radical_data,
-    _simple_rows,
     cell_character,
     cell_module,
     count_check,
@@ -310,12 +310,9 @@ def test_unstable_radical_raises(monkeypatch, family, m, i):
 # characters and the cellular form
 
 def test_cell_characters_match_closed_tables():
-    for family, ms in (
-        (Family.PLANAR_ROOK, range(1, 7)),
-        (Family.TEMPERLEY_LIEB, range(1, 8)),
-        (Family.MOTZKIN, range(1, 6)),
-    ):
-        for m in ms:
+    # one step past the caps
+    for family in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
+        for m in range(1, diagrams.DEFAULT_MAX_M[family] + 2):
             assert oracle_cell_table(family, m) == cell_table(family, m).mat
 
 
@@ -427,12 +424,12 @@ def test_rank_route_matches_the_radical_trace_referee(family, m):
 
 
 @pytest.fixture
-def fresh_simple_rows():
+def fresh_module_rows():
     """Empty the cache of the per-module pass before and after the test, so that
     the pass sees a perturbation and no perturbed row outlives it."""
-    oracle._simple_row.cache_clear()
+    oracle._module_rows.cache_clear()
     yield
-    oracle._simple_row.cache_clear()
+    oracle._module_rows.cache_clear()
 
 
 # (family, m, i, an entry (a, b) of the form that the invariance check sees)
@@ -457,16 +454,16 @@ def _flip_form_entries(monkeypatch, family, m, i, entries):
 
 @pytest.mark.parametrize("family,m,i,entry", MUTATED_FORMS)
 @pytest.mark.parametrize("symmetric", [False, True], ids=["one-entry", "both-entries"])
-def test_perturbed_gram_entry_raises(monkeypatch, fresh_simple_rows, family, m, i, entry, symmetric):
+def test_perturbed_gram_entry_raises(monkeypatch, fresh_module_rows, family, m, i, entry, symmetric):
     # flipping the mirror entry too keeps the form symmetric: only the invariance can fail
     entries = [entry, entry[::-1]] if symmetric else [entry]
     _flip_form_entries(monkeypatch, family, m, i, entries)
     with pytest.raises(InternalCheckError, match=f"S_{i}: .* not symmetric and invariant"):
-        _simple_rows.__wrapped__(family, m)
+        _oracle_rows.__wrapped__(family, m)
 
 
 @pytest.mark.parametrize("family,m,i", [case[:3] for case in MUTATED_FORMS])
-def test_perturbed_index_map_raises(monkeypatch, fresh_simple_rows, family, m, i):
+def test_perturbed_index_map_raises(monkeypatch, fresh_module_rows, family, m, i):
     module = cell_module(family, m, i)
     perturbed = 0
     for j in rank_labels(family, m):
@@ -487,7 +484,7 @@ def test_perturbed_index_map_raises(monkeypatch, fresh_simple_rows, family, m, i
     assert perturbed >= 2
 
 
-def test_an_involution_in_place_of_the_idempotent_raises(monkeypatch, fresh_simple_rows):
+def test_an_involution_in_place_of_the_idempotent_raises(monkeypatch, fresh_module_rows):
     # the form of PRO 5, i = 2 is the identity, so a map swapping two basis
     # elements keeps it invariant; only the idempotence check sees the swap
     family, m, i, j = Family.PLANAR_ROOK, 5, 2, 3
@@ -502,7 +499,7 @@ def test_an_involution_in_place_of_the_idempotent_raises(monkeypatch, fresh_simp
 
 
 @pytest.mark.parametrize("family,m,i", [case[:3] for case in MUTATED_FORMS])
-def test_an_asymmetric_form_raises_under_one_idempotent(monkeypatch, fresh_simple_rows, family, m, i):
+def test_an_asymmetric_form_raises_under_one_idempotent(monkeypatch, fresh_module_rows, family, m, i):
     # <x_p, x_q> with p not fixed by e and q fixed: invariance reads it at
     # (p, e·x_q), but no row <e·x_a, -> or column <e·x_b, -> holds it, so only
     # the symmetry check sees it when e is not the identity; the pass makes
@@ -518,23 +515,24 @@ def test_an_asymmetric_form_raises_under_one_idempotent(monkeypatch, fresh_simpl
 
 @pytest.mark.parametrize("position", [(1, 1), (1, 0)], ids=["diagonal", "below"])
 def test_simple_table_must_be_unit_upper_triangular(monkeypatch, position):
-    original = oracle._simple_row
+    original = oracle._module_rows
     family, m = Family.TEMPERLEY_LIEB, 5
     labels = rank_labels(family, m)
     row, col = position
 
     def wrong(f, mm, i):
-        values = list(original(f, mm, i))
+        cells, values = original(f, mm, i)
+        values = list(values)
         if i == labels[row]:
             values[col] += 1
-        return tuple(values)
+        return cells, tuple(values)
 
-    monkeypatch.setattr(oracle, "_simple_row", wrong)
+    monkeypatch.setattr(oracle, "_module_rows", wrong)
     with pytest.raises(VerificationError, match="not unit upper triangular"):
-        _simple_rows.__wrapped__(family, m)
+        _oracle_rows.__wrapped__(family, m)
 
 
-def test_fixed_points_must_nest(monkeypatch, fresh_simple_rows):
+def test_fixed_points_must_nest(monkeypatch, fresh_module_rows):
     # the form of PRO 5, i = 2 is the identity, so sending a fixed point of
     # e_4 to zero keeps e_4's map idempotent and the form invariant under it;
     # only the nesting check sees that e_4 no longer fixes a point e_3 fixes
@@ -550,7 +548,7 @@ def test_fixed_points_must_nest(monkeypatch, fresh_simple_rows):
         simple_character(family, m, i, 4)
 
 
-def test_the_last_idempotent_must_fix_every_basis_element(monkeypatch, fresh_simple_rows):
+def test_the_last_idempotent_must_fix_every_basis_element(monkeypatch, fresh_module_rows):
     # the form of PRO 5, i = 2 is the identity, so the identity's map with one
     # element that e_4 does not fix sent to zero passes every other check
     family, m, i = Family.PLANAR_ROOK, 5, 2
@@ -562,19 +560,20 @@ def test_the_last_idempotent_must_fix_every_basis_element(monkeypatch, fresh_sim
         simple_dimension(family, m, i)
 
 
-def test_one_elimination_per_cell_module(monkeypatch, fresh_simple_rows):
+def test_one_elimination_per_cell_module(monkeypatch, fresh_module_rows):
     calls = []
     original = oracle._prefix_ranks
     monkeypatch.setattr(oracle, "_prefix_ranks", lambda rows: calls.append(1) or original(rows))
     for family, m in ((Family.TEMPERLEY_LIEB, 7), (Family.MOTZKIN, 5), (Family.PLANAR_ROOK, 4)):
         calls.clear()
         labels = rank_labels(family, m)
-        _simple_rows.__wrapped__(family, m)
+        _oracle_rows.__wrapped__(family, m)
         assert len(calls) == len(labels)
-        # every character and dimension reads the same pass
+        # every character, cell or simple, and every dimension reads the same pass
         for i in labels:
             simple_dimension(family, m, i)
             for j in labels:
+                cell_character(family, m, i, j)
                 simple_character(family, m, i, j)
         assert len(calls) == len(labels)
 
@@ -638,7 +637,7 @@ def test_every_character_changing_form_flip_breaks_generator_invariance():
     gram = oracle._gram_rows(family, m, i)
     images = _generator_images(family, m, i)
     expected = _characters_of_form(family, m, i, gram)
-    assert list(oracle._simple_row(family, m, i)) == expected
+    assert list(oracle._module_rows(family, m, i)[1]) == expected
     changing = []
     for a in range(len(gram)):
         for b in range(a, len(gram)):

@@ -66,8 +66,8 @@ def test_every_unchecked_substitution_follows_a_table_check():
 # each referee in tests/, and the library routines it referees
 REFEREED = {
     "glue_reference.py": {"_glue", "_partner_arrays", "_half_arrays", "_lift"},
-    "linalg_reference.py": {"_substitute", "_reduce", "_solve_multiplicities", "_prefix_ranks", "int_rank"},
-    "radical_reference.py": {"_simple_row", "_simple_rows", "_prefix_ranks", "int_rank"},
+    "linalg_reference.py": {"_substitute", "_reduce", "_solve_multiplicities", "_prefix_ranks"},
+    "radical_reference.py": {"_module_rows", "_oracle_rows", "_prefix_ranks"},
     "series_reference.py": {"_growth_series", "_inverse_column", "_cell_columns"},
     "riordan_reference.py": {"_inverse_column"},
 }
@@ -95,3 +95,19 @@ def test_referees_stay_independent_of_what_they_referee():
                 continue
             found += [f"{name}:{node.lineno}:{routine}" for routine in used if routine in routines]
     assert found == []
+
+
+def test_the_oracle_caches_the_benchmark_clears_are_lru_caches():
+    # before every pass, perfbench reads `.cache_info()` of each name in
+    # layertrace.ORACLE_CACHED; read the tuple without importing perfbench
+    from growthlab import oracle
+
+    path = Path(__file__).parent.parent / "perfbench" / "layertrace.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["ORACLE_CACHED"]
+    ]
+    assert len(names) == 1 and names[0]
+    assert [name for name in names[0] if not hasattr(getattr(oracle, name, None), "cache_info")] == []

@@ -321,18 +321,19 @@ def _kronecker_check_cached(family: Family, m: int, label: str, n: int) -> None:
     """Explicitly verify chi(e_j)^n as the trace of the n-fold Kronecker power.
 
     The matrices are d times the actions, so the trace is compared with
-    d^n chi^n.  Cached per (module, n): the matrices can be large (dim^2)
-    and the check is deterministic.
+    (chi d)^n on ints, chi read from the module's int `bases`.  Cached per
+    (module, n): the matrices can be large (dim^2) and the check is
+    deterministic.
     """
     spec = module_spec(family, m, label)
     labels = rank_labels(family, m)
-    for j, chi in zip(labels, spec.charvec):
+    for j, chi in zip(labels, spec.bases):
         scale, size, entries = _module_action(spec, class_idempotent(family, m, j))
         power = (size, entries)
         for _ in range(n - 1):
             power = _kron_sparse(power, (size, entries))
         trace = sum(v for (r, c), v in power[1].items() if r == c)
-        if trace != chi**n * scale**n:
+        if trace != (chi * scale) ** n:
             raise VerificationError(
                 f"Kronecker trace at class {j} disagrees with chi^{n} for {label}"
             )

@@ -31,8 +31,10 @@ Tables are held as the rows of Python ints that the recurrences produce
 
 Simple and projective rows come from the two short exact sequences
 0 -> V_{i+} -> S_i -> V_i -> 0 and 0 -> S_{i-} -> P_i -> S_i -> 0, where i^-
-and i^+ reflect i across the nearest critical wall (2 mod 3 for TL, odd for
-Motzkin) and vanish when they leave Lambda_m.
+and i^+ reflect i across the nearest critical walls and vanish when they leave
+Lambda_m.  The walls are the labels i with l | i + 1 for the family's char-0
+(p, l) = (INFINITY, l) in `_CHAR0` (l = 3 for TL, 2 for Motzkin; Sutton,
+Tubbenhauer, Wedrich and Zhu, "SL2 tilting modules in the mixed case", 2023).
 
 The digit machinery: for a prime p (or the distinguished INFINITY) and l >= 2,
 integers expand as a = sum a_i p^(i) with p^(i) = l * p^(i-1), p^(0) = 1; the
@@ -199,41 +201,26 @@ class Reflections(Record):
 def reflections(i: int, family: Family, m: int) -> Reflections:
     """Reflections of a label across the nearest critical walls (char 0).
 
-    Temperley-Lieb: walls are the integers 2 mod 3; Motzkin: a label is
-    critical when odd, otherwise its mirrors are i-2 and i+2.  Planar rook is
-    semisimple: nothing is critical and no label has a mirror.  Out-of-range
-    mirrors are reported as absent (None) — callers treat absent as the zero
-    module.
+    The walls are the labels i with l | i + 1, l the char-0 spacing in
+    `_CHAR0` (3 for Temperley-Lieb, 2 for Motzkin); a label on a wall is
+    critical, any other is mirrored across the wall below it and the one l
+    above that.  Planar rook is semisimple: nothing is critical and no label
+    has a mirror.  Out-of-range mirrors are reported as absent (None) —
+    callers treat absent as the zero module.
     """
     _planar(family)
     step = 2 if family is Family.TEMPERLEY_LIEB else 1
     if i not in range(m % step, m + 1, step):  # the labels, without building them
         label_index(rank_labels(family, m), i, family, m)  # raises, naming the rule
-    if family is Family.PLANAR_ROOK:
+    if family not in _CHAR0:
         return Reflections(None, None, False)
-    if family is Family.MOTZKIN:
-        if i % 2:
-            return Reflections(None, None, True)
-        minus = i - 2 if i - 2 >= 0 else None
-        plus = i + 2 if i + 2 <= m else None
-        return Reflections(minus, plus, critical=False)
-    # Temperley-Lieb
-    if i % 3 == 2:
+    l = _CHAR0[family].l
+    if (i + 1) % l == 0:
         return Reflections(None, None, True)
-    below = i - 1
-    while below % 3 != 2:
-        below -= 1
-    above = i + 1
-    while above % 3 != 2:
-        above += 1
-    minus = 2 * below - i
-    plus = 2 * above - i
+    below = i - (i + 1) % l
+    minus, plus = 2 * below - i, 2 * (below + l) - i
     # a mirror keeps the parity of i, so it is a label when it lies in 0..m
-    return Reflections(
-        minus if minus >= 0 else None,
-        plus if plus <= m else None,
-        critical=False,
-    )
+    return Reflections(minus if minus >= 0 else None, plus if plus <= m else None, critical=False)
 
 
 def simple_table(family: Family, m: int) -> CharTable:
@@ -335,6 +322,8 @@ class PLParams(Record):
 
 CHAR0_TL = PLParams(INFINITY, 3)
 CHAR0_MO = PLParams(INFINITY, 2)
+# the char-0 (p, l) of each non-semisimple family: the one place its wall spacing l is chosen
+_CHAR0 = {Family.TEMPERLEY_LIEB: CHAR0_TL, Family.MOTZKIN: CHAR0_MO}
 
 
 def pl_digits(a: int, params: PLParams) -> list[int]:
@@ -419,11 +408,7 @@ def group_injective(family: Family, m: int) -> bool:
     family tags are unconditionally group-injective over the complex numbers
     (see GROUP_INJECTIVE_CHAR0_CATALOG), so they report True.
     """
-    if family is Family.TEMPERLEY_LIEB:
-        return ancestorless(m + 1, CHAR0_TL)
-    if family is Family.MOTZKIN:
-        return ancestorless(m + 1, CHAR0_MO)
-    return True
+    return family not in _CHAR0 or ancestorless(m + 1, _CHAR0[family])
 
 
 # ---------------------------------------------------------------------------
@@ -455,32 +440,20 @@ class DecompositionMatrix(Record):
 def decomposition_matrix(
     family: Family, m: int, params: PLParams | None = None
 ) -> DecompositionMatrix:
-    """D[z][i] = 1 iff V_i is a composition factor of S_z.
+    """D[z][i] = 1 iff V_i is a composition factor of S_z, i.e. z lies in the
+    (p, l) support of i.
 
-    Temperley-Lieb accepts any (p, l) via supports; Motzkin only char 0
-    (params omitted or (INFINITY, 2)), where S_z holds V_z and V_{z+2};
-    planar rook is semisimple (identity matrix).
+    Temperley-Lieb accepts any (p, l); Motzkin only char 0 (params omitted or
+    (INFINITY, 2)), where the support of an even i is {i, i-2}, so S_z holds
+    V_z and V_{z+2}; planar rook is semisimple (identity matrix).
     """
     _planar(family)
     labels = rank_labels(family, m)
-    n = len(labels)
-    if family is Family.PLANAR_ROOK:
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    elif family is Family.TEMPERLEY_LIEB:
-        params = params or CHAR0_TL
-        supports = {i: pl_support(i, params) for i in labels}
-        rows = [[int(z in supports[i]) for i in labels] for z in labels]
-    else:
-        if params is not None and params != CHAR0_MO:
-            raise InputError("Motzkin decomposition matrices are char-0 only")
-        rows = []
-        for z in labels:
-            factors = {z}
-            refl = reflections(z, family, m)
-            if not refl.critical and refl.plus is not None:
-                factors.add(refl.plus)
-            rows.append([int(i in factors) for i in labels])
-    return DecompositionMatrix(family, m, labels, tuple(map(tuple, rows)))
+    if family is Family.MOTZKIN and params not in (None, CHAR0_MO):
+        raise InputError("Motzkin decomposition matrices are char-0 only")
+    supports = {i: pl_support(i, params or _CHAR0[family]) if family in _CHAR0 else {i} for i in labels}
+    rows = tuple(tuple(int(z in supports[i]) for i in labels) for z in labels)
+    return DecompositionMatrix(family, m, labels, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,17 @@ library computes and assert exactly which checks go red.
 
 Each probe monkeypatches one production function or fixture, empties the
 oracle's caches (before, so the mutation is seen, and after, so no mutated
-value outlives the test) and runs the suites that hold the family.
-`test_the_table_suite_builds_no_mat` pins that the table suite compares int
-rows.
+value outlives the test) and runs the suites that hold the family.  All 13
+families have a probe; an oracle that refuses a value fails that one check by
+name and the suite runs on.  `test_the_table_suite_builds_no_mat` pins that
+the table suite compares int rows.
 """
 
 from collections import Counter
 
 import pytest
 
-from growthlab import growth, oracle, reference, tables, verify
+from growthlab import fusion, growth, oracle, reference, tables, verify
 from growthlab.diagrams import Family, rank_labels
 from growthlab.linalg import Mat
 
@@ -37,6 +38,10 @@ def _red(results) -> set[str]:
 def test_unmutated_tables_are_all_green(fresh_oracle):
     results = verify.check_tables()
     assert len(results) > 100 and _red(results) == set()
+
+
+def test_an_unmutated_run_of_every_suite_is_all_green(fresh_oracle):
+    assert _red(verify.run_suite("all")) == set()
 
 
 def _mutate_module_rows(monkeypatch, key, which, col):
@@ -103,6 +108,61 @@ def test_one_printed_inverse_entry_turns_its_golden_check_red(monkeypatch, fresh
     rows[2][1] += 1
     monkeypatch.setattr(reference, "TL7_LINV", tuple(map(tuple, rows)))
     assert _red(verify.check_tables()) == {"golden:tl7-linv"}
+
+
+def test_an_oracle_refusal_fails_its_checks_by_name(monkeypatch, fresh_oracle):
+    # the wrong simple row makes the oracle refuse a negative tensor multiplicity;
+    # each refused value fails its own check and the suite still runs to the end
+    family, m, i, j = Family.PLANAR_ROOK, 4, 1, 3
+    _mutate_module_rows(monkeypatch, (family, m, i), 1, rank_labels(family, m).index(j))
+    results = verify.run_suite("all")
+    pairs = ("0,1", "1,0", "1,1")
+    assert _red(results) == {"oracle-simple:planar_rook:4"} | {
+        f"tensor-rule:pro4:{pair}->{l}" for pair in pairs for l in (3, 4)
+    }
+    refused = {f"tensor-rule:pro4:{pair}->3" for pair in pairs}  # -1 at V3, and 4 where 0 is due at V4
+    assert {r.rhs for r in results if r.check in refused} == {repr("raised: tensor multiplicity -1 is negative")}
+
+
+def test_one_hump_count_turns_the_closed_form_checks_from_that_j_red(monkeypatch, fresh_oracle):
+    # column j = 4 of row i = 2 is in every Motzkin table with m >= 4
+    original = tables.mo_simple_entry_closed
+    monkeypatch.setattr(
+        tables, "mo_simple_entry_closed", lambda j, i: original(j, i) + ((j, i) == (4, 2))
+    )
+    assert _red(verify.check_tables()) == {f"motzkin-closed-form:{m}" for m in range(4, 9)}
+
+
+def test_one_oracle_product_multiplicity_turns_its_tensor_rule_check_red(monkeypatch, fresh_oracle):
+    original = oracle.oracle_product_multiplicity
+
+    def mutated(spec_a, spec_b, target):
+        value = original(spec_a, spec_b, target)
+        return value + ((spec_a.m, spec_a.label, spec_b.label, target) == (4, "V1", "V2", 3))
+
+    monkeypatch.setattr(oracle, "oracle_product_multiplicity", mutated)
+    assert _red(verify.check_growth()) == {"tensor-rule:pro4:1,2->3"}
+
+
+def test_one_golden_fusion_entry_turns_the_fusion_matrix_check_red(monkeypatch, fresh_oracle):
+    rows = [list(row) for row in reference.PRO8_V2_FUSION]
+    rows[3][2] += 1
+    monkeypatch.setattr(reference, "PRO8_V2_FUSION", tuple(map(tuple, rows)))
+    assert _red(verify.check_fusion()) == {"fusion:pro8-matrix"}
+
+
+def test_one_entry_of_every_spectral_product_turns_the_spectral_checks_red(monkeypatch, fresh_oracle):
+    original = fusion.int_mul
+
+    def mutated(x, y):
+        rows = original(x, y)
+        rows[0][0] += 1
+        return rows
+
+    monkeypatch.setattr(fusion, "int_mul", mutated)
+    assert _red(verify.check_fusion()) == {
+        "spectral:temperley_lieb:7:V3", "spectral:motzkin:5:S1", "spectral:planar_rook:8:V2"
+    }
 
 
 def test_the_table_suite_builds_no_mat(monkeypatch, fresh_oracle):

@@ -111,3 +111,20 @@ def test_the_oracle_caches_the_benchmark_clears_are_lru_caches():
     ]
     assert len(names) == 1 and names[0]
     assert [name for name in names[0] if not hasattr(getattr(oracle, name, None), "cache_info")] == []
+
+
+def test_verify_makes_the_check_count_the_benchmark_expects(monkeypatch):
+    # perfbench refuses a verify report without exactly VERIFY_CHECKS checks;
+    # read the constant without importing perfbench, so a changed count fails here first
+    from growthlab import verify
+
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    counts = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_CHECKS"]
+    ]
+    assert len(counts) == 1
+    monkeypatch.delenv("GROWTHLAB_MAX_M", raising=False)
+    assert len(verify.run_suite("all")) == counts[0]

@@ -380,6 +380,42 @@ def test_decomposition_matrix_rejects_unknown_labels(call):
         call(decomposition_matrix(Family.TEMPERLEY_LIEB, 7))
 
 
+def _reflections_by_search(i, m, spacing):
+    """(minus, plus, critical) by stepping out from i to the nearest walls, the
+    integers that are -1 mod spacing; a mirror outside 0..m is None."""
+    if i % spacing == spacing - 1:
+        return None, None, True
+    below = i - 1
+    while below % spacing != spacing - 1:
+        below -= 1
+    above = i + 1
+    while above % spacing != spacing - 1:
+        above += 1
+    minus, plus = 2 * below - i, 2 * above - i
+    return (minus if minus >= 0 else None), (plus if plus <= m else None), False
+
+
+@pytest.mark.parametrize("family,spacing", [(Family.TEMPERLEY_LIEB, 3), (Family.MOTZKIN, 2)])
+def test_reflections_match_the_nearest_wall_search_up_to_m300(family, spacing):
+    for m in range(1, 301):
+        labels = set(rank_labels(family, m))
+        lost = 0
+        for i in sorted(labels):
+            r = reflections(i, family, m)
+            assert (r.minus, r.plus, r.critical) == _reflections_by_search(i, m, spacing)
+            assert {r.minus, r.plus} - {None} <= labels
+            lost += (r.minus, r.plus).count(None) - 2 * r.critical
+        assert lost == 2  # the minus of the lowest non-critical label, the plus of the highest
+
+
+@pytest.mark.parametrize("params", [None, CHAR0_MO])
+def test_motzkin_cells_hold_their_simple_and_the_one_two_above(params):
+    for m in range(1, 61):
+        d = decomposition_matrix(Family.MOTZKIN, m, params)
+        for z in d.labels:
+            assert d.cell_factors(z) == ((z, z + 2) if z % 2 == 0 and z + 2 <= m else (z,))
+
+
 def _is_int_rows(rows) -> bool:
     return type(rows) is tuple and all(
         type(row) is tuple and all(type(x) is int for x in row) for row in rows
@@ -523,13 +559,13 @@ def test_ancestorless_examples():
 
 
 def test_group_injective_char0():
-    for m in range(1, 31):
+    semisimple_or_catalogued = [f for f in Family if f not in (Family.TEMPERLEY_LIEB, Family.MOTZKIN)]
+    for m in range(400):
         assert group_injective(Family.TEMPERLEY_LIEB, m) == (m % 3 == 2)
         # the ancestorless criterion on m+1: group-injective iff m is odd
         assert group_injective(Family.MOTZKIN, m) == (m % 2 == 1)
         assert group_injective(Family.MOTZKIN, m) == ancestorless(m + 1, CHAR0_MO)
-    assert group_injective(Family.BRAUER, 4)
-    assert group_injective(Family.PLANAR_ROOK, 4)
+        assert all(group_injective(family, m) for family in semisimple_or_catalogued)
     from growthlab.tables import GROUP_INJECTIVE_CHAR0_CATALOG
 
     for family in Family:

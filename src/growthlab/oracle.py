@@ -374,8 +374,6 @@ def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
     literal Kronecker powers of the idempotent actions.
     """
     index = _check_query(spec, n, target)
-    if spec.family not in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
-        raise InputError(f"no oracle for {spec.family.value}")
     value = _solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases))[index]
     if value < 0:
         raise VerificationError(f"multiplicity {value} is negative; inconsistent inputs")

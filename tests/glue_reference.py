@@ -1,14 +1,17 @@
-"""The union-find gluing routines, the matching enumeration and the half-diagram
-records the library used before its partner arrays and half-diagram rows.
+"""The union-find gluing routines, the matching enumeration, the half-diagram
+records and the blocks flip the library used before its partner arrays and
+half-diagram rows.
 
 Each gluing routine groups slots into connected components with union-find
 and a dict, independently of `diagrams._glue`; `enumerate_diagrams` lists the
 monoid by recursive non-crossing matchings and the public `Diagram`
 constructor, independently of `diagrams._partner_arrays`; `_half_states`
 lists half diagrams as (cups, defects) by a recursion on cups, independently
-of `diagrams._half_arrays`.  The tests use them as referees.  The bodies are
-kept as they were in the library; `_apply_diagram` and `_pairing` take and
-give half-diagram rows (see `diagrams._top_half`) through `_record` and `_row`.
+of `diagrams._half_arrays`; `flip` exchanges the rows of a diagram's blocks,
+independently of `diagrams._flip_partners`.  The tests use them as referees.
+The bodies are kept as they were in the library; `_apply_diagram` and
+`_pairing` take and give half-diagram rows (see `diagrams._top_half`) through
+`_record` and `_row`.
 """
 
 from __future__ import annotations
@@ -252,3 +255,13 @@ def enumerate_diagrams(family: Family, m: int) -> tuple[Diagram, ...]:
             blocks = list(pairs) + [(p,) for p in range(1, 2 * m + 1) if p not in matched]
             out.append(Diagram(family, m, tuple(blocks)))
     return tuple(sorted(out, key=lambda d: d.blocks))
+
+
+def flip(d: Diagram) -> Diagram:
+    """Exchange top and bottom rows; an involutive anti-automorphism."""
+    m = d.m
+    return Diagram(
+        d.family,
+        m,
+        tuple(tuple(p + m if p <= m else p - m for p in b) for b in d.blocks),
+    )

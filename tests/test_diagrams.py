@@ -283,6 +283,32 @@ def test_flip_involution_and_identity():
             assert flip(flip(d)) == d
 
 
+@pytest.mark.parametrize("family,cap", CAPS)
+def test_flip_matches_the_blocks_referee(family, cap):
+    for m in range(1, cap + 1):
+        for d in enumerate_diagrams(family, m):
+            found, expected = flip(d), glue_reference.flip(d)
+            assert found == expected and vars(found) == vars(expected)
+
+
+@pytest.mark.parametrize("family,cap", CAPS)
+def test_generators_are_closed_under_flip(family, cap):
+    # the closure of green_data reads left edges through the flip of the generators
+    for m in range(1, cap + 2):
+        gens = generators(family, m)
+        assert sorted(glue_reference.flip(g).blocks for g in gens) == sorted(g.blocks for g in gens)
+
+
+def test_green_data_rejects_generators_not_closed_under_flip(monkeypatch):
+    m = 3
+    r1 = Diagram(Family.PLANAR_ROOK, m, ((1, 5), (2,), (4,), (3, 6)))  # 1 joined to 2'
+    gens = generators(Family.PLANAR_ROOK, m)
+    assert r1 in gens and glue_reference.flip(r1) in gens
+    monkeypatch.setattr(diagrams, "generators", lambda f, m: tuple(g for g in gens if g != r1))
+    with pytest.raises(InternalCheckError, match=r"^generators\(planar_rook, 3\) are not closed under flip$"):
+        green_data(Family.PLANAR_ROOK, m)
+
+
 @pytest.mark.parametrize(
     "family,m", [(Family.TEMPERLEY_LIEB, 3), (Family.PLANAR_ROOK, 3), (Family.MOTZKIN, 3)]
 )

@@ -4,17 +4,19 @@ library computes and assert exactly which checks go red.
 Each probe monkeypatches one production function or fixture, empties the
 oracle's caches (before, so the mutation is seen, and after, so no mutated
 value outlives the test) and runs the suites that hold the family.  All 13
-families have a probe; an oracle that refuses a value fails that one check by
-name and the suite runs on.  `test_the_table_suite_builds_no_mat` pins that
-the table suite compares int rows.
+families have a probe; an oracle that refuses a value or breaks an invariant
+fails the checks that read it by name, and the suite runs on.
+`test_the_table_suite_builds_no_mat` pins that the table suite compares int
+rows.
 """
 
 from collections import Counter
 
 import pytest
 
-from growthlab import fusion, growth, oracle, reference, tables, verify
+from growthlab import cli, fusion, growth, oracle, reference, tables, verify
 from growthlab.diagrams import Family, rank_labels
+from growthlab.errors import InternalCheckError
 from growthlab.linalg import Mat
 
 
@@ -122,6 +124,39 @@ def test_an_oracle_refusal_fails_its_checks_by_name(monkeypatch, fresh_oracle):
     }
     refused = {f"tensor-rule:pro4:{pair}->3" for pair in pairs}  # -1 at V3, and 4 where 0 is due at V4
     assert {r.rhs for r in results if r.check in refused} == {repr("raised: tensor multiplicity -1 is negative")}
+
+
+def test_a_simple_row_below_the_diagonal_fails_both_oracle_tables_at_that_m(monkeypatch, fresh_oracle):
+    # the brute-force simple table is refused as not unit upper triangular;
+    # both tables of that monoid fail by name and the suite runs on
+    family, m, i = Family.TEMPERLEY_LIEB, 6, 2
+    assert rank_labels(family, m).index(i) > 0
+    _mutate_module_rows(monkeypatch, (family, m, i), 1, 0)
+    results = verify.run_suite("all")
+    assert _red(results) == {"oracle-cell:temperley_lieb:6", "oracle-simple:temperley_lieb:6"}
+    refusal = repr("raised: simple table of temperley_lieb_6 not unit upper triangular")
+    assert {r.rhs for r in results if not r.ok} == {refusal}
+
+
+def test_a_broken_oracle_invariant_fails_its_checks_by_name(monkeypatch, fresh_oracle, capsys):
+    # an InternalCheckError inside the oracle fails every check that reads it
+    # (both tables at MO 5 and the MO 5 multiplicities), with no traceback
+    original = oracle._module_rows
+
+    def broken(*args):
+        if args == (Family.MOTZKIN, 5, 2):
+            raise InternalCheckError("S_2: probe")
+        return original(*args)
+
+    monkeypatch.setattr(oracle, "_module_rows", broken)
+    red = _red(verify.run_suite("all"))
+    assert Counter(name.partition(":")[0] for name in red) == {
+        "mult": 48, "length": 8, "oracle-cell": 1, "oracle-simple": 1
+    }
+    assert all(":motzkin:5" in name for name in red)
+    assert cli.main(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL oracle-cell:motzkin:5: " in out and "'raised: S_2: probe'" in out
 
 
 def test_one_hump_count_turns_the_closed_form_checks_from_that_j_red(monkeypatch, fresh_oracle):

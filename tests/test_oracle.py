@@ -816,6 +816,19 @@ def test_label_errors_name_the_rule_not_the_labels():
         assert "with the parity of m" in message and len(message) < 200
 
 
+@pytest.mark.parametrize("family", [Family.BRAUER, Family.ROOK])
+def test_every_multiplicity_query_refuses_a_monoid_it_cannot_enumerate(family):
+    # the one refusal is the enumeration check behind the brute-force table
+    spec = ModuleSpec("V1", family, 3, 3, tuple(map(Fraction, (1, 2, 3, 3))))
+    for query in (
+        lambda: oracle_multiplicity(spec, 2, 1),
+        lambda: oracle_length(spec, 2),
+        lambda: oracle_product_multiplicity(spec, spec, 1),
+    ):
+        with pytest.raises(InputError, match=f"^{family.value} cannot be enumerated$"):
+            query()
+
+
 def test_oracle_product_multiplicity_rejects_unknown_target():
     v1 = module_spec(Family.TEMPERLEY_LIEB, 5, "V1")
     v3 = module_spec(Family.TEMPERLEY_LIEB, 5, "V3")

@@ -44,6 +44,20 @@ def test_every_private_function_is_used_elsewhere():
     assert sorted(f"{path}:{name}" for name, path in defined.items() if name not in named) == []
 
 
+def test_verify_has_one_except_handler():
+    # a route that refuses or breaks an invariant fails its checks by name
+    # through `verify._oracle_value`, the one place verify catches anything
+    path = Path(growthlab.__file__).parent / "verify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    handlers = [
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.ExceptHandler)
+    ]
+    assert handlers == ["_oracle_value"]
+
+
 def test_every_unchecked_substitution_follows_a_table_check():
     # `linalg._substitute` trusts its table, so every caller must first make
     # it a simple table, checked when built
@@ -65,7 +79,7 @@ def test_every_unchecked_substitution_follows_a_table_check():
 
 # each referee in tests/, and the library routines it referees
 REFEREED = {
-    "glue_reference.py": {"_glue", "_partner_arrays", "_half_arrays", "_lift"},
+    "glue_reference.py": {"_glue", "_partner_arrays", "_half_arrays", "_lift", "_flip_partners"},
     "linalg_reference.py": {"_substitute", "_reduce", "_solve_multiplicities", "_prefix_ranks"},
     "radical_reference.py": {"_module_rows", "_oracle_rows", "_prefix_ranks"},
     "series_reference.py": {"_growth_series", "_inverse_column", "_cell_columns"},

@@ -191,10 +191,13 @@ Partners = tuple[int, ...]
 
 
 def _partners(blocks, m: int) -> Partners:
+    """The partner array of blocks; InputError for a block of more than two points."""
     pa = [-1] * (2 * m)
     for b in blocks:
         if len(b) == 2:
             pa[b[0] - 1], pa[b[1] - 1] = b[1] - 1, b[0] - 1
+        elif len(b) > 2:
+            raise InputError(f"block {b} has more than two points")
     return tuple(pa)
 
 
@@ -296,6 +299,8 @@ def compose(a: Diagram, b: Diagram) -> ComposeResult:
     """Stack a on top of b (_glue); count and discard middle loops and dead points (_middle)."""
     if a.family is not b.family or a.m != b.m:
         raise InputError("can only compose diagrams of the same family and size")
+    if a.family not in PLANAR_FAMILIES:
+        raise InputError(f"{a.family.value} diagrams are not supported")
     pa, pb = _partners(a.blocks, a.m), _partners(b.blocks, b.m)
     return ComposeResult(_from_partners(a.family, a.m, _glue(pa, pb)), *_middle(pa, pb))
 
@@ -313,6 +318,8 @@ def _flip_partners(pa: Partners) -> Partners:
 
 def flip(d: Diagram) -> Diagram:
     """Exchange top and bottom rows; an involutive anti-automorphism."""
+    if d.family not in PLANAR_FAMILIES:
+        raise InputError(f"{d.family.value} diagrams are not supported")
     return _from_partners(d.family, d.m, _flip_partners(_partners(d.blocks, d.m)))
 
 

@@ -33,7 +33,7 @@ from operator import add, mul
 
 from .diagrams import Family, PLANAR_FAMILIES
 from .errors import InputError, InternalCheckError
-from .linalg import Mat, inverse, mat_mul
+from .linalg import Mat, _solve
 from .record import Record
 from .tables import (CharTable, _cell_columns, _inverse_column, _is_prime, _labels, _module_terms,
                      label_index, reflections)
@@ -253,17 +253,6 @@ class MonoidClassData(Record):
     def total_classes(self) -> int:
         return sum(len(sizes) for sizes in self.class_sizes)
 
-    def y_matrix(self) -> Mat:
-        n = self.total_classes
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        offset = 0
-        for block in self.y_blocks:
-            for a in range(block.nrows):
-                for b in range(block.ncols):
-                    rows[offset + a][offset + b] = block.rows[a][b]
-            offset += block.nrows
-        return Mat(rows)
-
     @staticmethod
     def trivial_groups(simple: CharTable) -> "MonoidClassData":
         """Data of a monoid whose maximal subgroups are all trivial (L = X^T)."""
@@ -281,21 +270,20 @@ def general_length_series(data: MonoidClassData, charvec) -> ExpSum:
 
     l(n) = sum_i (1/|G_i|) sum_j |C_{i,j}| T_{i,j} chi(g_{i,j})^n where
     T_{i,j} sums the entries of L^-1 applied to the (i,j) column of Y
-    (conjugation is the identity on rational data).
+    (conjugation is the identity on rational data).  Those sums are u . Y
+    column by column, u the one solution of L^T u = (1, ..., 1); Y is block
+    diagonal, so each column meets only its block's part of u.
     """
     charvec = tuple(Fraction(x) for x in charvec)
     if len(charvec) != data.total_classes:
         raise InputError("character vector length mismatch")
-    linv_y = mat_mul(inverse(data.l_matrix), data.y_matrix())
-    col_sums = [
-        sum((linv_y.rows[r][c] for r in range(linv_y.nrows)), Fraction(0))
-        for c in range(linv_y.ncols)
-    ]
+    u = [x for (x,) in _solve(tuple(zip(*data.l_matrix.rows)), [(1,)] * len(charvec))]
     terms = []
     flat = 0
-    for order, sizes in zip(data.group_orders, data.class_sizes):
-        for size in sizes:
-            coeff = Fraction(size, order) * col_sums[flat]
+    for order, sizes, block in zip(data.group_orders, data.class_sizes, data.y_blocks):
+        part = u[flat:flat + len(sizes)]
+        for size, col in zip(sizes, zip(*block.rows)):
+            coeff = Fraction(size, order) * sum(map(mul, part, col))
             terms.append((coeff, _as_int_base(charvec[flat])))
             flat += 1
     return ExpSum.make(terms)

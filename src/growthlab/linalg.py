@@ -8,11 +8,13 @@ be shared between threads or worker processes without synchronization.
 One kernel solves the triangular systems: `_substitute` substitutes forward
 on ints against the transposed rows of a `CharTable` (checked unit upper
 triangular by `_check_unit_triangular` when built), skipping the zeros at the
-start of each right-hand side.  `inverse` and `kernel_and_rank` run one
-Gauss–Jordan reduction on integer-scaled rows: every row operation stays on
-Python ints, and a `Fraction` is made only when each pivot row is divided by
-its pivot at the end.  `_prefix_ranks` ranks every prefix of int rows in one
-forward elimination with no `Fraction`.
+start of each right-hand side.  One loop eliminates: `_forward` reduces int
+rows one at a time by the pivots before them (Bareiss's fraction-free update,
+with no `Fraction`), and gives the rank of every prefix (`_prefix_ranks`).
+Run twice it gives the reduced row echelon form as int rows (`_reduce`), and
+from that `_solve`, `inverse` and the integer kernel `_kernel` (which
+`kernel_and_rank` divides by its scale); a `Fraction` is made only for a
+rational answer.
 All matrices in this project are small (at most a few hundred rows), so
 dense storage is fine.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress, count, islice
 from math import gcd, lcm
 from operator import attrgetter, mul
 
@@ -193,84 +195,13 @@ def _integer_scaled_rows(
     return scaled, scales
 
 
-def _reduce(rows: Iterable[Sequence], ncols: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Gauss–Jordan on integer-scaled rows; returns (pivot columns, pivot rows).
-
-    Each row (of ints or `Fraction`s) is first multiplied by the lcm of its
-    denominators.  Eliminating with pivot p in column c turns every other
-    row into p·row − f·(pivot row), f its entry in column c, and divides it
-    by the gcd of its entries; so each row stays a nonzero integer multiple
-    of the row a rational reduction would hold, and the pivots fall in the
-    same columns.  Only at the end is each pivot row divided by its pivot:
-    its first ncols entries are then the nonzero rows of the reduced row
-    echelon form, and any columns to their right have been carried along by
-    the same row operations.
-    """
-    m, _ = _integer_scaled_rows(rows)
-    nrows = len(m)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r]
-        p = pivot[c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                row = [p * x - f * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivot_cols, [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivot_cols)]
-
-
-def inverse(a: Mat) -> Mat:
-    """Exact inverse: Gauss–Jordan on [a | I] leaves [I | a⁻¹].
-
-    Raises SingularMatrixError if a has no inverse.
-    """
-    if not a.is_square():
-        raise DimensionError(f"inverse of non-square {a.shape}")
-    n = a.nrows
-    pivot_cols, reduced = _reduce(
-        (row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(a.rows)), n
-    )
-    if len(pivot_cols) < n:
-        raise SingularMatrixError("matrix is singular")
-    return Mat(row[n:] for row in reduced)
-
-
-def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Rank and an exact basis of the right kernel, via reduced row echelon form.
-
-    Kernel vectors are produced one per free column, in ascending column
-    order, with a 1 in the free coordinate (deterministic).
-    """
-    ncols = a.ncols
-    pivot_cols, reduced = _reduce(a.rows, ncols)
-    rank = len(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivot_cols):
-            v[pc] = -reduced[row_idx][fc]
-        basis.append(tuple(v))
-    return rank, basis
-
-
-def _prefix_ranks(rows: Iterable[tuple[int, ...]]) -> list[int]:
-    """Entry k the rank over the rationals of the first k of some int rows: each
-    row, unless zero or a repeat, is reduced by the pivot rows in turn (p·row −
-    f·pivot, p and f their entries in the pivot's column, then divided by the
-    gcd) and, if any of it is left, is the next pivot row; no Fraction is made."""
+def _forward(rows: Iterable[tuple], ncols: int | None) -> tuple[list[int], list[tuple[int, int, list[int]]]]:
+    """(ranks, pivots) of one forward elimination on int rows, with no Fraction: each
+    row, unless zero or a repeat, is reduced by the pivots in turn (p·row − f·pivot,
+    p and f their entries in the pivot's column, then divided by the gcd) and, if
+    any of its first ncols entries (all for None) is left, is the next pivot (c,
+    p, row), c the first such nonzero column and p = row[c].  Entry k of ranks is
+    the rank over the rationals of the first k rows."""
     pivots, seen, ranks = [], set(), [0]
     for row in rows:
         if row not in seen and any(row):
@@ -279,8 +210,76 @@ def _prefix_ranks(rows: Iterable[tuple[int, ...]]) -> list[int]:
                 if f := row[c]:
                     row = [p * x - f * y for x, y in zip(row, pivot)]
                     row = [x // g for x in row] if (g := gcd(*row)) > 1 else row
-            if any(row):
-                c = next(compress(range(len(row)), row))
+            c = next(compress(count(), islice(row, ncols)), None)
+            if c is not None:
                 pivots.append((c, row[c], row))
         ranks.append(len(pivots))
-    return ranks
+    return ranks, pivots
+
+
+def _prefix_ranks(rows: Iterable[tuple[int, ...]]) -> list[int]:
+    """Entry k the rank over the rationals of the first k of some int rows (`_forward`)."""
+    return _forward(rows, None)[0]
+
+
+def _reduce(rows: Iterable[Sequence], ncols: int) -> list[tuple[int, int, list[int]]]:
+    """The reduced row echelon form of the first ncols columns, as int pivots.
+
+    Each row (of ints or `Fraction`s) is multiplied by the lcm of its
+    denominators.  One `_forward` pass leaves an echelon basis with the pivot
+    columns of the reduced form; a second pass over it in descending pivot
+    column clears each row at every pivot column right of its own.  So each
+    pivot (c, p, row), in ascending c, is p times a row of the reduced form,
+    and any columns right of the first ncols are carried along.
+    """
+    scaled, _ = _integer_scaled_rows(rows)
+    _, pivots = _forward(map(tuple, scaled), ncols)
+    _, pivots = _forward((tuple(row) for _, _, row in sorted(pivots, reverse=True)), ncols)
+    return sorted(pivots)
+
+
+def _solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Exact x with a·x = b for square a, by reducing [a | b] (`_reduce`); the rows
+    may hold ints or `Fraction`s.  SingularMatrixError if a has no inverse."""
+    n = len(a)
+    pivots = _reduce((tuple(r) + tuple(s) for r, s in zip(a, b)), n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
+    return [[Fraction(x, p) for x in row[n:]] for _, p, row in pivots]
+
+
+def _kernel(rows: Iterable[Sequence], ncols: int) -> tuple[int, list[int], int, list[list[int]]]:
+    """(rank, free columns, d, d·v for each kernel vector v), all ints (`_reduce`):
+    one v per free column, in ascending order, 1 there, 0 in the other free
+    columns and minus the reduced form's entry in each pivot column; d is the
+    least scale that makes every v integral."""
+    pivots = _reduce(rows, ncols)
+    pivot_cols = {c for c, _, _ in pivots}
+    free = [c for c in range(ncols) if c not in pivot_cols]
+    d = lcm(*(p // gcd(p, row[f]) for _, p, row in pivots for f in free))
+    kernel = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = d
+        for c, p, row in pivots:
+            v[c] = -d * row[f] // p
+        kernel.append(v)
+    return len(pivots), free, d, kernel
+
+
+def inverse(a: Mat) -> Mat:
+    """Exact inverse: `_solve` against the identity; SingularMatrixError if there is none."""
+    if not a.is_square():
+        raise DimensionError(f"inverse of non-square {a.shape}")
+    n = a.nrows
+    return Mat(_solve(a.rows, [[int(i == j) for j in range(n)] for i in range(n)]))
+
+
+def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """Rank and an exact basis of the right kernel, via reduced row echelon form.
+
+    Kernel vectors are produced one per free column, in ascending column
+    order, with a 1 in the free coordinate (deterministic; see `_kernel`).
+    """
+    rank, _, d, kernel = _kernel(a.rows, a.ncols)
+    return rank, [tuple(Fraction(x, d) for x in v) for v in kernel]

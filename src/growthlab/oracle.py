@@ -26,7 +26,8 @@ closed forms elsewhere have an independent referee:
   S_i as the count of its fixed points and on V_i as the rank of the Gram
   rows there, a prefix rank of one elimination (see `_module_rows`); the
   brute-force tables are those rows of ints (`_oracle_rows`);
-* the radical basis, as int rows scaled by the lcm d of its denominators, is
+* the radical basis, as int rows scaled by the least d that makes it
+  integral, is the integer kernel of the Gram rows (`linalg._kernel`),
   built only for the quotient actions of the Kronecker check;
 * tensor-power multiplicities come from forward substitution on ints against
   the brute-force simple table, checked unit upper triangular when built
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 
 from .diagrams import (
@@ -53,7 +53,6 @@ from .diagrams import (
     _glue,
     _half_arrays,
     _lift,
-    _partner_arrays,
     _partners,
     _top_half,
     class_idempotent,
@@ -62,7 +61,7 @@ from .diagrams import (
 )
 from .errors import InputError, InternalCheckError, VerificationError
 from .growth import ModuleSpec, module_spec
-from .linalg import Mat, _prefix_ranks, kernel_and_rank
+from .linalg import Mat, _kernel, _prefix_ranks
 from .record import Record
 from .tables import label_index
 
@@ -219,19 +218,14 @@ def _radical_data(family: Family, m: int, i: int):
     """(kernel rows or None, their scale d, the free rows), for `_quotient_action`.
 
     The kernel basis of the form, as the columns of a matrix K, is kept as
-    the int rows of d·K, d the lcm of the denominators of K.  Kernel column
-    c carries a 1 in its free row, which is its last nonzero entry, and 0 in
-    the other free rows; so d·K restricted to the free rows is d·I.
+    the int rows of d·K, d the least scale that makes K integral (`_kernel`).
+    Kernel column c carries a 1 in its free row, which is its last nonzero
+    entry, and 0 in the other free rows; so d·K restricted to the free rows
+    is d·I.
     """
-    _, kernel = kernel_and_rank(gram_matrix(family, m, i))
-    if not kernel:
-        return None, 1, ()
-    free_rows = tuple(max(r for r, x in enumerate(v) if x) for v in kernel)
-    scale = lcm(*(x.denominator for v in kernel for x in v))
-    rows = tuple(
-        tuple(x.numerator * (scale // x.denominator) for x in row) for row in zip(*kernel)
-    )
-    return rows, scale, free_rows
+    gram = _gram_rows(family, m, i)
+    _, free_rows, scale, kernel = _kernel(gram, len(gram))
+    return (tuple(zip(*kernel)) if kernel else None), scale, tuple(free_rows)
 
 
 @lru_cache(maxsize=None)
@@ -403,15 +397,20 @@ def oracle_product_multiplicity(
 
 
 class CountCheck(Record):
-    """A monoid order counted by enumeration, against the counting sequence."""
+    """A monoid order counted from the cell modules, against the counting sequence."""
 
     actual: int
     expected: int
 
 
 def count_check(family: Family, m: int) -> CountCheck:
-    """The monoid order, counted as partner arrays, against the independent counting sequence."""
-    actual = sum(1 for _ in _partner_arrays(family, m))
+    """The monoid order as Σ_i dim(S_i)², against the independent counting sequence.
+
+    An element is a top and a bottom half diagram with as many defects i, and
+    those with i defects are the basis of S_i: the cellular identity dim A =
+    Σ_i dim(S_i)² (Graham and Lehrer, "Cellular algebras", 1996)."""
+    _check_enumerable(family, m)
+    actual = sum(cell_module(family, m, i).dim ** 2 for i in rank_labels(family, m))
     expected = expected_order(family, m)
     if actual != expected:
         raise VerificationError(

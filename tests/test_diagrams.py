@@ -207,6 +207,38 @@ def test_compose_mismatch_errors():
         )
 
 
+def test_compose_and_flip_refuse_what_they_cannot_model():
+    # a partition diagram with a block of three points once came back as four singletons
+    d = Diagram(Family.PARTITION, 2, ((1, 2, 3), (4,)))
+    for query in (lambda: flip(d), lambda: compose(d, d)):
+        with pytest.raises(InputError, match="^partition diagrams are not supported$"):
+            query()
+    with pytest.raises(InputError, match=r"^block \(1, 2, 3\) has more than two points$"):
+        diagrams._partners(d.blocks, 2)
+
+
+@pytest.mark.parametrize("family,cap", CAPS)
+def test_every_element_up_to_the_cap_composes_with_the_identity(family, cap):
+    # every element flips as the blocks referee does (test_flip_matches_the_blocks_referee)
+    for m in range(1, cap + 1):
+        ident = identity_diagram(family, m)
+        for d in enumerate_diagrams(family, m):
+            assert compose(d, ident).result == d == compose(ident, d).result
+
+
+@pytest.mark.parametrize("family,cap", CAPS)
+def test_the_pairing_loop_counts_the_squares_of_the_half_walk(monkeypatch, family, cap):
+    # the oracle counts the monoid as the sum of |H_i|², H_i the half diagrams
+    # with i defects; this pins the pairing of `_partner_arrays` to the same
+    # sum, one step past the cap
+    monkeypatch.setenv("GROWTHLAB_MAX_M", str(cap + 1))
+    for m in range(1, cap + 2):
+        squares = sum(
+            sum(1 for _ in diagrams._half_arrays(family, m, i)) ** 2 for i in rank_labels(family, m)
+        )
+        assert sum(1 for _ in diagrams._partner_arrays(family, m)) == squares == expected_order(family, m)
+
+
 @pytest.mark.parametrize("family,m", SMALL)
 def test_associativity_with_loop_bookkeeping(family, m):
     rng = random.Random(hash((family.value, m)) & 0xFFFF)

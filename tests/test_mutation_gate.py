@@ -7,7 +7,7 @@ value outlives the test) and runs the suites that hold the family.  All 13
 families have a probe; an oracle that refuses a value or breaks an invariant
 fails the checks that read it by name, and the suite runs on.
 `test_the_table_suite_builds_no_mat` pins that the table suite compares int
-rows.
+rows and that a verify run builds no `Mat`.
 """
 
 from collections import Counter
@@ -84,6 +84,21 @@ def test_one_expected_order_turns_the_count_checks_at_that_m_red(monkeypatch, fr
     assert _red(verify.check_counts()) == {
         "count:planar_rook:3", "count:temperley_lieb:3", "count:motzkin:3"
     }
+
+
+def test_one_dropped_half_diagram_turns_the_count_and_cell_checks_at_that_m_red(monkeypatch, fresh_oracle):
+    # the count and the cell modules read the same half walk; the dropped
+    # basis element leaves the simple row at MO 4 as it was
+    original = oracle._half_arrays
+
+    def one_short(family, m, i):
+        arrays = original(family, m, i)
+        if (family, m, i) == (Family.MOTZKIN, 4, 2):
+            next(arrays)
+        return arrays
+
+    monkeypatch.setattr(oracle, "_half_arrays", one_short)
+    assert _red(verify.run_suite("all")) == {"count:motzkin:4", "oracle-cell:motzkin:4"}
 
 
 def test_one_inverse_cell_entry_turns_the_riordan_and_series_checks_red(monkeypatch, fresh_oracle):
@@ -201,9 +216,14 @@ def test_one_entry_of_every_spectral_product_turns_the_spectral_checks_red(monke
 
 
 def test_the_table_suite_builds_no_mat(monkeypatch, fresh_oracle):
-    # the tables are compared as int rows, and the printed inverses by int products
+    # the tables are compared as int rows, and the printed inverses by int
+    # products; the radicals of the Kronecker checks are integer kernels, so a
+    # whole verify run, on caches as cold as the table suite's, builds none
     built = []
     original = Mat.__init__
     monkeypatch.setattr(Mat, "__init__", lambda self, rows: built.append(1) or original(self, rows))
     verify.check_tables()
+    assert len(built) == 0
+    _clear_oracle_caches()
+    verify.run_suite("all")
     assert len(built) == 0

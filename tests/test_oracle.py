@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -759,6 +759,22 @@ def test_radical_quotients_match_inverse_routes(family, m):
     assert radicals > 0
 
 
+@pytest.mark.parametrize("family,m", GENERATOR_CASES)
+def test_radical_matches_the_fraction_kernel_at_every_module(family, m):
+    # the integer kernel over its scale is the Fraction referee's kernel, the
+    # scale is the lcm of its denominators, and each free row is the last
+    # nonzero entry of its kernel vector
+    for i in rank_labels(family, m):
+        gram = oracle._gram_rows(family, m, i)
+        rank, expected = linalg_reference.kernel_and_rank(Mat(gram))
+        kernel, scale, free_rows = _radical_data(family, m, i)
+        columns = list(zip(*kernel)) if kernel is not None else []
+        assert [tuple(Fraction(x, scale) for x in col) for col in columns] == expected
+        assert scale == lcm(*(x.denominator for v in expected for x in v))
+        assert list(free_rows) == [max(r for r, x in enumerate(v) if x) for v in expected]
+        assert rank + len(free_rows) == len(gram)
+
+
 # ---------------------------------------------------------------------------
 # multiplicities and counts
 
@@ -843,18 +859,23 @@ def test_count_check():
 
 
 def test_count_gate_fails_on_a_missing_element(monkeypatch):
-    original = oracle._partner_arrays
+    # the count reads the half diagrams, the bases of the cell modules
+    original = oracle._half_arrays
 
-    def one_short(family, m):
-        arrays = original(family, m)
-        if (family, m) == (Family.MOTZKIN, 4):
+    def one_short(family, m, i):
+        arrays = original(family, m, i)
+        if (family, m, i) == (Family.MOTZKIN, 4, 2):
             next(arrays)
         return arrays
 
-    monkeypatch.setattr(oracle, "_partner_arrays", one_short)
-    with pytest.raises(VerificationError, match="motzkin_4"):
-        count_check(Family.MOTZKIN, 4)
-    failed = [r.check for r in verify.check_counts() if r.status == "fail"]
+    monkeypatch.setattr(oracle, "_half_arrays", one_short)
+    _clear_oracle_caches()  # so the cell modules are built again, one short
+    try:
+        with pytest.raises(VerificationError, match=r"^\|motzkin_4\| = 306, expected 323$"):
+            count_check(Family.MOTZKIN, 4)
+        failed = [r.check for r in verify.check_counts() if r.status == "fail"]
+    finally:
+        _clear_oracle_caches()  # no module one short outlives the test
     assert failed == ["count:motzkin:4"]
 
 

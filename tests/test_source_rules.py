@@ -77,10 +77,30 @@ def test_every_unchecked_substitution_follows_a_table_check():
     assert sorted(name for name, checked in callers.items() if not checked) == []
 
 
+def test_fraction_routines_stay_at_the_public_edge():
+    # the library eliminates and multiplies on int rows; the `Mat` routines
+    # on Fractions are for callers outside it, so only linalg and the package
+    # namespace name them
+    edge = {"inverse", "kernel_and_rank", "mat_mul"}
+    found = []
+    for path in SOURCES:
+        if path.name in ("linalg.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+                if name in edge:
+                    found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == []
+
+
 # each referee in tests/, and the library routines it referees
 REFEREED = {
     "glue_reference.py": {"_glue", "_partner_arrays", "_half_arrays", "_lift", "_flip_partners"},
-    "linalg_reference.py": {"_substitute", "_reduce", "_solve_multiplicities", "_prefix_ranks"},
+    "linalg_reference.py": {
+        "_substitute", "_forward", "_reduce", "_solve", "_kernel", "_solve_multiplicities", "_prefix_ranks"
+    },
     "radical_reference.py": {"_module_rows", "_oracle_rows", "_prefix_ranks"},
     "series_reference.py": {"_growth_series", "_inverse_column", "_cell_columns"},
     "riordan_reference.py": {"_inverse_column"},

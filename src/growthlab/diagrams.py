@@ -10,7 +10,9 @@ without crossings.  Three planar families are enumerable and composable here:
 * Motzkin: any planar partial matching (singletons allowed).
 
 The symmetric family tags exist only so growth-formula code elsewhere can
-name them; they cannot be enumerated or composed.
+name them; they cannot be enumerated or composed.  The Diagram constructor
+refuses blocks outside their family (InputError) and keeps d.partners, which
+every reader below trusts; make_diagram is the same call.
 
 Composition stacks the left factor on top of the right one, traces the glued
 middle row, and discards closed middle loops and dead middle points, counting
@@ -100,13 +102,51 @@ def blocks_are_planar(blocks, m: int) -> bool:
     return True
 
 
+# A partner array lists the 2m points of a diagram by slot, point p in slot
+# p - 1 (top row 0..m-1, bottom row m..2m-1): pa[s] is the slot joined to s,
+# or -1 for a singleton.  Blocks have at most two points, so the array is a
+# complete and canonical key.
+Partners = tuple[int, ...]
+
+
+def _checked_partners(family: Family, m: int, blocks) -> Partners:
+    """The partner array of blocks; InputError unless they are a diagram of family on m strands.
+    A bad point (not an int in 1..2m met once) is named after the walk, after any block of a wrong size."""
+    if family not in PLANAR_FAMILIES:
+        raise InputError(f"{family.value} diagrams are not supported")
+    if m < 1:
+        raise InputError("need at least one strand")
+    pa = [-2] * (2 * m)  # -2 until the point is met
+    partition = True
+    for b in blocks:
+        if len(b) not in (1, 2):
+            raise InputError(f"block {b} has size {len(b)}")
+        for p, q in zip(b, b[::-1]):  # a singleton's q is p, its partner -1
+            if type(p) is int and 0 < p <= 2 * m and pa[p - 1] == -2:
+                pa[p - 1] = q - 1 if q != p else -1
+            else:
+                partition = False
+    if not partition or -2 in pa:
+        raise InputError("blocks do not partition the 2m points")
+    if family is Family.TEMPERLEY_LIEB and -1 in pa:
+        raise InputError("Temperley-Lieb diagrams are perfect matchings")
+    if family is Family.PLANAR_ROOK and any(q >= 0 and (s < m) == (q < m) for s, q in enumerate(pa)):
+        raise InputError("planar rook blocks of size 2 must join top to bottom")
+    if not blocks_are_planar(blocks, m):
+        raise InputError("blocks cross")
+    return tuple(pa)
+
+
 class Diagram(Record):
+    """An element of a planar family, checked when made; partners, its partner array, is not a field."""
+
     family: Family
     m: int
     blocks: tuple[Block, ...]  # canonical: blocks sorted, each block sorted
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", _canonical_blocks(self.blocks))
+        object.__setattr__(self, "partners", _checked_partners(self.family, self.m, self.blocks))
 
     def rank(self) -> int:
         return sum(1 for b in self.blocks if len(b) == 2 and b[0] <= self.m < b[1])
@@ -143,32 +183,13 @@ def parse_blocks(text: str, m: int) -> tuple[Block, ...]:
 
 
 def validate_diagram(d: Diagram) -> None:
-    """Raise InputError unless d is a well-formed member of its family."""
-    if d.family not in PLANAR_FAMILIES:
-        raise InputError(f"{d.family.value} diagrams are not supported")
-    if d.m < 1:
-        raise InputError("need at least one strand")
-    seen: list[int] = []
-    for b in d.blocks:
-        if len(b) not in (1, 2):
-            raise InputError(f"block {b} has size {len(b)}")
-        seen.extend(b)
-    if sorted(seen) != list(range(1, 2 * d.m + 1)):
-        raise InputError("blocks do not partition the 2m points")
-    if d.family is Family.TEMPERLEY_LIEB and any(len(b) == 1 for b in d.blocks):
-        raise InputError("Temperley-Lieb diagrams are perfect matchings")
-    if d.family is Family.PLANAR_ROOK:
-        for b in d.blocks:
-            if len(b) == 2 and not (b[0] <= d.m < b[1]):
-                raise InputError("planar rook blocks of size 2 must join top to bottom")
-    if not blocks_are_planar(d.blocks, d.m):
-        raise InputError("blocks cross")
+    """Raise InputError unless d is a well-formed member of its family (the constructor's check)."""
+    _checked_partners(d.family, d.m, d.blocks)
 
 
 def make_diagram(family: Family, m: int, blocks) -> Diagram:
-    d = Diagram(family, m, _canonical_blocks(blocks))
-    validate_diagram(d)
-    return d
+    """The same call as Diagram(family, m, blocks)."""
+    return Diagram(family, m, blocks)
 
 
 def identity_diagram(family: Family, m: int) -> Diagram:
@@ -183,24 +204,6 @@ class ComposeResult(Record):
     middle_isolated: int
 
 
-# A partner array lists the 2m points of a diagram by slot, point p in slot
-# p - 1 (top row 0..m-1, bottom row m..2m-1): pa[s] is the slot joined to s,
-# or -1 for a singleton.  Blocks have at most two points, so the array is a
-# complete and canonical key.
-Partners = tuple[int, ...]
-
-
-def _partners(blocks, m: int) -> Partners:
-    """The partner array of blocks; InputError for a block of more than two points."""
-    pa = [-1] * (2 * m)
-    for b in blocks:
-        if len(b) == 2:
-            pa[b[0] - 1], pa[b[1] - 1] = b[1] - 1, b[0] - 1
-        elif len(b) > 2:
-            raise InputError(f"block {b} has more than two points")
-    return tuple(pa)
-
-
 def _blocks(pa: Partners) -> tuple[Block, ...]:
     """Canonical blocks, read off in slot order: each block first meets its least point."""
     return tuple(
@@ -209,9 +212,9 @@ def _blocks(pa: Partners) -> tuple[Block, ...]:
 
 
 def _from_partners(family: Family, m: int, pa: Partners) -> Diagram:
-    """The diagram of pa; _blocks is canonical already, so __post_init__ is skipped."""
+    """The diagram of pa, unchecked (enumerated, or a product or flip of checked arrays)."""
     d = object.__new__(Diagram)
-    vars(d).update(family=family, m=m, blocks=_blocks(pa))
+    vars(d).update(family=family, m=m, blocks=_blocks(pa), partners=pa)
     return d
 
 
@@ -299,9 +302,7 @@ def compose(a: Diagram, b: Diagram) -> ComposeResult:
     """Stack a on top of b (_glue); count and discard middle loops and dead points (_middle)."""
     if a.family is not b.family or a.m != b.m:
         raise InputError("can only compose diagrams of the same family and size")
-    if a.family not in PLANAR_FAMILIES:
-        raise InputError(f"{a.family.value} diagrams are not supported")
-    pa, pb = _partners(a.blocks, a.m), _partners(b.blocks, b.m)
+    pa, pb = a.partners, b.partners
     return ComposeResult(_from_partners(a.family, a.m, _glue(pa, pb)), *_middle(pa, pb))
 
 
@@ -318,9 +319,7 @@ def _flip_partners(pa: Partners) -> Partners:
 
 def flip(d: Diagram) -> Diagram:
     """Exchange top and bottom rows; an involutive anti-automorphism."""
-    if d.family not in PLANAR_FAMILIES:
-        raise InputError(f"{d.family.value} diagrams are not supported")
-    return _from_partners(d.family, d.m, _flip_partners(_partners(d.blocks, d.m)))
+    return _from_partners(d.family, d.m, _flip_partners(d.partners))
 
 
 def rank_labels(family: Family, m: int) -> tuple[int, ...]:
@@ -479,15 +478,15 @@ def generators(family: Family, m: int) -> tuple[Diagram, ...]:
         strands = [(k, m + k) for k in range(1, m + 1) if k not in moved]
         return Diagram(family, m, tuple(strands + blocks))
 
-    cups = [local((i, i + 1), [(i, i + 1), (m + i, m + i + 1)]) for i in range(1, m)]
-    shifts = [local((i, i + 1), [(i + 1, m + i), (i,), (m + i + 1,)]) for i in range(1, m)]
-    shifts += [local((i, i + 1), [(i, m + i + 1), (i + 1,), (m + i,)]) for i in range(1, m)]
-    rook = shifts if m > 1 else [local((1,), [(1,), (2,)])]  # p_1
-    if family is Family.TEMPERLEY_LIEB:
-        return tuple(cups)
-    if family is Family.PLANAR_ROOK:
-        return tuple(rook)
-    return tuple(cups + rook)
+    gens = []
+    if family is not Family.PLANAR_ROOK:
+        gens += [local((i, i + 1), [(i, i + 1), (m + i, m + i + 1)]) for i in range(1, m)]
+    if family is not Family.TEMPERLEY_LIEB:
+        gens += [local((i, i + 1), [(i + 1, m + i), (i,), (m + i + 1,)]) for i in range(1, m)]
+        gens += [local((i, i + 1), [(i, m + i + 1), (i + 1,), (m + i,)]) for i in range(1, m)]
+        if m == 1:
+            gens.append(local((1,), [(1,), (2,)]))  # p_1
+    return tuple(gens)
 
 
 def _cayley_graphs(family: Family, m: int) -> tuple[tuple[Partners, ...], list[list[int]], list[list[int]]]:
@@ -499,11 +498,11 @@ def _cayley_graphs(family: Family, m: int) -> tuple[tuple[Partners, ...], list[l
     green_data), which must equal _partner_arrays(family, m) as a set.
     """
     enumerated = set(_partner_arrays(family, m))
-    gens = [_partners(a.blocks, m) for a in generators(family, m)]
+    gens = [a.partners for a in generators(family, m)]
     flip_gen = [gens.index(f) if f in gens else -1 for f in map(_flip_partners, gens)]
     if -1 in flip_gen:
         raise InternalCheckError(f"generators({family.value}, {m}) are not closed under flip")
-    one = _partners(identity_diagram(family, m).blocks, m)
+    one = identity_diagram(family, m).partners
     # element x is the word first[x]·suffix[x] of length[x]; flipped[x] indexes its flip
     arrays, index = [one], {one: 0}
     first, suffix, length, flipped, right = [-1], [-1], [0], [0], []

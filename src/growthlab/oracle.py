@@ -53,7 +53,6 @@ from .diagrams import (
     _glue,
     _half_arrays,
     _lift,
-    _partners,
     _top_half,
     class_idempotent,
     expected_order,
@@ -100,7 +99,7 @@ class CellModule:
         cached = self._image_cache.get(d)
         if cached is not None:
             return cached
-        pd = _partners(d.blocks, self.m)
+        pd = d.partners
         images = []
         for lift in self._lifts:
             top = _top_half(_glue(pd, lift))

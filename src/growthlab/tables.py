@@ -447,8 +447,7 @@ def decomposition_matrix(
     (INFINITY, 2)), where the support of an even i is {i, i-2}, so S_z holds
     V_z and V_{z+2}; planar rook is semisimple (identity matrix).
     """
-    _planar(family)
-    labels = rank_labels(family, m)
+    labels = _labels(family, m)
     if family is Family.MOTZKIN and params not in (None, CHAR0_MO):
         raise InputError("Motzkin decomposition matrices are char-0 only")
     supports = {i: pl_support(i, params or _CHAR0[family]) if family in _CHAR0 else {i} for i in labels}

@@ -8,7 +8,10 @@ monoid by recursive non-crossing matchings and the public `Diagram`
 constructor, independently of `diagrams._partner_arrays`; `_half_states`
 lists half diagrams as (cups, defects) by a recursion on cups, independently
 of `diagrams._half_arrays`; `flip` exchanges the rows of a diagram's blocks,
-independently of `diagrams._flip_partners`.  The tests use them as referees.
+independently of `diagrams._flip_partners`; `validate_diagram`,
+`blocks_are_planar` and `_partners` check blocks and build their partner
+array in separate walks, independently of `diagrams._checked_partners`.  The
+tests use them as referees.
 The bodies are kept as they were in the library; `_apply_diagram` and
 `_pairing` take and give half-diagram rows (see `diagrams._top_half`) through
 `_record` and `_row`.
@@ -265,3 +268,53 @@ def flip(d: Diagram) -> Diagram:
         m,
         tuple(tuple(p + m if p <= m else p - m for p in b) for b in d.blocks),
     )
+
+
+def _boundary_pos(p: int, m: int) -> int:
+    # Walk the rectangle boundary: 1..m along the top, then 2m..m+1 along the
+    # bottom right-to-left.  Chords are non-crossing iff their endpoints do
+    # not interleave in this circular order.
+    return p if p <= m else 3 * m + 1 - p
+
+
+def blocks_are_planar(blocks, m: int) -> bool:
+    pairs = [b for b in blocks if len(b) == 2]
+    pos = [(tuple(sorted(_boundary_pos(p, m) for p in b))) for b in pairs]
+    for (a1, a2), (b1, b2) in combinations(pos, 2):
+        if (a1 < b1 < a2) != (a1 < b2 < a2):
+            return False
+    return True
+
+
+def validate_diagram(family: Family, m: int, blocks) -> None:
+    """Raise InputError unless the canonical blocks are a well-formed member of family."""
+    if family not in PLANAR_FAMILIES:
+        raise InputError(f"{family.value} diagrams are not supported")
+    if m < 1:
+        raise InputError("need at least one strand")
+    seen: list[int] = []
+    for b in blocks:
+        if len(b) not in (1, 2):
+            raise InputError(f"block {b} has size {len(b)}")
+        seen.extend(b)
+    if sorted(seen) != list(range(1, 2 * m + 1)):
+        raise InputError("blocks do not partition the 2m points")
+    if family is Family.TEMPERLEY_LIEB and any(len(b) == 1 for b in blocks):
+        raise InputError("Temperley-Lieb diagrams are perfect matchings")
+    if family is Family.PLANAR_ROOK:
+        for b in blocks:
+            if len(b) == 2 and not (b[0] <= m < b[1]):
+                raise InputError("planar rook blocks of size 2 must join top to bottom")
+    if not blocks_are_planar(blocks, m):
+        raise InputError("blocks cross")
+
+
+def _partners(blocks, m: int) -> tuple[int, ...]:
+    """The partner array of blocks; InputError for a block of more than two points."""
+    pa = [-1] * (2 * m)
+    for b in blocks:
+        if len(b) == 2:
+            pa[b[0] - 1], pa[b[1] - 1] = b[1] - 1, b[0] - 1
+        elif len(b) > 2:
+            raise InputError(f"block {b} has more than two points")
+    return tuple(pa)

@@ -114,7 +114,7 @@ def test_enumeration_bounds_keep_their_messages(family, m):
 @pytest.mark.parametrize("family,m", CAPS)
 def test_from_partners_equals_the_public_constructor(family, m):
     for d in glue_reference.enumerate_diagrams(family, m):
-        built = diagrams._from_partners(family, m, diagrams._partners(d.blocks, m))
+        built = diagrams._from_partners(family, m, d.partners)
         public = Diagram(family, m, d.blocks)
         assert built == public and hash(built) == hash(public)
         assert vars(built) == vars(public)
@@ -208,13 +208,100 @@ def test_compose_mismatch_errors():
 
 
 def test_compose_and_flip_refuse_what_they_cannot_model():
-    # a partition diagram with a block of three points once came back as four singletons
-    d = Diagram(Family.PARTITION, 2, ((1, 2, 3), (4,)))
-    for query in (lambda: flip(d), lambda: compose(d, d)):
-        with pytest.raises(InputError, match="^partition diagrams are not supported$"):
-            query()
-    with pytest.raises(InputError, match=r"^block \(1, 2, 3\) has more than two points$"):
-        diagrams._partners(d.blocks, 2)
+    # a partition diagram with a block of three points once came back from
+    # compose and flip as four singletons; now it is refused where it is made
+    with pytest.raises(InputError, match="^partition diagrams are not supported$"):
+        Diagram(Family.PARTITION, 2, ((1, 2, 3), (4,)))
+    with pytest.raises(InputError, match=r"^block \(1, 2, 3\) has size 3$"):
+        Diagram(Family.MOTZKIN, 2, ((1, 2, 3), (4,)))
+
+
+@pytest.mark.parametrize(
+    "blocks,message",
+    [
+        (((1, 3), (1, 4)), "blocks do not partition the 2m points"),  # 1 twice, 2 missing
+        (((0, 3),), "blocks do not partition the 2m points"),
+        (((1, 4), (2, 3)), "blocks cross"),
+        (((1, 5),), "blocks do not partition the 2m points"),  # once an IndexError
+        (((1.0,), (2,), (3, 4)), "blocks do not partition the 2m points"),  # not an int
+    ],
+)
+def test_the_constructor_refuses_a_diagram_outside_its_family(blocks, message):
+    # each of these once reached compose and flip, which answered wrongly or
+    # with a bare IndexError
+    with pytest.raises(InputError) as info:
+        Diagram(Family.MOTZKIN, 2, blocks)
+    assert str(info.value) == message
+
+
+def test_the_named_diagrams_are_checked_too():
+    with pytest.raises(InputError, match="^need at least one strand$"):
+        identity_diagram(Family.MOTZKIN, 0)
+    with pytest.raises(InputError, match="^brauer diagrams are not supported$"):
+        class_idempotent(Family.BRAUER, 3, 1)
+    for family, m in SMALL:
+        for d in enumerate_diagrams(family, m)[:20]:
+            made = make_diagram(family, m, reversed(d.blocks))
+            assert made == Diagram(family, m, d.blocks) == d and vars(made) == vars(d)
+
+
+def _involutions(points):
+    """Every set of blocks of size at most two covering points, each once."""
+    if not points:
+        yield ()
+        return
+    p, rest = points[0], points[1:]
+    for tail in _involutions(rest):
+        yield ((p,),) + tail
+    for k, q in enumerate(rest):
+        for tail in _involutions(rest[:k] + rest[k + 1:]):
+            yield ((p, q),) + tail
+
+
+def _variants(m, blocks):
+    """blocks, then copies with a point out of range, a point twice (in place
+    of another or on top of all 2m), points missing, a block of three points
+    (also after a repeated point) and an empty block."""
+    yield blocks
+    first, *rest = blocks
+    yield ((0,) + first[1:], *rest)
+    yield ((2 * m + 1,) + first[1:], *rest)
+    yield blocks[:-1] + (blocks[-1][:-1] + (1,),)
+    yield blocks + ((1,),)
+    yield blocks + (first,)
+    yield blocks[:-1]
+    points = [p for b in blocks for p in b]
+    if len(points) >= 3:
+        yield tuple((p,) for p in points[:-3]) + (tuple(points[-3:]),)
+        yield ((points[1],),) + tuple((p,) for p in points[1:-3]) + (tuple(points[-3:]),)
+    yield blocks + ((),)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_constructor_accepts_what_the_referee_accepts(m):
+    # the check and the partner array in one walk, against the separate walks
+    # of validate_diagram, blocks_are_planar and _partners as they were
+    def outcome(make):
+        try:
+            return make()
+        except InputError as exc:
+            return str(exc)
+
+    sets = list(_involutions(tuple(range(1, 2 * m + 1))))
+    assert len(sets) == (2, 10, 76, 764)[m - 1]
+    accepted = dict.fromkeys(Family, 0)
+    for blocks in (v for s in sets for v in _variants(m, s)):
+        canonical = diagrams._canonical_blocks(blocks)
+        for family in Family:
+            expected = outcome(lambda: glue_reference.validate_diagram(family, m, canonical))
+            found = outcome(lambda: Diagram(family, m, blocks))
+            if expected is None:
+                assert found.blocks == canonical
+                assert found.partners == glue_reference._partners(canonical, m)
+                accepted[family] += 1
+            else:
+                assert found == expected
+    assert accepted == {f: expected_order(f, m) if f in diagrams.PLANAR_FAMILIES else 0 for f in Family}
 
 
 @pytest.mark.parametrize("family,cap", CAPS)
@@ -276,7 +363,7 @@ def _draw(data, count):
 def test_walk_matches_the_union_find_composition(data):
     a, b = _draw(data, 2)
     blocks, loops, dead = _compose_blocks(a.blocks, b.blocks, a.m)
-    product = diagrams._glue(diagrams._partners(a.blocks, a.m), diagrams._partners(b.blocks, b.m))
+    product = diagrams._glue(a.partners, b.partners)
     assert diagrams._blocks(product) == blocks
     ab = compose(a, b)
     assert (ab.result.blocks, ab.loops, ab.middle_isolated) == (blocks, loops, dead)
@@ -463,7 +550,7 @@ def test_cayley_graphs_match_compose_edge_for_edge(family, m):
 def test_green_data_rejects_a_product_outside_the_enumeration(monkeypatch, family):
     one = identity_diagram(family, 4)
     dropped = [d for d in enumerate_diagrams(family, 4) if d != one][-1]
-    dropped_array = diagrams._partners(dropped.blocks, 4)
+    dropped_array = dropped.partners
     original = diagrams._partner_arrays
     monkeypatch.setattr(
         diagrams,

@@ -95,9 +95,30 @@ def test_fraction_routines_stay_at_the_public_edge():
     assert found == []
 
 
+def test_only_from_partners_makes_an_unchecked_diagram():
+    # the constructor checks every diagram; _from_partners alone skips it,
+    # for arrays that enumeration, products and flips keep valid
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "__new__"
+                    and getattr(node.func.value, "id", None) == "object"
+                    and [getattr(arg, "id", None) for arg in node.args[:1]] == ["Diagram"]
+                ):
+                    found.append(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    assert found == ["diagrams.py:_from_partners"]
+
+
 # each referee in tests/, and the library routines it referees
 REFEREED = {
-    "glue_reference.py": {"_glue", "_partner_arrays", "_half_arrays", "_lift", "_flip_partners"},
+    "glue_reference.py": {
+        "_glue", "_partner_arrays", "_half_arrays", "_lift", "_flip_partners", "_checked_partners",
+        "blocks_are_planar",
+    },
     "linalg_reference.py": {
         "_substitute", "_forward", "_reduce", "_solve", "_kernel", "_solve_multiplicities", "_prefix_ranks"
     },

@@ -364,6 +364,14 @@ def test_decomposition_matrices():
         decomposition_matrix(Family.MOTZKIN, 5, PLParams(2, 3))
 
 
+@pytest.mark.parametrize("family", [Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN])
+@pytest.mark.parametrize("m", [0, -3])
+def test_decomposition_matrix_refuses_an_empty_strand_count(family, m):
+    # like every other table builder; it once gave an empty or a 1 x 1 matrix
+    with pytest.raises(InputError, match="^need m >= 1$"):
+        decomposition_matrix(family, m)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -308,16 +308,13 @@ def _cmd_growth(args, out) -> int:
             ],
         }
         print(json.dumps(payload, indent=2), file=out)
-    elif args.format == "csv":
-        print("n,l,k,ratio,ratio_decimal", file=out)
-        for n, value, k, ratio in rows:
-            print(f"{n},{value},{k},{ratio},{_decimal12(ratio)}", file=out)
-    else:
+        return 0
+    if args.format == "text":
         print(f"{args.statistic} of {spec.label} over {family.value} m={args.m}", file=out)
         print(f"formula: {series.human()}", file=out)
-        print("n,l,k,ratio,ratio_decimal", file=out)
-        for n, value, k, ratio in rows:
-            print(f"{n},{value},{k},{ratio},{_decimal12(ratio)}", file=out)
+    print("n,l,k,ratio,ratio_decimal", file=out)
+    for n, value, k, ratio in rows:
+        print(f"{n},{value},{k},{ratio},{_decimal12(ratio)}", file=out)
     return 0
 
 

@@ -109,20 +109,32 @@ def blocks_are_planar(blocks, m: int) -> bool:
 Partners = tuple[int, ...]
 
 
-def _checked_partners(family: Family, m: int, blocks) -> Partners:
-    """The partner array of blocks; InputError unless they are a diagram of family on m strands.
-    A bad point (not an int in 1..2m met once) is named after the walk, after any block of a wrong size."""
+def _checked_partners(family: Family, m: int, blocks) -> tuple[tuple[Block, ...], Partners]:
+    """(canonical blocks, partner array); InputError unless blocks are a diagram of family on m strands.
+    Types come before anything is sorted: m and every point must be an int (not a bool); a point
+    out of 1..2m or met twice is named after the walk, after any block of a wrong size."""
+    if not isinstance(family, Family):
+        raise InputError(f"{family!r} is not a diagram family")
     if family not in PLANAR_FAMILIES:
         raise InputError(f"{family.value} diagrams are not supported")
+    if type(m) is not int:
+        raise InputError(f"m must be an int, not {m!r}")
     if m < 1:
         raise InputError("need at least one strand")
+    blocks = tuple(blocks)
+    for b in blocks:
+        if not isinstance(b, (tuple, list)):
+            raise InputError(f"block {b!r} is not a tuple of points")
+    if any(type(p) is not int for b in blocks for p in b):
+        raise InputError("blocks do not partition the 2m points")
+    blocks = _canonical_blocks(blocks)
     pa = [-2] * (2 * m)  # -2 until the point is met
     partition = True
     for b in blocks:
         if len(b) not in (1, 2):
             raise InputError(f"block {b} has size {len(b)}")
         for p, q in zip(b, b[::-1]):  # a singleton's q is p, its partner -1
-            if type(p) is int and 0 < p <= 2 * m and pa[p - 1] == -2:
+            if 0 < p <= 2 * m and pa[p - 1] == -2:
                 pa[p - 1] = q - 1 if q != p else -1
             else:
                 partition = False
@@ -134,7 +146,7 @@ def _checked_partners(family: Family, m: int, blocks) -> Partners:
         raise InputError("planar rook blocks of size 2 must join top to bottom")
     if not blocks_are_planar(blocks, m):
         raise InputError("blocks cross")
-    return tuple(pa)
+    return blocks, tuple(pa)
 
 
 class Diagram(Record):
@@ -145,8 +157,8 @@ class Diagram(Record):
     blocks: tuple[Block, ...]  # canonical: blocks sorted, each block sorted
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", _canonical_blocks(self.blocks))
-        object.__setattr__(self, "partners", _checked_partners(self.family, self.m, self.blocks))
+        blocks, partners = _checked_partners(self.family, self.m, self.blocks)
+        vars(self).update(blocks=blocks, partners=partners)
 
     def rank(self) -> int:
         return sum(1 for b in self.blocks if len(b) == 2 and b[0] <= self.m < b[1])

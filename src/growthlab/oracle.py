@@ -28,11 +28,12 @@ closed forms elsewhere have an independent referee:
   brute-force tables are those rows of ints (`_oracle_rows`);
 * the radical basis, as int rows scaled by the least d that makes it
   integral, is the integer kernel of the Gram rows (`linalg._kernel`),
-  built only for the quotient actions of the Kronecker check;
+  built only for the V_i traces of the Kronecker check;
 * tensor-power multiplicities come from forward substitution on ints against
   the brute-force simple table, checked unit upper triangular when built
-  (plus, for small n, an explicit Kronecker-power trace check, on the
-  d-scaled integer matrices against d^n chi^n).
+  (plus, for small n, a Kronecker-power trace check: tr(A^(x)n) = tr(A)^n,
+  so it compares d·tr(e_j) on S_i or V_i with d·chi(j), and no Kronecker
+  product is built).
 
 Cell modules are cached per (family, m, i), and each one memoizes the index
 map of every diagram it has seen.  Recomputation is idempotent (pure
@@ -214,13 +215,14 @@ def simple_dimension(family: Family, m: int, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def _radical_data(family: Family, m: int, i: int):
-    """(kernel rows or None, their scale d, the free rows), for `_quotient_action`.
+    """(kernel rows or None, their scale d, the free rows), for the V_i traces of `_module_trace`.
 
     The kernel basis of the form, as the columns of a matrix K, is kept as
     the int rows of d·K, d the least scale that makes K integral (`_kernel`).
     Kernel column c carries a 1 in its free row, which is its last nonzero
     entry, and 0 in the other free rows; so d·K restricted to the free rows
-    is d·I.
+    is d·I.  The Kronecker check reads only traces, as tr(A^(x)n) =
+    tr(A)^n: no quotient matrix and no Kronecker product is built.
     """
     gram = _gram_rows(family, m, i)
     _, free_rows, scale, kernel = _kernel(gram, len(gram))
@@ -249,87 +251,43 @@ def oracle_simple_table(family: Family, m: int) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# explicit module matrices (for the Kronecker cross-check)
+# module traces for the Kronecker check (tr(A^(x)n) = tr(A)^n: no Kronecker product is built)
 
-# a sparse action: (scale d, size, nonzero entries of d times the matrix)
-_Sparse = tuple[int, int, dict[tuple[int, int], int]]
+def _module_trace(family: Family, m: int, label: str, d: Diagram) -> tuple[int, int]:
+    """(s·tr(d | M), s) for M = S_i or V_i = S_i / rad, label "S<i>" or "V<i>".
 
-
-def _sparse_image(image: tuple[int, ...]) -> _Sparse:
-    return 1, len(image), {(r, c): 1 for c, r in enumerate(image) if r >= 0}
-
-
-def _quotient_action(family: Family, m: int, i: int, d: Diagram) -> _Sparse:
-    """The action of d on S_i / rad in the basis of the kept (non-free) rows.
-
-    Modulo the radical, v is congruent to v - K v_f, which vanishes on the
-    free rows; so column c of M reduces to M_kc - K_k M_fc, and the action is
-    the block M_kk - K_k M_fk.  For the index map of d, column c of that
-    block is the unit vector of image[c] when that row is kept, minus
-    column t of K_k when it is the free row of kernel column t, and zero
-    when image[c] is -1.  Scaled by the kernel's d, every entry is an int.
+    On S_i the trace counts the fixed points of d's index map, and s = 1.  On
+    V_i it is the trace of the block M_kk - K_k·M_fk on the kept (non-free)
+    rows: modulo the radical, v is congruent to v - K·v_f, which vanishes on
+    the free rows.  With s the kernel's scale and s·K its int rows
+    (`_radical_data`), a kept x_c adds s where d fixes it and -(s·K)[c][t]
+    where d sends it to the free row of kernel column t; no other entry of
+    the block is on its diagonal.
     """
+    i = int(label[1:])
     image = cell_module(family, m, i).image(d)
+    if label[0] == "S":
+        return sum(c == r for c, r in enumerate(image)), 1
     kernel, scale, free_rows = _radical_data(family, m, i)
-    if kernel is None:
-        return _sparse_image(image)
     free_col = {f: t for t, f in enumerate(free_rows)}
-    keep = [r for r in range(len(image)) if r not in free_col]
-    position = {r: k for k, r in enumerate(keep)}
-    entries = {}
-    for col, c in enumerate(keep):
-        r = image[c]
-        if r in position:
-            entries[(position[r], col)] = scale
-        elif r >= 0:
-            t = free_col[r]
-            for row, k in enumerate(keep):
-                if kernel[k][t]:
-                    entries[(row, col)] = -kernel[k][t]
-    return scale, len(keep), entries
-
-
-def _module_action(spec: ModuleSpec, d: Diagram) -> _Sparse:
-    kind, label = spec.label[0], int(spec.label[1:])
-    if kind == "S":
-        return _sparse_image(cell_module(spec.family, spec.m, label).image(d))
-    if kind == "V":
-        return _quotient_action(spec.family, spec.m, label, d)
-    raise InputError(f"no explicit matrices for module {spec.label!r}")
-
-
-def _kron_sparse(a, b):
-    """Kronecker product on (size, nonzero dict) pairs; actions are very sparse."""
-    da, ea = a
-    db, eb = b
-    out = {}
-    for (r1, c1), v1 in ea.items():
-        for (r2, c2), v2 in eb.items():
-            out[(r1 * db + r2, c1 * db + c2)] = v1 * v2
-    return da * db, out
+    kept = [(c, r) for c, r in enumerate(image) if c not in free_col]
+    fixed = sum(c == r for c, r in kept)
+    return scale * fixed - sum(kernel[c][free_col[r]] for c, r in kept if r in free_col), scale
 
 
 @lru_cache(maxsize=None)
-def _kronecker_check_cached(family: Family, m: int, label: str, n: int) -> None:
-    """Explicitly verify chi(e_j)^n as the trace of the n-fold Kronecker power.
+def _kronecker_check_cached(family: Family, m: int, label: str) -> None:
+    """Verify chi(e_j)^n as the trace of the n-fold Kronecker power of e_j's action.
 
-    The matrices are d times the actions, so the trace is compared with
-    (chi d)^n on ints, chi read from the module's int `bases`.  Cached per
-    (module, n): the matrices can be large (dim^2) and the check is
-    deterministic.
+    That trace is tr(e_j)^n, so the comparison at n = 1 decides it for every
+    n: s·tr(e_j) against s·chi(j) on ints, chi read from the module's int
+    `bases`.  Cached per module: the check is deterministic.
     """
     spec = module_spec(family, m, label)
-    labels = rank_labels(family, m)
-    for j, chi in zip(labels, spec.bases):
-        scale, size, entries = _module_action(spec, class_idempotent(family, m, j))
-        power = (size, entries)
-        for _ in range(n - 1):
-            power = _kron_sparse(power, (size, entries))
-        trace = sum(v for (r, c), v in power[1].items() if r == c)
-        if trace != (chi * scale) ** n:
-            raise VerificationError(
-                f"Kronecker trace at class {j} disagrees with chi^{n} for {label}"
-            )
+    for j, chi in zip(rank_labels(family, m), spec.bases):
+        trace, scale = _module_trace(family, m, label, class_idempotent(family, m, j))
+        if trace != chi * scale:
+            raise VerificationError(f"Kronecker trace at class {j} disagrees with chi for {label}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +321,16 @@ def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
 
     Solves the transposed brute-force simple table against the pointwise
     n-th powers of the character; for n <= 2 (and explicit cell or simple
-    modules) additionally verifies the character powers against traces of
-    literal Kronecker powers of the idempotent actions.
+    modules) additionally verifies the character powers against the traces
+    of the Kronecker powers of the idempotent actions.  As tr(A^(x)n) =
+    tr(A)^n, that is the n = 1 trace, and no Kronecker product is built.
     """
     index = _check_query(spec, n, target)
     value = _solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases))[index]
     if value < 0:
         raise VerificationError(f"multiplicity {value} is negative; inconsistent inputs")
     if 1 <= n <= 2 and spec.label[0] in "SV":
-        _kronecker_check_cached(spec.family, spec.m, spec.label, n)
+        _kronecker_check_cached(spec.family, spec.m, spec.label)
     return value
 
 

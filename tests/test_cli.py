@@ -446,6 +446,7 @@ def test_one_process_matches_separate_processes(capsys):
 
 # sha256 of stdout, computed before tables and fusion graphs held int rows:
 # any rendering difference between an int and a Fraction entry shows here
+# (the growth csv and text pins date from before those formats shared one block)
 PINNED_OUTPUTS = {
     "chartable --family mo --m 300 --kind simple --format csv":
         "eda056519b80da50607f323e7ac280e6760b4fe14dfccf4513a28273d32f4f93",
@@ -461,6 +462,10 @@ PINNED_OUTPUTS = {
         "622694602c76e89d57e8b3a66300c189b47a321e2595b8b8d14bb716777c14b8",
     "growth length --family mo --m 40 --module V2 --n 1..8 --format json":
         "959d7a86b64e87833ab0855d2ed314a0ca1b8253cd3d6de5a48b5ebd362d5821",
+    "growth length --family mo --m 40 --module V2 --n 1..8 --format csv":
+        "2d64adb08b5a0098b84b1799f3d919e85005fd12f56f1808af7d077a427fd9bf",
+    "growth multiplicity --family tl --m 7 --module V3 --target V5 --n 0..6 --format text":
+        "628bc95359ce22e77dcf1082f4162227cf2962ff184fcb438bc2cbf1822dc7f3",
     "verify --suite all --format json":
         "fd65f6353dac3d95895094490f1827884559209211bce7e049d1311f1c41896a",
     "verify --suite all":

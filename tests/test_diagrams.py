@@ -234,6 +234,25 @@ def test_the_constructor_refuses_a_diagram_outside_its_family(blocks, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "family,m,blocks,message",
+    [
+        (Family.MOTZKIN, 1, (("1",), (2,)), "blocks do not partition the 2m points"),  # once a TypeError
+        (Family.MOTZKIN, 1.5, ((1,), (2,), (3,)), "m must be an int, not 1.5"),
+        (Family.MOTZKIN, 1, (1, 2), "block 1 is not a tuple of points"),
+        ("motzkin", 1, ((1,), (2,)), "'motzkin' is not a diagram family"),  # once an AttributeError
+        (Family.MOTZKIN, True, ((1,), (2,)), "m must be an int, not True"),  # once accepted
+        (Family.MOTZKIN, 1, ((True,), (2,)), "blocks do not partition the 2m points"),
+    ],
+)
+def test_the_constructor_refuses_inputs_of_the_wrong_type(family, m, blocks, message):
+    # the types are checked before anything is sorted, so none of these
+    # escapes as a bare TypeError or AttributeError
+    with pytest.raises(InputError) as info:
+        Diagram(family, m, blocks)
+    assert str(info.value) == message
+
+
 def test_the_named_diagrams_are_checked_too():
     with pytest.raises(InputError, match="^need at least one strand$"):
         identity_diagram(Family.MOTZKIN, 0)

@@ -3,7 +3,7 @@ library computes and assert exactly which checks go red.
 
 Each probe monkeypatches one production function or fixture, empties the
 oracle's caches (before, so the mutation is seen, and after, so no mutated
-value outlives the test) and runs the suites that hold the family.  All 13
+value outlives the test) and runs the suites that hold the family.  All 14
 families have a probe; an oracle that refuses a value or breaks an invariant
 fails the checks that read it by name, and the suite runs on.
 `test_the_table_suite_builds_no_mat` pins that the table suite compares int
@@ -172,6 +172,26 @@ def test_a_broken_oracle_invariant_fails_its_checks_by_name(monkeypatch, fresh_o
     assert cli.main(["verify"]) == 3
     out = capsys.readouterr().out
     assert "FAIL oracle-cell:motzkin:5: " in out and "'raised: S_2: probe'" in out
+
+
+def test_one_radical_entry_turns_the_kronecker_checks_of_that_module_red(monkeypatch, fresh_oracle):
+    # at MO 5, V2 a class idempotent sends a kept basis element to the free
+    # row of kernel column 0, so entry 12 of that column reaches its V2 trace
+    original = oracle._radical_data
+
+    def mutated(*key):
+        kernel, scale, free_rows = original(*key)
+        if key != (Family.MOTZKIN, 5, 2):
+            return kernel, scale, free_rows
+        rows = [list(row) for row in kernel]
+        rows[12][0] += 1
+        return tuple(map(tuple, rows)), scale, free_rows
+
+    monkeypatch.setattr(oracle, "_radical_data", mutated)
+    results = verify.run_suite("all")
+    assert _red(results) == {f"mult:motzkin:5:V2:n{n}:V{t}" for n in (1, 2) for t in range(6)}
+    refusal = "'raised: Kronecker trace at class 3 disagrees with chi"
+    assert all(r.rhs.startswith(refusal) for r in results if not r.ok)
 
 
 def test_one_hump_count_turns_the_closed_form_checks_from_that_j_red(monkeypatch, fresh_oracle):

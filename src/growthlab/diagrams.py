@@ -121,6 +121,10 @@ def _checked_partners(family: Family, m: int, blocks) -> tuple[tuple[Block, ...]
         raise InputError(f"m must be an int, not {m!r}")
     if m < 1:
         raise InputError("need at least one strand")
+    try:
+        blocks = iter(blocks)
+    except TypeError:
+        raise InputError(f"blocks must be an iterable of blocks, not {blocks!r}") from None
     blocks = tuple(blocks)
     for b in blocks:
         if not isinstance(b, (tuple, list)):

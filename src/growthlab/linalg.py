@@ -149,6 +149,11 @@ def int_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list
     return [[sum(map(mul, row, col)) for col in cols] for row in x]
 
 
+def int_identity(n: int) -> list[list[int]]:
+    """The n x n identity as rows of ints."""
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
 def _check_unit_triangular(t: Sequence[Sequence[int]]) -> None:
     """Refuse a t that is not square, of ints, with ones on the diagonal and zeros
     below it: SingularMatrixError for a zero diagonal entry, else InputError."""

@@ -8,8 +8,8 @@ machine-readable result.  All comparisons are exact.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quote
 from math import comb
 
 from . import oracle, reference
@@ -17,7 +17,7 @@ from .diagrams import DEFAULT_MAX_M, Family, class_idempotent, expected_order, m
 from .errors import InternalCheckError, VerificationError
 from .fusion import fusion_matrix, power_multiplicities, realized_n0, scc_analysis, spectral_check
 from .growth import ModuleSpec, evaluate, length_series, module_spec, multiplicity_series
-from .linalg import int_mul
+from .linalg import int_identity, int_mul
 from .record import Record
 from .tables import (
     cell_inverse,
@@ -62,10 +62,6 @@ def _oracle_value(fn, *args):
         return fn(*args)
     except (InternalCheckError, VerificationError) as exc:
         return f"raised: {exc}"
-
-
-def _identity(size: int) -> list[list[int]]:
-    return [[int(r == c) for c in range(size)] for r in range(size)]
 
 
 def _oracle_bounds(max_m: int | None) -> dict[Family, int]:
@@ -141,16 +137,41 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
             "the printed matrix inverts the transposed cell table",
         ),
     ):
-        out.append(_result(name, int_mul(list(zip(*table.rows)), expected), _identity(len(expected)), location))
+        out.append(_result(name, int_mul(list(zip(*table.rows)), expected), int_identity(len(expected)), location))
     # Riordan inverse identities up to m = 20 and the Motzkin closed form
     for family in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
-        for m in range(1, 21):
-            prod = int_mul(cell_table(family, m).rows, cell_inverse(family, m).rows)
-            out.append(_result(f"riordan:{family.value}:{m}", prod, _identity(len(prod)), "cell_table * cell_inverse"))
+        for m, prod in _riordan_products(family, 20):
+            out.append(_result(f"riordan:{family.value}:{m}", prod, int_identity(len(prod)), "cell_table * cell_inverse"))
     for m in range(1, 9):
         closed = _oracle_value(check_motzkin_simple_closed_form, m)
         out.append(_result(f"motzkin-closed-form:{m}", closed, None, "hump counts"))
     return out
+
+
+def _riordan_products(family: Family, top: int):
+    """(m, cell_table(family, m) times cell_inverse(family, m)) for m = 1..top,
+    with one int_mul per label chain.
+
+    The labels at m are a prefix of the labels at the top of their chain (top,
+    and top - 1 for Temperley-Lieb's other parity).  Both tables are unit
+    upper triangular (checked when built), so where the tables at m are the
+    leading blocks of the tables at the top, their product is the leading
+    block of the product there.  Tables that do not nest get their own
+    product, so a failing check shows the true product at its m.
+    """
+    chains = {}
+    for m in range(1, top + 1):
+        cell, inv = cell_table(family, m).rows, cell_inverse(family, m).rows
+        head = top - (top - m) % 2 if family is Family.TEMPERLEY_LIEB else top
+        if head not in chains:
+            rows = cell_table(family, head).rows, cell_inverse(family, head).rows
+            chains[head] = (*rows, int_mul(*rows))
+        top_cell, top_inv, top_prod = chains[head]
+        k = len(cell)
+        if tuple(row[:k] for row in top_cell[:k]) == cell and tuple(row[:k] for row in top_inv[:k]) == inv:
+            yield m, [row[:k] for row in top_prod[:k]]
+        else:
+            yield m, int_mul(cell, inv)
 
 
 GOLDEN_SPECS = (
@@ -299,20 +320,30 @@ def canonical_idempotent_texts(max_m: int | None = None):
     return out
 
 
+_CHECK_JSON = """    {{
+      "name": {},
+      "status": {},
+      "detail": {},
+      "lhs": {},
+      "rhs": {},
+      "location": {}
+    }}"""
+
+
 def report_json(results: list[CheckResult]) -> str:
-    payload = {
-        "checks": [
-            {
-                "name": r.check,
-                "status": r.status,
-                "detail": f"{r.lhs} vs {r.rhs} @ {r.location}",
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "location": r.location,
-            }
-            for r in results
-        ],
-        "failures": sum(1 for r in results if not r.ok),
-        "total": len(results),
-    }
-    return json.dumps(payload, indent=2)
+    """The report, byte for byte as json.dumps(..., indent=2) writes the dict of
+    checks, failures and total.
+
+    The layout is fixed, so it is written directly: json.dumps with an indent
+    runs the pure-Python encoder, and every string here is quoted by the C
+    function that it calls with ensure_ascii.
+    """
+    checks = ",\n".join(
+        _CHECK_JSON.format(
+            *map(quote, (r.check, r.status, f"{r.lhs} vs {r.rhs} @ {r.location}", r.lhs, r.rhs, r.location))
+        )
+        for r in results
+    )
+    failures = sum(1 for r in results if not r.ok)
+    body = f"[\n{checks}\n  ]" if results else "[]"
+    return f'{{\n  "checks": {body},\n  "failures": {failures},\n  "total": {len(results)}\n}}'

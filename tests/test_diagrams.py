@@ -243,6 +243,8 @@ def test_the_constructor_refuses_a_diagram_outside_its_family(blocks, message):
         ("motzkin", 1, ((1,), (2,)), "'motzkin' is not a diagram family"),  # once an AttributeError
         (Family.MOTZKIN, True, ((1,), (2,)), "m must be an int, not True"),  # once accepted
         (Family.MOTZKIN, 1, ((True,), (2,)), "blocks do not partition the 2m points"),
+        (Family.MOTZKIN, 1, 5, "blocks must be an iterable of blocks, not 5"),  # once a TypeError
+        (Family.MOTZKIN, 1, None, "blocks must be an iterable of blocks, not None"),  # once a TypeError
     ],
 )
 def test_the_constructor_refuses_inputs_of_the_wrong_type(family, m, blocks, message):
@@ -251,6 +253,16 @@ def test_the_constructor_refuses_inputs_of_the_wrong_type(family, m, blocks, mes
     with pytest.raises(InputError) as info:
         Diagram(family, m, blocks)
     assert str(info.value) == message
+
+
+def test_the_constructor_takes_blocks_from_any_iterable():
+    blocks = ((1, 3), (2,), (4,))
+    made = Diagram(Family.MOTZKIN, 2, blocks)
+    inputs = (
+        list(blocks), [list(b) for b in blocks], iter(blocks), (b for b in reversed(blocks)), dict.fromkeys(blocks)
+    )
+    for given in inputs:
+        assert Diagram(Family.MOTZKIN, 2, given) == made
 
 
 def test_the_named_diagrams_are_checked_too():

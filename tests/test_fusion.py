@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from growthlab.diagrams import Family
 from growthlab.errors import InputError, VerificationError
 from growthlab.fusion import (
     FusionGraph,
+    _lagrange_numerators,
     fusion_matrix,
     power_multiplicities,
     realized_n0,
@@ -30,6 +32,7 @@ from growthlab.growth import (
 from growthlab.linalg import Mat, inverse, mat_mul
 from growthlab.reference import PRO8_V2_FUSION, PRO8_V2_N0
 from growthlab.tables import simple_table
+from lagrange_reference import lagrange_numerators, squarings_hold
 from linalg_reference import apply, mat_pow
 
 PRO8 = simple_table(Family.PLANAR_ROOK, 8)
@@ -242,6 +245,59 @@ def test_spectral_check_rejects_a_perturbed_adjacency():
             with pytest.raises(VerificationError):
                 bad = FusionGraph(g.family, g.m, g.labels, g.dims, tuple(map(tuple, rows)), g.trivial_index)
                 spectral_check(bad, spec, table, max_n=6)
+
+
+@pytest.mark.parametrize("family", [Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN])
+def test_the_lagrange_numerators_match_one_chain_each(family):
+    # every V, S and P module with at most 21 labels; equal characters give
+    # equal graphs, so each character is checked once
+    checked, m = 0, 1
+    while len(tables.rank_labels(family, m)) <= 21:
+        table = simple_table(family, m)
+        specs = {
+            spec.bases: spec
+            for spec in (module_spec(family, m, f"{kind}{i}") for kind in "VSP" for i in table.labels)
+        }
+        for chi, spec in specs.items():
+            rows = fusion_matrix(spec, table).rows
+            distinct = list(dict.fromkeys(chi))
+            assert _lagrange_numerators(rows, distinct)[0] == lagrange_numerators(rows, distinct)
+            checked += 1
+        m += 1
+    assert checked == {Family.PLANAR_ROOK: 230, Family.TEMPERLEY_LIEB: 1007, Family.MOTZKIN: 430}[family]
+
+
+@pytest.mark.parametrize("family,m,sel", [(Family.TEMPERLEY_LIEB, 7, "V3"), (Family.MOTZKIN, 5, "S1")])
+def test_the_zero_test_agrees_with_the_squarings_on_every_unit_perturbation(family, m, sel):
+    # Z = prod (A - mu I) = 0 exactly when every N^2 = d N, for K >= 2 values
+    spec = module_spec(family, m, sel)
+    rows = fusion_matrix(spec, simple_table(family, m)).rows
+    distinct = list(dict.fromkeys(spec.bases))
+    assert len(distinct) >= 2
+    verdicts = []
+    for t, j, step in product(range(len(rows)), range(len(rows)), (1, -1)):
+        bad = [list(row) for row in rows]
+        bad[t][j] += step
+        zero = not any(map(any, _lagrange_numerators(bad, distinct)[1]))
+        assert zero == squarings_hold(bad, distinct), (t, j, step)
+        verdicts.append(zero)
+    assert squarings_hold(rows, distinct) and not any(map(any, _lagrange_numerators(rows, distinct)[1]))
+    assert verdicts.count(True) == {"V3": 12, "S1": 30}[sel]
+
+
+def test_a_moved_eigenvalue_fails_the_zero_test_by_name():
+    # one diagonal entry of A moved: prod (A - mu I) is no longer 0, and of
+    # the Lagrange identities only the zero test and p >= K = 4 see it
+    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
+    g = fusion_matrix(spec, TL7)
+    rows = [list(row) for row in g.rows]
+    rows[0][0] += 1
+    bad = FusionGraph(g.family, g.m, g.labels, g.dims, tuple(map(tuple, rows)), g.trivial_index)
+    failed = ["simple_table_diagonalizes", "projections_are_idempotent"]
+    failed += [f"reconstructs_power_{p}" for p in (4, 5, 6)]
+    with pytest.raises(VerificationError) as info:
+        spectral_check(bad, spec, TL7, max_n=6)
+    assert str(info.value) == f"spectral reconstruction failed: {failed}"
 
 
 def test_spectral_check_rejects_a_non_integer_character():

@@ -119,6 +119,27 @@ def test_one_inverse_cell_entry_turns_the_riordan_and_series_checks_red(monkeypa
     }
 
 
+def test_one_cell_entry_at_one_m_turns_its_own_riordan_check_red(monkeypatch, fresh_oracle):
+    # the Riordan checks read their products off the one at the top of the
+    # label chain only where the tables nest; a table changed at m = 7 alone
+    # gets its own product, so the defect reaches riordan:planar_rook:7, and
+    # the golden checks that read the same table
+    original = verify.cell_table
+
+    def mutated(family, m):
+        table = original(family, m)
+        if (family, m) != (Family.PLANAR_ROOK, 7):
+            return table
+        rows = [list(row) for row in table.rows]
+        rows[1][3] += 1  # above the diagonal: still unit upper triangular
+        return tables.CharTable(family, m, table.kind, table.labels, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(verify, "cell_table", mutated)
+    assert _red(verify.check_tables()) == {
+        "riordan:planar_rook:7", "golden:pro-pascal:7", "golden:pro-simple:7", "golden:pro-projective:7"
+    }
+
+
 def test_one_printed_inverse_entry_turns_its_golden_check_red(monkeypatch, fresh_oracle):
     # the product X^T·expected = I is not vacuous: one entry off and it fails
     rows = [list(row) for row in reference.TL7_LINV]

@@ -115,6 +115,7 @@ def test_only_from_partners_makes_an_unchecked_diagram():
 
 # each referee in tests/, and the library routines it referees
 REFEREED = {
+    "lagrange_reference.py": {"_lagrange_numerators"},
     "glue_reference.py": {
         "_glue", "_partner_arrays", "_half_arrays", "_lift", "_flip_partners", "_checked_partners",
         "blocks_are_planar",

@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .errors import InputError, InternalCheckError
@@ -86,22 +85,6 @@ def _canonical_blocks(blocks) -> tuple[Block, ...]:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def _boundary_pos(p: int, m: int) -> int:
-    # Walk the rectangle boundary: 1..m along the top, then 2m..m+1 along the
-    # bottom right-to-left.  Chords are non-crossing iff their endpoints do
-    # not interleave in this circular order.
-    return p if p <= m else 3 * m + 1 - p
-
-
-def blocks_are_planar(blocks, m: int) -> bool:
-    pairs = [b for b in blocks if len(b) == 2]
-    pos = [(tuple(sorted(_boundary_pos(p, m) for p in b))) for b in pairs]
-    for (a1, a2), (b1, b2) in combinations(pos, 2):
-        if (a1 < b1 < a2) != (a1 < b2 < a2):
-            return False
-    return True
-
-
 # A partner array lists the 2m points of a diagram by slot, point p in slot
 # p - 1 (top row 0..m-1, bottom row m..2m-1): pa[s] is the slot joined to s,
 # or -1 for a singleton.  Blocks have at most two points, so the array is a
@@ -112,7 +95,9 @@ Partners = tuple[int, ...]
 def _checked_partners(family: Family, m: int, blocks) -> tuple[tuple[Block, ...], Partners]:
     """(canonical blocks, partner array); InputError unless blocks are a diagram of family on m strands.
     Types come before anything is sorted: m and every point must be an int (not a bool); a point
-    out of 1..2m or met twice is named after the walk, after any block of a wrong size."""
+    out of 1..2m or met twice is named after the walk, after any block of a wrong size.  Last, one
+    stack pass along the boundary (top slots left to right, then bottom slots right to left): a
+    chord crosses another unless its second end closes the chord left open last."""
     if not isinstance(family, Family):
         raise InputError(f"{family!r} is not a diagram family")
     if family not in PLANAR_FAMILIES:
@@ -148,7 +133,13 @@ def _checked_partners(family: Family, m: int, blocks) -> tuple[tuple[Block, ...]
         raise InputError("Temperley-Lieb diagrams are perfect matchings")
     if family is Family.PLANAR_ROOK and any(q >= 0 and (s < m) == (q < m) for s, q in enumerate(pa)):
         raise InputError("planar rook blocks of size 2 must join top to bottom")
-    if not blocks_are_planar(blocks, m):
+    open_ends = []
+    for s in (*range(m), *range(2 * m - 1, m - 1, -1)):
+        if open_ends and open_ends[-1] == pa[s]:
+            open_ends.pop()
+        elif pa[s] >= 0:
+            open_ends.append(s)
+    if open_ends:
         raise InputError("blocks cross")
     return blocks, tuple(pa)
 
@@ -441,14 +432,14 @@ def enumerate_diagrams(family: Family, m: int) -> tuple[Diagram, ...]:
 
 
 def expected_order(family: Family, m: int) -> int:
-    """Known monoid orders (central binomial / Catalan / Motzkin numbers)."""
+    """Known monoid orders (central binomial / Catalan / Motzkin numbers), for m >= 1."""
+    if family not in PLANAR_FAMILIES:
+        raise InputError(f"no enumeration for {family.value}")
+    if m < 1:
+        raise InputError("need m >= 1")
     if family is Family.PLANAR_ROOK:
         return comb(2 * m, m)
-    if family is Family.TEMPERLEY_LIEB:
-        return catalan_number(m)
-    if family is Family.MOTZKIN:
-        return motzkin_number(2 * m)
-    raise InputError(f"no enumeration for {family.value}")
+    return catalan_number(m) if family is Family.TEMPERLEY_LIEB else motzkin_number(2 * m)
 
 
 def catalan_number(k: int) -> int:

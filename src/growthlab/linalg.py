@@ -6,8 +6,8 @@ immutable tuples of tuples and every operation is a pure function; values can
 be shared between threads or worker processes without synchronization.
 
 One kernel solves the triangular systems: `_substitute` substitutes forward
-on ints against the transposed rows of a `CharTable` (checked unit upper
-triangular by `_check_unit_triangular` when built), skipping the zeros at the
+on ints against the transposed rows of a simple table (a `CharTable`'s or the
+oracle's, checked unit upper triangular when built), skipping the zeros at the
 start of each right-hand side.  One loop eliminates: `_forward` reduces int
 rows one at a time by the pivots before them (Bareiss's fraction-free update,
 with no `Fraction`), and gives the rank of every prefix (`_prefix_ranks`).
@@ -172,10 +172,10 @@ def _check_unit_triangular(t: Sequence[Sequence[int]]) -> None:
             raise InputError("matrix is not upper triangular")
 
 
-def _substitute(t: Sequence[Sequence[int]], rhs: Iterable[list[int]]):
+def _substitute(t: Sequence[Sequence[int]], rhs: Iterable[Sequence[int]]):
     """Exact integer x with t·x = b for each b in rhs, substituting forward from the
-    first nonzero entry of b.  Unchecked: t is the transpose of a `CharTable`'s
-    rows, so unit lower triangular, and each b a list of len(t) ints."""
+    first nonzero entry of b.  Unchecked: t is the transposed rows of a checked simple
+    table, so unit lower triangular, and the caller checks that b holds len(t) ints."""
     n = len(t)
     solutions = []
     for b in rhs:

@@ -29,11 +29,12 @@ closed forms elsewhere have an independent referee:
 * the radical basis, as int rows scaled by the least d that makes it
   integral, is the integer kernel of the Gram rows (`linalg._kernel`),
   built only for the V_i traces of the Kronecker check;
-* tensor-power multiplicities come from forward substitution on ints against
-  the brute-force simple table, checked unit upper triangular when built
-  (plus, for small n, a Kronecker-power trace check: tr(A^(x)n) = tr(A)^n,
-  so it compares d·tr(e_j) on S_i or V_i with d·chi(j), and no Kronecker
-  product is built).
+* tensor-power multiplicities come from forward substitution on ints
+  (`linalg._substitute`) against the brute-force simple table, checked unit
+  upper triangular when built, for a module with one value per label (plus,
+  for a cell or simple module, a Kronecker-power trace check at every n:
+  tr(A^(x)n) = tr(A)^n, so it compares d·tr(e_j) on S_i or V_i with d·chi(j)
+  once per module, and no Kronecker product is built).
 
 Cell modules are cached per (family, m, i), and each one memoizes the index
 map of every diagram it has seen.  Recomputation is idempotent (pure
@@ -61,7 +62,7 @@ from .diagrams import (
 )
 from .errors import InputError, InternalCheckError, VerificationError
 from .growth import ModuleSpec, module_spec
-from .linalg import Mat, _kernel, _prefix_ranks
+from .linalg import Mat, _kernel, _prefix_ranks, _substitute
 from .record import Record
 from .tables import label_index
 
@@ -295,41 +296,39 @@ def _kronecker_check_cached(family: Family, m: int, label: str) -> None:
 
 @lru_cache(maxsize=None)
 def _solve_multiplicities(family: Family, m: int, rhs: tuple[int, ...]) -> tuple[int, ...]:
-    """y with X^T y = rhs on ints, X the oracle simple table; each rhs is solved once.
-
-    X is unit upper triangular (checked when built), so y_j is rhs_j less
-    X[i][j]·y_i for every i < j: forward substitution, with no division.
-    """
-    y: list[int] = []
-    for col, b in zip(zip(*_oracle_rows(family, m)[1]), rhs):
-        y.append(b - sum(map(mul, col, y)))  # map stops at len(y): the entries above the diagonal
-    return tuple(y)
+    """y with X^T y = rhs on ints, X the oracle simple table (checked unit upper
+    triangular when built), by `linalg._substitute`; each rhs is solved once."""
+    return _substitute(tuple(zip(*_oracle_rows(family, m)[1])), [rhs])[0]
 
 
 def _check_query(spec: ModuleSpec, n: int = 0, target: int | None = None) -> int | None:
     """The index of target among the labels of spec's monoid, None without a target;
-    InputError if n < 0 or target is not a label."""
+    InputError if n < 0, if target is not a label, or then unless spec has one
+    character value per label (`_substitute` trusts its right-hand sides)."""
     if n < 0:
         raise InputError("need n >= 0")
-    if target is None:
-        return None
-    return label_index(rank_labels(spec.family, spec.m), target, spec.family, spec.m)
+    labels = rank_labels(spec.family, spec.m)
+    index = None if target is None else label_index(labels, target, spec.family, spec.m)
+    if len(spec.charvec) != len(labels):
+        raise InputError("character vector length mismatch")
+    return index
 
 
 def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
     """[V^(x)n : V_target] from brute-force character data only.
 
     Solves the transposed brute-force simple table against the pointwise
-    n-th powers of the character; for n <= 2 (and explicit cell or simple
-    modules) additionally verifies the character powers against the traces
-    of the Kronecker powers of the idempotent actions.  As tr(A^(x)n) =
-    tr(A)^n, that is the n = 1 trace, and no Kronecker product is built.
+    n-th powers of the character; for a cell or simple module, at every n,
+    additionally verifies the character powers against the traces of the
+    Kronecker powers of the idempotent actions.  As tr(A^(x)n) = tr(A)^n,
+    that is the n = 1 trace, checked once per module, and no Kronecker
+    product is built.
     """
     index = _check_query(spec, n, target)
     value = _solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases))[index]
     if value < 0:
         raise VerificationError(f"multiplicity {value} is negative; inconsistent inputs")
-    if 1 <= n <= 2 and spec.label[0] in "SV":
+    if spec.label[0] in "SV":
         _kronecker_check_cached(spec.family, spec.m, spec.label)
     return value
 
@@ -347,6 +346,7 @@ def oracle_product_multiplicity(
     if spec_a.family is not spec_b.family or spec_a.m != spec_b.m:
         raise InputError("modules belong to different monoids")
     index = _check_query(spec_a, target=target)
+    _check_query(spec_b)
     rhs = tuple(map(mul, spec_a.bases, spec_b.bases))
     value = _solve_multiplicities(spec_a.family, spec_a.m, rhs)[index]
     if value < 0:

@@ -209,6 +209,8 @@ def reflections(i: int, family: Family, m: int) -> Reflections:
     callers treat absent as the zero module.
     """
     _planar(family)
+    if m < 1:  # the check of `_labels`, without building the labels
+        raise InputError("need m >= 1")
     step = 2 if family is Family.TEMPERLEY_LIEB else 1
     if i not in range(m % step, m + 1, step):  # the labels, without building them
         label_index(rank_labels(family, m), i, family, m)  # raises, naming the rule
@@ -271,9 +273,8 @@ def table_of_kind(family: Family, m: int, kind: str) -> CharTable:
 
 
 def trivial_label(family: Family, m: int) -> int:
-    """Label of the trivial module (the all-ones simple character row)."""
-    _planar(family)
-    return m % 2 if family is Family.TEMPERLEY_LIEB else 0
+    """Label of the trivial module (the all-ones simple character row): the least label."""
+    return _labels(family, m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +469,11 @@ def mo_simple_entry_closed(j: int, i: int) -> int:
         raise InputError("closed form applies to even labels i > 0")
     l = i // 2
     total = 0
-    for t in range(j - i + 1):
-        if t % 2 != j % 2:
-            continue
-        total_frac = Fraction(4 * l, j - t + 2 * l) * comb(j, t) * comb(
-            j - t - 1, (j - t) // 2 + l - 1
-        )
-        if total_frac.denominator != 1:
+    for t in range(j % 2, j - i + 1, 2):
+        term, rest = divmod(4 * l * comb(j, t) * comb(j - t - 1, (j - t) // 2 + l - 1), j - t + 2 * l)
+        if rest:
             raise InternalCheckError(f"hump count term at ({j}, {i}, {t}) is not an integer")
-        total += int(total_frac)
+        total += term
     return total
 
 

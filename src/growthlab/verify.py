@@ -187,26 +187,13 @@ GOLDEN_SPECS = (
 def check_growth(max_m: int | None = None) -> list[CheckResult]:
     out = []
     # golden closed forms
-    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
-    series = length_series(spec, simple_table(Family.TEMPERLEY_LIEB, 7))
-    out.append(
-        _result(
-            "formula:tl7-v3",
-            tuple((int(c), b) for c, b in series.nonzero_base_terms()),
-            reference.TL7_V3_LENGTH_TERMS,
-            "length_series",
-        )
-    )
-    spec = module_spec(Family.MOTZKIN, 5, "S1")
-    series = length_series(spec, simple_table(Family.MOTZKIN, 5))
-    out.append(
-        _result(
-            "formula:mo5-s1",
-            tuple((int(c), b) for c, b in series.nonzero_base_terms()),
-            reference.MO5_S1_LENGTH_TERMS,
-            "length_series",
-        )
-    )
+    for name, spec, terms in (
+        ("tl7-v3", module_spec(Family.TEMPERLEY_LIEB, 7, "V3"), reference.TL7_V3_LENGTH_TERMS),
+        ("mo5-s1", module_spec(Family.MOTZKIN, 5, "S1"), reference.MO5_S1_LENGTH_TERMS),
+    ):
+        series = length_series(spec, simple_table(spec.family, spec.m))
+        found = tuple((int(c), b) for c, b in series.nonzero_base_terms())
+        out.append(_result(f"formula:{name}", found, terms, "length_series"))
     # oracle agreement, n = 1..4, every target
     for family, m, sel in GOLDEN_SPECS:
         if max_m is not None and m > max_m:

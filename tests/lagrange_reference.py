@@ -1,14 +1,18 @@
-"""The Lagrange numerators of a fusion graph, one product chain each.
+"""The Lagrange numerators of a fusion graph, by two routes of their own.
 
 `fusion.spectral_check` forms every N_lam = prod_{mu != lam} (A - mu I) from
-shared prefix and suffix products; this referee forms each one from the
-identity, one factor at a time, as the check once did, and tests the
-idempotence of the projections by the K squarings N^2 = d N that the
-library's zero test stands for.
+shared prefix and suffix products.  `lagrange_numerators` forms each one from
+the identity, one factor at a time, as the check once did, and
+`squarings_hold` tests the idempotence of the projections by the K squarings
+N^2 = d N that the library's zero test stands for.  `numerators_from_powers`
+expands the polynomial prod_{mu != lam} (x - mu) on ints and combines its
+coefficients with I, A, ..., A^(K-1): K - 2 integer products per graph, where
+the chain takes K - 1 for each value.
 """
 
 from functools import reduce
 from math import prod
+from operator import mul
 
 from growthlab.linalg import int_mul
 
@@ -35,3 +39,20 @@ def squarings_hold(a, distinct) -> bool:
             (prod(lam - mu for mu in distinct if mu != lam) for lam in distinct),
         )
     )
+
+
+def numerators_from_powers(a, distinct) -> list[list[list[int]]]:
+    """[sum_k c_k A^k for lam in distinct], c_k the coefficients of prod_{mu != lam} (x - mu)."""
+    n = len(a)
+    powers = [[[int(r == c) for c in range(n)] for r in range(n)], a]  # map below stops at K of them
+    while len(powers) < len(distinct):
+        powers.append(int_mul(powers[-1], a))
+    stacked = [list(zip(*(p[r] for p in powers))) for r in range(n)]  # entry (r, c) of every power
+    numerators = []
+    for lam in distinct:
+        coeffs = [1]  # lowest degree first
+        for mu in distinct:
+            if mu != lam:
+                coeffs = [low - mu * same for low, same in zip([0] + coeffs, coeffs + [0])]
+        numerators.append([[sum(map(mul, coeffs, entry)) for entry in row] for row in stacked])
+    return numerators

@@ -12,7 +12,6 @@ from growthlab import diagrams
 from growthlab.diagrams import (
     Diagram,
     Family,
-    blocks_are_planar,
     class_idempotent,
     compose,
     enumerate_diagrams,
@@ -82,6 +81,16 @@ def test_enumeration_counts(family, ms):
         elements = enumerate_diagrams(family, m)
         assert len(elements) == expected_order(family, m)
         assert len(set(elements)) == len(elements)
+
+
+@pytest.mark.parametrize("family", [Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN])
+@pytest.mark.parametrize("m", [0, -1])
+def test_expected_order_refuses_an_empty_strand_count(family, m):
+    # at m = -1 planar rook once raised a bare ValueError from math.comb, and TL and MO answered 1
+    with pytest.raises(InputError, match="^need m >= 1$"):
+        expected_order(family, m)
+    with pytest.raises(InputError, match="^no enumeration for brauer$"):
+        expected_order(Family.BRAUER, m)
 
 
 CAPS = [(Family.TEMPERLEY_LIEB, 7), (Family.PLANAR_ROOK, 6), (Family.MOTZKIN, 5)]
@@ -159,9 +168,14 @@ def test_validation_rejects_bad_blocks():
 
 
 def test_planarity_predicate():
-    assert blocks_are_planar([(1, 3), (2, 4)], 2)  # identity strands
-    assert blocks_are_planar([(1, 2), (3, 4)], 2)  # cup over cap
-    assert not blocks_are_planar([(1, 4), (2, 3)], 2)  # transposition
+    Diagram(Family.TEMPERLEY_LIEB, 2, [(1, 3), (2, 4)])  # identity strands
+    Diagram(Family.TEMPERLEY_LIEB, 2, [(1, 2), (3, 4)])  # cup over cap
+    with pytest.raises(InputError, match="^blocks cross$"):  # transposition
+        Diagram(Family.TEMPERLEY_LIEB, 2, [(1, 4), (2, 3)])
+    # a singleton between the ends of two chords: 1 -> 2' and 3 -> 1' cross, 1 -> 1' and 3 -> 3' do not
+    with pytest.raises(InputError, match="^blocks cross$"):
+        Diagram(Family.MOTZKIN, 3, [(1, 5), (2,), (3, 4), (6,)])
+    Diagram(Family.MOTZKIN, 3, [(1, 4), (2,), (3, 6), (5,)])
 
 
 def test_compose_identity():
@@ -311,7 +325,7 @@ def _variants(m, blocks):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_the_constructor_accepts_what_the_referee_accepts(m):
     # the check and the partner array in one walk, against the separate walks
-    # of validate_diagram, blocks_are_planar and _partners as they were
+    # of validate_diagram, blocks_are_planar and _partners as they were (glue_reference)
     def outcome(make):
         try:
             return make()

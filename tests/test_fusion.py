@@ -32,7 +32,7 @@ from growthlab.growth import (
 from growthlab.linalg import Mat, inverse, mat_mul
 from growthlab.reference import PRO8_V2_FUSION, PRO8_V2_N0
 from growthlab.tables import simple_table
-from lagrange_reference import lagrange_numerators, squarings_hold
+from lagrange_reference import lagrange_numerators, numerators_from_powers, squarings_hold
 from linalg_reference import apply, mat_pow
 
 PRO8 = simple_table(Family.PLANAR_ROOK, 8)
@@ -250,7 +250,9 @@ def test_spectral_check_rejects_a_perturbed_adjacency():
 @pytest.mark.parametrize("family", [Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN])
 def test_the_lagrange_numerators_match_one_chain_each(family):
     # every V, S and P module with at most 21 labels; equal characters give
-    # equal graphs, so each character is checked once
+    # equal graphs, so each character is checked once, against the power
+    # referee (which test_the_two_referee_routes_give_the_same_numerators ties
+    # to the chain of products, one per numerator)
     checked, m = 0, 1
     while len(tables.rank_labels(family, m)) <= 21:
         table = simple_table(family, m)
@@ -261,10 +263,22 @@ def test_the_lagrange_numerators_match_one_chain_each(family):
         for chi, spec in specs.items():
             rows = fusion_matrix(spec, table).rows
             distinct = list(dict.fromkeys(chi))
-            assert _lagrange_numerators(rows, distinct)[0] == lagrange_numerators(rows, distinct)
+            assert _lagrange_numerators(rows, distinct)[0] == numerators_from_powers(rows, distinct)
             checked += 1
         m += 1
     assert checked == {Family.PLANAR_ROOK: 230, Family.TEMPERLEY_LIEB: 1007, Family.MOTZKIN: 430}[family]
+
+
+@pytest.mark.parametrize(
+    "family,m,sel",
+    [(Family.TEMPERLEY_LIEB, 7, "V3"), (Family.MOTZKIN, 5, "S1"), (Family.PLANAR_ROOK, 8, "V2")],
+)
+def test_the_two_referee_routes_give_the_same_numerators(family, m, sel):
+    rows = graph_for(family, m, sel).rows
+    distinct = list(dict.fromkeys(module_spec(family, m, sel).bases))
+    numerators = lagrange_numerators(rows, distinct)
+    assert len(distinct) >= 4 and numerators == numerators_from_powers(rows, distinct)
+    assert numerators == _lagrange_numerators(rows, distinct)[0]
 
 
 @pytest.mark.parametrize("family,m,sel", [(Family.TEMPERLEY_LIEB, 7, "V3"), (Family.MOTZKIN, 5, "S1")])

@@ -826,6 +826,25 @@ def test_label_errors_name_the_rule_not_the_labels():
         assert "with the parity of m" in message and len(message) < 200
 
 
+def test_every_query_refuses_a_module_without_one_value_per_label():
+    # TL 5 has the labels 1, 3, 5; the forward substitution trusts the length
+    # of its right-hand side, and on the two values of the short module the
+    # three queries once answered 3, 16 and 1 (and target 5 an IndexError)
+    tl = Family.TEMPERLEY_LIEB
+    full = module_spec(tl, 5, "V1")
+    for spec in (ModuleSpec("V1", tl, 5, 4, (1, 4)), ModuleSpec("V1", tl, 5, 4, (0, 1, 2, 4))):
+        for query in (
+            lambda: oracle_multiplicity(spec, 1, 3),
+            lambda: oracle_multiplicity(spec, 1, 5),
+            lambda: oracle_length(spec, 2),
+            lambda: oracle_product_multiplicity(spec, spec, 1),
+            lambda: oracle_product_multiplicity(spec, full, 1),
+            lambda: oracle_product_multiplicity(full, spec, 1),
+        ):
+            with pytest.raises(InputError, match="^character vector length mismatch$"):
+                query()
+
+
 @pytest.mark.parametrize("family", [Family.BRAUER, Family.ROOK])
 def test_every_multiplicity_query_refuses_a_monoid_it_cannot_enumerate(family):
     # the one refusal is the enumeration check behind the brute-force table

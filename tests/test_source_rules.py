@@ -60,7 +60,8 @@ def test_verify_has_one_except_handler():
 
 def test_every_unchecked_substitution_follows_a_table_check():
     # `linalg._substitute` trusts its table, so every caller must first make
-    # it a simple table, checked when built
+    # it a simple table, checked when built: a `CharTable` (`_check_compatible`)
+    # or the oracle's brute-force rows (`_oracle_rows`)
     callers = {}
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -72,8 +73,8 @@ def test_every_unchecked_substitution_follows_a_table_check():
                     if isinstance(call, ast.Call)
                 }
                 if "_substitute" in called:
-                    callers[f"{path.name}:{node.name}"] = "_check_compatible" in called
-    assert "fusion.py:fusion_matrix" in callers
+                    callers[f"{path.name}:{node.name}"] = bool({"_check_compatible", "_oracle_rows"} & called)
+    assert {"fusion.py:fusion_matrix", "oracle.py:_solve_multiplicities"} <= set(callers)
     assert sorted(name for name, checked in callers.items() if not checked) == []
 
 
@@ -117,8 +118,7 @@ def test_only_from_partners_makes_an_unchecked_diagram():
 REFEREED = {
     "lagrange_reference.py": {"_lagrange_numerators"},
     "glue_reference.py": {
-        "_glue", "_partner_arrays", "_half_arrays", "_lift", "_flip_partners", "_checked_partners",
-        "blocks_are_planar",
+        "_glue", "_partner_arrays", "_half_arrays", "_lift", "_flip_partners", "_checked_partners"
     },
     "linalg_reference.py": {
         "_substitute", "_forward", "_reduce", "_solve", "_kernel", "_solve_multiplicities", "_prefix_ranks"

@@ -372,6 +372,23 @@ def test_decomposition_matrix_refuses_an_empty_strand_count(family, m):
         decomposition_matrix(family, m)
 
 
+@pytest.mark.parametrize("family", [Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN])
+@pytest.mark.parametrize("m", [0, -3])
+def test_trivial_label_refuses_an_empty_strand_count(family, m):
+    # it once answered m % 2 or 0: trivial_label(TL, -3) was 1, trivial_label(MO, 0) was 0
+    with pytest.raises(InputError, match="^need m >= 1$"):
+        trivial_label(family, m)
+
+
+@pytest.mark.parametrize("family", [Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN])
+@pytest.mark.parametrize("m", [0, -1, -3])
+def test_reflections_refuse_an_empty_strand_count(family, m):
+    # checked before the label, for any label: reflections(0, TL, 0) once answered
+    for i in (0, 1, m):
+        with pytest.raises(InputError, match="^need m >= 1$"):
+            reflections(i, family, m)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -11,20 +11,15 @@ int rows of the simple table; every walk, power and check below reads them,
 and `FusionGraph.adjacency` builds a `Mat` only when it is read.
 
 The spectral view: conjugating A by the transpose of the simple character
-table diagonalizes it with the character values of V as eigenvalues, so the
-Lagrange projections onto the distinct values reconstruct A^n exactly.  The
-check runs on Python ints: each projection is an integer matrix over an
-integer denominator, and every identity is cleared of denominators first.
-The K numerators come from prefix and suffix products of the commuting
-factors A - mu I, in 3K - 5 products, and the last suffix product is the
-zero test that stands in for the K idempotence squarings.
+table X diagonalizes it with the character values of V as eigenvalues, so
+the projections X^-T E X^T onto the distinct values reconstruct A^n exactly.
+The check runs on Python ints: X^-T is one unit-triangular substitution, and
+each identity is one integer product with it or with X^T.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm, prod
 from operator import mul
 
 from .errors import InputError, InternalCheckError, VerificationError
@@ -155,102 +150,54 @@ def scc_analysis(g: FusionGraph) -> SccReport:
     return SccReport(label_comps, absorbing)
 
 
-_IntRows = Sequence[Sequence[int]]
-
-
-def _times(x: _IntRows | None, y: _IntRows | None) -> _IntRows | None:
-    """x y, where None stands for the empty product."""
-    return y if x is None else x if y is None else int_mul(x, y)
-
-
-def _lagrange_numerators(a: _IntRows, distinct: Sequence[int]) -> tuple[list[_IntRows], _IntRows]:
-    """([N_lam for lam in distinct], Z), N_lam = prod_{mu != lam} (A - mu I) and
-    Z = prod_mu (A - mu I), in 3K - 5 integer products for K >= 2 values (none for K = 1).
-
-    With F_i = A - mu_i I, N_i = (F_0 ... F_{i-1})(F_{i+1} ... F_{K-1}): a prefix
-    product times a suffix product, each factor in ascending order, and the
-    longest suffix product is Z.
-    """
-    factors = [
-        [[x - mu * (r == c) for c, x in enumerate(row)] for r, row in enumerate(a)]
-        for mu in distinct
-    ]
-    prefix, suffix = [None], [None]  # prefix[i] = F_0 ... F_{i-1}; suffix[i] = F_i ... F_{K-1}, once reversed
-    for f in factors[:-1]:
-        prefix.append(_times(prefix[-1], f))
-    for f in reversed(factors):
-        suffix.append(_times(f, suffix[-1]))
-    suffix.reverse()
-    numerators = [_times(p, s) or int_identity(len(a)) for p, s in zip(prefix, suffix[1:])]
-    return numerators, suffix[0]
-
-
 def spectral_check(g: FusionGraph, spec: ModuleSpec, simple: CharTable, max_n: int = 6) -> dict:
     """Verify the projection decomposition of A exactly, on Python ints.
 
-    Classes are grouped by equal character value; K is the number of
-    distinct values.  The Lagrange projection onto the value lam is N/d with
-    N = prod_{mu != lam} (A - mu I), an integer matrix, and
-    d = prod_{mu != lam} (lam - mu).  With D the lcm of the |d|, the checks are
-    integer identities: sum (D/d) N = D I (the projections sum to the
-    identity), Z = prod_mu (A - mu I) = 0 (they are idempotent) and
-    sum (D/d) lam^p N = D A^p for p <= max_n (they reconstruct A^p).
+    The simple table X is an eigenbasis of A: with E_lam the 0/1 diagonal of
+    the classes where chi = lam, the projection onto lam is
+    P_lam = X^-T E_lam X^T, and spectral projections are unique.  X is unit
+    upper triangular with int entries, so X^-T is one substitution on the
+    identity, and each identity is one integer product:
 
-    The zero test stands for the K squarings N^2 = d N, which it matches for
-    K >= 2.  If Z = 0, then N_lam N_mu = 0 for lam != mu (the product holds
-    every factor), so multiplying sum (D/d_mu) N_mu = D I by N_lam gives
-    N_lam^2 = d_lam N_lam.  If every squaring holds, then N_lam Z = d_lam Z,
-    so multiplying that sum by Z gives K D Z = D Z, that is (K - 1) D Z = 0.
-    For K = 1 (N = I, d = 1) the squaring always holds and the zero test,
-    A = lam I, is stronger.
+    * simple_table_diagonalizes: X^T A = diag(chi) X^T;
+    * sum_of_projections_is_identity (sum P_lam = I): X^-T X^T = I;
+    * projections_are_idempotent (P_lam P_mu = [lam = mu] P_lam): X^T X^-T = I;
+    * reconstructs_power_p (sum lam^p P_lam = A^p) for p <= max_n:
+      X^-T (diag(chi^p) X^T) = A^p, where p = 0 is the product above.
 
-    What each identity tests of A: the sum to the identity and the
-    reconstructions for p < K are Lagrange interpolation identities, true for
-    every matrix, so they check only the arithmetic.  The zero test and the
-    reconstructions for p >= K test A, but see only its minimal polynomial;
-    the product X^T A = diag(chi) X^T, with X the caller's simple table, pins
-    its entries.  A table of another monoid or kind, or a non-integer
-    character value, or max_n < 0, raises InputError; any mismatch raises
-    VerificationError.
+    The first two test only X^-T.  The residual identity and every
+    reconstruction for p >= 1 test A: X^T is invertible, so
+    X^T A = diag(chi) X^T has exactly one solution.  A table of another
+    monoid or kind, or a non-integer character value, or max_n < 0, raises
+    InputError; any mismatch raises VerificationError.
     """
     if max_n < 0:
         raise InputError("need max_n >= 0")
     _check_compatible(spec, simple)
     chi = spec.bases
     a = g.rows
-    ident = int_identity(len(a))
-    distinct = list(dict.fromkeys(chi))
-    numerators, zero = _lagrange_numerators(a, distinct)
-    denominators = [prod(lam - mu for mu in distinct if mu != lam) for lam in distinct]
-    big_d = lcm(*denominators)
-    weights = [big_d // d for d in denominators]
-    checks = []
-
     xt = list(zip(*simple.rows))
-    scaled = [[c * v for v in col] for c, col in zip(chi, xt)]
-    checks.append(("simple_table_diagonalizes", int_mul(xt, a) == scaled))
-
-    powers = [ident]  # A^p for p <= max_n
-    for _ in range(max_n):
-        powers.append(int_mul(powers[-1], a))
-    # sum (D/d) lam^p N entry by entry: the terms at p + 1 are those at p times lam
-    reconstructs = [True] * (max_n + 1)
-    for n_rows, p_rows in zip(zip(*numerators), zip(*powers)):
-        for n_entries, p_entries in zip(zip(*n_rows), zip(*p_rows)):
-            terms = list(map(mul, weights, n_entries))
-            for p, x in enumerate(p_entries):
-                if p:
-                    terms = list(map(mul, distinct, terms))
-                reconstructs[p] &= sum(terms) == big_d * x
-    checks.append(("sum_of_projections_is_identity", reconstructs[0]))
-    checks.append(("projections_are_idempotent", not any(map(any, zero))))
-    checks.extend((f"reconstructs_power_{p}", ok) for p, ok in enumerate(reconstructs))
+    ident = int_identity(len(xt))  # the right-hand sides of _substitute hold len(xt) ints
+    inv_t = list(zip(*_substitute(xt, ident)))  # column k solves X^T x = e_k
+    scaled = [[c * v for v in col] for c, col in zip(chi, xt)]  # diag(chi^p) X^T, at p = 1
+    left_inverse = int_mul(inv_t, xt) == ident
+    checks = [
+        ("simple_table_diagonalizes", int_mul(xt, a) == scaled),
+        ("sum_of_projections_is_identity", left_inverse),
+        ("projections_are_idempotent", int_mul(xt, inv_t) == ident),
+        ("reconstructs_power_0", left_inverse),
+    ]
+    power = ident  # A^p
+    for p in range(1, max_n + 1):
+        power = int_mul(power, a)
+        checks.append((f"reconstructs_power_{p}", int_mul(inv_t, scaled) == power))
+        scaled = [[c * v for v in row] for c, row in zip(chi, scaled)]
 
     failures = [name for name, ok in checks if not ok]
     if failures:
         raise VerificationError(f"spectral reconstruction failed: {failures}")
     return {
-        "eigenvalues": [str(v) for v in distinct],
+        "eigenvalues": [str(v) for v in dict.fromkeys(chi)],
         "checks": [name for name, _ in checks],
         "ok": True,
     }

@@ -32,7 +32,8 @@ closed forms elsewhere have an independent referee:
 * tensor-power multiplicities come from forward substitution on ints
   (`linalg._substitute`) against the brute-force simple table, checked unit
   upper triangular when built, for a module with one value per label (plus,
-  for a cell or simple module, a Kronecker-power trace check at every n:
+  for a cell or simple module, in the multiplicity and length queries, a
+  Kronecker-power trace check at every n:
   tr(A^(x)n) = tr(A)^n, so it compares d·tr(e_j) on S_i or V_i with d·chi(j)
   once per module, and no Kronecker product is built).
 
@@ -334,9 +335,13 @@ def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
 
 
 def oracle_length(spec: ModuleSpec, n: int) -> int:
-    """l(n) as the sum of all oracle multiplicities."""
+    """l(n) as the sum of all oracle multiplicities, with the Kronecker check
+    of `oracle_multiplicity` for a cell or simple module."""
     _check_query(spec, n)
-    return sum(_solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases)))
+    value = sum(_solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases)))
+    if spec.label[0] in "SV":
+        _kronecker_check_cached(spec.family, spec.m, spec.label)
+    return value
 
 
 def oracle_product_multiplicity(

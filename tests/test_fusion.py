@@ -12,7 +12,6 @@ from growthlab.diagrams import Family
 from growthlab.errors import InputError, VerificationError
 from growthlab.fusion import (
     FusionGraph,
-    _lagrange_numerators,
     fusion_matrix,
     power_multiplicities,
     realized_n0,
@@ -32,7 +31,6 @@ from growthlab.growth import (
 from growthlab.linalg import Mat, inverse, mat_mul
 from growthlab.reference import PRO8_V2_FUSION, PRO8_V2_N0
 from growthlab.tables import simple_table
-from lagrange_reference import lagrange_numerators, numerators_from_powers, squarings_hold
 from linalg_reference import apply, mat_pow
 
 PRO8 = simple_table(Family.PLANAR_ROOK, 8)
@@ -248,67 +246,54 @@ def test_spectral_check_rejects_a_perturbed_adjacency():
 
 
 @pytest.mark.parametrize("family", [Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN])
-def test_the_lagrange_numerators_match_one_chain_each(family):
-    # every V, S and P module with at most 21 labels; equal characters give
-    # equal graphs, so each character is checked once, against the power
-    # referee (which test_the_two_referee_routes_give_the_same_numerators ties
-    # to the chain of products, one per numerator)
+def test_spectral_check_passes_on_every_module_character(family):
+    # every V, S and P module with at most 14 labels; equal characters give
+    # equal graphs, so each character is checked once
     checked, m = 0, 1
-    while len(tables.rank_labels(family, m)) <= 21:
+    while len(tables.rank_labels(family, m)) <= 14:
         table = simple_table(family, m)
         specs = {
             spec.bases: spec
             for spec in (module_spec(family, m, f"{kind}{i}") for kind in "VSP" for i in table.labels)
         }
-        for chi, spec in specs.items():
-            rows = fusion_matrix(spec, table).rows
-            distinct = list(dict.fromkeys(chi))
-            assert _lagrange_numerators(rows, distinct)[0] == numerators_from_powers(rows, distinct)
+        for spec in specs.values():
+            assert spectral_check(fusion_matrix(spec, table), spec, table)["ok"]
             checked += 1
         m += 1
-    assert checked == {Family.PLANAR_ROOK: 230, Family.TEMPERLEY_LIEB: 1007, Family.MOTZKIN: 430}[family]
+    assert checked == {Family.PLANAR_ROOK: 104, Family.TEMPERLEY_LIEB: 443, Family.MOTZKIN: 188}[family]
 
 
 @pytest.mark.parametrize(
     "family,m,sel",
     [(Family.TEMPERLEY_LIEB, 7, "V3"), (Family.MOTZKIN, 5, "S1"), (Family.PLANAR_ROOK, 8, "V2")],
 )
-def test_the_two_referee_routes_give_the_same_numerators(family, m, sel):
-    rows = graph_for(family, m, sel).rows
-    distinct = list(dict.fromkeys(module_spec(family, m, sel).bases))
-    numerators = lagrange_numerators(rows, distinct)
-    assert len(distinct) >= 4 and numerators == numerators_from_powers(rows, distinct)
-    assert numerators == _lagrange_numerators(rows, distinct)[0]
-
-
-@pytest.mark.parametrize("family,m,sel", [(Family.TEMPERLEY_LIEB, 7, "V3"), (Family.MOTZKIN, 5, "S1")])
-def test_the_zero_test_agrees_with_the_squarings_on_every_unit_perturbation(family, m, sel):
-    # Z = prod (A - mu I) = 0 exactly when every N^2 = d N, for K >= 2 values
+def test_every_unit_perturbation_of_a_is_caught(family, m, sel):
+    # a change of A[t][j] changes column j of X^T A by row t of X, which has
+    # a 1 on its diagonal, and X^-T diag(chi) X^T is the unperturbed A
     spec = module_spec(family, m, sel)
-    rows = fusion_matrix(spec, simple_table(family, m)).rows
-    distinct = list(dict.fromkeys(spec.bases))
-    assert len(distinct) >= 2
-    verdicts = []
-    for t, j, step in product(range(len(rows)), range(len(rows)), (1, -1)):
-        bad = [list(row) for row in rows]
-        bad[t][j] += step
-        zero = not any(map(any, _lagrange_numerators(bad, distinct)[1]))
-        assert zero == squarings_hold(bad, distinct), (t, j, step)
-        verdicts.append(zero)
-    assert squarings_hold(rows, distinct) and not any(map(any, _lagrange_numerators(rows, distinct)[1]))
-    assert verdicts.count(True) == {"V3": 12, "S1": 30}[sel]
+    table = simple_table(family, m)
+    g = fusion_matrix(spec, table)
+    n = len(g.rows)
+    for t, j, step in product(range(n), range(n), (1, -1)):
+        rows = [list(row) for row in g.rows]
+        rows[t][j] += step
+        bad = FusionGraph(g.family, g.m, g.labels, g.dims, tuple(map(tuple, rows)), g.trivial_index)
+        with pytest.raises(VerificationError) as info:
+            spectral_check(bad, spec, table, max_n=6)
+        message = str(info.value)
+        assert "'simple_table_diagonalizes'" in message and "'reconstructs_power_1'" in message, (t, j, step)
+    assert 2 * n * n == {"V3": 32, "S1": 72, "V2": 162}[sel]
 
 
-def test_a_moved_eigenvalue_fails_the_zero_test_by_name():
-    # one diagonal entry of A moved: prod (A - mu I) is no longer 0, and of
-    # the Lagrange identities only the zero test and p >= K = 4 see it
+def test_a_moved_eigenvalue_fails_the_residual_and_every_positive_power_by_name():
+    # one diagonal entry of A moved: X^T A = diag(chi) X^T fails, and so does
+    # every A^p with p >= 1; the identities on X^-T alone hold
     spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
     g = fusion_matrix(spec, TL7)
     rows = [list(row) for row in g.rows]
     rows[0][0] += 1
     bad = FusionGraph(g.family, g.m, g.labels, g.dims, tuple(map(tuple, rows)), g.trivial_index)
-    failed = ["simple_table_diagonalizes", "projections_are_idempotent"]
-    failed += [f"reconstructs_power_{p}" for p in (4, 5, 6)]
+    failed = ["simple_table_diagonalizes"] + [f"reconstructs_power_{p}" for p in range(1, 7)]
     with pytest.raises(VerificationError) as info:
         spectral_check(bad, spec, TL7, max_n=6)
     assert str(info.value) == f"spectral reconstruction failed: {failed}"

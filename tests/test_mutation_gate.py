@@ -198,7 +198,7 @@ def test_a_broken_oracle_invariant_fails_its_checks_by_name(monkeypatch, fresh_o
 def test_one_radical_entry_turns_the_kronecker_checks_of_that_module_red(monkeypatch, fresh_oracle):
     # at MO 5, V2 a class idempotent sends a kept basis element to the free
     # row of kernel column 0, so entry 12 of that column reaches its V2 trace;
-    # every multiplicity query of the module reads the check, at every n
+    # every multiplicity and length query of the module reads the check, at every n
     original = oracle._radical_data
 
     def mutated(*key):
@@ -211,7 +211,9 @@ def test_one_radical_entry_turns_the_kronecker_checks_of_that_module_red(monkeyp
 
     monkeypatch.setattr(oracle, "_radical_data", mutated)
     results = verify.run_suite("all")
-    assert _red(results) == {f"mult:motzkin:5:V2:n{n}:V{t}" for n in (1, 2, 3, 4) for t in range(6)}
+    assert _red(results) == {
+        f"mult:motzkin:5:V2:n{n}:V{t}" for n in (1, 2, 3, 4) for t in range(6)
+    } | {f"length:motzkin:5:V2:n{n}" for n in (1, 2, 3, 4)}
     refusal = "'raised: Kronecker trace at class 3 disagrees with chi"
     assert all(r.rhs.startswith(refusal) for r in results if not r.ok)
 

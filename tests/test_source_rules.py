@@ -74,7 +74,7 @@ def test_every_unchecked_substitution_follows_a_table_check():
                 }
                 if "_substitute" in called:
                     callers[f"{path.name}:{node.name}"] = bool({"_check_compatible", "_oracle_rows"} & called)
-    assert {"fusion.py:fusion_matrix", "oracle.py:_solve_multiplicities"} <= set(callers)
+    assert {"fusion.py:fusion_matrix", "fusion.py:spectral_check", "oracle.py:_solve_multiplicities"} <= set(callers)
     assert sorted(name for name, checked in callers.items() if not checked) == []
 
 
@@ -116,7 +116,6 @@ def test_only_from_partners_makes_an_unchecked_diagram():
 
 # each referee in tests/, and the library routines it referees
 REFEREED = {
-    "lagrange_reference.py": {"_lagrange_numerators"},
     "glue_reference.py": {
         "_glue", "_partner_arrays", "_half_arrays", "_lift", "_flip_partners", "_checked_partners"
     },

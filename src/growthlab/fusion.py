@@ -187,9 +187,10 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, simple: CharTable, max_n: i
         ("projections_are_idempotent", int_mul(xt, inv_t) == ident),
         ("reconstructs_power_0", left_inverse),
     ]
-    power = ident  # A^p
+    power = [list(row) for row in a]  # A^p, as int_mul's lists
     for p in range(1, max_n + 1):
-        power = int_mul(power, a)
+        if p > 1:
+            power = int_mul(power, a)
         checks.append((f"reconstructs_power_{p}", int_mul(inv_t, scaled) == power))
         scaled = [[c * v for v in row] for c, row in zip(chi, scaled)]
 

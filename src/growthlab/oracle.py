@@ -26,16 +26,11 @@ closed forms elsewhere have an independent referee:
   S_i as the count of its fixed points and on V_i as the rank of the Gram
   rows there, a prefix rank of one elimination (see `_module_rows`); the
   brute-force tables are those rows of ints (`_oracle_rows`);
-* the radical basis, as int rows scaled by the least d that makes it
-  integral, is the integer kernel of the Gram rows (`linalg._kernel`),
-  built only for the V_i traces of the Kronecker check;
 * tensor-power multiplicities come from forward substitution on ints
   (`linalg._substitute`) against the brute-force simple table, checked unit
-  upper triangular when built, for a module with one value per label (plus,
-  for a cell or simple module, in the multiplicity and length queries, a
-  Kronecker-power trace check at every n:
-  tr(A^(x)n) = tr(A)^n, so it compares d·tr(e_j) on S_i or V_i with d·chi(j)
-  once per module, and no Kronecker product is built).
+  upper triangular when built, for a module with one value per label; the
+  multiplicity and length queries of a cell or simple module first compare
+  its character with the oracle's own row for it (`_check_character`).
 
 Cell modules are cached per (family, m, i), and each one memoizes the index
 map of every diagram it has seen.  Recomputation is idempotent (pure
@@ -62,8 +57,8 @@ from .diagrams import (
     rank_labels,
 )
 from .errors import InputError, InternalCheckError, VerificationError
-from .growth import ModuleSpec, module_spec
-from .linalg import Mat, _kernel, _prefix_ranks, _substitute
+from .growth import ModuleSpec, parse_selector
+from .linalg import Mat, _prefix_ranks, _substitute
 from .record import Record
 from .tables import label_index
 
@@ -216,22 +211,6 @@ def simple_dimension(family: Family, m: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _radical_data(family: Family, m: int, i: int):
-    """(kernel rows or None, their scale d, the free rows), for the V_i traces of `_module_trace`.
-
-    The kernel basis of the form, as the columns of a matrix K, is kept as
-    the int rows of d·K, d the least scale that makes K integral (`_kernel`).
-    Kernel column c carries a 1 in its free row, which is its last nonzero
-    entry, and 0 in the other free rows; so d·K restricted to the free rows
-    is d·I.  The Kronecker check reads only traces, as tr(A^(x)n) =
-    tr(A)^n: no quotient matrix and no Kronecker product is built.
-    """
-    gram = _gram_rows(family, m, i)
-    _, free_rows, scale, kernel = _kernel(gram, len(gram))
-    return (tuple(zip(*kernel)) if kernel else None), scale, tuple(free_rows)
-
-
-@lru_cache(maxsize=None)
 def _oracle_rows(family: Family, m: int) -> tuple[_Rows, _Rows]:
     """The brute-force (cell rows, simple rows), the simple rows checked unit upper triangular."""
     _check_enumerable(family, m, capped=False)
@@ -250,46 +229,6 @@ def oracle_cell_table(family: Family, m: int) -> Mat:
 @lru_cache(maxsize=None)
 def oracle_simple_table(family: Family, m: int) -> Mat:
     return Mat(_oracle_rows(family, m)[1])
-
-
-# ---------------------------------------------------------------------------
-# module traces for the Kronecker check (tr(A^(x)n) = tr(A)^n: no Kronecker product is built)
-
-def _module_trace(family: Family, m: int, label: str, d: Diagram) -> tuple[int, int]:
-    """(s·tr(d | M), s) for M = S_i or V_i = S_i / rad, label "S<i>" or "V<i>".
-
-    On S_i the trace counts the fixed points of d's index map, and s = 1.  On
-    V_i it is the trace of the block M_kk - K_k·M_fk on the kept (non-free)
-    rows: modulo the radical, v is congruent to v - K·v_f, which vanishes on
-    the free rows.  With s the kernel's scale and s·K its int rows
-    (`_radical_data`), a kept x_c adds s where d fixes it and -(s·K)[c][t]
-    where d sends it to the free row of kernel column t; no other entry of
-    the block is on its diagonal.
-    """
-    i = int(label[1:])
-    image = cell_module(family, m, i).image(d)
-    if label[0] == "S":
-        return sum(c == r for c, r in enumerate(image)), 1
-    kernel, scale, free_rows = _radical_data(family, m, i)
-    free_col = {f: t for t, f in enumerate(free_rows)}
-    kept = [(c, r) for c, r in enumerate(image) if c not in free_col]
-    fixed = sum(c == r for c, r in kept)
-    return scale * fixed - sum(kernel[c][free_col[r]] for c, r in kept if r in free_col), scale
-
-
-@lru_cache(maxsize=None)
-def _kronecker_check_cached(family: Family, m: int, label: str) -> None:
-    """Verify chi(e_j)^n as the trace of the n-fold Kronecker power of e_j's action.
-
-    That trace is tr(e_j)^n, so the comparison at n = 1 decides it for every
-    n: s·tr(e_j) against s·chi(j) on ints, chi read from the module's int
-    `bases`.  Cached per module: the check is deterministic.
-    """
-    spec = module_spec(family, m, label)
-    for j, chi in zip(rank_labels(family, m), spec.bases):
-        trace, scale = _module_trace(family, m, label, class_idempotent(family, m, j))
-        if trace != chi * scale:
-            raise VerificationError(f"Kronecker trace at class {j} disagrees with chi for {label}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,33 +254,39 @@ def _check_query(spec: ModuleSpec, n: int = 0, target: int | None = None) -> int
     return index
 
 
+def _check_character(spec: ModuleSpec) -> None:
+    """VerificationError unless a module labelled "S<i>" or "V<i>" has the
+    oracle's character of S_i or V_i, its row of `_module_rows`; a P module
+    or another label passes unchecked.  A monoid the oracle cannot enumerate
+    is refused before the label is read."""
+    if spec.label[0] in "SV":
+        _check_enumerable(spec.family, spec.m, capped=False)
+        kind, i = parse_selector(spec.family, spec.m, spec.label)
+        if spec.bases != _module_rows(spec.family, spec.m, i)[kind == "V"]:
+            raise VerificationError(f"character of {spec.label} disagrees with the oracle's")
+
+
 def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
     """[V^(x)n : V_target] from brute-force character data only.
 
     Solves the transposed brute-force simple table against the pointwise
-    n-th powers of the character; for a cell or simple module, at every n,
-    additionally verifies the character powers against the traces of the
-    Kronecker powers of the idempotent actions.  As tr(A^(x)n) = tr(A)^n,
-    that is the n = 1 trace, checked once per module, and no Kronecker
-    product is built.
+    n-th powers of the character; a cell or simple module must first have
+    the oracle's own character (`_check_character`).
     """
     index = _check_query(spec, n, target)
+    _check_character(spec)
     value = _solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases))[index]
     if value < 0:
         raise VerificationError(f"multiplicity {value} is negative; inconsistent inputs")
-    if spec.label[0] in "SV":
-        _kronecker_check_cached(spec.family, spec.m, spec.label)
     return value
 
 
 def oracle_length(spec: ModuleSpec, n: int) -> int:
-    """l(n) as the sum of all oracle multiplicities, with the Kronecker check
-    of `oracle_multiplicity` for a cell or simple module."""
+    """l(n) as the sum of all oracle multiplicities, with the character check
+    of `oracle_multiplicity`."""
     _check_query(spec, n)
-    value = sum(_solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases)))
-    if spec.label[0] in "SV":
-        _kronecker_check_cached(spec.family, spec.m, spec.label)
-    return value
+    _check_character(spec)
+    return sum(_solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases)))
 
 
 def oracle_product_multiplicity(

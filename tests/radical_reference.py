@@ -5,16 +5,37 @@ fixed points of an idempotent, after checking that the cellular form is
 invariant under it.  This route takes it as a trace instead: the full trace
 of the idempotent on the cell module less its trace on the radical of the
 form, with the radical's stability under the idempotent checked by one
-integer product.  The radical basis is the oracle's `_radical_data`, read
-through the module so that a test can replace it.
+integer product.  The radical basis is `_radical`, the `Fraction` referee's
+kernel of the oracle's Gram rows on ints, read through the module so that a
+test can replace it.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+
+import linalg_reference
 
 from growthlab import oracle
 from growthlab.diagrams import Family, class_idempotent
 from growthlab.errors import InternalCheckError
-from growthlab.linalg import int_mul
+from growthlab.linalg import Mat, int_mul
+
+
+@lru_cache(maxsize=None)
+def _radical(family: Family, m: int, i: int):
+    """(kernel rows or None, their scale d, the free rows) of the form on S_i.
+
+    The kernel basis K, as columns, comes from the `Fraction` reduction of
+    the Gram rows, one vector per free column with a 1 there and 0 in the
+    other free columns; d is the lcm of its denominators, the rows of d·K
+    are ints, and each free row is the last nonzero entry of its vector.
+    """
+    _, vectors = linalg_reference.kernel_and_rank(Mat(oracle._gram_rows(family, m, i)))
+    scale = lcm(*(x.denominator for v in vectors for x in v))
+    columns = [tuple(int(x * scale) for x in v) for v in vectors]
+    free_rows = tuple(max(r for r, x in enumerate(v) if x) for v in vectors)
+    return (tuple(zip(*columns)) if columns else None), scale, free_rows
 
 
 def _fixed_points(image: tuple[int, ...]) -> int:
@@ -42,7 +63,7 @@ def simple_character(family: Family, m: int, i: int, j: int) -> Fraction:
     """
     module = oracle.cell_module(family, m, i)
     image = module.image(class_idempotent(family, m, j))
-    kernel, scale, free_rows = oracle._radical_data(family, m, i)
+    kernel, scale, free_rows = _radical(family, m, i)
     if kernel is None:
         return Fraction(_fixed_points(image))
     ak = _image_times(image, kernel)

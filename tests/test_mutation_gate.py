@@ -195,27 +195,26 @@ def test_a_broken_oracle_invariant_fails_its_checks_by_name(monkeypatch, fresh_o
     assert "FAIL oracle-cell:motzkin:5: " in out and "'raised: S_2: probe'" in out
 
 
-def test_one_radical_entry_turns_the_kronecker_checks_of_that_module_red(monkeypatch, fresh_oracle):
-    # at MO 5, V2 a class idempotent sends a kept basis element to the free
-    # row of kernel column 0, so entry 12 of that column reaches its V2 trace;
-    # every multiplicity and length query of the module reads the check, at every n
-    original = oracle._radical_data
+def test_one_character_entry_turns_the_queries_of_that_module_red(monkeypatch, fresh_oracle):
+    # the multiplicity and length queries of MO 5 V2 check its character
+    # against the oracle's simple row, at every n; the tensor-rule checks
+    # read other modules
+    original = verify.module_spec
 
-    def mutated(*key):
-        kernel, scale, free_rows = original(*key)
-        if key != (Family.MOTZKIN, 5, 2):
-            return kernel, scale, free_rows
-        rows = [list(row) for row in kernel]
-        rows[12][0] += 1
-        return tuple(map(tuple, rows)), scale, free_rows
+    def mutated(family, m, label):
+        spec = original(family, m, label)
+        if (family, m, label) != (Family.MOTZKIN, 5, "V2"):
+            return spec
+        chi = spec.charvec[:3] + (spec.charvec[3] + 1,) + spec.charvec[4:]
+        return growth.ModuleSpec(spec.label, family, m, spec.dim, chi)
 
-    monkeypatch.setattr(oracle, "_radical_data", mutated)
+    monkeypatch.setattr(verify, "module_spec", mutated)
     results = verify.run_suite("all")
     assert _red(results) == {
         f"mult:motzkin:5:V2:n{n}:V{t}" for n in (1, 2, 3, 4) for t in range(6)
     } | {f"length:motzkin:5:V2:n{n}" for n in (1, 2, 3, 4)}
-    refusal = "'raised: Kronecker trace at class 3 disagrees with chi"
-    assert all(r.rhs.startswith(refusal) for r in results if not r.ok)
+    refusal = repr("raised: character of V2 disagrees with the oracle's")
+    assert {r.rhs for r in results if not r.ok} == {refusal}
 
 
 def test_one_hump_count_turns_the_closed_form_checks_from_that_j_red(monkeypatch, fresh_oracle):
@@ -261,8 +260,9 @@ def test_one_entry_of_every_spectral_product_turns_the_spectral_checks_red(monke
 
 def test_the_table_suite_builds_no_mat(monkeypatch, fresh_oracle):
     # the tables are compared as int rows, and the printed inverses by int
-    # products; the radicals of the Kronecker checks are integer kernels, so a
-    # whole verify run, on caches as cold as the table suite's, builds none
+    # products; the queries check their characters against the oracle's int
+    # rows, so a whole verify run, on caches as cold as the table suite's,
+    # builds none
     built = []
     original = Mat.__init__
     monkeypatch.setattr(Mat, "__init__", lambda self, rows: built.append(1) or original(self, rows))

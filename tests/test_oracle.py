@@ -1,9 +1,10 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -26,13 +27,10 @@ from growthlab.diagrams import (
 )
 from growthlab import diagrams, oracle, verify
 from growthlab.errors import InputError, InternalCheckError, VerificationError
-from growthlab.linalg import Mat, inverse, kernel_and_rank, mat_mul
+from growthlab.linalg import Mat, _kernel, inverse, kernel_and_rank, mat_mul
 from growthlab.oracle import (
     CellModule,
-    _kronecker_check_cached,
-    _module_trace,
     _oracle_rows,
-    _radical_data,
     cell_character,
     cell_module,
     count_check,
@@ -251,8 +249,8 @@ def test_referee_path_builds_no_action_matrix(monkeypatch):
 
 
 def _scaled_radical(family, m, i, factor):
-    """_radical_data with the kernel rows and their scale multiplied by factor."""
-    original = oracle._radical_data
+    """The referee's `_radical` with the kernel rows and their scale multiplied by factor."""
+    original = radical_reference._radical
 
     def scaled(f, mm, ii):
         kernel, scale, free_rows = original(f, mm, ii)
@@ -269,33 +267,55 @@ def test_radical_scale_changes_no_character(monkeypatch, family, m, i):
     # every kernel here is integral (d = 1); a scale of 3 exercises d
     labels = rank_labels(family, m)
     expected = [radical_reference.simple_character(family, m, i, j) for j in labels]
-    sample = [class_idempotent(family, m, j) for j in labels]
-    traces = [Fraction(*_module_trace(family, m, f"V{i}", d)) for d in sample]
-    monkeypatch.setattr(oracle, "_radical_data", _scaled_radical(family, m, i, 3))
+    monkeypatch.setattr(radical_reference, "_radical", _scaled_radical(family, m, i, 3))
     assert [radical_reference.simple_character(family, m, i, j) for j in labels] == expected
-    assert [Fraction(*_module_trace(family, m, f"V{i}", d)) for d in sample] == traces
-    _kronecker_check_cached.__wrapped__(family, m, f"V{i}")
 
 
-def test_kronecker_check_sees_a_wrong_character(monkeypatch):
+def test_the_character_check_sees_a_wrong_character():
     spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
-    wrong = type(spec)(spec.label, spec.family, spec.m, spec.dim, (2,) + spec.charvec[1:])
-    monkeypatch.setattr(oracle, "module_spec", lambda family, m, label: wrong)
-    with pytest.raises(VerificationError, match="Kronecker trace at class 1"):
-        _kronecker_check_cached.__wrapped__(Family.TEMPERLEY_LIEB, 7, "V3")
+    cell = module_spec(Family.TEMPERLEY_LIEB, 7, "S3")
+    wrong = [
+        ModuleSpec("V3", spec.family, spec.m, spec.dim, (2,) + spec.charvec[1:]),
+        ModuleSpec("V3", spec.family, spec.m, cell.dim, cell.charvec),  # S3's character, labelled V3
+        ModuleSpec("S3", spec.family, spec.m, spec.dim, spec.charvec),
+    ]
+    # unchecked, S3's character would answer 111 and 124 where V3's are 84 and 97
+    unchecked = ModuleSpec("P3", spec.family, spec.m, cell.dim, cell.charvec)
+    assert (oracle_multiplicity(unchecked, 2, 7), oracle_length(unchecked, 2)) == (111, 124)
+    for bad in wrong:
+        for query in (lambda: oracle_multiplicity(bad, 2, 7), lambda: oracle_length(bad, 2)):
+            with pytest.raises(VerificationError, match=f"^character of {bad.label} disagrees with the oracle's$"):
+                query()
+
+
+@pytest.mark.parametrize(
+    "label,message",
+    [
+        ("Vx", "bad module selector 'Vx'"),
+        ("S 3", "bad module selector 'S 3'"),
+        ("V-1", "bad module selector 'V-1'"),
+        ("V9", "label 9 is not a temperley_lieb m=7 label"),
+    ],
+)
+def test_a_bad_cell_or_simple_label_is_refused_as_input(label, message):
+    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
+    bad = ModuleSpec(label, spec.family, spec.m, spec.dim, spec.charvec)
+    for query in (lambda: oracle_multiplicity(bad, 2, 7), lambda: oracle_length(bad, 2)):
+        with pytest.raises(InputError, match="^" + re.escape(message)):
+            query()
 
 
 @pytest.mark.parametrize(
     "family,m,i", [(Family.TEMPERLEY_LIEB, 5, 1), (Family.TEMPERLEY_LIEB, 7, 3), (Family.MOTZKIN, 4, 2)]
 )
 def test_unstable_radical_raises(monkeypatch, family, m, i):
-    kernel, scale, free_rows = _radical_data(family, m, i)
+    kernel, scale, free_rows = radical_reference._radical(family, m, i)
     # kernel column 0 loses its last entry off the free rows: not stable (the
     # unit vector of its free row can be, as at MO 4, i = 2, where every
     # class idempotent but the identity kills that basis element)
     last = max(r for r, row in enumerate(kernel) if row[0] and r not in free_rows)
     rows = tuple((0 if r == last else row[0],) + row[1:] for r, row in enumerate(kernel))
-    monkeypatch.setattr(oracle, "_radical_data", lambda *key: (rows, scale, free_rows))
+    monkeypatch.setattr(radical_reference, "_radical", lambda *key: (rows, scale, free_rows))
     raised = 0
     for j in rank_labels(family, m):
         try:
@@ -668,18 +688,18 @@ def test_integer_solve_matches_the_fraction_referee(monkeypatch):
         assert y == solve_lower_triangular(oracle_simple_table(family, m).transpose(), rhs)
 
 
-def test_verify_builds_a_radical_only_for_the_kronecker_modules():
-    # the radical serves only the V traces of the four modules that the
-    # Kronecker checks take; the simple characters never build one
+def test_verify_builds_no_integer_kernel():
+    # the oracle reads its simple characters as prefix ranks, and checks a
+    # query's character against them, so a fresh verify run takes no kernel
     code = (
-        "from growthlab import oracle, verify\n"
-        "from growthlab.diagrams import Family\n"
+        "import sys\n"
+        "from growthlab import linalg, verify\n"
+        "bound = [name for name, module in sys.modules.items()\n"
+        "         if name.startswith('growthlab') and getattr(module, '_kernel', None) is linalg._kernel]\n"
+        "calls, original = [], linalg._kernel\n"
+        "linalg._kernel = lambda *args: calls.append(1) or original(*args)\n"
         "verify.run_suite('all')\n"
-        "print(oracle._radical_data.cache_info().currsize)\n"
-        "for key in ((Family.TEMPERLEY_LIEB, 7, 3), (Family.MOTZKIN, 5, 2),\n"
-        "            (Family.PLANAR_ROOK, 5, 1), (Family.PLANAR_ROOK, 4, 2)):\n"
-        "    oracle._radical_data(*key)\n"
-        "print(oracle._radical_data.cache_info().currsize)\n"
+        "print(*bound, len(calls))\n"
     )
     src = str(Path(oracle.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -688,37 +708,19 @@ def test_verify_builds_a_radical_only_for_the_kronecker_modules():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["4", "4"]
+    assert done.stdout.split() == ["growthlab.linalg", "0"]
 
 
 # ---------------------------------------------------------------------------
-# radical quotients against the general-inverse routes
+# radical quotients against the general-inverse route
 
 
-def _inverse_routes(kernel_cols):
-    """The radical sub-action and the quotient action through general inverses.
-
-    sub(M) = (K^T K)^-1 K^T M K solves K A = M K by the normal equations;
-    quotient(M) is the top-left block of C^-1 M C, C = [kept unit vectors | K],
-    where the free row of a kernel column is its last nonzero entry.
-    """
-    n = kernel_cols.nrows
-    cols = list(zip(*kernel_cols.rows))
+def _sub_action(kernel_cols):
+    """The radical sub-action through a general inverse: sub(M) =
+    (K^T K)^-1 K^T M K solves K A = M K by the normal equations."""
     kt = kernel_cols.transpose()
     pseudo = mat_mul(inverse(mat_mul(kt, kernel_cols)), kt)
-    free_rows = [max(r for r in range(n) if col[r] != 0) for col in cols]
-    keep = [r for r in range(n) if r not in free_rows]
-    change = Mat.from_cols([tuple(int(r == k) for r in range(n)) for k in keep] + cols)
-    change_inv = inverse(change)
-
-    def sub(action):
-        return mat_mul(pseudo, mat_mul(action, kernel_cols))
-
-    def quotient(action):
-        conjugated = mat_mul(change_inv, mat_mul(action, change))
-        return Mat([row[: len(keep)] for row in conjugated.rows[: len(keep)]])
-
-    return sub, quotient
+    return lambda action: mat_mul(pseudo, mat_mul(action, kernel_cols))
 
 
 @pytest.mark.parametrize(
@@ -727,13 +729,9 @@ def _inverse_routes(kernel_cols):
 )
 def test_radical_quotients_match_inverse_routes(family, m):
     labels = rank_labels(family, m)
-    idempotents = [class_idempotent(family, m, j) for j in labels]
-    elements = enumerate_diagrams(family, m)
-    whole = (family, m) in {(Family.TEMPERLEY_LIEB, 5), (Family.MOTZKIN, 3)}
-    sample = elements if whole else random.Random(m).sample(elements, 4)
     radicals = 0
     for i in labels:
-        kernel, scale, free_rows = _radical_data(family, m, i)
+        kernel, scale, free_rows = radical_reference._radical(family, m, i)
         if kernel is None:
             continue
         radicals += 1
@@ -743,29 +741,25 @@ def test_radical_quotients_match_inverse_routes(family, m):
             [scale * (r == c) for c in range(len(free_rows))] for r in range(len(free_rows))
         ])
         module = cell_module(family, m, i)
-        sub, quotient = _inverse_routes(kernel_cols)
-        for j, e in zip(labels, idempotents):
-            action = module.action(e)
+        sub = _sub_action(kernel_cols)
+        for j in labels:
+            action = module.action(class_idempotent(family, m, j))
             trace = action.trace() - sub(action).trace()
             assert radical_reference.simple_character(family, m, i, j) == trace
-        for d in idempotents + list(sample):
-            assert Fraction(*_module_trace(family, m, f"V{i}", d)) == quotient(module.action(d)).trace()
     assert radicals > 0
 
 
 @pytest.mark.parametrize("family,m", GENERATOR_CASES)
 def test_radical_matches_the_fraction_kernel_at_every_module(family, m):
-    # the integer kernel over its scale is the Fraction referee's kernel, the
-    # scale is the lcm of its denominators, and each free row is the last
-    # nonzero entry of its kernel vector
+    # the library's integer kernel of the Gram rows is the referee's radical:
+    # the Fraction kernel scaled by the lcm of its denominators, each free
+    # row the last nonzero entry of its kernel vector
     for i in rank_labels(family, m):
         gram = oracle._gram_rows(family, m, i)
-        rank, expected = linalg_reference.kernel_and_rank(Mat(gram))
-        kernel, scale, free_rows = _radical_data(family, m, i)
-        columns = list(zip(*kernel)) if kernel is not None else []
-        assert [tuple(Fraction(x, scale) for x in col) for col in columns] == expected
-        assert scale == lcm(*(x.denominator for v in expected for x in v))
-        assert list(free_rows) == [max(r for r, x in enumerate(v) if x) for v in expected]
+        rank, free_rows, scale, kernel = _kernel(gram, len(gram))
+        assert radical_reference._radical(family, m, i) == (
+            tuple(zip(*kernel)) if kernel else None, scale, tuple(free_rows)
+        )
         assert rank + len(free_rows) == len(gram)
 
 

@@ -122,7 +122,7 @@ REFEREED = {
     "linalg_reference.py": {
         "_substitute", "_forward", "_reduce", "_solve", "_kernel", "_solve_multiplicities", "_prefix_ranks"
     },
-    "radical_reference.py": {"_module_rows", "_oracle_rows", "_prefix_ranks"},
+    "radical_reference.py": {"_module_rows", "_oracle_rows", "_prefix_ranks", "_kernel"},
     "series_reference.py": {"_growth_series", "_inverse_column", "_cell_columns"},
     "riordan_reference.py": {"_inverse_column"},
 }

@@ -63,11 +63,11 @@ def test_a_report_of_any_text_is_the_stdlib_report(results):
     assert report_json(results) == stdlib_report(results)
 
 
-def test_a_verify_run_makes_52_integer_products(monkeypatch):
+def test_a_verify_run_makes_49_integer_products(monkeypatch):
     # 3 printed inverses; 4 Riordan products, one at the top of each label
     # chain (m = 20, and m = 19 for Temperley-Lieb's odd labels); and per
-    # fusion graph 15: 1 for X^T A, 6 powers of A, X^-T X^T and X^T X^-T,
-    # and 6 reconstructions X^-T (diag(chi^p) X^T) for p >= 1
+    # fusion graph 14: 1 for X^T A, 5 powers A^2..A^6 (A^1 is A), X^-T X^T
+    # and X^T X^-T, and 6 reconstructions X^-T (diag(chi^p) X^T) for p >= 1
     bound = {
         name for name, module in sys.modules.items()
         if name.startswith("growthlab") and getattr(module, "int_mul", None) is int_mul
@@ -83,7 +83,7 @@ def test_a_verify_run_makes_52_integer_products(monkeypatch):
     monkeypatch.setattr(fusion, "int_mul", counted)
     monkeypatch.setattr(verify, "int_mul", counted)
     verify.run_suite("all")
-    assert len(calls) == 52
+    assert len(calls) == 49
 
 
 def test_each_riordan_product_is_the_product_at_its_m():

@@ -53,7 +53,6 @@ class Family(Enum):
 PLANAR_FAMILIES = frozenset(
     {Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN}
 )
-SYMMETRIC_FAMILIES = frozenset(set(Family)) - PLANAR_FAMILIES
 
 # Default strand-count caps for full enumeration; GROWTHLAB_MAX_M lifts them
 # (at the user's risk: the monoid order grows exponentially in m, and so does
@@ -187,11 +186,6 @@ def parse_blocks(text: str, m: int) -> tuple[Block, ...]:
                 raise InputError(f"bad point {tok!r} in block list {text!r}") from None
         blocks.append(tuple(points))
     return _canonical_blocks(blocks)
-
-
-def validate_diagram(d: Diagram) -> None:
-    """Raise InputError unless d is a well-formed member of its family (the constructor's check)."""
-    _checked_partners(d.family, d.m, d.blocks)
 
 
 def make_diagram(family: Family, m: int, blocks) -> Diagram:

@@ -12,9 +12,8 @@ start of each right-hand side.  One loop eliminates: `_forward` reduces int
 rows one at a time by the pivots before them (Bareiss's fraction-free update,
 with no `Fraction`), and gives the rank of every prefix (`_prefix_ranks`).
 Run twice it gives the reduced row echelon form as int rows (`_reduce`), and
-from that `_solve`, `inverse` and the integer kernel `_kernel` (which
-`kernel_and_rank` divides by its scale); a `Fraction` is made only for a
-rational answer.
+from that `_solve`, `inverse` and `kernel_and_rank`; a `Fraction` is made
+only for a rational answer.
 All matrices in this project are small (at most a few hundred rows), so
 dense storage is fine.
 
@@ -253,25 +252,6 @@ def _solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]
     return [[Fraction(x, p) for x in row[n:]] for _, p, row in pivots]
 
 
-def _kernel(rows: Iterable[Sequence], ncols: int) -> tuple[int, list[int], int, list[list[int]]]:
-    """(rank, free columns, d, d·v for each kernel vector v), all ints (`_reduce`):
-    one v per free column, in ascending order, 1 there, 0 in the other free
-    columns and minus the reduced form's entry in each pivot column; d is the
-    least scale that makes every v integral."""
-    pivots = _reduce(rows, ncols)
-    pivot_cols = {c for c, _, _ in pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    d = lcm(*(p // gcd(p, row[f]) for _, p, row in pivots for f in free))
-    kernel = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = d
-        for c, p, row in pivots:
-            v[c] = -d * row[f] // p
-        kernel.append(v)
-    return len(pivots), free, d, kernel
-
-
 def inverse(a: Mat) -> Mat:
     """Exact inverse: `_solve` against the identity; SingularMatrixError if there is none."""
     if not a.is_square():
@@ -281,10 +261,20 @@ def inverse(a: Mat) -> Mat:
 
 
 def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Rank and an exact basis of the right kernel, via reduced row echelon form.
+    """Rank and an exact basis of the right kernel, from the int pivots of the
+    reduced row echelon form (`_reduce`).
 
-    Kernel vectors are produced one per free column, in ascending column
-    order, with a 1 in the free coordinate (deterministic; see `_kernel`).
+    One kernel vector per free column f, in ascending order (deterministic):
+    1 at f, 0 at the other free columns, and at each pivot column c minus
+    entry f of the reduced form's row with its pivot at c.
     """
-    rank, _, d, kernel = _kernel(a.rows, a.ncols)
-    return rank, [tuple(Fraction(x, d) for x in v) for v in kernel]
+    pivots = _reduce(a.rows, a.ncols)
+    pivot_cols = {c for c, _, _ in pivots}
+    kernel = []
+    for f in (c for c in range(a.ncols) if c not in pivot_cols):
+        v = [Fraction(0)] * a.ncols
+        v[f] = Fraction(1)
+        for c, p, row in pivots:
+            v[c] = Fraction(-row[f], p)
+        kernel.append(tuple(v))
+    return len(pivots), kernel

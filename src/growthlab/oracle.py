@@ -32,10 +32,10 @@ closed forms elsewhere have an independent referee:
   multiplicity and length queries of a cell or simple module first compare
   its character with the oracle's own row for it (`_check_character`).
 
-Cell modules are cached per (family, m, i), and each one memoizes the index
-map of every diagram it has seen.  Recomputation is idempotent (pure
-functions of immutable inputs), so concurrent queries are safe — a race can
-at worst duplicate work.
+Cell modules are cached per (family, m, i); an index map is made at each
+call, and the cached per-module pass (`_module_rows`) asks once per class
+idempotent.  Recomputation is idempotent (pure functions of immutable
+inputs), so concurrent queries are safe — a race can at worst duplicate work.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def half_diagrams(family: Family, m: int, i: int) -> tuple[tuple[int, ...], ...]
 
 
 class CellModule:
-    """Cell module S_i for (family, m): basis plus a per-diagram image cache."""
+    """Cell module S_i for (family, m): the half-diagram basis and the action on it."""
 
     def __init__(self, family: Family, m: int, i: int):
         self.family = family
@@ -84,7 +84,6 @@ class CellModule:
         self.basis = half_diagrams(family, m, i)
         self._lifts = tuple(_lift(x) for x in self.basis)
         self._index = {x: k for k, x in enumerate(self.basis)}
-        self._image_cache: dict[Diagram, tuple[int, ...]] = {}
 
     @property
     def dim(self) -> int:
@@ -94,9 +93,6 @@ class CellModule:
         """d as an index map: entry c is the basis index of d·x_c, or -1 where it is 0."""
         if d.family is not self.family or d.m != self.m:
             raise InputError("diagram does not act on this module")
-        cached = self._image_cache.get(d)
-        if cached is not None:
-            return cached
         pd = d.partners
         images = []
         for lift in self._lifts:
@@ -108,9 +104,7 @@ class CellModule:
                 images.append(self._index[top])
             except KeyError as exc:
                 raise InternalCheckError(f"action left the half-diagram basis: {top}") from exc
-        result = tuple(images)
-        self._image_cache[d] = result
-        return result
+        return tuple(images)
 
     def action(self, d: Diagram) -> Mat:
         """The 0/1 matrix of d on the basis, built from its index map."""
@@ -129,7 +123,6 @@ def cell_module(family: Family, m: int, i: int) -> CellModule:
 _Rows = tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
 def _gram_rows(family: Family, m: int, i: int) -> _Rows:
     """The cellular bilinear form on the half-diagram basis of S_i, as int rows.
 
@@ -255,15 +248,14 @@ def _check_query(spec: ModuleSpec, n: int = 0, target: int | None = None) -> int
 
 
 def _check_character(spec: ModuleSpec) -> None:
-    """VerificationError unless a module labelled "S<i>" or "V<i>" has the
-    oracle's character of S_i or V_i, its row of `_module_rows`; a P module
-    or another label passes unchecked.  A monoid the oracle cannot enumerate
-    is refused before the label is read."""
-    if spec.label[0] in "SV":
-        _check_enumerable(spec.family, spec.m, capped=False)
-        kind, i = parse_selector(spec.family, spec.m, spec.label)
-        if spec.bases != _module_rows(spec.family, spec.m, i)[kind == "V"]:
-            raise VerificationError(f"character of {spec.label} disagrees with the oracle's")
+    """VerificationError unless a cell or simple module has the oracle's
+    character of S_i or V_i, its row of `_module_rows`; a P module passes,
+    the oracle having no trace of it.  A monoid the oracle cannot enumerate
+    is refused first, then a label that `growth.parse_selector` refuses."""
+    _check_enumerable(spec.family, spec.m, capped=False)
+    kind, i = parse_selector(spec.family, spec.m, spec.label)
+    if kind != "P" and spec.bases != _module_rows(spec.family, spec.m, i)[kind == "V"]:
+        raise VerificationError(f"character of {spec.label} disagrees with the oracle's")
 
 
 def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:

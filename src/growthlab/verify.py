@@ -27,8 +27,6 @@ from .tables import (
     simple_table,
 )
 
-SUITES = ("counts", "tables", "growth", "fusion")
-
 
 class CheckResult(Record):
     """One cross-check: its name, "ok" or "fail", both sides and where it ran."""
@@ -282,6 +280,7 @@ _SUITE_FNS = {
     "growth": check_growth,
     "fusion": check_fusion,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(suite: str = "all", max_m: int | None = None) -> list[CheckResult]:

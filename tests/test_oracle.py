@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,7 @@ from growthlab.diagrams import (
 )
 from growthlab import diagrams, oracle, verify
 from growthlab.errors import InputError, InternalCheckError, VerificationError
-from growthlab.linalg import Mat, _kernel, inverse, kernel_and_rank, mat_mul
+from growthlab.linalg import Mat, inverse, kernel_and_rank, mat_mul
 from growthlab.oracle import (
     CellModule,
     _oracle_rows,
@@ -245,7 +245,7 @@ def test_referee_path_builds_no_action_matrix(monkeypatch):
     monkeypatch.setattr(CellModule, "action", no_action)
     results = verify.check_tables() + verify.check_growth()
     assert results and all(r.ok for r in results)
-    assert cell_module(Family.TEMPERLEY_LIEB, 7, 3)._image_cache  # the cold caches were refilled
+    assert oracle._module_rows.cache_info().currsize  # the cold caches were refilled
 
 
 def _scaled_radical(family, m, i, factor):
@@ -277,11 +277,16 @@ def test_the_character_check_sees_a_wrong_character():
     wrong = [
         ModuleSpec("V3", spec.family, spec.m, spec.dim, (2,) + spec.charvec[1:]),
         ModuleSpec("V3", spec.family, spec.m, cell.dim, cell.charvec),  # S3's character, labelled V3
+        # labels that `parse_selector` reads as V3, once passed unchecked
+        ModuleSpec("v3", spec.family, spec.m, cell.dim, cell.charvec),
+        ModuleSpec(" V3", spec.family, spec.m, cell.dim, cell.charvec),
         ModuleSpec("S3", spec.family, spec.m, spec.dim, spec.charvec),
     ]
-    # unchecked, S3's character would answer 111 and 124 where V3's are 84 and 97
-    unchecked = ModuleSpec("P3", spec.family, spec.m, cell.dim, cell.charvec)
-    assert (oracle_multiplicity(unchecked, 2, 7), oracle_length(unchecked, 2)) == (111, 124)
+    # S3's character answers 111 and 124 where V3's are 84 and 97: unchecked
+    # as a P module, and checked under the lower-case label of S3
+    for label in ("P3", "s3"):
+        right = ModuleSpec(label, spec.family, spec.m, cell.dim, cell.charvec)
+        assert (oracle_multiplicity(right, 2, 7), oracle_length(right, 2)) == (111, 124)
     for bad in wrong:
         for query in (lambda: oracle_multiplicity(bad, 2, 7), lambda: oracle_length(bad, 2)):
             with pytest.raises(VerificationError, match=f"^character of {bad.label} disagrees with the oracle's$"):
@@ -295,6 +300,11 @@ def test_the_character_check_sees_a_wrong_character():
         ("S 3", "bad module selector 'S 3'"),
         ("V-1", "bad module selector 'V-1'"),
         ("V9", "label 9 is not a temperley_lieb m=7 label"),
+        # every label is read as a module selector: an empty one once raised
+        # a bare IndexError, and one of another kind passed unchecked
+        ("", "bad module selector ''"),
+        ("X3", "bad module selector 'X3'"),
+        ("P9", "label 9 is not a temperley_lieb m=7 label"),
     ],
 )
 def test_a_bad_cell_or_simple_label_is_refused_as_input(label, message):
@@ -481,9 +491,20 @@ def test_perturbed_gram_entry_raises(monkeypatch, fresh_module_rows, family, m, 
         _oracle_rows.__wrapped__(family, m)
 
 
+def _override_images(monkeypatch, module):
+    """Make `CellModule.image` of module return the map stored at a diagram in the
+    returned dict, and the true map of every other diagram or module."""
+    overrides, original = {}, CellModule.image
+    monkeypatch.setattr(
+        CellModule, "image", lambda self, d: overrides[d] if self is module and d in overrides else original(self, d)
+    )
+    return overrides
+
+
 @pytest.mark.parametrize("family,m,i", [case[:3] for case in MUTATED_FORMS])
 def test_perturbed_index_map_raises(monkeypatch, fresh_module_rows, family, m, i):
     module = cell_module(family, m, i)
+    overrides = _override_images(monkeypatch, module)
     perturbed = 0
     for j in rank_labels(family, m):
         e = class_idempotent(family, m, j)
@@ -495,10 +516,10 @@ def test_perturbed_index_map_raises(monkeypatch, fresh_module_rows, family, m, i
         # the first zero image lands on a fixed point: still an idempotent map
         wrong = list(image)
         wrong[dead[0]] = fixed[0]
-        monkeypatch.setitem(module._image_cache, e, tuple(wrong))
+        overrides[e] = tuple(wrong)
         with pytest.raises(InternalCheckError, match="not idempotent, or form not symmetric"):
             simple_character(family, m, i, j)
-        monkeypatch.setitem(module._image_cache, e, image)
+        del overrides[e]
         perturbed += 1
     assert perturbed >= 2
 
@@ -512,7 +533,7 @@ def test_an_involution_in_place_of_the_idempotent_raises(monkeypatch, fresh_modu
     image = module.image(e)
     a, b = [c for c, r in enumerate(image) if r < 0][:2]
     swapped = tuple(b if c == a else a if c == b else r for c, r in enumerate(image))
-    monkeypatch.setitem(module._image_cache, e, swapped)
+    _override_images(monkeypatch, module)[e] = swapped
     with pytest.raises(InternalCheckError, match="not idempotent"):
         simple_character(family, m, i, j)
 
@@ -562,7 +583,7 @@ def test_fixed_points_must_nest(monkeypatch, fresh_module_rows):
     c = next(c for c, r in enumerate(module.image(e3)) if c == r)
     image = module.image(e4)
     assert image[c] == c
-    monkeypatch.setitem(module._image_cache, e4, tuple(-1 if a == c else r for a, r in enumerate(image)))
+    _override_images(monkeypatch, module)[e4] = tuple(-1 if a == c else r for a, r in enumerate(image))
     with pytest.raises(InternalCheckError, match=f"S_{i}: fixed points of .* miss those of the label before"):
         simple_character(family, m, i, 4)
 
@@ -574,7 +595,7 @@ def test_the_last_idempotent_must_fix_every_basis_element(monkeypatch, fresh_mod
     module, identity = cell_module(family, m, i), class_idempotent(family, m, 5)
     assert module.image(identity) == tuple(range(module.dim))
     c = next(c for c, r in enumerate(module.image(class_idempotent(family, m, 4))) if r != c)
-    monkeypatch.setitem(module._image_cache, identity, tuple(-1 if a == c else a for a in range(module.dim)))
+    _override_images(monkeypatch, module)[identity] = tuple(-1 if a == c else a for a in range(module.dim))
     with pytest.raises(InternalCheckError, match=f"S_{i}: the last class idempotent does not fix every basis element"):
         simple_dimension(family, m, i)
 
@@ -690,14 +711,15 @@ def test_integer_solve_matches_the_fraction_referee(monkeypatch):
 
 def test_verify_builds_no_integer_kernel():
     # the oracle reads its simple characters as prefix ranks, and checks a
-    # query's character against them, so a fresh verify run takes no kernel
+    # query's character against them, so a fresh verify run takes no kernel,
+    # nor any other reduced echelon form
     code = (
         "import sys\n"
         "from growthlab import linalg, verify\n"
         "bound = [name for name, module in sys.modules.items()\n"
-        "         if name.startswith('growthlab') and getattr(module, '_kernel', None) is linalg._kernel]\n"
-        "calls, original = [], linalg._kernel\n"
-        "linalg._kernel = lambda *args: calls.append(1) or original(*args)\n"
+        "         if name.startswith('growthlab') and getattr(module, '_reduce', None) is linalg._reduce]\n"
+        "calls, original = [], linalg._reduce\n"
+        "linalg._reduce = lambda *args: calls.append(1) or original(*args)\n"
         "verify.run_suite('all')\n"
         "print(*bound, len(calls))\n"
     )
@@ -751,16 +773,20 @@ def test_radical_quotients_match_inverse_routes(family, m):
 
 @pytest.mark.parametrize("family,m", GENERATOR_CASES)
 def test_radical_matches_the_fraction_kernel_at_every_module(family, m):
-    # the library's integer kernel of the Gram rows is the referee's radical:
-    # the Fraction kernel scaled by the lcm of its denominators, each free
-    # row the last nonzero entry of its kernel vector
+    # the library's kernel of the form, scaled by the lcm of its
+    # denominators, is the referee's radical: one vector per free row, 1 there
+    # and 0 at the other free rows, each free row its last nonzero entry
     for i in rank_labels(family, m):
-        gram = oracle._gram_rows(family, m, i)
-        rank, free_rows, scale, kernel = _kernel(gram, len(gram))
+        gram = gram_matrix(family, m, i)
+        rank, kernel = kernel_and_rank(gram)
+        free_rows = tuple(max(r for r, x in enumerate(v) if x) for v in kernel)
+        assert [[v[f] for f in free_rows] for v in kernel] == [[int(f == g) for f in free_rows] for g in free_rows]
+        scale = lcm(*(x.denominator for v in kernel for x in v))
+        columns = [tuple(int(x * scale) for x in v) for v in kernel]
         assert radical_reference._radical(family, m, i) == (
-            tuple(zip(*kernel)) if kernel else None, scale, tuple(free_rows)
+            tuple(zip(*columns)) if columns else None, scale, free_rows
         )
-        assert rank + len(free_rows) == len(gram)
+        assert rank + len(free_rows) == gram.nrows
 
 
 # ---------------------------------------------------------------------------

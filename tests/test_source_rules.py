@@ -120,9 +120,9 @@ REFEREED = {
         "_glue", "_partner_arrays", "_half_arrays", "_lift", "_flip_partners", "_checked_partners"
     },
     "linalg_reference.py": {
-        "_substitute", "_forward", "_reduce", "_solve", "_kernel", "_solve_multiplicities", "_prefix_ranks"
+        "_substitute", "_forward", "_reduce", "_solve", "_solve_multiplicities", "_prefix_ranks"
     },
-    "radical_reference.py": {"_module_rows", "_oracle_rows", "_prefix_ranks", "_kernel"},
+    "radical_reference.py": {"_module_rows", "_oracle_rows", "_prefix_ranks", "_reduce"},
     "series_reference.py": {"_growth_series", "_inverse_column", "_cell_columns"},
     "riordan_reference.py": {"_inverse_column"},
 }
@@ -152,20 +152,47 @@ def test_referees_stay_independent_of_what_they_referee():
     assert found == []
 
 
-def test_the_oracle_caches_the_benchmark_clears_are_lru_caches():
-    # before every pass, perfbench reads `.cache_info()` of each name in
-    # layertrace.ORACLE_CACHED; read the tuple without importing perfbench
-    from growthlab import oracle
-
-    path = Path(__file__).parent.parent / "perfbench" / "layertrace.py"
+def _perfbench_constant(filename: str, name: str):
+    """The literal assigned to name at the top of perfbench/filename, read
+    without importing perfbench; one assignment, or the test fails."""
+    path = Path(__file__).parent.parent / "perfbench" / filename
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    names = [
+    values = [
         ast.literal_eval(node.value)
         for node in tree.body
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["ORACLE_CACHED"]
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
     ]
-    assert len(names) == 1 and names[0]
-    assert [name for name in names[0] if not hasattr(getattr(oracle, name, None), "cache_info")] == []
+    assert len(values) == 1
+    return values[0]
+
+
+def test_the_oracle_caches_the_benchmark_clears_are_lru_caches():
+    # before every pass, perfbench reads `.cache_info()` of each name in
+    # layertrace.ORACLE_CACHED
+    from growthlab import oracle
+
+    names = _perfbench_constant("layertrace.py", "ORACLE_CACHED")
+    assert names
+    assert [name for name in names if not hasattr(getattr(oracle, name, None), "cache_info")] == []
+
+
+def test_every_other_oracle_cache_is_hit_by_a_verify_run(monkeypatch):
+    # a cache that a full verify run never hits holds memory and does no
+    # work; the names perfbench reads stay caches whatever their traffic
+    from growthlab import oracle, verify
+
+    kept = _perfbench_constant("layertrace.py", "ORACLE_CACHED")
+    caches = {
+        name: value
+        for name, value in vars(oracle).items()
+        if hasattr(value, "cache_info") and value.__module__ == oracle.__name__
+    }
+    for cache in caches.values():
+        cache.cache_clear()
+    monkeypatch.delenv("GROWTHLAB_MAX_M", raising=False)
+    assert all(r.ok for r in verify.run_suite("all"))
+    unhit = [name for name, cache in caches.items() if name not in kept and cache.cache_info().hits == 0]
+    assert unhit == [] and set(caches) - set(kept)
 
 
 def test_verify_makes_the_check_count_the_benchmark_expects(monkeypatch):
@@ -173,13 +200,6 @@ def test_verify_makes_the_check_count_the_benchmark_expects(monkeypatch):
     # read the constant without importing perfbench, so a changed count fails here first
     from growthlab import verify
 
-    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    counts = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_CHECKS"]
-    ]
-    assert len(counts) == 1
+    count = _perfbench_constant("workloads.py", "VERIFY_CHECKS")
     monkeypatch.delenv("GROWTHLAB_MAX_M", raising=False)
-    assert len(verify.run_suite("all")) == counts[0]
+    assert len(verify.run_suite("all")) == count

@@ -18,10 +18,12 @@ Composition stacks the left factor on top of the right one, traces the glued
 middle row, and discards closed middle loops and dead middle points, counting
 both (the monoid convention: each discarded component contributes a factor 1).
 It runs on partner arrays, as do enumeration, the Cayley graphs of
-green_data and the oracle's cell action.  A half diagram is one row of m
-points, cups and defects (`_half_arrays`, one walk over the row), and it is
-the basis element of the oracle's cell modules; an element is a top and a
-bottom half diagram with as many defects, the defects joined in order.
+green_data (a Froidure-Pin closure that glues only its reduced products; the
+J-classes are read off the R- and L-classes) and the oracle's cell action.
+A half diagram is one row of m points, cups and defects (`_half_arrays`, one
+walk over the row), and it is the basis element of the oracle's cell
+modules; an element is a top and a bottom half diagram with as many defects,
+the defects joined in order.
 
 Diagrams are immutable and every function here is pure.
 """
@@ -495,32 +497,39 @@ def _cayley_graphs(family: Family, m: int) -> tuple[tuple[Partners, ...], list[l
 
     right[x][a] is the index of x·a and left[x][a] that of a·x, for the
     generator a = generators(family, m)[a]; elements[0] is the identity.
-    The elements are partner arrays from a Froidure-Pin closure (see
-    green_data), which must equal _partner_arrays(family, m) as a set.
+    The elements are partner arrays from the Froidure-Pin closure of
+    green_data, which must equal _partner_arrays(family, m) as a set.  Element
+    x is the least word first[x]·suffix[x] = prefix[x]·last[x] of length[x] in
+    length-lex order, so an edge s·a is reduced (it made its element t) iff
+    prefix[t] is s and last[t] is a; only reduced edges are glued.
     """
     enumerated = set(_partner_arrays(family, m))
     gens = [a.partners for a in generators(family, m)]
-    flip_gen = [gens.index(f) if f in gens else -1 for f in map(_flip_partners, gens)]
-    if -1 in flip_gen:
-        raise InternalCheckError(f"generators({family.value}, {m}) are not closed under flip")
     one = identity_diagram(family, m).partners
-    # element x is the word first[x]·suffix[x] of length[x]; flipped[x] indexes its flip
     arrays, index = [one], {one: 0}
-    first, suffix, length, flipped, right = [-1], [-1], [0], [0], []
+    first, last, prefix, suffix, length = [-1], [-1], [-1], [-1], [0]
+    right, left = [], []
+
+    def add_left(end: int) -> None:  # a·z = (a·prefix(z))·last(z) for the elements before end
+        left.extend([[right[p][last[z]] for p in left[prefix[z]]] if z else right[0]
+                     for z in range(len(left), end)])
+
     for x, y in enumerate(arrays):  # arrays grows as the closure proceeds
-        if x == len(flipped):  # a new length: flip(b·s) = flip(s)·flip(b), a known right edge
-            flipped += [right[flipped[suffix[z]]][flip_gen[first[z]]] for z in range(x, len(arrays))]
+        if length[x] > length[x - 1]:  # every element shorter than x has its right row
+            add_left(x)
         row = []
+        right.append(row)
+        b, s = first[x], suffix[x]
         for a, g in enumerate(gens):
             if not x:
                 product, links = g, (a, 0)  # 1·g = g
             else:
-                t = right[suffix[x]][a]
-                if length[t] < length[x]:
-                    # y·g = first(y)·t = flip(flip(t)·flip(first(y))), a known right edge
-                    row.append(flipped[right[flipped[t]][flip_gen[first[x]]]])
+                t = right[s][a]
+                # y·a = b·t = (b·prefix(t))·last(t): an earlier row, or y's with last(t) < a
+                if prefix[t] != s or last[t] != a:
+                    row.append(right[left[prefix[t]][b]][last[t]] if t else right[0][b])
                     continue
-                product, links = _glue(y, g), (first[x], t)
+                product, links = _glue(y, g), (b, t)
             k = index.get(product)
             if k is None:
                 if product not in enumerated:
@@ -529,13 +538,13 @@ def _cayley_graphs(family: Family, m: int) -> tuple[tuple[Partners, ...], list[l
                 arrays.append(product)
                 first.append(links[0])
                 suffix.append(links[1])
+                last.append(a)
+                prefix.append(x)
                 length.append(length[x] + 1)
             row.append(k)
-        right.append(row)
     if len(arrays) < len(enumerated):
         raise InternalCheckError(f"generators({family.value}, {m}) do not generate the monoid")
-    # a·x = flip(flip(x)·flip(a))
-    left = [[flipped[right[flipped[x]][b]] for b in flip_gen] for x in range(len(arrays))]
+    add_left(len(arrays))
     return tuple(arrays), right, left
 
 
@@ -545,28 +554,28 @@ def green_data(family: Family, m: int) -> GreenData:
     The right graph joins x to xa and the left graph joins x to ax, for every
     generator a; so the nodes x reaches are its right ideal xM and its left
     ideal Mx.  R-classes are the strongly connected components of the right
-    graph, L-classes those of the left graph, and J-classes those of their
-    union (D = J for finite monoids).  The units are the R-class of the
-    identity.
+    graph and L-classes those of the left graph.  D = R v L, and D = J for
+    finite monoids, so the J-classes are the components of the graph joining
+    each element's R-class to its L-class.  The units are the R-class of 1.
 
-    Only the right graph is closed, by Froidure and Pin ("Algorithms for
-    computing finite semigroups", 1997): breadth-first from the identity, so
-    in length-lex order, each new element y = b·s keeps its first generator
-    b, its suffix s and its word length.  The flip, Graham and Lehrer's
-    cellular anti-involution, permutes the generators and keeps lengths;
-    flip(y) = flip(s)·flip(b) and, when s·c is shorter than y, y·c = b·(s·c)
-    = flip(flip(s·c)·flip(b)) are right edges of shorter elements and cost
-    nothing.  The left graph is the right one conjugated by the flip.  Only
-    the pairs (y, c) with y != 1 and s·c as long as y are composed: 285,
-    1,280 and 1,825 compositions at TL 6, PRO 5 and MO 4, against 2|M||A| =
-    1,320, 4,032 and 5,814 for composing both graphs edge by edge.
+    Both graphs come from one closure by Froidure and Pin ("Algorithms for
+    computing finite semigroups", 1997), breadth-first from the identity.
+    For y = b·s only a reduced edge s·a is composed; else y·a = b·r =
+    (b·prefix(r))·last(r) for r = s·a (b when r = 1), and a·y =
+    (a·prefix(y))·last(y), are earlier edges.  That composes 157, 557 and 909
+    products at TL 6, PRO 5 and MO 4, against 2|M||A| = 1,320, 4,032 and
+    5,814 for composing both graphs edge by edge.
     """
     return _green_counts(*_cayley_graphs(family, m)[1:])
 
 
 def _green_counts(right: list[list[int]], left: list[list[int]]) -> GreenData:
-    """Green's class counts from the Cayley graphs of green_data (node 0 is 1)."""
+    """Green's class counts from the Cayley graphs of green_data (node 0 is 1); the
+    link graph joins R-class r and L-class l (node r_count + l) both ways."""
     r_of, l_of = scc(right), scc(left)
-    j_of = scc([r + l for r, l in zip(right, left)])
-    units = r_of.count(r_of[0])
-    return GreenData(len(set(j_of)), len(set(l_of)), len(set(r_of)), units)
+    r_count, l_count = max(r_of) + 1, max(l_of) + 1
+    links = [[] for _ in range(r_count + l_count)]
+    for r, l in zip(r_of, l_of):
+        links[r].append(r_count + l)
+        links[r_count + l].append(r)
+    return GreenData(len(set(scc(links))), l_count, r_count, r_of.count(r_of[0]))

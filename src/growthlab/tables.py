@@ -47,6 +47,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -126,8 +127,8 @@ def _planar(family: Family) -> None:
 
 def _labels(family: Family, m: int) -> tuple[int, ...]:
     _planar(family)
-    if m < 1:
-        raise InputError("need m >= 1")
+    if not 1 <= m < sys.maxsize:  # past it m + 1 overflows a range: no sequence is so long
+        raise InputError("need m >= 1" if m < 1 else f"need m < sys.maxsize = {sys.maxsize}")
     return rank_labels(family, m)
 
 

@@ -222,6 +222,7 @@ def test_input_error_exit_code(capsys):
 
 
 _TL7_V3 = ("--family", "tl", "--m", "7", "--module", "V3")
+_HUGE_M = "99999999999999999999"
 
 
 @pytest.mark.parametrize(
@@ -241,11 +242,16 @@ _TL7_V3 = ("--family", "tl", "--m", "7", "--module", "V3")
         ("asym", "involutions", "--m", "2000"),
         # the message names the labelling rule, not the 1,001 labels
         ("growth", "length", "--family", "tl", "--m", "2000", "--module", "V1", "--n", "1"),
+        # more labels than a Python sequence can hold
+        ("chartable", "--family", "tl", "--m", _HUGE_M),
+        ("growth", "length", "--family", "pro", "--m", _HUGE_M, "--module", "V1", "--n", "1"),
+        ("fusion", "--family", "mo", "--m", _HUGE_M, "--module", "S1"),
     ],
     ids=[
         "bad-range", "open-range", "empty-range", "bad-target", "unwritable-dot",
         "max-m-zero", "max-m-negative", "p-not-a-number", "p-not-an-integer",
         "value-too-long-growth", "value-too-long-involutions", "label-not-at-m",
+        "m-past-maxsize-chartable", "m-past-maxsize-growth", "m-past-maxsize-fusion",
     ],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):

@@ -5,7 +5,8 @@ codes: 0 success, 1 usage error, 2 input validation error, 3 verification
 mismatch or a verify run that made no checks.  Identical invocations produce
 byte-identical output; every machine-readable field is an exact integer or
 rational string, and decimal renderings (12 significant digits) are
-display-only.
+display-only.  Each call runs only its command's parser; the full parser
+answers help and any argument list that names no command.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import io
 import json
 import re
 import sys
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -84,10 +85,11 @@ def _family(name: str) -> Family:
         raise InputError(f"unknown family {name!r} (choose from {sorted(_FAMILIES)})")
 
 
+_DECIMAL12 = Context(prec=12)
+
+
 def _decimal12(x: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 12
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
+    return str(_DECIMAL12.divide(Decimal(x.numerator), Decimal(x.denominator)))
 
 
 def _parse_range(text: str) -> range:
@@ -177,7 +179,7 @@ def _refuse_unprintable_involutions(m: int, *, with_count: bool = False) -> None
 
 
 @cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="growthlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -248,7 +250,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="also print the canonical rank idempotents in diagram text form",
     )
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_chartable(args, out) -> int:
@@ -426,10 +428,26 @@ _COMMANDS = {
 }
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments as `parser.parse_args(argv)` reads them, in one argparse pass.
+
+    An argv that names a command goes straight to that command's parser;
+    its leftovers are the full parser's "unrecognized arguments".  Help and
+    any argv that names no command go through the full parser.
+    """
+    parser, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     # the command renders into one string, so a failure prints no partial output

@@ -31,6 +31,7 @@ Diagrams are immutable and every function here is pure.
 from __future__ import annotations
 
 import os
+import sys
 from enum import Enum
 from functools import lru_cache
 from math import comb
@@ -327,6 +328,8 @@ def flip(d: Diagram) -> Diagram:
 
 def rank_labels(family: Family, m: int) -> tuple[int, ...]:
     """The set of possible ranks, ascending (TL ranks share the parity of m)."""
+    if m >= sys.maxsize:  # past it m + 1 overflows a range: no sequence is so long
+        raise InputError(f"need m < sys.maxsize = {sys.maxsize}")
     if family is Family.TEMPERLEY_LIEB:
         return tuple(range(m % 2, m + 1, 2))
     return tuple(range(m + 1))

@@ -47,7 +47,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -127,8 +126,8 @@ def _planar(family: Family) -> None:
 
 def _labels(family: Family, m: int) -> tuple[int, ...]:
     _planar(family)
-    if not 1 <= m < sys.maxsize:  # past it m + 1 overflows a range: no sequence is so long
-        raise InputError("need m >= 1" if m < 1 else f"need m < sys.maxsize = {sys.maxsize}")
+    if m < 1:
+        raise InputError("need m >= 1")
     return rank_labels(family, m)
 
 
@@ -298,14 +297,35 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality exactly
+# below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; an n it cannot decide exactly is refused."""
+    if n >= _PRIME_BOUND:
+        raise InputError(f"need p < {_PRIME_BOUND}, below which primality is decided exactly")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:  # no prime factor up to 41
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -246,12 +248,16 @@ _HUGE_M = "99999999999999999999"
         ("chartable", "--family", "tl", "--m", _HUGE_M),
         ("growth", "length", "--family", "pro", "--m", _HUGE_M, "--module", "V1", "--n", "1"),
         ("fusion", "--family", "mo", "--m", _HUGE_M, "--module", "S1"),
+        # primes past the bound below which Miller-Rabin on 13 bases is exact
+        ("pl", "support", "--a", "5", "--p", str(tables._PRIME_BOUND), "--l", "3"),
+        ("asym", "linear-monoid", "--p", str(2**89 - 1), "--r", "1"),
     ],
     ids=[
         "bad-range", "open-range", "empty-range", "bad-target", "unwritable-dot",
         "max-m-zero", "max-m-negative", "p-not-a-number", "p-not-an-integer",
         "value-too-long-growth", "value-too-long-involutions", "label-not-at-m",
         "m-past-maxsize-chartable", "m-past-maxsize-growth", "m-past-maxsize-fusion",
+        "p-past-prime-bound-pl", "p-past-prime-bound-linear-monoid",
     ],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):
@@ -260,6 +266,13 @@ def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+
+def test_large_prime_p_is_checked_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pl", "support", "--a", "5", "--p", "1000000000000000003", "--l", "3")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (0, "[5]\n", "")  # as for every prime p > 2
 
 
 def _unreachable(*args):
@@ -418,6 +431,75 @@ def test_verify_without_checks_fails(capsys, monkeypatch):
     monkeypatch.setenv("GROWTHLAB_MAX_M", "-3")
     code, out, err = run(capsys, "verify", "--suite", "counts")
     assert code == 2 and out == "" and "GROWTHLAB_MAX_M" in err
+
+
+_TL3 = ("--family", "tl", "--m", "3")
+_COMMANDS_AND_ARGS = [
+    ("chartable", *_TL3, "--kind", "simple", "--format", "json"),
+    ("growth", "length", *_TL3, "--module", "V1", "--n", "1..3", "--format", "csv"),
+    ("growth", "multiplicity", *_TL3, "--module", "V1", "--target", "V3", "--format", "json"),
+    ("fusion", *_TL3, "--module", "S1", "--format", "dot"),
+    ("asym", "an", *_TL3),
+    ("asym", "linear-monoid", "--p", "3", "--r", "2"),
+    ("asym", "involutions", "--m", "5"),
+    ("bounds", "n0", "--l-classes", "3", "--semigroup"),
+    ("bounds", "m0", "--l-classes", "5", "--group-order", "6", "--scalar-order", "1"),
+    ("pl", "digits", "--a", "7", "--p", "2"),
+    ("pl", "support", "--a", "7"),
+    ("pl", "ancestorless", "--a", "9"),
+    ("verify", "--suite", "counts", "--max-m", "2", "--format", "json"),
+]
+_HELP = [
+    ("-h",), ("--help",), ("chartable", "-h"), ("growth", "-h"), ("fusion", "-h"),
+    ("asym", "-h"), ("asym", "an", "-h"), ("asym", "linear-monoid", "-h"),
+    ("asym", "involutions", "-h"), ("bounds", "-h"), ("bounds", "n0", "-h"),
+    ("bounds", "m0", "-h"), ("pl", "-h"), ("verify", "-h"), ("chartable", *_TL3, "--he"),
+]
+_USAGE = [
+    (), ("nonsense-command",), ("Chartable", *_TL3), ("--family", "tl", "chartable"),
+    ("--", "chartable", *_TL3), ("chartable", *_TL3, "--bogus"), ("chartable", *_TL3, "extra"),
+    ("asym", "an", *_TL3, "--bogus", "x"), ("asym",), ("asym", "bogus"), ("bounds", "m0", "--l-classes", "5"),
+    ("chartable", "--family", "tl"), ("chartable", *_TL3, "--format", "xml"),
+    ("growth", "bogus", *_TL3, "--module", "V1"), ("chartable", "--family", "tl", "--m", "three"),
+]
+_SPELLINGS = [
+    ("chartable", "--fam", "tl", "--m", "3"), ("chartable", "--family=tl", "--m=3", "--for", "csv"),
+    ("growth", *_TL3, "--module", "V1", "--", "length"), ("pl", "digits", "--a", "7", "--", "--p"),
+    ("chartable", "--family", "tl", "--m", "-3"), ("chartable", "--family", "xyz", "--m", "3"),
+]
+
+
+def _full_parse(argv):
+    return cli._build_parser()[0].parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "argv", _COMMANDS_AND_ARGS + _HELP + _USAGE + _SPELLINGS, ids=lambda argv: " ".join(argv) or "(none)"
+)
+def test_dispatch_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    dispatched = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", _full_parse)
+    assert run(capsys, *argv) == dispatched
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [
+        (("chartable", *_TL3), ["growthlab chartable"]),
+        (("asym", "an", *_TL3), ["growthlab asym", "growthlab asym an"]),
+    ],
+)
+def test_a_call_parses_once_per_parser_level(capsys, monkeypatch, argv, parsers):
+    seen = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        seen.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert seen == parsers
 
 
 def test_cli_determinism_across_runs(capsys):

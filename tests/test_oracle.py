@@ -813,6 +813,23 @@ def test_oracle_product_multiplicity_planar_rook():
     assert oracle_multiplicity(v1, 2, 2) == 2
 
 
+@pytest.mark.parametrize(
+    "other", [(Family.TEMPERLEY_LIEB, 7, "V1"), (Family.PLANAR_ROOK, 5, "V1")],
+    ids=["other-m", "other-family"],
+)
+def test_oracle_product_multiplicity_refuses_modules_of_different_monoids(other):
+    tl5 = module_spec(Family.TEMPERLEY_LIEB, 5, "V1")
+    for a, b in ((tl5, module_spec(*other)), (module_spec(*other), tl5)):
+        with pytest.raises(InputError, match="^modules belong to different monoids$"):
+            oracle_product_multiplicity(a, b, 1)
+
+
+def test_cell_module_refuses_a_diagram_of_another_size():
+    # indexing TL 5's lifts with a TL 7 diagram would raise IndexError
+    with pytest.raises(InputError, match="^diagram does not act on this module$"):
+        cell_module(Family.TEMPERLEY_LIEB, 5, 1).image(class_idempotent(Family.TEMPERLEY_LIEB, 7, 1))
+
+
 def test_oracle_multiplicity_validation():
     spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
     with pytest.raises(InputError):

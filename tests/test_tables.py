@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -607,6 +608,49 @@ def test_pl_params_validation():
         PLParams(INFINITY, 1)
     with pytest.raises(InputError):
         pl_digits(-1, CHAR0_TL)
+
+
+# 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5, 7;
+# 318665857834031151167461 is one to every prime base up to 37
+@pytest.mark.parametrize("p", [9, 15, 561, 3215031751, 318665857834031151167461])
+def test_pl_params_refuses_composites(p):
+    assert not tables._is_prime(p)
+    with pytest.raises(InputError, match="must be prime"):
+        PLParams(p, 3)
+    with pytest.raises(InputError, match="is not prime"):
+        growth.linear_monoid_constant(p, 1)
+
+
+@pytest.mark.parametrize("p", [2, 41, 43, 1847, 1861, 10**18 + 3, 2**61 - 1])
+def test_pl_params_accepts_primes(p):
+    assert PLParams(p, 3).p == p
+    assert growth.linear_monoid_constant(p, 1) == Fraction(2 * p - 2, p * p - 1)
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-2, 20000) if tables._is_prime(n) != by_trial_division(n)] == []
+
+
+# the bound is the least strong pseudoprime to all 13 bases (2 to 41)
+@pytest.mark.parametrize("p", [tables._PRIME_BOUND, tables._PRIME_BOUND + 2, 2**89 - 1])
+def test_primes_past_the_exact_bound_are_refused(p):
+    with pytest.raises(InputError, match=f"^need p < {tables._PRIME_BOUND}"):
+        PLParams(p, 3)
+    with pytest.raises(InputError, match=f"^need p < {tables._PRIME_BOUND}"):
+        growth.linear_monoid_constant(p, 1)
+
+
+@pytest.mark.parametrize("m", [sys.maxsize, 10**20])
+def test_public_entries_refuse_m_past_maxsize(m):
+    for family in (Family.TEMPERLEY_LIEB, Family.PLANAR_ROOK):
+        with pytest.raises(InputError, match=f"^need m < sys.maxsize = {sys.maxsize}$"):
+            rank_labels(family, m)
+    with pytest.raises(InputError, match=f"^need m < sys.maxsize = {sys.maxsize}$"):
+        # a TL label of the wrong parity, which reflections checks against the labels
+        tables.reflections((m + 1) % 2, Family.TEMPERLEY_LIEB, m)
 
 
 # ---------------------------------------------------------------------------

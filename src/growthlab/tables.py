@@ -305,13 +305,13 @@ _PRIME_BOUND = 3317044064679887385961981
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; an n it cannot decide exactly is refused."""
+    if n < 43:
+        return n in _PRIME_BASES
     if n >= _PRIME_BOUND:
         raise InputError(f"need p < {_PRIME_BOUND}, below which primality is decided exactly")
-    if n < 2:
-        return False
     for a in _PRIME_BASES:
         if n % a == 0:
-            return n == a
+            return False
     if n < 43 * 43:  # no prime factor up to 41
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd

@@ -636,7 +636,7 @@ def test_is_prime_matches_trial_division():
 
 # the bound is the least strong pseudoprime to all 13 bases (2 to 41)
 @pytest.mark.parametrize("p", [tables._PRIME_BOUND, tables._PRIME_BOUND + 2, 2**89 - 1])
-def test_primes_past_the_exact_bound_are_refused(p):
+def test_p_past_the_exact_bound_is_refused(p):
     with pytest.raises(InputError, match=f"^need p < {tables._PRIME_BOUND}"):
         PLParams(p, 3)
     with pytest.raises(InputError, match=f"^need p < {tables._PRIME_BOUND}"):

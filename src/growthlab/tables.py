@@ -309,11 +309,6 @@ def _is_prime(n: int) -> bool:
         return n in _PRIME_BASES
     if n >= _PRIME_BOUND:
         raise InputError(f"need p < {_PRIME_BOUND}, below which primality is decided exactly")
-    for a in _PRIME_BASES:
-        if n % a == 0:
-            return False
-    if n < 43 * 43:  # no prime factor up to 41
-        return True
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
     d = (n - 1) >> s
     for a in _PRIME_BASES:

@@ -19,7 +19,7 @@ import sys
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, log10
 
 from . import verify
 from .diagrams import PLANAR_FAMILIES, Family, rank_labels
@@ -43,6 +43,7 @@ from .growth import (
 from .tables import (
     INFINITY,
     PLParams,
+    _is_prime,
     ancestorless,
     label_index,
     pl_digits,
@@ -178,79 +179,107 @@ def _refuse_unprintable_involutions(m: int, *, with_count: bool = False) -> None
         raise InputError(_too_long(limit))
 
 
+def _refuse_unprintable_linear_monoid(p: int, r: int) -> None:
+    """Refuse, before p**r is formed, a linear-monoid constant that cannot be printed.
+
+    It is N / (p^(2r) - 1) with 0 < N < (2p - 1)^r, so its denominator is at
+    least 10**limit once rho^r > 10**limit, rho = p^2 / (2p - 1); rho^256 >= 10^u
+    by one exact comparison.  A p or r that the constant refuses is left to it.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or r < 1 or not _is_prime(p):
+        return
+    u = int(256 * (2 * log10(p) - log10(2 * p - 1)))
+    while p**512 < 10**u * (2 * p - 1) ** 256:  # the float rounded up
+        u -= 1
+    if u * (r // 256) > limit:
+        raise InputError(_too_long(limit))
+
+
 @cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    parser = _Parser(prog="growthlab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _build_parser(command: str | None = None) -> _Parser:
+    """The full parser, or with a command's name the parser the full one holds
+    for it, alone: both read the one definition below of each command."""
+    if command is None:
+        parser = _Parser(prog="growthlab", description=__doc__)
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        parser = _Parser(prog=f"growthlab {command}")
 
-    p = sub.add_parser("chartable", help="emit a character table")
-    p.add_argument("--family", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument(
-        "--kind",
-        default="cell",
-        choices=["cell", "simple", "projective", "cell-inverse"],
-    )
-    p.add_argument("--format", default="text", choices=["text", "json", "csv"])
+    def add(name: str, help: str) -> _Parser | None:
+        # the parser that takes name's arguments; None when name is not built
+        if command is None:
+            return sub.add_parser(name, help=help)
+        return parser if name == command else None
 
-    p = sub.add_parser("growth", help="growth formulas and value tables")
-    p.add_argument("statistic", choices=["length", "multiplicity"])
-    p.add_argument("--family", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--module", required=True, help="module selector, e.g. V3, S1, P2")
-    p.add_argument("--target", help="target simple label (multiplicity only)")
-    p.add_argument("--n", default="1..6", help="evaluation range, e.g. 1..6")
-    p.add_argument("--format", default="text", choices=["text", "json", "csv"])
+    if p := add("chartable", "emit a character table"):
+        p.add_argument("--family", required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument(
+            "--kind",
+            default="cell",
+            choices=["cell", "simple", "projective", "cell-inverse"],
+        )
+        p.add_argument("--format", default="text", choices=["text", "json", "csv"])
 
-    p = sub.add_parser("fusion", help="fusion graph of tensoring with a module")
-    p.add_argument("--family", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--module", required=True)
-    p.add_argument("--dot", help="write DOT text to this path")
-    p.add_argument("--format", default="text", choices=["text", "json", "dot"])
+    if p := add("growth", "growth formulas and value tables"):
+        p.add_argument("statistic", choices=["length", "multiplicity"])
+        p.add_argument("--family", required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--module", required=True, help="module selector, e.g. V3, S1, P2")
+        p.add_argument("--target", help="target simple label (multiplicity only)")
+        p.add_argument("--n", default="1..6", help="evaluation range, e.g. 1..6")
+        p.add_argument("--format", default="text", choices=["text", "json", "csv"])
 
-    p = sub.add_parser("asym", help="asymptotic constants")
-    asub = p.add_subparsers(dest="what", required=True)
-    q = asub.add_parser("an")
-    q.add_argument("--family", required=True)
-    q.add_argument("--m", type=int, required=True)
-    q = asub.add_parser("linear-monoid")
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
-    q = asub.add_parser("involutions")
-    q.add_argument("--m", type=int, required=True)
+    if p := add("fusion", "fusion graph of tensoring with a module"):
+        p.add_argument("--family", required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--module", required=True)
+        p.add_argument("--dot", help="write DOT text to this path")
+        p.add_argument("--format", default="text", choices=["text", "json", "dot"])
 
-    p = sub.add_parser("bounds", help="bounds on n0 / m0")
-    bsub = p.add_subparsers(dest="which", required=True)
-    q = bsub.add_parser("n0")
-    q.add_argument("--l-classes", type=int, required=True)
-    q.add_argument("--semigroup", action="store_true")
-    q = bsub.add_parser("m0")
-    q.add_argument("--l-classes", type=int, required=True)
-    q.add_argument("--group-order", type=int, required=True)
-    q.add_argument("--scalar-order", type=int, required=True)
+    if p := add("asym", "asymptotic constants"):
+        asub = p.add_subparsers(dest="what", required=True)
+        q = asub.add_parser("an")
+        q.add_argument("--family", required=True)
+        q.add_argument("--m", type=int, required=True)
+        q = asub.add_parser("linear-monoid")
+        q.add_argument("--p", type=int, required=True)
+        q.add_argument("--r", type=int, required=True)
+        q = asub.add_parser("involutions")
+        q.add_argument("--m", type=int, required=True)
 
-    p = sub.add_parser("pl", help="(p,l) digit arithmetic")
-    p.add_argument("what", choices=["digits", "support", "ancestorless"])
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--p", default="inf")
-    p.add_argument("--l", type=int, default=3)
+    if p := add("bounds", "bounds on n0 / m0"):
+        bsub = p.add_subparsers(dest="which", required=True)
+        q = bsub.add_parser("n0")
+        q.add_argument("--l-classes", type=int, required=True)
+        q.add_argument("--semigroup", action="store_true")
+        q = bsub.add_parser("m0")
+        q.add_argument("--l-classes", type=int, required=True)
+        q.add_argument("--group-order", type=int, required=True)
+        q.add_argument("--scalar-order", type=int, required=True)
 
-    p = sub.add_parser("verify", help="run the oracle cross-check suite")
-    p.add_argument("--suite", default="all", choices=["all", *verify.SUITES])
-    p.add_argument(
-        "--max-m",
-        type=int,
-        help="cap m (at least 1) for the oracle checks that enumerate diagrams; "
-        "the golden, formula and fusion checks run at their fixed sizes",
-    )
-    p.add_argument("--format", default="text", choices=["text", "json"])
-    p.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also print the canonical rank idempotents in diagram text form",
-    )
-    return parser, sub.choices
+    if p := add("pl", "(p,l) digit arithmetic"):
+        p.add_argument("what", choices=["digits", "support", "ancestorless"])
+        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--p", default="inf")
+        p.add_argument("--l", type=int, default=3)
+
+    if p := add("verify", "run the oracle cross-check suite"):
+        p.add_argument("--suite", default="all", choices=["all", *verify.SUITES])
+        p.add_argument(
+            "--max-m",
+            type=int,
+            help="cap m (at least 1) for the oracle checks that enumerate diagrams; "
+            "the golden, formula and fusion checks run at their fixed sizes",
+        )
+        p.add_argument("--format", default="text", choices=["text", "json"])
+        p.add_argument(
+            "--verbose",
+            action="store_true",
+            help="also print the canonical rank idempotents in diagram text form",
+        )
+    return parser
 
 
 def _cmd_chartable(args, out) -> int:
@@ -367,6 +396,7 @@ def _cmd_asym(args, out) -> int:
         value = an_constant(family, args.m)
         print(f"{value} = {_decimal12(value)}", file=out)
     elif args.what == "linear-monoid":
+        _refuse_unprintable_linear_monoid(args.p, args.r)
         value = linear_monoid_constant(args.p, args.r)
         print(f"{value} = {_decimal12(value)}", file=out)
     else:
@@ -429,18 +459,18 @@ _COMMANDS = {
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The arguments as `parser.parse_args(argv)` reads them, in one argparse pass.
+    """The arguments as `_build_parser().parse_args(argv)` reads them, in one argparse pass.
 
-    An argv that names a command goes straight to that command's parser;
-    its leftovers are the full parser's "unrecognized arguments".  Help and
-    any argv that names no command go through the full parser.
+    An argv that names a command goes straight to that command's parser
+    alone; its leftovers are the full parser's "unrecognized arguments".
+    Help and any argv that names no command go through the full parser,
+    which is built only for them.
     """
-    parser, commands = _build_parser()
-    if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if not argv or argv[0] not in _COMMANDS:
+        return _build_parser().parse_args(argv)
+    args, extras = _build_parser(argv[0]).parse_known_args(argv[1:])
     if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 

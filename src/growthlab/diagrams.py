@@ -17,9 +17,10 @@ every reader below trusts; make_diagram is the same call.
 Composition stacks the left factor on top of the right one, traces the glued
 middle row, and discards closed middle loops and dead middle points, counting
 both (the monoid convention: each discarded component contributes a factor 1).
-It runs on partner arrays, as do enumeration, the Cayley graphs of
+It runs on partner arrays, as do enumeration and the Cayley graphs of
 green_data (a Froidure-Pin closure that glues only its reduced products; the
-J-classes are read off the R- and L-classes) and the oracle's cell action.
+J-classes are read off the R- and L-classes); the oracle's cell action walks
+the top row of a product as the first loop of `_glue` does.
 A half diagram is one row of m points, cups and defects (`_half_arrays`, one
 walk over the row), and it is the basis element of the oracle's cell
 modules; an element is a top and a bottom half diagram with as many defects,
@@ -222,23 +223,6 @@ def _from_partners(family: Family, m: int, pa: Partners) -> Diagram:
     return d
 
 
-def _top_half(pa: Partners) -> tuple[int, ...]:
-    """The top row of pa with every through strand's end written as m.
-
-    It names the half diagram pa leaves on top; its count of m is the rank.
-    """
-    m = len(pa) // 2
-    return tuple([q if q < m else m for q in pa[:m]])
-
-
-def _lift(row: tuple[int, ...]) -> Partners:
-    """The half diagram row of _top_half as a diagram: its cups on top, each defect
-    k joined straight down to k'; so _top_half(_lift(row)) == row."""
-    m = len(row)
-    return tuple([m + k if q == m else q for k, q in enumerate(row)]
-                 + [k if q == m else -1 for k, q in enumerate(row)])
-
-
 def _glue(pa: Partners, pb: Partners) -> Partners:
     """Stack pa on top of pb: the product's partner array.
 
@@ -369,7 +353,7 @@ def _check_enumerable(family: Family, m: int, capped: bool = True) -> None:
 
 
 def _half_arrays(family: Family, m: int, i: int):
-    """The half diagrams on m points with i defects, as _top_half rows, each once.
+    """The half diagrams on m points with i defects, as rows, each once.
 
     Entry k is the cup partner of point k, m for a defect or -1 for an
     isolated point.  One walk over the points with a stack of open arcs:

@@ -35,7 +35,7 @@ from .diagrams import Family, PLANAR_FAMILIES
 from .errors import InputError, InternalCheckError
 from .linalg import Mat, _solve
 from .record import Record
-from .tables import (CharTable, _cell_columns, _inverse_column, _is_prime, _labels, _module_terms,
+from .tables import (CharTable, _cell_columns, _inverse_column, _is_prime, _labels, _mirrors, _module_terms,
                      label_index, reflections)
 
 
@@ -196,8 +196,9 @@ def _growth_series(spec: ModuleSpec, target: int | None = None) -> ExpSum:
     family, m = spec.family, spec.m
     labels = _labels(family, m)
     if target is None:
-        weights = [(j, 1 + (reflections(j, family, m).plus is not None)) for j in labels]
+        weights = [(j, 1 + (_mirrors(j, family, m)[1] is not None)) for j in labels]
     else:
+        # reflections checks the target
         weights = [(t, 1) for t in (target, reflections(target, family, m).minus) if t is not None]
     coeffs = [0] * (m + 1)
     for t, w in weights:

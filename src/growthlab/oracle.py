@@ -7,13 +7,14 @@ closed forms elsewhere have an independent referee:
   "defect" points (defects may not sit under a cup) — are the basis of the
   cell module S_i, for a planar family and m >= 1.  They come from the row
   walk that also enumerates the monoid (each element a pair of them), as
-  rows of `diagrams._top_half`: entry k the cup partner of point k, m for a
-  defect, -1 for an isolated point;
+  rows: entry k the cup partner of point k, m for a defect, -1 for an
+  isolated point;
 * a half diagram x lifts to a diagram: its cups on top, each defect k
   joined straight down to k'.  A monoid element d acts by the monoid
   product: d·x is the top row of d·lift(x), and it is zero when that product
   has fewer through strands than x has defects (a defect was capped, killed
-  or merged); closed loops and dead points contribute a factor 1;
+  or merged); closed loops and dead points contribute a factor 1.  Only that
+  top row is walked, from each top point of d as `diagrams._glue` walks it;
 * so a diagram d acts on the basis as a partial map, kept as an index map:
   entry c is the basis index of d·x_c, or -1 where the image is zero.
   Characters count its fixed points, and every product with it adds rows;
@@ -48,10 +49,7 @@ from .diagrams import (
     Diagram,
     Family,
     _check_enumerable,
-    _glue,
     _half_arrays,
-    _lift,
-    _top_half,
     class_idempotent,
     expected_order,
     rank_labels,
@@ -68,7 +66,7 @@ from .tables import label_index
 
 def half_diagrams(family: Family, m: int, i: int) -> tuple[tuple[int, ...], ...]:
     """The basis of the cell module S_i: the half diagrams with i defects, as
-    _top_half rows (cup partner, m for a defect, -1 if isolated) in walk order."""
+    rows (cup partner, m for a defect, -1 if isolated) in walk order."""
     _check_enumerable(family, m, capped=False)
     label_index(rank_labels(family, m), i, family, m)
     return tuple(_half_arrays(family, m, i))
@@ -82,7 +80,6 @@ class CellModule:
         self.m = m
         self.i = i
         self.basis = half_diagrams(family, m, i)
-        self._lifts = tuple(_lift(x) for x in self.basis)
         self._index = {x: k for k, x in enumerate(self.basis)}
 
     @property
@@ -90,20 +87,34 @@ class CellModule:
         return len(self.basis)
 
     def image(self, d: Diagram) -> tuple[int, ...]:
-        """d as an index map: entry c is the basis index of d·x_c, or -1 where it is 0."""
+        """d as an index map: entry c is the basis index of d·x_c, or -1 where it is 0.
+
+        The top row of d·lift(x_c) is walked as `diagrams._glue` walks it: a
+        bottom point m + k of d meets point k of x_c, which leads back up
+        through its cup partner, or is a defect (a through strand) or isolated.
+        """
         if d.family is not self.family or d.m != self.m:
             raise InputError("diagram does not act on this module")
-        pd = d.partners
+        pd, m = d.partners, self.m
         images = []
-        for lift in self._lifts:
-            top = _top_half(_glue(pd, lift))
-            if top.count(self.m) < self.i:
+        for x in self.basis:
+            top = [-1] * m
+            for s in range(m):
+                if top[s] < 0:
+                    q = pd[s]
+                    while q >= m and 0 <= (q := x[q - m]) < m:
+                        q = pd[q + m]
+                    if q >= m:
+                        top[s] = m
+                    elif q >= 0:
+                        top[s], top[q] = q, s
+            if top.count(m) < self.i:
                 images.append(-1)  # a defect died: the product has lower rank
                 continue
             try:
-                images.append(self._index[top])
+                images.append(self._index[tuple(top)])
             except KeyError as exc:
-                raise InternalCheckError(f"action left the half-diagram basis: {top}") from exc
+                raise InternalCheckError(f"action left the half-diagram basis: {tuple(top)}") from exc
         return tuple(images)
 
     def action(self, d: Diagram) -> Mat:

@@ -50,6 +50,7 @@ import json
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import add
 
 from .diagrams import Family, rank_labels
 from .errors import InputError, InternalCheckError
@@ -137,16 +138,19 @@ def _cell_columns(family: Family, m: int, wanted: tuple[int, ...]):
     counts[h] counts the j-step paths ending at height h, each from h - s for
     a step s: one row of O(m) ints, cut to the heights that j steps reach and
     that can still come down to the top wanted label by step m."""
-    steps, labels, top = _STEPS[family], set(rank_labels(family, m)), max(wanted)
+    (first, *rest), labels, top = _STEPS[family], set(rank_labels(family, m)), max(wanted)
     counts = [1]
     for j in range(m + 1):
         if j:
             width = min(j, top + m - j) + 1
             padded = [0, *counts, 0, 0]
-            counts = list(map(sum, zip(*[padded[1 - s : 1 - s + width] for s in steps])))
+            column = padded[1 - first : 1 - first + width]
+            for s in rest:
+                column = map(add, column, padded[1 - s : 1 - s + width])
+            counts = list(column)
         if j in labels:
             row = counts + [0] * (top + 1 - len(counts))  # heights j steps do not reach
-            yield [row[i] for i in wanted]
+            yield map(row.__getitem__, wanted)
 
 
 def _cell_rows(family: Family, m: int) -> dict[int, tuple[int, ...]]:
@@ -214,15 +218,20 @@ def reflections(i: int, family: Family, m: int) -> Reflections:
     step = 2 if family is Family.TEMPERLEY_LIEB else 1
     if i not in range(m % step, m + 1, step):  # the labels, without building them
         label_index(rank_labels(family, m), i, family, m)  # raises, naming the rule
+    return Reflections(*_mirrors(i, family, m))
+
+
+def _mirrors(i: int, family: Family, m: int) -> tuple[int | None, int | None, bool]:
+    """(minus, plus, critical) of `reflections`, for a label i it has not checked."""
     if family not in _CHAR0:
-        return Reflections(None, None, False)
+        return None, None, False
     l = _CHAR0[family].l
     if (i + 1) % l == 0:
-        return Reflections(None, None, True)
+        return None, None, True
     below = i - (i + 1) % l
     minus, plus = 2 * below - i, 2 * (below + l) - i
     # a mirror keeps the parity of i, so it is a label when it lies in 0..m
-    return Reflections(minus if minus >= 0 else None, plus if plus <= m else None, critical=False)
+    return minus if minus >= 0 else None, plus if plus <= m else None, False
 
 
 def simple_table(family: Family, m: int) -> CharTable:
@@ -234,7 +243,7 @@ def simple_table(family: Family, m: int) -> CharTable:
     cell = _cell_rows(family, m)
     rows: dict[int, tuple[int, ...]] = {}
     for i, row in reversed(cell.items()):
-        plus = reflections(i, family, m).plus  # None for critical labels
+        plus = _mirrors(i, family, m)[1]  # None for critical labels
         rows[i] = row if plus is None else tuple([a - b for a, b in zip(row, rows[plus])])
     return CharTable(family, m, "simple", tuple(cell), tuple(rows[i] for i in cell))
 
@@ -248,7 +257,7 @@ def projective_table(family: Family, m: int) -> CharTable:
     cell = _cell_rows(family, m)
     rows = []
     for i, row in cell.items():
-        minus = reflections(i, family, m).minus
+        minus = _mirrors(i, family, m)[0]
         rows.append(row if minus is None else tuple([a + b for a, b in zip(row, cell[minus])]))
     return CharTable(family, m, "projective", tuple(cell), tuple(rows))
 
@@ -257,9 +266,9 @@ def _module_terms(kind: str, i: int, family: Family, m: int) -> list[tuple[int, 
     """(label, sign) of the cell rows summing to row i of table "V", "S" or "P": the alternating
     i^+ chain for V_i (as `simple_table` unrolls it), and the row of i^- added for P_i."""
     terms = [(i, 1)]
-    if kind == "P" and (minus := reflections(i, family, m).minus) is not None:
+    if kind == "P" and (minus := _mirrors(i, family, m)[0]) is not None:
         terms.append((minus, 1))
-    while kind == "V" and (i := reflections(i, family, m).plus) is not None:
+    while kind == "V" and (i := _mirrors(i, family, m)[1]) is not None:
         terms.append((i, -terms[-1][1]))
     return terms
 

@@ -3,7 +3,8 @@
 Every check compares two independent routes to the same value — closed-form
 tables against brute-force diagram traces, growth formulas against oracle
 multiplicities, fusion data against golden matrices — and records a
-machine-readable result.  All comparisons are exact.
+machine-readable result.  All comparisons are exact.  A run builds each
+table it reads once, in a memo of its own (`_Tables`).
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ def _oracle_value(fn, *args):
         return f"raised: {exc}"
 
 
+class _Tables(dict):
+    """tables[builder, family, m]: each table of one verify run, built once by the
+    builder that a suite names through this module, so a patch of it is seen."""
+
+    def __missing__(self, key):
+        table = self[key] = key[0](*key[1:])
+        return table
+
+
 def _oracle_bounds(max_m: int | None) -> dict[Family, int]:
     bounds = DEFAULT_MAX_M
     if max_m is not None:
@@ -72,8 +82,8 @@ def _oracle_bounds(max_m: int | None) -> dict[Family, int]:
 # ---------------------------------------------------------------------------
 # suites
 
-def check_counts(max_m: int | None = None) -> list[CheckResult]:
-    out = []
+def check_counts(max_m: int | None = None, tables: _Tables | None = None) -> list[CheckResult]:
+    out = []  # the counts read no table
     for family, bound in _oracle_bounds(max_m).items():
         for m in range(1, bound + 1):
             actual = _oracle_value(lambda: oracle.count_check(family, m).actual)
@@ -81,7 +91,8 @@ def check_counts(max_m: int | None = None) -> list[CheckResult]:
     return out
 
 
-def check_tables(max_m: int | None = None) -> list[CheckResult]:
+def check_tables(max_m: int | None = None, tables: _Tables | None = None) -> list[CheckResult]:
+    tables = _Tables() if tables is None else tables
     out = []
     for family, bound in _oracle_bounds(max_m).items():
         for m in range(1, bound + 1):
@@ -90,47 +101,47 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
             if isinstance(brute_rows, str):  # refused: both tables fail by name
                 brute_rows = (brute_rows, brute_rows)
             for kind, closed, brute in zip(("cell", "simple"), (cell_table, simple_table), brute_rows):
-                out.append(_result(f"oracle-{kind}:{family.value}:{m}", closed(family, m).rows, brute, loc))
+                out.append(_result(f"oracle-{kind}:{family.value}:{m}", tables[closed, family, m].rows, brute, loc))
     # golden printed tables (with documented errata applied)
     tl, mo = Family.TEMPERLEY_LIEB, Family.MOTZKIN
     for name, table, expected, location in (
-        ("golden:tl7-cell", cell_table(tl, 7), reference.TL7_CELL, "reference.TL7_CELL"),
-        ("golden:tl7-simple", simple_table(tl, 7), reference.TL7_SIMPLE, "reference.TL7_SIMPLE"),
+        ("golden:tl7-cell", tables[cell_table, tl, 7], reference.TL7_CELL, "reference.TL7_CELL"),
+        ("golden:tl7-simple", tables[simple_table, tl, 7], reference.TL7_SIMPLE, "reference.TL7_SIMPLE"),
         (
             "golden:tl7-projective",
-            projective_table(tl, 7),
+            tables[projective_table, tl, 7],
             reference.TL7_PROJECTIVE,
             "reference.TL7_PROJECTIVE (erratum row 7 corrected)",
         ),
-        ("golden:mo5-cell", cell_table(mo, 5), reference.MO5_CELL, "reference.MO5_CELL"),
-        ("golden:mo5-simple", simple_table(mo, 5), reference.MO5_SIMPLE, "reference.MO5_SIMPLE"),
+        ("golden:mo5-cell", tables[cell_table, mo, 5], reference.MO5_CELL, "reference.MO5_CELL"),
+        ("golden:mo5-simple", tables[simple_table, mo, 5], reference.MO5_SIMPLE, "reference.MO5_SIMPLE"),
         (
             "golden:mo5-projective",
-            projective_table(mo, 5),
+            tables[projective_table, mo, 5],
             reference.MO5_PROJECTIVE,
             "reference.MO5_PROJECTIVE (errata entries corrected)",
         ),
     ):
         out.append(_result(name, table.rows, expected, location))
     for m in range(1, 9):
-        table = cell_table(Family.PLANAR_ROOK, m)
+        table = tables[cell_table, Family.PLANAR_ROOK, m]
         pascal = tuple(tuple(comb(j, i) for j in table.labels) for i in table.labels)
         out.append(_result(f"golden:pro-pascal:{m}", table.rows, pascal, "Pascal"))
         for kind, fn in (("simple", simple_table), ("projective", projective_table)):
-            rows = fn(Family.PLANAR_ROOK, m).rows
+            rows = tables[fn, Family.PLANAR_ROOK, m].rows
             out.append(_result(f"golden:pro-{kind}:{m}", rows, table.rows, "planar rook is semisimple"))
     # printed inverse-transposes: for square matrices a left inverse is the inverse
     for name, table, expected, location in (
-        ("golden:tl7-linv", simple_table(tl, 7), reference.TL7_LINV, "reference.TL7_LINV"),
+        ("golden:tl7-linv", tables[simple_table, tl, 7], reference.TL7_LINV, "reference.TL7_LINV"),
         (
             "golden:mo5-simple-linv",
-            simple_table(mo, 5),
+            tables[simple_table, mo, 5],
             reference.MO5_SIMPLE_LINV,
             "reference.MO5_SIMPLE_LINV",
         ),
         (
             "golden:mo5-printed-linv-is-cell-inverse",
-            cell_table(mo, 5),
+            tables[cell_table, mo, 5],
             reference.MO5_CELL_LINV_PRINTED,
             "the printed matrix inverts the transposed cell table",
         ),
@@ -138,7 +149,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
         out.append(_result(name, int_mul(list(zip(*table.rows)), expected), int_identity(len(expected)), location))
     # Riordan inverse identities up to m = 20 and the Motzkin closed form
     for family in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
-        for m, prod in _riordan_products(family, 20):
+        for m, prod in _riordan_products(family, 20, tables):
             out.append(_result(f"riordan:{family.value}:{m}", prod, int_identity(len(prod)), "cell_table * cell_inverse"))
     for m in range(1, 9):
         closed = _oracle_value(check_motzkin_simple_closed_form, m)
@@ -146,7 +157,7 @@ def check_tables(max_m: int | None = None) -> list[CheckResult]:
     return out
 
 
-def _riordan_products(family: Family, top: int):
+def _riordan_products(family: Family, top: int, tables: _Tables | None = None):
     """(m, cell_table(family, m) times cell_inverse(family, m)) for m = 1..top,
     with one int_mul per label chain.
 
@@ -157,12 +168,13 @@ def _riordan_products(family: Family, top: int):
     block of the product there.  Tables that do not nest get their own
     product, so a failing check shows the true product at its m.
     """
+    tables = _Tables() if tables is None else tables
     chains = {}
     for m in range(1, top + 1):
-        cell, inv = cell_table(family, m).rows, cell_inverse(family, m).rows
+        cell, inv = tables[cell_table, family, m].rows, tables[cell_inverse, family, m].rows
         head = top - (top - m) % 2 if family is Family.TEMPERLEY_LIEB else top
         if head not in chains:
-            rows = cell_table(family, head).rows, cell_inverse(family, head).rows
+            rows = tables[cell_table, family, head].rows, tables[cell_inverse, family, head].rows
             chains[head] = (*rows, int_mul(*rows))
         top_cell, top_inv, top_prod = chains[head]
         k = len(cell)
@@ -182,14 +194,15 @@ GOLDEN_SPECS = (
 )
 
 
-def check_growth(max_m: int | None = None) -> list[CheckResult]:
+def check_growth(max_m: int | None = None, tables: _Tables | None = None) -> list[CheckResult]:
+    tables = _Tables() if tables is None else tables
     out = []
     # golden closed forms
     for name, spec, terms in (
         ("tl7-v3", module_spec(Family.TEMPERLEY_LIEB, 7, "V3"), reference.TL7_V3_LENGTH_TERMS),
         ("mo5-s1", module_spec(Family.MOTZKIN, 5, "S1"), reference.MO5_S1_LENGTH_TERMS),
     ):
-        series = length_series(spec, simple_table(spec.family, spec.m))
+        series = length_series(spec, tables[simple_table, spec.family, spec.m])
         found = tuple((int(c), b) for c, b in series.nonzero_base_terms())
         out.append(_result(f"formula:{name}", found, terms, "length_series"))
     # oracle agreement, n = 1..4, every target
@@ -197,7 +210,7 @@ def check_growth(max_m: int | None = None) -> list[CheckResult]:
         if max_m is not None and m > max_m:
             continue
         spec = module_spec(family, m, sel)
-        table = simple_table(family, m)
+        table = tables[simple_table, family, m]
         mults = {target: multiplicity_series(spec, table, target) for target in table.labels}
         length = length_series(spec, table)
         for n in range(1, 5):
@@ -222,7 +235,7 @@ def check_growth(max_m: int | None = None) -> list[CheckResult]:
     for m in (4, 5):
         if max_m is not None and m > max_m:
             continue
-        table = simple_table(Family.PLANAR_ROOK, m)
+        table = tables[simple_table, Family.PLANAR_ROOK, m]
         specs = [ModuleSpec.from_table(table, i, "V") for i in range(m + 1)]
         for i, spec_i in enumerate(specs):
             for j, spec_j in enumerate(specs):
@@ -239,10 +252,11 @@ def check_growth(max_m: int | None = None) -> list[CheckResult]:
     return out
 
 
-def check_fusion(max_m: int | None = None) -> list[CheckResult]:
+def check_fusion(max_m: int | None = None, tables: _Tables | None = None) -> list[CheckResult]:
+    tables = _Tables() if tables is None else tables
     out = []
     spec = module_spec(Family.PLANAR_ROOK, 8, "V2")
-    table = simple_table(Family.PLANAR_ROOK, 8)
+    table = tables[simple_table, Family.PLANAR_ROOK, 8]
     graph = fusion_matrix(spec, table)
     out.append(
         _result("fusion:pro8-matrix", graph.rows, reference.PRO8_V2_FUSION, "reference")
@@ -256,7 +270,7 @@ def check_fusion(max_m: int | None = None) -> list[CheckResult]:
     out.append(_result("fusion:pro8-selfloop", graph.rows[top][top], 28, "absorbing self-loop = dim V"))
     for family, m, sel in ((Family.TEMPERLEY_LIEB, 7, "V3"), (Family.MOTZKIN, 5, "S1"), (Family.PLANAR_ROOK, 8, "V2")):
         spec = module_spec(family, m, sel)
-        table = simple_table(family, m)
+        table = tables[simple_table, family, m]
         graph = fusion_matrix(spec, table)
         passed = _oracle_value(lambda: spectral_check(graph, spec, table, max_n=6)["ok"])
         out.append(_result(f"spectral:{family.value}:{m}:{sel}", passed, True, "projections"))
@@ -290,9 +304,10 @@ def run_suite(suite: str = "all", max_m: int | None = None) -> list[CheckResult]
         names = (suite,)
     else:
         raise VerificationError(f"unknown suite {suite!r}")
+    tables = _Tables()  # held for this run only
     results: list[CheckResult] = []
     for name in names:
-        results.extend(_SUITE_FNS[name](max_m))
+        results.extend(_SUITE_FNS[name](max_m, tables))
     return results
 
 

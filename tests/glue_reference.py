@@ -13,8 +13,8 @@ independently of `diagrams._flip_partners`; `validate_diagram`,
 array in separate walks, independently of `diagrams._checked_partners`.  The
 tests use them as referees.
 The bodies are kept as they were in the library; `_apply_diagram` and
-`_pairing` take and give half-diagram rows (see `diagrams._top_half`) through
-`_record` and `_row`.
+`_pairing` take and give half-diagram rows (see `diagrams._half_arrays`)
+through `_record` and `_row`.
 """
 
 from __future__ import annotations

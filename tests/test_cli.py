@@ -29,6 +29,7 @@ from growthlab.growth import (
     involution_counts,
     leading_term,
     length_series,
+    linear_monoid_constant,
     module_spec,
     multiplicity_series,
 )
@@ -289,10 +290,12 @@ def _unreachable(*args):
         (("asym", "involutions", "--m", "100000000"), "involution_sum"),
         (("asym", "an", "--family", "rook", "--m", "2000"), "an_constant"),
         (("asym", "an", "--family", "rook", "--m", "4000"), "an_constant"),
+        (("asym", "linear-monoid", "--p", "3", "--r", "10000000"), "linear_monoid_constant"),
+        (("asym", "linear-monoid", "--p", "3", "--r", str(10**20)), "linear_monoid_constant"),
     ],
     ids=[
         "growth-n", "growth-range", "involutions-2000", "involutions-4000", "involutions-1e8",
-        "an-rook-2000", "an-rook-4000",
+        "an-rook-2000", "an-rook-4000", "linear-monoid-1e7", "linear-monoid-1e20",
     ],
 )
 def test_unprintable_values_are_refused_before_the_work(capsys, monkeypatch, argv, stage):
@@ -302,11 +305,63 @@ def test_unprintable_values_are_refused_before_the_work(capsys, monkeypatch, arg
     assert err == f"error: an exact value has more than {sys.get_int_max_str_digits()} digits to print\n"
 
 
+@pytest.mark.parametrize("r", ["10000000", str(10**20)])
+def test_linear_monoid_past_the_limit_is_refused_at_once(capsys, r):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "asym", "linear-monoid", "--p", "3", "--r", r)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _refused_up_front(p: int, r: int) -> bool:
+    try:
+        cli._refuse_unprintable_linear_monoid(p, r)
+    except InputError:
+        return True
+    return False
+
+
+def _printed(p: int, r: int) -> bool:
+    # what the command did before its up-front refusal: compute, then print
+    try:
+        str(linear_monoid_constant(p, r))
+    except ValueError:
+        return False
+    return True
+
+
+def _first(test, lo: int, hi: int) -> int:
+    # the least r in (lo, hi] with test(r), for test false at lo and true at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if test(mid) else (mid, hi)
+    return hi
+
+
+# the least r refused up front at the default limit of 4,300 digits: past
+# 4300 / log10(p^2 / (2p - 1)) = 34,417, 16,845, 9,691 and 7,462, in whole
+# steps of 256
+@pytest.mark.parametrize("p, refused", [(2, 35584), (3, 17152), (5, 9984), (7, 7680)])
+def test_linear_monoid_refuses_only_what_cannot_be_printed(p, refused):
+    # the digits of the printed value grow with r; the least r refused up front
+    # lies above the last r that prints, and every r from there up to it fails
+    first = _first(lambda r: _refused_up_front(p, r), 0, 10**6)
+    assert first == refused
+    last_printed = _first(lambda r: not _printed(p, r), 1, first) - 1
+    assert _printed(p, last_printed) and last_printed < first
+    assert not any(_printed(p, r) for r in range(last_printed + 1, first + 1, max(1, (first - last_printed) // 16)))
+    assert not _printed(p, first) and not _refused_up_front(p, first - 1)
+
+
 def test_unlimited_digits_refuse_nothing(capsys, monkeypatch):
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
     monkeypatch.setattr(cli, "involution_sum", lambda m: (Fraction(1, 3), 7))
     code, out, _ = run(capsys, "asym", "involutions", "--m", "4000")
     assert code == 0 and out.startswith("sum: 1/3 = ")
+    monkeypatch.setattr(cli, "linear_monoid_constant", lambda p, r: Fraction(1, 3))
+    code, out, _ = run(capsys, "asym", "linear-monoid", "--p", "3", "--r", "10000000")
+    assert code == 0 and out.startswith("1/3 = ")
     reached = []
     monkeypatch.setattr(cli, "evaluate", lambda es, n: reached.append(n) or Fraction(1))
     code, out, _ = run(capsys, "growth", "length", *_TL7_V3, "--n", "1000000")
@@ -470,7 +525,7 @@ _SPELLINGS = [
 
 
 def _full_parse(argv):
-    return cli._build_parser()[0].parse_args(argv)
+    return cli._build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize(
@@ -500,6 +555,47 @@ def test_a_call_parses_once_per_parser_level(capsys, monkeypatch, argv, parsers)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     assert run(capsys, *argv)[0] == 0
     assert seen == parsers
+
+
+def _subcommands(parser) -> dict:
+    # the parsers of parser's subcommands, by name ({} when it has none)
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+_NESTED = {"asym": ["an", "linear-monoid", "involutions"], "bounds": ["n0", "m0"]}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [(command,) for command in cli._COMMANDS] + [(c, sub) for c, subs in _NESTED.items() for sub in subs],
+    ids=" ".join,
+)
+def test_a_lone_command_parser_prints_as_the_full_parser(path):
+    full, lone = _subcommands(cli._build_parser())[path[0]], cli._build_parser(path[0])
+    for name in path[1:]:
+        full, lone = _subcommands(full)[name], _subcommands(lone)[name]
+    assert lone is not full
+    assert list(_subcommands(lone)) == list(_subcommands(full)) == _NESTED.get(" ".join(path), [])
+    assert (lone.prog, lone.format_usage(), lone.format_help()) == (full.prog, full.format_usage(), full.format_help())
+
+
+def test_a_command_builds_no_other_parser():
+    # in a fresh interpreter, where no parser is cached yet
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import argparse\n"
+        "from growthlab import cli\n"
+        "built, init = [], argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, **kw: built.append(kw['prog']) or init(self, **kw)\n"
+        "print(cli.main(['chartable', '--family', 'tl', '--m', '3']), built)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 ['growthlab chartable']"
 
 
 def test_cli_determinism_across_runs(capsys):

@@ -203,9 +203,12 @@ def test_action_multiplicative_random(family, m):
 
 
 PARTIAL_MAP_CASES = [(Family.TEMPERLEY_LIEB, 4), (Family.PLANAR_ROOK, 3), (Family.MOTZKIN, 3)]
+# the top-row walk of `image` against the union-find referee, on every
+# element and module at these sizes too
+IMAGE_CASES = PARTIAL_MAP_CASES + [(Family.TEMPERLEY_LIEB, 6), (Family.PLANAR_ROOK, 4), (Family.MOTZKIN, 4)]
 
 
-@pytest.mark.parametrize("family,m", PARTIAL_MAP_CASES)
+@pytest.mark.parametrize("family,m", IMAGE_CASES)
 def test_image_agrees_with_action(family, m):
     for i in rank_labels(family, m):
         module = cell_module(family, m, i)

@@ -117,7 +117,7 @@ def test_only_from_partners_makes_an_unchecked_diagram():
 # each referee in tests/, and the library routines it referees
 REFEREED = {
     "glue_reference.py": {
-        "_glue", "_partner_arrays", "_half_arrays", "_lift", "_flip_partners", "_checked_partners"
+        "_glue", "_partner_arrays", "_half_arrays", "_flip_partners", "_checked_partners"
     },
     "linalg_reference.py": {
         "_substitute", "_forward", "_reduce", "_solve", "_solve_multiplicities", "_prefix_ranks"

@@ -3,6 +3,7 @@ integer products that a verify run makes."""
 
 import json
 import sys
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,24 @@ def test_a_verify_run_makes_49_integer_products(monkeypatch):
     monkeypatch.setattr(verify, "int_mul", counted)
     verify.run_suite("all")
     assert len(calls) == 49
+
+
+def test_a_verify_run_builds_each_table_once(monkeypatch):
+    # 3 families x m = 1..20 for the Riordan checks, whose cell tables hold
+    # every golden one; 20 simple and 10 projective tables at the sizes the
+    # suites name; a second run builds them all again
+    built = Counter()
+    for name in ("cell_table", "cell_inverse", "simple_table", "projective_table"):
+        builder = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda family, m, _name=name, _builder=builder: built.update([_name]) or _builder(family, m)
+        )
+    monkeypatch.delenv("GROWTHLAB_MAX_M", raising=False)
+    once = {"cell_table": 60, "cell_inverse": 60, "simple_table": 20, "projective_table": 10}
+    verify.run_suite("all")
+    assert built == once
+    verify.run_suite("all")
+    assert built == {name: 2 * count for name, count in once.items()}
 
 
 def test_each_riordan_product_is_the_product_at_its_m():

@@ -93,6 +93,11 @@ def _decimal12(x: Fraction) -> str:
     return str(_DECIMAL12.divide(Decimal(x.numerator), Decimal(x.denominator)))
 
 
+# the most --n values one growth table prints: 10,000 rows take about 0.2 s
+# where no value grows, and the digit limit bounds the values that do
+_MAX_SPAN = 10_000
+
+
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
@@ -313,6 +318,8 @@ def _cmd_growth(args, out) -> int:
     # whose asymptotic part is zero as well
     asym = leading_term(series) if series.terms else series
     _refuse_unprintable_growth(asym, span)
+    if span.stop - span.start > _MAX_SPAN:  # len() overflows past sys.maxsize
+        raise InputError(f"--n spans more than {_MAX_SPAN} values")
     rows = []
     for n in span:
         value = evaluate(series, n)

@@ -312,11 +312,16 @@ def flip(d: Diagram) -> Diagram:
 
 def rank_labels(family: Family, m: int) -> tuple[int, ...]:
     """The set of possible ranks, ascending (TL ranks share the parity of m)."""
+    return tuple(_rank_range(family, m))
+
+
+def _rank_range(family: Family, m: int) -> range:
+    """The ranks of `rank_labels` as a range, refused at the same m, without building them."""
     if m >= sys.maxsize:  # past it m + 1 overflows a range: no sequence is so long
         raise InputError(f"need m < sys.maxsize = {sys.maxsize}")
     if family is Family.TEMPERLEY_LIEB:
-        return tuple(range(m % 2, m + 1, 2))
-    return tuple(range(m + 1))
+        return range(m % 2, m + 1, 2)
+    return range(m + 1)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,11 @@ and l(n) (all weights 1) has c = X^-1 (1, ..., 1).  X^-1 = C^-1 (I + P), C
 the cell table and P the map i -> i^+, so c sums one or two columns of C^-1
 (V_t's multiplicity) or all of them (l(n)), each from a Riordan recurrence
 on ints; the module's character is a few cell rows summed in one lattice
-pass (`module_spec`).  No table is built, and O(m) ints are held at a time.
+pass (`module_spec`).  No table is built.  Each column is added into one slot
+per distinct base, the bases kept on the spec in `ExpSum` order, so a series
+comes out canonical.  The library entries keep the columns they read on the
+spec, so a module's length and multiplicity series compute each column once;
+the CLI streams them and holds O(m) ints at a time.
 Bases with value 0 are kept: under the convention 0^0 = 1 they make every
 length formula return 1 at n = 0 (the trivial module), while for n >= 1 they
 vanish — printed formulas usually show only the n >= 1 part, and the human
@@ -29,14 +33,14 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
-from operator import add, mul
+from operator import mul
 
 from .diagrams import Family, PLANAR_FAMILIES
 from .errors import InputError, InternalCheckError
 from .linalg import Mat, _solve
 from .record import Record
-from .tables import (CharTable, _cell_columns, _inverse_column, _is_prime, _labels, _mirrors, _module_terms,
-                     label_index, reflections)
+from .tables import (CharTable, _cell_columns, _inverse_column, _is_prime, _label_range, _labels, _mirrors,
+                     _module_terms, label_index)
 
 
 def _as_int_base(x: Fraction) -> int:
@@ -144,6 +148,18 @@ class ModuleSpec(Record):
     def bases(self) -> tuple[int, ...]:  # the int bases of every growth series
         return tuple(map(_as_int_base, self.charvec))
 
+    @cached_property
+    def _slots(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The distinct bases in `ExpSum` order, (-|b|, -b), and the slot of each label's base."""
+        order = sorted(set(self.bases), key=lambda b: (-abs(b), -b))
+        slot = {b: s for s, b in enumerate(order)}
+        return tuple(order), tuple(map(slot.__getitem__, self.bases))
+
+    @cached_property
+    def _columns(self) -> dict[int, list[int]]:
+        """The C^-1 columns its library series have read, by label, at the label positions."""
+        return {}
+
     @staticmethod
     def from_table(table: CharTable, label: int, prefix: str) -> "ModuleSpec":
         row = table.rows[table.index(label)]
@@ -187,37 +203,49 @@ def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
         raise InputError(f"series and fusion graphs need the simple table, not the {simple.kind} table")
 
 
-def _growth_series(spec: ModuleSpec, target: int | None = None) -> ExpSum:
+def _growth_series(spec: ModuleSpec, target: int | None = None,
+                   columns: dict[int, list[int]] | None = None) -> ExpSum:
     """[V^(x)n : V_target], or l(n) with no target, as an exponential sum in n.
 
     (I + P) X = C with P[i][i^+] = 1 (`simple_table`), so c = C^-1 (I + P) w sums
     columns of C^-1: t and t^- (whose i^+ is t) for V_t, each j weighed 1 + [j^+] for l(n).
+    Each column, cut to the label positions, is added into the slots of the spec's bases,
+    so the sum comes out canonical.  `columns` keeps the columns read for the next call
+    (the spec's own, for the library entries); without it they are streamed.
     """
     family, m = spec.family, spec.m
-    labels = _labels(family, m)
+    labels = _label_range(family, m)
     if target is None:
         weights = [(j, 1 + (_mirrors(j, family, m)[1] is not None)) for j in labels]
     else:
-        # reflections checks the target
-        weights = [(t, 1) for t in (target, reflections(target, family, m).minus) if t is not None]
-    coeffs = [0] * (m + 1)
+        if target not in labels:
+            label_index(tuple(labels), target, family, m)  # raises, naming the rule
+        minus = _mirrors(target, family, m)[0]
+        weights = [(target, 1)] if minus is None else [(target, 1), (minus, 1)]
+    order, slots = spec._slots
+    sums = [0] * len(order)
     for t, w in weights:
-        column = _inverse_column(family, t)
+        column = None if columns is None else columns.get(t)
+        if column is None:
+            column = _inverse_column(family, t)[labels.start :: labels.step]
+            if columns is not None:
+                columns[t] = column
         for _ in range(w):  # w is 1 or 2: adding beats multiplying big ints
-            coeffs[: t + 1] = map(add, coeffs, column)
-    return ExpSum.make(zip([coeffs[i] for i in labels], spec.bases))
+            for s, c in zip(slots, column):
+                sums[s] += c
+    return ExpSum(tuple([(Fraction(c), b) for c, b in zip(sums, order) if c]))
 
 
 def multiplicity_series(spec: ModuleSpec, simple: CharTable, target: int) -> ExpSum:
     """[V^(x)n : V_target] as an exponential sum in n (`simple` is checked, not read)."""
     _check_compatible(spec, simple)
-    return _growth_series(spec, target)
+    return _growth_series(spec, target, spec._columns)
 
 
 def length_series(spec: ModuleSpec, simple: CharTable) -> ExpSum:
     """l(n) = total number of composition factors of V^(x)n."""
     _check_compatible(spec, simple)
-    return _growth_series(spec)
+    return _growth_series(spec, None, spec._columns)
 
 
 # ---------------------------------------------------------------------------

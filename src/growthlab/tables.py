@@ -52,7 +52,7 @@ from itertools import product
 from math import comb
 from operator import add
 
-from .diagrams import Family, rank_labels
+from .diagrams import Family, _rank_range, rank_labels
 from .errors import InputError, InternalCheckError
 from .linalg import Mat, _check_unit_triangular
 from .record import Record
@@ -126,10 +126,15 @@ def _planar(family: Family) -> None:
 
 
 def _labels(family: Family, m: int) -> tuple[int, ...]:
+    return tuple(_label_range(family, m))
+
+
+def _label_range(family: Family, m: int) -> range:
+    """The labels of `_labels` as a range, checked the same way, without building them."""
     _planar(family)
     if m < 1:
         raise InputError("need m >= 1")
-    return rank_labels(family, m)
+    return _rank_range(family, m)
 
 
 def _cell_columns(family: Family, m: int, wanted: tuple[int, ...]):
@@ -212,12 +217,9 @@ def reflections(i: int, family: Family, m: int) -> Reflections:
     has a mirror.  Out-of-range mirrors are reported as absent (None) —
     callers treat absent as the zero module.
     """
-    _planar(family)
-    if m < 1:  # the check of `_labels`, without building the labels
-        raise InputError("need m >= 1")
-    step = 2 if family is Family.TEMPERLEY_LIEB else 1
-    if i not in range(m % step, m + 1, step):  # the labels, without building them
-        label_index(rank_labels(family, m), i, family, m)  # raises, naming the rule
+    labels = _label_range(family, m)
+    if i not in labels:
+        label_index(tuple(labels), i, family, m)  # raises, naming the rule
     return Reflections(*_mirrors(i, family, m))
 
 

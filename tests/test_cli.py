@@ -269,6 +269,44 @@ def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
+_LONG = "1..99999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("growth", "length", "--family", "tl", "--m", "5", "--module", "V1", "--n", _LONG),
+        ("growth", "multiplicity", "--family", "tl", "--m", "4", "--module", "V4", "--target", "V0", "--n", _LONG),
+        ("growth", "multiplicity", "--family", "tl", "--m", "4", "--module", "V0", "--target", "V4", "--n", _LONG),
+        ("growth", "length", "--family", "tl", "--m", "5", "--module", "V1", "--n", "5..10005"),
+    ],
+    ids=["bases-at-most-1", "base-0", "zero-series", "one-past-the-ceiling"],
+)
+def test_a_span_past_the_ceiling_is_refused_at_once(capsys, argv):
+    # no value outgrows the digit limit here, so only the span bounds the work
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", f"error: --n spans more than {cli._MAX_SPAN} values\n")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("length", "--family", "tl", "--m", "5", "--module", "V1", "--n", "1..10000", "--format", "csv"),
+         "e95a4278503dbb6f1848db60fd96f4fb79d66624f89babce2b706d22ea986238"),
+        (("multiplicity", "--family", "tl", "--m", "4", "--module", "V4", "--target", "V0", "--n", "0..9999"),
+         "5a83aa534a776d2dc8c76b5c23f0b228d027f815d28e4fd54865c3e3b962a781"),
+    ],
+    ids=["length-csv", "multiplicity-text"],
+)
+def test_a_span_at_the_ceiling_prints_as_before(capsys, argv, digest):
+    # the sha256 of the output before the ceiling was added
+    code, out, err = run(capsys, "growth", *argv)
+    assert (code, err, cli._MAX_SPAN) == (0, "", 10_000)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_large_prime_p_is_checked_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "pl", "support", "--a", "5", "--p", "1000000000000000003", "--l", "3")

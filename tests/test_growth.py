@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import growth, linalg, tables
-from growthlab.diagrams import Family
+from growthlab import cli, growth, linalg, tables
+from growthlab.diagrams import PLANAR_FAMILIES, Family
 from growthlab.errors import InputError
 from growthlab.growth import (
     ExpSum,
@@ -301,7 +301,7 @@ def test_column_series_match_the_full_table_route_at_m300(family):
         assert length_series(spec, table) == series_reference.series(spec, table, [1] * len(labels))
 
 
-def test_multiplicity_series_reads_one_or_two_columns(monkeypatch):
+def _record_columns(monkeypatch) -> list[int]:
     read = []
 
     def recording(family, t):
@@ -309,16 +309,124 @@ def test_multiplicity_series_reads_one_or_two_columns(monkeypatch):
         return tables._inverse_column(family, t)
 
     monkeypatch.setattr(growth, "_inverse_column", recording)
+    return read
+
+
+def test_multiplicity_series_reads_one_or_two_columns(monkeypatch):
+    read = _record_columns(monkeypatch)
     table = simple_table(Family.TEMPERLEY_LIEB, 31)
-    spec = module_spec(Family.TEMPERLEY_LIEB, 31, "V1")
     for target in table.labels:
         read.clear()
+        spec = module_spec(Family.TEMPERLEY_LIEB, 31, "V1")  # fresh: no column kept yet
         multiplicity_series(spec, table, target)
         minus = tables.reflections(target, Family.TEMPERLEY_LIEB, 31).minus
         assert read == [target] + ([] if minus is None else [minus])
-    read.clear()
+
+
+@pytest.mark.parametrize("family, m", [(Family.TEMPERLEY_LIEB, 31), (Family.MOTZKIN, 20), (Family.PLANAR_ROOK, 12)])
+def test_a_spec_computes_each_column_once(monkeypatch, family, m):
+    read = _record_columns(monkeypatch)
+    table = simple_table(family, m)
+    spec = module_spec(family, m, "V1")
     length_series(spec, table)
     assert read == list(table.labels)
+    for target in table.labels:
+        multiplicity_series(spec, table, target)
+    length_series(spec, table)
+    assert read == list(table.labels)
+    # the other way round: the targets first, then the length
+    read.clear()
+    spec = module_spec(family, m, "V1")
+    for target in reversed(table.labels):
+        multiplicity_series(spec, table, target)
+    length_series(spec, table)
+    assert sorted(read) == list(table.labels)
+
+
+def test_the_growth_command_keeps_no_columns(monkeypatch, capsys):
+    read = _record_columns(monkeypatch)
+    specs = []
+
+    def keeping(*args):
+        specs.append(module_spec(*args))
+        return specs[-1]
+
+    monkeypatch.setattr(cli, "module_spec", keeping)
+    tl7 = ("--family", "tl", "--m", "7", "--module", "V3")
+    assert cli.main(["growth", "length", *tl7]) == 0
+    assert cli.main(["growth", "multiplicity", *tl7, "--target", "V7"]) == 0
+    assert len(specs) == 2 and read == [1, 3, 5, 7, 7, 3]  # V7 reads C^-1 columns 7 and 7^- = 3
+    assert all("_columns" not in spec.__dict__ for spec in specs)
+
+
+@st.composite
+def _hand_built(draw):
+    family = draw(st.sampled_from([Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN]))
+    table = simple_table(family, draw(st.integers(1, 9)))
+    size = len(table.labels)
+    bases = draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+    return ModuleSpec("X", family, table.m, bases[-1], tuple(map(Fraction, bases))), table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hand_built())
+def test_series_of_any_bases_come_out_canonical(drawn):
+    # repeated, zero and negative bases, |b| ties included: the slots must
+    # order them as ExpSum.make does and drop what cancels
+    spec, table = drawn
+    for target in table.labels:
+        expected = series_reference.multiplicity_series(spec, table, target)
+        assert multiplicity_series(spec, table, target) == expected
+        assert growth._growth_series(spec, target) == expected  # streamed, as the CLI reads it
+    expected = series_reference.series(spec, table, [1] * len(table.labels))
+    assert length_series(spec, table) == expected
+    assert growth._growth_series(spec) == expected
+
+
+def test_kept_columns_leave_the_spec_value_alone():
+    spec, twin = (module_spec(Family.MOTZKIN, 9, "P3") for _ in range(2))
+    before = repr(spec), hash(spec)
+    table = simple_table(Family.MOTZKIN, 9)
+    length_series(spec, table)
+    for target in table.labels:
+        multiplicity_series(spec, table, target)
+    assert len(spec._columns) == len(table.labels) and "_columns" not in twin.__dict__
+    assert (repr(spec), hash(spec)) == before
+    assert spec == twin and twin == spec and hash(twin) == hash(spec)
+
+
+_NOT_A_LABEL = "label {} is not a {} m={} label (labels are 0 <= i <= m{})"
+_PARITY = ", with the parity of m"
+
+
+@pytest.mark.parametrize(
+    "family, m, target, message",
+    [
+        ("tl", 7, 9, _NOT_A_LABEL.format(9, "temperley_lieb", 7, _PARITY)),
+        ("mo", 5, -1, _NOT_A_LABEL.format(-1, "motzkin", 5, "")),
+        ("tl", 7, 2, _NOT_A_LABEL.format(2, "temperley_lieb", 7, _PARITY)),
+        ("tl", 0, 0, "need m >= 1"),
+        ("brauer", 3, 1, "no character tables for brauer"),
+    ],
+    ids=["not-a-label", "negative", "off-parity", "m-below-1", "not-planar"],
+)
+def test_series_refusals_keep_their_words(capsys, family, m, target, message):
+    kind = cli._family(family)
+    if kind in PLANAR_FAMILIES and m >= 1:
+        table = simple_table(kind, m)
+        spec = module_spec(kind, m, f"V{table.labels[-1]}")
+    else:  # no table can be built: one made by hand passes the compatibility check
+        table = tables.CharTable(kind, m, "simple", (0,), ((1,),))
+        spec = ModuleSpec("V0", kind, m, 1, (Fraction(1),))
+    with pytest.raises(InputError) as raised:
+        multiplicity_series(spec, table, target)
+    assert str(raised.value) == message
+    argv = ["growth", "multiplicity", "--family", family, "--m", str(m), "--module", "V1", "--target", f"V{target}"]
+    if m < 1:
+        argv[argv.index("V1")] = "V0"
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("kind", ["cell", "projective", "cell_inverse"])

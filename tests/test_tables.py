@@ -648,9 +648,9 @@ def test_public_entries_refuse_m_past_maxsize(m):
     for family in (Family.TEMPERLEY_LIEB, Family.PLANAR_ROOK):
         with pytest.raises(InputError, match=f"^need m < sys.maxsize = {sys.maxsize}$"):
             rank_labels(family, m)
-    with pytest.raises(InputError, match=f"^need m < sys.maxsize = {sys.maxsize}$"):
-        # a TL label of the wrong parity, which reflections checks against the labels
-        tables.reflections((m + 1) % 2, Family.TEMPERLEY_LIEB, m)
+    for label in ((m + 1) % 2, m % 2):  # a TL label of either parity
+        with pytest.raises(InputError, match=f"^need m < sys.maxsize = {sys.maxsize}$"):
+            tables.reflections(label, Family.TEMPERLEY_LIEB, m)
 
 
 # ---------------------------------------------------------------------------

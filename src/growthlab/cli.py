@@ -5,8 +5,10 @@ codes: 0 success, 1 usage error, 2 input validation error, 3 verification
 mismatch or a verify run that made no checks.  Identical invocations produce
 byte-identical output; every machine-readable field is an exact integer or
 rational string, and decimal renderings (12 significant digits) are
-display-only.  Each call runs only its command's parser; the full parser
-answers help and any argument list that names no command.
+display-only.  A well-formed call is read straight off its command parser's
+actions; argparse parses help, errors and every other spelling, with the
+command's parser alone when the argument list names a command and with the
+full parser otherwise.
 """
 
 from __future__ import annotations
@@ -106,6 +108,8 @@ def _parse_range(text: str) -> range:
         raise InputError(f"bad range {text!r} (want N or A..B)") from exc
     if not span:
         raise InputError(f"empty range {text!r} (want A <= B)")
+    if span.start < 0:
+        raise InputError(f"--n {text!r} starts below 0 (want n >= 0)")
     return span
 
 
@@ -465,16 +469,84 @@ _COMMANDS = {
 }
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The arguments as `_build_parser().parse_args(argv)` reads them, in one argparse pass.
+# the actions `_read` fills from the words after them: one value, or a flag
+_PLAIN = {(argparse._StoreAction, None), (argparse._StoreTrueAction, 0)}
 
-    An argv that names a command goes straight to that command's parser
-    alone; its leftovers are the full parser's "unrecognized arguments".
-    Help and any argv that names no command go through the full parser,
-    which is built only for them.
+
+@cache
+def _fields(parser: _Parser) -> tuple[dict, list]:
+    """parser's plain options by option string, and its positionals in order."""
+    options, positionals = {}, []
+    for action in parser._actions:
+        if not action.option_strings:
+            positionals.append(action)
+        elif (type(action), action.nargs) in _PLAIN:
+            options.update(dict.fromkeys(action.option_strings, action))
+    return options, positionals
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The arguments of a command's argv as argparse reads them, read straight
+    off the command parser's actions; None unless each word has a plain form.
+
+    The plain forms: an exact option string and one value that does not start
+    with "-"; a store_true flag; positionals, in order; and the nested
+    subcommand as the first word after the command.  Each value goes through
+    the action's type and then its choices.  Help, errors, abbreviations, "="
+    and "--" forms and values such as -3 are left to argparse.
+    """
+    args = argparse.Namespace(command=argv[0])
+    parser, words = _build_parser(argv[0]), iter(argv[1:])
+    options, positionals = _fields(parser)
+    if positionals and isinstance(positionals[0], argparse._SubParsersAction):
+        sub, name = positionals[0], next(words, None)
+        if name not in sub.choices:
+            return None
+        setattr(args, sub.dest, name)
+        parser = sub.choices[name]
+        options, positionals = _fields(parser)
+    given, rest = {}, iter(positionals)
+    for word in words:
+        if word.startswith("-"):
+            action = options.get(word)
+            if action is not None and action.nargs == 0:
+                given[action] = action.const
+                continue
+            word = next(words, "-")
+        else:
+            action = next(rest, None)
+        if action is None or action.nargs is not None or word.startswith("-"):
+            return None
+        try:
+            value = action.type(word) if action.type else word
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    for action in parser._actions:
+        if argparse.SUPPRESS in (action.dest, action.default):  # help
+            continue
+        if action.required and action not in given:
+            return None
+        # argparse would pass a string default through the type: none is one
+        setattr(args, action.dest, given.get(action, action.default))
+    return args
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments as `_build_parser().parse_args(argv)` reads them.
+
+    A well-formed argv that names a command is read by `_read`.  Any other
+    argv that names a command goes to that command's parser alone, in one
+    argparse pass; its leftovers are the full parser's "unrecognized
+    arguments".  Help and any argv that names no command go through the full
+    parser, which is built only for them.
     """
     if not argv or argv[0] not in _COMMANDS:
         return _build_parser().parse_args(argv)
+    if (args := _read(argv)) is not None:
+        return args
     args, extras = _build_parser(argv[0]).parse_known_args(argv[1:])
     if extras:
         _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")

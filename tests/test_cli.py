@@ -10,6 +10,8 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import growthlab
 from growthlab import cli, growth, tables, verify
@@ -318,6 +320,13 @@ def _unreachable(*args):
     raise AssertionError("the refusal should come before this call")
 
 
+@pytest.mark.parametrize("n", ["-1", "-5..3"])
+def test_a_negative_n_is_refused_before_the_work(capsys, monkeypatch, n):
+    monkeypatch.setattr(cli, "module_spec", _unreachable)
+    code, out, err = run(capsys, "growth", "length", "--family", "pro", "--m", "1500", "--module", "V0", f"--n={n}")
+    assert (code, out, err) == (2, "", f"error: --n {n!r} starts below 0 (want n >= 0)\n")
+
+
 @pytest.mark.parametrize(
     "argv, stage",
     [
@@ -578,8 +587,12 @@ def test_dispatch_answers_as_the_full_parser(capsys, monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv, parsers",
     [
-        (("chartable", *_TL3), ["growthlab chartable"]),
-        (("asym", "an", *_TL3), ["growthlab asym", "growthlab asym an"]),
+        # a well-formed call is read off its parser's actions, with no argparse pass
+        (("chartable", *_TL3), []),
+        (("asym", "an", *_TL3), []),
+        # any other argv that names a command: one argparse pass per parser level
+        (("chartable", "--fam", "tl", "--m", "3"), ["growthlab chartable"]),
+        (("asym", "an", *_TL3, "--bogus", "x"), ["growthlab asym", "growthlab asym an"]),
     ],
 )
 def test_a_call_parses_once_per_parser_level(capsys, monkeypatch, argv, parsers):
@@ -591,7 +604,8 @@ def test_a_call_parses_once_per_parser_level(capsys, monkeypatch, argv, parsers)
         return parse_known_args(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    assert run(capsys, *argv)[0] == 0
+    code = run(capsys, *argv)[0]
+    assert code == (cli.USAGE_ERROR if "--bogus" in argv else 0)
     assert seen == parsers
 
 
@@ -616,6 +630,74 @@ def test_a_lone_command_parser_prints_as_the_full_parser(path):
     assert lone is not full
     assert list(_subcommands(lone)) == list(_subcommands(full)) == _NESTED.get(" ".join(path), [])
     assert (lone.prog, lone.format_usage(), lone.format_help()) == (full.prog, full.format_usage(), full.format_help())
+
+
+# one call of each shape of the benchmark's interactive workload
+_INTERACTIVE_SHAPES = [
+    ("chartable", *_TL3, "--kind", "cell-inverse", "--format", "csv"),
+    ("growth", "length", "--family", "pro", "--m", "5", "--module", "P2", "--n", "1..5", "--format", "text"),
+    ("growth", "multiplicity", "--family", "mo", "--m", "4", "--module", "S2", "--target", "V0", "--n", "1..8"),
+    ("fusion", "--family", "pro", "--m", "5", "--module", "V2", "--format", "json"),
+    ("pl", "support", "--a", "417", "--p", "inf", "--l", "2"),
+    ("asym", "linear-monoid", "--p", "7", "--r", "3"),
+    ("bounds", "n0", "--l-classes", "12"),
+]
+
+
+def test_the_reader_takes_plain_calls_and_leaves_help_and_errors():
+    # so that the referee below cannot pass by reading nothing
+    for argv in _COMMANDS_AND_ARGS + _INTERACTIVE_SHAPES:
+        assert cli._read(list(argv)) == _full_parse(argv), argv
+    for argv in _HELP + _USAGE:
+        assert not argv or argv[0] not in cli._COMMANDS or cli._read(list(argv)) is None, argv
+
+
+# words a parser's actions never name, each a form the reader leaves to argparse
+_NEAR_MISSES = ["-h", "--", "--bogus", "-3", "", "a b", "bogus", "x"]
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """An argv drawn from a command parser's own option strings, choices and
+    subcommands, then at times given one near miss."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    parser, words, loose = cli._build_parser(command), [command], []
+    if subs := _subcommands(parser):
+        words.append(draw(st.sampled_from(list(subs))))
+        parser, loose = subs[words[-1]], list(subs)
+    pieces = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction) or not action.required and draw(st.booleans()):
+            continue
+        good = list(action.choices or []) or (["0", "3", "12"] if action.type is int else ["tl", "V1", "1..3", "inf"])
+        if not action.option_strings:
+            loose += good
+        value = [draw(st.sampled_from(good))] if action.nargs != 0 else []
+        pieces.append(action.option_strings[:1] + value)
+    if pieces and draw(st.booleans()):  # repeat an option or a positional
+        pieces.append(draw(st.sampled_from(pieces)))
+    words += [word for piece in draw(st.permutations(pieces)) for word in piece]
+    miss = draw(st.sampled_from([None, None, "drop", "insert", "replace", "abbreviate", "="]))
+    i = draw(st.integers(1, len(words) - 1)) if len(words) > 1 else 0
+    stray = draw(st.sampled_from(_NEAR_MISSES + loose))  # a near miss, a subcommand or a positional
+    if miss == "drop" and i:  # a missing value, subcommand or required option
+        del words[i]
+    elif miss == "insert":
+        words.insert(i + 1, stray)
+    elif miss == "replace" and i:  # an out-of-choice or ill-typed value, or an option for a value
+        words[i] = stray
+    elif miss == "abbreviate" and words[i].startswith("--"):
+        words[i] = words[i][: draw(st.integers(2, len(words[i]) - 1))]
+    elif miss == "=" and words[i].startswith("--") and i + 1 < len(words):
+        words[i : i + 2] = [f"{words[i]}={words[i + 1]}"]
+    return words
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argvs())
+def test_the_reader_reads_as_argparse_or_declines(argv):
+    read = cli._read(argv)
+    assert read is None or read == _full_parse(argv)
 
 
 def test_a_command_builds_no_other_parser():

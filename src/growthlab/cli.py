@@ -5,10 +5,7 @@ codes: 0 success, 1 usage error, 2 input validation error, 3 verification
 mismatch or a verify run that made no checks.  Identical invocations produce
 byte-identical output; every machine-readable field is an exact integer or
 rational string, and decimal renderings (12 significant digits) are
-display-only.  A well-formed call is read straight off its command parser's
-actions; argparse parses help, errors and every other spelling, with the
-command's parser alone when the argument list names a command and with the
-full parser otherwise.
+display-only.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from functools import cache
 from math import gcd, log10
 
 from . import verify
-from .diagrams import PLANAR_FAMILIES, Family, rank_labels
+from .diagrams import PLANAR_FAMILIES, Family
 from .errors import InputError, SingularMatrixError, VerificationError
 from .fusion import fusion_matrix, realized_n0, scc_analysis, to_dot, to_json as fusion_to_json
 from .growth import (
@@ -46,6 +43,7 @@ from .tables import (
     INFINITY,
     PLParams,
     _is_prime,
+    _label_range,
     ancestorless,
     label_index,
     pl_digits,
@@ -98,6 +96,11 @@ def _decimal12(x: Fraction) -> str:
 # the most --n values one growth table prints: 10,000 rows take about 0.2 s
 # where no value grows, and the digit limit bounds the values that do
 _MAX_SPAN = 10_000
+
+
+# the most nonzero digits after the leading one of a + 1 that `pl support`
+# twists: each doubles the support, and a call at 16 takes about 0.25 s
+_MAX_TWISTS = 16
 
 
 def _parse_range(text: str) -> range:
@@ -315,7 +318,7 @@ def _cmd_growth(args, out) -> int:
         if not match:
             raise InputError(f"bad target {args.target!r} (want V<i>)")
         target = int(match.group(1))
-        label_index(rank_labels(family, args.m), target, family, args.m)
+        label_index(_label_range(family, args.m), target, family, args.m)
     spec = module_spec(family, args.m, args.module)
     series = _growth_series(spec, target)
     # a module that never contains the target has the empty (zero) series,
@@ -430,6 +433,9 @@ def _cmd_pl(args, out) -> int:
     if args.what == "digits":
         print(pl_digits(args.a, params), file=out)
     elif args.what == "support":
+        twists = sum(map(bool, pl_digits(args.a + 1, params)[1:])) if args.a >= 0 else 0
+        if twists > _MAX_TWISTS:
+            raise InputError(f"a + 1 has {twists} nonzero digits after the leading one (at most {_MAX_TWISTS})")
         print(sorted(pl_support(args.a, params)), file=out)
     else:
         print(ancestorless(args.a, params), file=out)
@@ -537,21 +543,13 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The arguments as `_build_parser().parse_args(argv)` reads them.
 
-    A well-formed argv that names a command is read by `_read`.  Any other
-    argv that names a command goes to that command's parser alone, in one
-    argparse pass; its leftovers are the full parser's "unrecognized
-    arguments".  Help and any argv that names no command go through the full
-    parser, which is built only for them.
+    A well-formed call is read straight off its command parser's actions by
+    `_read`; the full parser, built only then, parses help, errors and every
+    other spelling.
     """
-    if not argv or argv[0] not in _COMMANDS:
-        return _build_parser().parse_args(argv)
-    if (args := _read(argv)) is not None:
+    if argv and argv[0] in _COMMANDS and (args := _read(argv)) is not None:
         return args
-    args, extras = _build_parser(argv[0]).parse_known_args(argv[1:])
-    if extras:
-        _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -174,24 +174,6 @@ def format_blocks(blocks, m: int) -> str:
     return "".join("{" + ",".join(name(p) for p in b) + "}" for b in _canonical_blocks(blocks))
 
 
-def parse_blocks(text: str, m: int) -> tuple[Block, ...]:
-    """Inverse of format_blocks."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise InputError(f"malformed block list {text!r}")
-    blocks = []
-    for chunk in text[1:-1].split("}{"):
-        points = []
-        for tok in chunk.split(","):
-            tok = tok.strip()
-            try:
-                points.append(int(tok[:-1]) + m if tok.endswith("'") else int(tok))
-            except ValueError:
-                raise InputError(f"bad point {tok!r} in block list {text!r}") from None
-        blocks.append(tuple(points))
-    return _canonical_blocks(blocks)
-
-
 def make_diagram(family: Family, m: int, blocks) -> Diagram:
     """The same call as Diagram(family, m, blocks)."""
     return Diagram(family, m, blocks)

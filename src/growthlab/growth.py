@@ -39,7 +39,7 @@ from .diagrams import Family, PLANAR_FAMILIES
 from .errors import InputError, InternalCheckError
 from .linalg import Mat, _solve
 from .record import Record
-from .tables import (CharTable, _cell_columns, _inverse_column, _is_prime, _label_range, _labels, _mirrors,
+from .tables import (CharTable, _cell_columns, _inverse_column, _is_prime, _label_range, _mirrors,
                      _module_terms, label_index)
 
 
@@ -182,7 +182,7 @@ def parse_selector(family: Family, m: int, selector: str) -> tuple[str, int]:
     if not match:
         raise InputError(f"bad module selector {selector!r} (want V<i>, S<i> or P<i>)")
     kind, label = match.group(1).upper(), int(match.group(2))
-    label_index(_labels(family, m), label, family, m)
+    label_index(_label_range(family, m), label, family, m)
     return kind, label
 
 
@@ -218,8 +218,7 @@ def _growth_series(spec: ModuleSpec, target: int | None = None,
     if target is None:
         weights = [(j, 1 + (_mirrors(j, family, m)[1] is not None)) for j in labels]
     else:
-        if target not in labels:
-            label_index(tuple(labels), target, family, m)  # raises, naming the rule
+        label_index(labels, target, family, m)
         minus = _mirrors(target, family, m)[0]
         weights = [(target, 1)] if minus is None else [(target, 1), (minus, 1)]
     order, slots = spec._slots

@@ -41,7 +41,6 @@ inputs), so concurrent queries are safe — a race can at worst duplicate work.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -161,11 +160,6 @@ def _gram_rows(family: Family, m: int, i: int) -> _Rows:
     return tuple(map(tuple, rows))
 
 
-def gram_matrix(family: Family, m: int, i: int) -> Mat:
-    """The cellular bilinear form on the half-diagram basis of S_i (see `_gram_rows`)."""
-    return Mat(_gram_rows(family, m, i))
-
-
 @lru_cache(maxsize=None)
 def _module_rows(family: Family, m: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(tr(e_j | S_i), tr(e_j | V_i)) for the class idempotent e_j of every label j, in order.
@@ -197,21 +191,6 @@ def _module_rows(family: Family, m: int, i: int) -> tuple[tuple[int, ...], tuple
         raise InternalCheckError(f"S_{i}: the last class idempotent does not fix every basis element")
     ranks = _prefix_ranks(gram[c] for c in order)
     return tuple(cells), tuple(ranks[k] for k in cells)
-
-
-def cell_character(family: Family, m: int, i: int, j: int) -> Fraction:
-    """Trace of the canonical rank-j idempotent on S_i, a fixed-point count (see `_module_rows`)."""
-    return Fraction(_module_rows(family, m, i)[0][label_index(rank_labels(family, m), j, family, m)])
-
-
-def simple_character(family: Family, m: int, i: int, j: int) -> Fraction:
-    """Trace of the rank-j idempotent on the simple quotient S_i / rad (see `_module_rows`)."""
-    return Fraction(_module_rows(family, m, i)[1][label_index(rank_labels(family, m), j, family, m)])
-
-
-def simple_dimension(family: Family, m: int, i: int) -> int:
-    """Rank of the cellular form = dimension of the simple module V_i."""
-    return _module_rows(family, m, i)[1][-1]
 
 
 @lru_cache(maxsize=None)

@@ -48,7 +48,6 @@ import csv
 import io
 import json
 from fractions import Fraction
-from itertools import product
 from math import comb
 from operator import add
 
@@ -61,7 +60,7 @@ from .record import Record
 # ---------------------------------------------------------------------------
 # tables
 
-def label_index(labels: tuple[int, ...], label: int, family: Family, m: int) -> int:
+def label_index(labels: tuple[int, ...] | range, label: int, family: Family, m: int) -> int:
     """Position of label among labels, the labels of family at m.
 
     An unknown label raises InputError naming the label, the family, m and
@@ -120,24 +119,16 @@ _STEPS = {
 }
 
 
-def _planar(family: Family) -> None:
+def _label_range(family: Family, m: int) -> range:
+    """The labels of a planar family at m >= 1, as a range: checked, not built."""
     if family not in _STEPS:
         raise InputError(f"no character tables for {family.value}")
-
-
-def _labels(family: Family, m: int) -> tuple[int, ...]:
-    return tuple(_label_range(family, m))
-
-
-def _label_range(family: Family, m: int) -> range:
-    """The labels of `_labels` as a range, checked the same way, without building them."""
-    _planar(family)
     if m < 1:
         raise InputError("need m >= 1")
     return _rank_range(family, m)
 
 
-def _cell_columns(family: Family, m: int, wanted: tuple[int, ...]):
+def _cell_columns(family: Family, m: int, wanted: tuple[int, ...] | range):
     """Column j of the cell table at the wanted rows, for each label j in turn.
 
     counts[h] counts the j-step paths ending at height h, each from h - s for
@@ -159,7 +150,7 @@ def _cell_columns(family: Family, m: int, wanted: tuple[int, ...]):
 
 
 def _cell_rows(family: Family, m: int) -> dict[int, tuple[int, ...]]:
-    labels = _labels(family, m)  # every cell row, keyed by label, for the tables
+    labels = _label_range(family, m)  # every cell row, keyed by label, for the tables
     return dict(zip(labels, zip(*_cell_columns(family, m, labels))))
 
 
@@ -190,10 +181,10 @@ def _inverse_column(family: Family, t: int) -> list[int]:
 
 def cell_inverse(family: Family, m: int) -> CharTable:
     """Inverse of the cell table (same row/column labels), from its columns."""
-    labels = _labels(family, m)
+    labels = _label_range(family, m)
     cols = [_inverse_column(family, t) + [0] * (m - t) for t in labels]
     rows = tuple(tuple([col[i] for col in cols]) for i in labels)
-    return CharTable(family, m, "cell_inverse", labels, rows)
+    return CharTable(family, m, "cell_inverse", tuple(labels), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +208,7 @@ def reflections(i: int, family: Family, m: int) -> Reflections:
     has a mirror.  Out-of-range mirrors are reported as absent (None) —
     callers treat absent as the zero module.
     """
-    labels = _label_range(family, m)
-    if i not in labels:
-        label_index(tuple(labels), i, family, m)  # raises, naming the rule
+    label_index(_label_range(family, m), i, family, m)
     return Reflections(*_mirrors(i, family, m))
 
 
@@ -285,7 +274,7 @@ def table_of_kind(family: Family, m: int, kind: str) -> CharTable:
 
 def trivial_label(family: Family, m: int) -> int:
     """Label of the trivial module (the all-ones simple character row): the least label."""
-    return _labels(family, m)[0]
+    return _label_range(family, m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +377,17 @@ def pl_support(a: int, params: PLParams) -> frozenset[int]:
     { a_t p^(t) +- a_{t-1} p^(t-1) +- ... +- a_0 p^(0) - 1 } over all sign
     choices (the leading digit is never negated), duplicates removed.  Values
     below the label range may appear (virtual reflections); callers intersect
-    with Lambda_m.
+    with Lambda_m.  A zero digit has no sign to choose, so k nonzero digits
+    after the leading one give at most 2^k values, built one digit at a time.
     """
     if a < 0:
         raise InputError("support of a negative integer")
     digits = pl_digits(a + 1, params)
     weights = _radix_weights(len(digits), params)
-    lead = digits[0] * weights[0]
-    rest = list(zip(digits[1:], weights[1:]))
-    values = set()
-    for signs in product((1, -1), repeat=len(rest)):
-        values.add(lead + sum(s * d * w for s, (d, w) in zip(signs, rest)) - 1)
+    values = {digits[0] * weights[0] - 1}
+    for d, w in zip(digits[1:], weights[1:]):
+        if d:
+            values = {v + s for v in values for s in (d * w, -d * w)}
     return frozenset(values)
 
 
@@ -475,12 +464,12 @@ def decomposition_matrix(
     (INFINITY, 2)), where the support of an even i is {i, i-2}, so S_z holds
     V_z and V_{z+2}; planar rook is semisimple (identity matrix).
     """
-    labels = _labels(family, m)
+    labels = _label_range(family, m)
     if family is Family.MOTZKIN and params not in (None, CHAR0_MO):
         raise InputError("Motzkin decomposition matrices are char-0 only")
     supports = {i: pl_support(i, params or _CHAR0[family]) if family in _CHAR0 else {i} for i in labels}
     rows = tuple(tuple(int(z in supports[i]) for i in labels) for z in labels)
-    return DecompositionMatrix(family, m, labels, rows)
+    return DecompositionMatrix(family, m, tuple(labels), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,27 @@ def _unreachable(*args):
     raise AssertionError("the refusal should come before this call")
 
 
+@pytest.mark.parametrize(
+    "a, twists", [("99999999999999999999999", 38), (str(3 * (2**17 - 1)), 17)], ids=["38", "one-past-the-ceiling"]
+)
+def test_a_support_past_the_twist_ceiling_is_refused_at_once(capsys, monkeypatch, a, twists):
+    # 2**38 sign choices once ran until killed: the refusal comes before any
+    monkeypatch.setattr(cli, "pl_support", _unreachable)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pl", "support", "--a", a, "--p", "2", "--l", "3")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", f"error: a + 1 has {twists} nonzero digits after the leading one (at most 16)\n")
+
+
+def test_a_support_at_the_twist_ceiling_prints_as_before(capsys):
+    # a + 1 has the (2, 3) digits 1, 1, ..., 1: 16 after the leading one, 2**16 values
+    code, out, err = run(capsys, "pl", "support", "--a", str(3 * (2**16 - 1)), "--p", "2", "--l", "3")
+    assert (code, err, cli._MAX_TWISTS, len(json.loads(out))) == (0, "", 16, 2**16)
+    assert hashlib.sha256(out.encode()).hexdigest() == "f1a1cf07a007c41e1ba069143673f442e0428f2eac1944fdc6ae2d7a918f809d"
+    # a negative a is left to the support's own refusal
+    assert run(capsys, "pl", "support", "--a", "-3") == (2, "", "error: support of a negative integer\n")
+
+
 @pytest.mark.parametrize("n", ["-1", "-5..3"])
 def test_a_negative_n_is_refused_before_the_work(capsys, monkeypatch, n):
     monkeypatch.setattr(cli, "module_spec", _unreachable)
@@ -590,9 +611,9 @@ def test_dispatch_answers_as_the_full_parser(capsys, monkeypatch, argv):
         # a well-formed call is read off its parser's actions, with no argparse pass
         (("chartable", *_TL3), []),
         (("asym", "an", *_TL3), []),
-        # any other argv that names a command: one argparse pass per parser level
-        (("chartable", "--fam", "tl", "--m", "3"), ["growthlab chartable"]),
-        (("asym", "an", *_TL3, "--bogus", "x"), ["growthlab asym", "growthlab asym an"]),
+        # any other argv: the full parser, one argparse pass per parser level
+        (("chartable", "--fam", "tl", "--m", "3"), ["growthlab", "growthlab chartable"]),
+        (("asym", "an", *_TL3, "--bogus", "x"), ["growthlab", "growthlab asym", "growthlab asym an"]),
     ],
 )
 def test_a_call_parses_once_per_parser_level(capsys, monkeypatch, argv, parsers):

@@ -23,7 +23,6 @@ from growthlab.diagrams import (
     identity_diagram,
     make_diagram,
     max_enumerable_m,
-    parse_blocks,
     rank,
     rank_labels,
 )
@@ -698,18 +697,14 @@ def test_green_counts_of_hand_built_cayley_graphs():
     assert diagrams._green_counts(right, left) == diagrams.GreenData(2, 3, 3, 1)
 
 
-def test_text_format_round_trip():
-    for family, m in SMALL:
-        for d in enumerate_diagrams(family, m)[:15]:
-            text = format_blocks(d.blocks, m)
-            assert parse_blocks(text, m) == d.blocks
+def test_text_form_is_pinned():
+    # top points 1..m, bottom points primed; blocks sorted, each block sorted
     e = make_diagram(Family.TEMPERLEY_LIEB, 2, [(1, 2), (3, 4)])
     assert str(e) == "{1,2}{1',2'}"
-    with pytest.raises(InputError):
-        parse_blocks("not blocks", 2)
-    for text, token in (("{1,x}", "'x'"), ("{}", "''"), ("{1,}", "''"), ("{1}{2'',3}", "\"2''\"")):
-        with pytest.raises(InputError, match=token):
-            parse_blocks(text, 2)
+    nested = make_diagram(Family.TEMPERLEY_LIEB, 4, [(1, 4), (2, 3), (5, 8), (6, 7)])
+    assert str(nested) == "{1,4}{2,3}{1',4'}{2',3'}"
+    assert str(make_diagram(Family.MOTZKIN, 3, [(1, 2), (3, 6), (4,), (5,)])) == "{1,2}{3,3'}{1'}{2'}"
+    assert format_blocks([(5, 1), (3,), (2,), (6,), (4,)], 3) == "{1,2'}{2}{3}{1'}{3'}"
 
 
 def test_diagram_canonicalization_and_subset_helper():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -26,6 +27,7 @@ from growthlab.growth import (
     module_spec,
     multiplicity_series,
     n0_upper_bound,
+    parse_selector,
 )
 from growthlab.linalg import Mat
 from growthlab.reference import INVOLUTION_COUNTS, MO5_S1_LENGTH_TERMS, TL7_V3_LENGTH_TERMS
@@ -141,6 +143,17 @@ def test_module_spec_selectors():
 
 def _no_table(*args):
     raise AssertionError("a table was built before the label was checked")
+
+
+def test_a_selector_reads_the_labels_as_a_range():
+    # at m = 10**7 a tuple of the labels once took 10 s and 400 MB here
+    tracemalloc.start()
+    try:
+        assert parse_selector(Family.PLANAR_ROOK, 10**6, "V3") == ("V", 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("selector", ["V1", "S1", "P2001", "V4000"])

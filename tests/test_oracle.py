@@ -31,21 +31,22 @@ from growthlab.linalg import Mat, inverse, kernel_and_rank, mat_mul
 from growthlab.oracle import (
     CellModule,
     _oracle_rows,
-    cell_character,
     cell_module,
     count_check,
-    gram_matrix,
     half_diagrams,
     oracle_cell_table,
     oracle_length,
     oracle_multiplicity,
     oracle_product_multiplicity,
     oracle_simple_table,
-    simple_character,
-    simple_dimension,
 )
 from growthlab.growth import ModuleSpec, module_spec
 from growthlab.tables import cell_table, simple_table
+
+
+def _trace(family, m, i, j, simple=False):
+    """tr(e_j | V_i) if simple, else tr(e_j | S_i): entry j of the oracle's row for the module."""
+    return oracle._module_rows(family, m, i)[simple][rank_labels(family, m).index(j)]
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +125,10 @@ UNMODELLED = [
     [
         lambda f, m: half_diagrams(f, m, 0),
         lambda f, m: cell_module(f, m, 1),
-        lambda f, m: gram_matrix(f, m, 1),
+        lambda f, m: oracle._gram_rows(f, m, 1),
         oracle_cell_table,
         oracle_simple_table,
-        lambda f, m: simple_dimension(f, m, 0),
+        lambda f, m: oracle._module_rows(f, m, 0),
     ],
     ids=["half_diagrams", "cell_module", "gram_matrix", "oracle_cell_table",
          "oracle_simple_table", "simple_dimension"],
@@ -349,20 +350,20 @@ def test_cell_characters_match_closed_tables():
 
 
 def test_cell_character_spot_values():
-    assert cell_character(Family.TEMPERLEY_LIEB, 7, 3, 5) == 4
-    assert cell_character(Family.MOTZKIN, 5, 2, 4) == 9
+    assert _trace(Family.TEMPERLEY_LIEB, 7, 3, 5) == 4
+    assert _trace(Family.MOTZKIN, 5, 2, 4) == 9
     for m, i, j in ((4, 1, 3), (5, 2, 4), (6, 3, 5)):
-        assert cell_character(Family.PLANAR_ROOK, m, i, j) == comb(j, i)
+        assert _trace(Family.PLANAR_ROOK, m, i, j) == comb(j, i)
 
 
 def test_gram_matrices():
-    assert gram_matrix(Family.TEMPERLEY_LIEB, 2, 0) == Mat([(1,)])
-    g = gram_matrix(Family.TEMPERLEY_LIEB, 4, 0)
-    assert g == Mat([(1, 1), (1, 1)])
-    assert kernel_and_rank(g)[0] == 1
+    assert oracle._gram_rows(Family.TEMPERLEY_LIEB, 2, 0) == ((1,),)
+    g = oracle._gram_rows(Family.TEMPERLEY_LIEB, 4, 0)
+    assert g == ((1, 1), (1, 1))
+    assert kernel_and_rank(Mat(g))[0] == 1
     for family, m in ((Family.TEMPERLEY_LIEB, 6), (Family.MOTZKIN, 4), (Family.PLANAR_ROOK, 4)):
         # the top cell has the all-defects half diagram as its only basis element
-        assert gram_matrix(family, m, m) == Mat.identity(1)
+        assert oracle._gram_rows(family, m, m) == ((1,),)
 
 
 @pytest.mark.parametrize(
@@ -371,7 +372,7 @@ def test_gram_matrices():
 def test_gram_matrix_matches_the_union_find_pairing(family, m):
     for i in rank_labels(family, m):
         basis = half_diagrams(family, m, i)
-        assert gram_matrix(family, m, i) == Mat([[_pairing(x, y) for y in basis] for x in basis])
+        assert oracle._gram_rows(family, m, i) == tuple(tuple(_pairing(x, y) for y in basis) for x in basis)
 
 
 def test_gram_diagonal_is_all_ones():
@@ -381,8 +382,8 @@ def test_gram_diagonal_is_all_ones():
         (Family.MOTZKIN, 4, 1),
         (Family.PLANAR_ROOK, 4, 2),
     ):
-        g = gram_matrix(family, m, i)
-        assert all(g.rows[k][k] == 1 for k in range(g.nrows))
+        g = oracle._gram_rows(family, m, i)
+        assert all(g[k][k] == 1 for k in range(len(g)))
 
 
 def test_gram_rank_equals_simple_dimension():
@@ -394,7 +395,7 @@ def test_gram_rank_equals_simple_dimension():
         for m in ms:
             table = simple_table(family, m)
             for i in table.labels:
-                assert simple_dimension(family, m, i) == table.dim(i)
+                assert oracle._module_rows(family, m, i)[1][-1] == table.dim(i)
 
 
 def test_simple_characters_match_closed_tables():
@@ -408,14 +409,10 @@ def test_simple_characters_match_closed_tables():
 
 
 def test_simple_character_spot_values():
-    assert simple_character(Family.TEMPERLEY_LIEB, 7, 3, 7) == 13
-    # characters stay Fractions, with and without a radical
-    assert type(simple_character(Family.TEMPERLEY_LIEB, 7, 3, 5)) is Fraction
-    assert type(simple_character(Family.TEMPERLEY_LIEB, 7, 7, 7)) is Fraction
-    assert type(cell_character(Family.MOTZKIN, 5, 2, 4)) is Fraction
-    assert simple_character(Family.MOTZKIN, 5, 2, 5) == 20
+    assert _trace(Family.TEMPERLEY_LIEB, 7, 3, 7, simple=True) == 13
+    assert _trace(Family.MOTZKIN, 5, 2, 5, simple=True) == 20
     for i in rank_labels(Family.MOTZKIN, 4):
-        assert simple_character(Family.MOTZKIN, 4, i, i) == 1
+        assert _trace(Family.MOTZKIN, 4, i, i, simple=True) == 1
 
 
 def test_character_constancy_across_same_rank_idempotents():
@@ -451,8 +448,8 @@ def test_rank_route_matches_the_radical_trace_referee(family, m):
     expected = [[radical_reference.simple_character(family, m, i, j) for j in labels] for i in labels]
     assert oracle_simple_table(family, m) == Mat(expected)
     for i, row in zip(labels, expected):
-        assert [simple_character(family, m, i, j) for j in labels] == row
-        assert simple_dimension(family, m, i) == row[-1]
+        assert [_trace(family, m, i, j, simple=True) for j in labels] == row
+        assert oracle._module_rows(family, m, i)[1][-1] == row[-1]
 
 
 @pytest.fixture
@@ -521,7 +518,7 @@ def test_perturbed_index_map_raises(monkeypatch, fresh_module_rows, family, m, i
         wrong[dead[0]] = fixed[0]
         overrides[e] = tuple(wrong)
         with pytest.raises(InternalCheckError, match="not idempotent, or form not symmetric"):
-            simple_character(family, m, i, j)
+            oracle._module_rows(family, m, i)
         del overrides[e]
         perturbed += 1
     assert perturbed >= 2
@@ -532,13 +529,13 @@ def test_an_involution_in_place_of_the_idempotent_raises(monkeypatch, fresh_modu
     # elements keeps it invariant; only the idempotence check sees the swap
     family, m, i, j = Family.PLANAR_ROOK, 5, 2, 3
     module, e = cell_module(family, m, i), class_idempotent(family, m, j)
-    assert gram_matrix(family, m, i) == Mat.identity(module.dim)
+    assert Mat(oracle._gram_rows(family, m, i)) == Mat.identity(module.dim)
     image = module.image(e)
     a, b = [c for c, r in enumerate(image) if r < 0][:2]
     swapped = tuple(b if c == a else a if c == b else r for c, r in enumerate(image))
     _override_images(monkeypatch, module)[e] = swapped
     with pytest.raises(InternalCheckError, match="not idempotent"):
-        simple_character(family, m, i, j)
+        oracle._module_rows(family, m, i)
 
 
 @pytest.mark.parametrize("family,m,i", [case[:3] for case in MUTATED_FORMS])
@@ -553,7 +550,7 @@ def test_an_asymmetric_form_raises_under_one_idempotent(monkeypatch, fresh_modul
     q = next(c for c, r in enumerate(image) if c == r)
     _flip_form_entries(monkeypatch, family, m, i, [(p, q)])
     with pytest.raises(InternalCheckError, match="form not symmetric and invariant"):
-        simple_character(family, m, i, j)
+        oracle._module_rows(family, m, i)
 
 
 @pytest.mark.parametrize("position", [(1, 1), (1, 0)], ids=["diagonal", "below"])
@@ -581,14 +578,14 @@ def test_fixed_points_must_nest(monkeypatch, fresh_module_rows):
     # only the nesting check sees that e_4 no longer fixes a point e_3 fixes
     family, m, i = Family.PLANAR_ROOK, 5, 2
     module = cell_module(family, m, i)
-    assert gram_matrix(family, m, i) == Mat.identity(module.dim)
+    assert Mat(oracle._gram_rows(family, m, i)) == Mat.identity(module.dim)
     e3, e4 = (class_idempotent(family, m, j) for j in (3, 4))
     c = next(c for c, r in enumerate(module.image(e3)) if c == r)
     image = module.image(e4)
     assert image[c] == c
     _override_images(monkeypatch, module)[e4] = tuple(-1 if a == c else r for a, r in enumerate(image))
     with pytest.raises(InternalCheckError, match=f"S_{i}: fixed points of .* miss those of the label before"):
-        simple_character(family, m, i, 4)
+        oracle._module_rows(family, m, i)
 
 
 def test_the_last_idempotent_must_fix_every_basis_element(monkeypatch, fresh_module_rows):
@@ -600,7 +597,7 @@ def test_the_last_idempotent_must_fix_every_basis_element(monkeypatch, fresh_mod
     c = next(c for c, r in enumerate(module.image(class_idempotent(family, m, 4))) if r != c)
     _override_images(monkeypatch, module)[identity] = tuple(-1 if a == c else a for a in range(module.dim))
     with pytest.raises(InternalCheckError, match=f"S_{i}: the last class idempotent does not fix every basis element"):
-        simple_dimension(family, m, i)
+        oracle._module_rows(family, m, i)
 
 
 def test_one_elimination_per_cell_module(monkeypatch, fresh_module_rows):
@@ -614,10 +611,9 @@ def test_one_elimination_per_cell_module(monkeypatch, fresh_module_rows):
         assert len(calls) == len(labels)
         # every character, cell or simple, and every dimension reads the same pass
         for i in labels:
-            simple_dimension(family, m, i)
             for j in labels:
-                cell_character(family, m, i, j)
-                simple_character(family, m, i, j)
+                _trace(family, m, i, j)
+                _trace(family, m, i, j, simple=True)
         assert len(calls) == len(labels)
 
 
@@ -780,7 +776,7 @@ def test_radical_matches_the_fraction_kernel_at_every_module(family, m):
     # denominators, is the referee's radical: one vector per free row, 1 there
     # and 0 at the other free rows, each free row its last nonzero entry
     for i in rank_labels(family, m):
-        gram = gram_matrix(family, m, i)
+        gram = Mat(oracle._gram_rows(family, m, i))
         rank, kernel = kernel_and_rank(gram)
         free_rows = tuple(max(r for r, x in enumerate(v) if x) for v in kernel)
         assert [[v[f] for f in free_rows] for v in kernel] == [[int(f == g) for f in free_rows] for g in free_rows]
@@ -943,7 +939,7 @@ def test_counting_and_pairing_build_no_diagram(monkeypatch):
     assert len(results) == 18 and all(r.ok for r in results)
     for family, m in ((Family.TEMPERLEY_LIEB, 7), (Family.PLANAR_ROOK, 6), (Family.MOTZKIN, 5)):
         for i in rank_labels(family, m):
-            assert gram_matrix(family, m, i).nrows == len(half_diagrams(family, m, i))
+            assert len(oracle._gram_rows(family, m, i)) == len(half_diagrams(family, m, i))
 
 
 def test_counting_sequences():

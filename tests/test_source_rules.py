@@ -203,3 +203,44 @@ def test_verify_makes_the_check_count_the_benchmark_expects(monkeypatch):
     count = _perfbench_constant("workloads.py", "VERIFY_CHECKS")
     monkeypatch.delenv("GROWTHLAB_MAX_M", raising=False)
     assert len(verify.run_suite("all")) == count
+
+
+def test_every_public_name_is_called_exported_or_read_by_perfbench():
+    # a public function, class or method that nothing in src/ names, that the
+    # package does not export and that perfbench does not read is a second
+    # route to an answer the library reaches another way
+    kept = set(growthlab.__all__) | set(_perfbench_constant("layertrace.py", "ORACLE_CACHED"))
+    kept |= {f"{cls}.{method}" for _, cls, method in _perfbench_constant("layertrace.py", "_METHODS")}
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    defined = []  # (file, qualified name, name, its node)
+    for filename, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                defined.append((filename, top.name, top.name, top))
+            if isinstance(top, ast.ClassDef) and not top.name.startswith("_") and top.name not in kept:
+                defined += [
+                    (filename, f"{top.name}.{node.name}", node.name, node)
+                    for node in top.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                ]
+
+    def names(node):
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name):
+                yield child.id
+            elif isinstance(child, ast.Attribute):
+                yield child.attr
+            elif isinstance(child, ast.alias):
+                yield child.name
+
+    counts = {}
+    for tree in trees.values():
+        for name in names(tree):
+            counts[name] = counts.get(name, 0) + 1
+    assert defined
+    unused = [
+        f"{filename}:{qualified}"
+        for filename, qualified, name, node in defined
+        if qualified not in kept and counts.get(name, 0) == sum(1 for own in names(node) if own == name)
+    ]
+    assert unused == []

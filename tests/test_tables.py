@@ -2,6 +2,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb
 
 import pytest
@@ -13,7 +14,7 @@ from growthlab.diagrams import Family, rank_labels
 from growthlab.errors import InputError, InternalCheckError, SingularMatrixError
 from growthlab.fusion import fusion_matrix, power_multiplicities
 from growthlab.linalg import Mat, inverse, mat_mul
-from growthlab.oracle import gram_matrix
+from growthlab.oracle import _gram_rows
 from growthlab.reference import (
     ERRATA,
     MO5_CELL,
@@ -504,14 +505,14 @@ def _rank_mod_p(rows, p: int) -> int:
 
 
 @cache
-def _tl_grams(m: int) -> dict[int, Mat]:
+def _tl_grams(m: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     tl = Family.TEMPERLEY_LIEB
-    return {i: gram_matrix(tl, m, i) for i in rank_labels(tl, m)}
+    return {i: _gram_rows(tl, m, i) for i in rank_labels(tl, m)}
 
 
 def _tl_simple_dims_mod_p(m: int, p: int) -> dict[int, int]:
     """dim V_i in characteristic p: the F_p-rank of the cellular Gram matrix."""
-    return {i: _rank_mod_p(gram.rows, p) for i, gram in _tl_grams(m).items()}
+    return {i: _rank_mod_p(gram, p) for i, gram in _tl_grams(m).items()}
 
 
 def _cell_dims_match(d, p: int) -> bool:
@@ -574,6 +575,21 @@ def test_pl_support_contains_a_and_preserves_parity():
             supp = pl_support(a, params)
             assert a in supp
             assert all((z - a) % 2 == 0 for z in supp)
+
+
+@pytest.mark.parametrize("p", [INFINITY, 2, 3, 5, 7], ids=str)
+def test_pl_support_is_the_set_over_every_sign_choice(p):
+    # the formula with a sign for every digit after the leading one, zero
+    # digits included, whose choices the support skips
+    for l in (2, 3, 4):
+        params = PLParams(p, l)
+        for a in range(2001):
+            digits = pl_digits(a + 1, params)
+            weights = [1]  # p^(0) = 1, p^(1) = l, p^(i) = p * p^(i-1)
+            while len(weights) < len(digits):
+                weights.insert(0, l if len(weights) == 1 else p * weights[0])
+            choices = product(*[(d * w, -d * w) for d, w in zip(digits[1:], weights[1:])])
+            assert pl_support(a, params) == {digits[0] * weights[0] - 1 + sum(c) for c in choices}
 
 
 def test_ancestorless_examples():

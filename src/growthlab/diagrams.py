@@ -347,7 +347,8 @@ def _half_arrays(family: Family, m: int, i: int):
     each point closes the arc on top (not planar rook), opens an arc or
     (not Temperley-Lieb) stays single.  The arcs still open at the end are
     the defects, so no defect sits under a cup; the walk prunes when the
-    stack is further from i than the points left.
+    stack is further from i than the points left.  A planar-rook arc never
+    closes, so there a point opens one only while fewer than i are open.
     """
     row = [-1] * m  # an open arc is a defect until it closes
     stack: list[int] = []
@@ -365,7 +366,7 @@ def _half_arrays(family: Family, m: int, i: int):
             yield from walk(k + 1)
             row[k], row[t] = -1, m
             stack.append(t)
-        if abs(gap + 1) <= left:  # open an arc
+        if (cups or gap < 0) and abs(gap + 1) <= left:  # open an arc
             stack.append(k)
             row[k] = m
             yield from walk(k + 1)

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra on int rows, and `Mat`, a value view of rationals.
 
 Scalars are `fractions.Fraction` (arbitrary precision, kept in lowest terms
 with positive denominator), so nothing here ever rounds.  Matrices are
@@ -12,20 +12,17 @@ start of each right-hand side.  One loop eliminates: `_forward` reduces int
 rows one at a time by the pivots before them (Bareiss's fraction-free update,
 with no `Fraction`), and gives the rank of every prefix (`_prefix_ranks`).
 Run twice it gives the reduced row echelon form as int rows (`_reduce`), and
-from that `_solve`, `inverse` and `kernel_and_rank`; a `Fraction` is made
-only for a rational answer.
+from that `_solve`; a `Fraction` is made only for a rational answer.
+`int_mul` multiplies matrices that are rows of ints and returns rows of ints,
+for the callers that hold such rows (the fusion spectral check, verify's
+Riordan and printed-inverse checks).
 All matrices in this project are small (at most a few hundred rows), so
 dense storage is fine.
 
 Integral data never reaches this module as a `Mat`: character tables and
 fusion graphs keep their int rows themselves (`tables`, `fusion`) and build a
-`Mat` only when a caller asks for one.
-Products of `Mat`s run on ints as well: `mat_mul` scales each row of the
-left factor and each column of the right one to integers by the lcm of its
-denominators, takes every dot product on Python ints and builds one
-`Fraction` per entry.  `int_mul` multiplies matrices that are rows of ints
-and returns rows of ints, for the callers that hold such rows (the fusion
-spectral check, verify's Riordan and printed-inverse checks).
+`Mat` only when a caller asks for one.  A `Mat` is a value to read, compare
+and hash, with no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ def _rat(x) -> Fraction:
 
 
 class Mat:
-    """Immutable matrix of exact rationals."""
+    """Immutable matrix of exact rationals: rows to read, transpose, compare and hash."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -68,14 +65,6 @@ class Mat:
     def identity(cls, n: int) -> "Mat":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Mat":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence]) -> "Mat":
-        return cls(list(zip(*cols)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat) and self.rows == other.rows
 
@@ -93,51 +82,8 @@ class Mat:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
-
     def transpose(self) -> "Mat":
         return Mat(zip(*self.rows))
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise DimensionError(f"trace of non-square {self.shape}")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
-
-    def __add__(self, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise DimensionError(f"add {self.shape} to {other.shape}")
-        return Mat([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise DimensionError(f"subtract {other.shape} from {self.shape}")
-        return Mat([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __mul__(self, other: "Mat") -> "Mat":
-        return mat_mul(self, other)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Exact matrix product, on integer-scaled rows of a and columns of b.
-
-    Row i of a times d_i and column j of b times e_j are integer vectors
-    (d_i, e_j the lcms of their denominators), so entry (i, j) is one
-    integer dot product over d_i·e_j.
-    """
-    if a.ncols != b.nrows:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    rows, row_scales = _integer_scaled_rows(a.rows)
-    cols, col_scales = _integer_scaled_rows(zip(*b.rows))
-    return Mat(
-        [
-            [Fraction(sum(map(mul, row, col)), d * e) for col, e in zip(cols, col_scales)]
-            for row, d in zip(rows, row_scales)
-        ]
-    )
 
 
 def int_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -187,18 +133,6 @@ def _substitute(t: Sequence[Sequence[int]], rhs: Iterable[Sequence[int]]):
     return tuple(solutions)
 
 
-def _integer_scaled_rows(
-    rows: Iterable[Sequence[Fraction]],
-) -> tuple[list[list[int]], list[int]]:
-    """Each row multiplied by the lcm of its denominators; returns (rows, scales)."""
-    scaled, scales = [], []
-    for row in rows:
-        d = lcm(*map(_denominator, row))
-        scales.append(d)
-        scaled.append([x.numerator * (d // x.denominator) for x in row])
-    return scaled, scales
-
-
 def _forward(rows: Iterable[tuple], ncols: int | None) -> tuple[list[int], list[tuple[int, int, list[int]]]]:
     """(ranks, pivots) of one forward elimination on int rows, with no Fraction: each
     row, unless zero or a repeat, is reduced by the pivots in turn (p·row − f·pivot,
@@ -236,8 +170,11 @@ def _reduce(rows: Iterable[Sequence], ncols: int) -> list[tuple[int, int, list[i
     pivot (c, p, row), in ascending c, is p times a row of the reduced form,
     and any columns right of the first ncols are carried along.
     """
-    scaled, _ = _integer_scaled_rows(rows)
-    _, pivots = _forward(map(tuple, scaled), ncols)
+    scaled = []
+    for row in rows:
+        d = lcm(*map(_denominator, row))
+        scaled.append(tuple(x.numerator * (d // x.denominator) for x in row))
+    _, pivots = _forward(scaled, ncols)
     _, pivots = _forward((tuple(row) for _, _, row in sorted(pivots, reverse=True)), ncols)
     return sorted(pivots)
 
@@ -251,30 +188,3 @@ def _solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]
         raise SingularMatrixError("matrix is singular")
     return [[Fraction(x, p) for x in row[n:]] for _, p, row in pivots]
 
-
-def inverse(a: Mat) -> Mat:
-    """Exact inverse: `_solve` against the identity; SingularMatrixError if there is none."""
-    if not a.is_square():
-        raise DimensionError(f"inverse of non-square {a.shape}")
-    n = a.nrows
-    return Mat(_solve(a.rows, [[int(i == j) for j in range(n)] for i in range(n)]))
-
-
-def kernel_and_rank(a: Mat) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Rank and an exact basis of the right kernel, from the int pivots of the
-    reduced row echelon form (`_reduce`).
-
-    One kernel vector per free column f, in ascending order (deterministic):
-    1 at f, 0 at the other free columns, and at each pivot column c minus
-    entry f of the reduced form's row with its pivot at c.
-    """
-    pivots = _reduce(a.rows, a.ncols)
-    pivot_cols = {c for c, _, _ in pivots}
-    kernel = []
-    for f in (c for c in range(a.ncols) if c not in pivot_cols):
-        v = [Fraction(0)] * a.ncols
-        v[f] = Fraction(1)
-        for c, p, row in pivots:
-            v[c] = Fraction(-row[f], p)
-        kernel.append(tuple(v))
-    return len(pivots), kernel

@@ -1,18 +1,54 @@
-"""Reference routes for the tests: a Fraction matrix-vector product, a
-matrix power by repeated squaring, Fraction back- and forward substitution,
-an integer unit-triangular solve in either direction and a Gauss–Jordan
-reduction over Fraction with the inverse and kernel it gives.
+"""Reference routes for the tests: a Fraction matrix product and
+matrix-vector product, a matrix power by repeated squaring, Fraction back-
+and forward substitution, an integer unit-triangular solve in either
+direction and a Gauss–Jordan reduction over Fraction with the inverse and
+kernel it gives; and the column, trace, zero matrix and matrix from columns
+that the tests read off a `Mat`.
 
-The library takes integer matrix-vector steps, triangular solves and an
-integer elimination instead; these plain routes referee them.  The Fraction
-forward substitution referees the oracle's integer solve of its
-multiplicities.
+The library multiplies int rows (`int_mul`), takes integer matrix-vector
+steps and triangular solves and eliminates on ints instead; these plain
+routes referee them.  The Fraction forward substitution referees the
+oracle's integer solve of its multiplicities.
 """
 
 from fractions import Fraction
 
 from growthlab.errors import DimensionError, InputError, SingularMatrixError
-from growthlab.linalg import Mat, _check_unit_triangular, mat_mul
+from growthlab.linalg import Mat, _check_unit_triangular
+
+
+def zero(nrows: int, ncols: int) -> Mat:
+    return Mat([[0] * ncols for _ in range(nrows)])
+
+
+def from_cols(cols) -> Mat:
+    return Mat(zip(*cols))
+
+
+def col(a: Mat, j: int) -> tuple[Fraction, ...]:
+    return tuple(row[j] for row in a.rows)
+
+
+def trace(a: Mat) -> Fraction:
+    if not a.is_square():
+        raise DimensionError(f"trace of non-square {a.shape}")
+    return sum((a.rows[i][i] for i in range(a.nrows)), Fraction(0))
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    """The product a·b by the triple loop: a Fraction multiply-add per term."""
+    if a.ncols != b.nrows:
+        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
+    out = []
+    for row in a.rows:
+        out_row = []
+        for j in range(b.ncols):
+            total = Fraction(0)
+            for k, x in enumerate(row):
+                total += x * b.rows[k][j]
+            out_row.append(total)
+        out.append(out_row)
+    return Mat(out)
 
 
 def apply(a: Mat, v) -> tuple[Fraction, ...]:

@@ -1,6 +1,8 @@
 import random
+import time
 from functools import cache
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -367,6 +369,22 @@ def test_the_pairing_loop_counts_the_squares_of_the_half_walk(monkeypatch, famil
             sum(1 for _ in diagrams._half_arrays(family, m, i)) ** 2 for i in rank_labels(family, m)
         )
         assert sum(1 for _ in diagrams._partner_arrays(family, m)) == squares == expected_order(family, m)
+
+
+def test_the_planar_rook_half_walk_opens_only_arcs_that_end_as_defects():
+    # a planar-rook arc never closes, so an arc opened with i already open is a
+    # dead end; the walk must not explore them, timed first so a walk that
+    # does fails here within seconds
+    start = time.perf_counter()
+    assert sum(1 for _ in diagrams._half_arrays(Family.PLANAR_ROOK, 30, 2)) == comb(30, 2)
+    assert time.perf_counter() - start < 0.1
+    m = 40
+    for i in range(4):
+        rows = list(diagrams._half_arrays(Family.PLANAR_ROOK, m, i))
+        assert len(rows) == comb(m, i)
+        defects = {tuple(k for k, q in enumerate(row) if q == m) for row in rows}
+        assert defects == set(combinations(range(m), i))
+        assert all(q in (-1, m) for row in rows for q in row)
 
 
 @pytest.mark.parametrize("family,m", SMALL)

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -10,18 +11,22 @@ from growthlab.linalg import (
     Mat,
     _check_unit_triangular,
     _prefix_ranks,
+    _reduce,
+    _solve,
     _substitute,
-    inverse,
-    kernel_and_rank,
-    mat_mul,
+    int_identity,
+    int_mul,
 )
 import linalg_reference
 from linalg_reference import (
     apply,
+    col,
+    mat_mul,
     mat_pow,
     solve_lower_triangular,
     solve_unit_triangular,
     solve_upper_triangular,
+    zero,
 )
 
 TL7_SIMPLE = Mat([(1, 1, 1, 1), (0, 1, 4, 13), (0, 0, 1, 6), (0, 0, 0, 1)])
@@ -32,72 +37,87 @@ def rand_mat(rng, n, lo=-4, hi=4):
     return Mat([[Fraction(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)])
 
 
+def solve_identity(a: Mat) -> Mat:
+    """The library's inverse of a: `_solve` against the identity."""
+    return Mat(_solve(a.rows, int_identity(a.nrows)))
+
+
+def test_mat_is_a_value_view():
+    # rows to read, transpose, compare and hash: no arithmetic, whose
+    # referees (product, inverse, kernel) live in `linalg_reference`
+    public = sorted(name for name in vars(Mat) if not name.startswith("_"))
+    assert public == ["identity", "is_square", "ncols", "nrows", "rows", "shape", "transpose"]
+    special = sorted(name for name, value in vars(Mat).items() if name.startswith("__") and inspect.isfunction(value))
+    assert special == ["__eq__", "__hash__", "__init__", "__repr__", "__setattr__"]
+
+
+def test_mat_values_compare_hash_and_refuse_bad_shapes():
+    a = Mat([(1, Fraction(1, 2)), (0, -3)])
+    assert a == Mat([(Fraction(1), Fraction(1, 2)), (0, -3)]) and hash(a) == hash(Mat(a.rows))
+    assert all(type(x) is Fraction for row in a.rows for x in row)
+    assert a.shape == (2, 2) and a.is_square() and not Mat([(1, 2)]).is_square()
+    assert a.transpose() == Mat([(1, 0), (Fraction(1, 2), -3)]) and a.transpose().transpose() == a
+    assert repr(a) == "Mat[1 1/2; 0 -3]"
+    assert Mat.identity(2) == Mat([(1, 0), (0, 1)])
+    with pytest.raises(AttributeError):
+        a.rows = ()
+    for rows in ([], [()], [(1, 2), (3,)]):
+        with pytest.raises(DimensionError):
+            Mat(rows)
+
+
+# the library multiplies int rows (`int_mul`); the Fraction triple loop referees it
 def test_mat_mul_identity():
-    a = Mat([(1, 2), (3, 4), (5, 6)])
-    assert mat_mul(Mat.identity(3), a) == a
+    a = [[1, 2], [3, 4], [5, 6]]
+    assert int_mul(int_identity(3), a) == a == int_mul(a, int_identity(2))
 
 
 def test_mat_mul_annihilation():
-    a = Mat([(1, 2), (3, 4)])
-    zero = Mat.zero(2, 2)
-    assert mat_mul(a, zero) == zero
+    a = [[1, 2], [3, 4]]
+    assert int_mul(a, [[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
+    assert mat_mul(Mat(a), zero(2, 2)) == zero(2, 2)
 
 
 def test_mat_mul_printed_inverse_pair():
     # the transposed simple table times its printed inverse is the identity
+    assert int_mul(list(zip(*TL7_SIMPLE.rows)), TL7_LINV.rows) == int_identity(4)
     assert mat_mul(TL7_SIMPLE.transpose(), TL7_LINV) == Mat.identity(4)
 
 
 def test_mat_mul_shape_error():
     with pytest.raises(DimensionError):
+        int_mul([(1, 2)], [(1, 2)])
+    with pytest.raises(DimensionError):
         mat_mul(Mat([(1, 2)]), Mat([(1, 2)]))
 
 
-def fraction_mat_mul(a, b):
-    """The reference product: a Fraction multiply-add per term."""
-    out = []
-    for row in a.rows:
-        out_row = []
-        for j in range(b.ncols):
-            total = Fraction(0)
-            for k, x in enumerate(row):
-                total += x * b.rows[k][j]
-            out_row.append(total)
-        out.append(out_row)
-    return Mat(out)
+# zero and negative entries up to 2**40
+INT_ENTRY = st.one_of(st.just(0), st.integers(-(2**40), 2**40))
 
 
-# zero, negative and mixed-denominator entries up to 2**40
-NUMERATOR = st.integers(-(2**40), 2**40)
-ENTRY = st.one_of(
-    st.just(Fraction(0)),
-    NUMERATOR.map(Fraction),
-    st.builds(Fraction, NUMERATOR, st.integers(1, 2**40)),
-)
-
-
-def matrices(nrows, ncols):
-    row = st.lists(ENTRY, min_size=ncols, max_size=ncols)
-    return st.lists(row, min_size=nrows, max_size=nrows).map(Mat)
+def int_matrices(nrows, ncols):
+    return st.lists(st.lists(INT_ENTRY, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
 
 
 @st.composite
 def products(draw):
-    """(a, b) with a of shape (n, k) and b of shape (k, p), sizes 1-6."""
+    """(a, b), int rows with a of shape (n, k) and b of shape (k, p), sizes 1-6."""
     n, k, p = draw(st.tuples(*[st.integers(1, 6)] * 3))
-    return draw(matrices(n, k)), draw(matrices(k, p))
+    return draw(int_matrices(n, k)), draw(int_matrices(k, p))
 
 
 @settings(max_examples=200, deadline=None)
 @given(products())
 def test_mat_mul_matches_fraction_triple_loop(pair):
     a, b = pair
-    assert mat_mul(a, b) == fraction_mat_mul(a, b)
-    if a.is_square():
-        assert mat_mul(a, a) == fraction_mat_mul(a, a)
-    if a.ncols != a.nrows:  # a·a is then misshapen
+    product = int_mul(a, b)
+    assert Mat(product) == mat_mul(Mat(a), Mat(b))
+    assert all(type(x) is int for row in product for x in row)
+    if len(a) == len(a[0]):
+        assert Mat(int_mul(a, a)) == mat_mul(Mat(a), Mat(a))
+    else:  # a·a is then misshapen
         with pytest.raises(DimensionError):
-            mat_mul(a, a)
+            int_mul(a, a)
 
 
 def test_mat_pow_trivial_cases():
@@ -275,13 +295,14 @@ def test_unit_triangular_solve_rejects_bad_right_hand_sides():
         solve_unit_triangular(identity, [(1, Fraction(1, 3))], lower=False)
 
 
+# the library inverts by `_solve` against the identity
 def test_inverse_identity():
-    assert inverse(Mat.identity(4)) == Mat.identity(4)
+    assert solve_identity(Mat.identity(4)) == Mat.identity(4)
 
 
 def test_inverse_tl7():
-    assert inverse(TL7_SIMPLE.transpose()) == TL7_LINV
-    sums = [sum(TL7_LINV.col(j)) for j in range(4)]
+    assert solve_identity(TL7_SIMPLE.transpose()) == TL7_LINV
+    sums = [sum(col(TL7_LINV, j)) for j in range(4)]
     assert sums == [-3, 8, -5, 1]
 
 
@@ -291,7 +312,7 @@ def test_inverse_round_trip_random():
     while done < 8:
         a = rand_mat(rng, 4)
         try:
-            ainv = inverse(a)
+            ainv = solve_identity(a)
         except SingularMatrixError:
             continue
         assert mat_mul(a, ainv) == Mat.identity(4)
@@ -301,14 +322,13 @@ def test_inverse_round_trip_random():
 
 def test_inverse_rational_entries():
     a = Mat([(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), Fraction(2, 7))])
-    assert mat_mul(a, inverse(a)) == Mat.identity(2)
+    assert mat_mul(a, solve_identity(a)) == Mat.identity(2)
 
 
 def test_inverse_errors():
-    with pytest.raises(SingularMatrixError):
-        inverse(Mat([(1, 1), (1, 1)]))
-    with pytest.raises(DimensionError):
-        inverse(Mat([(1, 2, 3)]))
+    for a in (Mat([(1, 1), (1, 1)]), zero(3, 3), Mat([(1, 2, 3), (0, 1, 1), (1, 3, 4)])):
+        with pytest.raises(SingularMatrixError):
+            solve_identity(a)
 
 
 SMALL_RATIONALS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -333,14 +353,14 @@ def square_rational_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(square_rational_matrices())
 def test_inverse_agrees_with_kernel_and_rank(a):
+    # `_solve` inverts a exactly when its reduced form has a pivot in every column
     n = a.nrows
-    rank, kernel = kernel_and_rank(a)
-    assert len(kernel) == n - rank
+    rank = len(_reduce(a.rows, n))
     if rank < n:
         with pytest.raises(SingularMatrixError):
-            inverse(a)
+            solve_identity(a)
     else:
-        ainv = inverse(a)
+        ainv = solve_identity(a)
         assert mat_mul(a, ainv) == Mat.identity(n) == mat_mul(ainv, a)
 
 
@@ -371,14 +391,20 @@ def rational_matrices(draw):
 @example(Mat([(0, 2, -4), (0, -3, 6)]))
 @example(Mat([(Fraction(-2, 3),), (4,), (0,)]))
 def test_elimination_matches_the_fraction_reference(a):
-    assert kernel_and_rank(a) == linalg_reference.kernel_and_rank(a)
+    # each int pivot (c, p, row) divided by p is a row of the reduced form
+    pivots = _reduce(a.rows, a.ncols)
+    pivot_cols, reduced = linalg_reference.reduce_rows(a.rows, a.ncols)
+    assert [c for c, _, _ in pivots] == pivot_cols
+    assert [[Fraction(x, p) for x in row] for _, p, row in pivots] == reduced[: len(pivot_cols)]
     if not a.is_square():
         return
-    if linalg_reference.kernel_and_rank(a)[0] < a.nrows:
+    if len(pivot_cols) < a.nrows:
         with pytest.raises(SingularMatrixError):
-            inverse(a)
+            solve_identity(a)
+        with pytest.raises(SingularMatrixError):
+            linalg_reference.inverse(a)
     else:
-        assert inverse(a) == linalg_reference.inverse(a)
+        assert solve_identity(a) == linalg_reference.inverse(a)
 
 
 @st.composite
@@ -431,15 +457,16 @@ def test_prefix_ranks_match_the_fraction_rank_of_every_prefix(rows):
     assert ranks == [0] + [linalg_reference.kernel_and_rank(Mat(rows[:k]))[0] for k in range(1, len(rows) + 1)]
 
 
+# the kernel the tests referee with (`linalg_reference`), and the library's rank beside it
 def test_kernel_zero_matrix():
-    rank, kernel = kernel_and_rank(Mat.zero(2, 2))
-    assert rank == 0
+    rank, kernel = linalg_reference.kernel_and_rank(zero(2, 2))
+    assert rank == 0 == len(_reduce(zero(2, 2).rows, 2))
     assert len(kernel) == 2
 
 
 def test_kernel_symmetric_example():
-    rank, kernel = kernel_and_rank(Mat([(1, 1), (1, 1)]))
-    assert rank == 1
+    rank, kernel = linalg_reference.kernel_and_rank(Mat([(1, 1), (1, 1)]))
+    assert rank == 1 == len(_reduce([(1, 1), (1, 1)], 2))
     assert len(kernel) == 1
     x, y = kernel[0]
     assert x == -y and x != 0
@@ -450,7 +477,8 @@ def test_rank_nullity():
     for _ in range(12):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
         a = Mat([[Fraction(rng.randint(-2, 2)) for _ in range(ncols)] for _ in range(nrows)])
-        rank, kernel = kernel_and_rank(a)
+        rank, kernel = linalg_reference.kernel_and_rank(a)
+        assert rank == len(_reduce(a.rows, ncols))
         assert rank + len(kernel) == ncols
         for v in kernel:
             assert all(x == 0 for x in apply(a, v))

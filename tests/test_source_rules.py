@@ -1,6 +1,8 @@
 """Rules the library source keeps."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import growthlab
@@ -78,20 +80,18 @@ def test_every_unchecked_substitution_follows_a_table_check():
     assert sorted(name for name, checked in callers.items() if not checked) == []
 
 
-def test_fraction_routines_stay_at_the_public_edge():
-    # the library eliminates and multiplies on int rows; the `Mat` routines
-    # on Fractions are for callers outside it, so only linalg and the package
-    # namespace name them
-    edge = {"inverse", "kernel_and_rank", "mat_mul"}
+def test_the_fraction_matrix_tier_stays_in_the_tests():
+    # the library multiplies, eliminates and solves on int rows; the Fraction
+    # product, power, inverse and kernel are referees in tests/linalg_reference.py,
+    # so nothing in src/ defines or names them
+    tier = {"inverse", "kernel_and_rank", "mat_mul", "mat_pow"}
     found = []
     for path in SOURCES:
-        if path.name in ("linalg.py", "__init__.py"):
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.FunctionDef)):
                 name = getattr(node, "id", None) or getattr(node, "attr", None) or node.name
-                if name in edge:
+                if name in tier:
                     found.append(f"{path.name}:{node.lineno}:{name}")
     assert found == []
 
@@ -120,7 +120,8 @@ REFEREED = {
         "_glue", "_partner_arrays", "_half_arrays", "_flip_partners", "_checked_partners"
     },
     "linalg_reference.py": {
-        "_substitute", "_forward", "_reduce", "_solve", "_solve_multiplicities", "_prefix_ranks"
+        "_substitute", "_forward", "_reduce", "_solve", "_solve_multiplicities", "_prefix_ranks",
+        "int_mul",
     },
     "radical_reference.py": {"_module_rows", "_oracle_rows", "_prefix_ranks", "_reduce"},
     "series_reference.py": {"_growth_series", "_inverse_column", "_cell_columns"},
@@ -203,6 +204,23 @@ def test_verify_makes_the_check_count_the_benchmark_expects(monkeypatch):
     count = _perfbench_constant("workloads.py", "VERIFY_CHECKS")
     monkeypatch.delenv("GROWTHLAB_MAX_M", raising=False)
     assert len(verify.run_suite("all")) == count
+
+
+def test_readme_lists_the_public_names():
+    # README's "Public names" section states the public surface, one bullet
+    # per module ("- tables: `CharTable`, ..."); an export cannot appear or
+    # vanish without it
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for bullet in section.split("\n- ")[1:]:
+        module, _, names = bullet.partition(":")
+        names = re.findall(r"`(\w+)`", names)
+        defined = vars(importlib.import_module(f"growthlab.{module}"))
+        assert [name for name in names if name not in defined] == [], module
+        listed += names
+    assert sorted(growthlab.__all__) == sorted(listed)
+    assert len(listed) == len(set(listed))
 
 
 def test_every_public_name_is_called_exported_or_read_by_perfbench():

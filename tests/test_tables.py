@@ -9,11 +9,12 @@ import pytest
 
 import cell_formulas
 import riordan_reference
+from linalg_reference import inverse, mat_mul
 from growthlab import growth, tables
 from growthlab.diagrams import Family, rank_labels
 from growthlab.errors import InputError, InternalCheckError, SingularMatrixError
 from growthlab.fusion import fusion_matrix, power_multiplicities
-from growthlab.linalg import Mat, inverse, mat_mul
+from growthlab.linalg import Mat
 from growthlab.oracle import _gram_rows
 from growthlab.reference import (
     ERRATA,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import re
 import sys
 from decimal import Context, Decimal
@@ -43,6 +42,7 @@ from .tables import (
     INFINITY,
     PLParams,
     _is_prime,
+    _json_text,
     _label_range,
     ancestorless,
     label_index,
@@ -175,7 +175,9 @@ def _refuse_unprintable_involutions(m: int, *, with_count: bool = False) -> None
     Since q >= m!/I(m) and k!/I(k) does not decrease with k (I(k) <= k
     I(k-1)), the first k <= m with k!/I(k) >= 2**(bitlen(k!) - 1 -
     bitlen(I(k))) past the limit settles it and the recurrence stops there.
-    Otherwise the exact p, q (and I(m)) are compared with 10**limit.
+    Otherwise the largest of p, q (and I(m)) is printable when it has at most
+    3 limit bits, as 2**(3 limit) < 10**limit, and is compared with the exact
+    10**limit only past that.
     """
     bits = _unprintable_bits()
     if bits is None:
@@ -187,7 +189,8 @@ def _refuse_unprintable_involutions(m: int, *, with_count: bool = False) -> None
             raise InputError(_too_long(sys.get_int_max_str_digits()))
     g = gcd(count, fact)
     limit = sys.get_int_max_str_digits()
-    if max(count if with_count else count // g, fact // g) >= 10**limit:
+    top = max(count if with_count else count // g, fact // g)
+    if top.bit_length() > 3 * limit and top >= 10**limit:
         raise InputError(_too_long(limit))
 
 
@@ -352,7 +355,7 @@ def _cmd_growth(args, out) -> int:
                 for n, value, k, ratio in rows
             ],
         }
-        print(json.dumps(payload, indent=2), file=out)
+        print(_json_text(payload), file=out)
         return 0
     if args.format == "text":
         print(f"{args.statistic} of {spec.label} over {family.value} m={args.m}", file=out)
@@ -389,7 +392,7 @@ def _cmd_fusion(args, out) -> int:
         payload = fusion_to_json(graph, report)
         payload["n0"] = n0
         payload["components"] = [list(c) for c in report.components]
-        print(json.dumps(payload, indent=2), file=out)
+        print(_json_text(payload), file=out)
         return 0
     print(f"fusion graph of {spec.label} over {family.value} m={args.m}", file=out)
     print("adjacency rows (target-by-source):", file=out)

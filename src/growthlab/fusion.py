@@ -19,7 +19,6 @@ each identity is one integer product with it or with X^T.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from .errors import InputError, InternalCheckError, VerificationError
@@ -88,17 +87,17 @@ def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
     )
 
 
-def power_multiplicities(g: FusionGraph, n: int) -> tuple[Fraction, ...]:
+def power_multiplicities(g: FusionGraph, n: int) -> tuple[int, ...]:
     """(A^n) applied to the trivial indicator: the decomposition of V^(x)n.
 
-    n integer matrix-vector steps on the rows of A.
+    n integer matrix-vector steps on the rows of A, handed back as ints.
     """
     if n < 0:
         raise InputError("need n >= 0")
     v = [int(k == g.trivial_index) for k in range(len(g.labels))]
     for _ in range(n):
         v = [sum(map(mul, row, v)) for row in g.rows]
-    return tuple(Fraction(x) for x in v)
+    return tuple(v)
 
 
 def realized_n0(g: FusionGraph, targets) -> int | None:

@@ -43,7 +43,7 @@ from .tables import (CharTable, _cell_columns, _inverse_column, _is_prime, _labe
                      _module_terms, label_index)
 
 
-def _as_int_base(x: Fraction) -> int:
+def _as_int_base(x: int | Fraction) -> int:
     if x.denominator != 1:
         raise InputError(f"character value {x} is not an integer; cannot form a growth base")
     return int(x)
@@ -53,10 +53,12 @@ class ExpSum(Record):
     """A finite exponential sum n |-> sum c * base^n, in canonical form.
 
     Bases are distinct, sorted by descending absolute value (ties broken by
-    descending base); zero coefficients are dropped.
+    descending base); zero coefficients are dropped.  A coefficient is an int
+    in the planar families' series (their coefficients sum columns of an int
+    table) and a Fraction from `make`; the two compare and hash alike.
     """
 
-    terms: tuple[tuple[Fraction, int], ...]
+    terms: tuple[tuple[int | Fraction, int], ...]
 
     @staticmethod
     def make(pairs) -> "ExpSum":
@@ -86,7 +88,7 @@ class ExpSum(Record):
         top = abs(self.terms[0][1])
         return ExpSum(tuple(t for t in self.terms if abs(t[1]) == top))
 
-    def nonzero_base_terms(self) -> tuple[tuple[Fraction, int], ...]:
+    def nonzero_base_terms(self) -> tuple[tuple[int | Fraction, int], ...]:
         return tuple(t for t in self.terms if t[1] != 0)
 
     def human(self) -> str:
@@ -130,13 +132,18 @@ _SELECTOR = re.compile(r"^([VvSsPp])(\d+)$")
 
 
 class ModuleSpec(Record):
-    """A virtual module: label, dimension, and character (as ints, `bases`) on the rank classes."""
+    """A virtual module: label, dimension, and character on the rank classes.
+
+    `module_spec` and `from_table` keep the character as the ints of the
+    lattice pass; a character given as Fractions is read as ints by `bases`,
+    which refuses a non-integer value.
+    """
 
     label: str
     family: Family
     m: int
     dim: int
-    charvec: tuple[Fraction, ...]
+    charvec: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if not self.charvec:
@@ -168,7 +175,7 @@ class ModuleSpec(Record):
             family=table.family,
             m=table.m,
             dim=row[-1],
-            charvec=tuple(map(Fraction, row)),
+            charvec=row,
         )
 
 
@@ -191,7 +198,7 @@ def module_spec(family: Family, m: int, selector: str) -> ModuleSpec:
     kind, label = parse_selector(family, m, selector)
     rows, signs = zip(*_module_terms(kind, label, family, m))
     row = tuple([sum(map(mul, signs, col)) for col in _cell_columns(family, m, rows)])
-    return ModuleSpec(f"{kind}{label}", family, m, row[-1], tuple(map(Fraction, row)))
+    return ModuleSpec(f"{kind}{label}", family, m, row[-1], row)
 
 
 def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
@@ -232,7 +239,7 @@ def _growth_series(spec: ModuleSpec, target: int | None = None,
         for _ in range(w):  # w is 1 or 2: adding beats multiplying big ints
             for s, c in zip(slots, column):
                 sums[s] += c
-    return ExpSum(tuple([(Fraction(c), b) for c, b in zip(sums, order) if c]))
+    return ExpSum(tuple([(c, b) for c, b in zip(sums, order) if c]))
 
 
 def multiplicity_series(spec: ModuleSpec, simple: CharTable, target: int) -> ExpSum:
@@ -368,7 +375,7 @@ class GroupClassData(Record):
 class ConvergenceReport(Record):
     """Second-largest |character value| of a module and its ratio to the dimension."""
 
-    chi_sec: Fraction
+    chi_sec: int | Fraction
     ratio: Fraction
 
 
@@ -381,8 +388,8 @@ def convergence_report(spec: ModuleSpec) -> ConvergenceReport:
     values = {abs(x) for x in spec.charvec}
     top = max(values)
     rest = {v for v in values if v < top}
-    chi_sec = max(rest) if rest else Fraction(0)
-    ratio = chi_sec / spec.dim if spec.dim else Fraction(0)
+    chi_sec = max(rest) if rest else 0
+    ratio = Fraction(chi_sec, spec.dim) if spec.dim else Fraction(0)
     return ConvergenceReport(chi_sec, ratio)
 
 

@@ -44,10 +44,8 @@ cell modules contain a given simple.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from operator import add
 
@@ -506,21 +504,59 @@ def check_motzkin_simple_closed_form(m: int) -> None:
                 raise InternalCheckError(f"Motzkin simple row {i} disagrees with closed form")
 
 
+# The CLI's JSON is written by `_json_text`, byte for byte as
+# json.dumps(value, indent=2) writes it: with an indent, json.dumps runs the
+# pure-Python encoder, while every string here goes through the C quoter that
+# it calls (ensure_ascii) and every int through int.__repr__, as there.  CSV
+# rows hold ints and "i/j" alone, which csv.writer's minimal quoting leaves
+# bare, so they are joined with "," directly.
+
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """value as json.dumps(value, indent=2) writes it, pad being the newline and
+    indent of its own line; for dicts with str keys, lists, str, int, bool and
+    None, and a TypeError for anything else.  A list of only ints or only str
+    is joined in one step."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, bool) or value is None:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        return "{" + inner + f",{inner}".join(items) + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(_quote, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + f",{inner}".join(items) + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def table_to_json(table: CharTable) -> str:
     payload = {
         "family": table.family.value,
         "m": table.m,
         "kind": table.kind,
         "labels": list(table.labels),
-        "rows": [[str(x) for x in row] for row in table.rows],
+        "rows": [list(map(str, row)) for row in table.rows],
     }
-    return json.dumps(payload, indent=2, sort_keys=False)
+    return _json_text(payload)
 
 
 def table_to_csv(table: CharTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["i/j"] + [str(j) for j in table.labels])
-    for label, row in zip(table.labels, table.rows):
-        writer.writerow([str(label)] + [str(x) for x in row])
-    return buf.getvalue()
+    lines = ["i/j," + ",".join(map(str, table.labels))]
+    lines += [f"{label}," + ",".join(map(str, row)) for label, row in zip(table.labels, table.rows)]
+    return "\n".join(lines) + "\n"

@@ -504,6 +504,40 @@ def test_involution_refusal_is_sound():
                 assert not any(_past_limit(x, limit) for x in printed), m
 
 
+def _involutions_refused(m: int, with_count: bool) -> bool:
+    try:
+        cli._refuse_unprintable_involutions(m, with_count=with_count)
+    except InputError:
+        return True
+    return False
+
+
+def _involutions_printed(m: int) -> list[int]:
+    # the integers `asym involutions` prints: p and q of I(m)/m!, then I(m)
+    *_, count = involution_counts(m)
+    value = Fraction(count, factorial(m))
+    return [value.numerator, value.denominator, count]
+
+
+# the least m refused, at the default limit of 4,300 digits and at 640: the
+# same with and without I(m), whose m!/gcd outgrows it; at both limits the
+# exact comparison with 10**limit settles it, past 3 * limit bits
+@pytest.mark.parametrize("limit, refused", [(sys.int_info.default_max_str_digits, 1597), (640, 320)])
+@pytest.mark.parametrize("with_count", [False, True])
+def test_involutions_refuse_from_the_least_unprintable_m(limit, refused, with_count):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        first = _first(lambda m: _involutions_refused(m, with_count), 0, 10**5)
+        before, at = (_involutions_printed(m)[: 2 + with_count] for m in (first - 1, first))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert first == refused
+    assert not any(_past_limit(x, limit) for x in before)
+    top = max(at)
+    assert _past_limit(top, limit) and top.bit_length() > 3 * limit
+
+
 @pytest.mark.parametrize(
     "argv, stage",
     [

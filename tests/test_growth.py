@@ -571,6 +571,18 @@ def test_convergence_report_constant_character():
     assert convergence_report(spec).chi_sec == 0
 
 
+@pytest.mark.parametrize("family, m, selector", [(Family.TEMPERLEY_LIEB, 15, "S3"), (Family.PLANAR_ROOK, 8, "V2")])
+def test_int_characters_meet_division_as_fractions(family, m, selector):
+    # an int character and an int series stay exact where they are divided:
+    # Fraction(1, 2) == 0.5, so only the type shows a float
+    spec = module_spec(family, m, selector)
+    assert all(type(x) is int for x in spec.charvec)
+    assert type(convergence_report(spec).ratio) is Fraction
+    series = length_series(spec, simple_table(family, m))
+    assert all(type(c) is int for c, _ in series.terms)
+    assert all(type(evaluate(series, n)) is Fraction for n in range(4))
+
+
 def test_empty_character_vector_is_refused():
     with pytest.raises(InputError, match="empty character vector"):
         ModuleSpec("V0", Family.PLANAR_ROOK, 2, 1, ())

@@ -113,6 +113,9 @@ def test_mat_mul_matches_fraction_triple_loop(pair):
     product = int_mul(a, b)
     assert Mat(product) == mat_mul(Mat(a), Mat(b))
     assert all(type(x) is int for row in product for x in row)
+    # halved, a is not integral, and the referee multiplies it on Fractions
+    half = Mat([[Fraction(x, 2) for x in row] for row in a])
+    assert Mat([[Fraction(x, 2) for x in row] for row in product]) == mat_mul(half, Mat(b))
     if len(a) == len(a[0]):
         assert Mat(int_mul(a, a)) == mat_mul(Mat(a), Mat(a))
     else:  # a·a is then misshapen

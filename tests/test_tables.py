@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -6,6 +8,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cell_formulas
 import riordan_reference
@@ -456,7 +460,7 @@ def _is_int_rows(rows) -> bool:
 def test_tables_and_fusion_graphs_hold_int_rows(family, m):
     # every kind of table, the decomposition matrix and the fusion graph of
     # every module keep one representation, rows of ints; the Mat views are
-    # built from those rows
+    # built from those rows, and the integral answers stay ints
     holders = [
         table_of_kind(family, m, kind) for kind in ("cell", "simple", "projective", "cell_inverse")
     ]
@@ -466,16 +470,19 @@ def test_tables_and_fusion_graphs_hold_int_rows(family, m):
         assert holder.mat == Mat(holder.rows)
     simple = simple_table(family, m)
     for label in simple.labels:
-        # the readers keep their public types
+        # the table readers keep their public Fraction type
         assert type(simple.entry(label, m)) is Fraction and type(simple.dim(label)) is int
         assert all(type(x) is Fraction for x in simple.row(label))
         for prefix in "VSP":
             spec = growth.module_spec(family, m, f"{prefix}{label}")
-            assert all(type(x) is Fraction for x in spec.charvec)
+            assert all(type(x) is int for x in spec.charvec)
+            series = [growth.length_series(spec, simple)]
+            series += [growth.multiplicity_series(spec, simple, t) for t in simple.labels]
+            assert all(type(c) is int for s in series for c, _ in s.terms)
             g = fusion_matrix(spec, simple)
             assert _is_int_rows(g.rows)
             assert g.adjacency == Mat(g.rows)
-            assert all(type(x) is Fraction for x in power_multiplicities(g, 2))
+            assert all(type(x) is int for x in power_multiplicities(g, 2))
 
 
 def test_tl_decomposition_general_pl():
@@ -709,3 +716,57 @@ def test_table_csv():
     assert lines[0] == "i/j,0,1,2"
     assert lines[1] == "0,1,1,2"
     assert lines[-1] == "2,0,0,1"
+
+
+def _stdlib_csv(table) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["i/j", *table.labels])
+    writer.writerows([label, *row] for label, row in zip(table.labels, table.rows))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("family", PLANAR)
+def test_tables_are_written_as_the_stdlib_writes_them(family):
+    # every kind of table at m <= 12: the CSV as csv.writer quotes it, the
+    # JSON as json.dumps(..., indent=2) lays it out
+    for m in range(1, 13):
+        for kind in ("cell", "simple", "projective", "cell_inverse"):
+            table = table_of_kind(family, m, kind)
+            assert table_to_csv(table) == _stdlib_csv(table)
+            payload = {
+                "family": family.value,
+                "m": m,
+                "kind": kind,
+                "labels": list(table.labels),
+                "rows": [[str(x) for x in row] for row in table.rows],
+            }
+            assert table_to_json(table) == json.dumps(payload, indent=2)
+
+
+# quotes, backslashes, control and non-ASCII characters, astral ones and lone surrogates
+_HARD = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001f600", "\ud800"])
+_TEXT = st.text(st.one_of(_HARD, st.characters(exclude_categories=())), max_size=8)
+_INT = st.one_of(st.integers(-1000, 1000), st.integers(-(2**200), 2**200))  # past 2**64 both ways
+_JSON = st.recursive(
+    st.one_of(_TEXT, _INT, st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(_INT, max_size=4),  # the lists of one kind, joined in one step
+        st.lists(_TEXT, max_size=4),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON)
+def test_the_json_writer_is_json_dumps_with_an_indent(value):
+    assert tables._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), [1, 2.5], {1: 2}, {"a": Fraction(1, 2)}])
+def test_the_json_writer_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        tables._json_text(value)

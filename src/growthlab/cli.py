@@ -10,7 +10,6 @@ display-only.
 
 from __future__ import annotations
 
-import argparse
 import io
 import re
 import sys
@@ -18,6 +17,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from functools import cache
 from math import gcd, log10
+from types import SimpleNamespace
 
 from . import verify
 from .diagrams import PLANAR_FAMILIES, Family
@@ -72,13 +72,6 @@ _FAMILIES = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-
-
 def _family(name: str) -> Family:
     try:
         return _FAMILIES[name.lower()]
@@ -113,6 +106,8 @@ def _parse_range(text: str) -> range:
         raise InputError(f"empty range {text!r} (want A <= B)")
     if span.start < 0:
         raise InputError(f"--n {text!r} starts below 0 (want n >= 0)")
+    if span.stop - span.start > _MAX_SPAN:  # len() overflows past sys.maxsize
+        raise InputError(f"--n spans more than {_MAX_SPAN} values")
     return span
 
 
@@ -211,92 +206,6 @@ def _refuse_unprintable_linear_monoid(p: int, r: int) -> None:
         raise InputError(_too_long(limit))
 
 
-@cache
-def _build_parser(command: str | None = None) -> _Parser:
-    """The full parser, or with a command's name the parser the full one holds
-    for it, alone: both read the one definition below of each command."""
-    if command is None:
-        parser = _Parser(prog="growthlab", description=__doc__)
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        parser = _Parser(prog=f"growthlab {command}")
-
-    def add(name: str, help: str) -> _Parser | None:
-        # the parser that takes name's arguments; None when name is not built
-        if command is None:
-            return sub.add_parser(name, help=help)
-        return parser if name == command else None
-
-    if p := add("chartable", "emit a character table"):
-        p.add_argument("--family", required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument(
-            "--kind",
-            default="cell",
-            choices=["cell", "simple", "projective", "cell-inverse"],
-        )
-        p.add_argument("--format", default="text", choices=["text", "json", "csv"])
-
-    if p := add("growth", "growth formulas and value tables"):
-        p.add_argument("statistic", choices=["length", "multiplicity"])
-        p.add_argument("--family", required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--module", required=True, help="module selector, e.g. V3, S1, P2")
-        p.add_argument("--target", help="target simple label (multiplicity only)")
-        p.add_argument("--n", default="1..6", help="evaluation range, e.g. 1..6")
-        p.add_argument("--format", default="text", choices=["text", "json", "csv"])
-
-    if p := add("fusion", "fusion graph of tensoring with a module"):
-        p.add_argument("--family", required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--module", required=True)
-        p.add_argument("--dot", help="write DOT text to this path")
-        p.add_argument("--format", default="text", choices=["text", "json", "dot"])
-
-    if p := add("asym", "asymptotic constants"):
-        asub = p.add_subparsers(dest="what", required=True)
-        q = asub.add_parser("an")
-        q.add_argument("--family", required=True)
-        q.add_argument("--m", type=int, required=True)
-        q = asub.add_parser("linear-monoid")
-        q.add_argument("--p", type=int, required=True)
-        q.add_argument("--r", type=int, required=True)
-        q = asub.add_parser("involutions")
-        q.add_argument("--m", type=int, required=True)
-
-    if p := add("bounds", "bounds on n0 / m0"):
-        bsub = p.add_subparsers(dest="which", required=True)
-        q = bsub.add_parser("n0")
-        q.add_argument("--l-classes", type=int, required=True)
-        q.add_argument("--semigroup", action="store_true")
-        q = bsub.add_parser("m0")
-        q.add_argument("--l-classes", type=int, required=True)
-        q.add_argument("--group-order", type=int, required=True)
-        q.add_argument("--scalar-order", type=int, required=True)
-
-    if p := add("pl", "(p,l) digit arithmetic"):
-        p.add_argument("what", choices=["digits", "support", "ancestorless"])
-        p.add_argument("--a", type=int, required=True)
-        p.add_argument("--p", default="inf")
-        p.add_argument("--l", type=int, default=3)
-
-    if p := add("verify", "run the oracle cross-check suite"):
-        p.add_argument("--suite", default="all", choices=["all", *verify.SUITES])
-        p.add_argument(
-            "--max-m",
-            type=int,
-            help="cap m (at least 1) for the oracle checks that enumerate diagrams; "
-            "the golden, formula and fusion checks run at their fixed sizes",
-        )
-        p.add_argument("--format", default="text", choices=["text", "json"])
-        p.add_argument(
-            "--verbose",
-            action="store_true",
-            help="also print the canonical rank idempotents in diagram text form",
-        )
-    return parser
-
-
 def _cmd_chartable(args, out) -> int:
     table = table_of_kind(_family(args.family), args.m, args.kind.replace("-", "_"))
     if args.format == "json":
@@ -328,8 +237,6 @@ def _cmd_growth(args, out) -> int:
     # whose asymptotic part is zero as well
     asym = leading_term(series) if series.terms else series
     _refuse_unprintable_growth(asym, span)
-    if span.stop - span.start > _MAX_SPAN:  # len() overflows past sys.maxsize
-        raise InputError(f"--n spans more than {_MAX_SPAN} values")
     rows = []
     for n in span:
         value = evaluate(series, n)
@@ -467,90 +374,151 @@ def _cmd_verify(args, out) -> int:
     return VERIFY_ERROR if failures else 0
 
 
-_COMMANDS = {
-    "chartable": _cmd_chartable,
-    "growth": _cmd_growth,
-    "fusion": _cmd_fusion,
-    "asym": _cmd_asym,
-    "bounds": _cmd_bounds,
-    "pl": _cmd_pl,
-    "verify": _cmd_verify,
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+
+# each command: its handler, its help line and its words, each an argument
+# name with its add_argument keywords; a command with subcommands has instead
+# the dest of its subcommand and the words of each
+_GRAMMAR = {
+    "chartable": (_cmd_chartable, "emit a character table", {
+        "--family": _REQUIRED,
+        "--m": _INT,
+        "--kind": {"default": "cell", "choices": ["cell", "simple", "projective", "cell-inverse"]},
+        "--format": {"default": "text", "choices": ["text", "json", "csv"]},
+    }),
+    "growth": (_cmd_growth, "growth formulas and value tables", {
+        "statistic": {"choices": ["length", "multiplicity"]},
+        "--family": _REQUIRED,
+        "--m": _INT,
+        "--module": {"required": True, "help": "module selector, e.g. V3, S1, P2"},
+        "--target": {"help": "target simple label (multiplicity only)"},
+        "--n": {"default": "1..6", "help": "evaluation range, e.g. 1..6"},
+        "--format": {"default": "text", "choices": ["text", "json", "csv"]},
+    }),
+    "fusion": (_cmd_fusion, "fusion graph of tensoring with a module", {
+        "--family": _REQUIRED,
+        "--m": _INT,
+        "--module": _REQUIRED,
+        "--dot": {"help": "write DOT text to this path"},
+        "--format": {"default": "text", "choices": ["text", "json", "dot"]},
+    }),
+    "asym": (_cmd_asym, "asymptotic constants", ("what", {
+        "an": {"--family": _REQUIRED, "--m": _INT},
+        "linear-monoid": {"--p": _INT, "--r": _INT},
+        "involutions": {"--m": _INT},
+    })),
+    "bounds": (_cmd_bounds, "bounds on n0 / m0", ("which", {
+        "n0": {"--l-classes": _INT, "--semigroup": {"action": "store_true"}},
+        "m0": {"--l-classes": _INT, "--group-order": _INT, "--scalar-order": _INT},
+    })),
+    "pl": (_cmd_pl, "(p,l) digit arithmetic", {
+        "what": {"choices": ["digits", "support", "ancestorless"]},
+        "--a": _INT,
+        "--p": {"default": "inf"},
+        "--l": {"type": int, "default": 3},
+    }),
+    "verify": (_cmd_verify, "run the oracle cross-check suite", {
+        "--suite": {"default": "all", "choices": ["all", *verify.SUITES]},
+        "--max-m": {
+            "type": int,
+            "help": "cap m (at least 1) for the oracle checks that enumerate diagrams; "
+            "the golden, formula and fusion checks run at their fixed sizes",
+        },
+        "--format": {"default": "text", "choices": ["text", "json"]},
+        "--verbose": {
+            "action": "store_true",
+            "help": "also print the canonical rank idempotents in diagram text form",
+        },
+    }),
 }
 
 
-# the actions `_read` fills from the words after them: one value, or a flag
-_PLAIN = {(argparse._StoreAction, None), (argparse._StoreTrueAction, 0)}
-
-
 @cache
-def _fields(parser: _Parser) -> tuple[dict, list]:
-    """parser's plain options by option string, and its positionals in order."""
-    options, positionals = {}, []
-    for action in parser._actions:
-        if not action.option_strings:
-            positionals.append(action)
-        elif (type(action), action.nargs) in _PLAIN:
-            options.update(dict.fromkeys(action.option_strings, action))
-    return options, positionals
+def _build_parser():
+    """The full argparse parser of `_GRAMMAR`.  argparse is imported here, so
+    only a call that needs help, a usage error or another spelling loads it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(USAGE_ERROR)
+
+    parser = Parser(prog="growthlab", description=__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help, words) in _GRAMMAR.items():
+        p = commands.add_parser(command, help=help)
+        if isinstance(words, tuple):
+            nested = p.add_subparsers(dest=words[0], required=True)
+            levels = [(nested.add_parser(name), sub_words) for name, sub_words in words[1].items()]
+        else:
+            levels = [(p, words)]
+        for p, words in levels:
+            for name, keywords in words.items():
+                p.add_argument(name, **keywords)
+    return parser
 
 
-def _read(argv: list[str]) -> argparse.Namespace | None:
-    """The arguments of a command's argv as argparse reads them, read straight
-    off the command parser's actions; None unless each word has a plain form.
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a command's argv as the full parser reads them, read
+    straight off the command's words in `_GRAMMAR`; None unless each word of
+    argv has a plain form.
 
-    The plain forms: an exact option string and one value that does not start
+    The plain forms: an exact option name and one value that does not start
     with "-"; a store_true flag; positionals, in order; and the nested
     subcommand as the first word after the command.  Each value goes through
-    the action's type and then its choices.  Help, errors, abbreviations, "="
-    and "--" forms and values such as -3 are left to argparse.
+    its type and then its choices.  Help, errors, abbreviations, "=" and "--"
+    forms and values such as -3 are left to argparse.
     """
-    args = argparse.Namespace(command=argv[0])
-    parser, words = _build_parser(argv[0]), iter(argv[1:])
-    options, positionals = _fields(parser)
-    if positionals and isinstance(positionals[0], argparse._SubParsersAction):
-        sub, name = positionals[0], next(words, None)
-        if name not in sub.choices:
+    args, words = SimpleNamespace(command=argv[0]), iter(argv[1:])
+    grammar = _GRAMMAR[argv[0]][2]
+    if isinstance(grammar, tuple):
+        dest, subs = grammar
+        name = next(words, None)
+        if name not in subs:
             return None
-        setattr(args, sub.dest, name)
-        parser = sub.choices[name]
-        options, positionals = _fields(parser)
-    given, rest = {}, iter(positionals)
+        setattr(args, dest, name)
+        grammar = subs[name]
+    positionals, given = iter([name for name in grammar if not name.startswith("-")]), {}
     for word in words:
         if word.startswith("-"):
-            action = options.get(word)
-            if action is not None and action.nargs == 0:
-                given[action] = action.const
+            name, keywords = word, grammar.get(word)
+            if keywords is not None and keywords.get("action") == "store_true":
+                given[name] = True
                 continue
             word = next(words, "-")
         else:
-            action = next(rest, None)
-        if action is None or action.nargs is not None or word.startswith("-"):
+            name = next(positionals, None)
+            keywords = grammar.get(name)
+        if keywords is None or word.startswith("-"):
             return None
         try:
-            value = action.type(word) if action.type else word
-        except (TypeError, ValueError):
+            value = keywords.get("type", str)(word)
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if "choices" in keywords and value not in keywords["choices"]:
             return None
-        given[action] = value
-    for action in parser._actions:
-        if argparse.SUPPRESS in (action.dest, action.default):  # help
-            continue
-        if action.required and action not in given:
+        given[name] = value
+    for name, keywords in grammar.items():
+        # argparse requires every positional
+        if keywords.get("required", not name.startswith("-")) and name not in given:
             return None
         # argparse would pass a string default through the type: none is one
-        setattr(args, action.dest, given.get(action, action.default))
+        default = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        setattr(args, name.lstrip("-").replace("-", "_"), given.get(name, default))
     return args
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]):
     """The arguments as `_build_parser().parse_args(argv)` reads them.
 
-    A well-formed call is read straight off its command parser's actions by
-    `_read`; the full parser, built only then, parses help, errors and every
-    other spelling.
+    A well-formed call is read straight off `_GRAMMAR` by `_read`, with no
+    parser built; the full parser, built (and argparse imported) only then,
+    parses help, errors and every other spelling.
     """
-    if argv and argv[0] in _COMMANDS and (args := _read(argv)) is not None:
+    if argv and argv[0] in _GRAMMAR and (args := _read(argv)) is not None:
         return args
     return _build_parser().parse_args(argv)
 
@@ -563,7 +531,7 @@ def main(argv=None) -> int:
     # the command renders into one string, so a failure prints no partial output
     out = io.StringIO()
     try:
-        code = _COMMANDS[args.command](args, out)
+        code = _GRAMMAR[args.command][0](args, out)
     except (InputError, SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

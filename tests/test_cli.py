@@ -271,6 +271,10 @@ def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
+def _unreachable(*args):
+    raise AssertionError("the refusal should come before this call")
+
+
 _LONG = "1..99999999999"
 
 
@@ -281,11 +285,22 @@ _LONG = "1..99999999999"
         ("growth", "multiplicity", "--family", "tl", "--m", "4", "--module", "V4", "--target", "V0", "--n", _LONG),
         ("growth", "multiplicity", "--family", "tl", "--m", "4", "--module", "V0", "--target", "V4", "--n", _LONG),
         ("growth", "length", "--family", "tl", "--m", "5", "--module", "V1", "--n", "5..10005"),
+        # a series that takes about a second to build
+        ("growth", "length", "--family", "pro", "--m", "2000", "--module", "V0", "--n", _LONG),
+        ("growth", "length", "--family", "tl", "--m", "2000", "--module", "V0", "--n", _LONG),
+        ("growth", "length", "--family", "mo", "--m", "2000", "--module", "V0", "--n", _LONG),
+        # values past the digit limit too
+        ("growth", "length", *_TL7_V3, "--n", "1..1000000"),
     ],
-    ids=["bases-at-most-1", "base-0", "zero-series", "one-past-the-ceiling"],
+    ids=[
+        "bases-at-most-1", "base-0", "zero-series", "one-past-the-ceiling",
+        "pro-2000", "tl-2000", "mo-2000", "past-the-digit-limit",
+    ],
 )
-def test_a_span_past_the_ceiling_is_refused_at_once(capsys, argv):
-    # no value outgrows the digit limit here, so only the span bounds the work
+def test_a_span_past_the_ceiling_is_refused_at_once(capsys, monkeypatch, argv):
+    # the span is refused as the range is read, before any series is built
+    # and so before the digit limit is checked
+    monkeypatch.setattr(cli, "module_spec", _unreachable)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 0.5
@@ -314,10 +329,6 @@ def test_large_prime_p_is_checked_at_once(capsys):
     code, out, err = run(capsys, "pl", "support", "--a", "5", "--p", "1000000000000000003", "--l", "3")
     assert time.perf_counter() - start < 0.5
     assert (code, out, err) == (0, "[5]\n", "")  # as for every prime p > 2
-
-
-def _unreachable(*args):
-    raise AssertionError("the refusal should come before this call")
 
 
 @pytest.mark.parametrize(
@@ -352,7 +363,8 @@ def test_a_negative_n_is_refused_before_the_work(capsys, monkeypatch, n):
     "argv, stage",
     [
         (("growth", "length", *_TL7_V3, "--n", "1000000"), "evaluate"),
-        (("growth", "length", *_TL7_V3, "--n", "1..1000000"), "evaluate"),
+        # 6,101 values, the last past the limit: the digit limit decides
+        (("growth", "length", *_TL7_V3, "--n", "3900..10000"), "evaluate"),
         (("asym", "involutions", "--m", "2000"), "involution_sum"),
         (("asym", "involutions", "--m", "4000"), "involution_sum"),
         (("asym", "involutions", "--m", "100000000"), "involution_sum"),
@@ -639,6 +651,89 @@ def test_dispatch_answers_as_the_full_parser(capsys, monkeypatch, argv):
     assert run(capsys, *argv) == dispatched
 
 
+# sha256 of what each help or usage call prints (stdout for help, stderr for
+# a usage error), as argparse prints it on Python 3.10 to 3.12
+PINNED_HELP = {
+    "-h":
+        "be380dbf66c72790b6cc00a34673e8d1ac4c2fffc9f088d7fdd2b8459c3ad6d4",
+    "--help":
+        "be380dbf66c72790b6cc00a34673e8d1ac4c2fffc9f088d7fdd2b8459c3ad6d4",
+    "chartable -h":
+        "e9b7a5b2ce2e3460fac684084d116c58ae1e8a35abaafd0b243b95dd084723dc",
+    "growth -h":
+        "1750ce4982c9a29c85592c3481bbbc90b3f834dedc142ad5850316a95dfcb91b",
+    "fusion -h":
+        "f7264c7ade20f03231828acfd8e2b418f8322f811fc7ac4d390c05e72947b8e1",
+    "asym -h":
+        "f1ee17932bd894c74a2ede31ec5c133daacb6c9d99d83bc23441da54fcbe6d44",
+    "asym an -h":
+        "973afa99a0d9beed062b653f03414d7691b5b1cf817f61dee641f3a32b1d6988",
+    "asym linear-monoid -h":
+        "e83ac720bf1a3e43ad140d17fad76a353a7c6503920b602d442c5db51678658d",
+    "asym involutions -h":
+        "8362673684f8ce12a1fe002b606d7f33c3353119c08b7df2b5061309b42397d0",
+    "bounds -h":
+        "bd82239ea404ffa2c754e6dfc12662c856187e4e0a7f05b4a890a12dee365b76",
+    "bounds n0 -h":
+        "99910088e2de4eadc26b6b00d4f9dea58d39265cc7e43073f217debbec104710",
+    "bounds m0 -h":
+        "58f051f188c01ca46ccb4f85adcd86045eb64e7829a03d01ade4ecf4646fa6be",
+    "pl -h":
+        "fb501207ee8230dc76ecc38d7352f0d1c4f51dddb5c24f27d827273f429518e2",
+    "verify -h":
+        "daa85152b0bf17699446ff2b48483e48aef025f203254b756c5252bd7b71c31f",
+    "chartable --family tl --m 3 --he":
+        "e9b7a5b2ce2e3460fac684084d116c58ae1e8a35abaafd0b243b95dd084723dc",
+    "":
+        "e590c43eb2a6f55c4ed276129dd18ee1418d431dad4959cf6c24c728576f0251",
+    "nonsense-command":
+        "85ea25e2a07e0ec4a9d7562535c6289516a8b7eb795a010db9103bb4d727a1a2",
+    "Chartable --family tl --m 3":
+        "ac4c7f5dbd1acd95bb1843ba9785c5ae20521c106093aebc0099da2dec213888",
+    "--family tl chartable":
+        "5963fb611f172fa7d78be35f087dd7d183d2e59ee0651e4a694c927800c06eee",
+    "-- chartable --family tl --m 3":
+        "e30cc27aaa3cbdc19ebc248b1121be37bf1e4a5df6d1c12a6d40c4f64061cdc2",
+    "chartable --family tl --m 3 --bogus":
+        "0a63630a985e0faf799f29223f96fa78c82523035574da1bbc4cb5958a92e619",
+    "chartable --family tl --m 3 extra":
+        "3f021047046cbf1b22b0a60cf78aafa8871bbdea5457a882f136061099c49f4b",
+    "asym an --family tl --m 3 --bogus x":
+        "e6c4d67f775d0e5d50ba765fb87cac5334851d7885fd9297f6d5758fb4d61843",
+    "asym":
+        "f9ebbc2a4dd6d850a37bf9ffc69b4860a451f7f0c5b4722506f4337cfc346b18",
+    "asym bogus":
+        "cd410201aa5b6466ca8aabdc0e0e63b37be7460f875102f82a9c3692392dcf59",
+    "bounds m0 --l-classes 5":
+        "72bbfe570d5592b412af807576d48a4b66802a02c6fba59e64532108a8124269",
+    "chartable --family tl":
+        "b6397d6e6725e74118959690dba5e2beb3640b57a5aec4caf5fa8a79c170b90e",
+    "chartable --family tl --m 3 --format xml":
+        "de4bbe67c9262e1ef3c18a514c33a570f1316e5e69acb10e7a111d3b6e052d83",
+    "growth bogus --family tl --m 3 --module V1":
+        "0df9690bf8e21af95aafc8d57105cd494f59dc806e6c35052fae5e0ec5b1d852",
+    "chartable --family tl --m three":
+        "e5b076d8ac1bf39a526ad3381df07d8520a806ad6658d37c570a1e5da79e82fd",
+}
+# argparse 3.13 wraps a long usage line between whole options, never between
+# an option and its metavar
+PINNED_HELP_313 = {
+    "bounds m0 -h":
+        "235483aa966af11be34469cfa1f8221f6e8ca0302d9b2269cf875e00468523f1",
+    "bounds m0 --l-classes 5":
+        "eb15ab10cc3b9e5a9060400f34382ac9ffe9f0aa69bf8aa2686e7dd4339c158e",
+}
+
+
+@pytest.mark.parametrize("argv", _HELP + _USAGE, ids=lambda argv: " ".join(argv) or "(none)")
+def test_help_and_usage_bytes_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    code, out, err = run(capsys, *argv)
+    assert (code, out == "", err == "") == ((0, False, True) if argv in _HELP else (1, True, False))
+    pins = {**PINNED_HELP, **PINNED_HELP_313} if sys.version_info >= (3, 13) else PINNED_HELP
+    assert hashlib.sha256((out + err).encode()).hexdigest() == pins[" ".join(argv)]
+
+
 @pytest.mark.parametrize(
     "argv, parsers",
     [
@@ -670,23 +765,6 @@ def _subcommands(parser) -> dict:
     return actions[0].choices if actions else {}
 
 
-_NESTED = {"asym": ["an", "linear-monoid", "involutions"], "bounds": ["n0", "m0"]}
-
-
-@pytest.mark.parametrize(
-    "path",
-    [(command,) for command in cli._COMMANDS] + [(c, sub) for c, subs in _NESTED.items() for sub in subs],
-    ids=" ".join,
-)
-def test_a_lone_command_parser_prints_as_the_full_parser(path):
-    full, lone = _subcommands(cli._build_parser())[path[0]], cli._build_parser(path[0])
-    for name in path[1:]:
-        full, lone = _subcommands(full)[name], _subcommands(lone)[name]
-    assert lone is not full
-    assert list(_subcommands(lone)) == list(_subcommands(full)) == _NESTED.get(" ".join(path), [])
-    assert (lone.prog, lone.format_usage(), lone.format_help()) == (full.prog, full.format_usage(), full.format_help())
-
-
 # one call of each shape of the benchmark's interactive workload
 _INTERACTIVE_SHAPES = [
     ("chartable", *_TL3, "--kind", "cell-inverse", "--format", "csv"),
@@ -702,21 +780,21 @@ _INTERACTIVE_SHAPES = [
 def test_the_reader_takes_plain_calls_and_leaves_help_and_errors():
     # so that the referee below cannot pass by reading nothing
     for argv in _COMMANDS_AND_ARGS + _INTERACTIVE_SHAPES:
-        assert cli._read(list(argv)) == _full_parse(argv), argv
+        assert vars(cli._read(list(argv))) == vars(_full_parse(argv)), argv
     for argv in _HELP + _USAGE:
-        assert not argv or argv[0] not in cli._COMMANDS or cli._read(list(argv)) is None, argv
+        assert not argv or argv[0] not in cli._GRAMMAR or cli._read(list(argv)) is None, argv
 
 
-# words a parser's actions never name, each a form the reader leaves to argparse
+# words the grammar never names, each a form the reader leaves to argparse
 _NEAR_MISSES = ["-h", "--", "--bogus", "-3", "", "a b", "bogus", "x"]
 
 
 @st.composite
 def _argvs(draw) -> list[str]:
-    """An argv drawn from a command parser's own option strings, choices and
-    subcommands, then at times given one near miss."""
-    command = draw(st.sampled_from(list(cli._COMMANDS)))
-    parser, words, loose = cli._build_parser(command), [command], []
+    """An argv drawn from the full parser's own option strings, choices and
+    subcommands for one command, then at times given one near miss."""
+    command = draw(st.sampled_from(list(cli._GRAMMAR)))
+    parser, words, loose = _subcommands(cli._build_parser())[command], [command], []
     if subs := _subcommands(parser):
         words.append(draw(st.sampled_from(list(subs))))
         parser, loose = subs[words[-1]], list(subs)
@@ -752,25 +830,34 @@ def _argvs(draw) -> list[str]:
 @given(_argvs())
 def test_the_reader_reads_as_argparse_or_declines(argv):
     read = cli._read(argv)
-    assert read is None or read == _full_parse(argv)
+    assert read is None or vars(read) == vars(_full_parse(argv))
 
 
 def test_a_command_builds_no_other_parser():
-    # in a fresh interpreter, where no parser is cached yet
+    # in a fresh interpreter: a plain call of every command, each nested one
+    # included, builds no parser and loads no argparse; a help call does both
+    assert {argv[0] for argv in _COMMANDS_AND_ARGS} == set(cli._GRAMMAR)
+    nested = {command: words[1] for command, (_, _, words) in cli._GRAMMAR.items() if isinstance(words, tuple)}
+    assert {argv[:2] for argv in _COMMANDS_AND_ARGS if argv[0] in nested} == {
+        (command, sub) for command, subs in nested.items() for sub in subs
+    }
     src = str(Path(growthlab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
-        "import argparse\n"
+        "import contextlib, io, sys\n"
         "from growthlab import cli\n"
-        "built, init = [], argparse.ArgumentParser.__init__\n"
-        "argparse.ArgumentParser.__init__ = lambda self, **kw: built.append(kw['prog']) or init(self, **kw)\n"
-        "print(cli.main(['chartable', '--family', 'tl', '--m', '3']), built)\n"
+        "def state(calls):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes = [cli.main(list(argv)) for argv in calls]\n"
+        "    print(codes, cli._build_parser.cache_info().misses, 'argparse' in sys.modules)\n"
+        f"state({_COMMANDS_AND_ARGS!r})\n"
+        "state([('chartable', '-h')])\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 ['growthlab chartable']"
+    assert done.stdout.splitlines() == [f"{[0] * len(_COMMANDS_AND_ARGS)} 0 False", "[0] 1 True"]
 
 
 def test_cli_determinism_across_runs(capsys):

@@ -20,6 +20,28 @@ def test_src_has_no_assert():
     assert found == []
 
 
+def test_src_reads_no_private_argparse_name():
+    # argparse's private names (`argparse._StoreAction`, a parser's `_actions`)
+    # may change in any Python release; the CLI reads its own grammar instead
+    import argparse
+
+    parser = argparse.ArgumentParser()
+    private = {name for name in [*dir(parser), *vars(parser)] if name.startswith("_") and not name.endswith("__")}
+    assert {"_actions", "_subparsers", "_option_string_actions"} <= private
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr] if node.attr in private or getattr(node.value, "id", None) == "argparse" else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names if name.startswith("_")]
+    assert found == []
+
+
 def test_every_private_function_is_used_elsewhere():
     # a module-level _helper named nowhere in src/ outside its own body is
     # dead code, or kept only for the tests (whose referees live in tests/)

@@ -3,12 +3,23 @@
     python3.12 tools/crosspy.py
 
 Run from the root of a source checkout; growthlab is imported from `src/`.
-Two checks, one line each, and exit code 1 if either fails:
+Five checks, one line each, and exit code 1 if any fails:
 
 - the CLI's JSON writer (`tables._json_text`) writes each payload of a fixed
   set exactly as json.dumps(payload, indent=2) does on this interpreter;
 - every command of `PINNED_OUTPUTS` in tests/test_cli.py (read without
-  importing the tests) prints the stdout whose sha256 is pinned there.
+  importing the tests) prints the stdout whose sha256 is pinned there;
+- `cli._read` reads each argv of the test lists and of a walk of the
+  grammar as this interpreter's argparse does (compared as `vars`), and
+  reads every plain call of those lists;
+- the two digit-limit cases of `test_bad_input_is_one_line_and_exit_2`
+  print one `error:` line and exit 2, refused up front and, with the
+  refusals switched off, caught by `main` from the `ValueError` text of
+  this interpreter's int-to-text limit;
+- each help and usage call of `PINNED_HELP` prints the bytes pinned for this
+  interpreter: argparse 3.13 wraps the usage line of `bounds m0` its own
+  way, so 3.13 and later read `PINNED_HELP_313` first, and the line names
+  the calls that take those pins.
 """
 
 import ast
@@ -16,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -36,44 +48,152 @@ PAYLOADS = [
     False,
     None,
     [[], {}, [[]], {"": {}}],
-    ['"', "\\", "\n\t\x00\x1f\x7f", "é", " ", "\U0001f600", "\ud800"],
+    ['"', "\\", "\n\t\x00\x1f\x7f", "é", " ", "\U0001f600", "\ud800"],
     [1, -2, 3**50],
     [1, "1", True, None, [2, ["3"]], {"k": [False]}],
     {"quote\"key": {"nested": [{"a": 1, "b": ["x", "y"]}, []]}, "é": None},
 ]
 
+# the ids of test_bad_input_is_one_line_and_exit_2 whose values pass the digit limit
+DIGIT_LIMIT_CASES = {
+    "value-too-long-growth": ["growth", "length", "--family", "tl", "--m", "7", "--module", "V3", "--n", "3900"],
+    "value-too-long-involutions": ["asym", "involutions", "--m", "2000"],
+}
 
-def _pinned() -> dict[str, str]:
+
+def _test_cli(*names: str) -> dict:
+    """The values of names' module-level assignments in tests/test_cli.py,
+    evaluated in order without importing the tests: literals, and lists of
+    tuples that unpack an earlier one of names."""
     path = ROOT / "tests" / "test_cli.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    (node,) = [
-        node for node in tree.body
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["PINNED_OUTPUTS"]
-    ]
-    return ast.literal_eval(node.value)
+    values = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and getattr(node.targets[0], "id", None) in names:
+            code = compile(ast.Expression(node.value), str(path), "eval")
+            values[node.targets[0].id] = eval(code, {"__builtins__": {}}, dict(values))
+    assert sorted(values) == sorted(names), sorted(set(names) - set(values))
+    return values
 
 
-def _stdout(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-def main() -> int:
-    print(f"Python {platform.python_version()} ({sys.executable})")
+def _piece(name: str, keywords: dict, value: str) -> list[str]:
+    # a flag alone, an option and its value, or a positional's value
+    if keywords.get("action") == "store_true":
+        return [name]
+    return [name, value] if name.startswith("-") else [value]
+
+
+def _grammar_argvs():
+    """For each command (and subcommand), all its words in grammar order and
+    reversed, each value of one choice in turn, the rest at a sample value."""
+    for command, (_, _, words) in cli._GRAMMAR.items():
+        subs = words[1] if isinstance(words, tuple) else {None: words}
+        for sub, words in subs.items():
+            head = [command] + [sub] * (sub is not None)
+            for name in words:
+                for value in words[name].get("choices", ["3"]):
+                    pieces = [
+                        _piece(other, keywords, value if other == name else keywords.get("choices", ["3"])[0])
+                        for other, keywords in words.items()
+                    ]
+                    for order in (pieces, pieces[::-1]):
+                        yield head + [word for piece in order for word in piece]
+
+
+def _check_json() -> bool:
     wrong = [p for p in PAYLOADS if tables._json_text(p) != json.dumps(p, indent=2)]
     print(f"{'ok  ' if not wrong else 'FAIL'} json writer: {len(PAYLOADS) - len(wrong)}/{len(PAYLOADS)} payloads")
-    pinned = _pinned()
+    return not wrong
+
+
+def _check_pinned(pinned: dict) -> bool:
     differ = []
     for command, digest in pinned.items():
-        code, out = _stdout(command.split())
+        code, out, _ = _run(command.split())
         if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
             differ.append(command)
     print(f"{'ok  ' if not differ else 'FAIL'} pinned outputs: {len(pinned) - len(differ)}/{len(pinned)} commands")
     for command in differ:
         print(f"     differs: {command}")
-    return 1 if wrong or differ else 0
+    return not differ
+
+
+def _check_reader(lists: dict) -> bool:
+    plain = [list(argv) for argv in lists["_COMMANDS_AND_ARGS"] + lists["_INTERACTIVE_SHAPES"]]
+    others = [list(argv) for name in ("_HELP", "_USAGE", "_SPELLINGS") for argv in lists[name]]
+    argvs = plain + others + list(_grammar_argvs())
+    full, read, differ = cli._build_parser(), 0, []
+    for argv in argvs:
+        args = cli._read(argv) if argv and argv[0] in cli._GRAMMAR else None
+        if args is not None:
+            read += 1
+            if vars(args) != vars(full.parse_args(argv)):
+                differ.append(argv)
+    unread = [argv for argv in plain if argv[0] not in cli._GRAMMAR or cli._read(argv) is None]
+    ok = not differ and not unread
+    print(f"{'ok  ' if ok else 'FAIL'} reader: {read}/{len(argvs)} argvs read, {read - len(differ)} as argparse reads them")
+    for argv in differ:
+        print(f"     differs: {' '.join(argv)}")
+    for argv in unread:
+        print(f"     plain call not read: {' '.join(argv)}")
+    return ok
+
+
+def _check_digit_limit() -> bool:
+    want = (2, "", f"error: {cli._too_long(sys.get_int_max_str_digits())}\n")
+    refusals = {name: getattr(cli, name) for name in ("_refuse_unprintable_growth", "_refuse_unprintable_involutions")}
+    wrong = [name for name, argv in DIGIT_LIMIT_CASES.items() if _run(argv) != want]
+    for name in refusals:
+        setattr(cli, name, lambda *args, **kwargs: None)
+    try:
+        wrong += [f"{name} (backstop)" for name, argv in DIGIT_LIMIT_CASES.items() if _run(argv) != want]
+    finally:
+        for name, refusal in refusals.items():
+            setattr(cli, name, refusal)
+    count = 2 * len(DIGIT_LIMIT_CASES)
+    print(f"{'ok  ' if not wrong else 'FAIL'} digit limit: {count - len(wrong)}/{count} one error line, exit 2")
+    for name in wrong:
+        print(f"     differs: {name}")
+    return not wrong
+
+
+def _check_help(pins: dict, pins_313: dict) -> bool:
+    if sys.version_info >= (3, 13):
+        pins = {**pins, **pins_313}
+    os.environ["COLUMNS"] = "80"  # argparse wraps to the terminal's width
+    differ = []
+    for command, digest in pins.items():
+        _, out, err = _run(command.split())
+        if hashlib.sha256((out + err).encode()).hexdigest() != digest:
+            differ.append(command)
+    wrap = f" ({', '.join(pins_313)} as 3.13 wraps them)" if sys.version_info >= (3, 13) else ""
+    print(f"{'ok  ' if not differ else 'FAIL'} help and usage: {len(pins) - len(differ)}/{len(pins)} calls{wrap}")
+    for command in differ:
+        print(f"     differs: {command or '(none)'}")
+    return not differ
+
+
+def main() -> int:
+    print(f"Python {platform.python_version()} ({sys.executable})")
+    lists = _test_cli(
+        "_TL3", "_COMMANDS_AND_ARGS", "_HELP", "_USAGE", "_SPELLINGS", "_INTERACTIVE_SHAPES",
+        "PINNED_OUTPUTS", "PINNED_HELP", "PINNED_HELP_313",
+    )
+    results = [
+        _check_json(),
+        _check_pinned(lists["PINNED_OUTPUTS"]),
+        _check_reader(lists),
+        _check_digit_limit(),
+        _check_help(lists["PINNED_HELP"], lists["PINNED_HELP_313"]),
+    ]
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":

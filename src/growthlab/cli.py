@@ -15,7 +15,7 @@ import re
 import sys
 from decimal import Context, Decimal
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import gcd, log10
 from types import SimpleNamespace
 
@@ -441,6 +441,9 @@ def _build_parser():
     import argparse
 
     class Parser(argparse.ArgumentParser):
+        def __init__(self, **keywords):  # help and usage at one width, not the terminal's
+            super().__init__(formatter_class=partial(argparse.HelpFormatter, width=78), **keywords)
+
         def error(self, message):
             self.print_usage(sys.stderr)
             print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -543,6 +546,9 @@ def main(argv=None) -> int:
         if "integer string conversion" not in str(exc):
             raise
         print(f"error: {_too_long(sys.get_int_max_str_digits())}", file=sys.stderr)
+        return INPUT_ERROR
+    except MemoryError:
+        print("error: not enough memory for this input", file=sys.stderr)
         return INPUT_ERROR
     sys.stdout.write(out.getvalue())
     return code

@@ -163,7 +163,7 @@ class ModuleSpec(Record):
         return tuple(order), tuple(map(slot.__getitem__, self.bases))
 
     @cached_property
-    def _columns(self) -> dict[int, list[int]]:
+    def _columns(self) -> dict[int, tuple[int, ...]]:
         """The C^-1 columns its library series have read, by label, at the label positions."""
         return {}
 
@@ -211,7 +211,7 @@ def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
 
 
 def _growth_series(spec: ModuleSpec, target: int | None = None,
-                   columns: dict[int, list[int]] | None = None) -> ExpSum:
+                   columns: dict[int, tuple[int, ...]] | None = None) -> ExpSum:
     """[V^(x)n : V_target], or l(n) with no target, as an exponential sum in n.
 
     (I + P) X = C with P[i][i^+] = 1 (`simple_table`), so c = C^-1 (I + P) w sums

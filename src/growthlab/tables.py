@@ -17,13 +17,16 @@ isolated point stays level.  So the step set names the family:
 * Motzkin: steps {-1, 0, +1}, beta(j, i), whose rows are convolutions of the
   Motzkin numbers.
 
-One recurrence over the steps fills all three with O(m^2) integer additions,
-in one pass holding one row of path counts (`_cell_columns`).  Each triangle
-is a Riordan array; a column of its inverse runs down from the diagonal 1
-with one exact division per entry (`_inverse_column`), and C (lattice) and
-C^-1 (recurrence) referee each other (verify's riordan checks).  Truncating
-the inverse to Lambda_m inverts the truncated table (both are supported on
-index pairs i <= j).
+One recurrence over the steps fills all three with O(m^2) integer additions
+(`_cell_columns`).  Each triangle is a Riordan array; a column of its inverse
+runs down from the diagonal 1 with one exact division per entry
+(`_inverse_column`), and C (lattice) and C^-1 (recurrence) referee each other
+(verify's riordan checks).  Truncating the inverse to Lambda_m inverts the
+truncated table (both are supported on index pairs i <= j).  So the table at
+m is the leading block of one array per family: columns j <= _KEPT = 64 of
+each array are kept for the process (0.44 MB for all three families, by
+tracemalloc), and past the bound the path counts stream in one row of O(m)
+ints.
 
 Tables are held as the rows of Python ints that the recurrences produce
 (`CharTable.rows`); fusion graphs and the chartable command read those, and
@@ -126,24 +129,46 @@ def _label_range(family: Family, m: int) -> range:
     return _rank_range(family, m)
 
 
+# the columns kept for the process (module docstring): each entry is a whole
+# tuple of ints, published in one assignment, so a race may repeat work but never tear it
+_KEPT = 64
+_PATHS: dict[Family, tuple[tuple[int, ...], ...]] = {}  # full path-count columns 0..k
+_INVERSES: dict[tuple[Family, int], tuple[int, ...]] = {}  # (family, t): column t of C^-1
+
+
+def _step(family: Family, counts, width: int) -> list[int]:
+    """Path counts one step after counts, at heights 0..width - 1: each from h - s for a step s."""
+    (first, *rest), padded = _STEPS[family], [0, *counts, 0, 0]
+    column = padded[1 - first : 1 - first + width]
+    for s in rest:
+        column = map(add, column, padded[1 - s : 1 - s + width])
+    return list(column)
+
+
+def _kept_columns(family: Family, top: int) -> tuple[tuple[int, ...], ...]:
+    """The full path-count columns 0..top (top <= _KEPT) from the memo, the missing ones added."""
+    kept = _PATHS.get(family, ((1,),))
+    if len(kept) <= top:
+        grown = list(kept)
+        for j in range(len(kept), top + 1):
+            grown.append(tuple(_step(family, grown[-1], j + 1)))
+        kept = _PATHS[family] = tuple(grown)
+    return kept
+
+
 def _cell_columns(family: Family, m: int, wanted: tuple[int, ...] | range):
     """Column j of the cell table at the wanted rows, for each label j in turn.
 
-    counts[h] counts the j-step paths ending at height h, each from h - s for
-    a step s: one row of O(m) ints, cut to the heights that j steps reach and
-    that can still come down to the top wanted label by step m."""
-    (first, *rest), labels, top = _STEPS[family], set(rank_labels(family, m)), max(wanted)
-    counts = [1]
+    Columns j <= _KEPT are read off the memo; above it counts[h], the j-step
+    paths ending at height h, are streamed in one row of O(m) ints, cut to the
+    heights that j steps reach and that can still come down to the top wanted
+    label by step m."""
+    labels, top = set(rank_labels(family, m)), max(wanted)
+    kept = _kept_columns(family, min(m, _KEPT))
     for j in range(m + 1):
-        if j:
-            width = min(j, top + m - j) + 1
-            padded = [0, *counts, 0, 0]
-            column = padded[1 - first : 1 - first + width]
-            for s in rest:
-                column = map(add, column, padded[1 - s : 1 - s + width])
-            counts = list(column)
+        counts = kept[j] if j <= _KEPT else _step(family, counts, min(j, top + m - j) + 1)
         if j in labels:
-            row = counts + [0] * (top + 1 - len(counts))  # heights j steps do not reach
+            row = [*counts, *[0] * (top + 1 - len(counts))]  # heights j steps do not reach
             yield map(row.__getitem__, wanted)
 
 
@@ -157,10 +182,12 @@ def cell_table(family: Family, m: int) -> CharTable:
     return CharTable(family, m, "cell", tuple(rows), tuple(rows.values()))
 
 
-def _inverse_column(family: Family, t: int) -> list[int]:
+def _inverse_column(family: Family, t: int) -> tuple[int, ...]:
     """Column t of the inverse cell table, a[i] = C^-1[i][t] for 0 <= i <= t, by the Riordan
     recurrences (Shapiro, Getu, Woan and Woodson, "The Riordan group", 1991) from a[t] = 1
-    down, one exact division per entry (TL: every other i)."""
+    down, one exact division per entry (TL: every other i); kept for t <= _KEPT."""
+    if (kept := _INVERSES.get((family, t))) is not None:
+        return kept
     a = [0] * t + [1]
     if family is Family.PLANAR_ROOK:
         for k in range(t, 0, -1):
@@ -174,13 +201,16 @@ def _inverse_column(family: Family, t: int) -> list[int]:
         for k in range(t - 1, -1, -1):
             scaled = 3 * (k + 1) * (k + 2) * after + (k + 1) * (2 * k + 3) * a[k + 1]
             a[k], after = scaled // -((t - k) * (t + k + 2)), a[k + 1]
-    return a
+    column = tuple(a)
+    if t <= _KEPT:
+        _INVERSES[family, t] = column
+    return column
 
 
 def cell_inverse(family: Family, m: int) -> CharTable:
     """Inverse of the cell table (same row/column labels), from its columns."""
     labels = _label_range(family, m)
-    cols = [_inverse_column(family, t) + [0] * (m - t) for t in labels]
+    cols = [_inverse_column(family, t) + (0,) * (m - t) for t in labels]
     rows = tuple(tuple([col[i] for col in cols]) for i in labels)
     return CharTable(family, m, "cell_inverse", tuple(labels), rows)
 

@@ -271,6 +271,21 @@ def test_bad_input_is_one_line_and_exit_2(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
+def test_more_labels_than_memory_holds_is_one_line_and_exit_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "chartable", "--family", "tl", "--m", "9999999999")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", "error: not enough memory for this input\n")
+
+
+def test_a_memory_error_in_any_command_is_one_line_and_exit_2(capsys, monkeypatch):
+    def out_of_memory(args, out):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._GRAMMAR, "pl", (out_of_memory, *cli._GRAMMAR["pl"][1:]))
+    assert run(capsys, "pl", "digits", "--a", "5") == (2, "", "error: not enough memory for this input\n")
+
+
 def _unreachable(*args):
     raise AssertionError("the refusal should come before this call")
 
@@ -727,11 +742,13 @@ PINNED_HELP_313 = {
 
 @pytest.mark.parametrize("argv", _HELP + _USAGE, ids=lambda argv: " ".join(argv) or "(none)")
 def test_help_and_usage_bytes_are_pinned(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
-    code, out, err = run(capsys, *argv)
-    assert (code, out == "", err == "") == ((0, False, True) if argv in _HELP else (1, True, False))
     pins = {**PINNED_HELP, **PINNED_HELP_313} if sys.version_info >= (3, 13) else PINNED_HELP
-    assert hashlib.sha256((out + err).encode()).hexdigest() == pins[" ".join(argv)]
+    # the parsers wrap at one width, whatever the terminal's (argparse reads COLUMNS)
+    for columns in ("50", "80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run(capsys, *argv)
+        assert (code, out == "", err == "") == ((0, False, True) if argv in _HELP else (1, True, False))
+        assert hashlib.sha256((out + err).encode()).hexdigest() == pins[" ".join(argv)], columns
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 library computes and assert exactly which checks go red.
 
 Each probe monkeypatches one production function or fixture, empties the
-oracle's caches (before, so the mutation is seen, and after, so no mutated
-value outlives the test) and runs the suites that hold the family.  All 14
+oracle's caches and the columns the tables keep (before, so the mutation is
+seen, and after, so no mutated value outlives the test) and runs the suites
+that hold the family.  All 14
 families have a probe; an oracle that refuses a value or breaks an invariant
 fails the checks that read it by name, and the suite runs on.
 `test_the_table_suite_builds_no_mat` pins that the table suite compares int
@@ -24,6 +25,9 @@ def _clear_oracle_caches():
     for value in vars(oracle).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
+    # and the columns the tables keep, so that none a patched routine made outlives its test
+    tables._PATHS.clear()
+    tables._INVERSES.clear()
 
 
 @pytest.fixture
@@ -106,10 +110,10 @@ def test_one_inverse_cell_entry_turns_the_riordan_and_series_checks_red(monkeypa
     original = tables._inverse_column
 
     def mutated(family, t):
-        column = original(family, t)
+        column = list(original(family, t))  # a copy: the kept column stays as it was
         if t == 3:
             column[1] += 1
-        return column
+        return tuple(column)
 
     monkeypatch.setattr(tables, "_inverse_column", mutated)
     monkeypatch.setattr(growth, "_inverse_column", mutated)

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import cell_formulas
 import riordan_reference
+import series_reference
 from linalg_reference import inverse, mat_mul
 from growthlab import growth, tables
 from growthlab.diagrams import Family, rank_labels
@@ -214,6 +217,148 @@ def test_unsupported_family():
         cell_table(Family.BRAUER, 3)
     with pytest.raises(InputError):
         table_of_kind(Family.MOTZKIN, 3, "nonsense")
+
+
+# ---------------------------------------------------------------------------
+# the columns each family's two Riordan arrays keep for the process
+
+KEPT = tables._KEPT
+
+
+def _clear_memo():
+    tables._PATHS.clear()
+    tables._INVERSES.clear()
+
+
+@pytest.fixture
+def fresh_memo():
+    _clear_memo()
+    yield
+
+
+@cache
+def _cell_entry(family, j, i):
+    return CELL_FORMULAS[family](j, i)
+
+
+@cache
+def _inverse_entry(family, i, j):
+    return riordan_reference._INVERSE_ENTRY[family](i, j)
+
+
+def _referee(family, m):
+    """Every table at m, by label, from the per-entry closed forms, which read no memo:
+    simple and projective rows by the reflection sums on those cell rows."""
+    labels = rank_labels(family, m)
+    cell = {i: tuple(_cell_entry(family, j, i) for j in labels) for i in labels}
+    simple, projective = {}, {}
+    for i in reversed(labels):
+        minus, plus, _ = tables._mirrors(i, family, m)
+        simple[i] = cell[i] if plus is None else tuple(a - b for a, b in zip(cell[i], simple[plus]))
+        projective[i] = cell[i] if minus is None else tuple(a + b for a, b in zip(cell[i], cell[minus]))
+    inverse = {i: tuple(_inverse_entry(family, i, j) for j in labels) for i in labels}
+    return {"S": cell, "V": {i: simple[i] for i in labels}, "P": {i: projective[i] for i in labels},
+            "cell_inverse": inverse}
+
+
+_REFEREE_KINDS = {"cell": "S", "simple": "V", "projective": "P", "cell_inverse": "cell_inverse"}
+
+
+def _check_at(family, m, kind, label, target):
+    """The module row, its length and one multiplicity series, then every table, against `_referee`."""
+    ref = _referee(family, m)
+    spec = growth.module_spec(family, m, f"{kind}{label}")
+    assert spec.charvec == ref[kind][label], (family, m, kind, label)
+    ref_simple = tables.CharTable(family, m, "simple", tuple(ref["V"]), tuple(ref["V"].values()))
+    row = ref[kind][label]
+    ref_spec = growth.ModuleSpec(spec.label, family, m, row[-1], row)
+    simple = simple_table(family, m)
+    ones = [1] * len(simple.labels)
+    assert growth.length_series(spec, simple) == series_reference.series(ref_spec, ref_simple, ones)
+    expected = series_reference.multiplicity_series(ref_spec, ref_simple, target)
+    assert growth.multiplicity_series(spec, simple, target) == expected
+    for name, key in _REFEREE_KINDS.items():
+        table = table_of_kind(family, m, name)
+        assert table.rows == tuple(ref[key].values()), (family, m, name)
+
+
+_SIZES = st.integers(1, 2 * KEPT) | st.sampled_from([KEPT - 1, KEPT, KEPT + 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(PLANAR), _SIZES, st.sampled_from("VSP"), st.integers(0, 2 * KEPT), st.integers(0, 2 * KEPT)),
+    min_size=1, max_size=4,
+))
+def test_tables_and_series_equal_the_closed_forms_in_any_build_order(builds):
+    # each draw starts from an empty memo, so the calls that fill it vary:
+    # a module row wants few heights, a table every one
+    _clear_memo()
+    for family, m, kind, at, to in builds:
+        labels = rank_labels(family, m)
+        _check_at(family, m, kind, labels[at % len(labels)], labels[to % len(labels)])
+
+
+@pytest.mark.parametrize("m", [KEPT - 1, KEPT, KEPT + 1])
+@pytest.mark.parametrize("family", PLANAR)
+def test_tables_and_series_at_the_bound_equal_the_closed_forms(fresh_memo, family, m):
+    labels = rank_labels(family, m)
+    _check_at(family, m, "S", labels[0], labels[-1])  # the module row fills the memo first
+    _check_at(family, m, "V", labels[1], labels[0])
+
+
+def test_the_memo_holds_at_most_the_columns_up_to_the_bound(fresh_memo):
+    for family in PLANAR:
+        for kind in _REFEREE_KINDS:
+            table_of_kind(family, 500, kind)
+        spec = growth.module_spec(family, 500, "V2")
+        growth.length_series(spec, simple_table(family, 500))
+    for family in PLANAR:
+        assert len(tables._PATHS[family]) == KEPT + 1
+        kept = [t for f, t in tables._INVERSES if f is family]
+        assert sorted(kept) == [t for t in rank_labels(family, 500) if t <= KEPT]
+        assert len(kept) <= KEPT + 1
+
+
+def test_every_value_in_the_memo_is_a_tuple_of_ints(fresh_memo):
+    for family in PLANAR:
+        m = KEPT + 3
+        spec = growth.module_spec(family, m, f"V{rank_labels(family, m)[1]}")
+        growth.length_series(spec, simple_table(family, m))
+        cell_inverse(family, KEPT - 2)
+    columns = [*(c for kept in tables._PATHS.values() for c in kept), *tables._INVERSES.values()]
+    assert type(tables._PATHS) is dict and all(type(kept) is tuple for kept in tables._PATHS.values())
+    assert len(columns) > 3 * KEPT
+    assert all(type(c) is tuple and all(type(v) is int for v in c) for c in columns)
+
+
+def test_threads_that_build_at_once_get_the_closed_forms(fresh_memo):
+    # 4 threads, each a module row (few heights) and then the tables at its own m
+    sizes = (KEPT - 5, KEPT + 1, 2 * KEPT, 31)
+    barrier = threading.Barrier(len(sizes))
+
+    def build(m):
+        barrier.wait(timeout=60)
+        out = []
+        for family in PLANAR:
+            labels = rank_labels(family, m)
+            row = growth.module_spec(family, m, f"S{labels[0]}").charvec
+            out.append((row, cell_table(family, m).rows, cell_inverse(family, m).rows))
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that their builds interleave
+    try:
+        with ThreadPoolExecutor(len(sizes)) as pool:
+            results = list(pool.map(build, sizes, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for m, built in zip(sizes, results):
+        for family, (row, cell, inverse) in zip(PLANAR, built):
+            ref = _referee(family, m)
+            assert row == ref["S"][rank_labels(family, m)[0]], (family, m)
+            assert cell == tuple(ref["S"].values()), (family, m)
+            assert inverse == tuple(ref["cell_inverse"].values()), (family, m)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
     python3.12 tools/crosspy.py
 
 Run from the root of a source checkout; growthlab is imported from `src/`.
-Five checks, one line each, and exit code 1 if any fails:
+Six checks, one line each, and exit code 1 if any fails:
 
 - the CLI's JSON writer (`tables._json_text`) writes each payload of a fixed
   set exactly as json.dumps(payload, indent=2) does on this interpreter;
@@ -17,9 +17,12 @@ Five checks, one line each, and exit code 1 if any fails:
   refusals switched off, caught by `main` from the `ValueError` text of
   this interpreter's int-to-text limit;
 - each help and usage call of `PINNED_HELP` prints the bytes pinned for this
-  interpreter: argparse 3.13 wraps the usage line of `bounds m0` its own
-  way, so 3.13 and later read `PINNED_HELP_313` first, and the line names
-  the calls that take those pins.
+  interpreter, under COLUMNS=50, 80 and 120: argparse 3.13 wraps the usage
+  line of `bounds m0` its own way, so 3.13 and later read `PINNED_HELP_313`
+  first, and the line names the calls that take those pins;
+- two fresh interpreters build every table, module row and series for
+  m = 1..80, one in ascending order of m and one in descending order, and
+  both give `BUILD_SHA256`, pinned before the tables kept their columns.
 """
 
 import ast
@@ -29,13 +32,15 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from growthlab import cli, tables  # noqa: E402
+from growthlab import cli, growth, tables  # noqa: E402
+from growthlab.diagrams import Family, rank_labels  # noqa: E402
 
 PAYLOADS = [
     {},
@@ -59,6 +64,10 @@ DIGIT_LIMIT_CASES = {
     "value-too-long-growth": ["growth", "length", "--family", "tl", "--m", "7", "--module", "V3", "--n", "3900"],
     "value-too-long-involutions": ["asym", "involutions", "--m", "2000"],
 }
+
+
+# `_build_digest`, pinned at the commit before the tables kept the leading columns of their arrays
+BUILD_SHA256 = "0f724e9d66fbdc25ce1e0ae2c2ffeef7cd71330fb53b99f37e085b0d6de8680a"
 
 
 def _test_cli(*names: str) -> dict:
@@ -167,20 +176,56 @@ def _check_digit_limit() -> bool:
 def _check_help(pins: dict, pins_313: dict) -> bool:
     if sys.version_info >= (3, 13):
         pins = {**pins, **pins_313}
-    os.environ["COLUMNS"] = "80"  # argparse wraps to the terminal's width
-    differ = []
-    for command, digest in pins.items():
-        _, out, err = _run(command.split())
-        if hashlib.sha256((out + err).encode()).hexdigest() != digest:
-            differ.append(command)
+    differ, widths = [], ("50", "80", "120")
+    for columns in widths:
+        os.environ["COLUMNS"] = columns  # argparse reads the terminal's width here
+        for command, digest in pins.items():
+            _, out, err = _run(command.split())
+            if hashlib.sha256((out + err).encode()).hexdigest() != digest:
+                differ.append(f"{command or '(none)'} at COLUMNS={columns}")
+    calls = len(pins) * len(widths)
     wrap = f" ({', '.join(pins_313)} as 3.13 wraps them)" if sys.version_info >= (3, 13) else ""
-    print(f"{'ok  ' if not differ else 'FAIL'} help and usage: {len(pins) - len(differ)}/{len(pins)} calls{wrap}")
+    print(f"{'ok  ' if not differ else 'FAIL'} help and usage: {calls - len(differ)}/{calls} calls{wrap}")
     for command in differ:
-        print(f"     differs: {command or '(none)'}")
+        print(f"     differs: {command}")
     return not differ
 
 
+def _build_digest(order: str) -> str:
+    """sha256 of, for each planar family and m = 1..80 in the given order, every module
+    row (V, S and P at every label, built first), the four tables, the length series of
+    V, S and P at the second label, and the multiplicity series of V at the top label
+    for every target; each (family, m) apart, so that the digest names no order."""
+    built = {}
+    for m in range(1, 81) if order == "ascending" else range(80, 0, -1):
+        for family in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
+            labels = rank_labels(family, m)
+            specs = {(kind, i): growth.module_spec(family, m, f"{kind}{i}") for i in labels for kind in "VSP"}
+            out = [spec.charvec for spec in specs.values()]
+            out += [tables.table_of_kind(family, m, kind).rows for kind in ("cell", "simple", "projective", "cell_inverse")]
+            simple = tables.simple_table(family, m)
+            out += [growth.length_series(specs[kind, labels[1 % len(labels)]], simple) for kind in "VSP"]
+            out += [growth.multiplicity_series(specs["V", labels[-1]], simple, target) for target in labels]
+            built[family.value, m] = repr(out)
+    return hashlib.sha256(repr(sorted(built.items())).encode()).hexdigest()
+
+
+def _check_build_order() -> bool:
+    digests = {}
+    for order in ("ascending", "descending"):
+        argv = [sys.executable, __file__, "--build-order", order]
+        digests[order] = subprocess.run(argv, capture_output=True, text=True, check=False).stdout.strip()
+    wrong = [order for order, digest in digests.items() if digest != BUILD_SHA256]
+    print(f"{'ok  ' if not wrong else 'FAIL'} build order: {2 - len(wrong)}/2 fresh interpreters give the pinned digest")
+    for order in wrong:
+        print(f"     differs: {order} ({digests[order] or 'no digest'})")
+    return not wrong
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["--build-order"]:
+        print(_build_digest(sys.argv[2]))
+        return 0
     print(f"Python {platform.python_version()} ({sys.executable})")
     lists = _test_cli(
         "_TL3", "_COMMANDS_AND_ARGS", "_HELP", "_USAGE", "_SPELLINGS", "_INTERACTIVE_SHAPES",
@@ -192,6 +237,7 @@ def main() -> int:
         _check_reader(lists),
         _check_digit_limit(),
         _check_help(lists["PINNED_HELP"], lists["PINNED_HELP_313"]),
+        _check_build_order(),
     ]
     return 0 if all(results) else 1
 

@@ -8,7 +8,10 @@ digraph (positive entries); weights only matter for matrix arithmetic.
 
 A graph holds A as rows of Python ints (`FusionGraph.rows`), solved from the
 int rows of the simple table; every walk, power and check below reads them,
-and `FusionGraph.adjacency` builds a `Mat` only when it is read.
+and `FusionGraph.adjacency` builds a `Mat` only when it is read.  The k^2
+passes stay out of per-entry Python loops: the support lists take each
+column's nonzero entries with one `compress`, and A^n v is formed step by
+step as the sum of v_j times column j over the nonzero v_j only.
 
 The spectral view: conjugating A by the transpose of the simple character
 table X diagonalizes it with the character values of V as eigenvalues, so
@@ -19,6 +22,7 @@ each identity is one integer product with it or with X^T.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from operator import mul
 
 from .errors import InputError, InternalCheckError, VerificationError
@@ -51,11 +55,14 @@ class FusionGraph(Record):
         return [(j, t) for j, out in enumerate(self.successors()) for t in out]
 
     def successors(self) -> list[list[int]]:
-        """succ[j] = target indices of the positive-weight edges leaving j."""
-        return [
-            [t for t, x in enumerate(col) if x > 0]
-            for col in zip(*self.rows)
-        ]
+        """succ[j] = target indices of the positive-weight edges leaving j.
+
+        One `compress` per column picks its nonzero entries, and only those
+        are tested `> 0`: a hand-built graph is not checked for negative
+        entries, and those are no edges.
+        """
+        targets = range(len(self.rows))
+        return [[t for t in compress(targets, col) if col[t] > 0] for col in zip(*self.rows)]
 
 
 def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
@@ -68,13 +75,13 @@ def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
     """
     _check_compatible(spec, simple)
     rows = simple.rows
-    pointwise = [[c * x for c, x in zip(spec.bases, row)] for row in rows]
+    pointwise = [list(map(mul, spec.bases, row)) for row in rows]
     cols = _substitute(tuple(zip(*rows)), pointwise)
     lowest = min(map(min, cols))
     if lowest < 0:
         raise InternalCheckError(f"tensor multiplicity {lowest} is negative")
     dims = tuple(row[-1] for row in rows)
-    trivial_rows = [k for k, row in enumerate(rows) if set(row) == {1}]
+    trivial_rows = [k for k, row in enumerate(rows) if row.count(1) == len(row)]
     if len(trivial_rows) != 1:
         raise InternalCheckError("expected exactly one all-ones character row")
     return FusionGraph(
@@ -90,13 +97,19 @@ def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
 def power_multiplicities(g: FusionGraph, n: int) -> tuple[int, ...]:
     """(A^n) applied to the trivial indicator: the decomposition of V^(x)n.
 
-    n integer matrix-vector steps on the rows of A, handed back as ints.
+    n integer steps on the columns of A, transposed once per call: each step
+    forms A v as the sum of v_j times column j over the nonzero v_j only, one
+    `map` per term and one `sum` per entry, handed back as ints.
     """
     if n < 0:
         raise InputError("need n >= 0")
-    v = [int(k == g.trivial_index) for k in range(len(g.labels))]
+    k = len(g.labels)
+    v = [int(i == g.trivial_index) for i in range(k)]
+    cols = list(zip(*g.rows))
+    zeros = (0,) * k  # keeps k entries when no v_j is nonzero
     for _ in range(n):
-        v = [sum(map(mul, row, v)) for row in g.rows]
+        terms = [map(mul, repeat(x), col) for x, col in compress(zip(v, cols), v)]
+        v = list(map(sum, zip(zeros, *terms)))
     return tuple(v)
 
 

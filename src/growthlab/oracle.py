@@ -217,10 +217,14 @@ def oracle_simple_table(family: Family, m: int) -> Mat:
 # ---------------------------------------------------------------------------
 # multiplicities and counting
 
-@lru_cache(maxsize=None)
+# right-hand sides kept by `_solve_multiplicities`; one `verify --suite all` solves 51
+_SOLVES_KEPT = 256
+
+
+@lru_cache(maxsize=_SOLVES_KEPT)
 def _solve_multiplicities(family: Family, m: int, rhs: tuple[int, ...]) -> tuple[int, ...]:
     """y with X^T y = rhs on ints, X the oracle simple table (checked unit upper
-    triangular when built), by `linalg._substitute`; each rhs is solved once."""
+    triangular when built), by `linalg._substitute`; the `_SOLVES_KEPT` last used are kept."""
     return _substitute(tuple(zip(*_oracle_rows(family, m)[1])), [rhs])[0]
 
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
-from operator import add
+from operator import add, sub
 
 from .diagrams import Family, _rank_range, rank_labels
 from .errors import InputError, InternalCheckError
@@ -263,7 +263,7 @@ def simple_table(family: Family, m: int) -> CharTable:
     rows: dict[int, tuple[int, ...]] = {}
     for i, row in reversed(cell.items()):
         plus = _mirrors(i, family, m)[1]  # None for critical labels
-        rows[i] = row if plus is None else tuple([a - b for a, b in zip(row, rows[plus])])
+        rows[i] = row if plus is None else tuple(map(sub, row, rows[plus]))
     return CharTable(family, m, "simple", tuple(cell), tuple(rows[i] for i in cell))
 
 
@@ -277,7 +277,7 @@ def projective_table(family: Family, m: int) -> CharTable:
     rows = []
     for i, row in cell.items():
         minus = _mirrors(i, family, m)[0]
-        rows.append(row if minus is None else tuple([a + b for a, b in zip(row, cell[minus])]))
+        rows.append(row if minus is None else tuple(map(add, row, cell[minus])))
     return CharTable(family, m, "projective", tuple(cell), tuple(rows))
 
 

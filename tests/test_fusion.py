@@ -28,7 +28,7 @@ from growthlab.growth import (
     module_spec,
     multiplicity_series,
 )
-from growthlab.linalg import Mat
+from growthlab.linalg import Mat, int_identity, int_mul
 from growthlab.reference import PRO8_V2_FUSION, PRO8_V2_N0
 from growthlab.tables import simple_table
 from linalg_reference import apply, col, from_cols, inverse, mat_mul, mat_pow
@@ -176,7 +176,7 @@ def _graph_of(rows) -> FusionGraph:
 @given(
     st.integers(min_value=1, max_value=8).flatmap(
         lambda n: st.lists(
-            st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
+            st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
 )
@@ -207,6 +207,18 @@ def test_scc_absorbing_matches_brute_definition(rows):
                 brute.setdefault(w, k)
         assert brute.keys() == reach[start]
         assert distances(succ, start) == [brute.get(w) for w in range(n)]
+    # support lists and powers against their definitions, on the drawn graph and
+    # on a copy with one negative entry, from the trivial node 0 to node n - 1: a
+    # hand-built graph is not checked for signs, so that entry is no edge, but
+    # the powers multiply it
+    negative = [list(row) for row in rows]
+    negative[n - 1][0] = -2
+    for graph in (g, _graph_of(negative)):
+        assert graph.successors() == [[t for t in range(n) if graph.rows[t][j] > 0] for j in range(n)]
+        power = int_identity(n)
+        for k in range(5):
+            assert power_multiplicities(graph, k) == tuple(row[0] for row in power)
+            power = int_mul(graph.rows, power)
 
 
 def test_spectral_check_golden_specs():

@@ -708,6 +708,23 @@ def test_integer_solve_matches_the_fraction_referee(monkeypatch):
         assert y == solve_lower_triangular(oracle_simple_table(family, m).transpose(), rhs)
 
 
+def test_solve_cache_is_bounded_and_keeps_its_answers():
+    # a session that asks for ever larger n keeps at most _SOLVES_KEPT right-hand
+    # sides; an evicted one is solved again to the same answer
+    from growthlab.fusion import fusion_matrix, power_multiplicities
+
+    spec = module_spec(Family.TEMPERLEY_LIEB, 4, "V2")  # character (0, 1, 3): b**n differs for every n
+    ns = range(1, oracle._SOLVES_KEPT + 2)
+    oracle._solve_multiplicities.cache_clear()
+    first = [oracle_length(spec, n) for n in ns]
+    info = oracle._solve_multiplicities.cache_info()
+    assert oracle._SOLVES_KEPT == 256 and info.misses == len(ns) == 257
+    assert info.currsize <= 256
+    assert [oracle_length(spec, n) for n in ns] == first
+    graph = fusion_matrix(spec, simple_table(Family.TEMPERLEY_LIEB, 4))
+    assert first == [sum(power_multiplicities(graph, n)) for n in ns]
+
+
 def test_verify_builds_no_integer_kernel():
     # the oracle reads its simple characters as prefix ranks, and checks a
     # query's character against them, so a fresh verify run takes no kernel,

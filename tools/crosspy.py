@@ -3,7 +3,7 @@
     python3.12 tools/crosspy.py
 
 Run from the root of a source checkout; growthlab is imported from `src/`.
-Six checks, one line each, and exit code 1 if any fails:
+Seven checks, one line each, and exit code 1 if any fails:
 
 - the CLI's JSON writer (`tables._json_text`) writes each payload of a fixed
   set exactly as json.dumps(payload, indent=2) does on this interpreter;
@@ -22,7 +22,11 @@ Six checks, one line each, and exit code 1 if any fails:
   first, and the line names the calls that take those pins;
 - two fresh interpreters build every table, module row and series for
   m = 1..80, one in ascending order of m and one in descending order, and
-  both give `BUILD_SHA256`, pinned before the tables kept their columns.
+  both give `BUILD_SHA256`, pinned before the tables kept their columns;
+- for each planar family, m = 1..32 and V, S and P at every label, the
+  fusion graph's rows, its SCC report, `realized_n0` into the absorbing
+  labels and `power_multiplicities` for n = 0..6 give `FUSION_SHA256`,
+  pinned before those passes went to `map` and `compress`.
 """
 
 import ast
@@ -39,7 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from growthlab import cli, growth, tables  # noqa: E402
+from growthlab import cli, fusion, growth, tables  # noqa: E402
 from growthlab.diagrams import Family, rank_labels  # noqa: E402
 
 PAYLOADS = [
@@ -68,6 +72,9 @@ DIGIT_LIMIT_CASES = {
 
 # `_build_digest`, pinned at the commit before the tables kept the leading columns of their arrays
 BUILD_SHA256 = "0f724e9d66fbdc25ce1e0ae2c2ffeef7cd71330fb53b99f37e085b0d6de8680a"
+
+# `_fusion_digest`, pinned at the commit before the fusion passes went to `map` and `compress`
+FUSION_SHA256 = "69a1d55375b0a6685d04881455339477efb8d34f141a7ade30c5c467796e9c7a"
 
 
 def _test_cli(*names: str) -> dict:
@@ -222,6 +229,33 @@ def _check_build_order() -> bool:
     return not wrong
 
 
+def _fusion_digest() -> str:
+    """sha256 of, for each planar family, m = 1..32 and V, S and P at every label, the
+    fusion graph's rows, its SCC report, `realized_n0` into the absorbing labels (None
+    when there are none) and the powers n = 0..6 of the trivial indicator."""
+    digest = hashlib.sha256()
+    for family in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
+        for m in range(1, 33):
+            simple = tables.simple_table(family, m)
+            for i in rank_labels(family, m):
+                for kind in "VSP":
+                    g = fusion.fusion_matrix(growth.module_spec(family, m, f"{kind}{i}"), simple)
+                    report = fusion.scc_analysis(g)
+                    n0 = fusion.realized_n0(g, report.absorbing)
+                    powers = [fusion.power_multiplicities(g, n) for n in range(7)]
+                    digest.update(repr((g.rows, report.components, report.absorbing, n0, powers)).encode())
+    return digest.hexdigest()
+
+
+def _check_fusion() -> bool:
+    digest = _fusion_digest()
+    ok = digest == FUSION_SHA256
+    print(f"{'ok  ' if ok else 'FAIL'} fusion: graphs, SCCs, n0 and powers for m = 1..32 give the pinned digest")
+    if not ok:
+        print(f"     differs: {digest}")
+    return ok
+
+
 def main() -> int:
     if sys.argv[1:2] == ["--build-order"]:
         print(_build_digest(sys.argv[2]))
@@ -238,6 +272,7 @@ def main() -> int:
         _check_digit_limit(),
         _check_help(lists["PINNED_HELP"], lists["PINNED_HELP_313"]),
         _check_build_order(),
+        _check_fusion(),
     ]
     return 0 if all(results) else 1
 

@@ -14,9 +14,9 @@ the cell table and P the map i -> i^+, so c sums one or two columns of C^-1
 on ints; the module's character is a few cell rows summed in one lattice
 pass (`module_spec`).  No table is built.  Each column is added into one slot
 per distinct base, the bases kept on the spec in `ExpSum` order, so a series
-comes out canonical.  The library entries keep the columns they read on the
-spec, so a module's length and multiplicity series compute each column once;
-the CLI streams them and holds O(m) ints at a time.
+comes out canonical.  The library entries and the CLI take one route: each
+column comes from `tables`, which keeps columns t <= 64 for the process and
+recomputes the others, so a series holds O(m) ints at a time beyond that memo.
 Bases with value 0 are kept: under the convention 0^0 = 1 they make every
 length formula return 1 at n = 0 (the trivial module), while for n >= 1 they
 vanish — printed formulas usually show only the n >= 1 part, and the human
@@ -162,11 +162,6 @@ class ModuleSpec(Record):
         slot = {b: s for s, b in enumerate(order)}
         return tuple(order), tuple(map(slot.__getitem__, self.bases))
 
-    @cached_property
-    def _columns(self) -> dict[int, tuple[int, ...]]:
-        """The C^-1 columns its library series have read, by label, at the label positions."""
-        return {}
-
     @staticmethod
     def from_table(table: CharTable, label: int, prefix: str) -> "ModuleSpec":
         row = table.rows[table.index(label)]
@@ -210,15 +205,14 @@ def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
         raise InputError(f"series and fusion graphs need the simple table, not the {simple.kind} table")
 
 
-def _growth_series(spec: ModuleSpec, target: int | None = None,
-                   columns: dict[int, tuple[int, ...]] | None = None) -> ExpSum:
+def _growth_series(spec: ModuleSpec, target: int | None = None) -> ExpSum:
     """[V^(x)n : V_target], or l(n) with no target, as an exponential sum in n.
 
     (I + P) X = C with P[i][i^+] = 1 (`simple_table`), so c = C^-1 (I + P) w sums
     columns of C^-1: t and t^- (whose i^+ is t) for V_t, each j weighed 1 + [j^+] for l(n).
     Each column, cut to the label positions, is added into the slots of the spec's bases,
-    so the sum comes out canonical.  `columns` keeps the columns read for the next call
-    (the spec's own, for the library entries); without it they are streamed.
+    so the sum comes out canonical.  The columns come from `_inverse_column` alone, which
+    keeps those up to its bound; nothing is kept here.
     """
     family, m = spec.family, spec.m
     labels = _label_range(family, m)
@@ -231,11 +225,7 @@ def _growth_series(spec: ModuleSpec, target: int | None = None,
     order, slots = spec._slots
     sums = [0] * len(order)
     for t, w in weights:
-        column = None if columns is None else columns.get(t)
-        if column is None:
-            column = _inverse_column(family, t)[labels.start :: labels.step]
-            if columns is not None:
-                columns[t] = column
+        column = _inverse_column(family, t)[labels.start :: labels.step]
         for _ in range(w):  # w is 1 or 2: adding beats multiplying big ints
             for s, c in zip(slots, column):
                 sums[s] += c
@@ -245,13 +235,13 @@ def _growth_series(spec: ModuleSpec, target: int | None = None,
 def multiplicity_series(spec: ModuleSpec, simple: CharTable, target: int) -> ExpSum:
     """[V^(x)n : V_target] as an exponential sum in n (`simple` is checked, not read)."""
     _check_compatible(spec, simple)
-    return _growth_series(spec, target, spec._columns)
+    return _growth_series(spec, target)
 
 
 def length_series(spec: ModuleSpec, simple: CharTable) -> ExpSum:
     """l(n) = total number of composition factors of V^(x)n."""
     _check_compatible(spec, simple)
-    return _growth_series(spec, None, spec._columns)
+    return _growth_series(spec)
 
 
 # ---------------------------------------------------------------------------

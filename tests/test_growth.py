@@ -336,24 +336,28 @@ def test_multiplicity_series_reads_one_or_two_columns(monkeypatch):
         assert read == [target] + ([] if minus is None else [minus])
 
 
-@pytest.mark.parametrize("family, m", [(Family.TEMPERLEY_LIEB, 31), (Family.MOTZKIN, 20), (Family.PLANAR_ROOK, 12)])
-def test_a_spec_computes_each_column_once(monkeypatch, family, m):
-    read = _record_columns(monkeypatch)
+_SPEC_ATTRIBUTES = {"label", "family", "m", "dim", "charvec", "bases", "_slots"}
+
+
+@pytest.mark.parametrize("family, m, selector", [(Family.PLANAR_ROOK, 300, "V2"), (Family.TEMPERLEY_LIEB, 131, "V3")])
+def test_series_above_the_memo_bound_leave_nothing_on_the_spec(family, m, selector):
+    # columns t > tables._KEPT are recomputed on each read: once a spec's
+    # series are taken they are garbage, on the spec or anywhere else
     table = simple_table(family, m)
-    spec = module_spec(family, m, "V1")
-    length_series(spec, table)
-    assert read == list(table.labels)
-    for target in table.labels:
-        multiplicity_series(spec, table, target)
-    length_series(spec, table)
-    assert read == list(table.labels)
-    # the other way round: the targets first, then the length
-    read.clear()
-    spec = module_spec(family, m, "V1")
-    for target in reversed(table.labels):
-        multiplicity_series(spec, table, target)
-    length_series(spec, table)
-    assert sorted(read) == list(table.labels)
+    spec = module_spec(family, m, selector)
+    targets = table.labels[::10]
+    length = series_reference.series(spec, table, [1] * len(table.labels))
+    expected = [series_reference.multiplicity_series(spec, table, target) for target in targets]
+    growth._growth_series(module_spec(family, m, "V1"))  # the columns up to the bound, kept for the process
+    tracemalloc.start()
+    try:
+        assert length_series(spec, table) == length
+        assert all(multiplicity_series(spec, table, t) == e for t, e in zip(targets, expected))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert set(vars(spec)) == _SPEC_ATTRIBUTES
+    assert held < 2**19
 
 
 def test_the_growth_command_keeps_no_columns(monkeypatch, capsys):
@@ -369,7 +373,7 @@ def test_the_growth_command_keeps_no_columns(monkeypatch, capsys):
     assert cli.main(["growth", "length", *tl7]) == 0
     assert cli.main(["growth", "multiplicity", *tl7, "--target", "V7"]) == 0
     assert len(specs) == 2 and read == [1, 3, 5, 7, 7, 3]  # V7 reads C^-1 columns 7 and 7^- = 3
-    assert all("_columns" not in spec.__dict__ for spec in specs)
+    assert all(set(vars(spec)) == _SPEC_ATTRIBUTES for spec in specs)
 
 
 @st.composite
@@ -403,7 +407,6 @@ def test_kept_columns_leave_the_spec_value_alone():
     length_series(spec, table)
     for target in table.labels:
         multiplicity_series(spec, table, target)
-    assert len(spec._columns) == len(table.labels) and "_columns" not in twin.__dict__
     assert (repr(spec), hash(spec)) == before
     assert spec == twin and twin == spec and hash(twin) == hash(spec)
 

@@ -82,6 +82,22 @@ def test_verify_has_one_except_handler():
     assert handlers == ["_oracle_value"]
 
 
+def test_every_cached_property_returns_a_tuple():
+    # a Record is frozen and compares by its fields: what a cached_property
+    # hangs on it must be as immutable as they are, never a cache that grows
+    found = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                getattr(d, "id", getattr(d, "attr", None)) == "cached_property" for d in node.decorator_list
+            ):
+                returns = node.returns.value if isinstance(node.returns, ast.Subscript) else node.returns
+                found[f"{path.name}:{node.name}"] = getattr(returns, "id", None) == "tuple"
+    assert {"growth.py:bases", "growth.py:_slots"} <= set(found)
+    assert sorted(name for name, is_tuple in found.items() if not is_tuple) == []
+
+
 def test_every_unchecked_substitution_follows_a_table_check():
     # `linalg._substitute` trusts its table, so every caller must first make
     # it a simple table, checked when built: a `CharTable` (`_check_compatible`)

@@ -53,6 +53,9 @@ class Family(Enum):
     FULL_TRANSFORMATION = "full_transformation"
     PARTIAL_TRANSFORMATION = "partial_transformation"
 
+    # a dunder is no member: every memo keyed by a family hashes it in C, not by Enum's name hash
+    __hash__ = object.__hash__
+
 
 PLANAR_FAMILIES = frozenset(
     {Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN}

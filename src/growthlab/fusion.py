@@ -9,9 +9,9 @@ digraph (positive entries); weights only matter for matrix arithmetic.
 A graph holds A as rows of Python ints (`FusionGraph.rows`), solved from the
 int rows of the simple table; every walk, power and check below reads them,
 and `FusionGraph.adjacency` builds a `Mat` only when it is read.  The k^2
-passes stay out of per-entry Python loops: the support lists take each
-column's nonzero entries with one `compress`, and A^n v is formed step by
-step as the sum of v_j times column j over the nonzero v_j only.
+passes stay out of per-entry Python loops: the support lists, built once per
+graph, take each column's nonzero entries with one `compress`, and A^n v is
+formed step by step as the sum of v_j times column j over the nonzero v_j only.
 
 The spectral view: conjugating A by the transpose of the simple character
 table X diagonalizes it with the character values of V as eigenvalues, so
@@ -22,6 +22,7 @@ each identity is one integer product with it or with X^T.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import compress, repeat
 from operator import mul
 
@@ -52,17 +53,22 @@ class FusionGraph(Record):
 
     def support_edges(self) -> list[tuple[int, int]]:
         """(source index, target index) pairs with positive weight."""
-        return [(j, t) for j, out in enumerate(self.successors()) for t in out]
+        return [(j, t) for j, out in enumerate(self._support) for t in out]
 
     def successors(self) -> list[list[int]]:
-        """succ[j] = target indices of the positive-weight edges leaving j.
+        """succ[j] = target indices of the positive-weight edges leaving j."""
+        return list(map(list, self._support))
+
+    @cached_property
+    def _support(self) -> tuple[tuple[int, ...], ...]:
+        """The successor lists, built once per graph for every walk that reads them.
 
         One `compress` per column picks its nonzero entries, and only those
         are tested `> 0`: a hand-built graph is not checked for negative
         entries, and those are no edges.
         """
         targets = range(len(self.rows))
-        return [[t for t in compress(targets, col) if col[t] > 0] for col in zip(*self.rows)]
+        return tuple([tuple([t for t in compress(targets, col) if col[t] > 0]) for col in zip(*self.rows)])
 
 
 def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
@@ -119,7 +125,7 @@ def realized_n0(g: FusionGraph, targets) -> int | None:
     Breadth-first over positive-weight edges; None when unreachable.
     """
     target_idx = {g.label_index(t) for t in targets}
-    dist = distances(g.successors(), g.trivial_index)
+    dist = distances(g._support, g.trivial_index)
     reached = [dist[t] for t in target_idx if dist[t] is not None]
     return min(reached) if reached else None
 
@@ -137,7 +143,7 @@ def scc_analysis(g: FusionGraph) -> SccReport:
     A component is absorbing when no edge leaves it and it is reachable from
     every node.
     """
-    succ = g.successors()
+    succ = g._support
     comp_of = scc(succ)
     comps: dict[int, list[int]] = {}
     for v, c in enumerate(comp_of):

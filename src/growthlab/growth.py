@@ -9,14 +9,16 @@ For a module V with character chi over the rank classes, the multiplicities
 of the simples in V^(x)n solve X^T y = (chi(j)^n)_j, X the simple character
 table; so a weighted sum sum_t w_t y_t is c . (chi(j)^n)_j with c = X^-1 w,
 and l(n) (all weights 1) has c = X^-1 (1, ..., 1).  X^-1 = C^-1 (I + P), C
-the cell table and P the map i -> i^+, so c sums one or two columns of C^-1
-(V_t's multiplicity) or all of them (l(n)), each from a Riordan recurrence
-on ints; the module's character is a few cell rows summed in one lattice
-pass (`module_spec`).  No table is built.  Each column is added into one slot
-per distinct base, the bases kept on the spec in `ExpSum` order, so a series
-comes out canonical.  The library entries and the CLI take one route: each
-column comes from `tables`, which keeps columns t <= 64 for the process and
-recomputes the others, so a series holds O(m) ints at a time beyond that memo.
+the cell table and P the map i -> i^+, so V_t's multiplicity reads column t
+of X^-1 (columns t and t^- of C^-1, each from a Riordan recurrence on ints)
+and l(n) the running sum of those columns over the labels; the module's
+character is a few cell rows summed in one lattice pass (`module_spec`).  No
+table is built.  The one column is added into one slot per distinct base, the
+bases kept on the spec in `ExpSum` order, so a series comes out canonical.
+The library entries and the CLI take one route: the column comes from
+`tables`, which keeps both kinds for t, m <= 64 for the process and past the
+bound computes each C^-1 column once per call, so a series holds O(m) ints at
+a time beyond those memos.
 Bases with value 0 are kept: under the convention 0^0 = 1 they make every
 length formula return 1 at n = 0 (the trivial module), while for n >= 1 they
 vanish — printed formulas usually show only the n >= 1 part, and the human
@@ -39,8 +41,8 @@ from .diagrams import Family, PLANAR_FAMILIES
 from .errors import InputError, InternalCheckError
 from .linalg import Mat, _solve
 from .record import Record
-from .tables import (CharTable, _cell_columns, _inverse_column, _is_prime, _label_range, _mirrors,
-                     _module_terms, label_index)
+from .tables import (CharTable, _cell_columns, _is_prime, _label_range, _length_column, _module_terms,
+                     _simple_inverse_column, label_index)
 
 
 def _as_int_base(x: int | Fraction) -> int:
@@ -208,27 +210,23 @@ def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
 def _growth_series(spec: ModuleSpec, target: int | None = None) -> ExpSum:
     """[V^(x)n : V_target], or l(n) with no target, as an exponential sum in n.
 
-    (I + P) X = C with P[i][i^+] = 1 (`simple_table`), so c = C^-1 (I + P) w sums
-    columns of C^-1: t and t^- (whose i^+ is t) for V_t, each j weighed 1 + [j^+] for l(n).
-    Each column, cut to the label positions, is added into the slots of the spec's bases,
-    so the sum comes out canonical.  The columns come from `_inverse_column` alone, which
-    keeps those up to its bound; nothing is kept here.
+    (I + P) X = C with P[i][i^+] = 1 (`simple_table`), so c = X^-1 w is column t of
+    X^-1 = C^-1 (I + P) for V_t, and for l(n) the running sum X^-1 (1, ..., 1) of those
+    columns over the labels.  Both come at the label positions from `tables`, which keeps
+    them up to m = 64 and past it computes each C^-1 column once per call.  One pass adds
+    the column into the slots of the spec's bases, so the sum comes out canonical.
     """
     family, m = spec.family, spec.m
     labels = _label_range(family, m)
     if target is None:
-        weights = [(j, 1 + (_mirrors(j, family, m)[1] is not None)) for j in labels]
+        column = _length_column(family, m)
     else:
         label_index(labels, target, family, m)
-        minus = _mirrors(target, family, m)[0]
-        weights = [(target, 1)] if minus is None else [(target, 1), (minus, 1)]
+        column = _simple_inverse_column(family, target)
     order, slots = spec._slots
     sums = [0] * len(order)
-    for t, w in weights:
-        column = _inverse_column(family, t)[labels.start :: labels.step]
-        for _ in range(w):  # w is 1 or 2: adding beats multiplying big ints
-            for s, c in zip(slots, column):
-                sums[s] += c
+    for s, c in zip(slots, column):
+        sums[s] += c
     return ExpSum(tuple([(c, b) for c, b in zip(sums, order) if c]))
 
 

@@ -26,7 +26,11 @@ truncated table (both are supported on index pairs i <= j).  So the table at
 m is the leading block of one array per family: columns j <= _KEPT = 64 of
 each array are kept for the process (0.44 MB for all three families, by
 tracemalloc), and past the bound the path counts stream in one row of O(m)
-ints.
+ints.  The growth series read two more arrays, at the label positions: the
+columns of X^-1 = C^-1 (I + P), X the simple table, each C^-1 column t plus
+column t^- (`_simple_inverse_column`), and their running sums over the
+labels, X^-1 (1, ..., 1) at m (`_length_column`).  Both are kept for t, m <=
+_KEPT (0.30 MB more); past the bound a call computes each C^-1 column once.
 
 Tables are held as the rows of Python ints that the recurrences produce
 (`CharTable.rows`); fusion graphs and the chartable command read those, and
@@ -134,6 +138,9 @@ def _label_range(family: Family, m: int) -> range:
 _KEPT = 64
 _PATHS: dict[Family, tuple[tuple[int, ...], ...]] = {}  # full path-count columns 0..k
 _INVERSES: dict[tuple[Family, int], tuple[int, ...]] = {}  # (family, t): column t of C^-1
+# the growth series' columns (`_simple_inverse_column`, `_length_column`), at the label positions
+_SIMPLE_INVERSES: dict[tuple[Family, int], tuple[int, ...]] = {}  # (family, t): column t of X^-1
+_LENGTHS: dict[tuple[Family, int], tuple[int, ...]] = {}  # (family, m): X^-1 (1, ..., 1) at m
 
 
 def _step(family: Family, counts, width: int) -> list[int]:
@@ -205,6 +212,52 @@ def _inverse_column(family: Family, t: int) -> tuple[int, ...]:
     if t <= _KEPT:
         _INVERSES[family, t] = column
     return column
+
+
+def _simple_inverse_column(family: Family, t: int) -> tuple[int, ...]:
+    """Column t of X^-1 = C^-1 (I + P), X the simple table, at the labels i <= t of t's parity:
+    C^-1 column t plus C^-1 column t^-, the label whose i^+ is t (the same at every m); kept
+    for t <= _KEPT."""
+    if (kept := _SIMPLE_INVERSES.get((family, t))) is not None:
+        return kept
+    step = _rank_range(family, t).step
+    column = _inverse_column(family, t)[t % step :: step]
+    if (minus := _mirrors(t, family, t)[0]) is not None:
+        low = _inverse_column(family, minus)[minus % step :: step]
+        column = (*map(add, low, column), *column[len(low) :])
+    if t <= _KEPT:
+        _SIMPLE_INVERSES[family, t] = column
+    return column
+
+
+def _length_column(family: Family, m: int) -> tuple[int, ...]:
+    """X^-1 (1, ..., 1) at the labels of m, the coefficients of l(n): the running sum
+    c(m) = c(m - step) + X^-1 column m over the labels, kept for m <= _KEPT.  Past the bound
+    the sum is regrouped by C^-1 column, so that a call computes each once: column t is
+    added twice when t^+ <= m (in place of at t^+), and with it a kept column t^- <= _KEPT.
+    Each entry is added to in place, its new int taking the old one's memory."""
+    if (kept := _LENGTHS.get((family, m))) is not None:
+        return kept
+    labels, total = _rank_range(family, m), []
+    index = list(range(len(labels)))  # made once: enumerate would make an int per entry above 256
+    for t in labels:
+        total.append(0)
+        if (kept := _LENGTHS.get((family, t))) is not None:
+            total[:] = kept
+            continue
+        if t <= _KEPT:
+            parts = [_simple_inverse_column(family, t)]
+        else:
+            minus, plus, _ = _mirrors(t, family, m)
+            parts = [_inverse_column(family, t)[t % labels.step :: labels.step]] * (1 + (plus is not None))
+            if minus is not None and minus <= _KEPT:
+                parts.append(_inverse_column(family, minus)[minus % labels.step :: labels.step])
+        for part in parts:
+            for i, c in zip(index, part):
+                total[i] += c
+        if t <= _KEPT:
+            _LENGTHS[family, t] = tuple(total)
+    return tuple(total)
 
 
 def cell_inverse(family: Family, m: int) -> CharTable:

@@ -68,6 +68,17 @@ def quadratic_green_data(family, m):
     return diagrams.GreenData(len(set(two_sided)), len(set(left)), len(set(right)), units)
 
 
+def test_families_are_nine_members_hashed_in_c():
+    # `__hash__` in the enum body is no member, and every memo keyed by a family hashes it by identity
+    assert [(f.name, f.value) for f in Family] == [
+        ("PLANAR_ROOK", "planar_rook"), ("TEMPERLEY_LIEB", "temperley_lieb"), ("MOTZKIN", "motzkin"),
+        ("ROOK", "rook"), ("BRAUER", "brauer"), ("ROOK_BRAUER", "rook_brauer"), ("PARTITION", "partition"),
+        ("FULL_TRANSFORMATION", "full_transformation"), ("PARTIAL_TRANSFORMATION", "partial_transformation"),
+    ]
+    assert Family.__hash__ is object.__hash__
+    assert all(hash(f) == object.__hash__(f) and Family(f.value) is f for f in Family)
+
+
 @pytest.mark.parametrize(
     "family,ms",
     [

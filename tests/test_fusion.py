@@ -1,13 +1,13 @@
 import json
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import linalg, tables
+from growthlab import fusion, linalg, tables
 from growthlab.diagrams import Family
 from growthlab.errors import InputError, VerificationError
 from growthlab.fusion import (
@@ -150,6 +150,20 @@ def test_scc_analysis_other_golden_specs():
         assert report.absorbing == (top,)
         idx = g.label_index(top)
         assert g.adjacency.rows[idx][idx] == dim
+
+
+def test_one_support_list_pass_per_graph(monkeypatch):
+    # the SCCs, n0, successors() and support_edges() of one graph read one set of lists
+    # (one `compress` per column), and successors() hands out copies
+    calls = []
+    monkeypatch.setattr(fusion, "compress", lambda *args: calls.append(1) or compress(*args))
+    g = graph_for(Family.MOTZKIN, 5, "S1")
+    report = scc_analysis(g)
+    assert realized_n0(g, report.absorbing) is not None and calls == [1] * len(g.labels)
+    succ = g.successors()
+    assert g.support_edges() == [(j, t) for j, out in enumerate(succ) for t in out]
+    succ[0].append(-1)
+    assert g.successors()[0] == succ[0][:-1] and calls == [1] * len(g.labels)
 
 
 def test_scc_trivial_module():

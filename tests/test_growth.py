@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import cli, growth, linalg, tables
-from growthlab.diagrams import PLANAR_FAMILIES, Family
+from growthlab.diagrams import PLANAR_FAMILIES, Family, rank_labels
 from growthlab.errors import InputError
 from growthlab.growth import (
     ExpSum,
@@ -314,26 +314,43 @@ def test_column_series_match_the_full_table_route_at_m300(family):
         assert length_series(spec, table) == series_reference.series(spec, table, [1] * len(labels))
 
 
+@pytest.fixture
+def fresh_memo():
+    for memo in (tables._PATHS, tables._INVERSES, tables._SIMPLE_INVERSES, tables._LENGTHS):
+        memo.clear()
+    yield
+
+
 def _record_columns(monkeypatch) -> list[int]:
-    read = []
+    """The C^-1 columns that `tables._inverse_column` computes, in order (a kept one read again is none)."""
+    computed = []
+    original = tables._inverse_column
 
     def recording(family, t):
-        read.append(t)
-        return tables._inverse_column(family, t)
+        if (family, t) not in tables._INVERSES:
+            computed.append(t)
+        return original(family, t)
 
-    monkeypatch.setattr(growth, "_inverse_column", recording)
-    return read
+    monkeypatch.setattr(tables, "_inverse_column", recording)
+    return computed
 
 
-def test_multiplicity_series_reads_one_or_two_columns(monkeypatch):
-    read = _record_columns(monkeypatch)
+def test_multiplicity_series_reads_one_or_two_columns(monkeypatch, fresh_memo):
+    # V_t reads column t of X^-1, C^-1 columns t and t^-: each computed once for the process
+    computed = _record_columns(monkeypatch)
     table = simple_table(Family.TEMPERLEY_LIEB, 31)
-    for target in table.labels:
-        read.clear()
-        spec = module_spec(Family.TEMPERLEY_LIEB, 31, "V1")  # fresh: no column kept yet
+    spec = module_spec(Family.TEMPERLEY_LIEB, 31, "V1")
+    done = []
+    for target in reversed(table.labels):
+        computed.clear()
         multiplicity_series(spec, table, target)
         minus = tables.reflections(target, Family.TEMPERLEY_LIEB, 31).minus
-        assert read == [target] + ([] if minus is None else [minus])
+        assert computed == [t for t in (target, minus) if t is not None and t not in done], target
+        done += computed
+    assert sorted(done) == list(table.labels)
+    computed.clear()
+    length_series(spec, table)
+    assert all(multiplicity_series(spec, table, t) for t in table.labels) and computed == []
 
 
 _SPEC_ATTRIBUTES = {"label", "family", "m", "dim", "charvec", "bases", "_slots"}
@@ -360,8 +377,8 @@ def test_series_above_the_memo_bound_leave_nothing_on_the_spec(family, m, select
     assert held < 2**19
 
 
-def test_the_growth_command_keeps_no_columns(monkeypatch, capsys):
-    read = _record_columns(monkeypatch)
+def test_the_growth_command_keeps_no_columns(monkeypatch, capsys, fresh_memo):
+    computed = _record_columns(monkeypatch)
     specs = []
 
     def keeping(*args):
@@ -372,7 +389,22 @@ def test_the_growth_command_keeps_no_columns(monkeypatch, capsys):
     tl7 = ("--family", "tl", "--m", "7", "--module", "V3")
     assert cli.main(["growth", "length", *tl7]) == 0
     assert cli.main(["growth", "multiplicity", *tl7, "--target", "V7"]) == 0
-    assert len(specs) == 2 and read == [1, 3, 5, 7, 7, 3]  # V7 reads C^-1 columns 7 and 7^- = 3
+    assert len(specs) == 2 and computed == [1, 3, 5, 7]  # V7 reads the column of X^-1 the length kept
+    # above the bound each C^-1 column is computed at most once per call, below it once for the process
+    below = [("tl", t) for t in computed]
+    for name, m, selector, target, minus in (("tl", 131, "V3", 129, 127), ("pro", 300, "V2", 299, None)):
+        labels = rank_labels(cli._family(name), m)
+        for words in (["length"], ["multiplicity", "--target", f"V{target}"]) * 2:
+            computed.clear()
+            argv = ["growth", words[0], "--family", name, "--m", str(m), "--module", selector, *words[1:]]
+            assert cli.main(argv) == 0
+            above = [t for t in computed if t > tables._KEPT]
+            below += [(name, t) for t in computed if t <= tables._KEPT]
+            if words[0] == "length":
+                assert above == [t for t in labels if t > tables._KEPT]
+            else:
+                assert above == [t for t in (target, minus) if t is not None]
+    assert len(below) == len(set(below))
     assert all(set(vars(spec)) == _SPEC_ATTRIBUTES for spec in specs)
 
 

@@ -162,7 +162,9 @@ REFEREED = {
         "int_mul",
     },
     "radical_reference.py": {"_module_rows", "_oracle_rows", "_prefix_ranks", "_reduce"},
-    "series_reference.py": {"_growth_series", "_inverse_column", "_cell_columns"},
+    "series_reference.py": {
+        "_growth_series", "_simple_inverse_column", "_length_column", "_inverse_column", "_cell_columns"
+    },
     "riordan_reference.py": {"_inverse_column"},
 }
 

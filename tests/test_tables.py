@@ -225,9 +225,12 @@ def test_unsupported_family():
 KEPT = tables._KEPT
 
 
+MEMOS = (tables._PATHS, tables._INVERSES, tables._SIMPLE_INVERSES, tables._LENGTHS)
+
+
 def _clear_memo():
-    tables._PATHS.clear()
-    tables._INVERSES.clear()
+    for memo in MEMOS:
+        memo.clear()
 
 
 @pytest.fixture
@@ -311,13 +314,16 @@ def test_the_memo_holds_at_most_the_columns_up_to_the_bound(fresh_memo):
     for family in PLANAR:
         for kind in _REFEREE_KINDS:
             table_of_kind(family, 500, kind)
-        spec = growth.module_spec(family, 500, "V2")
-        growth.length_series(spec, simple_table(family, 500))
+        spec, simple = growth.module_spec(family, 500, "V2"), simple_table(family, 500)
+        growth.length_series(spec, simple)
+        for target in [t for t in simple.labels if abs(t - KEPT) <= 2] + [simple.labels[-1]]:  # about the bound
+            growth.multiplicity_series(spec, simple, target)
     for family in PLANAR:
         assert len(tables._PATHS[family]) == KEPT + 1
-        kept = [t for f, t in tables._INVERSES if f is family]
-        assert sorted(kept) == [t for t in rank_labels(family, 500) if t <= KEPT]
-        assert len(kept) <= KEPT + 1
+        for memo in MEMOS[1:]:  # keyed by (family, t) or (family, m)
+            kept = [t for f, t in memo if f is family]
+            assert sorted(kept) == [t for t in rank_labels(family, 500) if t <= KEPT]
+            assert len(kept) <= KEPT + 1
 
 
 def test_every_value_in_the_memo_is_a_tuple_of_ints(fresh_memo):
@@ -326,14 +332,17 @@ def test_every_value_in_the_memo_is_a_tuple_of_ints(fresh_memo):
         spec = growth.module_spec(family, m, f"V{rank_labels(family, m)[1]}")
         growth.length_series(spec, simple_table(family, m))
         cell_inverse(family, KEPT - 2)
-    columns = [*(c for kept in tables._PATHS.values() for c in kept), *tables._INVERSES.values()]
-    assert type(tables._PATHS) is dict and all(type(kept) is tuple for kept in tables._PATHS.values())
-    assert len(columns) > 3 * KEPT
+    columns = [*(c for kept in tables._PATHS.values() for c in kept)]
+    columns += [c for memo in MEMOS[1:] for c in memo.values()]
+    assert all(type(memo) is dict for memo in MEMOS)
+    assert all(type(kept) is tuple for kept in tables._PATHS.values())
+    assert len(columns) > 3 * KEPT and all(len(memo) > KEPT for memo in MEMOS[2:])
     assert all(type(c) is tuple and all(type(v) is int for v in c) for c in columns)
 
 
 def test_threads_that_build_at_once_get_the_closed_forms(fresh_memo):
-    # 4 threads, each a module row (few heights) and then the tables at its own m
+    # 4 threads, each a module row (few heights), its length and one multiplicity series,
+    # and then the tables at its own m
     sizes = (KEPT - 5, KEPT + 1, 2 * KEPT, 31)
     barrier = threading.Barrier(len(sizes))
 
@@ -342,8 +351,10 @@ def test_threads_that_build_at_once_get_the_closed_forms(fresh_memo):
         out = []
         for family in PLANAR:
             labels = rank_labels(family, m)
-            row = growth.module_spec(family, m, f"S{labels[0]}").charvec
-            out.append((row, cell_table(family, m).rows, cell_inverse(family, m).rows))
+            spec = growth.module_spec(family, m, f"S{labels[0]}")
+            simple = simple_table(family, m)
+            series = growth.length_series(spec, simple), growth.multiplicity_series(spec, simple, labels[-2])
+            out.append((spec.charvec, cell_table(family, m).rows, cell_inverse(family, m).rows, series))
         return out
 
     interval = sys.getswitchinterval()
@@ -354,11 +365,16 @@ def test_threads_that_build_at_once_get_the_closed_forms(fresh_memo):
     finally:
         sys.setswitchinterval(interval)
     for m, built in zip(sizes, results):
-        for family, (row, cell, inverse) in zip(PLANAR, built):
-            ref = _referee(family, m)
-            assert row == ref["S"][rank_labels(family, m)[0]], (family, m)
+        for family, (row, cell, inverse, series) in zip(PLANAR, built):
+            ref, labels = _referee(family, m), rank_labels(family, m)
+            assert row == ref["S"][labels[0]], (family, m)
             assert cell == tuple(ref["S"].values()), (family, m)
             assert inverse == tuple(ref["cell_inverse"].values()), (family, m)
+            simple = tables.CharTable(family, m, "simple", labels, tuple(ref["V"].values()))
+            spec = growth.ModuleSpec(f"S{labels[0]}", family, m, row[-1], row)
+            expected = (series_reference.series(spec, simple, [1] * len(labels)),
+                        series_reference.multiplicity_series(spec, simple, labels[-2]))
+            assert series == expected, (family, m)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
     python3.12 tools/crosspy.py
 
 Run from the root of a source checkout; growthlab is imported from `src/`.
-Seven checks, one line each, and exit code 1 if any fails:
+Eight checks, one line each, and exit code 1 if any fails:
 
 - the CLI's JSON writer (`tables._json_text`) writes each payload of a fixed
   set exactly as json.dumps(payload, indent=2) does on this interpreter;
@@ -26,7 +26,11 @@ Seven checks, one line each, and exit code 1 if any fails:
 - for each planar family, m = 1..32 and V, S and P at every label, the
   fusion graph's rows, its SCC report, `realized_n0` into the absorbing
   labels and `power_multiplicities` for n = 0..6 give `FUSION_SHA256`,
-  pinned before those passes went to `map` and `compress`.
+  pinned before those passes went to `map` and `compress`;
+- for each planar family and m = 63, 64, 65, 128 and 300, the length series
+  of V, S and P at three labels and every multiplicity series of one V
+  module give `SERIES_SHA256`, pinned before the series read kept columns
+  of X^-1: far past the bound of 64, where no column is kept.
 """
 
 import ast
@@ -75,6 +79,10 @@ BUILD_SHA256 = "0f724e9d66fbdc25ce1e0ae2c2ffeef7cd71330fb53b99f37e085b0d6de8680a
 
 # `_fusion_digest`, pinned at the commit before the fusion passes went to `map` and `compress`
 FUSION_SHA256 = "69a1d55375b0a6685d04881455339477efb8d34f141a7ade30c5c467796e9c7a"
+
+
+# `_series_digest`, pinned at the commit before the series read the kept columns of X^-1
+SERIES_SHA256 = "1fb1a9fd373afc152aa23a41ab91dc72f7d92f11ddfbb5fae71221acf72d0a36"
 
 
 def _test_cli(*names: str) -> dict:
@@ -256,6 +264,32 @@ def _check_fusion() -> bool:
     return ok
 
 
+def _series_digest() -> str:
+    """sha256 of, for each planar family and m = 63, 64, 65, 128 and 300, the length series
+    of V, S and P at the second, middle and top labels, and the multiplicity series of V at
+    the second label for every target."""
+    digest = hashlib.sha256()
+    for family in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
+        for m in (63, 64, 65, 128, 300):
+            simple, labels = tables.simple_table(family, m), rank_labels(family, m)
+            for i in (labels[1], labels[len(labels) // 2], labels[-1]):
+                for kind in "VSP":
+                    spec = growth.module_spec(family, m, f"{kind}{i}")
+                    digest.update(repr(growth.length_series(spec, simple)).encode())
+            spec = growth.module_spec(family, m, f"V{labels[1]}")
+            digest.update(repr([growth.multiplicity_series(spec, simple, t) for t in labels]).encode())
+    return digest.hexdigest()
+
+
+def _check_series() -> bool:
+    digest = _series_digest()
+    ok = digest == SERIES_SHA256
+    print(f"{'ok  ' if ok else 'FAIL'} series: lengths and multiplicities at m = 63..65, 128, 300 give the pinned digest")
+    if not ok:
+        print(f"     differs: {digest}")
+    return ok
+
+
 def main() -> int:
     if sys.argv[1:2] == ["--build-order"]:
         print(_build_digest(sys.argv[2]))
@@ -273,6 +307,7 @@ def main() -> int:
         _check_help(lists["PINNED_HELP"], lists["PINNED_HELP_313"]),
         _check_build_order(),
         _check_fusion(),
+        _check_series(),
     ]
     return 0 if all(results) else 1
 

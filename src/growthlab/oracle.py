@@ -27,11 +27,13 @@ closed forms elsewhere have an independent referee:
   S_i as the count of its fixed points and on V_i as the rank of the Gram
   rows there, a prefix rank of one elimination (see `_module_rows`); the
   brute-force tables are those rows of ints (`_oracle_rows`);
-* tensor-power multiplicities come from forward substitution on ints
-  (`linalg._substitute`) against the brute-force simple table, checked unit
-  upper triangular when built, for a module with one value per label; the
-  multiplicity and length queries of a cell or simple module first compare
-  its character with the oracle's own row for it (`_check_character`).
+* a query answers with the whole decomposition in label order, as
+  `fusion.power_multiplicities` does: of V^(x)n or of V_a (x) V_b.  Each
+  module given passes `_check_module` (an enumerable monoid, a label, one
+  value per label and, for a cell or simple module, the oracle's own row);
+  then one uncached forward substitution on ints (`linalg._substitute`)
+  against the brute-force simple table, checked unit upper triangular when
+  built, solves, and a negative entry refuses the whole tuple.
 
 Cell modules are cached per (family, m, i); an index map is made at each
 call, and the cached per-module pass (`_module_rows`) asks once per class
@@ -215,79 +217,51 @@ def oracle_simple_table(family: Family, m: int) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# multiplicities and counting
+# decompositions and counting
 
-# right-hand sides kept by `_solve_multiplicities`; one `verify --suite all` solves 51
-_SOLVES_KEPT = 256
-
-
-@lru_cache(maxsize=_SOLVES_KEPT)
-def _solve_multiplicities(family: Family, m: int, rhs: tuple[int, ...]) -> tuple[int, ...]:
-    """y with X^T y = rhs on ints, X the oracle simple table (checked unit upper
-    triangular when built), by `linalg._substitute`; the `_SOLVES_KEPT` last used are kept."""
-    return _substitute(tuple(zip(*_oracle_rows(family, m)[1])), [rhs])[0]
-
-
-def _check_query(spec: ModuleSpec, n: int = 0, target: int | None = None) -> int | None:
-    """The index of target among the labels of spec's monoid, None without a target;
-    InputError if n < 0, if target is not a label, or then unless spec has one
-    character value per label (`_substitute` trusts its right-hand sides)."""
-    if n < 0:
-        raise InputError("need n >= 0")
-    labels = rank_labels(spec.family, spec.m)
-    index = None if target is None else label_index(labels, target, spec.family, spec.m)
-    if len(spec.charvec) != len(labels):
-        raise InputError("character vector length mismatch")
-    return index
-
-
-def _check_character(spec: ModuleSpec) -> None:
-    """VerificationError unless a cell or simple module has the oracle's
-    character of S_i or V_i, its row of `_module_rows`; a P module passes,
-    the oracle having no trace of it.  A monoid the oracle cannot enumerate
-    is refused first, then a label that `growth.parse_selector` refuses."""
+def _check_module(spec: ModuleSpec) -> None:
+    """InputError for a monoid the oracle cannot enumerate, then for a label that
+    `growth.parse_selector` refuses, then unless spec has one character value per
+    label (`_substitute` trusts its right-hand sides); VerificationError unless a
+    cell or simple module has the oracle's character of S_i or V_i, its row of
+    `_module_rows`.  A P module passes, the oracle having no trace of it."""
     _check_enumerable(spec.family, spec.m, capped=False)
     kind, i = parse_selector(spec.family, spec.m, spec.label)
+    if len(spec.charvec) != len(rank_labels(spec.family, spec.m)):
+        raise InputError("character vector length mismatch")
     if kind != "P" and spec.bases != _module_rows(spec.family, spec.m, i)[kind == "V"]:
         raise VerificationError(f"character of {spec.label} disagrees with the oracle's")
 
 
-def oracle_multiplicity(spec: ModuleSpec, n: int, target: int) -> int:
-    """[V^(x)n : V_target] from brute-force character data only.
-
-    Solves the transposed brute-force simple table against the pointwise
-    n-th powers of the character; a cell or simple module must first have
-    the oracle's own character (`_check_character`).
-    """
-    index = _check_query(spec, n, target)
-    _check_character(spec)
-    value = _solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases))[index]
-    if value < 0:
-        raise VerificationError(f"multiplicity {value} is negative; inconsistent inputs")
-    return value
+def _decomposition(family: Family, m: int, rhs: tuple[int, ...]) -> tuple[int, ...]:
+    """y with X^T y = rhs on ints, X the oracle simple table (checked unit upper
+    triangular when built), by `linalg._substitute`; refused whole if an entry is
+    negative, since no module has such a decomposition."""
+    y = _substitute(tuple(zip(*_oracle_rows(family, m)[1])), [rhs])[0]
+    for value in y:
+        if value < 0:
+            raise VerificationError(f"multiplicity {value} is negative; inconsistent inputs")
+    return y
 
 
-def oracle_length(spec: ModuleSpec, n: int) -> int:
-    """l(n) as the sum of all oracle multiplicities, with the character check
-    of `oracle_multiplicity`."""
-    _check_query(spec, n)
-    _check_character(spec)
-    return sum(_solve_multiplicities(spec.family, spec.m, tuple(b**n for b in spec.bases)))
+def oracle_multiplicity(spec: ModuleSpec, n: int) -> tuple[int, ...]:
+    """[V^(x)n : V_j] for every label j, in label order, from brute-force
+    character data only: the transposed brute-force simple table solved against
+    the pointwise n-th powers of the character, checked by `_check_module`."""
+    if n < 0:
+        raise InputError("need n >= 0")
+    _check_module(spec)
+    return _decomposition(spec.family, spec.m, tuple(b**n for b in spec.bases))
 
 
-def oracle_product_multiplicity(
-    spec_a: ModuleSpec, spec_b: ModuleSpec, target: int
-) -> int:
-    """[V_a tensor V_b : V_target] by solving against pointwise products."""
+def oracle_product_multiplicity(spec_a: ModuleSpec, spec_b: ModuleSpec) -> tuple[int, ...]:
+    """[V_a tensor V_b : V_j] for every label j, by solving against pointwise
+    products; both modules are checked by `_check_module`."""
     if spec_a.family is not spec_b.family or spec_a.m != spec_b.m:
         raise InputError("modules belong to different monoids")
-    index = _check_query(spec_a, target=target)
-    _check_query(spec_b)
-    rhs = tuple(map(mul, spec_a.bases, spec_b.bases))
-    value = _solve_multiplicities(spec_a.family, spec_a.m, rhs)[index]
-    if value < 0:
-        raise VerificationError(f"tensor multiplicity {value} is negative")
-    return value
+    _check_module(spec_a)
+    _check_module(spec_b)
+    return _decomposition(spec_a.family, spec_a.m, tuple(map(mul, spec_a.bases, spec_b.bases)))
 
 
 class CountCheck(Record):

@@ -141,6 +141,7 @@ _INVERSES: dict[tuple[Family, int], tuple[int, ...]] = {}  # (family, t): column
 # the growth series' columns (`_simple_inverse_column`, `_length_column`), at the label positions
 _SIMPLE_INVERSES: dict[tuple[Family, int], tuple[int, ...]] = {}  # (family, t): column t of X^-1
 _LENGTHS: dict[tuple[Family, int], tuple[int, ...]] = {}  # (family, m): X^-1 (1, ..., 1) at m
+_MEMOS = (_PATHS, _INVERSES, _SIMPLE_INVERSES, _LENGTHS)  # every memo above, named once
 
 
 def _step(family: Family, counts, width: int) -> list[int]:

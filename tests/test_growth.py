@@ -316,7 +316,7 @@ def test_column_series_match_the_full_table_route_at_m300(family):
 
 @pytest.fixture
 def fresh_memo():
-    for memo in (tables._PATHS, tables._INVERSES, tables._SIMPLE_INVERSES, tables._LENGTHS):
+    for memo in tables._MEMOS:
         memo.clear()
     yield
 

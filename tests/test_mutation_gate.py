@@ -26,7 +26,7 @@ def _clear_oracle_caches():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
     # and the columns the tables keep, so that none a patched routine made outlives its test
-    for memo in (tables._PATHS, tables._INVERSES, tables._SIMPLE_INVERSES, tables._LENGTHS):
+    for memo in tables._MEMOS:
         memo.clear()
 
 
@@ -152,17 +152,33 @@ def test_one_printed_inverse_entry_turns_its_golden_check_red(monkeypatch, fresh
 
 
 def test_an_oracle_refusal_fails_its_checks_by_name(monkeypatch, fresh_oracle):
-    # the wrong simple row makes the oracle refuse a negative tensor multiplicity;
-    # each refused value fails its own check and the suite still runs to the end
+    # the wrong simple row of S_1 makes the oracle refuse V1's character,
+    # before any solve, in every tensor-rule pair that holds V1; each refused
+    # value fails its own check and the suite still runs to the end
     family, m, i, j = Family.PLANAR_ROOK, 4, 1, 3
     _mutate_module_rows(monkeypatch, (family, m, i), 1, rank_labels(family, m).index(j))
     results = verify.run_suite("all")
-    pairs = ("0,1", "1,0", "1,1")
-    assert _red(results) == {"oracle-simple:planar_rook:4"} | {
-        f"tensor-rule:pro4:{pair}->{l}" for pair in pairs for l in (3, 4)
+    pairs = {f"{a},{b}" for a in range(m + 1) for b in range(m + 1) if 1 in (a, b)}
+    refused = {f"tensor-rule:pro4:{pair}->{l}" for pair in pairs for l in range(m + 1)}
+    assert len(pairs) == 9 and _red(results) == {"oracle-simple:planar_rook:4"} | refused
+    assert {r.rhs for r in results if r.check in refused} == {repr("raised: character of V1 disagrees with the oracle's")}
+
+
+def test_a_negative_multiplicity_fails_the_checks_of_its_decomposition(monkeypatch, fresh_oracle):
+    # the wrong simple row of S_2 refuses V2's character in its 24 golden
+    # checks and its 9 tensor-rule pairs; the pair (1, 1) passes both checks,
+    # and its solve meets -2 at V3, so all 5 checks of that decomposition fail
+    family, m, i, j = Family.PLANAR_ROOK, 4, 2, 3
+    _mutate_module_rows(monkeypatch, (family, m, i), 1, rank_labels(family, m).index(j))
+    results = verify.run_suite("all")
+    refusals = Counter(r.rhs for r in results if not r.ok and r.check != "oracle-simple:planar_rook:4")
+    assert refusals == {
+        repr("raised: character of V2 disagrees with the oracle's"): 24 + 9 * 5,
+        repr("raised: multiplicity -2 is negative; inconsistent inputs"): 5,
     }
-    refused = {f"tensor-rule:pro4:{pair}->3" for pair in pairs}  # -1 at V3, and 4 where 0 is due at V4
-    assert {r.rhs for r in results if r.check in refused} == {repr("raised: tensor multiplicity -1 is negative")}
+    negative = {r.check for r in results if "negative" in r.rhs}
+    assert negative == {f"tensor-rule:pro4:1,1->{l}" for l in range(m + 1)}
+    assert "oracle-simple:planar_rook:4" in _red(results)
 
 
 def test_a_simple_row_below_the_diagonal_fails_both_oracle_tables_at_that_m(monkeypatch, fresh_oracle):
@@ -232,9 +248,11 @@ def test_one_hump_count_turns_the_closed_form_checks_from_that_j_red(monkeypatch
 def test_one_oracle_product_multiplicity_turns_its_tensor_rule_check_red(monkeypatch, fresh_oracle):
     original = oracle.oracle_product_multiplicity
 
-    def mutated(spec_a, spec_b, target):
-        value = original(spec_a, spec_b, target)
-        return value + ((spec_a.m, spec_a.label, spec_b.label, target) == (4, "V1", "V2", 3))
+    def mutated(spec_a, spec_b):
+        values = original(spec_a, spec_b)
+        if (spec_a.m, spec_a.label, spec_b.label) != (4, "V1", "V2"):
+            return values
+        return values[:3] + (values[3] + 1,) + values[4:]
 
     monkeypatch.setattr(oracle, "oracle_product_multiplicity", mutated)
     assert _red(verify.check_growth()) == {"tensor-rule:pro4:1,2->3"}

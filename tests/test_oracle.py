@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 from pathlib import Path
@@ -35,7 +36,6 @@ from growthlab.oracle import (
     count_check,
     half_diagrams,
     oracle_cell_table,
-    oracle_length,
     oracle_multiplicity,
     oracle_product_multiplicity,
     oracle_simple_table,
@@ -286,13 +286,18 @@ def test_the_character_check_sees_a_wrong_character():
         ModuleSpec(" V3", spec.family, spec.m, cell.dim, cell.charvec),
         ModuleSpec("S3", spec.family, spec.m, spec.dim, spec.charvec),
     ]
-    # S3's character answers 111 and 124 where V3's are 84 and 97: unchecked
-    # as a P module, and checked under the lower-case label of S3
+    # S3's character answers 111 at V7 and length 124 where V3's are 84 and 97:
+    # unchecked as a P module, and checked under the lower-case label of S3
     for label in ("P3", "s3"):
         right = ModuleSpec(label, spec.family, spec.m, cell.dim, cell.charvec)
-        assert (oracle_multiplicity(right, 2, 7), oracle_length(right, 2)) == (111, 124)
+        square = oracle_multiplicity(right, 2)
+        assert (square[rank_labels(spec.family, spec.m).index(7)], sum(square)) == (111, 124)
     for bad in wrong:
-        for query in (lambda: oracle_multiplicity(bad, 2, 7), lambda: oracle_length(bad, 2)):
+        for query in (
+            lambda: oracle_multiplicity(bad, 2),
+            lambda: oracle_product_multiplicity(bad, spec),
+            lambda: oracle_product_multiplicity(spec, bad),
+        ):
             with pytest.raises(VerificationError, match=f"^character of {bad.label} disagrees with the oracle's$"):
                 query()
 
@@ -314,7 +319,11 @@ def test_the_character_check_sees_a_wrong_character():
 def test_a_bad_cell_or_simple_label_is_refused_as_input(label, message):
     spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
     bad = ModuleSpec(label, spec.family, spec.m, spec.dim, spec.charvec)
-    for query in (lambda: oracle_multiplicity(bad, 2, 7), lambda: oracle_length(bad, 2)):
+    for query in (
+        lambda: oracle_multiplicity(bad, 2),
+        lambda: oracle_product_multiplicity(bad, spec),
+        lambda: oracle_product_multiplicity(spec, bad),
+    ):
         with pytest.raises(InputError, match="^" + re.escape(message)):
             query()
 
@@ -690,37 +699,56 @@ def test_every_character_changing_form_flip_breaks_generator_invariance():
 
 
 def test_integer_solve_matches_the_fraction_referee(monkeypatch):
-    # every right-hand side the verify suites solve, against forward substitution on Fractions
+    # every right-hand side the verify suites solve, against forward substitution
+    # on Fractions: one solve per query, uncached, so some are solved again
     solved = {}
     calls = []
-    original = oracle._solve_multiplicities
+    original = oracle._decomposition
 
     def recording(family, m, rhs):
         calls.append(rhs)
         solved[(family, m, rhs)] = original(family, m, rhs)
         return solved[(family, m, rhs)]
 
-    monkeypatch.setattr(oracle, "_solve_multiplicities", recording)
+    monkeypatch.setattr(oracle, "_decomposition", recording)
     assert all(r.ok for r in verify.run_suite("all"))
-    assert len(calls) > 400 and len(solved) > 40
+    assert (len(calls), len(solved)) == (85, 51)
     for (family, m, rhs), y in solved.items():
         assert all(type(v) is int for v in rhs + y)
         assert y == solve_lower_triangular(oracle_simple_table(family, m).transpose(), rhs)
 
 
-def test_solve_cache_is_bounded_and_keeps_its_answers():
-    # a session that asks for ever larger n keeps at most _SOLVES_KEPT right-hand
-    # sides; an evicted one is solved again to the same answer
+def test_verify_asks_one_decomposition_per_module_and_n_and_per_pair(monkeypatch):
+    # 6 golden modules at n = 1..4, and the 25 + 36 ordered pairs of the
+    # planar rook tensor rule at m = 4, 5: each query checks each of its
+    # modules once and solves once
+    counts = Counter()
+
+    def counting(name):
+        original = getattr(oracle, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+
+    for name in ("oracle_multiplicity", "oracle_product_multiplicity", "_check_module", "_decomposition"):
+        counting(name)
+    assert all(r.ok for r in verify.run_suite("all"))
+    assert counts == {
+        "oracle_multiplicity": 24, "oracle_product_multiplicity": 61, "_check_module": 146, "_decomposition": 85
+    }
+
+
+def test_lengths_at_every_n_equal_the_fusion_graph_power_sums():
+    # n = 1..257: b**n differs for every n, so each length is a new solve
     from growthlab.fusion import fusion_matrix, power_multiplicities
 
-    spec = module_spec(Family.TEMPERLEY_LIEB, 4, "V2")  # character (0, 1, 3): b**n differs for every n
-    ns = range(1, oracle._SOLVES_KEPT + 2)
-    oracle._solve_multiplicities.cache_clear()
-    first = [oracle_length(spec, n) for n in ns]
-    info = oracle._solve_multiplicities.cache_info()
-    assert oracle._SOLVES_KEPT == 256 and info.misses == len(ns) == 257
-    assert info.currsize <= 256
-    assert [oracle_length(spec, n) for n in ns] == first
+    spec = module_spec(Family.TEMPERLEY_LIEB, 4, "V2")  # character (0, 1, 3)
+    ns = range(1, 258)
+    first = [sum(oracle_multiplicity(spec, n)) for n in ns]
+    assert [sum(oracle_multiplicity(spec, n)) for n in ns] == first
     graph = fusion_matrix(spec, simple_table(Family.TEMPERLEY_LIEB, 4))
     assert first == [sum(power_multiplicities(graph, n)) for n in ns]
 
@@ -809,24 +837,21 @@ def test_radical_matches_the_fraction_kernel_at_every_module(family, m):
 # multiplicities and counts
 
 def test_oracle_multiplicity_tl7():
-    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
-    assert oracle_multiplicity(spec, 2, 7) == 84
-    assert oracle_multiplicity(spec, 1, 3) == 1
-    assert oracle_multiplicity(spec, 0, 1) == 1  # the trivial module is V_1
-    assert oracle_length(spec, 2) == 97
+    spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")  # labels 1, 3, 5, 7
+    assert oracle_multiplicity(spec, 2) == (0, 1, 12, 84)  # length 97
+    assert oracle_multiplicity(spec, 1) == (0, 1, 0, 0)
+    assert oracle_multiplicity(spec, 0) == (1, 0, 0, 0)  # the trivial module is V_1
 
 
 def test_oracle_multiplicity_cell_module_at_n1():
     spec = module_spec(Family.TEMPERLEY_LIEB, 7, "S3")
-    assert oracle_multiplicity(spec, 1, 3) == 1
-    assert oracle_multiplicity(spec, 1, 7) == 1
-    assert oracle_multiplicity(spec, 1, 5) == 0
+    assert oracle_multiplicity(spec, 1) == (0, 1, 0, 1)  # S3 has V3 on top and V7 below
 
 
 def test_oracle_product_multiplicity_planar_rook():
     v1 = module_spec(Family.PLANAR_ROOK, 5, "V1")
-    assert oracle_product_multiplicity(v1, v1, 2) == 2
-    assert oracle_multiplicity(v1, 2, 2) == 2
+    assert oracle_product_multiplicity(v1, v1) == (0, 1, 2, 0, 0, 0)
+    assert oracle_multiplicity(v1, 2) == (0, 1, 2, 0, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -837,7 +862,44 @@ def test_oracle_product_multiplicity_refuses_modules_of_different_monoids(other)
     tl5 = module_spec(Family.TEMPERLEY_LIEB, 5, "V1")
     for a, b in ((tl5, module_spec(*other)), (module_spec(*other), tl5)):
         with pytest.raises(InputError, match="^modules belong to different monoids$"):
-            oracle_product_multiplicity(a, b, 1)
+            oracle_product_multiplicity(a, b)
+
+
+def test_the_product_query_checks_both_characters():
+    # a module labelled V1 that carries V2's character: the power query
+    # refused it, and the product query once paired it with V1 unchecked
+    v1, v2 = (module_spec(Family.PLANAR_ROOK, 4, label) for label in ("V1", "V2"))
+    liar = ModuleSpec("V1", Family.PLANAR_ROOK, 4, v2.dim, v2.charvec)
+    for a, b in ((liar, v1), (v1, liar), (liar, liar)):
+        with pytest.raises(VerificationError, match="^character of V1 disagrees with the oracle's$"):
+            oracle_product_multiplicity(a, b)
+    assert oracle_product_multiplicity(v1, v2) == (0, 0, 2, 3, 0)
+
+
+def test_a_decomposition_with_a_negative_entry_is_refused_whole(monkeypatch):
+    # S_2's simple row at PRO 5 one more at class 3: V1's own row is
+    # untouched, so its character check passes, and V1 (x) V1 has V2 in it;
+    # the solve once answered targets 0, 1, 2 and 4 and a length of -11
+    family, m = Family.PLANAR_ROOK, 5
+    col = rank_labels(family, m).index(3)
+    original = oracle._module_rows
+
+    def mutated(*args):
+        cells, simples = original(*args)
+        if args == (family, m, 2):
+            simples = simples[:col] + (simples[col] + 1,) + simples[col + 1 :]
+        return cells, simples
+
+    _clear_oracle_caches()
+    monkeypatch.setattr(oracle, "_module_rows", mutated)
+    try:
+        spec = module_spec(family, m, "V1")
+        assert oracle_multiplicity(spec, 1) == (0, 1, 0, 0, 0, 0)
+        for query in (lambda: oracle_multiplicity(spec, 2), lambda: oracle_product_multiplicity(spec, spec)):
+            with pytest.raises(VerificationError, match="^multiplicity -2 is negative; inconsistent inputs$"):
+                query()
+    finally:
+        _clear_oracle_caches()  # no mutated table outlives the test
 
 
 def test_cell_module_refuses_a_diagram_of_another_size():
@@ -848,10 +910,10 @@ def test_cell_module_refuses_a_diagram_of_another_size():
 
 def test_oracle_multiplicity_validation():
     spec = module_spec(Family.TEMPERLEY_LIEB, 7, "V3")
-    with pytest.raises(InputError):
-        oracle_multiplicity(spec, 2, 4)
-    with pytest.raises(InputError):
-        oracle_multiplicity(spec, -1, 3)
+    with pytest.raises(InputError, match="^label 4 is not a temperley_lieb m=7 label"):
+        oracle_multiplicity(ModuleSpec("V4", spec.family, spec.m, spec.dim, spec.charvec), 2)
+    with pytest.raises(InputError, match="^need n >= 0$"):
+        oracle_multiplicity(spec, -1)
 
 
 @pytest.mark.parametrize(
@@ -859,18 +921,18 @@ def test_oracle_multiplicity_validation():
 )
 def test_oracle_length_rejects_negative_n(family, m, label):
     # a negative power of a zero character value once divided by zero
-    with pytest.raises(InputError):
-        oracle_length(module_spec(family, m, label), -1)
+    with pytest.raises(InputError, match="^need n >= 0$"):
+        oracle_multiplicity(module_spec(family, m, label), -1)
 
 
 def test_label_errors_name_the_rule_not_the_labels():
     # the 1,001 labels of TL 2000 once made a 5,473-character message
     tl = Family.TEMPERLEY_LIEB
-    spec = ModuleSpec("V0", tl, 2000, 1, (1,))  # only its monoid is read
+    spec = ModuleSpec("V3", tl, 2000, 1, (1,))  # refused at its label, before its character is read
     for query in (
         lambda: half_diagrams(tl, 2000, 3),
-        lambda: oracle_multiplicity(spec, 1, 3),
-        lambda: oracle_product_multiplicity(spec, spec, 3),
+        lambda: oracle_multiplicity(spec, 1),
+        lambda: oracle_product_multiplicity(spec, spec),
     ):
         with pytest.raises(InputError) as info:
             query()
@@ -882,17 +944,16 @@ def test_label_errors_name_the_rule_not_the_labels():
 def test_every_query_refuses_a_module_without_one_value_per_label():
     # TL 5 has the labels 1, 3, 5; the forward substitution trusts the length
     # of its right-hand side, and on the two values of the short module the
-    # three queries once answered 3, 16 and 1 (and target 5 an IndexError)
+    # queries once answered 3, 16 and 1 (and target 5 an IndexError)
     tl = Family.TEMPERLEY_LIEB
     full = module_spec(tl, 5, "V1")
     for spec in (ModuleSpec("V1", tl, 5, 4, (1, 4)), ModuleSpec("V1", tl, 5, 4, (0, 1, 2, 4))):
         for query in (
-            lambda: oracle_multiplicity(spec, 1, 3),
-            lambda: oracle_multiplicity(spec, 1, 5),
-            lambda: oracle_length(spec, 2),
-            lambda: oracle_product_multiplicity(spec, spec, 1),
-            lambda: oracle_product_multiplicity(spec, full, 1),
-            lambda: oracle_product_multiplicity(full, spec, 1),
+            lambda: oracle_multiplicity(spec, 1),
+            lambda: oracle_multiplicity(spec, 2),
+            lambda: oracle_product_multiplicity(spec, spec),
+            lambda: oracle_product_multiplicity(spec, full),
+            lambda: oracle_product_multiplicity(full, spec),
         ):
             with pytest.raises(InputError, match="^character vector length mismatch$"):
                 query()
@@ -900,22 +961,23 @@ def test_every_query_refuses_a_module_without_one_value_per_label():
 
 @pytest.mark.parametrize("family", [Family.BRAUER, Family.ROOK])
 def test_every_multiplicity_query_refuses_a_monoid_it_cannot_enumerate(family):
-    # the one refusal is the enumeration check behind the brute-force table
+    # the first refusal is the enumeration check behind the brute-force table
     spec = ModuleSpec("V1", family, 3, 3, tuple(map(Fraction, (1, 2, 3, 3))))
     for query in (
-        lambda: oracle_multiplicity(spec, 2, 1),
-        lambda: oracle_length(spec, 2),
-        lambda: oracle_product_multiplicity(spec, spec, 1),
+        lambda: oracle_multiplicity(spec, 2),
+        lambda: oracle_product_multiplicity(spec, spec),
     ):
         with pytest.raises(InputError, match=f"^{family.value} cannot be enumerated$"):
             query()
 
 
 def test_oracle_product_multiplicity_rejects_unknown_target():
+    # the target has left the query: a label that is not a TL 5 label is refused on either module
     v1 = module_spec(Family.TEMPERLEY_LIEB, 5, "V1")
-    v3 = module_spec(Family.TEMPERLEY_LIEB, 5, "V3")
-    with pytest.raises(InputError):
-        oracle_product_multiplicity(v1, v3, 2)
+    bad = ModuleSpec("V2", v1.family, v1.m, v1.dim, v1.charvec)
+    for a, b in ((v1, bad), (bad, v1)):
+        with pytest.raises(InputError, match="^label 2 is not a temperley_lieb m=5 label"):
+            oracle_product_multiplicity(a, b)
 
 
 def test_count_check():

@@ -98,6 +98,22 @@ def test_every_cached_property_returns_a_tuple():
     assert sorted(name for name, is_tuple in found.items() if not is_tuple) == []
 
 
+def test_every_memo_of_tables_is_named_in_its_memo_tuple():
+    # the tests empty the process memos through `tables._MEMOS`; a memo (a
+    # module-level dict that starts empty) missing from it would outlive them
+    from growthlab import tables
+
+    path = Path(tables.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    memos = [
+        (node.target if isinstance(node, ast.AnnAssign) else node.targets[0]).id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict) and not node.value.keys
+    ]
+    assert [id(getattr(tables, name)) for name in memos] == list(map(id, tables._MEMOS))
+    assert all(type(memo) is dict for memo in tables._MEMOS)
+
+
 def test_every_unchecked_substitution_follows_a_table_check():
     # `linalg._substitute` trusts its table, so every caller must first make
     # it a simple table, checked when built: a `CharTable` (`_check_compatible`)
@@ -114,7 +130,7 @@ def test_every_unchecked_substitution_follows_a_table_check():
                 }
                 if "_substitute" in called:
                     callers[f"{path.name}:{node.name}"] = bool({"_check_compatible", "_oracle_rows"} & called)
-    assert {"fusion.py:fusion_matrix", "fusion.py:spectral_check", "oracle.py:_solve_multiplicities"} <= set(callers)
+    assert {"fusion.py:fusion_matrix", "fusion.py:spectral_check", "oracle.py:_decomposition"} <= set(callers)
     assert sorted(name for name, checked in callers.items() if not checked) == []
 
 
@@ -158,7 +174,7 @@ REFEREED = {
         "_glue", "_partner_arrays", "_half_arrays", "_flip_partners", "_checked_partners"
     },
     "linalg_reference.py": {
-        "_substitute", "_forward", "_reduce", "_solve", "_solve_multiplicities", "_prefix_ranks",
+        "_substitute", "_forward", "_reduce", "_solve", "_decomposition", "_prefix_ranks",
         "int_mul",
     },
     "radical_reference.py": {"_module_rows", "_oracle_rows", "_prefix_ranks", "_reduce"},

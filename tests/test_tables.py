@@ -225,7 +225,7 @@ def test_unsupported_family():
 KEPT = tables._KEPT
 
 
-MEMOS = (tables._PATHS, tables._INVERSES, tables._SIMPLE_INVERSES, tables._LENGTHS)
+MEMOS = tables._MEMOS  # _PATHS, _INVERSES, _SIMPLE_INVERSES, _LENGTHS
 
 
 def _clear_memo():

@@ -21,8 +21,8 @@ dense storage is fine.
 
 Integral data never reaches this module as a `Mat`: character tables and
 fusion graphs keep their int rows themselves (`tables`, `fusion`) and build a
-`Mat` only when a caller asks for one.  A `Mat` is a value to read, compare
-and hash, with no arithmetic of its own.
+`Mat` only when a caller asks for one.  A `Mat` is a frozen record of its
+rows, a value to read, compare and hash, with no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from math import gcd, lcm
 from operator import attrgetter, mul
 
 from .errors import DimensionError, InputError, SingularMatrixError
+from .record import Record
 
 _denominator = attrgetter("denominator")
 
@@ -42,38 +43,34 @@ def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class Mat:
+class Mat(Record):
     """Immutable matrix of exact rationals: rows to read, transpose, compare and hash."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    rows: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(_rat(x) for x in row) for row in rows)
+    def __post_init__(self):
+        rows = tuple(tuple(_rat(x) for x in row) for row in self.rows)
         if not rows or not rows[0]:
             raise DimensionError("matrix must have at least one row and one column")
-        ncols = len(rows[0])
-        if any(len(row) != ncols for row in rows):
+        if any(len(row) != len(rows[0]) for row in rows):
             raise DimensionError("ragged rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
+        vars(self)["rows"] = rows
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Mat[{body}]"
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.rows[0])
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -37,8 +37,10 @@ closed forms elsewhere have an independent referee:
 
 Cell modules are cached per (family, m, i); an index map is made at each
 call, and the cached per-module pass (`_module_rows`) asks once per class
-idempotent.  Recomputation is idempotent (pure functions of immutable
-inputs), so concurrent queries are safe — a race can at worst duplicate work.
+idempotent.  Every cached value (a `CellModule`, a `Mat`, rows of ints) is
+frozen, so no caller can change what a later query reads.  Recomputation is
+idempotent (pure functions of immutable inputs), so concurrent queries are
+safe — a race can at worst duplicate work.
 """
 
 from __future__ import annotations
@@ -73,15 +75,16 @@ def half_diagrams(family: Family, m: int, i: int) -> tuple[tuple[int, ...], ...]
     return tuple(_half_arrays(family, m, i))
 
 
-class CellModule:
-    """Cell module S_i for (family, m): the half-diagram basis and the action on it."""
+class CellModule(Record):
+    """Cell module S_i for (family, m) and the action on it; basis, its half diagrams, is not a field."""
 
-    def __init__(self, family: Family, m: int, i: int):
-        self.family = family
-        self.m = m
-        self.i = i
-        self.basis = half_diagrams(family, m, i)
-        self._index = {x: k for k, x in enumerate(self.basis)}
+    family: Family
+    m: int
+    i: int
+
+    def __post_init__(self):
+        basis = half_diagrams(self.family, self.m, self.i)
+        vars(self).update(basis=basis, _index={x: k for k, x in enumerate(basis)})
 
     @property
     def dim(self) -> int:

@@ -6,7 +6,10 @@ keyword (then ``__post_init__``, if the class has one), ``==`` and ``hash`` on
 the field tuple, a ``Name(field=value, ...)`` repr, and no assignment or
 deletion.  The first three are compiled from one source string per class, at
 a fraction of the standard decorator's import cost, and without ``inspect``.
-Instances keep a ``__dict__``, so a ``cached_property`` works on them.
+Instances keep a ``__dict__``, so a ``cached_property`` works on them, and a
+``__post_init__`` normalises a field or adds an attribute that is not one
+through ``vars(self)`` (`Mat` its rows; `Diagram` and `CellModule` what they
+build).  Every other class of the library is an ``Enum`` or an error.
 """
 
 _set = object.__setattr__

@@ -588,12 +588,12 @@ def check_motzkin_simple_closed_form(m: int) -> None:
                 raise InternalCheckError(f"Motzkin simple row {i} disagrees with closed form")
 
 
-# The CLI's JSON is written by `_json_text`, byte for byte as
-# json.dumps(value, indent=2) writes it: with an indent, json.dumps runs the
-# pure-Python encoder, while every string here goes through the C quoter that
-# it calls (ensure_ascii) and every int through int.__repr__, as there.  CSV
-# rows hold ints and "i/j" alone, which csv.writer's minimal quoting leaves
-# bare, so they are joined with "," directly.
+# The CLI's JSON and the verify report are written by `_json_text`, byte for
+# byte as json.dumps(value, indent=2) writes them: with an indent, json.dumps
+# runs the pure-Python encoder, while every string here goes through the C
+# quoter that it calls (ensure_ascii) and every int through int.__repr__, as
+# there.  CSV rows hold ints and "i/j" alone, which csv.writer's minimal
+# quoting leaves bare, so they are joined with "," directly.
 
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 
@@ -602,7 +602,7 @@ def _json_text(value, pad: str = "\n") -> str:
     """value as json.dumps(value, indent=2) writes it, pad being the newline and
     indent of its own line; for dicts with str keys, lists, str, int, bool and
     None, and a TypeError for anything else.  A list of only ints or only str
-    is joined in one step."""
+    is joined in one step, and a dict's str values are quoted in place."""
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, bool) or value is None:
@@ -613,7 +613,10 @@ def _json_text(value, pad: str = "\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{_quote(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        items = [
+            f"{_quote(key)}: {_quote(item) if isinstance(item, str) else _json_text(item, inner)}"
+            for key, item in value.items()
+        ]
         return "{" + inner + f",{inner}".join(items) + pad + "}"
     if isinstance(value, list):
         if not value:

@@ -4,13 +4,13 @@ Every check compares two independent routes to the same value — closed-form
 tables against brute-force diagram traces, growth formulas against oracle
 multiplicities, fusion data against golden matrices — and records a
 machine-readable result.  All comparisons are exact.  A run builds each
-table it reads once, in a memo of its own (`_Tables`).
+table it reads once, in a memo of its own (`_Tables`), and each fusion graph
+once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as quote
 from math import comb
 
 from . import oracle, reference
@@ -21,6 +21,7 @@ from .growth import ModuleSpec, evaluate, length_series, module_spec, multiplici
 from .linalg import int_identity, int_mul
 from .record import Record
 from .tables import (
+    _json_text,
     cell_inverse,
     cell_table,
     check_motzkin_simple_closed_form,
@@ -258,32 +259,29 @@ def check_growth(max_m: int | None = None, tables: _Tables | None = None) -> lis
 
 def check_fusion(max_m: int | None = None, tables: _Tables | None = None) -> list[CheckResult]:
     tables = _Tables() if tables is None else tables
-    out = []
-    spec = module_spec(Family.PLANAR_ROOK, 8, "V2")
-    table = tables[simple_table, Family.PLANAR_ROOK, 8]
-    graph = fusion_matrix(spec, table)
-    out.append(
-        _result("fusion:pro8-matrix", graph.rows, reference.PRO8_V2_FUSION, "reference")
-    )
-    out.append(
-        _result("fusion:pro8-n0", realized_n0(graph, {8}), reference.PRO8_V2_N0, "shortest path")
-    )
-    report = scc_analysis(graph)
-    out.append(_result("fusion:pro8-absorbing", report.absorbing, (8,), "scc"))
-    top = graph.label_index(8)
-    out.append(_result("fusion:pro8-selfloop", graph.rows[top][top], 28, "absorbing self-loop = dim V"))
+    built = []  # (spec, table, graph) of each golden module, each graph built once
     for family, m, sel in ((Family.TEMPERLEY_LIEB, 7, "V3"), (Family.MOTZKIN, 5, "S1"), (Family.PLANAR_ROOK, 8, "V2")):
         spec = module_spec(family, m, sel)
         table = tables[simple_table, family, m]
-        graph = fusion_matrix(spec, table)
+        built.append((spec, table, fusion_matrix(spec, table)))
+    graph = built[-1][2]  # PRO 8 V2
+    out = [
+        _result("fusion:pro8-matrix", graph.rows, reference.PRO8_V2_FUSION, "reference"),
+        _result("fusion:pro8-n0", realized_n0(graph, {8}), reference.PRO8_V2_N0, "shortest path"),
+        _result("fusion:pro8-absorbing", scc_analysis(graph).absorbing, (8,), "scc"),
+    ]
+    top = graph.label_index(8)
+    out.append(_result("fusion:pro8-selfloop", graph.rows[top][top], 28, "absorbing self-loop = dim V"))
+    for spec, table, graph in built:
+        name = f"{spec.family.value}:{spec.m}:{spec.label}"
         passed = _oracle_value(lambda: spectral_check(graph, spec, table, max_n=6)["ok"])
-        out.append(_result(f"spectral:{family.value}:{m}:{sel}", passed, True, "projections"))
+        out.append(_result(f"spectral:{name}", passed, True, "projections"))
         series = length_series(spec, table)
         for n in range(7):
             column = power_multiplicities(graph, n)
             out.append(
                 _result(
-                    f"fusion-length:{family.value}:{m}:{sel}:n{n}",
+                    f"fusion-length:{name}:n{n}",
                     sum(column, Fraction(0)),
                     evaluate(series, n),
                     "column sums of A^n vs l(n)",
@@ -325,30 +323,19 @@ def canonical_idempotent_texts(max_m: int | None = None):
     return out
 
 
-_CHECK_JSON = """    {{
-      "name": {},
-      "status": {},
-      "detail": {},
-      "lhs": {},
-      "rhs": {},
-      "location": {}
-    }}"""
-
-
 def report_json(results: list[CheckResult]) -> str:
-    """The report, byte for byte as json.dumps(..., indent=2) writes the dict of
-    checks, failures and total.
-
-    The layout is fixed, so it is written directly: json.dumps with an indent
-    runs the pure-Python encoder, and every string here is quoted by the C
-    function that it calls with ensure_ascii.
-    """
-    checks = ",\n".join(
-        _CHECK_JSON.format(
-            *map(quote, (r.check, r.status, f"{r.lhs} vs {r.rhs} @ {r.location}", r.lhs, r.rhs, r.location))
-        )
+    """The report, as json.dumps(..., indent=2) writes it: the checks as dicts,
+    then failures and total, through the CLI's one JSON writer (`tables._json_text`)."""
+    checks = [
+        {
+            "name": r.check,
+            "status": r.status,
+            "detail": f"{r.lhs} vs {r.rhs} @ {r.location}",
+            "lhs": r.lhs,
+            "rhs": r.rhs,
+            "location": r.location,
+        }
         for r in results
-    )
+    ]
     failures = sum(1 for r in results if not r.ok)
-    body = f"[\n{checks}\n  ]" if results else "[]"
-    return f'{{\n  "checks": {body},\n  "failures": {failures},\n  "total": {len(results)}\n}}'
+    return _json_text({"checks": checks, "failures": failures, "total": len(results)})

@@ -45,10 +45,12 @@ def solve_identity(a: Mat) -> Mat:
 def test_mat_is_a_value_view():
     # rows to read, transpose, compare and hash: no arithmetic, whose
     # referees (product, inverse, kernel) live in `linalg_reference`
+    # (a frozen `Record` of one field, whose == and hash are the record's)
+    assert Mat._fields == ("rows",)
     public = sorted(name for name in vars(Mat) if not name.startswith("_"))
-    assert public == ["identity", "is_square", "ncols", "nrows", "rows", "shape", "transpose"]
+    assert public == ["identity", "is_square", "ncols", "nrows", "shape", "transpose"]
     special = sorted(name for name, value in vars(Mat).items() if name.startswith("__") and inspect.isfunction(value))
-    assert special == ["__eq__", "__hash__", "__init__", "__repr__", "__setattr__"]
+    assert special == ["__eq__", "__hash__", "__init__", "__post_init__", "__repr__"]
 
 
 def test_mat_values_compare_hash_and_refuse_bad_shapes():

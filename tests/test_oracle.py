@@ -172,6 +172,24 @@ def test_action_entries_are_zero_one():
         assert all(x in (0, 1) for row in mat.rows for x in row)
 
 
+def test_a_cached_cell_module_is_frozen():
+    # cell_module is cached: a cut basis would reach every later query
+    module = cell_module(Family.TEMPERLEY_LIEB, 3, 1)
+    with pytest.raises(AttributeError):
+        module.basis = module.basis[:1]
+    with pytest.raises(AttributeError):
+        del module.basis
+    assert cell_module(Family.TEMPERLEY_LIEB, 3, 1) is module and module.dim == 2
+    assert module == CellModule(Family.TEMPERLEY_LIEB, 3, 1) and module._fields == ("family", "m", "i")
+
+
+def test_a_cached_oracle_table_keeps_its_rows():
+    # oracle_simple_table is cached: a deleted field would reach every later call
+    with pytest.raises(AttributeError):
+        del oracle_simple_table(Family.TEMPERLEY_LIEB, 3).rows
+    assert oracle_simple_table(Family.TEMPERLEY_LIEB, 3) == simple_table(Family.TEMPERLEY_LIEB, 3).mat
+
+
 @pytest.mark.parametrize(
     "family,m",
     [(Family.TEMPERLEY_LIEB, 4), (Family.PLANAR_ROOK, 3), (Family.MOTZKIN, 3)],

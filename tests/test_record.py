@@ -12,7 +12,8 @@ from growthlab.diagrams import ComposeResult, Family, GreenData, green_data
 from growthlab.errors import InputError
 from growthlab.fusion import FusionGraph, SccReport, fusion_matrix, scc_analysis
 from growthlab.growth import ConvergenceReport, ModuleSpec, module_spec
-from growthlab.oracle import CountCheck
+from growthlab.linalg import Mat
+from growthlab.oracle import CellModule, CountCheck, cell_module
 from growthlab.record import Record
 from growthlab.tables import CharTable, PLParams, Reflections, reflections, simple_table
 from growthlab.verify import CheckResult, _result
@@ -92,7 +93,7 @@ def test_reprs_match_the_former_dataclass_strings():
 def test_records_say_what_they_are():
     # one line of their own, not the signature the standard decorator wrote
     records = (GreenData, ComposeResult, Reflections, SccReport, FusionGraph, ConvergenceReport,
-               CountCheck, CheckResult)
+               CountCheck, CheckResult, Mat, CellModule)
     for cls in records:
         assert cls.__doc__ and "\n" not in cls.__doc__.strip()
 
@@ -117,6 +118,11 @@ def test_cached_property_and_pickle():
     assert copy.bases == spec.bases
     table = simple_table(Family.TEMPERLEY_LIEB, 7)
     assert pickle.loads(pickle.dumps(table)) == table
+    # a worker process gets Mat and CellModule values the same way
+    assert pickle.loads(pickle.dumps(table.mat)) == table.mat
+    module = cell_module(Family.TEMPERLEY_LIEB, 7, 3)
+    copy = pickle.loads(pickle.dumps(module))
+    assert copy == module and copy.basis == module.basis and copy.dim == 14
 
 
 def test_a_cold_start_imports_no_dataclasses_inspect_or_typing():

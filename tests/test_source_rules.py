@@ -98,6 +98,24 @@ def test_every_cached_property_returns_a_tuple():
     assert sorted(name for name, is_tuple in found.items() if not is_tuple) == []
 
 
+def test_every_class_is_a_record_an_enum_or_an_error():
+    # one value base: a class of its own hand-rolls == and hash, or lets a
+    # cached value be changed or cut; the exceptions are Record itself, the
+    # singleton _Infinity and _Tables, one verify run's memo
+    from enum import Enum
+
+    from growthlab.record import Record
+
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name in (node.name for node in tree.body if isinstance(node, ast.ClassDef)):
+            cls = getattr(importlib.import_module(f"growthlab.{path.stem}"), name)
+            if not {Record, Enum, Exception}.intersection(cls.__mro__[1:]):
+                found.append(name)
+    assert sorted(found) == ["Record", "_Infinity", "_Tables"]
+
+
 def test_every_memo_of_tables_is_named_in_its_memo_tuple():
     # the tests empty the process memos through `tables._MEMOS`; a memo (a
     # module-level dict that starts empty) missing from it would outlive them

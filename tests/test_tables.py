@@ -906,7 +906,9 @@ def test_tables_are_written_as_the_stdlib_writes_them(family):
 
 
 # quotes, backslashes, control and non-ASCII characters, astral ones and lone surrogates
-_HARD = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001f600", "\ud800"])
+_HARD = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001f600", "\ud800", "\udfff"]
+)
 _TEXT = st.text(st.one_of(_HARD, st.characters(exclude_categories=())), max_size=8)
 _INT = st.one_of(st.integers(-1000, 1000), st.integers(-(2**200), 2**200))  # past 2**64 both ways
 _JSON = st.recursive(

@@ -87,6 +87,24 @@ def test_a_verify_run_makes_49_integer_products(monkeypatch):
     assert len(calls) == 49
 
 
+def test_a_verify_run_builds_each_fusion_graph_once(monkeypatch):
+    # TL 7 V3, MO 5 S1 and PRO 8 V2, in the order of the spectral checks;
+    # the pro8 checks read the last
+    built = []
+
+    def counted(spec, table):
+        built.append((spec.family, spec.m, spec.label))
+        return fusion.fusion_matrix(spec, table)
+
+    monkeypatch.setattr(verify, "fusion_matrix", counted)
+    results = verify.run_suite("fusion")
+    assert built == [(Family.TEMPERLEY_LIEB, 7, "V3"), (Family.MOTZKIN, 5, "S1"), (Family.PLANAR_ROOK, 8, "V2")]
+    assert [r.check for r in results if r.check.startswith("fusion:")] == [
+        "fusion:pro8-matrix", "fusion:pro8-n0", "fusion:pro8-absorbing", "fusion:pro8-selfloop"
+    ]
+    assert all(r.ok for r in results)
+
+
 def test_a_verify_run_builds_each_table_once(monkeypatch):
     # 3 families x m = 1..20 for the Riordan checks, whose cell tables hold
     # every golden one; 20 simple and 10 projective tables at the sizes the

@@ -5,8 +5,9 @@
 Run from the root of a source checkout; growthlab is imported from `src/`.
 Eight checks, one line each, and exit code 1 if any fails:
 
-- the CLI's JSON writer (`tables._json_text`) writes each payload of a fixed
-  set exactly as json.dumps(payload, indent=2) does on this interpreter;
+- the JSON writer of the CLI and the verify report (`tables._json_text`)
+  writes each payload of a fixed set exactly as json.dumps(payload, indent=2)
+  does on this interpreter;
 - every command of `PINNED_OUTPUTS` in tests/test_cli.py (read without
   importing the tests) prints the stdout whose sha256 is pinned there;
 - `cli._read` reads each argv of the test lists and of a walk of the
@@ -65,6 +66,7 @@ PAYLOADS = [
     [1, -2, 3**50],
     [1, "1", True, None, [2, ["3"]], {"k": [False]}],
     {"quote\"key": {"nested": [{"a": 1, "b": ["x", "y"]}, []]}, "é": None},
+    [{"name": "x", "detail": "\u2028 vs \udfff @ y", "lhs": "\udfff"}, {"name": "", "rhs": "é"}],  # a verify report's checks
 ]
 
 # the ids of test_bad_input_is_one_line_and_exit_2 whose values pass the digit limit

@@ -379,7 +379,10 @@ _INT = {"type": int, "required": True}
 
 # each command: its handler, its help line and its words, each an argument
 # name with its add_argument keywords; a command with subcommands has instead
-# the dest of its subcommand and the words of each
+# the dest of its subcommand and the words of each.  `_read` reads a
+# well-formed call off this table with no argparse imported, and
+# `_build_parser` builds the full parser from it; the JSON output goes
+# through `tables._json_text`, so the CLI imports no `json`
 _GRAMMAR = {
     "chartable": (_cmd_chartable, "emit a character table", {
         "--family": _REQUIRED,

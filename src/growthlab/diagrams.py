@@ -296,7 +296,9 @@ def flip(d: Diagram) -> Diagram:
 
 
 def rank_labels(family: Family, m: int) -> tuple[int, ...]:
-    """The set of possible ranks, ascending (TL ranks share the parity of m)."""
+    """The set of possible ranks at m >= 1, ascending (TL ranks share the parity of m)."""
+    if m < 1:
+        raise InputError("need m >= 1")
     return tuple(_rank_range(family, m))
 
 

@@ -209,6 +209,9 @@ def _oracle_rows(family: Family, m: int) -> tuple[_Rows, _Rows]:
     return cells, simples
 
 
+# the brute-force tables as `Mat`s (and `CellModule.action`): nothing in the
+# library reads them, the route above is the one to the characters; they are
+# kept for callers and for the benchmark's tracer, which reads their caches
 @lru_cache(maxsize=None)
 def oracle_cell_table(family: Family, m: int) -> Mat:
     return Mat(_oracle_rows(family, m)[0])

@@ -1,4 +1,4 @@
-"""Golden reference data used by the verification suite.
+"""Golden reference data read by the verification suite.
 
 The character tables and inverse matrices below are the widely printed
 reference values for these monoids; the verify suite demands bit-exact
@@ -7,18 +7,16 @@ agreement with what the library computes.
 Three printed projective-table entries (and one full row) in circulation are
 internally inconsistent: they contradict the short-exact-sequence relations
 that define the projective rows, the cell panels printed beside them, and the
-brute-force oracle.  They are recorded in ERRATA with both the printed and
-the corrected value; golden comparisons use the corrected table and assert
-the printed deviations match ERRATA exactly.
+brute-force oracle.  The tables here are the corrected ones.  The printed
+tables and the errata (printed and corrected value of each entry) are test
+fixtures, in tests/printed_reference.py; tests/test_acceptance.py and
+tests/test_tables.py assert that the printed deviations match the errata
+exactly.  `growthlab verify` does not check that provenance.
 """
 
 from __future__ import annotations
 
-from .diagrams import Family
-
 # Temperley-Lieb on 7 strands, labels (1, 3, 5, 7) ----------------------------
-
-TL7_LABELS = (1, 3, 5, 7)
 
 TL7_CELL = (
     (1, 2, 5, 14),
@@ -34,14 +32,7 @@ TL7_SIMPLE = (
     (0, 0, 0, 1),
 )
 
-# as printed; row 7 is erratum entry (see ERRATA)
-TL7_PROJECTIVE_PRINTED = (
-    (1, 2, 5, 14),
-    (1, 3, 9, 28),
-    (0, 0, 1, 6),
-    (1, 3, 9, 29),
-)
-
+# row 7 corrected (the printed row is an erratum)
 TL7_PROJECTIVE = (
     (1, 2, 5, 14),
     (1, 3, 9, 28),
@@ -56,14 +47,11 @@ TL7_LINV = (
     (3, -4, 1, 0),
     (-6, 11, -6, 1),
 )
-TL7_LINV_COLUMN_SUMS = (-3, 8, -5, 1)
 
 # "13^n - 5*4^n + 8" for the 13-dimensional simple V_3 (n >= 1 form)
 TL7_V3_LENGTH_TERMS = ((1, 13), (-5, 4), (8, 1))
 
 # Motzkin on 5 strands, labels 0..5 -------------------------------------------
-
-MO5_LABELS = (0, 1, 2, 3, 4, 5)
 
 MO5_CELL = (
     (1, 1, 2, 4, 9, 21),
@@ -83,16 +71,7 @@ MO5_SIMPLE = (
     (0, 0, 0, 0, 0, 1),
 )
 
-# as printed; entries (2,5), (4,2), (4,3) are errata (see ERRATA)
-MO5_PROJECTIVE_PRINTED = (
-    (1, 1, 2, 4, 9, 21),
-    (0, 1, 2, 5, 12, 30),
-    (1, 1, 3, 7, 18, 47),
-    (0, 0, 0, 1, 4, 14),
-    (0, 0, 0, 0, 10, 30),
-    (0, 0, 0, 0, 0, 1),
-)
-
+# entries (2,5), (4,2), (4,3) corrected (the printed entries are errata)
 MO5_PROJECTIVE = (
     (1, 1, 2, 4, 9, 21),
     (0, 1, 2, 5, 12, 30),
@@ -117,7 +96,6 @@ MO5_CELL_LINV_PRINTED = (
     (-1, 2, 3, -4, 1, 0),
     (0, -4, 2, 6, -5, 1),
 )
-MO5_CELL_LINV_COLUMN_SUMS = (0, -2, 3, 3, -4, 1)
 
 # The true inverse transpose of the Mo_5 simple table.
 MO5_SIMPLE_LINV = (
@@ -128,30 +106,13 @@ MO5_SIMPLE_LINV = (
     (-1, 0, 4, -4, 1, 0),
     (0, -4, 2, 6, -5, 1),
 )
-MO5_SIMPLE_LINV_COLUMN_SUMS = (1, -4, 4, 3, -4, 1)
 
 # Length of the n-th tensor power of the 30-dimensional cell module S_1.
 # The n >= 1 closed form is 30^n - 4*12^n + 3*5^n + 4*2^n - 4; the circulated
-# variant ((1,30),(-4,12),(3,5),(3,2),(-2,1)) comes from the mislabeled
-# inverse above and disagrees with the brute-force count already at n = 2
-# (409 vs the true 411).
+# variant 30^n - 4*12^n + 3*5^n + 3*2^n - 2 comes from the mislabeled inverse
+# above and disagrees with the brute-force count already at n = 2 (409 vs the
+# true 411).
 MO5_S1_LENGTH_TERMS = ((1, 30), (-4, 12), (3, 5), (4, 2), (-4, 1))
-MO5_S1_LENGTH_TERMS_PRINTED = ((1, 30), (-4, 12), (3, 5), (3, 2), (-2, 1))
-MO5_S1_LENGTHS = (1, 411, 20491, 728991)  # n = 1..4, brute force
-
-# Documented errata: (family, kind, row label, column label, printed, corrected).
-# Each printed value contradicts the SES relations phi_i = cell_i + cell_{i^-}
-# (equivalently the reciprocity C = D^T D), the adjacent printed cell panel,
-# and the brute-force oracle.
-ERRATA = (
-    (Family.TEMPERLEY_LIEB, "projective", 7, 1, 1, 0),
-    (Family.TEMPERLEY_LIEB, "projective", 7, 3, 3, 1),
-    (Family.TEMPERLEY_LIEB, "projective", 7, 5, 9, 4),
-    (Family.TEMPERLEY_LIEB, "projective", 7, 7, 29, 15),
-    (Family.MOTZKIN, "projective", 2, 5, 47, 46),
-    (Family.MOTZKIN, "projective", 4, 2, 0, 1),
-    (Family.MOTZKIN, "projective", 4, 3, 0, 3),
-)
 
 # Planar rook on 8 strands: fusion of the 28-dimensional simple V_2 -----------
 
@@ -167,48 +128,3 @@ PRO8_V2_FUSION = (
     (0, 0, 0, 0, 0, 0, 28, 56, 28),
 )
 PRO8_V2_N0 = 4  # = ceil(8 / 2): shortest path from the trivial node to V_8
-
-# Temperley-Lieb on 15 strands: the cell module S_3 ---------------------------
-
-TL15_S3_CHARVEC = (0, 1, 4, 14, 48, 165, 572, 2002)
-TL15_S3_CHI_SEC = 572
-
-# Known involution counts I(m) = number of involutions in S_m, m = 1..12
-INVOLUTION_COUNTS = (1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, 35696, 140152)
-
-# Summand fusion graphs that this library deliberately does not compute -------
-#
-# These require decomposing tensor powers into indecomposables (Krull-Schmidt),
-# which is out of scope; the adjacency matrices are kept only as reference
-# data for the record.  Cases: the 4-dimensional simple module of the rook
-# monoid on 4 strands over the 2-element field; the 5-dimensional projective
-# module of the partition monoid on 3 strands over the complex numbers; the
-# 6-dimensional indecomposable summand of the regular module of the semigroup
-# of nonunits of that partition monoid.
-
-EXCLUDED_SUMMAND_FUSION = {
-    "rook4_mod2_simple4": (
-        (0, 0, 0, 0, 0, 0, 0),
-        (1, 1, 0, 0, 0, 0, 0),
-        (0, 1, 2, 0, 0, 0, 0),
-        (0, 0, 2, 2, 2, 0, 0),
-        (0, 0, 1, 1, 1, 0, 0),
-        (0, 0, 0, 1, 0, 3, 2),
-        (0, 0, 0, 0, 1, 1, 2),
-    ),
-    "partition3_proj5": (
-        (0, 0, 0, 0, 0, 0, 0),
-        (1, 1, 0, 0, 0, 0, 0),
-        (0, 1, 3, 0, 1, 2, 3),
-        (0, 3, 0, 3, 1, 4, 5),
-        (0, 1, 1, 1, 4, 5, 8),
-        (0, 1, 0, 0, 0, 1, 0),
-        (0, 1, 0, 0, 0, 1, 2),
-    ),
-    "partition3_nonunits_summand6": (
-        (0, 0, 0, 0),
-        (1, 0, 0, 0),
-        (0, 28, 6, 40),
-        (0, 1, 0, 1),
-    ),
-}

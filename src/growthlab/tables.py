@@ -24,13 +24,14 @@ runs down from the diagonal 1 with one exact division per entry
 (verify's riordan checks).  Truncating the inverse to Lambda_m inverts the
 truncated table (both are supported on index pairs i <= j).  So the table at
 m is the leading block of one array per family: columns j <= _KEPT = 64 of
-each array are kept for the process (0.44 MB for all three families, by
-tracemalloc), and past the bound the path counts stream in one row of O(m)
-ints.  The growth series read two more arrays, at the label positions: the
-columns of X^-1 = C^-1 (I + P), X the simple table, each C^-1 column t plus
-column t^- (`_simple_inverse_column`), and their running sums over the
-labels, X^-1 (1, ..., 1) at m (`_length_column`).  Both are kept for t, m <=
-_KEPT (0.30 MB more); past the bound a call computes each C^-1 column once.
+each array are kept for the process (0.45 MB for all three families, by
+tracemalloc on Python 3.11), and past the bound the path counts stream in
+one row of O(m) ints.  The growth series read two more arrays, at the label
+positions: the columns of X^-1 = C^-1 (I + P), X the simple table, each C^-1
+column t plus column t^- (`_simple_inverse_column`), and their running sums
+over the labels, X^-1 (1, ..., 1) at m (`_length_column`).  Both are kept
+for t, m <= _KEPT (0.32 MB more); past the bound a call computes each C^-1
+column once.
 
 Tables are held as the rows of Python ints that the recurrences produce
 (`CharTable.rows`); fusion graphs and the chartable command read those, and
@@ -126,8 +127,12 @@ _STEPS = {
 
 def _label_range(family: Family, m: int) -> range:
     """The labels of a planar family at m >= 1, as a range: checked, not built."""
+    if not isinstance(family, Family):
+        raise InputError(f"family must be a Family, not {family!r}")
     if family not in _STEPS:
         raise InputError(f"no character tables for {family.value}")
+    if type(m) is not int:
+        raise InputError(f"m must be an int, not {m!r}")
     if m < 1:
         raise InputError("need m >= 1")
     return _rank_range(family, m)
@@ -479,34 +484,18 @@ def ancestorless(a: int, params: PLParams) -> bool:
     return all(d == 0 for d in digits[1:])
 
 
-# Classes of monoids known to satisfy the group-injective condition over the
-# complex numbers regardless of the strand count, with the reason in brief.
-# Temperley-Lieb and Motzkin are the exceptions: there the condition holds
-# exactly when m+1 is ancestorless (all non-leading digits zero) for
-# (infinity, 3) resp. (infinity, 2), which group_injective evaluates.
-GROUP_INJECTIVE_CHAR0_CATALOG = {
-    "planar_rook": "semisimple inverse monoid",
-    "rook": "inverse monoid: projectives are injective",
-    "brauer": "induced sign module is cut out by an idempotent",
-    "rook_brauer": "induced sign module is cut out by an idempotent",
-    "partition": "induced sign module is cut out by an idempotent",
-    "full_transformation": "no quiver arrows into induced modules",
-    "partial_transformation": "no quiver arrows into induced modules",
-    "order_preserving_partial": "no quiver arrows into induced modules",
-    "partial_catalan": "no quiver arrows into induced modules",
-    "partial_order_decreasing": "no quiver arrows into induced modules",
-    "catalan": "induced trivial module is injective (J-trivial quiver)",
-    "full_linear_mixed_characteristic": "self-injective direct factor",
-}
-
-
 def group_injective(family: Family, m: int) -> bool:
-    """Char-0 group-injectivity, via the ancestorless criterion on m+1.
+    """Char-0 group-injectivity at m >= 1, via the ancestorless criterion on m+1.
 
     Temperley-Lieb: (infinity, 3); Motzkin: (infinity, 2).  The remaining
-    family tags are unconditionally group-injective over the complex numbers
-    (see GROUP_INJECTIVE_CHAR0_CATALOG), so they report True.
+    family tags are group-injective over the complex numbers at every m, so
+    they report True: planar rook is a semisimple inverse monoid, rook an
+    inverse monoid; in Brauer, rook-Brauer and partition the induced sign
+    module is cut out by an idempotent; the transformation monoids have no
+    quiver arrows into induced modules.
     """
+    if m < 1:
+        raise InputError("need m >= 1")
     return family not in _CHAR0 or ancestorless(m + 1, _CHAR0[family])
 
 

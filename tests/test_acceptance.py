@@ -27,30 +27,19 @@ from growthlab.oracle import (
     oracle_simple_table,
 )
 from growthlab.reference import (
-    ERRATA,
-    EXCLUDED_SUMMAND_FUSION,
-    INVOLUTION_COUNTS,
     MO5_CELL,
-    MO5_CELL_LINV_COLUMN_SUMS,
     MO5_CELL_LINV_PRINTED,
     MO5_PROJECTIVE,
-    MO5_PROJECTIVE_PRINTED,
     MO5_S1_LENGTH_TERMS,
-    MO5_S1_LENGTH_TERMS_PRINTED,
     MO5_SIMPLE,
     MO5_SIMPLE_LINV,
-    MO5_SIMPLE_LINV_COLUMN_SUMS,
     PRO8_V2_FUSION,
     PRO8_V2_N0,
     TL7_CELL,
     TL7_LINV,
-    TL7_LINV_COLUMN_SUMS,
     TL7_PROJECTIVE,
-    TL7_PROJECTIVE_PRINTED,
     TL7_SIMPLE,
     TL7_V3_LENGTH_TERMS,
-    TL15_S3_CHARVEC,
-    TL15_S3_CHI_SEC,
 )
 from growthlab.tables import (
     CHAR0_MO,
@@ -65,7 +54,22 @@ from growthlab.tables import (
 import growthlab
 from cell_formulas import tl_cell_entry
 from linalg_reference import col, inverse, mat_mul
-from growthlab import reference
+from printed_reference import (
+    ERRATA,
+    EXCLUDED_SUMMAND_FUSION,
+    INVOLUTION_COUNTS,
+    MO5_CELL_LINV_COLUMN_SUMS,
+    MO5_LABELS,
+    MO5_PROJECTIVE_PRINTED,
+    MO5_S1_LENGTHS,
+    MO5_S1_LENGTH_TERMS_PRINTED,
+    MO5_SIMPLE_LINV_COLUMN_SUMS,
+    TL15_S3_CHARVEC,
+    TL15_S3_CHI_SEC,
+    TL7_LABELS,
+    TL7_LINV_COLUMN_SUMS,
+    TL7_PROJECTIVE_PRINTED,
+)
 
 
 def int_rows(mat):
@@ -75,8 +79,8 @@ def int_rows(mat):
 
 
 def test_criterion_01_golden_tables():
-    assert cell_table(Family.TEMPERLEY_LIEB, 7).labels == reference.TL7_LABELS
-    assert cell_table(Family.MOTZKIN, 5).labels == reference.MO5_LABELS
+    assert cell_table(Family.TEMPERLEY_LIEB, 7).labels == TL7_LABELS
+    assert cell_table(Family.MOTZKIN, 5).labels == MO5_LABELS
     assert int_rows(cell_table(Family.TEMPERLEY_LIEB, 7).mat) == TL7_CELL
     assert int_rows(simple_table(Family.TEMPERLEY_LIEB, 7).mat) == TL7_SIMPLE
     assert int_rows(projective_table(Family.TEMPERLEY_LIEB, 7).mat) == TL7_PROJECTIVE
@@ -157,7 +161,7 @@ def test_criterion_03_growth_formulas():
     for spec, series in ((tl_spec, tl_series), (mo_spec, mo_series)):
         for n in range(1, 7):
             assert evaluate(series, n) == sum(oracle_multiplicity(spec, n))
-    for n, frozen in enumerate(reference.MO5_S1_LENGTHS, start=1):
+    for n, frozen in enumerate(MO5_S1_LENGTHS, start=1):
         assert sum(oracle_multiplicity(mo_spec, n)) == frozen
     print(f"ACCEPT 03 PASS - length formulas 13^n-5*4^n+8 (TL7/V3) and "
           f"30^n-4*12^n+3*5^n+4*2^n-4 (Mo5/S1, corrected; printed variant pinned to the "

@@ -30,9 +30,10 @@ from growthlab.growth import (
     parse_selector,
 )
 from growthlab.linalg import Mat
-from growthlab.reference import INVOLUTION_COUNTS, MO5_S1_LENGTH_TERMS, TL7_V3_LENGTH_TERMS
+from growthlab.reference import MO5_S1_LENGTH_TERMS, TL7_V3_LENGTH_TERMS
 from growthlab.tables import decomposition_matrix, simple_table
 import series_reference
+from printed_reference import INVOLUTION_COUNTS
 
 TL7 = simple_table(Family.TEMPERLEY_LIEB, 7)
 MO5 = simple_table(Family.MOTZKIN, 5)

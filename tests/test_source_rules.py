@@ -200,6 +200,8 @@ REFEREED = {
         "_growth_series", "_simple_inverse_column", "_length_column", "_inverse_column", "_cell_columns"
     },
     "riordan_reference.py": {"_inverse_column"},
+    # the printed tables and their errata, against the projective table and its labels
+    "printed_reference.py": {"projective_table", "rank_labels"},
 }
 
 
@@ -300,7 +302,8 @@ def test_readme_lists_the_public_names():
 def test_every_public_name_is_called_exported_or_read_by_perfbench():
     # a public function, class or method that nothing in src/ names, that the
     # package does not export and that perfbench does not read is a second
-    # route to an answer the library reaches another way
+    # route to an answer the library reaches another way; a public module-level
+    # constant that nothing in src/ reads is a fixture, which belongs in tests/
     kept = set(growthlab.__all__) | set(_perfbench_constant("layertrace.py", "ORACLE_CACHED"))
     kept |= {f"{cls}.{method}" for _, cls, method in _perfbench_constant("layertrace.py", "_METHODS")}
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
@@ -309,6 +312,14 @@ def test_every_public_name_is_called_exported_or_read_by_perfbench():
         for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
                 defined.append((filename, top.name, top.name, top))
+            if isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                defined += [
+                    (filename, node.id, node.id, top)
+                    for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name) and not node.id.startswith("_")
+                ]
             if isinstance(top, ast.ClassDef) and not top.name.startswith("_") and top.name not in kept:
                 defined += [
                     (filename, f"{top.name}.{node.name}", node.name, node)

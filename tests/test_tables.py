@@ -17,6 +17,7 @@ import cell_formulas
 import riordan_reference
 import series_reference
 from linalg_reference import inverse, mat_mul
+from printed_reference import ERRATA, GROUP_INJECTIVE_CHAR0_CATALOG, MO5_PROJECTIVE_PRINTED, TL7_PROJECTIVE_PRINTED
 from growthlab import growth, tables
 from growthlab.diagrams import Family, rank_labels
 from growthlab.errors import InputError, InternalCheckError, SingularMatrixError
@@ -24,14 +25,11 @@ from growthlab.fusion import fusion_matrix, power_multiplicities
 from growthlab.linalg import Mat
 from growthlab.oracle import _gram_rows
 from growthlab.reference import (
-    ERRATA,
     MO5_CELL,
     MO5_PROJECTIVE,
-    MO5_PROJECTIVE_PRINTED,
     MO5_SIMPLE,
     TL7_CELL,
     TL7_PROJECTIVE,
-    TL7_PROJECTIVE_PRINTED,
     TL7_SIMPLE,
 )
 from growthlab.tables import (
@@ -771,14 +769,12 @@ def test_ancestorless_examples():
 
 def test_group_injective_char0():
     semisimple_or_catalogued = [f for f in Family if f not in (Family.TEMPERLEY_LIEB, Family.MOTZKIN)]
-    for m in range(400):
+    for m in range(1, 400):
         assert group_injective(Family.TEMPERLEY_LIEB, m) == (m % 3 == 2)
         # the ancestorless criterion on m+1: group-injective iff m is odd
         assert group_injective(Family.MOTZKIN, m) == (m % 2 == 1)
         assert group_injective(Family.MOTZKIN, m) == ancestorless(m + 1, CHAR0_MO)
         assert all(group_injective(family, m) for family in semisimple_or_catalogued)
-    from growthlab.tables import GROUP_INJECTIVE_CHAR0_CATALOG
-
     for family in Family:
         if family in (Family.TEMPERLEY_LIEB, Family.MOTZKIN):
             assert family.value not in GROUP_INJECTIVE_CHAR0_CATALOG
@@ -836,6 +832,29 @@ def test_public_entries_refuse_m_past_maxsize(m):
     for label in ((m + 1) % 2, m % 2):  # a TL label of either parity
         with pytest.raises(InputError, match=f"^need m < sys.maxsize = {sys.maxsize}$"):
             tables.reflections(label, Family.TEMPERLEY_LIEB, m)
+
+
+@pytest.mark.parametrize(
+    "family, m, message",
+    [
+        (Family.TEMPERLEY_LIEB, True, "m must be an int, not True"),
+        (Family.TEMPERLEY_LIEB, 2.5, "m must be an int, not 2.5"),
+        (Family.TEMPERLEY_LIEB, "7", "m must be an int, not '7'"),
+        ("tl", 7, "family must be a Family, not 'tl'"),
+    ],
+)
+def test_tables_refuse_a_family_or_m_of_the_wrong_type(family, m, message):
+    # the one m/family rule of tables and series names the parameter, where
+    # a bool built the table at m = 1 and the others raised TypeError or AttributeError
+    with pytest.raises(InputError, match=f"^{message}$"):
+        cell_table(family, m)
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_public_entries_refuse_m_below_1(m):
+    for call in (rank_labels, group_injective, cell_table):
+        with pytest.raises(InputError, match="^need m >= 1$"):
+            call(Family.TEMPERLEY_LIEB, m)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ Eight checks, one line each, and exit code 1 if any fails:
 - each help and usage call of `PINNED_HELP` prints the bytes pinned for this
   interpreter, under COLUMNS=50, 80 and 120: argparse 3.13 wraps the usage
   line of `bounds m0` its own way, so 3.13 and later read `PINNED_HELP_313`
-  first, and the line names the calls that take those pins;
+  first, and an argparse seen to print the choices of `invalid choice`
+  unquoted (3.13.13) reads `PINNED_HELP_UNQUOTED`; the line counts the
+  commands that take those pins;
 - two fresh interpreters build every table, module row and series for
   m = 1..80, one in ascending order of m and one in descending order, and
   both give `BUILD_SHA256`, pinned before the tables kept their columns;
@@ -34,6 +36,7 @@ Eight checks, one line each, and exit code 1 if any fails:
   of X^-1: far past the bound of 64, where no column is kept.
 """
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -190,9 +193,24 @@ def _check_digit_limit() -> bool:
     return not wrong
 
 
-def _check_help(pins: dict, pins_313: dict) -> bool:
+def _argparse_quotes_choices() -> bool | None:
+    """Whether this interpreter's argparse quotes each choice of an `invalid choice` error."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument("x", choices=["a"])
+    try:
+        parser.parse_args(["b"])
+    except argparse.ArgumentError as error:
+        return "'a'" in str(error)
+
+
+def _check_help(pins: dict, pins_313: dict, pins_unquoted: dict) -> bool:
+    variants = {}
     if sys.version_info >= (3, 13):
-        pins = {**pins, **pins_313}
+        variants["3.13 wraps"] = pins_313
+    if not _argparse_quotes_choices():
+        variants["choices unquoted"] = pins_unquoted
+    for variant in variants.values():
+        pins = {**pins, **variant}
     differ, widths = [], ("50", "80", "120")
     for columns in widths:
         os.environ["COLUMNS"] = columns  # argparse reads the terminal's width here
@@ -201,8 +219,8 @@ def _check_help(pins: dict, pins_313: dict) -> bool:
             if hashlib.sha256((out + err).encode()).hexdigest() != digest:
                 differ.append(f"{command or '(none)'} at COLUMNS={columns}")
     calls = len(pins) * len(widths)
-    wrap = f" ({', '.join(pins_313)} as 3.13 wraps them)" if sys.version_info >= (3, 13) else ""
-    print(f"{'ok  ' if not differ else 'FAIL'} help and usage: {calls - len(differ)}/{calls} calls{wrap}")
+    taken = "".join(f"; {len(variant)} commands as {name}" for name, variant in variants.items())
+    print(f"{'ok  ' if not differ else 'FAIL'} help and usage: {calls - len(differ)}/{calls} calls{taken}")
     for command in differ:
         print(f"     differs: {command}")
     return not differ
@@ -299,14 +317,14 @@ def main() -> int:
     print(f"Python {platform.python_version()} ({sys.executable})")
     lists = _test_cli(
         "_TL3", "_COMMANDS_AND_ARGS", "_HELP", "_USAGE", "_SPELLINGS", "_INTERACTIVE_SHAPES",
-        "PINNED_OUTPUTS", "PINNED_HELP", "PINNED_HELP_313",
+        "PINNED_OUTPUTS", "PINNED_HELP", "PINNED_HELP_313", "PINNED_HELP_UNQUOTED",
     )
     results = [
         _check_json(),
         _check_pinned(lists["PINNED_OUTPUTS"]),
         _check_reader(lists),
         _check_digit_limit(),
-        _check_help(lists["PINNED_HELP"], lists["PINNED_HELP_313"]),
+        _check_help(lists["PINNED_HELP"], lists["PINNED_HELP_313"], lists["PINNED_HELP_UNQUOTED"]),
         _check_build_order(),
         _check_fusion(),
         _check_series(),

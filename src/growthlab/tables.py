@@ -125,16 +125,21 @@ _STEPS = {
 }
 
 
-def _label_range(family: Family, m: int) -> range:
-    """The labels of a planar family at m >= 1, as a range: checked, not built."""
+def _check_family_and_m(family: Family, m: int) -> None:
+    """Refuse a family that is not a `Family`, an m that is not an int (bool included) and m < 1."""
     if not isinstance(family, Family):
         raise InputError(f"family must be a Family, not {family!r}")
-    if family not in _STEPS:
-        raise InputError(f"no character tables for {family.value}")
     if type(m) is not int:
         raise InputError(f"m must be an int, not {m!r}")
     if m < 1:
         raise InputError("need m >= 1")
+
+
+def _label_range(family: Family, m: int) -> range:
+    """The labels of a planar family at m >= 1, as a range: checked, not built."""
+    _check_family_and_m(family, m)
+    if family not in _STEPS:
+        raise InputError(f"no character tables for {family.value}")
     return _rank_range(family, m)
 
 
@@ -494,8 +499,7 @@ def group_injective(family: Family, m: int) -> bool:
     module is cut out by an idempotent; the transformation monoids have no
     quiver arrows into induced modules.
     """
-    if m < 1:
-        raise InputError("need m >= 1")
+    _check_family_and_m(family, m)
     return family not in _CHAR0 or ancestorless(m + 1, _CHAR0[family])
 
 

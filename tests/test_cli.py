@@ -103,6 +103,61 @@ def test_growth_multiplicity_json(capsys):
     assert payload["formula"][0] == {"coeff": "1", "base": 13}
 
 
+_SPANS = {"0..6": range(7), "3..9": range(3, 10), "5": range(5, 6)}
+
+
+def _rows_are_evaluated(capsys, argv, series) -> None:
+    # each CSV row is (n, evaluate(series, n), evaluate(leading_term(series), n), their ratio)
+    asym = leading_term(series) if series.terms else series
+    for text, span in _SPANS.items():
+        code, out, err = run(capsys, *argv, "--n", text, "--format", "csv")
+        assert (code, err) == (0, ""), argv
+        expected = ["n,l,k,ratio"]
+        for n in span:
+            value, k = evaluate(series, n), evaluate(asym, n)
+            expected.append(f"{n},{value},{k},{value / k if k else Fraction(0)}")
+        assert [line.rpartition(",")[0] for line in out.splitlines()] == expected, (argv, text)
+
+
+def test_the_row_pass_is_refereed_by_evaluate(capsys):
+    # every planar family at m <= 8, each V/S/P module with each target and the length
+    seen = {"zero series": 0, "base 0 at n = 0": 0, "leading base 0": 0}
+    for family in (Family.PLANAR_ROOK, Family.TEMPERLEY_LIEB, Family.MOTZKIN):
+        for m in range(1, 9):
+            table = simple_table(family, m)
+            fm = ("--family", family.value.replace("_", "-"), "--m", str(m))
+            for selector in [f"{kind}{label}" for kind in "VSP" for label in table.labels]:
+                spec = module_spec(family, m, selector)
+                for target in (None, *table.labels):
+                    if target is None:
+                        argv, series = ("growth", "length", *fm, "--module", selector), length_series(spec, table)
+                    else:
+                        argv = ("growth", "multiplicity", *fm, "--module", selector, "--target", f"V{target}")
+                        series = multiplicity_series(spec, table, target)
+                    _rows_are_evaluated(capsys, argv, series)
+                    seen["zero series"] += not series.terms
+                    seen["base 0 at n = 0"] += any(b == 0 for _, b in series.terms)
+                    seen["leading base 0"] += bool(series.terms) and leading_term(series).terms[0][1] == 0
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(1, 7), (1, -7)],  # k(n) = 0 at odd n
+        [(2, -7), (1, 7), (3, 1), (-4, 0)],  # k(n) = 3 * 7^n or -7^n by parity, and a base 0
+        [(1, 3), (-1, -3), (2, 2), (5, -2)],
+        [(Fraction(1, 2), 4), (Fraction(-3, 2), 1)],
+        [(6, 0)],
+    ],
+)
+def test_the_row_pass_reads_signed_and_zero_bases(capsys, monkeypatch, pairs):
+    # the planar families' series at m <= 8 have no negative base: given one by hand
+    series = ExpSum.make(pairs)
+    monkeypatch.setattr(cli, "_growth_series", lambda spec, target: series)
+    _rows_are_evaluated(capsys, ("growth", "length", *_TL7_V3), series)
+
+
 def test_growth_requires_target_for_multiplicity(capsys):
     code, _, err = run(
         capsys, "growth", "multiplicity", "--family", "tl", "--m", "7", "--module", "V3"
@@ -377,9 +432,9 @@ def test_a_negative_n_is_refused_before_the_work(capsys, monkeypatch, n):
 @pytest.mark.parametrize(
     "argv, stage",
     [
-        (("growth", "length", *_TL7_V3, "--n", "1000000"), "evaluate"),
+        (("growth", "length", *_TL7_V3, "--n", "1000000"), "_growth_rows"),
         # 6,101 values, the last past the limit: the digit limit decides
-        (("growth", "length", *_TL7_V3, "--n", "3900..10000"), "evaluate"),
+        (("growth", "length", *_TL7_V3, "--n", "3900..10000"), "_growth_rows"),
         (("asym", "involutions", "--m", "2000"), "involution_sum"),
         (("asym", "involutions", "--m", "4000"), "involution_sum"),
         (("asym", "involutions", "--m", "100000000"), "involution_sum"),
@@ -457,10 +512,13 @@ def test_unlimited_digits_refuse_nothing(capsys, monkeypatch):
     monkeypatch.setattr(cli, "linear_monoid_constant", lambda p, r: Fraction(1, 3))
     code, out, _ = run(capsys, "asym", "linear-monoid", "--p", "3", "--r", "10000000")
     assert code == 0 and out.startswith("1/3 = ")
+    # the row pass is stubbed, so that no value of a million digits is printed
     reached = []
-    monkeypatch.setattr(cli, "evaluate", lambda es, n: reached.append(n) or Fraction(1))
+    monkeypatch.setattr(
+        cli, "_growth_rows", lambda series, lead, span: reached.extend(span) or [(n, 1, 1, Fraction(1)) for n in span]
+    )
     code, out, _ = run(capsys, "growth", "length", *_TL7_V3, "--n", "1000000")
-    assert code == 0 and reached == [1000000, 1000000]
+    assert code == 0 and reached == [1000000] and out.endswith("\n1000000,1,1,1,1\n")
 
 
 def _past_limit(x: int, limit: int) -> bool:

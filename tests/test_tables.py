@@ -850,6 +850,21 @@ def test_tables_refuse_a_family_or_m_of_the_wrong_type(family, m, message):
         cell_table(family, m)
 
 
+@pytest.mark.parametrize(
+    "family, m, message",
+    [
+        ("tl", 7, "family must be a Family, not 'tl'"),  # answered True as a catalogued family
+        (Family.TEMPERLEY_LIEB, True, "m must be an int, not True"),  # answered False as m = 1
+        (Family.TEMPERLEY_LIEB, 2.5, "m must be an int, not 2.5"),  # answered False
+        (Family.TEMPERLEY_LIEB, "7", "m must be an int, not '7'"),  # raised TypeError
+    ],
+)
+def test_group_injective_refuses_a_family_or_m_of_the_wrong_type(family, m, message):
+    # it answers the non-planar families too, so it checks the types without `_label_range`
+    with pytest.raises(InputError, match=f"^{message}$"):
+        group_injective(family, m)
+
+
 @pytest.mark.parametrize("m", [0, -3])
 def test_public_entries_refuse_m_below_1(m):
     for call in (rank_labels, group_injective, cell_table):

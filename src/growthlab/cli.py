@@ -360,7 +360,7 @@ def _cmd_pl(args, out) -> int:
     if args.what == "digits":
         print(pl_digits(args.a, params), file=out)
     elif args.what == "support":
-        twists = sum(map(bool, pl_digits(args.a + 1, params)[1:])) if args.a >= 0 else 0
+        twists = sum(map(bool, pl_digits(args.a + 1, params)[1:]))  # a < 0: "need a >= 0", here or below
         if twists > _MAX_TWISTS:
             raise InputError(f"a + 1 has {twists} nonzero digits after the leading one (at most {_MAX_TWISTS})")
         print(sorted(pl_support(args.a, params)), file=out)
@@ -398,8 +398,8 @@ _INT = {"type": int, "required": True}
 # name with its add_argument keywords; a command with subcommands has instead
 # the dest of its subcommand and the words of each.  `_read` reads a
 # well-formed call off this table with no argparse imported, and
-# `_build_parser` builds the full parser from it; the JSON output goes
-# through `tables._json_text`, so the CLI imports no `json`
+# `_build_parser` builds the full parser from it.  JSON goes through `tables._json_text`, not
+# `json.dumps`, though `tables` loads the `json` package for its string quoter (`json.encoder`)
 _GRAMMAR = {
     "chartable": (_cmd_chartable, "emit a character table", {
         "--family": _REQUIRED,

@@ -71,6 +71,26 @@ DEFAULT_MAX_M = {
 }
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """The rule for a family, a module selector and (p, l) params: value is a kind."""
+    if not isinstance(value, kind):
+        raise InputError(f"{name} must be a {kind.__name__}, not {value!r}")
+
+
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """The int rule of every int argument: an int (a bool is none here) and, given low, at least low."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be an int, not {value!r}")
+    if low is not None and value < low:
+        raise InputError(f"need {name} >= {low}")
+
+
+def _check_family_and_m(family: Family, m: int, low: int | None = 1) -> None:
+    """The family-and-m rule: family is a `Family` and m an int of at least low (1 unless given)."""
+    _check_type("family", family, Family)
+    _check_int("m", m, low)
+
+
 def max_enumerable_m(family: Family) -> int:
     env = os.environ.get("GROWTHLAB_MAX_M")
     if env is not None:
@@ -78,8 +98,7 @@ def max_enumerable_m(family: Family) -> int:
             value = int(env)
         except ValueError as exc:
             raise InputError(f"GROWTHLAB_MAX_M={env!r} is not an integer") from exc
-        if value < 1:
-            raise InputError(f"GROWTHLAB_MAX_M={env!r} must be at least 1")
+        _check_int("GROWTHLAB_MAX_M", value, 1)
         return value
     return DEFAULT_MAX_M[family]
 
@@ -108,8 +127,7 @@ def _checked_partners(family: Family, m: int, blocks) -> tuple[tuple[Block, ...]
         raise InputError(f"{family!r} is not a diagram family")
     if family not in PLANAR_FAMILIES:
         raise InputError(f"{family.value} diagrams are not supported")
-    if type(m) is not int:
-        raise InputError(f"m must be an int, not {m!r}")
+    _check_int("m", m)
     if m < 1:
         raise InputError("need at least one strand")
     try:
@@ -123,17 +141,17 @@ def _checked_partners(family: Family, m: int, blocks) -> tuple[tuple[Block, ...]
     if any(type(p) is not int for b in blocks for p in b):
         raise InputError("blocks do not partition the 2m points")
     blocks = _canonical_blocks(blocks)
-    pa = [-2] * (2 * m)  # -2 until the point is met
+    pa = [-2] * min(2 * m, sum(map(len, blocks)))  # -2 until met; no slot past the points given
     partition = True
     for b in blocks:
         if len(b) not in (1, 2):
             raise InputError(f"block {b} has size {len(b)}")
         for p, q in zip(b, b[::-1]):  # a singleton's q is p, its partner -1
-            if 0 < p <= 2 * m and pa[p - 1] == -2:
+            if 0 < p <= len(pa) and pa[p - 1] == -2:
                 pa[p - 1] = q - 1 if q != p else -1
             else:
                 partition = False
-    if not partition or -2 in pa:
+    if not partition or -2 in pa or len(pa) < 2 * m:
         raise InputError("blocks do not partition the 2m points")
     if family is Family.TEMPERLEY_LIEB and -1 in pa:
         raise InputError("Temperley-Lieb diagrams are perfect matchings")
@@ -183,6 +201,7 @@ def make_diagram(family: Family, m: int, blocks) -> Diagram:
 
 
 def identity_diagram(family: Family, m: int) -> Diagram:
+    _check_int("m", m)  # before its strands are counted
     return Diagram(family, m, tuple((k, m + k) for k in range(1, m + 1)))
 
 
@@ -297,8 +316,7 @@ def flip(d: Diagram) -> Diagram:
 
 def rank_labels(family: Family, m: int) -> tuple[int, ...]:
     """The set of possible ranks at m >= 1, ascending (TL ranks share the parity of m)."""
-    if m < 1:
-        raise InputError("need m >= 1")
+    _check_family_and_m(family, m)
     return tuple(_rank_range(family, m))
 
 
@@ -311,7 +329,7 @@ def _rank_range(family: Family, m: int) -> range:
     return range(m + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: m = 3.0 or j = True is no hit on 3 or 1
 def class_idempotent(family: Family, m: int, j: int) -> Diagram:
     """The canonical rank-j idempotent.
 
@@ -319,6 +337,7 @@ def class_idempotent(family: Family, m: int, j: int) -> Diagram:
     isolated top and bottom (planar rook, Motzkin) or paired into adjacent
     cups on top and adjacent caps on bottom (Temperley-Lieb).
     """
+    _check_int("j", j)
     if j not in rank_labels(family, m):
         raise InputError(f"rank {j} is not attained in {family.value} on {m} strands")
     blocks = [(k, m + k) for k in range(1, j + 1)]
@@ -334,7 +353,8 @@ def class_idempotent(family: Family, m: int, j: int) -> Diagram:
 
 
 def _check_enumerable(family: Family, m: int, capped: bool = True) -> None:
-    """InputError unless family is planar and 1 <= m <= its cap (any m >= 1 if not capped)."""
+    """InputError unless family is planar and the int m has 1 <= m <= its cap (any m >= 1 if not capped)."""
+    _check_family_and_m(family, m, None)
     if family not in PLANAR_FAMILIES:
         raise InputError(f"{family.value} cannot be enumerated")
     if m < 1 or capped and m > max_enumerable_m(family):
@@ -409,10 +429,10 @@ def enumerate_diagrams(family: Family, m: int) -> tuple[Diagram, ...]:
 
 def expected_order(family: Family, m: int) -> int:
     """Known monoid orders (central binomial / Catalan / Motzkin numbers), for m >= 1."""
+    _check_type("family", family, Family)
     if family not in PLANAR_FAMILIES:
         raise InputError(f"no enumeration for {family.value}")
-    if m < 1:
-        raise InputError("need m >= 1")
+    _check_int("m", m, 1)
     if family is Family.PLANAR_ROOK:
         return comb(2 * m, m)
     return catalan_number(m) if family is Family.TEMPERLEY_LIEB else motzkin_number(2 * m)
@@ -454,8 +474,7 @@ def generators(family: Family, m: int) -> tuple[Diagram, ...]:
     each is a product of shifts (p_i = l_i r_i for i < m, p_m = r_{m-1}
     l_{m-1}); at m = 1 there are no shifts and p_1 alone generates.
     """
-    if family not in PLANAR_FAMILIES:
-        raise InputError(f"{family.value} has no diagram generators")
+    _check_enumerable(family, m, capped=False)
 
     def local(moved, blocks) -> Diagram:
         strands = [(k, m + k) for k in range(1, m + 1) if k not in moved]

@@ -26,7 +26,8 @@ from functools import cached_property
 from itertools import compress, repeat
 from operator import mul
 
-from .errors import InputError, InternalCheckError, VerificationError
+from .diagrams import _check_int
+from .errors import InternalCheckError, VerificationError
 from .graph import distances, scc
 from .growth import ModuleSpec, _check_compatible
 from .linalg import Mat, _substitute, int_identity, int_mul
@@ -107,8 +108,7 @@ def power_multiplicities(g: FusionGraph, n: int) -> tuple[int, ...]:
     forms A v as the sum of v_j times column j over the nonzero v_j only, one
     `map` per term and one `sum` per entry, handed back as ints.
     """
-    if n < 0:
-        raise InputError("need n >= 0")
+    _check_int("n", n, 0)
     k = len(g.labels)
     v = [int(i == g.trivial_index) for i in range(k)]
     cols = list(zip(*g.rows))
@@ -189,8 +189,7 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, simple: CharTable, max_n: i
     monoid or kind, or a non-integer character value, or max_n < 0, raises
     InputError; any mismatch raises VerificationError.
     """
-    if max_n < 0:
-        raise InputError("need max_n >= 0")
+    _check_int("max_n", max_n, 0)
     _check_compatible(spec, simple)
     chi = spec.bases
     a = g.rows

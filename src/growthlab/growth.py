@@ -37,7 +37,7 @@ from functools import cached_property
 from math import factorial, lcm
 from operator import mul
 
-from .diagrams import Family, PLANAR_FAMILIES
+from .diagrams import Family, PLANAR_FAMILIES, _check_family_and_m, _check_int, _check_type
 from .errors import InputError, InternalCheckError
 from .linalg import Mat, _solve
 from .record import Record
@@ -71,6 +71,9 @@ class ExpSum(Record):
         """
         merged: dict[int, int | Fraction] = {}
         for coeff, base in pairs:
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
+                raise InputError(f"coefficient must be an int or a Fraction, not {coeff!r}")
+            _check_int("base", base)
             merged[base] = merged.get(base, 0) + coeff
         terms = [(Fraction(c), b) for b, c in merged.items() if c != 0]
         terms.sort(key=lambda t: (-abs(t[1]), -t[1]))
@@ -78,8 +81,7 @@ class ExpSum(Record):
 
     def evaluate(self, n: int) -> Fraction:
         """Value at n >= 0, with 0^0 = 1, summed on ints over the lcm of the denominators."""
-        if n < 0:
-            raise InputError("exponential sums are evaluated at n >= 0")
+        _check_int("n", n, 0)
         d = lcm(*(c.denominator for c, _ in self.terms))
         return Fraction(sum(c.numerator * (d // c.denominator) * b**n for c, b in self.terms), d)
 
@@ -182,6 +184,7 @@ def parse_selector(family: Family, m: int, selector: str) -> tuple[str, int]:
     Family, m and the label are checked, in that order, without building
     any table.
     """
+    _check_type("selector", selector, str)
     match = _SELECTOR.match(selector.strip())
     if not match:
         raise InputError(f"bad module selector {selector!r} (want V<i>, S<i> or P<i>)")
@@ -391,8 +394,7 @@ def involution_counts(m: int) -> Iterator[int]:
 
 def involution_sum(m: int) -> tuple[Fraction, int]:
     """(sum_z 1/((m-2z)! z! 2^z), m! times it) — the involution count I(m)."""
-    if m < 1:
-        raise InputError("need m >= 1")
+    _check_int("m", m, 1)
     total = sum(
         Fraction(1, factorial(m - 2 * z) * factorial(z) * 2**z)
         for z in range(m // 2 + 1)
@@ -414,10 +416,7 @@ def an_constant(family: Family, m: int) -> Fraction:
     1 for the planar families (trivial group of units); the involution sum
     for the families whose group of units is the symmetric group.
     """
-    if not isinstance(family, Family):
-        raise InputError(f"unknown family {family!r}")
-    if m < 1:
-        raise InputError("need m >= 1")
+    _check_family_and_m(family, m)
     if family in PLANAR_FAMILIES:
         return Fraction(1)
     return involution_sum(m)[0]
@@ -430,8 +429,7 @@ def idempotent_multiplicity(idem, charvalues, n: int) -> Fraction:
     classes with their sizes folded into the coefficients); charvalues maps
     labels to character values.
     """
-    if n < 0:
-        raise InputError("tensor powers need n >= 0")
+    _check_int("n", n, 0)
     total = Fraction(0)
     for coeff, label in idem:
         if label not in charvalues:
@@ -442,15 +440,15 @@ def idempotent_multiplicity(idem, charvalues, n: int) -> Fraction:
 
 def n0_upper_bound(l_class_count: int, semigroup: bool = False) -> int:
     """Steps needed before a unit-group module appears: L-1 (monoid) or L."""
-    if l_class_count < 1:
-        raise InputError("need at least one L-class")
+    _check_int("l_class_count", l_class_count, 1)
     return l_class_count if semigroup else l_class_count - 1
 
 
 def m0_upper_bound(l_class_count: int, group_order: int, scalar_subgroup_order: int) -> int:
     """Bound L + |G|/|Z| + |Z| - 3 for the first projective-induced summand."""
-    if l_class_count < 1 or group_order < 1 or scalar_subgroup_order < 1:
-        raise InputError("counts must be positive")
+    _check_int("l_class_count", l_class_count, 1)
+    _check_int("group_order", group_order, 1)
+    _check_int("scalar_subgroup_order", scalar_subgroup_order, 1)
     if group_order % scalar_subgroup_order:
         raise InputError("scalar subgroup order must divide the group order")
     return l_class_count + group_order // scalar_subgroup_order + scalar_subgroup_order - 3
@@ -458,9 +456,8 @@ def m0_upper_bound(l_class_count: int, group_order: int, scalar_subgroup_order: 
 
 def linear_monoid_constant(p: int, r: int) -> Fraction:
     """The k(n)/dim^n constant for 2x2 matrix monoids over F_q, q = p^r."""
-    if not _is_prime(p):
+    _check_int("r", r, 1)
+    if not _is_prime(p):  # which takes p by the int rule first
         raise InputError(f"{p} is not prime")
-    if r < 1:
-        raise InputError("need r >= 1")
     q = p**r
     return Fraction(2 * r - 1 + (2 * p - 1) ** r - 2**r, q * q - 1)

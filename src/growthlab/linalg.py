@@ -33,6 +33,7 @@ from itertools import compress, count, islice
 from math import gcd, lcm
 from operator import attrgetter, mul
 
+from .diagrams import _check_int
 from .errors import DimensionError, InputError, SingularMatrixError
 from .record import Record
 
@@ -58,7 +59,8 @@ class Mat(Record):
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        _check_int("n", n)  # an n below 1 is left to the shape rule
+        return cls(int_identity(n))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)

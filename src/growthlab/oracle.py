@@ -52,6 +52,7 @@ from .diagrams import (
     Diagram,
     Family,
     _check_enumerable,
+    _check_int,
     _half_arrays,
     class_idempotent,
     expected_order,
@@ -254,8 +255,7 @@ def oracle_multiplicity(spec: ModuleSpec, n: int) -> tuple[int, ...]:
     """[V^(x)n : V_j] for every label j, in label order, from brute-force
     character data only: the transposed brute-force simple table solved against
     the pointwise n-th powers of the character, checked by `_check_module`."""
-    if n < 0:
-        raise InputError("need n >= 0")
+    _check_int("n", n, 0)
     _check_module(spec)
     return _decomposition(spec.family, spec.m, tuple(b**n for b in spec.bases))
 

@@ -57,7 +57,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from operator import add, sub
 
-from .diagrams import Family, _rank_range, rank_labels
+from .diagrams import Family, _check_family_and_m, _check_int, _check_type, _rank_range, rank_labels
 from .errors import InputError, InternalCheckError
 from .linalg import Mat, _check_unit_triangular
 from .record import Record
@@ -72,6 +72,7 @@ def label_index(labels: tuple[int, ...] | range, label: int, family: Family, m: 
     An unknown label raises InputError naming the label, the family, m and
     the rule of `rank_labels`, which unlike the labels does not grow with m.
     """
+    _check_int("label", label)
     try:
         return labels.index(label)
     except ValueError:
@@ -123,16 +124,6 @@ _STEPS = {
     Family.TEMPERLEY_LIEB: (-1, 1),
     Family.MOTZKIN: (-1, 0, 1),
 }
-
-
-def _check_family_and_m(family: Family, m: int) -> None:
-    """Refuse a family that is not a `Family`, an m that is not an int (bool included) and m < 1."""
-    if not isinstance(family, Family):
-        raise InputError(f"family must be a Family, not {family!r}")
-    if type(m) is not int:
-        raise InputError(f"m must be an int, not {m!r}")
-    if m < 1:
-        raise InputError("need m >= 1")
 
 
 def _label_range(family: Family, m: int) -> range:
@@ -396,7 +387,8 @@ _PRIME_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; an n it cannot decide exactly is refused."""
+    """Deterministic Miller-Rabin on the int rule's p; an n it cannot decide exactly is refused."""
+    _check_int("p", n)
     if n < 43:
         return n in _PRIME_BASES
     if n >= _PRIME_BOUND:
@@ -423,8 +415,7 @@ class PLParams(Record):
     l: int
 
     def __post_init__(self):
-        if self.l < 2:
-            raise InputError("l must be at least 2")
+        _check_int("l", self.l, 2)
         if self.p is not INFINITY and not _is_prime(self.p):
             raise InputError(f"p must be prime or INFINITY, got {self.p}")
 
@@ -442,8 +433,8 @@ def pl_digits(a: int, params: PLParams) -> list[int]:
     to exactly two digits [a // l, a mod l] (the leading digit may be 0), so
     that "all non-leading digits vanish" means "divisible by l".
     """
-    if a < 0:
-        raise InputError("digits of a negative integer")
+    _check_int("a", a, 0)
+    _check_type("params", params, PLParams)
     l = params.l
     if params.p is INFINITY:
         return [a // l, a % l]
@@ -472,8 +463,7 @@ def pl_support(a: int, params: PLParams) -> frozenset[int]:
     with Lambda_m.  A zero digit has no sign to choose, so k nonzero digits
     after the leading one give at most 2^k values, built one digit at a time.
     """
-    if a < 0:
-        raise InputError("support of a negative integer")
+    _check_int("a", a, 0)
     digits = pl_digits(a + 1, params)
     weights = _radix_weights(len(digits), params)
     values = {digits[0] * weights[0] - 1}
@@ -485,8 +475,7 @@ def pl_support(a: int, params: PLParams) -> frozenset[int]:
 
 def ancestorless(a: int, params: PLParams) -> bool:
     """True when every digit of a except the leading one is zero."""
-    digits = pl_digits(a, params)
-    return all(d == 0 for d in digits[1:])
+    return not any(pl_digits(a, params)[1:])
 
 
 def group_injective(family: Family, m: int) -> bool:
@@ -540,6 +529,8 @@ def decomposition_matrix(
     V_z and V_{z+2}; planar rook is semisimple (identity matrix).
     """
     labels = _label_range(family, m)
+    if params is not None:
+        _check_type("params", params, PLParams)
     if family is Family.MOTZKIN and params not in (None, CHAR0_MO):
         raise InputError("Motzkin decomposition matrices are char-0 only")
     supports = {i: pl_support(i, params or _CHAR0[family]) if family in _CHAR0 else {i} for i in labels}
@@ -556,7 +547,8 @@ def mo_simple_entry_closed(j: int, i: int) -> int:
     Counts humps of height l across all Motzkin paths of order j; used as an
     independent cross-check of the reflection recursion.
     """
-    if i <= 0 or i % 2:
+    _check_int("i", i, 2)
+    if i % 2:
         raise InputError("closed form applies to even labels i > 0")
     l = i // 2
     total = 0

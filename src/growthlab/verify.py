@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import comb
 
 from . import oracle, reference
-from .diagrams import DEFAULT_MAX_M, Family, class_idempotent, expected_order, max_enumerable_m, rank_labels
-from .errors import InternalCheckError, VerificationError
+from .diagrams import DEFAULT_MAX_M, Family, _check_int, class_idempotent, expected_order, max_enumerable_m, rank_labels
+from .errors import InputError, InternalCheckError, VerificationError
 from .fusion import fusion_matrix, power_multiplicities, realized_n0, scc_analysis, spectral_check
 from .growth import ModuleSpec, evaluate, length_series, module_spec, multiplicity_series
 from .linalg import int_identity, int_mul
@@ -300,17 +300,12 @@ SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(suite: str = "all", max_m: int | None = None) -> list[CheckResult]:
-    if suite == "all":
-        names = SUITES
-    elif suite in _SUITE_FNS:
-        names = (suite,)
-    else:
-        raise VerificationError(f"unknown suite {suite!r}")
+    if suite != "all" and suite not in SUITES:  # a tuple: an unhashable suite is unknown, not a TypeError
+        raise InputError(f"unknown suite {suite!r}")
+    if max_m is not None:
+        _check_int("max_m", max_m, 1)
     tables = _Tables()  # held for this run only
-    results: list[CheckResult] = []
-    for name in names:
-        results.extend(_SUITE_FNS[name](max_m, tables))
-    return results
+    return [result for name in (SUITES if suite == "all" else (suite,)) for result in _SUITE_FNS[name](max_m, tables)]
 
 
 def canonical_idempotent_texts(max_m: int | None = None):

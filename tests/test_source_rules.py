@@ -347,3 +347,49 @@ def test_every_public_name_is_called_exported_or_read_by_perfbench():
         if qualified not in kept and counts.get(name, 0) == sum(1 for own in names(node) if own == name)
     ]
     assert unused == []
+
+
+# the rules that stay with their owners (README, "Values, exactness and threads"): the int
+# rule itself, a Diagram's block points and its "need at least one strand", the enumeration
+# cap, and the CLI's own words for --n and --max-m
+OWN_INT_RULES = {
+    "diagrams.py:_check_int", "diagrams.py:_checked_partners", "diagrams.py:_check_enumerable",
+    "cli.py:_parse_range", "cli.py:_cmd_verify",
+}
+
+
+def _called(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def _int_rule_copies(sources) -> set[str]:
+    """file:function for each function that compares `type(...) is not int`, or raises
+    an InputError under an `if` that bounds a value from below (`x < 1`, `x <= 0`)."""
+    found = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.IsNot):
+                    if _called(node.left, "type") and getattr(node.comparators[0], "id", None) == "int":
+                        found.add(f"{path.name}:{fn.name}")
+                if isinstance(node, ast.If) and any(
+                    isinstance(raised, ast.Raise) and _called(raised.exc, "InputError") for raised in node.body
+                ):
+                    for compare in ast.walk(node.test):
+                        if isinstance(compare, ast.Compare) and any(
+                            isinstance(op, (ast.Lt, ast.LtE)) and isinstance(right, ast.Constant)
+                            for op, right in zip(compare.ops, compare.comparators)
+                        ):
+                            found.add(f"{path.name}:{fn.name}")
+    return found
+
+
+def test_each_argument_rule_is_written_once():
+    # m, n, a count or a label is checked by `diagrams._check_int`, and a family with m by
+    # `diagrams._check_family_and_m`: a copy elsewhere drifts, as "need m >= 1" once did
+    # in seven places with no type check in most; every owned rule is still seen, so the
+    # walk finds what it looks for
+    assert sorted(_int_rule_copies(SOURCES) ^ OWN_INT_RULES) == []

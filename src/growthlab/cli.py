@@ -92,11 +92,6 @@ def _decimal12(x: Fraction) -> str:
 _MAX_SPAN = 10_000
 
 
-# the most nonzero digits after the leading one of a + 1 that `pl support`
-# twists: each doubles the support, and a call at 16 takes about 0.25 s
-_MAX_TWISTS = 16
-
-
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
@@ -360,9 +355,6 @@ def _cmd_pl(args, out) -> int:
     if args.what == "digits":
         print(pl_digits(args.a, params), file=out)
     elif args.what == "support":
-        twists = sum(map(bool, pl_digits(args.a + 1, params)[1:]))  # a < 0: "need a >= 0", here or below
-        if twists > _MAX_TWISTS:
-            raise InputError(f"a + 1 has {twists} nonzero digits after the leading one (at most {_MAX_TWISTS})")
         print(sorted(pl_support(args.a, params)), file=out)
     else:
         print(ancestorless(args.a, params), file=out)

@@ -72,7 +72,7 @@ DEFAULT_MAX_M = {
 
 
 def _check_type(name: str, value, kind: type) -> None:
-    """The rule for a family, a module selector and (p, l) params: value is a kind."""
+    """The rule for a family, a module selector, (p, l) params and a library record: value is a kind."""
     if not isinstance(value, kind):
         raise InputError(f"{name} must be a {kind.__name__}, not {value!r}")
 
@@ -292,6 +292,8 @@ def _middle(pa: Partners, pb: Partners) -> tuple[int, int]:
 
 def compose(a: Diagram, b: Diagram) -> ComposeResult:
     """Stack a on top of b (_glue); count and discard middle loops and dead points (_middle)."""
+    _check_type("a", a, Diagram)
+    _check_type("b", b, Diagram)
     if a.family is not b.family or a.m != b.m:
         raise InputError("can only compose diagrams of the same family and size")
     pa, pb = a.partners, b.partners
@@ -300,6 +302,7 @@ def compose(a: Diagram, b: Diagram) -> ComposeResult:
 
 def rank(d: Diagram) -> int:
     """Number of through strands (blocks joining top to bottom)."""
+    _check_type("d", d, Diagram)
     return d.rank()
 
 
@@ -311,6 +314,7 @@ def _flip_partners(pa: Partners) -> Partners:
 
 def flip(d: Diagram) -> Diagram:
     """Exchange top and bottom rows; an involutive anti-automorphism."""
+    _check_type("d", d, Diagram)
     return _from_partners(d.family, d.m, _flip_partners(d.partners))
 
 
@@ -329,7 +333,6 @@ def _rank_range(family: Family, m: int) -> range:
     return range(m + 1)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: m = 3.0 or j = True is no hit on 3 or 1
 def class_idempotent(family: Family, m: int, j: int) -> Diagram:
     """The canonical rank-j idempotent.
 
@@ -340,6 +343,12 @@ def class_idempotent(family: Family, m: int, j: int) -> Diagram:
     _check_int("j", j)
     if j not in rank_labels(family, m):
         raise InputError(f"rank {j} is not attained in {family.value} on {m} strands")
+    return _class_idempotent(family, m, j)
+
+
+@lru_cache(maxsize=None)  # keyed by checked ints only: no float m or bool j reaches it
+def _class_idempotent(family: Family, m: int, j: int) -> Diagram:
+    """`class_idempotent` for a family, m and rank j that it has checked."""
     blocks = [(k, m + k) for k in range(1, j + 1)]
     if family is Family.TEMPERLEY_LIEB:
         for k in range(j + 1, m, 2):

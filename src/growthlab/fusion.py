@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import compress, repeat
 from operator import mul
 
-from .diagrams import _check_int
+from .diagrams import _check_int, _check_type
 from .errors import InternalCheckError, VerificationError
 from .graph import distances, scc
 from .growth import ModuleSpec, _check_compatible
@@ -108,6 +108,7 @@ def power_multiplicities(g: FusionGraph, n: int) -> tuple[int, ...]:
     forms A v as the sum of v_j times column j over the nonzero v_j only, one
     `map` per term and one `sum` per entry, handed back as ints.
     """
+    _check_type("g", g, FusionGraph)
     _check_int("n", n, 0)
     k = len(g.labels)
     v = [int(i == g.trivial_index) for i in range(k)]
@@ -124,6 +125,7 @@ def realized_n0(g: FusionGraph, targets) -> int | None:
 
     Breadth-first over positive-weight edges; None when unreachable.
     """
+    _check_type("g", g, FusionGraph)
     target_idx = {g.label_index(t) for t in targets}
     dist = distances(g._support, g.trivial_index)
     reached = [dist[t] for t in target_idx if dist[t] is not None]
@@ -143,6 +145,7 @@ def scc_analysis(g: FusionGraph) -> SccReport:
     A component is absorbing when no edge leaves it and it is reachable from
     every node.
     """
+    _check_type("g", g, FusionGraph)
     succ = g._support
     comp_of = scc(succ)
     comps: dict[int, list[int]] = {}
@@ -189,6 +192,7 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, simple: CharTable, max_n: i
     monoid or kind, or a non-integer character value, or max_n < 0, raises
     InputError; any mismatch raises VerificationError.
     """
+    _check_type("g", g, FusionGraph)
     _check_int("max_n", max_n, 0)
     _check_compatible(spec, simple)
     chi = spec.bases
@@ -223,6 +227,8 @@ def spectral_check(g: FusionGraph, spec: ModuleSpec, simple: CharTable, max_n: i
 
 def to_dot(g: FusionGraph, report: SccReport) -> str:
     """DOT text; nodes in label order, absorbing component double-circled."""
+    _check_type("g", g, FusionGraph)
+    _check_type("report", report, SccReport)
     absorbing = set(report.absorbing)
     lines = ["digraph fusion {"]
     for k, label in enumerate(g.labels):

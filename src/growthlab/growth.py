@@ -11,14 +11,15 @@ table; so a weighted sum sum_t w_t y_t is c . (chi(j)^n)_j with c = X^-1 w,
 and l(n) (all weights 1) has c = X^-1 (1, ..., 1).  X^-1 = C^-1 (I + P), C
 the cell table and P the map i -> i^+, so V_t's multiplicity reads column t
 of X^-1 (columns t and t^- of C^-1, each from a Riordan recurrence on ints)
-and l(n) the running sum of those columns over the labels; the module's
-character is a few cell rows summed in one lattice pass (`module_spec`).  No
-table is built.  The one column is added into one slot per distinct base, the
-bases kept on the spec in `ExpSum` order, so a series comes out canonical.
-The library entries and the CLI take one route: the column comes from
-`tables`, which keeps both kinds for t, m <= 64 for the process and past the
-bound computes each C^-1 column once per call, so a series holds O(m) ints at
-a time beyond those memos.
+and l(n) the sum of those columns over the labels; the module's character is
+a few cell rows summed in one lattice pass (`module_spec`).  No table is
+built.  The one column is added into one slot per distinct base, the bases
+kept on the spec in `ExpSum` order, so a series comes out canonical.  The
+library entries and the CLI take one route: the column comes from `tables`.
+Up to m = 64 it keeps both kinds for the process, the length column as a
+running sum; past it a length column is the sum of the C^-1 columns t, each
+added once more when t^+ <= m, and each is computed once per call, so a
+series holds O(m) ints at a time beyond those memos.
 Bases with value 0 are kept: under the convention 0^0 = 1 they make every
 length formula return 1 at n = 0 (the trivial module), while for n >= 1 they
 vanish — printed formulas usually show only the n >= 1 part, and the human
@@ -168,6 +169,7 @@ class ModuleSpec(Record):
 
     @staticmethod
     def from_table(table: CharTable, label: int, prefix: str) -> "ModuleSpec":
+        _check_type("table", table, CharTable)
         row = table.rows[table.index(label)]
         return ModuleSpec(
             label=f"{prefix}{label}",
@@ -202,6 +204,8 @@ def module_spec(family: Family, m: int, selector: str) -> ModuleSpec:
 
 
 def _check_compatible(spec: ModuleSpec, simple: CharTable) -> None:
+    _check_type("spec", spec, ModuleSpec)
+    _check_type("simple", simple, CharTable)
     if spec.family is not simple.family or spec.m != simple.m:
         raise InputError("module and table belong to different monoids")
     if len(spec.charvec) != len(simple.labels):
@@ -214,9 +218,10 @@ def _growth_series(spec: ModuleSpec, target: int | None = None) -> ExpSum:
     """[V^(x)n : V_target], or l(n) with no target, as an exponential sum in n.
 
     (I + P) X = C with P[i][i^+] = 1 (`simple_table`), so c = X^-1 w is column t of
-    X^-1 = C^-1 (I + P) for V_t, and for l(n) the running sum X^-1 (1, ..., 1) of those
-    columns over the labels.  Both come at the label positions from `tables`, which keeps
-    them up to m = 64 and past it computes each C^-1 column once per call.  One pass adds
+    X^-1 = C^-1 (I + P) for V_t, and for l(n) the sum X^-1 (1, ..., 1) of those columns
+    over the labels.  Both come at the label positions from `tables`: up to m = 64 kept, the
+    length column as a running sum; past it C^-1 (I + P) (1, ..., 1), the C^-1 column t
+    taken twice when t^+ <= m, each C^-1 column computed once per call.  One pass adds
     the column into the slots of the spec's bases, so the sum comes out canonical.
     """
     family, m = spec.family, spec.m
@@ -282,6 +287,7 @@ class MonoidClassData(Record):
     @staticmethod
     def trivial_groups(simple: CharTable) -> "MonoidClassData":
         """Data of a monoid whose maximal subgroups are all trivial (L = X^T)."""
+        _check_type("simple", simple, CharTable)
         n = len(simple.labels)
         return MonoidClassData(
             group_orders=(1,) * n,
@@ -376,6 +382,7 @@ def convergence_report(spec: ModuleSpec) -> ConvergenceReport:
     A constant character means every element acts as a scalar; then chi_sec
     is 0 by convention.
     """
+    _check_type("spec", spec, ModuleSpec)
     values = {abs(x) for x in spec.charvec}
     top = max(values)
     rest = {v for v in values if v < top}

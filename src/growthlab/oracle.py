@@ -53,8 +53,8 @@ from .diagrams import (
     Family,
     _check_enumerable,
     _check_int,
+    _class_idempotent,
     _half_arrays,
-    class_idempotent,
     expected_order,
     rank_labels,
 )
@@ -184,7 +184,7 @@ def _module_rows(family: Family, m: int, i: int) -> tuple[tuple[int, ...], tuple
     module, gram = cell_module(family, m, i), _gram_rows(family, m, i)
     order, cells, zero = [], [], (0,) * len(gram)
     for j in rank_labels(family, m):
-        image = module.image(class_idempotent(family, m, j))
+        image = module.image(_class_idempotent(family, m, j))  # j is a label: checked
         fixed = [c for c, r in enumerate(image) if c == r]
         if not set(order).issubset(fixed):
             raise InternalCheckError(f"S_{i}: fixed points of e_{j} miss those of the label before")

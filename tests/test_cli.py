@@ -407,8 +407,8 @@ def test_large_prime_p_is_checked_at_once(capsys):
     "a, twists", [("99999999999999999999999", 38), (str(3 * (2**17 - 1)), 17)], ids=["38", "one-past-the-ceiling"]
 )
 def test_a_support_past_the_twist_ceiling_is_refused_at_once(capsys, monkeypatch, a, twists):
-    # 2**38 sign choices once ran until killed: the refusal comes before any
-    monkeypatch.setattr(cli, "pl_support", _unreachable)
+    # 2**38 sign choices once ran until killed: the library's refusal comes before any
+    monkeypatch.setattr(tables, "_radix_weights", _unreachable)
     start = time.perf_counter()
     code, out, err = run(capsys, "pl", "support", "--a", a, "--p", "2", "--l", "3")
     assert time.perf_counter() - start < 0.5
@@ -418,7 +418,7 @@ def test_a_support_past_the_twist_ceiling_is_refused_at_once(capsys, monkeypatch
 def test_a_support_at_the_twist_ceiling_prints_as_before(capsys):
     # a + 1 has the (2, 3) digits 1, 1, ..., 1: 16 after the leading one, 2**16 values
     code, out, err = run(capsys, "pl", "support", "--a", str(3 * (2**16 - 1)), "--p", "2", "--l", "3")
-    assert (code, err, cli._MAX_TWISTS, len(json.loads(out))) == (0, "", 16, 2**16)
+    assert (code, err, tables._MAX_TWISTS, len(json.loads(out))) == (0, "", 16, 2**16)
     assert hashlib.sha256(out.encode()).hexdigest() == "f1a1cf07a007c41e1ba069143673f442e0428f2eac1944fdc6ae2d7a918f809d"
     # a negative a is refused by the int rule, "need a >= 0"
     assert run(capsys, "pl", "support", "--a", "-3") == (2, "", "error: need a >= 0\n")

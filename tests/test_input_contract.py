@@ -1,14 +1,18 @@
 """The library's input contract (README, "Values, exactness and threads").
 
-Every public entry that takes m, n, a family, a label, a selector or (p, l)
-params either returns or raises an `InputError` that names the parameter.
+Every public entry that takes m, n, a family, a label, a selector, (p, l)
+params or a library record (a `Diagram`, `ModuleSpec`, `CharTable`,
+`FusionGraph` or `SccReport`) either returns or raises an `InputError` that
+names the parameter.
 The gate draws those arguments property-style (Claessen and Hughes,
 "QuickCheck", ICFP 2000): ints across 31 orders of magnitude, negative ones
 included, and bools, floats, strings and None.  A valid value costs work in
 proportion to its size.  So each argument has a ceiling: the largest value
 the gate may draw that the library accepts.  Values that the library refuses
 cheaply are drawn at every magnitude: those below 1, m past `sys.maxsize`,
-and m past the enumeration cap (GROWTHLAB_MAX_M=3 here).
+and m past the enumeration cap (GROWTHLAB_MAX_M=3 here).  A record argument
+is drawn valid half the time, else None, an int, a str or a record of
+another type.
 The probes that once returned floats or wrong answers, or raised a bare
 TypeError or AttributeError, are pinned below, each with its message.
 """
@@ -30,15 +34,19 @@ from growthlab import (
     Family,
     InputError,
     Mat,
+    MonoidClassData,
     PLParams,
     an_constant,
     ancestorless,
     cell_inverse,
     cell_table,
     class_idempotent,
+    compose,
+    convergence_report,
     decomposition_matrix,
     enumerate_diagrams,
     evaluate,
+    flip,
     fusion_matrix,
     green_data,
     group_injective,
@@ -56,11 +64,14 @@ from growthlab import (
     pl_support,
     power_multiplicities,
     projective_table,
+    rank,
     rank_labels,
     realized_n0,
     reflections,
+    scc_analysis,
     simple_table,
     spectral_check,
+    to_dot,
     trivial_label,
 )
 from growthlab.cli import main
@@ -74,6 +85,8 @@ V1 = module_spec(TL, 5, "V1")
 GRAPH = fusion_matrix(V1, TL5)
 SERIES = length_series(V1, TL5)
 DECOMPOSITION = decomposition_matrix(TL, 5)
+REPORT = scc_analysis(GRAPH)
+IDENTITY = identity_diagram(TL, 5)
 
 JUNK = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none())
 
@@ -101,6 +114,14 @@ SELECTOR = st.one_of(st.from_regex(r"[VSPx]?-?[0-9]{1,3}", fullmatch=True), arg(
 PARAMS = st.one_of(st.sampled_from([CHAR0_TL, CHAR0_MO, PLParams(2, 3), PLParams(7, 2)]), arg())
 COEFFICIENT = st.one_of(ints(10**30), st.fractions(max_denominator=9), JUNK)
 TABLE_M = arg(12, past_maxsize=True)
+RECORDS = (IDENTITY, V1, TL5, GRAPH, REPORT)
+
+
+def record(valid):
+    """valid half the time, else None, an int, a str or one of the other records."""
+    others = [other for other in RECORDS if type(other) is not type(valid)]
+    return half(st.just(valid), st.one_of(st.none(), st.integers(), st.text(max_size=3), st.sampled_from(others)))
+
 
 # each public entry and its arguments; the other arguments are fixed valid values
 GATE = {
@@ -111,9 +132,15 @@ GATE = {
     "enumerate_diagrams": (enumerate_diagrams, FAMILY, arg()),
     "green_data": (green_data, FAMILY, arg()),
     "rank_labels": (rank_labels, FAMILY, arg(1000, past_maxsize=True)),
-    "power_multiplicities": (power_multiplicities, st.just(GRAPH), arg(50)),
-    "spectral_check": (spectral_check, st.just(GRAPH), st.just(V1), st.just(TL5), arg(8)),
-    "realized_n0": (realized_n0, st.just(GRAPH), st.lists(arg(), max_size=3)),
+    "compose": (compose, record(IDENTITY), record(IDENTITY)),
+    "flip": (flip, record(IDENTITY)),
+    "rank": (rank, record(IDENTITY)),
+    "power_multiplicities": (power_multiplicities, record(GRAPH), arg(50)),
+    "spectral_check": (spectral_check, record(GRAPH), record(V1), record(TL5), arg(8)),
+    "realized_n0": (realized_n0, record(GRAPH), st.lists(arg(), max_size=3)),
+    "scc_analysis": (scc_analysis, record(GRAPH)),
+    "to_dot": (to_dot, record(GRAPH), record(REPORT)),
+    "fusion_matrix": (fusion_matrix, record(V1), record(TL5)),
     "FusionGraph.label_index": (GRAPH.label_index, arg()),
     "ExpSum.make": (ExpSum.make, st.lists(st.tuples(COEFFICIENT, arg()), max_size=3)),
     "ExpSum.evaluate": (SERIES.evaluate, arg(1000)),
@@ -127,8 +154,11 @@ GATE = {
     "n0_upper_bound": (n0_upper_bound, arg(), st.booleans()),
     "m0_upper_bound": (m0_upper_bound, arg(), arg(), arg()),
     "module_spec": (module_spec, FAMILY, TABLE_M, SELECTOR),
-    "ModuleSpec.from_table": (ModuleSpec.from_table, st.just(TL5), arg(), st.just("V")),
-    "multiplicity_series": (multiplicity_series, st.just(V1), st.just(TL5), arg()),
+    "ModuleSpec.from_table": (ModuleSpec.from_table, record(TL5), arg(), st.just("V")),
+    "multiplicity_series": (multiplicity_series, record(V1), record(TL5), arg()),
+    "length_series": (length_series, record(V1), record(TL5)),
+    "convergence_report": (convergence_report, record(V1)),
+    "MonoidClassData.trivial_groups": (MonoidClassData.trivial_groups, record(TL5)),
     "cell_table": (cell_table, FAMILY, TABLE_M),
     "simple_table": (simple_table, FAMILY, TABLE_M),
     "projective_table": (projective_table, FAMILY, TABLE_M),
@@ -144,7 +174,7 @@ GATE = {
     "DecompositionMatrix.cell_factors": (DECOMPOSITION.cell_factors, arg()),
     "PLParams": (PLParams, st.one_of(st.just(INFINITY), arg()), arg()),
     "pl_digits": (pl_digits, arg(), PARAMS),
-    "pl_support": (pl_support, arg(10**4), PARAMS),  # 2**k values for k nonzero digits
+    "pl_support": (pl_support, arg(), PARAMS),  # past 16 nonzero digits refused, not 2**k values built
     "ancestorless": (ancestorless, arg(), PARAMS),
     "Mat.identity": (Mat.identity, arg(30)),
 }
@@ -209,6 +239,20 @@ PROBES = {
     "pl-params-float-p": (lambda: PLParams(47.0, 3), "p must be an int, not 47.0"),
     "linear-monoid-str-p": (lambda: linear_monoid_constant("7", 1), "p must be an int, not '7'"),
     "mat-identity-float-n": (lambda: Mat.identity(2.5), "n must be an int, not 2.5"),
+    "class-idempotent-list-m": (lambda: class_idempotent(TL, [3], 1), "m must be an int, not [3]"),
+    "class-idempotent-list-j": (lambda: class_idempotent(TL, 3, [1]), "j must be an int, not [1]"),
+    "compose-int-b": (lambda: compose(IDENTITY, 5), "b must be a Diagram, not 5"),
+    "length-str-simple": (lambda: length_series(V1, "x"), "simple must be a CharTable, not 'x'"),
+    "power-str-g": (lambda: power_multiplicities("g", 2), "g must be a FusionGraph, not 'g'"),
+    "scc-none-g": (lambda: scc_analysis(None), "g must be a FusionGraph, not None"),
+    "fusion-none-simple": (lambda: fusion_matrix(V1, None), "simple must be a CharTable, not None"),
+    "spectral-none-g": (lambda: spectral_check(None, V1, None), "g must be a FusionGraph, not None"),
+    "dot-none-g": (lambda: to_dot(None, None), "g must be a FusionGraph, not None"),
+    "convergence-int-spec": (lambda: convergence_report(5), "spec must be a ModuleSpec, not 5"),
+    # had no ceiling in the library: it would build 2**51 sign twists
+    "pl-support-past-the-twists": (
+        lambda: pl_support(10**30, PLParams(2, 3)), "a + 1 has 51 nonzero digits after the leading one (at most 16)"
+    ),
     # raised OverflowError after a list of 2m slots was asked for
     "diagram-huge-m": (lambda: Diagram(TL, 10**30, ((1, 2),)), "blocks do not partition the 2m points"),
     # a verify run: the exit-3 class, a TypeError, and 131 checks without the oracle's

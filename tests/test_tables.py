@@ -316,6 +316,9 @@ def test_the_memo_holds_at_most_the_columns_up_to_the_bound(fresh_memo):
         growth.length_series(spec, simple)
         for target in [t for t in simple.labels if abs(t - KEPT) <= 2] + [simple.labels[-1]]:  # about the bound
             growth.multiplicity_series(spec, simple, target)
+    assert not tables._LENGTHS  # past the bound the length column is summed afresh, never kept
+    for family in PLANAR:  # the running sum up to the bound keeps one column per m
+        growth.length_series(growth.module_spec(family, KEPT, "V0"), simple_table(family, KEPT))
     for family in PLANAR:
         assert len(tables._PATHS[family]) == KEPT + 1
         for memo in MEMOS[1:]:  # keyed by (family, t) or (family, m)
@@ -324,11 +327,33 @@ def test_the_memo_holds_at_most_the_columns_up_to_the_bound(fresh_memo):
             assert len(kept) <= KEPT + 1
 
 
+def _solves_cell_system(family, m, c):
+    """Whether C c = w at m, w_i = 1 + [i^+ <= m]: the cell table C streamed column by column
+    from the lattice (`_cell_columns`) and w from the wall rule (`reflections`).  The length
+    column is X^-1 (1, ..., 1) = C^-1 (I + P) (1, ..., 1), so it passes, and C is invertible,
+    so nothing else does; no C^-1 column and no kept length column is read."""
+    labels = rank_labels(family, m)
+    total = [0] * len(labels)
+    for c_j, column in zip(c, tables._cell_columns(family, m, labels), strict=True):
+        total = [t + c_j * entry for t, entry in zip(total, column)]
+    return total == [1 + (reflections(i, family, m).plus is not None) for i in labels]
+
+
+@pytest.mark.parametrize("family", PLANAR)
+def test_the_length_column_solves_the_cell_system_on_both_sides_of_the_bound(fresh_memo, family):
+    for m in (KEPT - 1, KEPT, KEPT + 1, KEPT + 2, 130, 300):
+        column = tables._length_column(family, m)
+        assert _solves_cell_system(family, m, column), m
+        bumped = list(column)
+        bumped[m % len(bumped)] += 1  # one entry off by one: the certificate must see it
+        assert not _solves_cell_system(family, m, bumped), m
+
+
 def test_every_value_in_the_memo_is_a_tuple_of_ints(fresh_memo):
     for family in PLANAR:
-        m = KEPT + 3
-        spec = growth.module_spec(family, m, f"V{rank_labels(family, m)[1]}")
-        growth.length_series(spec, simple_table(family, m))
+        for m in (KEPT, KEPT + 3):  # the kept running sum, then a sum past the bound
+            spec = growth.module_spec(family, m, f"V{rank_labels(family, m)[1]}")
+            growth.length_series(spec, simple_table(family, m))
         cell_inverse(family, KEPT - 2)
     columns = [*(c for kept in tables._PATHS.values() for c in kept)]
     columns += [c for memo in MEMOS[1:] for c in memo.values()]

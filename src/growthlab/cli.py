@@ -26,7 +26,6 @@ from .errors import InputError, SingularMatrixError, VerificationError
 from .fusion import fusion_matrix, realized_n0, scc_analysis, to_dot, to_json as fusion_to_json
 from .growth import (
     ExpSum,
-    ModuleSpec,
     _growth_series,
     an_constant,
     involution_counts,
@@ -58,17 +57,9 @@ USAGE_ERROR, INPUT_ERROR, VERIFY_ERROR = 1, 2, 3
 
 _FAMILIES = {
     "pro": Family.PLANAR_ROOK,
-    "planar-rook": Family.PLANAR_ROOK,
     "tl": Family.TEMPERLEY_LIEB,
-    "temperley-lieb": Family.TEMPERLEY_LIEB,
     "mo": Family.MOTZKIN,
-    "motzkin": Family.MOTZKIN,
-    "rook": Family.ROOK,
-    "brauer": Family.BRAUER,
-    "rook-brauer": Family.ROOK_BRAUER,
-    "partition": Family.PARTITION,
-    "full-transformation": Family.FULL_TRANSFORMATION,
-    "partial-transformation": Family.PARTIAL_TRANSFORMATION,
+    **{f.value.replace("_", "-"): f for f in Family},
 }
 
 
@@ -287,12 +278,9 @@ def _cmd_growth(args, out) -> int:
 
 def _cmd_fusion(args, out) -> int:
     family = _family(args.family)
-    kind, label = parse_selector(family, args.m, args.module)  # before any table
+    parse_selector(family, args.m, args.module)  # before any table
     table = simple_table(family, args.m)
-    if kind == "V":  # the row is in the table at hand
-        spec = ModuleSpec.from_table(table, label, kind)
-    else:
-        spec = module_spec(family, args.m, args.module)
+    spec = module_spec(family, args.m, args.module)
     graph = fusion_matrix(spec, table)
     report = scc_analysis(graph)
     n0 = realized_n0(graph, set(report.absorbing)) if report.absorbing else None

@@ -27,7 +27,7 @@ from itertools import compress, repeat
 from operator import mul
 
 from .diagrams import _check_int, _check_type
-from .errors import InternalCheckError, VerificationError
+from .errors import InputError, VerificationError
 from .graph import distances, scc
 from .growth import ModuleSpec, _check_compatible
 from .linalg import Mat, _substitute, int_identity, int_mul
@@ -78,19 +78,20 @@ def fusion_matrix(spec: ModuleSpec, simple: CharTable) -> FusionGraph:
     Column j solves the unit-triangular integer system X^T col = chi * X_j,
     where X_j is row j of the simple table and the product is pointwise; all
     n columns go through one unchecked substitution on the checked simple
-    table (`_check_compatible`).  A non-integer chi raises InputError.
+    table (`_check_compatible`).  A non-integer chi, a negative multiplicity
+    and a table with no trivial row raise InputError; a unit upper triangular
+    table has at most one all-ones row.
     """
     _check_compatible(spec, simple)
     rows = simple.rows
     pointwise = [list(map(mul, spec.bases, row)) for row in rows]
     cols = _substitute(tuple(zip(*rows)), pointwise)
-    lowest = min(map(min, cols))
-    if lowest < 0:
-        raise InternalCheckError(f"tensor multiplicity {lowest} is negative")
+    # a negative one means spec is no module's character
+    _check_int("every tensor multiplicity of spec", min(map(min, cols)), 0)
     dims = tuple(row[-1] for row in rows)
     trivial_rows = [k for k, row in enumerate(rows) if row.count(1) == len(row)]
-    if len(trivial_rows) != 1:
-        raise InternalCheckError("expected exactly one all-ones character row")
+    if not trivial_rows:
+        raise InputError("simple has no trivial (all-ones) row")
     return FusionGraph(
         family=spec.family,
         m=spec.m,

@@ -15,11 +15,8 @@ and l(n) the sum of those columns over the labels; the module's character is
 a few cell rows summed in one lattice pass (`module_spec`).  No table is
 built.  The one column is added into one slot per distinct base, the bases
 kept on the spec in `ExpSum` order, so a series comes out canonical.  The
-library entries and the CLI take one route: the column comes from `tables`.
-Up to m = 64 it keeps both kinds for the process, the length column as a
-running sum; past it a length column is the sum of the C^-1 columns t, each
-added once more when t^+ <= m, and each is computed once per call, so a
-series holds O(m) ints at a time beyond those memos.
+library entries and the CLI take one route: the column comes from `tables`,
+whose docstring tells how it is built and which columns it keeps.
 Bases with value 0 are kept: under the convention 0^0 = 1 they make every
 length formula return 1 at n = 0 (the trivial module), while for n >= 1 they
 vanish — printed formulas usually show only the n >= 1 part, and the human
@@ -219,9 +216,7 @@ def _growth_series(spec: ModuleSpec, target: int | None = None) -> ExpSum:
 
     (I + P) X = C with P[i][i^+] = 1 (`simple_table`), so c = X^-1 w is column t of
     X^-1 = C^-1 (I + P) for V_t, and for l(n) the sum X^-1 (1, ..., 1) of those columns
-    over the labels.  Both come at the label positions from `tables`: up to m = 64 kept, the
-    length column as a running sum; past it C^-1 (I + P) (1, ..., 1), the C^-1 column t
-    taken twice when t^+ <= m, each C^-1 column computed once per call.  One pass adds
+    over the labels.  Both come at the label positions from `tables`.  One pass adds
     the column into the slots of the spec's bases, so the sum comes out canonical.
     """
     family, m = spec.family, spec.m
@@ -306,6 +301,7 @@ def general_length_series(data: MonoidClassData, charvec) -> ExpSum:
     column by column, u the one solution of L^T u = (1, ..., 1); Y is block
     diagonal, so each column meets only its block's part of u.
     """
+    _check_type("data", data, MonoidClassData)
     charvec = tuple(Fraction(x) for x in charvec)
     if len(charvec) != data.total_classes:
         raise InputError("character vector length mismatch")
@@ -350,6 +346,7 @@ class GroupClassData(Record):
         return sum(self.class_sizes)
 
     def _asymptotic(self, table: Mat, dim: int) -> ExpSum:
+        _check_int("dim", dim)
         terms = []
         for t, omega in zip(self.scalar_classes, self.scalars):
             col_sum = sum((table.rows[r][t] for r in range(table.nrows)), Fraction(0))

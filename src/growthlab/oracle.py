@@ -35,8 +35,9 @@ closed forms elsewhere have an independent referee:
   against the brute-force simple table, checked unit upper triangular when
   built, solves, and a negative entry refuses the whole tuple.
 
-Cell modules are cached per (family, m, i); an index map is made at each
-call, and the cached per-module pass (`_module_rows`) asks once per class
+Cell modules are cached per (family, m, i), and the brute-force rows per
+monoid (`_oracle_rows`), which every query reads; an index map is made at
+each call, and the per-module pass (`_module_rows`) asks once per class
 idempotent.  Every cached value (a `CellModule`, a `Mat`, rows of ints) is
 frozen, so no caller can change what a later query reads.  Recomputation is
 idempotent (pure functions of immutable inputs), so concurrent queries are
@@ -166,7 +167,6 @@ def _gram_rows(family: Family, m: int, i: int) -> _Rows:
     return tuple(map(tuple, rows))
 
 
-@lru_cache(maxsize=None)
 def _module_rows(family: Family, m: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(tr(e_j | S_i), tr(e_j | V_i)) for the class idempotent e_j of every label j, in order.
 
@@ -231,12 +231,13 @@ def _check_module(spec: ModuleSpec) -> None:
     `growth.parse_selector` refuses, then unless spec has one character value per
     label (`_substitute` trusts its right-hand sides); VerificationError unless a
     cell or simple module has the oracle's character of S_i or V_i, its row of
-    `_module_rows`.  A P module passes, the oracle having no trace of it."""
+    `_oracle_rows`.  A P module passes, the oracle having no trace of it."""
     _check_enumerable(spec.family, spec.m, capped=False)
     kind, i = parse_selector(spec.family, spec.m, spec.label)
-    if len(spec.charvec) != len(rank_labels(spec.family, spec.m)):
+    labels = rank_labels(spec.family, spec.m)
+    if len(spec.charvec) != len(labels):
         raise InputError("character vector length mismatch")
-    if kind != "P" and spec.bases != _module_rows(spec.family, spec.m, i)[kind == "V"]:
+    if kind != "P" and spec.bases != _oracle_rows(spec.family, spec.m)[kind == "V"][labels.index(i)]:
         raise VerificationError(f"character of {spec.label} disagrees with the oracle's")
 
 

@@ -17,7 +17,7 @@ from . import oracle, reference
 from .diagrams import DEFAULT_MAX_M, Family, _check_int, class_idempotent, expected_order, max_enumerable_m, rank_labels
 from .errors import InputError, InternalCheckError, VerificationError
 from .fusion import fusion_matrix, power_multiplicities, realized_n0, scc_analysis, spectral_check
-from .growth import ModuleSpec, evaluate, length_series, module_spec, multiplicity_series
+from .growth import evaluate, length_series, module_spec, multiplicity_series
 from .linalg import int_identity, int_mul
 from .record import Record
 from .tables import (
@@ -238,8 +238,7 @@ def check_growth(max_m: int | None = None, tables: _Tables | None = None) -> lis
     for m in (4, 5):
         if max_m is not None and m > max_m:
             continue
-        table = tables[simple_table, Family.PLANAR_ROOK, m]
-        specs = [ModuleSpec.from_table(table, i, "V") for i in range(m + 1)]
+        specs = [module_spec(Family.PLANAR_ROOK, m, f"V{i}") for i in range(m + 1)]
         for i, spec_i in enumerate(specs):
             for j, spec_j in enumerate(specs):
                 brute = _oracle_value(oracle.oracle_product_multiplicity, spec_i, spec_j)

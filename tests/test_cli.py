@@ -1048,6 +1048,21 @@ def test_outputs_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[command]
 
 
+def test_fusion_is_pinned_across_spellings_and_module_kinds(capsys):
+    # the exit code and stdout of 2,016 fusion calls: both spellings of each
+    # planar family, m = 1..8, V, S and P at every label, in every format;
+    # the digest was computed when V modules were read off the simple table
+    digest = hashlib.sha256()
+    for name in ("pro", "planar-rook", "tl", "temperley-lieb", "mo", "motzkin"):
+        for m in range(1, 9):
+            for label in growthlab.rank_labels(cli._FAMILIES[name], m):
+                for selector in (f"{kind}{label}" for kind in "VSP"):
+                    for fmt in ("text", "json", "dot"):
+                        code = main(["fusion", "--family", name, "--m", str(m), "--module", selector, "--format", fmt])
+                        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == "e4d4ee188cb79b0fafde68ad49f108c989704247eac8b4578e7b6d963f202284"
+
+
 def _no_mat(self, rows):
     raise AssertionError("the closed-form path built a Mat")
 

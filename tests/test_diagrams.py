@@ -167,6 +167,12 @@ def test_enumeration_bound_override_must_be_positive(monkeypatch, value):
         max_enumerable_m(Family.MOTZKIN)
 
 
+def test_enumeration_bound_override_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("GROWTHLAB_MAX_M", "abc")
+    with pytest.raises(InputError, match="^GROWTHLAB_MAX_M='abc' is not an integer$"):
+        max_enumerable_m(Family.MOTZKIN)
+
+
 def test_validation_rejects_bad_blocks():
     with pytest.raises(InputError):  # crossing chords (a transposition)
         make_diagram(Family.TEMPERLEY_LIEB, 2, [(1, 4), (2, 3)])

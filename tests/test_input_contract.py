@@ -2,8 +2,8 @@
 
 Every public entry that takes m, n, a family, a label, a selector, (p, l)
 params or a library record (a `Diagram`, `ModuleSpec`, `CharTable`,
-`FusionGraph` or `SccReport`) either returns or raises an `InputError` that
-names the parameter.
+`FusionGraph`, `MonoidClassData` or `SccReport`) either returns or raises an
+`InputError` that names the parameter.
 The gate draws those arguments property-style (Claessen and Hughes,
 "QuickCheck", ICFP 2000): ints across 31 orders of magnitude, negative ones
 included, and bools, floats, strings and None.  A valid value costs work in
@@ -14,7 +14,8 @@ and m past the enumeration cap (GROWTHLAB_MAX_M=3 here).  A record argument
 is drawn valid half the time, else None, an int, a str or a record of
 another type.
 The probes that once returned floats or wrong answers, or raised a bare
-TypeError or AttributeError, are pinned below, each with its message.
+TypeError or AttributeError or an `InternalCheckError`, are pinned below,
+each with its message, and so is each shape refusal of a record.
 """
 
 import re
@@ -32,6 +33,7 @@ from growthlab import (
     Diagram,
     ExpSum,
     Family,
+    GroupClassData,
     InputError,
     Mat,
     MonoidClassData,
@@ -48,6 +50,7 @@ from growthlab import (
     evaluate,
     flip,
     fusion_matrix,
+    general_length_series,
     green_data,
     group_injective,
     identity_diagram,
@@ -77,6 +80,7 @@ from growthlab import (
 from growthlab.cli import main
 from growthlab.growth import ModuleSpec
 from growthlab.record import Record
+from growthlab.tables import CharTable
 from growthlab.verify import run_suite
 
 TL = Family.TEMPERLEY_LIEB
@@ -87,6 +91,9 @@ SERIES = length_series(V1, TL5)
 DECOMPOSITION = decomposition_matrix(TL, 5)
 REPORT = scc_analysis(GRAPH)
 IDENTITY = identity_diagram(TL, 5)
+DATA = MonoidClassData.trivial_groups(TL5)
+C2 = Mat([(1, 1), (1, -1)])
+GROUP = GroupClassData((1, 1), C2, C2, (0, 1), (Fraction(1), Fraction(-1)))
 
 JUNK = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none())
 
@@ -114,7 +121,7 @@ SELECTOR = st.one_of(st.from_regex(r"[VSPx]?-?[0-9]{1,3}", fullmatch=True), arg(
 PARAMS = st.one_of(st.sampled_from([CHAR0_TL, CHAR0_MO, PLParams(2, 3), PLParams(7, 2)]), arg())
 COEFFICIENT = st.one_of(ints(10**30), st.fractions(max_denominator=9), JUNK)
 TABLE_M = arg(12, past_maxsize=True)
-RECORDS = (IDENTITY, V1, TL5, GRAPH, REPORT)
+RECORDS = (IDENTITY, V1, TL5, GRAPH, REPORT, DATA)
 
 
 def record(valid):
@@ -159,6 +166,9 @@ GATE = {
     "length_series": (length_series, record(V1), record(TL5)),
     "convergence_report": (convergence_report, record(V1)),
     "MonoidClassData.trivial_groups": (MonoidClassData.trivial_groups, record(TL5)),
+    "general_length_series": (general_length_series, record(DATA), st.just(V1.charvec)),
+    "GroupClassData.length_asymptotic": (GROUP.length_asymptotic, arg()),
+    "GroupClassData.summand_asymptotic": (GROUP.summand_asymptotic, arg()),
     "cell_table": (cell_table, FAMILY, TABLE_M),
     "simple_table": (simple_table, FAMILY, TABLE_M),
     "projective_table": (projective_table, FAMILY, TABLE_M),
@@ -249,6 +259,24 @@ PROBES = {
     "spectral-none-g": (lambda: spectral_check(None, V1, None), "g must be a FusionGraph, not None"),
     "dot-none-g": (lambda: to_dot(None, None), "g must be a FusionGraph, not None"),
     "convergence-int-spec": (lambda: convergence_report(5), "spec must be a ModuleSpec, not 5"),
+    "general-none-data": (lambda: general_length_series(None, [1]), "data must be a MonoidClassData, not None"),
+    "length-asymptotic-float-dim": (lambda: GROUP.length_asymptotic(2.5), "dim must be an int, not 2.5"),
+    "length-asymptotic-str-dim": (lambda: GROUP.length_asymptotic("3"), "dim must be an int, not '3'"),
+    "summand-asymptotic-none-dim": (lambda: GROUP.summand_asymptotic(None), "dim must be an int, not None"),
+    # answered as if dim were 1
+    "length-asymptotic-bool-dim": (lambda: GROUP.length_asymptotic(True), "dim must be an int, not True"),
+    # raised InternalCheckError, the class of a defect, for a caller's records
+    "fusion-no-trivial-row": (
+        lambda: fusion_matrix(
+            ModuleSpec("V1", Family.MOTZKIN, 1, 1, (1, 1)),
+            CharTable(Family.MOTZKIN, 1, "simple", (0, 1), ((1, 0), (0, 1))),
+        ),
+        "simple has no trivial (all-ones) row",
+    ),
+    "fusion-negative-multiplicity": (
+        lambda: fusion_matrix(ModuleSpec("V1", Family.MOTZKIN, 2, 1, (-1, 0, 1)), simple_table(Family.MOTZKIN, 2)),
+        "need every tensor multiplicity of spec >= 0",
+    ),
     # had no ceiling in the library: it would build 2**51 sign twists
     "pl-support-past-the-twists": (
         lambda: pl_support(10**30, PLParams(2, 3)), "a + 1 has 51 nonzero digits after the leading one (at most 16)"
@@ -266,6 +294,38 @@ PROBES = {
 @pytest.mark.parametrize("name", PROBES)
 def test_each_probe_raises_one_input_error_naming_its_parameter(name):
     call, message = PROBES[name]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is InputError
+
+
+# each refusal of a record's shape, and the one InputError it raises
+SHAPE_REFUSALS = {
+    "module-spec-dim": (
+        lambda: ModuleSpec("V1", TL, 5, V1.dim + 1, V1.charvec), "dimension must equal the character at the identity class"
+    ),
+    "length-short-character": (
+        lambda: length_series(ModuleSpec("V1", TL, 5, V1.dim, V1.charvec[1:]), TL5), "character vector length mismatch"
+    ),
+    "monoid-data-lengths": (
+        lambda: MonoidClassData((1,), ((1,), (1,)), Mat.identity(2), (Mat.identity(1),) * 2),
+        "per-J-class data lengths disagree",
+    ),
+    "monoid-data-l-shape": (
+        lambda: MonoidClassData((1,), ((1,),), Mat.identity(2), (Mat.identity(1),)),
+        "L must be square of size = total class count",
+    ),
+    "general-short-character": (lambda: general_length_series(DATA, (1,)), "character vector length mismatch"),
+    "group-data-widths": (
+        lambda: GroupClassData((1, 1), Mat.identity(1), C2, (), ()), "table widths must match the class count"
+    ),
+    "group-data-scalars": (lambda: GroupClassData((1, 1), C2, C2, (0,), ()), "one scalar per scalar class"),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_REFUSALS)
+def test_each_shape_refusal_raises_one_input_error(name):
+    call, message = SHAPE_REFUSALS[name]
     with pytest.raises(InputError, match=f"^{re.escape(message)}$") as info:
         call()
     assert type(info.value) is InputError

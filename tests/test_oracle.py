@@ -46,7 +46,8 @@ from growthlab.tables import cell_table, simple_table
 
 def _trace(family, m, i, j, simple=False):
     """tr(e_j | V_i) if simple, else tr(e_j | S_i): entry j of the oracle's row for the module."""
-    return oracle._module_rows(family, m, i)[simple][rank_labels(family, m).index(j)]
+    labels = rank_labels(family, m)
+    return _oracle_rows(family, m)[simple][labels.index(i)][labels.index(j)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +268,7 @@ def test_referee_path_builds_no_action_matrix(monkeypatch):
     monkeypatch.setattr(CellModule, "action", no_action)
     results = verify.check_tables() + verify.check_growth()
     assert results and all(r.ok for r in results)
-    assert oracle._module_rows.cache_info().currsize  # the cold caches were refilled
+    assert _oracle_rows.cache_info().currsize  # the cold caches were refilled
 
 
 def _scaled_radical(family, m, i, factor):
@@ -481,11 +482,11 @@ def test_rank_route_matches_the_radical_trace_referee(family, m):
 
 @pytest.fixture
 def fresh_module_rows():
-    """Empty the cache of the per-module pass before and after the test, so that
-    the pass sees a perturbation and no perturbed row outlives it."""
-    oracle._module_rows.cache_clear()
+    """Empty the cache of the brute-force rows before and after the test, so that
+    the per-module pass sees a perturbation and no perturbed row outlives it."""
+    _oracle_rows.cache_clear()
     yield
-    oracle._module_rows.cache_clear()
+    _oracle_rows.cache_clear()
 
 
 # (family, m, i, an entry (a, b) of the form that the invariance check sees)
@@ -634,7 +635,7 @@ def test_one_elimination_per_cell_module(monkeypatch, fresh_module_rows):
     for family, m in ((Family.TEMPERLEY_LIEB, 7), (Family.MOTZKIN, 5), (Family.PLANAR_ROOK, 4)):
         calls.clear()
         labels = rank_labels(family, m)
-        _oracle_rows.__wrapped__(family, m)
+        _oracle_rows(family, m)
         assert len(calls) == len(labels)
         # every character, cell or simple, and every dimension reads the same pass
         for i in labels:

@@ -42,6 +42,19 @@ def test_the_report_of_a_full_run_is_the_stdlib_report(monkeypatch):
     assert report_json(results) == stdlib_report(results)
 
 
+def test_a_max_m_skips_the_growth_checks_above_it():
+    # at max_m = 4 the golden specs at TL 7, MO 5 and PRO 5 and the PRO 5
+    # tensor rule are skipped: the two printed formulas, PRO 4 V2's 20
+    # multiplicities and 4 lengths, and the 125 PRO 4 tensor-rule checks stay
+    results = verify.check_growth(max_m=4)
+    assert len(results) == 151 and all(r.ok for r in results)
+    assert Counter(r.check.partition(":")[0] for r in results) == {
+        "formula": 2, "mult": 20, "length": 4, "tensor-rule": 125
+    }
+    assert {r.check.split(":")[1] for r in results} == {"tl7-v3", "mo5-s1", "planar_rook", "pro4"}
+    assert len(verify.check_growth()) == 491
+
+
 def test_an_empty_report_is_the_stdlib_report():
     assert report_json([]) == stdlib_report([]) == '{\n  "checks": [],\n  "failures": 0,\n  "total": 0\n}'
 
